@@ -2,7 +2,7 @@
 //! generator drives the `wserv` discrete-event simulator across an
 //! arrival-rate x shard-count x cache x batching grid, plus a seeded
 //! chaos sweep (worker panics, shard crashes, stalls, poison requests,
-//! degraded-mode brownout) through `run_chaos`, plus a closed-loop
+//! degraded-mode brownout) through `run_sim`, plus a closed-loop
 //! multi-client transport sweep (`transport_results`) through
 //! `run_closed_loop` with the wire itself in the loop — framing cost
 //! charged to the Communication lane, seeded `WireFaultPlan` resets,
@@ -34,8 +34,8 @@ use dwt::{dwt2d, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use wserv::progressive::pyramid_max_abs_diff;
 use wserv::sim::{
-    run_chaos, run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel,
-    ProgressiveSim, SimReport,
+    run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
+    SimReport,
 };
 use wserv::transport::Connector;
 use wserv::{
@@ -362,7 +362,7 @@ fn chaos_sweep(n_reqs: usize, rate_hz: f64) -> Vec<ChaosCell> {
     let cost = CostModel::default();
     let mut cells = Vec::new();
     for (scenario, cfg) in chaos_scenarios() {
-        let report = run_chaos(&cfg, &cost, stream(n_reqs, rate_hz));
+        let report = run_sim(&cfg, &cost, stream(n_reqs, rate_hz));
         let cell = ChaosCell {
             scenario,
             shards: 3,

@@ -5,7 +5,7 @@
 //! schedules — no wall clock, no mutable RNG) from the SPMD simulators
 //! into `wserv`. Every injection decision is either an explicit literal
 //! event or a pure hash of the plan seed and a canonical coordinate, so
-//! the discrete-event chaos simulator replays byte-identically from the
+//! the discrete-event simulator replays byte-identically from the
 //! seed and the live threaded driver injects the *same* faults at the
 //! same shard-local dispatch indices.
 //!

@@ -21,7 +21,10 @@
 //!        MetricsSnapshot → perfbudget::BudgetReport
 //! ```
 //!
-//! Two drivers share every policy component:
+//! Two drivers share every policy component — the queue, batcher and
+//! cache state machines, and the crate-private `policy` module, which
+//! holds each post-door decision (re-admission, quarantine, restart or
+//! fail-over, steal/split/merge, degraded responses) once:
 //!
 //! * [`WaveletService`] — the live threaded server (one worker thread
 //!   per shard, wall-clock service time, graceful-drain shutdown);
@@ -47,12 +50,12 @@
 //! shard-local dispatch indices. Workers isolate panics with
 //! `catch_unwind`; a supervisor ([`SupervisorPolicy`]) restarts the
 //! dead under a bounded exponential-backoff budget, exhausted shards
-//! fail over to ring successors ([`shard::route`]) with typed
+//! fail over to ring successors ([`ShardMap::route`]) with typed
 //! [`Rejection::ShardFailed`] / [`Rejection::Requeued`] outcomes for
 //! what cannot be saved, and an optional [`DegradedPolicy`] answers
 //! sub-interactive work on pressured shards with bounded-error
-//! responses instead of rejections ([`sim::run_chaos`] is the sim-side
-//! counterpart). Restart, requeue and backoff time lands in the
+//! responses instead of rejections ([`sim::run_sim`] replays the same
+//! plan in virtual time). Restart, requeue and backoff time lands in the
 //! FaultRecovery lane.
 
 pub mod admission;
@@ -61,6 +64,7 @@ pub mod cache;
 pub mod elastic;
 pub mod faults;
 pub mod metrics;
+mod policy;
 pub mod progressive;
 pub mod remote;
 pub mod request;

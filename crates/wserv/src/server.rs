@@ -2,7 +2,7 @@
 //!
 //! [`WaveletService`] owns one worker thread per shard. Submitters hash
 //! the request's shape to a shard (walking the ring past failed shards
-//! — see [`shard::route`]), admit it under that shard's lock, and get
+//! — see [`ShardMap::route`]), admit it under that shard's lock, and get
 //! back a [`ResponseHandle`] that resolves to exactly one
 //! [`ServeResult`]. Workers pop coalesced batches, execute them through
 //! the shard's [`PlanCache`], and resolve the waiters.
@@ -32,8 +32,9 @@
 //!   instead of letting the backlog shed it.
 //!
 //! Fault *injection* is deterministic and seeded ([`ShardFaultPlan`]):
-//! the same plan drives the chaos simulator ([`crate::sim::run_chaos`])
-//! and this live driver, at the same shard-local dispatch indices.
+//! the same plan drives the simulator ([`crate::sim::run_sim`]) and
+//! this live driver, at the same shard-local dispatch indices — and
+//! both recover through the same crate-private `policy` functions.
 //!
 //! Shutdown is a graceful drain: [`WaveletService::shutdown`] flips the
 //! drain flag (new submissions are rejected [`Rejection::Draining`]),
@@ -46,7 +47,7 @@
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -56,14 +57,11 @@ use parking_lot::{Condvar, Mutex};
 use crate::admission::{AdmissionQueue, Admit};
 use crate::batch::{Batch, BatchPolicy};
 use crate::cache::PlanCache;
-use crate::elastic::{
-    BalanceAction, BalanceController, ElasticPolicy, QueuedShape, ShardLoad, ShardMap,
-};
+use crate::elastic::{BalanceAction, BalanceController, ElasticPolicy, ShardMap};
 use crate::faults::{DegradedPolicy, ShardFaultPlan, SupervisorPolicy};
 use crate::metrics::{LaneSplit, MetricsSnapshot, ShardMetrics};
-use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
-};
+use crate::policy::{self, Shards};
+use crate::request::{DecomposeRequest, Entry, RejectKind, Rejection, ServeResult};
 use crate::shard;
 
 /// Service-wide configuration.
@@ -249,10 +247,12 @@ impl ResponseHandle {
     }
 }
 
+type LiveQueue = AdmissionQueue<Arc<ResponseCell>>;
+
 /// Lock-guarded half of one shard.
 #[derive(Debug)]
 struct Inner {
-    queue: AdmissionQueue<Arc<ResponseCell>>,
+    queue: LiveQueue,
     draining: bool,
 }
 
@@ -267,7 +267,8 @@ struct ShardShared {
     in_flight: Mutex<Option<Batch<Arc<ResponseCell>>>>,
     /// The shard's plan cache; survives worker restarts warm.
     cache: Mutex<PlanCache>,
-    /// The shard's metrics; survive worker restarts.
+    /// The shard's metrics; survive worker restarts (and carry the
+    /// restart count the supervisor budgets against).
     metrics: Mutex<ShardMetrics>,
     /// Shard-local dispatch counter — the fault-injection coordinate.
     /// Monotonic across worker restarts (a restarted worker continues
@@ -276,8 +277,6 @@ struct ShardShared {
     /// Set when the restart budget is exhausted; submitters and the
     /// failover router treat the shard as dead.
     failed: AtomicBool,
-    /// Worker restarts performed so far.
-    restarts: AtomicU32,
 }
 
 impl ShardShared {
@@ -293,47 +292,98 @@ impl ShardShared {
             metrics: Mutex::new(ShardMetrics::default()),
             dispatch: AtomicU64::new(0),
             failed: AtomicBool::new(false),
-            restarts: AtomicU32::new(0),
         }
-    }
-
-    fn alive(&self) -> bool {
-        !self.failed.load(Ordering::SeqCst)
     }
 }
 
-/// Shared elastic routing and control state of the live driver.
+/// Everything the live driver's threads share — and, through
+/// `impl Shards for &Live`, the live storage backend of the shared
+/// [`policy`]: each storage operation takes exactly the shard lock it
+/// names and releases it before returning, so policy code never holds
+/// one lock while asking for another.
 ///
 /// The [`ShardMap`] is *always* the routing authority — with elastic
 /// disabled it is an unmodified map over the base shards, which routes
-/// identically to the legacy [`shard::route`] ring. The controller is
+/// exactly like the static [`shard::route`] ring. The controller is
 /// present only under [`ServiceConfig::elastic`]; submitters tick it
 /// opportunistically (`try_lock`, so at most one submitter balances at
 /// a time and nobody queues behind the control plane).
 ///
 /// Lock order: `ctrl` → `map` → shard `inner` (innermost). Shard inner
-/// locks nest (two at once) only inside [`WaveletService::migrate`],
-/// always in ascending index order, and only while `ctrl` is held — so
-/// no cycle is possible with the single-inner-lock paths.
+/// locks nest (two at once) only inside [`Shards::queue_pair`], always
+/// in ascending index order, and only while `ctrl` is held — so no
+/// cycle is possible with the single-inner-lock paths.
 #[derive(Debug)]
-struct LiveElastic {
+struct Live {
+    config: ServiceConfig,
+    start: Instant,
+    shards: Vec<ShardShared>,
     map: Mutex<ShardMap>,
     ctrl: Option<Mutex<BalanceController>>,
-    /// Reserve slots that were activated at least once (their books are
-    /// part of the final snapshot; never-activated slots served
-    /// nothing and are omitted).
-    ever_active: Mutex<Vec<bool>>,
-    /// The decision log: `(seconds since service start, action)`.
+    /// The decision log: `(seconds since service start, action)`, only
+    /// actions that were applied — so it also says which reserve slots
+    /// were ever activated.
     log: Mutex<Vec<(f64, BalanceAction)>>,
+}
+
+impl Live {
+    /// Seconds since service start (the live service clock).
+    fn now(&self) -> f64 {
+        self.start.elapsed().as_secs_f64()
+    }
+}
+
+impl Shards for &Live {
+    type Tag = Arc<ResponseCell>;
+
+    fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn alive(&self, s: usize) -> bool {
+        !self.shards[s].failed.load(Ordering::SeqCst)
+    }
+
+    fn mark_failed(&mut self, s: usize) {
+        self.shards[s].failed.store(true, Ordering::SeqCst);
+    }
+
+    fn queue<R>(&mut self, s: usize, f: impl FnOnce(&mut LiveQueue) -> R) -> R {
+        f(&mut self.shards[s].inner.lock().queue)
+    }
+
+    fn queue_pair<R>(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl FnOnce(&mut LiveQueue, &mut LiveQueue) -> R,
+    ) -> R {
+        let mut lo = self.shards[a.min(b)].inner.lock();
+        let mut hi = self.shards[a.max(b)].inner.lock();
+        if a < b {
+            f(&mut lo.queue, &mut hi.queue)
+        } else {
+            f(&mut hi.queue, &mut lo.queue)
+        }
+    }
+
+    fn metrics<R>(&mut self, s: usize, f: impl FnOnce(&mut ShardMetrics) -> R) -> R {
+        f(&mut self.shards[s].metrics.lock())
+    }
+
+    fn resolve(&mut self, tag: Arc<ResponseCell>, result: ServeResult) {
+        tag.resolve(result);
+    }
+
+    fn wake(&mut self, s: usize, _now: f64) {
+        self.shards[s].work.notify_one();
+    }
 }
 
 /// The running service.
 #[derive(Debug)]
 pub struct WaveletService {
-    config: ServiceConfig,
-    start: Instant,
-    shards: Vec<Arc<ShardShared>>,
-    elastic: Arc<LiveElastic>,
+    live: Arc<Live>,
     /// Present when supervision is enabled; owns the worker handles.
     supervisor: Option<thread::JoinHandle<()>>,
     /// Worker handles when supervision is disabled (joined at
@@ -358,42 +408,32 @@ impl WaveletService {
         if let Err(reason) = config.validate() {
             panic!("invalid ServiceConfig: {reason}");
         }
-        let start = Instant::now();
         let total = config.total_slots();
-        let shards: Vec<Arc<ShardShared>> = (0..total)
-            .map(|_| Arc::new(ShardShared::new(&config)))
-            .collect();
-        let elastic = Arc::new(LiveElastic {
+        let live = Arc::new(Live {
+            start: Instant::now(),
+            shards: (0..total).map(|_| ShardShared::new(&config)).collect(),
             map: Mutex::new(ShardMap::new(config.shards, total - config.shards)),
             ctrl: config
                 .elastic
                 .map(|policy| Mutex::new(BalanceController::new(policy))),
-            ever_active: Mutex::new(vec![false; total]),
             log: Mutex::new(Vec::new()),
+            config,
         });
         // Reserve-slot workers spawn with the rest: they sleep on their
         // empty queues until a split routes work their way, and they
         // drain like any other shard at shutdown.
-        let handles: Vec<thread::JoinHandle<()>> = (0..total)
-            .map(|ix| spawn_worker(ix, &shards, &config, start, &elastic))
-            .collect();
-        let (supervisor, workers) = if config.supervisor.enabled() {
-            let sup_shards = shards.clone();
-            let sup_cfg = config.clone();
-            let sup_elastic = Arc::clone(&elastic);
+        let handles: Vec<thread::JoinHandle<()>> =
+            (0..total).map(|ix| spawn_worker(&live, ix)).collect();
+        let (supervisor, workers) = if live.config.supervisor.enabled() {
+            let live = Arc::clone(&live);
             let handles = handles.into_iter().map(Some).collect();
-            let sup = thread::spawn(move || {
-                supervisor_loop(&sup_shards, handles, &sup_cfg, start, &sup_elastic)
-            });
+            let sup = thread::spawn(move || supervisor_loop(&live, handles));
             (Some(sup), Vec::new())
         } else {
             (None, handles)
         };
         WaveletService {
-            config,
-            start,
-            shards,
-            elastic,
+            live,
             supervisor,
             workers,
             next_id: Mutex::new(0),
@@ -402,7 +442,7 @@ impl WaveletService {
 
     /// Seconds since service start (the live service clock).
     pub fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
+        self.live.now()
     }
 
     /// Submit one request. `Err` is an at-the-door rejection; `Ok` is a
@@ -411,24 +451,19 @@ impl WaveletService {
     /// the shard ring.
     pub fn submit(&self, req: DecomposeRequest) -> Result<ResponseHandle, Rejection> {
         req.validate()?;
+        let live = &*self.live;
         let shape = req.shape();
-        let alive: Vec<bool> = self.shards.iter().map(|s| s.alive()).collect();
+        let alive = policy::alive(&live);
         let (home, routed) = {
-            let map = self.elastic.map.lock();
+            let map = live.map.lock();
             (map.home(&shape), map.route(&shape, &alive))
         };
         let Some(shard_ix) = routed else {
             // Every shard is down; account the rejection to the home
             // shard so the books still balance per shard.
-            let restarts = self.shards[home].restarts.load(Ordering::SeqCst);
-            let mut inner = self.shards[home].inner.lock();
-            inner.queue.counters.reject(RejectKind::ShardFailed);
-            return Err(Rejection::ShardFailed {
-                shard: home,
-                restarts,
-            });
+            return Err(policy::shard_failed(&mut &*live, home));
         };
-        let state = &self.shards[shard_ix];
+        let state = &live.shards[shard_ix];
         let cell = Arc::new(ResponseCell::default());
         let id = {
             let mut next = self.next_id.lock();
@@ -475,165 +510,34 @@ impl WaveletService {
     }
 
     /// The elastic controller's decision log so far: `(seconds since
-    /// service start, action)` in decision order. Empty without
-    /// [`ServiceConfig::elastic`].
+    /// service start, action)` in decision order — only actions that
+    /// were applied. Empty without [`ServiceConfig::elastic`].
     pub fn elastic_log(&self) -> Vec<(f64, BalanceAction)> {
-        self.elastic.log.lock().clone()
+        self.live.log.lock().clone()
     }
 
     /// Current routing-table version (bumped by every split, merge, and
     /// override mutation; 0 while the map is pristine).
     pub fn shard_map_epoch(&self) -> u64 {
-        self.elastic.map.lock().epoch()
+        self.live.map.lock().epoch()
     }
 
     /// One opportunistic controller step at `now` seconds. `try_lock`
     /// keeps the control plane off the submit hot path: at most one
-    /// submitter balances at a time, the rest skip.
+    /// submitter balances at a time, the rest skip — and the hysteresis
+    /// check comes before the map lock so a skipped tick touches
+    /// neither the map nor any queue.
     fn elastic_tick(&self, now: f64) {
-        let Some(ctrl_m) = &self.elastic.ctrl else {
-            return;
-        };
-        let Some(mut ctrl) = ctrl_m.try_lock() else {
+        let mut live = &*self.live;
+        let Some(mut ctrl) = live.ctrl.as_ref().and_then(|c| c.try_lock()) else {
             return;
         };
         if !ctrl.ready(now) {
             return;
         }
-        let mut map = self.elastic.map.lock();
-        let loads: Vec<ShardLoad> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, st)| {
-                let inner = st.inner.lock();
-                ShardLoad {
-                    active: map.is_active(s),
-                    failed: !st.alive(),
-                    depth: inner.queue.len(),
-                    free: inner.queue.free(),
-                    queued: inner
-                        .queue
-                        .shape_census()
-                        .into_iter()
-                        .map(|(shape, count, movable)| QueuedShape {
-                            key: shard::shape_key(&shape),
-                            shape,
-                            count,
-                            movable,
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        let Some(action) = ctrl.decide(now, &loads) else {
-            return;
-        };
-        self.apply_action(&mut map, &action);
-        self.elastic.log.lock().push((now, action));
-    }
-
-    /// Apply one decided action as queue surgery plus map mutation.
-    /// Every migrated entry leaves exactly one queue and enters exactly
-    /// one queue under its locks, so the exactly-once books never see
-    /// the move.
-    fn apply_action(&self, map: &mut ShardMap, action: &BalanceAction) {
-        match action {
-            BalanceAction::Steal { from, to, key, cap } => {
-                self.migrate(*from, *to, *key, *cap);
-            }
-            BalanceAction::Split { from, to, keys } => {
-                if !self.shards[*to].alive() {
-                    return;
-                }
-                map.activate(*to);
-                self.elastic.ever_active.lock()[*to] = true;
-                for &key in keys {
-                    map.set_override(key, *to);
-                    self.migrate(*from, *to, key, usize::MAX);
-                }
-                self.shards[*from].metrics.lock().splits += 1;
-            }
-            BalanceAction::Merge { from } => {
-                for key in map.overrides_to(*from) {
-                    map.clear_override(key);
-                }
-                map.retire(*from);
-                self.shards[*from].metrics.lock().merges += 1;
-                // Drain the retiring queue losslessly back through the
-                // map. The merge threshold keeps this tiny (usually
-                // empty); a full routable queue resolves the entry as
-                // a typed QueueFull rather than losing it.
-                let queued = self.shards[*from].inner.lock().queue.drain();
-                let alive: Vec<bool> = self.shards.iter().map(|s| s.alive()).collect();
-                for entry in queued {
-                    let Some(target) = map.route(&entry.req.shape(), &alive) else {
-                        let me = &self.shards[*from];
-                        let restarts = me.restarts.load(Ordering::SeqCst);
-                        me.inner
-                            .lock()
-                            .queue
-                            .counters
-                            .reject(RejectKind::ShardFailed);
-                        entry.tag.resolve(Err(Rejection::ShardFailed {
-                            shard: *from,
-                            restarts,
-                        }));
-                        continue;
-                    };
-                    let st = &self.shards[target];
-                    let mut inner = st.inner.lock();
-                    if inner.queue.free() > 0 {
-                        inner.queue.accept_migrated(entry);
-                        drop(inner);
-                        self.shards[*from].metrics.lock().stolen_out += 1;
-                        st.metrics.lock().stolen_in += 1;
-                        st.work.notify_one();
-                    } else {
-                        let depth = inner.queue.len();
-                        inner.queue.counters.reject(RejectKind::QueueFull);
-                        drop(inner);
-                        entry.tag.resolve(Err(Rejection::QueueFull { depth }));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Migrate up to `cap` queued entries of routing key `key` from
-    /// shard `from` to shard `to`, both inner locks held (ascending
-    /// index order) so the move is atomic with respect to failover
-    /// drains — an entry is owned by exactly one of the two mechanisms.
-    fn migrate(&self, from: usize, to: usize, key: u64, cap: usize) {
-        if from == to || !self.shards[from].alive() || !self.shards[to].alive() {
-            // A shard mid-failover is never a steal source or target:
-            // the controller already filters failed shards, and this
-            // re-check closes the decide-to-apply race.
-            return;
-        }
-        let (first, second) = (from.min(to), from.max(to));
-        let mut g1 = self.shards[first].inner.lock();
-        let mut g2 = self.shards[second].inner.lock();
-        let (from_inner, to_inner) = if from < to {
-            (&mut *g1, &mut *g2)
-        } else {
-            (&mut *g2, &mut *g1)
-        };
-        let cap = cap.min(to_inner.queue.free());
-        if cap == 0 {
-            return;
-        }
-        let taken = from_inner.queue.take_shape(key, cap);
-        let moved = taken.len() as u64;
-        for entry in taken {
-            to_inner.queue.accept_migrated(entry);
-        }
-        drop(g2);
-        drop(g1);
-        if moved > 0 {
-            self.shards[from].metrics.lock().stolen_out += moved;
-            self.shards[to].metrics.lock().stolen_in += moved;
-            self.shards[to].work.notify_all();
+        let mut map = live.map.lock();
+        if let Some(action) = policy::balance(&mut live, &mut map, &mut ctrl, now) {
+            live.log.lock().push((now, action));
         }
     }
 
@@ -646,10 +550,9 @@ impl WaveletService {
     /// [`Rejection::ShardFailed`] (every accepted request still
     /// terminates, even through an error shutdown).
     pub fn shutdown(self) -> Result<MetricsSnapshot, ServiceError> {
-        for state in &self.shards {
-            let mut inner = state.inner.lock();
-            inner.draining = true;
-            drop(inner);
+        let mut live = &*self.live;
+        for state in &live.shards {
+            state.inner.lock().draining = true;
             state.work.notify_all();
         }
         let mut error = None;
@@ -660,8 +563,8 @@ impl WaveletService {
         }
         for (ix, handle) in self.workers.into_iter().enumerate() {
             if handle.join().is_err() {
-                self.shards[ix].failed.store(true, Ordering::SeqCst);
-                self.shards[ix].metrics.lock().failed = true;
+                live.mark_failed(ix);
+                live.shards[ix].metrics.lock().failed = true;
                 error.get_or_insert(ServiceError::WorkerPanicked { shard: ix });
             }
         }
@@ -669,21 +572,12 @@ impl WaveletService {
         // by an unsupervised death, or re-routed into a shard whose
         // worker had already drained) resolves ShardFailed so every
         // accepted request terminates.
-        for (ix, state) in self.shards.iter().enumerate() {
+        for (shard, state) in live.shards.iter().enumerate() {
             let stranded = state.in_flight.lock().take();
             let queued = state.inner.lock().queue.drain();
-            let restarts = state.restarts.load(Ordering::SeqCst);
             for entry in stranded.into_iter().flat_map(|b| b.entries).chain(queued) {
-                state
-                    .inner
-                    .lock()
-                    .queue
-                    .counters
-                    .reject(RejectKind::ShardFailed);
-                entry.tag.resolve(Err(Rejection::ShardFailed {
-                    shard: ix,
-                    restarts,
-                }));
+                let rejection = policy::shard_failed(&mut live, shard);
+                entry.tag.resolve(Err(rejection));
             }
         }
         // Close every shard's books exactly once. Reserve slots that
@@ -691,13 +585,15 @@ impl WaveletService {
         // their zero-completion lanes don't skew the imbalance rollup
         // (activation always picks the lowest reserve slot, so the
         // omissions are a stable suffix).
-        let now = self.start.elapsed().as_secs_f64();
-        let ever_active = self.elastic.ever_active.lock().clone();
-        let shards = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(ix, _)| *ix < self.config.shards || ever_active[*ix])
+        let now = live.now();
+        let log = live.log.lock();
+        let activated = |ix| {
+            let mut splits = log.iter().map(|(_, action)| action);
+            splits.any(|a| matches!(a, BalanceAction::Split { to, .. } if *to == ix))
+        };
+        let shards = live.shards.iter().enumerate();
+        let shards = shards
+            .filter(|(ix, _)| *ix < live.config.shards || activated(*ix))
             .map(|(_, state)| {
                 let mut m = state.metrics.lock().clone();
                 m.queue = state.inner.lock().queue.counters.clone();
@@ -713,95 +609,23 @@ impl WaveletService {
     }
 }
 
-fn spawn_worker(
-    shard_ix: usize,
-    shards: &[Arc<ShardShared>],
-    cfg: &ServiceConfig,
-    start: Instant,
-    elastic: &Arc<LiveElastic>,
-) -> thread::JoinHandle<()> {
-    let shards = shards.to_vec();
-    let cfg = cfg.clone();
-    let elastic = Arc::clone(elastic);
-    thread::spawn(move || worker_loop(shard_ix, &shards, &cfg, start, &elastic))
+fn spawn_worker(live: &Arc<Live>, shard_ix: usize) -> thread::JoinHandle<()> {
+    let live = Arc::clone(live);
+    thread::spawn(move || worker_loop(&live, shard_ix))
 }
 
-/// Re-admit one entry into `target`'s queue at `now`, charging the
-/// requeue cost to `charge` (the shard responsible for the recovery:
-/// itself for quarantine and restart requeues, the failed shard for
-/// failover re-routes). An entry the queue refuses resolves terminally
-/// with the typed rejection.
-fn readmit(
-    charge: &ShardShared,
-    target: &ShardShared,
-    entry: Entry<Arc<ResponseCell>>,
-    policy: &SupervisorPolicy,
-    now: f64,
-) {
-    let incoming = entry.req.priority;
-    let admitted = {
-        let mut inner = target.inner.lock();
-        inner.queue.admit(now, entry)
-    };
-    match admitted {
-        Admit::Accepted => {
-            charge.metrics.lock().record_requeue(policy.requeue_s);
-            target.work.notify_one();
-        }
-        Admit::AcceptedShedding(victim) => {
-            charge.metrics.lock().record_requeue(policy.requeue_s);
-            victim.tag.resolve(Err(Rejection::Shed { by: incoming }));
-            target.work.notify_one();
-        }
-        Admit::Rejected(entry, rejection) => entry.tag.resolve(Err(rejection)),
-    }
-}
-
-/// The poisoned-batch quarantine, applied after a caught execution
-/// panic: batchmates re-queue to retry solo (attempts + 1, so the
-/// batcher isolates them); a request that panicked even solo is
-/// terminally rejected instead of burning another worker.
-fn quarantine(
-    me: &ShardShared,
-    batch: Batch<Arc<ResponseCell>>,
-    policy: &SupervisorPolicy,
-    now: f64,
-) {
-    if batch.len() == 1 {
-        let entry = batch.entries.into_iter().next().expect("len checked");
-        {
-            let mut metrics = me.metrics.lock();
-            metrics.quarantined += 1;
-        }
-        me.inner.lock().queue.counters.reject(RejectKind::Requeued);
-        entry.tag.resolve(Err(Rejection::Requeued {
-            attempts: entry.attempts + 1,
-        }));
-        return;
-    }
-    for mut entry in batch.entries {
-        entry.attempts += 1;
-        readmit(me, me, entry, policy, now);
-    }
-}
-
-fn worker_loop(
-    shard_ix: usize,
-    shards: &[Arc<ShardShared>],
-    cfg: &ServiceConfig,
-    start: Instant,
-    elastic: &Arc<LiveElastic>,
-) {
-    let me = &shards[shard_ix];
+fn worker_loop(live: &Live, shard_ix: usize) {
+    let mut store = live;
+    let cfg = &live.config;
+    let me = &live.shards[shard_ix];
     loop {
         let wake = Instant::now();
         let popped = {
             let mut inner = me.inner.lock();
             loop {
                 if !inner.queue.is_empty() {
-                    let now = start.elapsed().as_secs_f64();
                     let depth_frac = inner.queue.len() as f64 / cfg.queue_capacity.max(1) as f64;
-                    break Some((inner.queue.pop_batch(now, &cfg.batch), depth_frac));
+                    break Some((inner.queue.pop_batch(live.now(), &cfg.batch), depth_frac));
                 }
                 if inner.draining {
                     break None;
@@ -814,17 +638,8 @@ fn worker_loop(
             // centrally at shutdown (metrics are shared state).
             return;
         };
-        let dispatch_start = start.elapsed().as_secs_f64();
-        for entry in pop.expired {
-            let deadline = entry.req.deadline.expect("expired implies a deadline");
-            me.metrics
-                .lock()
-                .record_lost(dispatch_start - entry.arrival);
-            entry.tag.resolve(Err(Rejection::DeadlineExpired {
-                deadline,
-                now: dispatch_start,
-            }));
-        }
+        let dispatch_start = live.now();
+        policy::expire(&mut store, shard_ix, pop.expired, dispatch_start);
         let Some(batch) = pop.batch else { continue };
 
         // Stash the dispatch before touching it: from here on, a worker
@@ -864,49 +679,27 @@ fn worker_loop(
         let t1 = Instant::now();
         match executed {
             Err(_) => {
-                // Execution panicked and was quarantined in-thread: the
+                // Execution panicked and was caught in-thread: the
                 // worker survives, the batch goes through the
                 // poisoned-batch protocol.
-                let now = start.elapsed().as_secs_f64();
-                quarantine(me, batch, &cfg.supervisor, now);
+                let now = live.now();
+                policy::quarantine(&mut store, shard_ix, batch, &cfg.supervisor, now);
             }
             Ok(Ok(done)) => {
-                // Degrade sub-interactive work when capacity is reduced:
-                // covering for a failed peer, or a queue past the
-                // high-water mark.
-                let peer_failed = shards
-                    .iter()
-                    .enumerate()
-                    .any(|(i, s)| i != shard_ix && !s.alive());
-                let degrade = cfg
-                    .degraded
-                    .filter(|d| peer_failed || depth_frac >= d.queue_high_water);
                 let batch_size = batch.len();
                 let shape_key = shard::shape_key(&batch.shape);
                 let arrivals = batch.arrivals();
-                let end = start.elapsed().as_secs_f64();
-                let mut degraded_count = 0u64;
-                for (entry, mut pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                    let mut error_bound = 0.0;
-                    let mut degraded = false;
-                    if let Some(d) = degrade {
-                        if entry.req.priority < Priority::Interactive {
-                            shard::degrade_pyramid(&mut pyramid, &d);
-                            error_bound = d.error_bound();
-                            degraded = true;
-                            degraded_count += 1;
-                        }
-                    }
-                    entry.tag.resolve(Ok(DecomposeResponse {
-                        pyramid,
-                        cache_hit: done.cache_hit,
-                        batch_size,
-                        wait_s: (dispatch_start - entry.arrival).max(0.0),
-                        service_s: (end - dispatch_start).max(0.0),
-                        degraded,
-                        error_bound,
-                    }));
-                }
+                let cache_hit = done.cache_hit;
+                let end = policy::respond(
+                    &mut store,
+                    shard_ix,
+                    batch,
+                    done,
+                    cfg.degraded,
+                    depth_frac,
+                    dispatch_start,
+                    |_| live.now(),
+                );
                 let deliver_s = t1.elapsed().as_secs_f64();
                 let dispatch_s = (t0.duration_since(wake)).as_secs_f64();
                 let split = LaneSplit {
@@ -914,124 +707,60 @@ fn worker_loop(
                     // The cache splits build from reuse internally; a
                     // miss's whole execution interval is conservatively
                     // split by whether the plan was rebuilt.
-                    plan_s: if done.cache_hit { 0.0 } else { exec_s * 0.5 },
-                    transform_s: if done.cache_hit { exec_s } else { exec_s * 0.5 },
+                    plan_s: if cache_hit { 0.0 } else { exec_s * 0.5 },
+                    transform_s: if cache_hit { exec_s } else { exec_s * 0.5 },
                     deliver_s,
                 };
-                let mut metrics = me.metrics.lock();
-                metrics.record_batch(dispatch_start, end + deliver_s, &arrivals, split);
-                metrics.degraded_served += degraded_count;
-                drop(metrics);
+                let booked_end = end + deliver_s;
+                me.metrics
+                    .lock()
+                    .record_batch(dispatch_start, booked_end, &arrivals, split);
                 // Feed the cost book with the measured per-request
                 // service time. `try_lock` only: a held controller is
                 // mid-decision, and one skipped sample is cheaper than
                 // a worker queuing behind the control plane.
-                if let Some(ctrl) = &elastic.ctrl {
-                    if let Some(mut c) = ctrl.try_lock() {
-                        let per_req =
-                            ((end + deliver_s) - dispatch_start).max(0.0) / batch_size as f64;
-                        c.observe(shape_key, per_req);
-                    }
+                if let Some(mut ctrl) = live.ctrl.as_ref().and_then(|c| c.try_lock()) {
+                    let per_req = (booked_end - dispatch_start).max(0.0) / batch_size as f64;
+                    ctrl.observe(shape_key, per_req);
                 }
             }
             Ok(Err(detail)) => {
                 // Engine refused the batch (validation raced a bad
                 // request past admission): fail each entry, keep going.
-                for entry in batch.entries {
-                    entry.tag.resolve(Err(Rejection::Invalid {
-                        detail: detail.clone(),
-                    }));
-                }
+                policy::refuse(&mut store, batch, &detail);
             }
         }
     }
 }
 
-/// The supervisor: polls worker liveness, restarts dead workers under
-/// the backoff budget (re-queuing whatever the dead worker held), and
-/// past the budget fails the shard over — every queued and in-flight
-/// entry re-routes to its live successor on the shard ring.
-fn supervisor_loop(
-    shards: &[Arc<ShardShared>],
-    mut handles: Vec<Option<thread::JoinHandle<()>>>,
-    cfg: &ServiceConfig,
-    start: Instant,
-    elastic: &Arc<LiveElastic>,
-) {
-    let policy = cfg.supervisor;
+/// The supervisor: polls worker liveness and hands every dead worker
+/// to [`policy::worker_died`] — which re-queues whatever it held and
+/// grants a restart under the backoff budget, or past the budget fails
+/// the shard over to its live successors on the shard ring.
+fn supervisor_loop(live: &Arc<Live>, mut handles: Vec<Option<thread::JoinHandle<()>>>) {
+    let sup = live.config.supervisor;
     loop {
         let mut all_done = true;
-        for s in 0..shards.len() {
-            if handles[s].as_ref().is_some_and(|h| h.is_finished()) {
-                let handle = handles[s].take().expect("presence just checked");
+        for (s, slot) in handles.iter_mut().enumerate() {
+            if slot.as_ref().is_some_and(|h| h.is_finished()) {
+                let handle = slot.take().expect("presence just checked");
                 if handle.join().is_err() {
-                    let me = &shards[s];
-                    let restart_no = me.restarts.load(Ordering::SeqCst) + 1;
-                    if restart_no <= policy.max_restarts {
-                        me.restarts.store(restart_no, Ordering::SeqCst);
-                        // Re-queue the dispatch the dead worker held;
-                        // the worker was the suspect, not the requests,
-                        // so attempts are not bumped.
-                        let stranded = me.in_flight.lock().take();
-                        let now = start.elapsed().as_secs_f64();
-                        if let Some(batch) = stranded {
-                            for entry in batch.entries {
-                                readmit(me, me, entry, &policy, now);
-                            }
-                        }
-                        let backoff = policy.backoff_s(restart_no);
-                        me.metrics.lock().record_restart(backoff);
+                    let held = live.shards[s].in_flight.lock().take();
+                    let restart = {
+                        let map = live.map.lock();
+                        policy::worker_died(&mut &**live, &map, s, held, &sup, live.now())
+                    };
+                    if let Some(backoff) = restart {
                         thread::sleep(Duration::from_secs_f64(backoff));
-                        handles[s] = Some(spawn_worker(s, shards, cfg, start, elastic));
-                    } else {
-                        fail_over(s, shards, &policy, start, elastic);
+                        *slot = Some(spawn_worker(live, s));
                     }
                 }
             }
-            if handles[s].is_some() {
-                all_done = false;
-            }
+            all_done &= slot.is_none();
         }
         if all_done {
             return;
         }
-        thread::sleep(Duration::from_secs_f64(policy.poll_s));
-    }
-}
-
-/// Declare shard `s` failed and re-route its in-flight and queued work
-/// to live successors through the shard map (which degenerates to the
-/// legacy ring without elastic overrides). Entries with no live
-/// successor resolve [`Rejection::ShardFailed`].
-fn fail_over(
-    s: usize,
-    shards: &[Arc<ShardShared>],
-    policy: &SupervisorPolicy,
-    start: Instant,
-    elastic: &Arc<LiveElastic>,
-) {
-    let me = &shards[s];
-    me.failed.store(true, Ordering::SeqCst);
-    me.metrics.lock().failed = true;
-    let restarts = me.restarts.load(Ordering::SeqCst);
-    let now = start.elapsed().as_secs_f64();
-    let stranded = me.in_flight.lock().take();
-    let queued = me.inner.lock().queue.drain();
-    let alive: Vec<bool> = shards.iter().map(|x| x.alive()).collect();
-    let map = elastic.map.lock();
-    for entry in stranded.into_iter().flat_map(|b| b.entries).chain(queued) {
-        match map.route(&entry.req.shape(), &alive) {
-            Some(target) => readmit(me, &shards[target], entry, policy, now),
-            None => {
-                me.inner
-                    .lock()
-                    .queue
-                    .counters
-                    .reject(RejectKind::ShardFailed);
-                entry
-                    .tag
-                    .resolve(Err(Rejection::ShardFailed { shard: s, restarts }));
-            }
-        }
+        thread::sleep(Duration::from_secs_f64(sup.poll_s));
     }
 }

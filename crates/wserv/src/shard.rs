@@ -48,11 +48,11 @@ pub fn shard_of(shape: &PlanShape, nshards: usize) -> usize {
     (shape_key(shape) % nshards.max(1) as u64) as usize
 }
 
-/// Failover routing: the shape's home shard if it is alive, otherwise
-/// the first live successor walking the shard ring. `None` when every
-/// shard is down. Pure function of `(shape, alive)`, identical in the
-/// live server and the chaos simulator — which is what makes failover
-/// deterministic and replayable.
+/// Static failover routing: the shape's home shard if it is alive,
+/// otherwise the first live successor walking the shard ring. `None`
+/// when every shard is down. The drivers route through
+/// [`crate::elastic::ShardMap::route`]; this pure function is the
+/// reference an unmodified map is tested against.
 pub fn route(shape: &PlanShape, alive: &[bool]) -> Option<usize> {
     let n = alive.len();
     if n == 0 {

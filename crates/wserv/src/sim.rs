@@ -1,7 +1,7 @@
 //! Deterministic discrete-event driver.
 //!
 //! The simulator reuses the *same* policy state machines as the live
-//! server — [`AdmissionQueue`], [`BatchPolicy`] coalescing,
+//! server — [`AdmissionQueue`], [`crate::BatchPolicy`] coalescing,
 //! [`PlanCache`] — but advances a virtual clock and prices each stage
 //! with an analytic [`CostModel`] instead of reading wall time. Two
 //! consequences:
@@ -14,32 +14,27 @@
 //!    responses carry actual pyramids and the bit-identity invariants
 //!    (cache on/off, batch 1/N) are checkable against the engine.
 //!
-//! In the fault-free simulator ([`run_sim`]) shards share nothing, so
-//! each is simulated as an independent single-server queue; arrivals
-//! are admitted at their own timestamps before each dispatch decision,
-//! which reproduces the live ordering.
-//!
-//! The *chaos* simulator ([`run_chaos`]) additionally injects a seeded
-//! [`crate::faults::ShardFaultPlan`] and models the recovery machinery
-//! of the live driver — supervisor restarts with backoff, poisoned-
-//! batch quarantine, failover re-routing, degraded-mode responses. A
-//! failed shard changes where *other* shards' arrivals route, so the
-//! chaos run is one joint event loop over all shards instead of N
-//! independent ones. It is still a pure function of
-//! `(config, cost, stream)`: replaying the same seed is byte-identical.
+//! A failed shard changes where *other* shards' arrivals route, and an
+//! elastic steal moves work between queues, so [`run_sim`] is one
+//! joint event loop over all shards. It injects the configuration's
+//! seeded [`crate::faults::ShardFaultPlan`] and runs the recovery and
+//! elastic machinery through the same `policy.rs` functions the
+//! live driver calls — supervisor restarts with backoff, poisoned-batch
+//! quarantine, failover re-routing, degraded-mode responses,
+//! steal/split/merge — over `SimStore`, the simulator's storage
+//! backend. [`run_closed_loop`] drives the same simulated service with
+//! the wire in the loop.
 
-use std::collections::VecDeque;
-
-use crate::admission::{AdmissionQueue, Admit};
+use crate::admission::AdmissionQueue;
+use crate::batch::Batch;
 use crate::cache::PlanCache;
-use crate::elastic::{BalanceAction, BalanceController, QueuedShape, ShardLoad, ShardMap};
+use crate::elastic::{BalanceAction, BalanceController, ShardMap};
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot, ShardMetrics};
+use crate::policy::{self, Shards};
 use crate::progressive::{split_response, Reassembler};
 use crate::remote::RetryPolicy;
-use crate::request::{
-    DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
-};
+use crate::request::{DecomposeRequest, Entry, Rejection, ServeResult};
 use crate::server::ServiceConfig;
 use crate::shard;
 use crate::transport::TransportError;
@@ -122,177 +117,67 @@ impl SimReport {
 }
 
 /// Run the service over a timestamped arrival stream (non-decreasing
-/// times, virtual seconds) and return every outcome plus the metrics.
+/// times, virtual seconds) as one joint multi-shard discrete-event
+/// loop, and return every outcome plus the metrics.
+///
+/// The configuration's [`crate::faults::ShardFaultPlan`] and elastic
+/// policy are honoured through the same `policy` functions the live
+/// driver calls; what the simulator adds is the price of each event in
+/// virtual time:
+///
+/// * a worker death scheduled at a dispatch index fires at that shard's
+///   k-th dispatch; a restart costs the exponential backoff, a shard
+///   past its budget fails over and never dispatches again;
+/// * a poisoned batch costs one dispatch overhead before its
+///   quarantine; stall windows multiply a dispatch's compute time;
+/// * a degraded response's delivery is priced by its surviving
+///   coefficients;
+/// * the balance controller runs after every event at that event's
+///   virtual time.
+///
+/// Arrivals up to a dispatch moment land first, at their own
+/// timestamps — the live submitters' ordering. Everything is a pure
+/// function of `(config, cost, stream)` — replays are byte-identical.
+///
+/// # Panics
+///
+/// On a malformed configuration — see [`ServiceConfig::validate`].
 pub fn run_sim(
     config: &ServiceConfig,
     cost: &CostModel,
     stream: Vec<(f64, DecomposeRequest)>,
 ) -> SimReport {
-    if config.elastic.is_some() {
-        // Elastic decisions couple the shards (a steal moves work
-        // between queues), so the independent per-shard loops below no
-        // longer apply; the joint chaos event loop handles it — and
-        // with an empty fault plan it orders events identically.
-        return run_chaos(config, cost, stream);
-    }
-    let nshards = config.shards.max(1);
-    let mut outcomes: Vec<Option<ServeResult>> = (0..stream.len()).map(|_| None).collect();
-    let mut per_shard: Vec<VecDeque<Entry<usize>>> =
-        (0..nshards).map(|_| VecDeque::new()).collect();
-    let mut invalid_per_shard = vec![0u64; nshards];
-    let mut last_t = f64::NEG_INFINITY;
-    for (ix, (t, req)) in stream.into_iter().enumerate() {
-        assert!(t >= last_t, "arrival stream must be sorted by time");
-        last_t = t;
-        let shard_ix = shard::shard_of(&req.shape(), nshards);
-        if let Err(rejection) = req.validate() {
-            invalid_per_shard[shard_ix] += 1;
-            outcomes[ix] = Some(Err(rejection));
-            continue;
-        }
-        per_shard[shard_ix].push_back(Entry {
-            id: ix as u64,
-            arrival: t,
-            req,
-            attempts: 0,
-            tag: ix,
-        });
-    }
-
-    let mut shards = Vec::with_capacity(nshards);
-    let mut makespan_s: f64 = 0.0;
-    for (shard_ix, arrivals) in per_shard.into_iter().enumerate() {
-        let (metrics, idle_at) = run_shard(
-            config,
-            cost,
-            arrivals,
-            invalid_per_shard[shard_ix],
-            &mut outcomes,
-        );
-        makespan_s = makespan_s.max(idle_at);
-        shards.push(metrics);
-    }
-    SimReport {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every request terminates in exactly one outcome"))
-            .collect(),
-        metrics: MetricsSnapshot { shards },
-        makespan_s,
-        actions: Vec::new(),
-    }
-}
-
-fn run_shard(
-    config: &ServiceConfig,
-    cost: &CostModel,
-    mut arrivals: VecDeque<Entry<usize>>,
-    invalid: u64,
-    outcomes: &mut [Option<ServeResult>],
-) -> (ShardMetrics, f64) {
-    let mut queue: AdmissionQueue<usize> = AdmissionQueue::new(config.queue_capacity);
-    let mut cache = PlanCache::new(config.cache_capacity, config.engine_threads);
-    let mut metrics = ShardMetrics::default();
-    for _ in 0..invalid {
-        queue.counters.reject(RejectKind::Invalid);
-    }
-    let mut t_free = 0.0f64;
+    assert!(
+        stream.windows(2).all(|w| w[0].0 <= w[1].0),
+        "arrival stream must be sorted by time"
+    );
+    let mut svc = SimService::new(config, cost, stream.len());
+    let mut arrivals = stream.into_iter().enumerate().peekable();
     loop {
-        // The worker's next dispatch moment: immediately when work is
-        // queued, otherwise when the next arrival lands.
-        let dispatch_at = if queue.is_empty() {
-            match arrivals.front() {
+        let dispatch = svc.next_dispatch();
+        match arrivals.peek() {
+            Some(&(_, (ta, _))) if dispatch.is_none_or(|(td, _)| ta <= td) => {
+                let (ix, (ta, req)) = arrivals.next().expect("just peeked");
+                svc.arrive(ta, ix, req);
+            }
+            _ => match dispatch {
+                Some((_, s)) => svc.dispatch(s),
                 None => break,
-                Some(next) => t_free.max(next.arrival),
-            }
-        } else {
-            t_free
-        };
-        // Replay every arrival up to that moment at its own timestamp,
-        // exactly as the live submitters would have.
-        while arrivals.front().is_some_and(|e| e.arrival <= dispatch_at) {
-            let entry = arrivals.pop_front().expect("front just checked");
-            let now = entry.arrival;
-            let incoming = entry.req.priority;
-            match queue.admit(now, entry) {
-                Admit::Accepted => {}
-                Admit::AcceptedShedding(victim) => {
-                    metrics.record_lost((now - victim.arrival).max(0.0));
-                    outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
-                }
-                Admit::Rejected(e, rejection) => {
-                    outcomes[e.tag] = Some(Err(rejection));
-                }
-            }
-        }
-        let pop = queue.pop_batch(dispatch_at, &config.batch);
-        for e in pop.expired {
-            let deadline = e.req.deadline.expect("expired implies a deadline");
-            metrics.record_lost((dispatch_at - e.arrival).max(0.0));
-            outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired {
-                deadline,
-                now: dispatch_at,
-            }));
-        }
-        let Some(batch) = pop.batch else {
-            t_free = dispatch_at;
-            continue;
-        };
-        match shard::execute(&mut cache, &batch) {
-            Ok(done) => {
-                let batch_size = batch.len();
-                let plan_s = if done.cache_hit {
-                    0.0
-                } else {
-                    cost.plan_s(&batch.shape)
-                };
-                let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
-                let deliver_s = cost.deliver_s_per_request * batch_size as f64;
-                let end = dispatch_at + cost.dispatch_s + plan_s + transform_s + deliver_s;
-                metrics.record_batch(
-                    dispatch_at,
-                    end,
-                    &batch.arrivals(),
-                    LaneSplit {
-                        dispatch_s: cost.dispatch_s,
-                        plan_s,
-                        transform_s,
-                        deliver_s,
-                    },
-                );
-                for (entry, pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                    outcomes[entry.tag] = Some(Ok(DecomposeResponse {
-                        pyramid,
-                        cache_hit: done.cache_hit,
-                        batch_size,
-                        wait_s: (dispatch_at - entry.arrival).max(0.0),
-                        service_s: end - dispatch_at,
-                        degraded: false,
-                        error_bound: 0.0,
-                    }));
-                }
-                t_free = end;
-            }
-            Err(detail) => {
-                // Unreachable for validated requests; keep the contract
-                // that every entry terminates anyway.
-                for entry in batch.entries {
-                    outcomes[entry.tag] = Some(Err(Rejection::Invalid {
-                        detail: detail.clone(),
-                    }));
-                }
-                t_free = dispatch_at;
-            }
+            },
         }
     }
-    metrics.queue = queue.counters.clone();
-    metrics.absorb_cache(&cache);
-    metrics.finalize(t_free);
-    (metrics, t_free)
+    let (metrics, makespan_s) = svc.finish();
+    let resolved = |o: Option<_>| o.expect("every request terminates in exactly one outcome");
+    SimReport {
+        outcomes: svc.store.outcomes.into_iter().map(resolved).collect(),
+        metrics,
+        makespan_s,
+        actions: svc.rt.map(|rt| rt.actions).unwrap_or_default(),
+    }
 }
 
-/// One shard of the joint chaos event loop.
-struct ChaosShard {
+/// One simulated shard.
+struct SimShard {
     queue: AdmissionQueue<usize>,
     cache: PlanCache,
     metrics: ShardMetrics,
@@ -302,574 +187,317 @@ struct ChaosShard {
     /// monotonic across simulated restarts (exactly like the live
     /// driver's shared counter).
     dispatch: u64,
-    restarts: u32,
-    failed: bool,
 }
 
-impl ChaosShard {
-    fn new(config: &ServiceConfig) -> Self {
-        ChaosShard {
+/// The simulator's storage backend of the shared [`policy`]: plain
+/// vectors, a request's tag is its outcome slot.
+pub(crate) struct SimStore {
+    shards: Vec<SimShard>,
+    pub(crate) outcomes: Vec<Option<ServeResult>>,
+}
+
+impl SimStore {
+    pub(crate) fn new(config: &ServiceConfig, requests: usize) -> Self {
+        let shard = || SimShard {
             queue: AdmissionQueue::new(config.queue_capacity),
             cache: PlanCache::new(config.cache_capacity, config.engine_threads),
             metrics: ShardMetrics::default(),
             t_free: 0.0,
             dispatch: 0,
-            restarts: 0,
-            failed: false,
+        };
+        SimStore {
+            shards: (0..config.total_slots()).map(|_| shard()).collect(),
+            outcomes: (0..requests).map(|_| None).collect(),
         }
     }
 }
 
-/// Run the service under the configuration's [`ShardFaultPlan`] as one
-/// joint multi-shard discrete-event loop and return every outcome plus
-/// the metrics.
-///
-/// Semantics mirror the live driver event for event:
-///
-/// * a worker death scheduled at a dispatch index fires at that shard's
-///   k-th dispatch; within the restart budget the dispatch's entries
-///   re-queue (attempts unchanged) and the shard pays the exponential
-///   backoff in virtual time, both charged to the FaultRecovery lane;
-/// * past the budget the shard fails over: queued and in-flight work
-///   re-routes to live ring successors ([`shard::route`]), entries with
-///   no survivor resolve [`Rejection::ShardFailed`], and subsequent
-///   arrivals route around the corpse;
-/// * a poisoned batch panics at execution: batchmates re-queue to retry
-///   solo (attempts + 1), a solo poison resolves
-///   [`Rejection::Requeued`];
-/// * stall windows multiply the dispatch's compute time;
-/// * with a [`crate::faults::DegradedPolicy`], sub-interactive work on
-///   a pressured shard (peer failed, or queue past the high-water
-///   fraction) is answered with threshold-quantized detail planes and
-///   the policy's error bound, delivery priced by surviving
-///   coefficients.
-///
-/// With an empty fault plan this reproduces [`run_sim`]'s behavior (the
-/// joint loop and the independent loops order events identically when
-/// no shard ever interacts). Everything is a pure function of
-/// `(config, cost, stream)` — replays are byte-identical.
-pub fn run_chaos(
-    config: &ServiceConfig,
-    cost: &CostModel,
-    stream: Vec<(f64, DecomposeRequest)>,
-) -> SimReport {
-    let nshards = config.shards.max(1);
-    let total = config.total_slots();
-    config
-        .faults
-        .validate(total)
-        .expect("invalid fault plan for this shard count");
-    if let Some(e) = &config.elastic {
-        e.validate().expect("invalid elastic policy");
-    }
-    let mut map = ShardMap::new(nshards, total - nshards);
-    let mut rt: Option<ElasticRt> = config.elastic.map(|policy| ElasticRt::new(policy, total));
-    let mut outcomes: Vec<Option<ServeResult>> = (0..stream.len()).map(|_| None).collect();
-    let mut shards: Vec<ChaosShard> = (0..total).map(|_| ChaosShard::new(config)).collect();
-    let mut arrivals: VecDeque<(f64, usize, DecomposeRequest)> = VecDeque::new();
-    let mut last_t = f64::NEG_INFINITY;
-    for (ix, (t, req)) in stream.into_iter().enumerate() {
-        assert!(t >= last_t, "arrival stream must be sorted by time");
-        last_t = t;
-        if let Err(rejection) = req.validate() {
-            let home = shard::shard_of(&req.shape(), nshards);
-            shards[home].queue.counters.reject(RejectKind::Invalid);
-            outcomes[ix] = Some(Err(rejection));
-            continue;
-        }
-        arrivals.push_back((t, ix, req));
+impl Shards for SimStore {
+    type Tag = usize;
+
+    fn len(&self) -> usize {
+        self.shards.len()
     }
 
-    loop {
-        // The next dispatch moment across live shards with queued work.
-        let next_dispatch = shards
-            .iter()
-            .enumerate()
-            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
-            .map(|(s, sh)| (sh.t_free, s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let now = match (arrivals.front(), next_dispatch) {
-            (None, None) => break,
-            // Arrivals up to the dispatch moment land first, at their
-            // own timestamps — the live submitters' ordering.
-            (Some(&(ta, _, _)), Some((td, _))) if ta <= td => {
-                let (ta, ix, req) = arrivals.pop_front().expect("front just checked");
-                chaos_arrival(&mut shards, &map, ta, ix, req, &mut outcomes);
-                ta
-            }
-            (Some(_), None) => {
-                let (ta, ix, req) = arrivals.pop_front().expect("front just checked");
-                chaos_arrival(&mut shards, &map, ta, ix, req, &mut outcomes);
-                ta
-            }
-            (_, Some((td, s))) => {
-                chaos_dispatch(
-                    &mut shards,
-                    &map,
-                    config,
-                    cost,
-                    s,
-                    &mut outcomes,
-                    rt.as_mut().map(|r| &mut r.ctrl),
-                );
-                td
-            }
-        };
-        // The controller runs after every event, at that event's
-        // virtual time — the sim-side mirror of the live driver's
-        // submit-path tick.
-        if let Some(rt) = rt.as_mut() {
-            elastic_step(&mut shards, &mut map, rt, now, &mut outcomes);
-        }
+    /// The metrics' `failed` flag is the one record.
+    fn alive(&self, s: usize) -> bool {
+        !self.shards[s].metrics.failed
     }
 
-    let mut makespan_s: f64 = 0.0;
-    let mut out_shards = Vec::with_capacity(total);
-    for (s, mut sh) in shards.into_iter().enumerate() {
-        sh.metrics.queue = sh.queue.counters.clone();
-        sh.metrics.absorb_cache(&sh.cache);
-        if s < nshards {
-            makespan_s = makespan_s.max(sh.t_free);
-            sh.metrics.finalize(sh.t_free);
-            out_shards.push(sh.metrics);
-            continue;
-        }
-        // Reserve slots: a slot that never activated has no books to
-        // close (it routed nothing, served nothing) — including it
-        // with completion 0 would misread the whole run as imbalance.
-        // Activation always picks the lowest inactive slot, so the
-        // omitted slots are a suffix and the emitted indices are
-        // stable. An activated slot owes idle time only over its
-        // active windows.
-        let rt = rt.as_mut().expect("reserve slots exist only with elastic");
-        if !rt.ever_active[s] {
-            continue;
-        }
-        let (active_s, end) = match rt.activated_at[s].take() {
-            Some(t0) => {
-                let end = sh.t_free.max(t0);
-                (rt.active_s[s] + end - t0, end)
-            }
-            None => (rt.active_s[s], rt.last_end[s]),
-        };
-        makespan_s = makespan_s.max(end);
-        sh.metrics.finalize_active(active_s, end);
-        out_shards.push(sh.metrics);
+    fn mark_failed(&mut self, s: usize) {
+        self.shards[s].metrics.failed = true;
     }
-    SimReport {
-        outcomes: outcomes
-            .into_iter()
-            .map(|o| o.expect("every request terminates in exactly one outcome"))
-            .collect(),
-        metrics: MetricsSnapshot { shards: out_shards },
-        makespan_s,
-        actions: rt.map(|r| r.actions).unwrap_or_default(),
+
+    fn queue<R>(&mut self, s: usize, f: impl FnOnce(&mut AdmissionQueue<usize>) -> R) -> R {
+        f(&mut self.shards[s].queue)
+    }
+
+    fn queue_pair<R>(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl FnOnce(&mut AdmissionQueue<usize>, &mut AdmissionQueue<usize>) -> R,
+    ) -> R {
+        let [x, y] = self
+            .shards
+            .get_disjoint_mut([a, b])
+            .expect("two distinct shards");
+        f(&mut x.queue, &mut y.queue)
+    }
+
+    fn metrics<R>(&mut self, s: usize, f: impl FnOnce(&mut ShardMetrics) -> R) -> R {
+        f(&mut self.shards[s].metrics)
+    }
+
+    fn resolve(&mut self, tag: usize, result: ServeResult) {
+        debug_assert!(
+            self.outcomes[tag].is_none(),
+            "a request resolves exactly once"
+        );
+        self.outcomes[tag] = Some(result);
+    }
+
+    /// A shard cannot dispatch work before the work exists: an idle
+    /// shard's free time advances to the moment it is offered work. (A
+    /// shard with work queued is never free before the current event,
+    /// so for it this is a no-op.)
+    fn wake(&mut self, s: usize, now: f64) {
+        let t_free = &mut self.shards[s].t_free;
+        *t_free = t_free.max(now);
     }
 }
 
-/// The elastic control plane's runtime state inside the chaos loop:
-/// the controller itself, per-slot activation windows (for honest
+/// The elastic control plane's runtime state inside the simulator: the
+/// controller itself, per-slot activation windows (for honest
 /// imbalance accounting of reserve-born shards), and the decision log.
 struct ElasticRt {
     ctrl: BalanceController,
     /// Start of the slot's current activation window, if active now.
     activated_at: Vec<Option<f64>>,
-    /// Seconds of *closed* activation windows accumulated so far.
-    active_s: Vec<f64>,
-    /// End of the slot's last closed activation window.
-    last_end: Vec<f64>,
-    /// Whether the slot was ever activated (split at least once).
-    ever_active: Vec<bool>,
+    /// The slot's *closed* activation windows, once it has any:
+    /// (seconds accumulated, end of the last one).
+    closed: Vec<Option<(f64, f64)>>,
     actions: Vec<(f64, BalanceAction)>,
 }
 
-impl ElasticRt {
-    fn new(policy: crate::elastic::ElasticPolicy, total: usize) -> Self {
-        ElasticRt {
-            ctrl: BalanceController::new(policy),
-            activated_at: vec![None; total],
-            active_s: vec![0.0; total],
-            last_end: vec![0.0; total],
-            ever_active: vec![false; total],
-            actions: Vec::new(),
+/// The simulated service both event loops drive: shards, routing map,
+/// elastic runtime and outcome slots. Each server-side event
+/// ([`SimService::arrive`], [`SimService::dispatch`]) ends with one
+/// controller tick at the event's virtual time — the sim-side mirror
+/// of the live driver's submit-path tick.
+struct SimService<'a> {
+    config: &'a ServiceConfig,
+    cost: &'a CostModel,
+    store: SimStore,
+    map: ShardMap,
+    rt: Option<ElasticRt>,
+}
+
+impl<'a> SimService<'a> {
+    fn new(config: &'a ServiceConfig, cost: &'a CostModel, requests: usize) -> Self {
+        if let Err(reason) = config.validate() {
+            panic!("invalid ServiceConfig: {reason}");
+        }
+        let (base, total) = (config.shards.max(1), config.total_slots());
+        SimService {
+            config,
+            cost,
+            store: SimStore::new(config, requests),
+            map: ShardMap::new(base, total - base),
+            rt: config.elastic.map(|policy| ElasticRt {
+                ctrl: BalanceController::new(policy),
+                activated_at: vec![None; total],
+                closed: vec![None; total],
+                actions: Vec::new(),
+            }),
         }
     }
-}
 
-/// Move one already-admitted entry from `from`'s queue into `to`'s.
-/// Counter-neutral on the door books (the entry was accepted once, at
-/// its original shard); an idle target's free time advances to the
-/// migration moment, exactly like [`chaos_admit`]'s idle rule.
-fn elastic_migrate(shards: &mut [ChaosShard], from: usize, to: usize, entry: Entry<usize>, t: f64) {
-    if shards[to].queue.is_empty() {
-        shards[to].t_free = shards[to].t_free.max(t);
-    }
-    shards[to].queue.accept_migrated(entry);
-    shards[from].metrics.stolen_out += 1;
-    shards[to].metrics.stolen_in += 1;
-}
-
-/// One controller step at virtual time `t`: census every slot, ask for
-/// a decision, apply it as queue surgery + map mutation, log it.
-fn elastic_step(
-    shards: &mut [ChaosShard],
-    map: &mut ShardMap,
-    rt: &mut ElasticRt,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    if !rt.ctrl.ready(t) {
-        return;
-    }
-    let loads: Vec<ShardLoad> = shards
-        .iter()
-        .enumerate()
-        .map(|(s, sh)| ShardLoad {
-            active: map.is_active(s),
-            failed: sh.failed,
-            depth: sh.queue.len(),
-            free: sh.queue.free(),
-            queued: sh
-                .queue
-                .shape_census()
-                .into_iter()
-                .map(|(shape, count, movable)| QueuedShape {
-                    key: shard::shape_key(&shape),
-                    shape,
-                    count,
-                    movable,
-                })
-                .collect(),
-        })
-        .collect();
-    let Some(action) = rt.ctrl.decide(t, &loads) else {
-        return;
-    };
-    match &action {
-        BalanceAction::Steal { from, to, key, cap } => {
-            let (from, to) = (*from, *to);
-            let cap = (*cap).min(shards[to].queue.free());
-            for entry in shards[from].queue.take_shape(*key, cap) {
-                elastic_migrate(shards, from, to, entry, t);
+    /// Request `ix` reaches the service at `t`: validate, route through
+    /// the [`ShardMap`] (overrides, active set, ring successors) and
+    /// admit. Door rejections are accounted to the shape's stable FNV
+    /// home, which elastic actions never move.
+    fn arrive(&mut self, t: f64, ix: usize, req: DecomposeRequest) {
+        let shape = req.shape();
+        let home = self.map.home(&shape);
+        if let Err(rejection) = req.validate() {
+            return policy::reject(&mut self.store, home, ix, rejection);
+        }
+        match self.map.route(&shape, &policy::alive(&self.store)) {
+            Some(target) => {
+                let entry = Entry {
+                    id: ix as u64,
+                    arrival: t,
+                    req,
+                    attempts: 0,
+                    tag: ix,
+                };
+                policy::admit(&mut self.store, target, entry, t);
             }
-        }
-        BalanceAction::Split { from, to, keys } => {
-            let (from, to) = (*from, *to);
-            map.activate(to);
-            rt.activated_at[to] = Some(t);
-            rt.ever_active[to] = true;
-            shards[to].t_free = shards[to].t_free.max(t);
-            for &key in keys {
-                map.set_override(key, to);
-                let cap = shards[to].queue.free();
-                for entry in shards[from].queue.take_shape(key, cap) {
-                    elastic_migrate(shards, from, to, entry, t);
-                }
-            }
-            shards[from].metrics.splits += 1;
-        }
-        BalanceAction::Merge { from } => {
-            let from = *from;
-            for key in map.overrides_to(from) {
-                map.clear_override(key);
-            }
-            map.retire(from);
-            if let Some(t0) = rt.activated_at[from].take() {
-                rt.active_s[from] += t.max(t0) - t0;
-                rt.last_end[from] = rt.last_end[from].max(t).max(shards[from].t_free);
-            }
-            shards[from].metrics.merges += 1;
-            // Drain the retiring queue losslessly back through the map.
-            // The merge threshold keeps this drain tiny (usually
-            // empty); should every routable queue be full anyway, the
-            // entry resolves a typed QueueFull rather than vanishing.
-            let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-            for entry in shards[from].queue.drain() {
-                let routed = map
-                    .route(&entry.req.shape(), &alive)
-                    .filter(|&tgt| shards[tgt].queue.free() > 0)
-                    .or_else(|| {
-                        (0..shards.len()).find(|&x| {
-                            map.is_active(x) && !shards[x].failed && shards[x].queue.free() > 0
-                        })
-                    });
-                match routed {
-                    Some(target) => elastic_migrate(shards, from, target, entry, t),
-                    None => {
-                        let depth = shards[from].queue.len();
-                        shards[from].queue.counters.reject(RejectKind::QueueFull);
-                        outcomes[entry.tag] = Some(Err(Rejection::QueueFull { depth }));
-                    }
-                }
-            }
-        }
-    }
-    rt.actions.push((t, action));
-}
-
-/// Route and admit one external arrival at its own timestamp. Routing
-/// goes through the [`ShardMap`] (overrides, active set, ring
-/// successors); rejections are accounted to the shape's stable FNV
-/// home, which elastic actions never move.
-fn chaos_arrival(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    t: f64,
-    ix: usize,
-    req: DecomposeRequest,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    let shape = req.shape();
-    let home = map.home(&shape);
-    let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-    let Some(target) = map.route(&shape, &alive) else {
-        let restarts = shards[home].restarts;
-        shards[home].queue.counters.reject(RejectKind::ShardFailed);
-        outcomes[ix] = Some(Err(Rejection::ShardFailed {
-            shard: home,
-            restarts,
-        }));
-        return;
-    };
-    let entry = Entry {
-        id: ix as u64,
-        arrival: t,
-        req,
-        attempts: 0,
-        tag: ix,
-    };
-    chaos_admit(shards, target, entry, t, outcomes);
-}
-
-/// Admit one entry into `target`'s queue at virtual time `t`, resolving
-/// shed victims and refusals. An idle shard's free time advances to the
-/// admission time (it cannot dispatch work before the work exists).
-fn chaos_admit(
-    shards: &mut [ChaosShard],
-    target: usize,
-    entry: Entry<usize>,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) -> bool {
-    let incoming = entry.req.priority;
-    let sh = &mut shards[target];
-    if sh.queue.is_empty() {
-        sh.t_free = sh.t_free.max(t);
-    }
-    match sh.queue.admit(t, entry) {
-        Admit::Accepted => true,
-        Admit::AcceptedShedding(victim) => {
-            sh.metrics.record_lost((t - victim.arrival).max(0.0));
-            outcomes[victim.tag] = Some(Err(Rejection::Shed { by: incoming }));
-            true
-        }
-        Admit::Rejected(e, rejection) => {
-            outcomes[e.tag] = Some(Err(rejection));
-            false
-        }
-    }
-}
-
-/// Re-admit a recovered entry, charging the requeue handoff to shard
-/// `charge` (the shard whose failure caused it).
-fn chaos_readmit(
-    shards: &mut [ChaosShard],
-    charge: usize,
-    target: usize,
-    entry: Entry<usize>,
-    config: &ServiceConfig,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    if chaos_admit(shards, target, entry, t, outcomes) {
-        shards[charge]
-            .metrics
-            .record_requeue(config.supervisor.requeue_s);
-    }
-}
-
-/// Fail shard `s` over: re-route its in-flight (`batch`) and queued
-/// entries to live ring successors; entries with no survivor resolve
-/// [`Rejection::ShardFailed`].
-fn chaos_fail_over(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    s: usize,
-    batch: Option<crate::batch::Batch<usize>>,
-    config: &ServiceConfig,
-    t: f64,
-    outcomes: &mut [Option<ServeResult>],
-) {
-    shards[s].failed = true;
-    shards[s].metrics.failed = true;
-    let restarts = shards[s].restarts;
-    let queued = shards[s].queue.drain();
-    let alive: Vec<bool> = shards.iter().map(|sh| !sh.failed).collect();
-    for entry in batch.into_iter().flat_map(|b| b.entries).chain(queued) {
-        match map.route(&entry.req.shape(), &alive) {
-            Some(target) => chaos_readmit(shards, s, target, entry, config, t, outcomes),
             None => {
-                shards[s].queue.counters.reject(RejectKind::ShardFailed);
-                outcomes[entry.tag] = Some(Err(Rejection::ShardFailed { shard: s, restarts }));
+                let rejection = policy::shard_failed(&mut self.store, home);
+                self.store.resolve(ix, Err(rejection));
             }
         }
+        self.tick(t);
     }
-}
 
-/// One dispatch on shard `s` at its free time, with fault injection.
-/// `ctrl` (present under elastic sharding) gets the batch's measured
-/// per-request service time folded into its cost book.
-#[allow(clippy::too_many_arguments)]
-fn chaos_dispatch(
-    shards: &mut [ChaosShard],
-    map: &ShardMap,
-    config: &ServiceConfig,
-    cost: &CostModel,
-    s: usize,
-    outcomes: &mut [Option<ServeResult>],
-    ctrl: Option<&mut BalanceController>,
-) {
-    let t = shards[s].t_free;
-    let depth_frac = shards[s].queue.len() as f64 / config.queue_capacity.max(1) as f64;
-    let pop = shards[s].queue.pop_batch(t, &config.batch);
-    for e in pop.expired {
-        let deadline = e.req.deadline.expect("expired implies a deadline");
-        shards[s].metrics.record_lost((t - e.arrival).max(0.0));
-        outcomes[e.tag] = Some(Err(Rejection::DeadlineExpired { deadline, now: t }));
+    /// The next dispatch moment across live shards with queued work
+    /// (the lowest shard among equals: `min_by` keeps the first).
+    fn next_dispatch(&self) -> Option<(f64, usize)> {
+        let shards = self.store.shards.iter().enumerate();
+        shards
+            .filter(|(_, sh)| !sh.metrics.failed && !sh.queue.is_empty())
+            .map(|(s, sh)| (sh.t_free, s))
+            .min_by(|a, b| a.0.total_cmp(&b.0))
     }
-    let Some(batch) = pop.batch else { return };
-    let k = shards[s].dispatch;
-    shards[s].dispatch += 1;
 
-    if config.faults.worker_dies(s, k) {
-        let restart_no = shards[s].restarts + 1;
-        if config.supervisor.enabled() && restart_no <= config.supervisor.max_restarts {
-            // Supervisor restart: the dead worker's dispatch re-queues
-            // (the worker was the suspect, attempts stay), the shard
-            // pays the backoff in virtual time.
-            shards[s].restarts = restart_no;
-            let backoff = config.supervisor.backoff_s(restart_no);
-            shards[s].metrics.record_restart(backoff);
-            for entry in batch.entries {
-                chaos_readmit(shards, s, s, entry, config, t, outcomes);
+    /// One dispatch on shard `s` at its free time, with fault injection.
+    fn dispatch(&mut self, s: usize) {
+        let sh = &mut self.store.shards[s];
+        let t = sh.t_free;
+        let depth_frac = sh.queue.len() as f64 / self.config.queue_capacity.max(1) as f64;
+        let pop = sh.queue.pop_batch(t, &self.config.batch);
+        policy::expire(&mut self.store, s, pop.expired, t);
+        if let Some(batch) = pop.batch {
+            let t_free = self.execute(s, t, depth_frac, batch);
+            self.store.shards[s].t_free = t_free;
+        }
+        self.tick(t);
+    }
+
+    /// Execute `batch` on shard `s` starting at `t`; returns when the
+    /// shard is free again.
+    fn execute(&mut self, s: usize, t: f64, depth_frac: f64, batch: Batch<usize>) -> f64 {
+        let (config, cost) = (self.config, self.cost);
+        let k = self.store.shards[s].dispatch;
+        self.store.shards[s].dispatch += 1;
+        if config.faults.worker_dies(s, k) {
+            let sup = &config.supervisor;
+            let restart = policy::worker_died(&mut self.store, &self.map, s, Some(batch), sup, t);
+            // A restarted shard pays the backoff in virtual time; a
+            // failed-over one never dispatches again.
+            return restart.map_or(t, |backoff| t + backoff);
+        }
+        if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
+            // Execution panics; the quarantine runs in-thread after one
+            // dispatch overhead's worth of work.
+            policy::quarantine(&mut self.store, s, batch, &config.supervisor, t);
+            return t + cost.dispatch_s;
+        }
+        let done = match shard::execute(&mut self.store.shards[s].cache, &batch) {
+            Ok(done) => done,
+            Err(detail) => {
+                // Unreachable for validated requests; keep the contract
+                // that every entry terminates anyway.
+                policy::refuse(&mut self.store, batch, &detail);
+                return t;
             }
-            shards[s].t_free = t + backoff;
+        };
+        let batch_size = batch.len();
+        let shape_key = shard::shape_key(&batch.shape);
+        let arrivals = batch.arrivals();
+        let plan_s = if done.cache_hit {
+            0.0
         } else {
-            chaos_fail_over(shards, map, s, Some(batch), config, t, outcomes);
-        }
-        return;
-    }
-
-    if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
-        // Execution panics; the quarantine runs in-thread after one
-        // dispatch overhead's worth of work.
-        if batch.len() == 1 {
-            let entry = batch.entries.into_iter().next().expect("len checked");
-            shards[s].metrics.quarantined += 1;
-            shards[s].queue.counters.reject(RejectKind::Requeued);
-            outcomes[entry.tag] = Some(Err(Rejection::Requeued {
-                attempts: entry.attempts + 1,
-            }));
-        } else {
-            for mut entry in batch.entries {
-                entry.attempts += 1;
-                chaos_readmit(shards, s, s, entry, config, t, outcomes);
-            }
-        }
-        shards[s].t_free = t + cost.dispatch_s;
-        return;
-    }
-
-    let peer_failed = shards.iter().enumerate().any(|(i, sh)| i != s && sh.failed);
-    let degrade = config
-        .degraded
-        .filter(|d| peer_failed || depth_frac >= d.queue_high_water);
-    match shard::execute(&mut shards[s].cache, &batch) {
-        Ok(done) => {
-            let batch_size = batch.len();
-            let shape_key = shard::shape_key(&batch.shape);
-            let plan_s = if done.cache_hit {
-                0.0
-            } else {
-                cost.plan_s(&batch.shape)
-            };
-            let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
-            let stall = config.faults.stall_factor(s, k);
-            // Price delivery per response: a degraded response ships
-            // only surviving coefficients.
-            let mut responses = Vec::with_capacity(batch_size);
-            let mut frac_sum = 0.0;
-            let mut degraded_count = 0u64;
-            for (entry, mut pyramid) in batch.entries.into_iter().zip(done.pyramids) {
-                let mut error_bound = 0.0;
-                let mut degraded = false;
-                let mut frac = 1.0;
-                if let Some(d) = degrade {
-                    if entry.req.priority < Priority::Interactive {
-                        let total_detail: usize = pyramid
-                            .detail
-                            .iter()
-                            .map(|b| b.lh.data().len() + b.hl.data().len() + b.hh.data().len())
-                            .sum();
-                        let approx_len = pyramid.approx.data().len();
-                        let kept = shard::degrade_pyramid(&mut pyramid, &d);
-                        frac =
-                            (approx_len + kept) as f64 / (approx_len + total_detail).max(1) as f64;
-                        error_bound = d.error_bound();
-                        degraded = true;
-                        degraded_count += 1;
-                    }
-                }
-                frac_sum += frac;
-                responses.push((entry, pyramid, degraded, error_bound));
-            }
-            let deliver_s = cost.deliver_s_per_request * frac_sum;
-            // Keep the fault-free arithmetic bit-identical to
-            // `run_sim`'s (same association, no `* 1.0` rounding), so
-            // an empty fault plan reproduces it exactly.
-            let end = if stall == 1.0 {
+            cost.plan_s(&batch.shape)
+        };
+        let transform_s = cost.transform_s(&batch.shape) * batch_size as f64;
+        let stall = config.faults.stall_factor(s, k);
+        let mut deliver_s = 0.0;
+        let priced = |frac_sum: f64| {
+            // Delivery is priced per response: a degraded response
+            // ships only surviving coefficients. The fault-free sum
+            // keeps its association (no `* 1.0` rounding) so an empty
+            // fault plan prices exactly like the plain cost model.
+            deliver_s = cost.deliver_s_per_request * frac_sum;
+            if stall == 1.0 {
                 t + cost.dispatch_s + plan_s + transform_s + deliver_s
             } else {
                 t + cost.dispatch_s + (plan_s + transform_s) * stall + deliver_s
+            }
+        };
+        let (store, degraded) = (&mut self.store, config.degraded);
+        let end = policy::respond(store, s, batch, done, degraded, depth_frac, t, priced);
+        let split = LaneSplit {
+            dispatch_s: cost.dispatch_s,
+            plan_s: plan_s * stall,
+            transform_s: transform_s * stall,
+            deliver_s,
+        };
+        store.shards[s]
+            .metrics
+            .record_batch(t, end, &arrivals, split);
+        if let Some(rt) = &mut self.rt {
+            // Feed the cost book the measured per-request service
+            // time — the same signal the live workers feed it.
+            rt.ctrl.observe(shape_key, (end - t) / batch_size as f64);
+        }
+        end
+    }
+
+    /// One controller step at virtual time `t`; an applied action also
+    /// opens or closes the reserve slot's activation window.
+    fn tick(&mut self, t: f64) {
+        let Some(rt) = self.rt.as_mut() else { return };
+        let Some(action) = policy::balance(&mut self.store, &mut self.map, &mut rt.ctrl, t) else {
+            return;
+        };
+        match action {
+            BalanceAction::Split { to, .. } => {
+                rt.activated_at[to] = Some(t);
+                self.store.wake(to, t);
+            }
+            BalanceAction::Merge { from } => {
+                if let Some(t0) = rt.activated_at[from].take() {
+                    let (active_s, last_end) = rt.closed[from].unwrap_or((0.0, 0.0));
+                    let t_free = self.store.shards[from].t_free;
+                    let window = (active_s + (t.max(t0) - t0), last_end.max(t).max(t_free));
+                    rt.closed[from] = Some(window);
+                }
+            }
+            BalanceAction::Steal { .. } => {}
+        }
+        rt.actions.push((t, action));
+    }
+
+    /// Close every shard's books; returns the metrics and the time the
+    /// last shard went idle.
+    fn finish(&mut self) -> (MetricsSnapshot, f64) {
+        let base = self.map.base();
+        let mut makespan_s: f64 = 0.0;
+        let mut shards = Vec::with_capacity(self.store.shards.len());
+        let closing = std::mem::take(&mut self.store.shards);
+        for (s, mut sh) in closing.into_iter().enumerate() {
+            sh.metrics.queue = sh.queue.counters.clone();
+            sh.metrics.absorb_cache(&sh.cache);
+            if s < base {
+                makespan_s = makespan_s.max(sh.t_free);
+                sh.metrics.finalize(sh.t_free);
+                shards.push(sh.metrics);
+                continue;
+            }
+            // Reserve slots: a slot that never activated has no books to
+            // close (it routed nothing, served nothing) — including it
+            // with completion 0 would misread the whole run as imbalance.
+            // Activation always picks the lowest inactive slot, so the
+            // omitted slots are a suffix and the emitted indices are
+            // stable. An activated slot owes idle time only over its
+            // active windows.
+            let rt = self.rt.as_mut().expect("a reserve implies elastic");
+            let (active_s, end) = match (rt.activated_at[s].take(), rt.closed[s]) {
+                (None, None) => continue,
+                (None, Some(closed)) => closed,
+                (Some(t0), closed) => {
+                    let end = sh.t_free.max(t0);
+                    (closed.map_or(0.0, |c| c.0) + end - t0, end)
+                }
             };
-            let arrivals: Vec<f64> = responses.iter().map(|(e, ..)| e.arrival).collect();
-            shards[s].metrics.record_batch(
-                t,
-                end,
-                &arrivals,
-                LaneSplit {
-                    dispatch_s: cost.dispatch_s,
-                    plan_s: plan_s * stall,
-                    transform_s: transform_s * stall,
-                    deliver_s,
-                },
-            );
-            shards[s].metrics.degraded_served += degraded_count;
-            if let Some(ctrl) = ctrl {
-                // Feed the cost book the measured per-request service
-                // time — the same signal the live workers feed it.
-                ctrl.observe(shape_key, (end - t) / batch_size as f64);
-            }
-            for (entry, pyramid, degraded, error_bound) in responses {
-                outcomes[entry.tag] = Some(Ok(DecomposeResponse {
-                    pyramid,
-                    cache_hit: done.cache_hit,
-                    batch_size,
-                    wait_s: (t - entry.arrival).max(0.0),
-                    service_s: end - t,
-                    degraded,
-                    error_bound,
-                }));
-            }
-            shards[s].t_free = end;
+            makespan_s = makespan_s.max(end);
+            sh.metrics.finalize_active(active_s, end);
+            shards.push(sh.metrics);
         }
-        Err(detail) => {
-            for entry in batch.entries {
-                outcomes[entry.tag] = Some(Err(Rejection::Invalid {
-                    detail: detail.clone(),
-                }));
-            }
-        }
+        (MetricsSnapshot { shards }, makespan_s)
     }
 }
 
@@ -1067,7 +695,7 @@ pub struct ClosedLoopReport {
     /// Client-observed outcome per request, indexed
     /// `client * reqs_per_client + k`.
     pub outcomes: Vec<ClientOutcome>,
-    /// Server-side metrics (the same shape [`run_chaos`] reports).
+    /// Server-side metrics (the same shape [`run_sim`] reports).
     pub metrics: MetricsSnapshot,
     /// Client-observed end-to-end latency per *delivered* request:
     /// first submit to response in hand, across every retry.
@@ -1117,29 +745,16 @@ impl ClosedLoopReport {
     }
 }
 
-/// Running totals of wire time inside the closed-loop simulator.
-#[derive(Default)]
-struct WireLedger {
-    comm_s: f64,
-    fault_s: f64,
-    frames: u64,
-    retries: u64,
-    replays: u64,
-    planes: u64,
-    cancels: u64,
-    budget_stops: u64,
-    response_bytes: u64,
-    monolithic_bytes: u64,
-}
-
 /// Per-client state inside the closed-loop simulator.
 struct SimClient {
-    /// Next client-to-server frame index (0 was the Hello).
-    c2s: u64,
-    /// Next server-to-client frame index (0 was the HelloAck).
-    s2c: u64,
+    /// Next frame index per [`WireDir`] (frame 0 each way was the
+    /// handshake).
+    frames: [u64; 2],
     /// Request index this client issues next.
     next_k: usize,
+    /// When the client submits its next request (`None` while one is
+    /// outstanding, and once it has issued them all).
+    next_submit: Option<f64>,
     /// Time of the first attempt of the in-flight request.
     first_submit: f64,
     /// Attempts started on the in-flight request (1-based).
@@ -1147,118 +762,109 @@ struct SimClient {
     /// Outcome slot the client is waiting on, once its request has
     /// reached the service.
     waiting_ix: Option<usize>,
+    /// What the client observed for each request it finished, in order.
+    outcomes: Vec<ClientOutcome>,
 }
 
-/// What the send half of one attempt concluded.
-enum SendHalf {
-    /// The frame arrives at the server at this time.
-    Arrives(f64),
-    /// The frame was lost; the client notices at this time.
-    Lost(f64, TransportError),
+impl SimClient {
+    /// Record the terminal moment of the in-flight request — delivered,
+    /// or given up on — in the report being built (whose `makespan_s`
+    /// tracks the last delivery until the shards' idle time is folded
+    /// in), and schedule the next submit (or retire the client).
+    fn finish_request(
+        &mut self,
+        cl: &ClosedLoopConfig,
+        delivered: Result<(f64, ServeResult), Lost>,
+        acc: &mut ClosedLoopReport,
+    ) {
+        let (t, outcome) = match delivered {
+            Ok((td, assembled)) => {
+                acc.latency.record(td - self.first_submit);
+                (td, Ok(assembled))
+            }
+            Err((tl, err)) => (tl, Err(err)),
+        };
+        acc.makespan_s = acc.makespan_s.max(t);
+        self.outcomes.push(outcome);
+        self.next_k += 1;
+        if self.next_k < cl.reqs_per_client {
+            self.next_submit = Some(t + cl.think_s);
+        }
+    }
 }
 
-/// Walk one client-to-server frame through the fault plan.
-fn send_half(
+/// A frame lost on the wire: when its sender's side notices, and the
+/// error it sees.
+type Lost = (f64, TransportError);
+
+/// Walk one frame sent at `t` in direction `dir` through the fault
+/// plan. `Ok` carries the time it lands at the peer.
+fn transit(
     cl: &ClosedLoopConfig,
     sc: &mut SimClient,
     conn: u64,
+    dir: WireDir,
     t: f64,
     one_way: f64,
-    acc: &mut WireLedger,
-) -> SendHalf {
-    let idx = sc.c2s;
-    sc.c2s += 1;
+    acc: &mut ClosedLoopReport,
+) -> Result<f64, Lost> {
+    let idx = sc.frames[dir as usize];
+    sc.frames[dir as usize] += 1;
     acc.frames += 1;
-    match cl.wire_faults.decide(conn, WireDir::ClientToServer, idx) {
+    let (detect, err) = match cl.wire_faults.decide(conn, dir, idx) {
         None => {
             acc.comm_s += one_way;
-            SendHalf::Arrives(t + one_way)
+            return Ok(t + one_way);
         }
         Some(WireFault::Stall { seconds }) => {
             acc.comm_s += one_way;
-            acc.fault_s += seconds;
-            SendHalf::Arrives(t + seconds + one_way)
+            acc.fault_recovery_s += seconds;
+            return Ok(t + seconds + one_way);
         }
+        // Abortive close / mid-frame FIN: the sender's own stream
+        // errors within about a round trip.
         Some(WireFault::Reset) | Some(WireFault::Truncate) => {
-            // Abortive close / mid-frame FIN: the sender's own stream
-            // errors within about a round trip.
-            let detect = one_way + cl.wire.rtt_s / 2.0;
-            acc.fault_s += detect;
-            SendHalf::Lost(t + detect, TransportError::ConnReset)
+            (one_way + cl.wire.rtt_s / 2.0, TransportError::ConnReset)
         }
-        Some(WireFault::BitFlip { .. }) => {
+        Some(WireFault::BitFlip { .. }) => match dir {
             // The server's checksum rejects the frame and aborts the
             // connection; the client sees the reset a round trip later.
-            let detect = one_way + cl.wire.rtt_s;
-            acc.fault_s += detect;
-            SendHalf::Lost(t + detect, TransportError::ConnReset)
-        }
-    }
-}
-
-/// What the response delivery of one attempt concluded.
-enum RecvHalf {
-    /// The response lands at the client at this time.
-    Delivered(f64),
-    /// The response was lost; the client notices at this time.
-    Lost(f64, TransportError),
-}
-
-/// Walk one server-to-client frame through the fault plan.
-fn recv_half(
-    cl: &ClosedLoopConfig,
-    sc: &mut SimClient,
-    conn: u64,
-    t_res: f64,
-    one_way: f64,
-    acc: &mut WireLedger,
-) -> RecvHalf {
-    let idx = sc.s2c;
-    sc.s2c += 1;
-    acc.frames += 1;
-    match cl.wire_faults.decide(conn, WireDir::ServerToClient, idx) {
-        None => {
-            acc.comm_s += one_way;
-            RecvHalf::Delivered(t_res + one_way)
-        }
-        Some(WireFault::Stall { seconds }) => {
-            acc.comm_s += one_way;
-            acc.fault_s += seconds;
-            RecvHalf::Delivered(t_res + seconds + one_way)
-        }
-        Some(WireFault::Reset) | Some(WireFault::Truncate) => {
-            let detect = one_way + cl.wire.rtt_s / 2.0;
-            acc.fault_s += detect;
-            RecvHalf::Lost(t_res + detect, TransportError::ConnReset)
-        }
-        Some(WireFault::BitFlip { .. }) => {
+            WireDir::ClientToServer => (one_way + cl.wire.rtt_s, TransportError::ConnReset),
             // The client's own checksum rejects this one on receipt.
-            acc.fault_s += one_way;
-            RecvHalf::Lost(
-                t_res + one_way,
-                TransportError::FrameCorrupt {
-                    detail: "checksum mismatch".into(),
-                },
-            )
-        }
-    }
+            WireDir::ServerToClient => {
+                let detail = "checksum mismatch".into();
+                (one_way, TransportError::FrameCorrupt { detail })
+            }
+        },
+    };
+    acc.fault_recovery_s += detect;
+    Err((t + detect, err))
 }
 
-/// Charge one failed attempt: capped exponential backoff, then a fresh
+/// Charge one failed attempt, or give up with the loss if the attempt
+/// budget is spent: capped exponential backoff, then a fresh
 /// connection's handshake (which consumes one frame index in each
 /// direction, exactly like the live reconnect — handshake frames are
 /// never faulted themselves; the live connect path retries internally).
-fn pay_retry(cl: &ClosedLoopConfig, sc: &mut SimClient, t: f64, acc: &mut WireLedger) -> f64 {
+/// `Ok` carries the time the new connection is up.
+fn pay_retry(
+    cl: &ClosedLoopConfig,
+    sc: &mut SimClient,
+    (t, err): Lost,
+    acc: &mut ClosedLoopReport,
+) -> Result<f64, Lost> {
+    if sc.attempts >= cl.retry.max_attempts {
+        return Err((t, err));
+    }
     acc.retries += 1;
     let back = cl.retry.backoff_s(sc.attempts);
     sc.attempts += 1;
-    sc.c2s += 1; // Hello
-    sc.s2c += 1; // HelloAck
+    sc.frames = sc.frames.map(|next| next + 1); // Hello, HelloAck
     acc.frames += 2;
     let shake = cl.wire.handshake_s();
-    acc.fault_s += back;
+    acc.fault_recovery_s += back;
     acc.comm_s += shake;
-    t + back + shake
+    Ok(t + back + shake)
 }
 
 /// Send a request frame until it reaches the server or the attempt
@@ -1270,17 +876,12 @@ fn send_until_arrives(
     conn: u64,
     mut t: f64,
     one_way: f64,
-    acc: &mut WireLedger,
-) -> Result<f64, (f64, TransportError)> {
+    acc: &mut ClosedLoopReport,
+) -> Result<f64, Lost> {
     loop {
-        match send_half(cl, sc, conn, t, one_way, acc) {
-            SendHalf::Arrives(ta) => return Ok(ta),
-            SendHalf::Lost(tl, err) => {
-                if sc.attempts >= cl.retry.max_attempts {
-                    return Err((tl, err));
-                }
-                t = pay_retry(cl, sc, tl, acc);
-            }
+        match transit(cl, sc, conn, WireDir::ClientToServer, t, one_way, acc) {
+            Ok(ta) => return Ok(ta),
+            Err(lost) => t = pay_retry(cl, sc, lost, acc)?,
         }
     }
 }
@@ -1309,143 +910,83 @@ fn deliver_result(
     shape: &PlanShape,
     t_res: f64,
     res: &ServeResult,
-    acc: &mut WireLedger,
-) -> Result<(f64, ServeResult), (f64, TransportError)> {
-    let req_cost = cl.wire.request_s(shape);
+    acc: &mut ClosedLoopReport,
+) -> Result<(f64, ServeResult), Lost> {
     let mono_bytes = match res {
         Ok(_) => shape.coeffs() as u64 * 8 + 64,
         Err(_) => 64,
     };
     acc.monolithic_bytes += mono_bytes;
-
-    if let (Some(ps), Ok(resp)) = (&cl.progressive, res) {
-        let (header, planes) =
-            split_response(resp, ps.codec).expect("validated codec splits any response");
-        let hbytes = encode_progressive_header(0, &header)
-            .expect("header always frames")
-            .payload
-            .len() as u64;
-        let pbytes: Vec<u64> = planes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                encode_progressive_plane(0, p, i + 1 < planes.len())
-                    .expect("planes always frame")
-                    .payload
-                    .len() as u64
-            })
-            .collect();
+    // The response as a frame sequence: header then planes when it
+    // streams progressively, one monolithic frame otherwise.
+    let progressive = match (&cl.progressive, res) {
+        (Some(ps), Ok(resp)) => {
+            let (header, planes) =
+                split_response(resp, ps.codec).expect("validated codec splits any response");
+            Some((ps, header, planes))
+        }
+        _ => None,
+    };
+    let frame_bytes: Vec<u64> = match &progressive {
+        None => vec![mono_bytes],
+        Some((_, header, planes)) => {
+            let header = encode_progressive_header(0, header).expect("header always frames");
+            let planes = planes.iter().enumerate().map(|(i, p)| {
+                encode_progressive_plane(0, p, i + 1 < planes.len()).expect("planes always frame")
+            });
+            std::iter::once(header)
+                .chain(planes)
+                .map(|frame| frame.payload.len() as u64)
+                .collect()
+        }
+    };
+    let mut t = t_res;
+    'attempt: loop {
+        let mut reasm = progressive.as_ref().map(|(_, header, _)| {
+            Reassembler::new(header.clone()).expect("header geometry is valid")
+        });
         // On-wire bytes delivered this attempt (framing included), the
         // same quantity the live client's byte-budget predicate sees.
-        let wire_len = |payload: u64| payload + (wire::HEADER_LEN + wire::TRAILER_LEN) as u64;
-        let mut t = t_res;
-        'attempt: loop {
-            let mut reasm = Reassembler::new(header.clone()).expect("header geometry is valid");
-            let mut got_bytes = 0u64;
-            acc.response_bytes += hbytes;
-            match recv_half(cl, sc, conn, t, cl.wire.frame_payload_s(hbytes as f64), acc) {
-                RecvHalf::Delivered(td) => {
-                    t = td;
-                    got_bytes += wire_len(hbytes);
-                }
-                RecvHalf::Lost(tl, err) => {
-                    if sc.attempts >= cl.retry.max_attempts {
-                        return Err((tl, err));
-                    }
-                    let t_re = pay_retry(cl, sc, tl, acc);
-                    let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
+        let mut got_bytes = 0u64;
+        for (j, &bytes) in frame_bytes.iter().enumerate() {
+            acc.response_bytes += bytes;
+            let one_way = cl.wire.frame_payload_s(bytes as f64);
+            match transit(cl, sc, conn, WireDir::ServerToClient, t, one_way, acc) {
+                Ok(td) => t = td,
+                Err(lost) => {
+                    // Back off, reconnect, resend the request; the
+                    // server replays the sequence from its book.
+                    let t_re = pay_retry(cl, sc, lost, acc)?;
+                    let req_cost = cl.wire.request_s(shape);
+                    t = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
                     acc.replays += 1;
-                    t = ta;
                     continue 'attempt;
                 }
             }
-            let tolerance_met = |r: &Reassembler| ps.tolerance.is_some_and(|tol| r.bound() <= tol);
-            let over_budget = |got: u64| ps.byte_budget.is_some_and(|b| got >= b as u64);
-            if (tolerance_met(&reasm) || over_budget(got_bytes)) && !reasm.complete() {
-                sc.c2s += 1; // Cancel frame
+            let (Some((ps, _, planes)), Some(reasm)) = (&progressive, &mut reasm) else {
+                continue;
+            };
+            got_bytes += bytes + (wire::HEADER_LEN + wire::TRAILER_LEN) as u64;
+            if j > 0 {
+                let plane = &planes[j - 1];
+                reasm.apply(plane).expect("planes fit their header");
+                acc.planes += 1;
+            }
+            let tolerance_met = ps.tolerance.is_some_and(|tol| reasm.bound() <= tol);
+            let over_budget = ps.byte_budget.is_some_and(|b| got_bytes >= b as u64);
+            if (tolerance_met || over_budget) && !reasm.complete() {
+                sc.frames[WireDir::ClientToServer as usize] += 1; // Cancel frame
                 acc.frames += 1;
                 acc.comm_s += cl.wire.frame_payload_s(0.0);
                 acc.cancels += 1;
-                if !tolerance_met(&reasm) {
+                if !tolerance_met {
                     acc.budget_stops += 1;
                 }
-                return Ok((t, Ok(reasm.into_response())));
-            }
-            for (j, plane) in planes.iter().enumerate() {
-                acc.response_bytes += pbytes[j];
-                match recv_half(
-                    cl,
-                    sc,
-                    conn,
-                    t,
-                    cl.wire.frame_payload_s(pbytes[j] as f64),
-                    acc,
-                ) {
-                    RecvHalf::Delivered(td) => {
-                        t = td;
-                        got_bytes += wire_len(pbytes[j]);
-                        reasm.apply(plane).expect("planes fit their header");
-                        acc.planes += 1;
-                        if (tolerance_met(&reasm) || over_budget(got_bytes)) && !reasm.complete() {
-                            sc.c2s += 1; // Cancel frame
-                            acc.frames += 1;
-                            acc.comm_s += cl.wire.frame_payload_s(0.0);
-                            acc.cancels += 1;
-                            if !tolerance_met(&reasm) {
-                                acc.budget_stops += 1;
-                            }
-                            return Ok((t, Ok(reasm.into_response())));
-                        }
-                    }
-                    RecvHalf::Lost(tl, err) => {
-                        if sc.attempts >= cl.retry.max_attempts {
-                            return Err((tl, err));
-                        }
-                        let t_re = pay_retry(cl, sc, tl, acc);
-                        let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
-                        acc.replays += 1;
-                        t = ta;
-                        continue 'attempt;
-                    }
-                }
-            }
-            return Ok((t, Ok(reasm.into_response())));
-        }
-    }
-
-    let one_way = match res {
-        Ok(_) => cl.wire.response_ok_s(shape),
-        Err(_) => cl.wire.response_err_s(),
-    };
-    let mut t = t_res;
-    loop {
-        acc.response_bytes += mono_bytes;
-        match recv_half(cl, sc, conn, t, one_way, acc) {
-            RecvHalf::Delivered(td) => return Ok((td, res.clone())),
-            RecvHalf::Lost(tl, err) => {
-                if sc.attempts >= cl.retry.max_attempts {
-                    return Err((tl, err));
-                }
-                let t_re = pay_retry(cl, sc, tl, acc);
-                let ta = send_until_arrives(cl, sc, conn, t_re, req_cost, acc)?;
-                acc.replays += 1;
-                t = ta;
+                break;
             }
         }
-    }
-}
-
-/// Move a client past its finished request: record the terminal moment
-/// and schedule the next submit (or retire the client).
-fn advance_client(
-    cl: &ClosedLoopConfig,
-    sc: &mut SimClient,
-    next_action: &mut Option<f64>,
-    t: f64,
-) {
-    sc.next_k += 1;
-    if sc.next_k < cl.reqs_per_client {
-        *next_action = Some(t + cl.think_s);
+        let assembled = reasm.map_or_else(|| res.clone(), |r| Ok(r.into_response()));
+        return Ok((t, assembled));
     }
 }
 
@@ -1453,46 +994,25 @@ fn advance_client(
 /// event time that made them visible: a served outcome surfaced by the
 /// dispatch starting at `now` resolves at `now + service_s`; rejection
 /// moments not carried by the outcome use `now` itself.
-#[allow(clippy::too_many_arguments)]
 fn drain_resolutions(
     cl: &ClosedLoopConfig,
     shapes: &[PlanShape],
     clients: &mut [SimClient],
-    next_action: &mut [Option<f64>],
     outcomes: &[Option<ServeResult>],
-    client_out: &mut [Option<ClientOutcome>],
-    latency: &mut Histogram,
-    acc: &mut WireLedger,
-    last_delivery: &mut f64,
+    acc: &mut ClosedLoopReport,
     now: f64,
 ) {
-    for c in 0..clients.len() {
-        let Some(ix) = clients[c].waiting_ix else {
-            continue;
-        };
-        let Some(res) = outcomes[ix].clone() else {
-            continue;
-        };
-        clients[c].waiting_ix = None;
-        let t_res = match &res {
+    for (c, sc) in clients.iter_mut().enumerate() {
+        let Some(ix) = sc.waiting_ix else { continue };
+        let Some(res) = &outcomes[ix] else { continue };
+        sc.waiting_ix = None;
+        let t_res = match res {
             Ok(resp) => now + resp.service_s,
             Err(Rejection::DeadlineExpired { now: tx, .. }) => *tx,
             Err(_) => now,
         };
-        let conn = c as u64;
-        match deliver_result(cl, &mut clients[c], conn, &shapes[ix], t_res, &res, acc) {
-            Ok((td, assembled)) => {
-                latency.record(td - clients[c].first_submit);
-                *last_delivery = last_delivery.max(td);
-                client_out[ix] = Some(Ok(assembled));
-                advance_client(cl, &mut clients[c], &mut next_action[c], td);
-            }
-            Err((tl, err)) => {
-                *last_delivery = last_delivery.max(tl);
-                client_out[ix] = Some(Err(err));
-                advance_client(cl, &mut clients[c], &mut next_action[c], tl);
-            }
-        }
+        let delivered = deliver_result(cl, sc, c as u64, &shapes[ix], t_res, res, acc);
+        sc.finish_request(cl, delivered, acc);
     }
 }
 
@@ -1512,7 +1032,7 @@ fn drain_resolutions(
 /// resolution — never by re-executing, exactly the live dedup book's
 /// contract.
 ///
-/// The server side is the same joint event machinery as [`run_chaos`],
+/// The server side is the same simulated service [`run_sim`] drives,
 /// so the configuration's [`crate::faults::ShardFaultPlan`] applies:
 /// worker kills, restart backoff, failover, poisoned batches, and
 /// degraded delivery all compose with wire faults. Everything is a
@@ -1526,11 +1046,6 @@ pub fn run_closed_loop(
     cl: &ClosedLoopConfig,
     requests: Vec<DecomposeRequest>,
 ) -> ClosedLoopReport {
-    let nshards = config.shards.max(1);
-    config
-        .faults
-        .validate(nshards)
-        .expect("invalid fault plan for this shard count");
     cl.validate().expect("invalid closed-loop config");
     assert_eq!(
         requests.len(),
@@ -1541,163 +1056,109 @@ pub fn run_closed_loop(
     let n = requests.len();
     let shapes: Vec<PlanShape> = requests.iter().map(|r| r.shape()).collect();
     let mut pool: Vec<Option<DecomposeRequest>> = requests.into_iter().map(Some).collect();
-    let mut outcomes: Vec<Option<ServeResult>> = (0..n).map(|_| None).collect();
-    let mut client_out: Vec<Option<ClientOutcome>> = (0..n).map(|_| None).collect();
-    let mut shards: Vec<ChaosShard> = (0..nshards).map(|_| ChaosShard::new(config)).collect();
-    // The closed-loop simulator models the wire, not the elastic
-    // control plane: routing is the static map (identical to legacy
-    // ring routing), and any configured elastic policy is ignored.
-    let map = ShardMap::new(nshards, 0);
-    let mut latency = Histogram::default();
-    let mut acc = WireLedger::default();
-    let mut last_delivery: f64 = 0.0;
+    let mut svc = SimService::new(config, cost, n);
+    // The report being built; its wire totals accumulate in place.
+    // Every client connects up front: one Hello + HelloAck each.
+    let mut acc = ClosedLoopReport {
+        outcomes: Vec::new(),
+        metrics: MetricsSnapshot { shards: Vec::new() },
+        latency: Histogram::default(),
+        makespan_s: 0.0,
+        comm_s: cl.wire.handshake_s() * cl.clients as f64,
+        fault_recovery_s: 0.0,
+        retries: 0,
+        replays: 0,
+        frames: 2 * cl.clients as u64,
+        planes: 0,
+        cancels: 0,
+        budget_stops: 0,
+        response_bytes: 0,
+        monolithic_bytes: 0,
+    };
 
-    // Every client connects (handshake already counted as frame 0 each
-    // way by starting the counters at 1) and schedules its first
-    // submit.
+    // The handshake was frame 0 each way, so the frame counters start
+    // at 1; each client schedules its first submit.
     let mut clients: Vec<SimClient> = (0..cl.clients)
-        .map(|_| SimClient {
-            c2s: 1,
-            s2c: 1,
+        .map(|c| SimClient {
+            frames: [1, 1],
             next_k: 0,
+            next_submit: (cl.reqs_per_client > 0)
+                .then(|| c as f64 * cl.client_stagger_s + cl.wire.handshake_s()),
             first_submit: 0.0,
             attempts: 0,
             waiting_ix: None,
+            outcomes: Vec::new(),
         })
         .collect();
-    acc.frames += 2 * cl.clients as u64;
-    acc.comm_s += cl.wire.handshake_s() * cl.clients as f64;
-    let mut next_action: Vec<Option<f64>> = (0..cl.clients)
-        .map(|c| {
-            if cl.reqs_per_client == 0 {
-                None
-            } else {
-                Some(c as f64 * cl.client_stagger_s + cl.wire.handshake_s())
-            }
-        })
-        .collect();
-    // Request frames in flight toward the service:
-    // (arrival time, send order, outcome ix).
-    let mut wire_in: Vec<(f64, u64, usize)> = Vec::new();
-    let mut wire_seq = 0u64;
+    // Request frames in flight toward the service, in send order:
+    // (arrival time, outcome ix).
+    let mut wire_in: Vec<(f64, usize)> = Vec::new();
+    enum Next {
+        Submit(usize),
+        Arrival(usize),
+        Dispatch(usize),
+    }
 
     loop {
-        let next_submit = next_action
-            .iter()
-            .enumerate()
-            .filter_map(|(c, t)| t.map(|t| (t, c)))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let next_arrival = wire_in
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0).then(a.1 .1.cmp(&b.1 .1)))
-            .map(|(pos, &(t, _, _))| (t, pos));
-        let next_dispatch = shards
-            .iter()
-            .enumerate()
-            .filter(|(_, sh)| !sh.failed && !sh.queue.is_empty())
-            .map(|(s, sh)| (sh.t_free, s))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let ts = next_submit.map(|(t, _)| t).unwrap_or(f64::INFINITY);
-        let ta = next_arrival.map(|(t, _)| t).unwrap_or(f64::INFINITY);
-        let td = next_dispatch.map(|(t, _)| t).unwrap_or(f64::INFINITY);
-        if ts.is_infinite() && ta.is_infinite() && td.is_infinite() {
+        // The earliest event; `min_by` keeps the first of equals, so
+        // ties go to the lowest client, the earliest-sent frame and the
+        // lowest shard — and between kinds to the client, then the
+        // wire, then the shard.
+        let submits = clients.iter().enumerate();
+        let arrivals = wire_in.iter().enumerate();
+        let candidates = [
+            submits
+                .filter_map(|(c, sc)| sc.next_submit.map(|t| (t, Next::Submit(c))))
+                .min_by(|a, b| a.0.total_cmp(&b.0)),
+            arrivals
+                .map(|(pos, &(t, _))| (t, Next::Arrival(pos)))
+                .min_by(|a, b| a.0.total_cmp(&b.0)),
+            svc.next_dispatch().map(|(t, s)| (t, Next::Dispatch(s))),
+        ];
+        let earliest = candidates.into_iter().flatten();
+        let Some((t, next)) = earliest.min_by(|a, b| a.0.total_cmp(&b.0)) else {
             break;
-        }
-
-        if ts <= ta && ts <= td {
-            // A client starts its next request, walking send-half
-            // losses closed-form until the frame reaches the service
-            // (the server is oblivious until then, so nothing else can
-            // interleave).
-            let (_, c) = next_submit.expect("ts finite implies a submit");
-            next_action[c] = None;
-            let conn = c as u64;
-            let ix = c * cl.reqs_per_client + clients[c].next_k;
-            clients[c].first_submit = ts;
-            clients[c].attempts = 1;
-            let one_way = cl.wire.request_s(&shapes[ix]);
-            match send_until_arrives(cl, &mut clients[c], conn, ts, one_way, &mut acc) {
-                Ok(tarr) => {
-                    wire_in.push((tarr, wire_seq, ix));
-                    wire_seq += 1;
-                    clients[c].waiting_ix = Some(ix);
+        };
+        match next {
+            Next::Submit(c) => {
+                // A client starts its next request, walking send-half
+                // losses closed-form until the frame reaches the
+                // service (the server is oblivious until then, so
+                // nothing else can interleave).
+                let sc = &mut clients[c];
+                let ix = c * cl.reqs_per_client + sc.next_k;
+                sc.next_submit = None;
+                sc.first_submit = t;
+                sc.attempts = 1;
+                let one_way = cl.wire.request_s(&shapes[ix]);
+                match send_until_arrives(cl, sc, c as u64, t, one_way, &mut acc) {
+                    Ok(tarr) => {
+                        wire_in.push((tarr, ix));
+                        sc.waiting_ix = Some(ix);
+                    }
+                    Err(lost) => sc.finish_request(cl, Err(lost), &mut acc),
                 }
-                Err((tl, err)) => {
-                    last_delivery = last_delivery.max(tl);
-                    client_out[ix] = Some(Err(err));
-                    advance_client(cl, &mut clients[c], &mut next_action[c], tl);
-                }
+                continue;
             }
-        } else if ta <= td {
-            // A request frame reaches the service.
-            let (_, pos) = next_arrival.expect("ta finite implies an arrival");
-            let (t, _, ix) = wire_in.remove(pos);
-            let req = pool[ix].take().expect("each request arrives once");
-            if let Err(rejection) = req.validate() {
-                let home = shard::shard_of(&req.shape(), nshards);
-                shards[home].queue.counters.reject(RejectKind::Invalid);
-                outcomes[ix] = Some(Err(rejection));
-            } else {
-                chaos_arrival(&mut shards, &map, t, ix, req, &mut outcomes);
+            Next::Arrival(pos) => {
+                let (_, ix) = wire_in.remove(pos);
+                let req = pool[ix].take().expect("each request arrives once");
+                svc.arrive(t, ix, req);
             }
-            drain_resolutions(
-                cl,
-                &shapes,
-                &mut clients,
-                &mut next_action,
-                &outcomes,
-                &mut client_out,
-                &mut latency,
-                &mut acc,
-                &mut last_delivery,
-                t,
-            );
-        } else {
-            let (t, s) = next_dispatch.expect("td finite implies a dispatch");
-            chaos_dispatch(&mut shards, &map, config, cost, s, &mut outcomes, None);
-            drain_resolutions(
-                cl,
-                &shapes,
-                &mut clients,
-                &mut next_action,
-                &outcomes,
-                &mut client_out,
-                &mut latency,
-                &mut acc,
-                &mut last_delivery,
-                t,
-            );
+            Next::Dispatch(s) => svc.dispatch(s),
         }
+        // A server-side event can make resolutions visible.
+        let outcomes = &svc.store.outcomes;
+        drain_resolutions(cl, &shapes, &mut clients, outcomes, &mut acc, t);
     }
 
-    let mut makespan_s = last_delivery;
-    let mut out_shards = Vec::with_capacity(nshards);
-    for mut sh in shards {
-        makespan_s = makespan_s.max(sh.t_free);
-        sh.metrics.queue = sh.queue.counters.clone();
-        sh.metrics.absorb_cache(&sh.cache);
-        sh.metrics.finalize(sh.t_free);
-        out_shards.push(sh.metrics);
-    }
+    let (metrics, idle_at) = svc.finish();
+    let outcomes: Vec<ClientOutcome> = clients.into_iter().flat_map(|sc| sc.outcomes).collect();
+    assert_eq!(outcomes.len(), n, "every request terminates at its client");
     ClosedLoopReport {
-        outcomes: client_out
-            .into_iter()
-            .map(|o| o.expect("every request terminates at its client"))
-            .collect(),
-        metrics: MetricsSnapshot { shards: out_shards },
-        latency,
-        makespan_s,
-        comm_s: acc.comm_s,
-        fault_recovery_s: acc.fault_s,
-        retries: acc.retries,
-        replays: acc.replays,
-        frames: acc.frames,
-        planes: acc.planes,
-        cancels: acc.cancels,
-        budget_stops: acc.budget_stops,
-        response_bytes: acc.response_bytes,
-        monolithic_bytes: acc.monolithic_bytes,
+        outcomes,
+        metrics,
+        makespan_s: acc.makespan_s.max(idle_at),
+        ..acc
     }
 }

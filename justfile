@@ -82,6 +82,16 @@ chaos-smoke:
 serve-bench:
     cargo run --release -p bench --bin bench_service
 
+# Pin the simulator's output: run the full serving bench, then compare
+# the five sim-derived sections of the regenerated BENCH_service.json
+# byte for byte against the committed file. transport_live and
+# progressive_live are wall-clock and excluded. A refactor of the sim or
+# the shared serving policy must leave this green; a deliberate
+# modelling change commits the regenerated file.
+serve-bench-pin:
+    cargo run --release -p bench --bin bench_service
+    python3 -c "import json, subprocess; new = json.load(open('BENCH_service.json')); old = json.loads(subprocess.check_output(['git', 'show', 'HEAD:BENCH_service.json'])); sections = ['results', 'chaos_results', 'transport_results', 'progressive_results', 'elastic_results']; drifted = [k for k in sections if json.dumps(new[k]) != json.dumps(old[k])]; assert not drifted, 'sim-derived sections drifted from HEAD: %s' % drifted; print('serve-bench-pin OK:', len(sections), 'sections byte-identical to HEAD')"
+
 # Remote-transport gate: the wire-protocol property tests, the
 # end-to-end remote suite (exactly-once under seeded wire faults,
 # backpressure, drain with half-open connections, shim/TCP parity), and

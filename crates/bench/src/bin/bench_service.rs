@@ -1,48 +1,49 @@
-//! Machine-readable serving benchmark: a seeded open-loop load
-//! generator drives the `wserv` discrete-event simulator across an
-//! arrival-rate x shard-count x cache x batching grid, plus a seeded
-//! chaos sweep (worker panics, shard crashes, stalls, poison requests,
-//! degraded-mode brownout) through `run_sim`, plus a closed-loop
-//! multi-client transport sweep (`transport_results`) through
-//! `run_closed_loop` with the wire itself in the loop — framing cost
-//! charged to the Communication lane, seeded `WireFaultPlan` resets,
-//! truncations, bit flips and stalls — and writes `BENCH_service.json`
-//! in the current directory. Every chaos and transport row is checked
-//! for the exactly-once invariant: nothing injected loses a request.
+//! Machine-readable serving benchmark, as one scenario table and one
+//! pipeline. [`scenarios`] lists every sim-derived row of
+//! `BENCH_service.json` as data — section, name, `ServiceConfig`, and
+//! how it is driven: a seeded open-loop arrival stream through
+//! `run_sim` (the arrival-rate x shard-count x cache x batching grid,
+//! the chaos scenarios, the Zipf-skewed elastic comparison) or a
+//! closed-loop multi-client workload through `run_closed_loop` with the
+//! wire itself in the loop (framing cost charged to the Communication
+//! lane, seeded `WireFaultPlan` faults, progressive delivery). [`run`]
+//! drives one row and checks the exactly-once invariant on it — nothing
+//! injected loses a request — and [`column`] defines what it reports.
 //!
 //! Every latency and throughput number in those sections is *virtual*
-//! (simulated) time: they are a pure function of the seed, and this
-//! harness proves it by generating the report twice and comparing the
-//! bytes. A final `transport_live` section then runs the same
-//! closed-loop workload for real — `RemoteServer` + `RemoteClient`
+//! (simulated) time: a pure function of the seed, which this harness
+//! proves by running the table twice and comparing the bytes. The
+//! `transport_live` and `progressive_live` sections then run the same
+//! closed-loop workloads for real — `RemoteServer` + `RemoteClient`
 //! over both the in-memory shim transport and localhost TCP, with the
 //! same wire faults and with real worker threads killed mid-load — and
-//! reports measured wall-clock tail latency next to the simulator's
-//! prediction. Live rows are wall-clock and sit outside the
-//! byte-compare; their invariants (exactly-once, zero lost,
-//! shim-vs-TCP identical resolution books) are asserted instead.
+//! report measured wall-clock tail latency next to the simulator's
+//! prediction. Live rows sit outside the byte-compare; their invariants
+//! (exactly-once, zero lost, shim-vs-TCP identical resolution books,
+//! honest error bounds) are asserted instead.
 //!
 //! Run from the repo root with `just serve-bench` (or
 //! `cargo run --release -p bench --bin bench_service`). Set
 //! `WSERV_SMOKE=1` for the downscaled CI mode, which writes
-//! `target/BENCH_service_smoke.json` instead and additionally asserts
-//! the acceptance conditions on the smaller grid.
+//! `target/BENCH_service_smoke.json` instead; every gate is asserted
+//! at both scales.
 
 use std::time::{Duration, Instant};
 
 use dwt::{dwt2d, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
+use perfbudget::BudgetReport;
 use wserv::progressive::pyramid_max_abs_diff;
 use wserv::sim::{
     run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
     SimReport,
 };
-use wserv::transport::Connector;
+use wserv::transport::{Connector, Listener};
 use wserv::{
-    DecomposeRequest, DegradedPolicy, ElasticPolicy, MemListener, Priority, RejectKind,
-    RemoteClient, RemoteConfig, RemoteMetrics, RemoteServer, RetryPolicy, ServeResult,
-    ServiceConfig, ShardFaultPlan, SupervisorPolicy, TcpAcceptor, TcpConnector, WireDir,
-    WireFaultPlan,
+    DecomposeRequest, DecomposeResponse, DegradedPolicy, ElasticPolicy, MemListener,
+    MetricsSnapshot, Priority, RejectKind, RemoteClient, RemoteConfig, RemoteMetrics, RemoteServer,
+    RetryPolicy, ServeResult, ServiceConfig, ShardFaultPlan, SupervisorPolicy, TcpAcceptor,
+    TcpConnector, WireDir, WireFaultPlan,
 };
 
 const SEED: u64 = 1996; // the paper's year; any fixed seed works
@@ -123,1332 +124,21 @@ fn stream(n_reqs: usize, rate_hz: f64) -> Vec<(f64, DecomposeRequest)> {
     out
 }
 
-struct Cell {
-    shards: usize,
-    cache_capacity: usize,
-    max_batch: usize,
-    rate_hz: f64,
-    report: SimReport,
-}
-
-impl Cell {
-    fn p_ms(&self, q: f64) -> f64 {
-        self.report.metrics.latency_quantile(q) * 1e3
-    }
-
-    fn json(&self) -> String {
-        let m = &self.report.metrics;
-        let budget = m.budget_report().expect("at least one shard");
-        format!(
-            concat!(
-                "{{\"shards\": {}, \"cache_capacity\": {}, \"max_batch\": {}, ",
-                "\"rate_hz\": {}, \"accepted\": {}, \"completed\": {}, ",
-                "\"rejected_queue_full\": {}, \"rejected_shed\": {}, ",
-                "\"rejected_deadline\": {}, \"cache_hit_rate\": {:.4}, ",
-                "\"mean_batch_occupancy\": {:.4}, \"p50_ms\": {:.6}, ",
-                "\"p95_ms\": {:.6}, \"p99_ms\": {:.6}, \"throughput_hz\": {:.3}, ",
-                "\"makespan_s\": {:.9}, \"useful_pct\": {:.3}, \"imbalance_pct\": {:.3}}}"
-            ),
-            self.shards,
-            self.cache_capacity,
-            self.max_batch,
-            self.rate_hz,
-            m.accepted(),
-            m.completed(),
-            m.rejected(RejectKind::QueueFull),
-            m.rejected(RejectKind::Shed),
-            m.rejected(RejectKind::DeadlineExpired),
-            m.cache_hit_rate(),
-            m.mean_batch_occupancy(),
-            self.p_ms(0.50),
-            self.p_ms(0.95),
-            self.p_ms(0.99),
-            self.report.throughput(),
-            self.report.makespan_s,
-            budget.useful_pct(),
-            budget.imbalance_pct(),
-        )
-    }
-}
-
-fn sweep(n_reqs: usize, shard_grid: &[usize], rates: &[f64]) -> Vec<Cell> {
-    let cost = CostModel::default();
-    let mut cells = Vec::new();
-    for &shards in shard_grid {
-        for &(cache_capacity, max_batch) in &[(16usize, 8usize), (0, 8), (16, 1), (0, 1)] {
-            for &rate_hz in rates {
-                let cfg = ServiceConfig::default()
-                    .with_shards(shards)
-                    .with_queue_capacity(64)
-                    .with_cache_capacity(cache_capacity)
-                    .with_max_batch(max_batch);
-                let report = run_sim(&cfg, &cost, stream(n_reqs, rate_hz));
-                let cell = Cell {
-                    shards,
-                    cache_capacity,
-                    max_batch,
-                    rate_hz,
-                    report,
-                };
-                eprintln!(
-                    "shards={shards} cache={cache_capacity:<2} batch={max_batch} \
-                     rate={rate_hz:<8} p95={:.3}ms tput={:.0}/s hit={:.2}",
-                    cell.p_ms(0.95),
-                    cell.report.throughput(),
-                    cell.report.metrics.cache_hit_rate()
-                );
-                cells.push(cell);
-            }
-        }
-    }
-    cells
-}
-
-/// Seeded chaos scenarios for the fault-tolerance sweep: every plan is a
-/// pure function of `SEED`, so the rows reproduce byte for byte. The
-/// grid covers each injected fault kind in isolation plus one combined
-/// brownout, all on the same three-shard service.
-fn chaos_scenarios() -> Vec<(&'static str, ServiceConfig)> {
-    let base = || {
-        ServiceConfig::default()
-            .with_shards(3)
-            .with_queue_capacity(64)
-            .with_cache_capacity(16)
-            .with_max_batch(4)
-    };
-    vec![
-        ("fault_free", base()),
-        (
-            "worker_panic",
-            base().with_faults(ShardFaultPlan::seeded(SEED).with_worker_panic(0, 3)),
-        ),
-        (
-            "shard_crash_failover",
-            base()
-                .with_faults(ShardFaultPlan::seeded(SEED).with_shard_crash(0, 0))
-                .with_supervisor(SupervisorPolicy {
-                    max_restarts: 2,
-                    ..SupervisorPolicy::default()
-                }),
-        ),
-        (
-            "poison_quarantine",
-            base().with_faults(ShardFaultPlan::seeded(SEED).with_poison_rate(0.05)),
-        ),
-        (
-            "stall_window",
-            base().with_faults(ShardFaultPlan::seeded(SEED).with_stall(1, 3.0, 0, 40)),
-        ),
-        (
-            "degraded_brownout",
-            base()
-                .with_faults(ShardFaultPlan::seeded(SEED).with_shard_crash(2, 0))
-                .with_supervisor(SupervisorPolicy {
-                    max_restarts: 1,
-                    ..SupervisorPolicy::default()
-                })
-                .with_degraded(DegradedPolicy::default()),
-        ),
-        (
-            "combined",
-            base()
-                .with_faults(
-                    ShardFaultPlan::seeded(SEED)
-                        .with_shard_crash(0, 2)
-                        .with_worker_panic(1, 5)
-                        .with_stall(2, 2.0, 0, 30)
-                        .with_poison_rate(0.02),
-                )
-                .with_supervisor(SupervisorPolicy {
-                    max_restarts: 1,
-                    ..SupervisorPolicy::default()
-                })
-                .with_degraded(DegradedPolicy::default()),
-        ),
-    ]
-}
-
-struct ChaosCell {
-    scenario: &'static str,
-    shards: usize,
-    rate_hz: f64,
-    requests: usize,
-    report: SimReport,
-}
-
-impl ChaosCell {
-    /// The chaos invariant, asserted on every generated row: each
-    /// submitted request resolves exactly once (completed, typed
-    /// rejection, or bounded-error degraded response) — injected crashes
-    /// lose nothing.
-    fn assert_nothing_lost(&self) {
-        let m = &self.report.metrics;
-        assert_eq!(
-            self.report.outcomes.len(),
-            self.requests,
-            "{}: every request must have a terminal outcome",
-            self.scenario
-        );
-        let ok = self.report.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        assert_eq!(
-            ok,
-            m.completed(),
-            "{}: completions must match Ok outcomes",
-            self.scenario
-        );
-        let rejected: u64 = RejectKind::ALL.iter().map(|&k| m.rejected(k)).sum();
-        assert_eq!(
-            ok + rejected,
-            self.requests as u64,
-            "{}: lost requests (completed {} + rejected {} != submitted {})",
-            self.scenario,
-            ok,
-            rejected,
-            self.requests
-        );
-        let degraded = self
-            .report
-            .outcomes
-            .iter()
-            .filter(|o| o.as_ref().is_ok_and(|r| r.degraded))
-            .count() as u64;
-        assert_eq!(
-            degraded,
-            m.degraded_served(),
-            "{}: degraded counter must match degraded Ok outcomes",
-            self.scenario
-        );
-    }
-
-    fn json(&self) -> String {
-        let m = &self.report.metrics;
-        let budget = m.budget_report().expect("at least one shard");
-        let failed: Vec<String> = m.failed_shards().iter().map(|s| s.to_string()).collect();
-        let rejected_total: u64 = RejectKind::ALL.iter().map(|&k| m.rejected(k)).sum();
-        format!(
-            concat!(
-                "{{\"scenario\": \"{}\", \"shards\": {}, \"rate_hz\": {}, ",
-                "\"requests\": {}, \"completed\": {}, \"degraded_served\": {}, ",
-                "\"restarts\": {}, \"requeued\": {}, \"quarantined\": {}, ",
-                "\"rejected_total\": {}, ",
-                "\"rejected_shard_failed\": {}, \"rejected_requeued\": {}, ",
-                "\"rejected_deadline\": {}, \"failed_shards\": [{}], ",
-                "\"p95_ms\": {:.6}, \"throughput_hz\": {:.3}, ",
-                "\"makespan_s\": {:.9}, \"fault_recovery_pct\": {:.3}}}"
-            ),
-            self.scenario,
-            self.shards,
-            self.rate_hz,
-            self.requests,
-            m.completed(),
-            m.degraded_served(),
-            m.restarts(),
-            m.requeued(),
-            m.quarantined(),
-            rejected_total,
-            m.rejected(RejectKind::ShardFailed),
-            m.rejected(RejectKind::Requeued),
-            m.rejected(RejectKind::DeadlineExpired),
-            failed.join(", "),
-            m.latency_quantile(0.95) * 1e3,
-            self.report.throughput(),
-            self.report.makespan_s,
-            budget.fault_pct(),
-        )
-    }
-}
-
-fn chaos_sweep(n_reqs: usize, rate_hz: f64) -> Vec<ChaosCell> {
-    let cost = CostModel::default();
-    let mut cells = Vec::new();
-    for (scenario, cfg) in chaos_scenarios() {
-        let report = run_sim(&cfg, &cost, stream(n_reqs, rate_hz));
-        let cell = ChaosCell {
-            scenario,
-            shards: 3,
-            rate_hz,
-            requests: n_reqs,
-            report,
-        };
-        cell.assert_nothing_lost();
-        let m = &cell.report.metrics;
-        eprintln!(
-            "chaos {scenario:<20} completed={:<4} degraded={:<3} restarts={} \
-             requeued={:<3} failed_shards={:?}",
-            m.completed(),
-            m.degraded_served(),
-            m.restarts(),
-            m.requeued(),
-            m.failed_shards()
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
-/// Spot checks that the chaos grid exercises what it claims to: the
-/// failover scenario loses a shard yet strands nothing, and the
-/// brownout scenario actually serves bounded-error responses.
-fn assert_chaos_coverage(cells: &[ChaosCell]) {
-    let find = |name: &str| -> &ChaosCell {
-        cells
-            .iter()
-            .find(|c| c.scenario == name)
-            .expect("scenario present in the chaos grid")
-    };
-    let fault_free = find("fault_free");
-    assert_eq!(
-        fault_free.report.metrics.failed_shards(),
-        Vec::<usize>::new()
-    );
-    assert_eq!(fault_free.report.metrics.restarts(), 0);
-    let failover = find("shard_crash_failover");
-    assert!(
-        !failover.report.metrics.failed_shards().is_empty(),
-        "crash scenario must exhaust the restart budget"
-    );
-    assert!(failover.report.metrics.restarts() > 0);
-    let brownout = find("degraded_brownout");
-    assert!(
-        brownout.report.metrics.degraded_served() > 0,
-        "brownout scenario must serve degraded responses"
-    );
-    let panicked = find("worker_panic");
-    assert!(panicked.report.metrics.restarts() > 0);
-    assert_eq!(panicked.report.metrics.failed_shards(), Vec::<usize>::new());
-    let poisoned = find("poison_quarantine");
-    assert!(poisoned.report.metrics.quarantined() > 0);
-}
-
-/// Per-client request streams for the closed-loop sweeps, flattened
-/// `client * reqs_per_client + k`. Deadline-free on purpose: the live
-/// comparison needs outcomes that do not depend on wall-clock timing,
-/// so the shim and TCP resolution books can be asserted identical.
-fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
-    let pool = shape_pool();
-    let mut out = Vec::with_capacity(clients * reqs_per_client);
-    for c in 0..clients {
-        let mut rng = SplitMix64(SEED ^ (c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        for _ in 0..reqs_per_client {
-            let (size, bank, levels) = pool[(rng.next_u64() % pool.len() as u64) as usize].clone();
-            let priority = Priority::ALL[(rng.next_u64() % 3) as usize];
-            out.push(
-                DecomposeRequest::new(image(size, rng.next_u64() % 13), bank, levels)
-                    .with_priority(priority),
-            );
-        }
-    }
-    out
-}
-
-/// The literal wire-fault schedule shared by the deterministic sweep
-/// and the live drivers. Coordinates are `(conn = client id, dir,
-/// cumulative frame index)`: frame 0 each way is the handshake, so the
-/// client-to-server reset at frame 2 kills client 0's second request
-/// mid-frame, and the server-to-client bit flip at frame 2 corrupts
-/// client 2's second response — which the client recovers via
-/// resubmit + dedup replay, never re-execution.
-fn wire_chaos_plan() -> WireFaultPlan {
-    WireFaultPlan::seeded(SEED)
-        .with_reset(0, WireDir::ClientToServer, 2)
-        .with_truncate(1, WireDir::ClientToServer, 4)
-        .with_bitflip(2, WireDir::ServerToClient, 2)
-        .with_stall(1, WireDir::ServerToClient, 3, 4e-3)
-}
-
-/// The shard-fault schedule for the failover-under-load scenarios:
-/// shard 0's worker is killed once mid-load (supervised restart),
-/// shard 1 crashes permanently and fails over to the survivors.
-fn kill_plan() -> ShardFaultPlan {
-    ShardFaultPlan::seeded(SEED)
-        .with_worker_panic(0, 1)
-        .with_shard_crash(1, 2)
-}
-
-/// Base service shape for every closed-loop scenario: three shards so
-/// one can die and two survive, a queue deep enough that closed-loop
-/// admission never rejects.
-fn closed_loop_service(faults: ShardFaultPlan) -> ServiceConfig {
-    ServiceConfig::default()
-        .with_shards(3)
-        .with_queue_capacity(64)
-        .with_cache_capacity(16)
-        .with_max_batch(4)
-        .with_faults(faults)
-        .with_supervisor(SupervisorPolicy {
-            max_restarts: 1,
-            ..SupervisorPolicy::default()
-        })
-}
-
-/// Deterministic closed-loop transport scenarios.
-fn transport_scenarios() -> Vec<(&'static str, ServiceConfig, WireFaultPlan)> {
-    vec![
-        (
-            "clean_wire",
-            closed_loop_service(ShardFaultPlan::none()),
-            WireFaultPlan::none(),
-        ),
-        (
-            "wire_chaos",
-            closed_loop_service(ShardFaultPlan::none()),
-            wire_chaos_plan(),
-        ),
-        (
-            "flip_rate",
-            closed_loop_service(ShardFaultPlan::none()),
-            WireFaultPlan::seeded(SEED).with_flip_rate(0.01),
-        ),
-        (
-            "failover_under_load",
-            closed_loop_service(kill_plan()),
-            wire_chaos_plan(),
-        ),
-    ]
-}
-
-struct TransportCell {
-    scenario: &'static str,
-    clients: usize,
-    reqs_per_client: usize,
-    report: ClosedLoopReport,
-}
-
-impl TransportCell {
-    fn requests(&self) -> usize {
-        self.clients * self.reqs_per_client
-    }
-
-    /// The transport exactly-once invariant: every request terminates
-    /// at its client exactly once, and with the literal fault plans
-    /// and default retry budget nothing is lost to the wire either.
-    fn assert_nothing_lost(&self) {
-        assert_eq!(
-            self.report.outcomes.len(),
-            self.requests(),
-            "{}: every request must terminate at its client",
-            self.scenario
-        );
-        let delivered = self.report.outcomes.iter().filter(|o| o.is_ok()).count();
-        let given_up = self.requests() - delivered;
-        assert_eq!(
-            given_up, 0,
-            "{}: the retry budget must cover the fault plan (lost {given_up})",
-            self.scenario
-        );
-        // Deadline-free closed-loop traffic under a shallow queue never
-        // rejects: every delivered outcome is a served response.
-        let served = self
-            .report
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, Ok(Ok(_))))
-            .count();
-        assert_eq!(
-            served,
-            self.requests(),
-            "{}: closed-loop requests must all serve",
-            self.scenario
-        );
-    }
-
-    fn p_ms(&self, q: f64) -> f64 {
-        self.report.latency.quantile(q) * 1e3
-    }
-
-    fn json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"scenario\": \"{}\", \"clients\": {}, \"reqs_per_client\": {}, ",
-                "\"delivered\": {}, \"retries\": {}, \"replays\": {}, \"frames\": {}, ",
-                "\"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \"p99_ms\": {:.6}, ",
-                "\"comm_ms\": {:.6}, \"fault_recovery_ms\": {:.6}, ",
-                "\"throughput_hz\": {:.3}, \"makespan_s\": {:.9}}}"
-            ),
-            self.scenario,
-            self.clients,
-            self.reqs_per_client,
-            self.report.outcomes.iter().filter(|o| o.is_ok()).count(),
-            self.report.retries,
-            self.report.replays,
-            self.report.frames,
-            self.p_ms(0.50),
-            self.p_ms(0.95),
-            self.p_ms(0.99),
-            self.report.comm_s * 1e3,
-            self.report.fault_recovery_s * 1e3,
-            self.report.throughput(),
-            self.report.makespan_s,
-        )
-    }
-}
-
-fn transport_sweep(clients: usize, reqs_per_client: usize) -> Vec<TransportCell> {
-    let cost = CostModel::default();
-    let mut cells = Vec::new();
-    for (scenario, cfg, wire_faults) in transport_scenarios() {
-        let cl = ClosedLoopConfig {
-            clients,
-            reqs_per_client,
-            wire_faults,
-            ..ClosedLoopConfig::default()
-        };
-        let report = run_closed_loop(&cfg, &cost, &cl, closed_requests(clients, reqs_per_client));
-        let cell = TransportCell {
-            scenario,
-            clients,
-            reqs_per_client,
-            report,
-        };
-        cell.assert_nothing_lost();
-        eprintln!(
-            "transport {scenario:<20} delivered={:<3} retries={:<2} replays={:<2} \
-             frames={:<4} p99={:.3}ms comm={:.3}ms",
-            cell.report.outcomes.iter().filter(|o| o.is_ok()).count(),
-            cell.report.retries,
-            cell.report.replays,
-            cell.report.frames,
-            cell.p_ms(0.99),
-            cell.report.comm_s * 1e3,
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
-/// Spot checks that the transport grid exercises what it claims to.
-fn assert_transport_coverage(cells: &[TransportCell]) {
-    let find = |name: &str| -> &TransportCell {
-        cells
-            .iter()
-            .find(|c| c.scenario == name)
-            .expect("scenario present in the transport grid")
-    };
-    let clean = find("clean_wire");
-    assert_eq!(clean.report.retries, 0, "a clean wire never retries");
-    assert_eq!(clean.report.replays, 0);
-    assert!(clean.report.comm_s > 0.0, "framing cost must be charged");
-    let chaos = find("wire_chaos");
-    assert!(chaos.report.retries > 0, "wire chaos must force retries");
-    assert!(
-        chaos.report.replays > 0,
-        "a response-path fault must recover via dedup replay"
-    );
-    assert!(
-        chaos.report.fault_recovery_s > 0.0,
-        "fault handling must be charged to the FaultRecovery lane"
-    );
-    let failover = find("failover_under_load");
-    assert!(
-        !failover.report.metrics.failed_shards().is_empty(),
-        "the failover scenario must actually lose a shard"
-    );
-    assert!(failover.report.metrics.restarts() > 0);
-    assert!(
-        failover.p_ms(0.99) >= clean.p_ms(0.99),
-        "killing workers mid-load cannot improve the p99 tail"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Progressive delivery: bytes-to-tolerance vs monolithic
-// ---------------------------------------------------------------------
-
-/// The detail-plane codec every lossy progressive scenario shares:
-/// `threshold + step / 2 = 0.5` of absolute per-coefficient tolerance.
-fn lossy_codec() -> CheckpointCodec {
-    CheckpointCodec::WaveletQuant {
-        threshold: 0.25,
-        step: 0.5,
-    }
-}
-
-/// Deterministic progressive scenarios over the same closed-loop
-/// workload: a monolithic baseline, lossless streaming (must stay
-/// bitwise), lossy streaming (must shrink the wire), tolerance-met
-/// cancellation (must shrink it further), cancellation under the
-/// literal wire-chaos plan (must stay exactly-once), and a hard byte
-/// budget (must bound the wire regardless of tolerance).
-fn progressive_scenarios() -> Vec<(&'static str, Option<ProgressiveSim>, WireFaultPlan)> {
-    vec![
-        ("monolithic", None, WireFaultPlan::none()),
-        (
-            "progressive_lossless",
-            Some(ProgressiveSim {
-                codec: CheckpointCodec::Raw,
-                tolerance: None,
-                byte_budget: None,
-            }),
-            WireFaultPlan::none(),
-        ),
-        (
-            "progressive_lossy",
-            Some(ProgressiveSim {
-                codec: lossy_codec(),
-                tolerance: None,
-                byte_budget: None,
-            }),
-            WireFaultPlan::none(),
-        ),
-        (
-            "tolerance_cancel",
-            Some(ProgressiveSim {
-                codec: lossy_codec(),
-                tolerance: Some(30.0),
-                byte_budget: None,
-            }),
-            WireFaultPlan::none(),
-        ),
-        (
-            "tolerance_cancel_chaos",
-            Some(ProgressiveSim {
-                codec: lossy_codec(),
-                tolerance: Some(30.0),
-                byte_budget: None,
-            }),
-            wire_chaos_plan(),
-        ),
-        (
-            "byte_budget",
-            Some(ProgressiveSim {
-                codec: lossy_codec(),
-                tolerance: None,
-                byte_budget: Some(4096),
-            }),
-            WireFaultPlan::none(),
-        ),
-    ]
-}
-
-struct ProgressiveCell {
-    scenario: &'static str,
-    clients: usize,
-    reqs_per_client: usize,
-    progressive: Option<ProgressiveSim>,
-    report: ClosedLoopReport,
-}
-
-impl ProgressiveCell {
-    fn requests(&self) -> usize {
-        self.clients * self.reqs_per_client
-    }
-
-    /// Largest reported error bound across delivered responses.
-    fn max_error_bound(&self) -> f64 {
-        self.report
-            .outcomes
-            .iter()
-            .filter_map(|o| match o {
-                Ok(Ok(r)) => Some(r.error_bound),
-                _ => None,
-            })
-            .fold(0.0, f64::max)
-    }
-
-    fn savings_pct(&self) -> f64 {
-        if self.report.monolithic_bytes == 0 {
-            return 0.0;
-        }
-        (1.0 - self.report.response_bytes as f64 / self.report.monolithic_bytes as f64) * 100.0
-    }
-
-    fn p_ms(&self, q: f64) -> f64 {
-        self.report.latency.quantile(q) * 1e3
-    }
-
-    fn json(&self) -> String {
-        let (threshold, step, tolerance, budget) = match &self.progressive {
-            None => (0.0, 0.0, "null".to_string(), "null".to_string()),
-            Some(p) => {
-                let (t, s) = match p.codec {
-                    CheckpointCodec::Raw => (0.0, 0.0),
-                    CheckpointCodec::WaveletQuant { threshold, step } => (threshold, step),
-                };
-                (
-                    t,
-                    s,
-                    p.tolerance.map_or("null".into(), |v| format!("{v}")),
-                    p.byte_budget.map_or("null".into(), |v| format!("{v}")),
-                )
-            }
-        };
-        format!(
-            concat!(
-                "{{\"scenario\": \"{}\", \"clients\": {}, \"reqs_per_client\": {}, ",
-                "\"delivered\": {}, \"threshold\": {}, \"step\": {}, ",
-                "\"tolerance\": {}, \"byte_budget\": {}, \"planes\": {}, \"cancels\": {}, ",
-                "\"budget_stops\": {}, ",
-                "\"response_bytes\": {}, \"monolithic_bytes\": {}, ",
-                "\"savings_pct\": {:.3}, \"max_error_bound\": {:.6}, ",
-                "\"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \"p99_ms\": {:.6}, ",
-                "\"comm_ms\": {:.6}, \"throughput_hz\": {:.3}, \"makespan_s\": {:.9}}}"
-            ),
-            self.scenario,
-            self.clients,
-            self.reqs_per_client,
-            self.report.outcomes.iter().filter(|o| o.is_ok()).count(),
-            threshold,
-            step,
-            tolerance,
-            budget,
-            self.report.planes,
-            self.report.cancels,
-            self.report.budget_stops,
-            self.report.response_bytes,
-            self.report.monolithic_bytes,
-            self.savings_pct(),
-            self.max_error_bound(),
-            self.p_ms(0.50),
-            self.p_ms(0.95),
-            self.p_ms(0.99),
-            self.report.comm_s * 1e3,
-            self.report.throughput(),
-            self.report.makespan_s,
-        )
-    }
-}
-
-fn progressive_sweep(clients: usize, reqs_per_client: usize) -> Vec<ProgressiveCell> {
-    let cost = CostModel::default();
-    let mut cells = Vec::new();
-    for (scenario, progressive, wire_faults) in progressive_scenarios() {
-        let cl = ClosedLoopConfig {
-            clients,
-            reqs_per_client,
-            wire_faults,
-            progressive,
-            ..ClosedLoopConfig::default()
-        };
-        let report = run_closed_loop(
-            &closed_loop_service(ShardFaultPlan::none()),
-            &cost,
-            &cl,
-            closed_requests(clients, reqs_per_client),
-        );
-        let cell = ProgressiveCell {
-            scenario,
-            clients,
-            reqs_per_client,
-            progressive,
-            report,
-        };
-        eprintln!(
-            "progressive {scenario:<23} delivered={:<3} planes={:<4} cancels={:<3} \
-             resp_B={:<7} mono_B={:<7} savings={:.1}% bound={:.3}",
-            cell.report.outcomes.iter().filter(|o| o.is_ok()).count(),
-            cell.report.planes,
-            cell.report.cancels,
-            cell.report.response_bytes,
-            cell.report.monolithic_bytes,
-            cell.savings_pct(),
-            cell.max_error_bound(),
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
-/// The progressive acceptance checks, on every generated grid:
-///
-/// * nothing is ever lost: every request terminates at its client, in
-///   every scenario, cancels and chaos included;
-/// * lossless streaming is *bitwise*: each delivered pyramid equals the
-///   monolithic baseline's for the same request, with a zero bound;
-/// * every reported error bound is honest against the local engine
-///   oracle (`actual max-abs error <= bound`);
-/// * lossy streaming beats the monolithic counterfactual on response
-///   bytes, and tolerance-met cancellation beats plain lossy.
-fn assert_progressive_coverage(cells: &[ProgressiveCell]) {
-    let find = |name: &str| -> &ProgressiveCell {
-        cells
-            .iter()
-            .find(|c| c.scenario == name)
-            .expect("scenario present in the progressive grid")
-    };
-    for cell in cells {
-        assert_eq!(
-            cell.report.outcomes.len(),
-            cell.requests(),
-            "{}: every request must terminate at its client",
-            cell.scenario
-        );
-        let served = cell
-            .report
-            .outcomes
-            .iter()
-            .filter(|o| matches!(o, Ok(Ok(_))))
-            .count();
-        assert_eq!(
-            served,
-            cell.requests(),
-            "{}: closed-loop requests must all serve",
-            cell.scenario
-        );
-    }
-
-    let mono = find("monolithic");
-    assert_eq!(mono.report.planes, 0);
-    assert_eq!(mono.report.cancels, 0);
-
-    // Lossless streaming: bitwise against the monolithic baseline.
-    let lossless = find("progressive_lossless");
-    assert!(lossless.report.planes > 0, "responses must actually stream");
-    assert_eq!(lossless.report.cancels, 0, "no tolerance, no cancels");
-    for (i, (a, b)) in mono
-        .report
-        .outcomes
-        .iter()
-        .zip(lossless.report.outcomes.iter())
-        .enumerate()
-    {
-        let (Ok(Ok(ra)), Ok(Ok(rb))) = (a, b) else {
-            panic!("request {i} must serve in both runs");
-        };
-        assert_eq!(
-            ra.pyramid, rb.pyramid,
-            "request {i}: lossless streaming must be bitwise"
-        );
-        assert_eq!(rb.error_bound, 0.0);
-    }
-
-    // Every reported bound is honest against the engine oracle.
-    let requests = closed_requests(mono.clients, mono.reqs_per_client);
-    for cell in cells {
-        for (req, out) in requests.iter().zip(cell.report.outcomes.iter()) {
-            let Ok(Ok(resp)) = out else { continue };
-            let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-                .expect("pool geometry is valid");
-            let actual =
-                pyramid_max_abs_diff(&resp.pyramid, &oracle).expect("geometry matches the oracle");
-            assert!(
-                actual <= resp.error_bound,
-                "{}: actual error {actual} exceeds the reported bound {}",
-                cell.scenario,
-                resp.error_bound
-            );
-        }
-    }
-
-    // Bytes-to-tolerance: quantization shrinks the wire, cancellation
-    // shrinks it further, and the tolerance is respected.
-    let lossy = find("progressive_lossy");
-    assert!(
-        lossy.report.response_bytes < lossy.report.monolithic_bytes,
-        "lossy streaming must beat the monolithic counterfactual \
-         ({} vs {} bytes)",
-        lossy.report.response_bytes,
-        lossy.report.monolithic_bytes
-    );
-    let cancel = find("tolerance_cancel");
-    assert!(
-        cancel.report.cancels > 0,
-        "a 30.0 tolerance on this imagery must cancel at least once"
-    );
-    assert!(
-        cancel.report.response_bytes < lossy.report.response_bytes,
-        "cancellation must save bytes over reading every plane \
-         ({} vs {} bytes)",
-        cancel.report.response_bytes,
-        lossy.report.response_bytes
-    );
-    let chaos = find("tolerance_cancel_chaos");
-    assert!(
-        chaos.report.retries > 0,
-        "the chaos plan must force at least one retry"
-    );
-    // The byte budget is the second cancel predicate: every delivery
-    // still terminates, the budget cuts are surfaced, and the wire
-    // carries less than reading every plane would.
-    let budget = find("byte_budget");
-    assert!(
-        budget.report.budget_stops > 0,
-        "a 4 KiB budget on this imagery must stop at least one sequence"
-    );
-    assert_eq!(
-        budget.report.budget_stops, budget.report.cancels,
-        "with no tolerance every cancel here is a budget stop"
-    );
-    assert!(
-        budget.report.response_bytes < lossy.report.response_bytes,
-        "a byte budget must save wire over reading every plane \
-         ({} vs {} bytes)",
-        budget.report.response_bytes,
-        lossy.report.response_bytes
-    );
-
-    eprintln!(
-        "progressive acceptance: lossless bitwise over {} responses, \
-         lossy saves {:.1}%, cancel saves {:.1}%",
-        mono.requests(),
-        lossy.savings_pct(),
-        cancel.savings_pct(),
-    );
-}
-
-// ---------------------------------------------------------------------
-// Live closed-loop mode: real server, real sockets, real worker kills
-// ---------------------------------------------------------------------
-
-/// Stable label of a client-observed service outcome, the currency of
-/// the cross-transport resolution-book comparison.
-fn outcome_label(res: &ServeResult) -> String {
-    match res {
-        Ok(r) if r.degraded => "ok_degraded".into(),
-        Ok(_) => "ok".into(),
-        Err(rej) => rej.kind().label().into(),
-    }
-}
-
-struct LiveRun {
-    /// `(client, request index, outcome label)`, sorted — the
-    /// resolution book as the clients observed it.
-    book: Vec<(u64, u64, String)>,
-    /// Client-observed wall-clock latencies, seconds.
-    latency: wserv::Histogram,
-    metrics: RemoteMetrics,
-    client_retries: u64,
-    /// Wall seconds of serialization + framing across both sides.
-    comm_s: f64,
-    elapsed_s: f64,
-}
-
-/// Drive `clients` real closed-loop clients against a `RemoteServer`
-/// over the chosen transport, with the service's `ShardFaultPlan`
-/// killing real worker threads mid-load and `wire` faulting both
-/// directions of every connection.
-fn live_closed_loop(
-    tcp: bool,
-    clients: usize,
-    reqs_per_client: usize,
-    service: ServiceConfig,
-    wire: WireFaultPlan,
-) -> LiveRun {
-    let tick = Duration::from_millis(1);
-    let remote = RemoteConfig {
-        wire_faults: wire.clone(),
-        ..RemoteConfig::default()
-    };
-    let (server, dial): (
-        RemoteServer,
-        Box<dyn Fn() -> Box<dyn Connector> + Send + Sync>,
-    ) = if tcp {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
-        let addr = acceptor.local_addr();
-        (
-            RemoteServer::start(service, remote, Box::new(acceptor)).expect("server starts"),
-            Box::new(move || Box::new(TcpConnector { addr, tick })),
-        )
-    } else {
-        let listener = MemListener::new(1 << 16, tick);
-        let peer = listener.clone();
-        (
-            RemoteServer::start(service, remote, Box::new(listener)).expect("server starts"),
-            Box::new(move || Box::new(peer.clone())),
-        )
-    };
-
-    let requests = closed_requests(clients, reqs_per_client);
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let stream: Vec<DecomposeRequest> =
-            requests[c * reqs_per_client..(c + 1) * reqs_per_client].to_vec();
-        let connector = dial();
-        let plan = wire.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut client = RemoteClient::new(connector, c as u64)
-                .with_faults(plan)
-                .with_retry(RetryPolicy::default())
-                .with_response_timeout(Duration::from_secs(10));
-            let mut lat = Vec::with_capacity(stream.len());
-            let mut book = Vec::with_capacity(stream.len());
-            for (k, req) in stream.iter().enumerate() {
-                let t0 = Instant::now();
-                let res = client
-                    .call(req)
-                    .expect("the retry budget covers the fault plan");
-                lat.push(t0.elapsed().as_secs_f64());
-                book.push((c as u64, k as u64, outcome_label(&res)));
-            }
-            client.goodbye();
-            (lat, book, client.transport, client.retries)
-        }));
-    }
-    let mut latency = wserv::Histogram::default();
-    let mut book = Vec::new();
-    let mut client_retries = 0u64;
-    let mut comm_s = 0.0;
-    for h in handles {
-        let (lat, b, transport, retries) = h.join().expect("client threads never panic");
-        for v in lat {
-            latency.record(v);
-        }
-        book.extend(b);
-        client_retries += retries;
-        comm_s += transport.ser_s;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let metrics = server.shutdown().expect("graceful drain succeeds");
-    comm_s += metrics.transport.ser_s;
-    book.sort();
-    LiveRun {
-        book,
-        latency,
-        metrics,
-        client_retries,
-        comm_s,
-        elapsed_s,
-    }
-}
-
-/// Run the live closed-loop comparison over both transports, assert
-/// its invariants, and return the `transport_live` JSON rows (outside
-/// the byte-compare: these are wall-clock numbers).
-fn live_rows(clients: usize, reqs_per_client: usize, prediction: &ClosedLoopReport) -> String {
-    let total = (clients * reqs_per_client) as u64;
-    let mut rows = Vec::new();
-    let mut books = Vec::new();
-    for (transport, tcp) in [("shim", false), ("tcp", true)] {
-        let run = live_closed_loop(
-            tcp,
-            clients,
-            reqs_per_client,
-            closed_loop_service(kill_plan()),
-            wire_chaos_plan(),
-        );
-        // Exactly-once under real worker kills: the service resolved
-        // every distinct request once — retried ids were answered from
-        // the resolution book, not re-executed.
-        assert_eq!(
-            run.book.len() as u64,
-            total,
-            "{transport}: every request must terminate at its client"
-        );
-        assert_eq!(
-            run.metrics.service.completed(),
-            total,
-            "{transport}: deadline-free closed-loop requests must all serve exactly once"
-        );
-        assert!(
-            run.book.iter().all(|(_, _, label)| label == "ok"),
-            "{transport}: failover must be lossless for closed-loop traffic"
-        );
-        assert!(
-            run.metrics.transport.dedup_replays >= 1,
-            "{transport}: the response-path fault must be recovered via dedup replay"
-        );
-        assert!(
-            run.metrics.service.restarts() > 0,
-            "{transport}: the worker-kill plan must actually kill a worker"
-        );
-        assert!(
-            !run.metrics.service.failed_shards().is_empty(),
-            "{transport}: the crash plan must actually fail a shard over"
-        );
-        eprintln!(
-            "live {transport:<4} p99={:.3}ms (sim predicts {:.3}ms) replays={} \
-             resets={} aborted={} retries={} elapsed={:.3}s",
-            run.latency.quantile(0.99) * 1e3,
-            prediction.latency.quantile(0.99) * 1e3,
-            run.metrics.transport.dedup_replays,
-            run.metrics.transport.conn_reset,
-            run.metrics.transport.conn_aborted,
-            run.client_retries,
-            run.elapsed_s,
-        );
-        rows.push(format!(
-            concat!(
-                "{{\"transport\": \"{}\", \"scenario\": \"failover_under_load\", ",
-                "\"clients\": {}, \"reqs_per_client\": {}, \"completed\": {}, ",
-                "\"p50_ms\": {:.6}, \"p95_ms\": {:.6}, \"p99_ms\": {:.6}, ",
-                "\"sim_p50_ms\": {:.6}, \"sim_p95_ms\": {:.6}, \"sim_p99_ms\": {:.6}, ",
-                "\"comm_ms\": {:.6}, \"dedup_replays\": {}, \"conn_reset\": {}, ",
-                "\"conn_aborted\": {}, \"client_retries\": {}, \"restarts\": {}, ",
-                "\"failed_shards\": {}, \"elapsed_s\": {:.6}}}"
-            ),
-            transport,
-            clients,
-            reqs_per_client,
-            run.metrics.service.completed(),
-            run.latency.quantile(0.50) * 1e3,
-            run.latency.quantile(0.95) * 1e3,
-            run.latency.quantile(0.99) * 1e3,
-            prediction.latency.quantile(0.50) * 1e3,
-            prediction.latency.quantile(0.95) * 1e3,
-            prediction.latency.quantile(0.99) * 1e3,
-            run.comm_s * 1e3,
-            run.metrics.transport.dedup_replays,
-            run.metrics.transport.conn_reset,
-            run.metrics.transport.conn_aborted,
-            run.client_retries,
-            run.metrics.service.restarts(),
-            run.metrics.service.failed_shards().len(),
-            run.elapsed_s,
-        ));
-        books.push(run.book);
-    }
-    assert_eq!(
-        books[0], books[1],
-        "shim and TCP must produce identical resolution books for the same seed"
-    );
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(r);
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Live progressive mode: real streaming, real cancels, real sockets
-// ---------------------------------------------------------------------
-
-/// The live progressive comparison stream: deep CDF 9/7 decompositions
-/// of a smooth field plus faint texture. The smoothness is the point —
-/// the fine detail planes quantize to near-empty sparse frames (the
-/// deterministic byte saving), while the sinusoid's energy keeps the
-/// coarse planes above the client tolerance so real mid-sequence
-/// cancels occur too.
-fn progressive_live_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
-    let tau = std::f64::consts::TAU;
-    let smooth = |n: usize, salt: u64| {
-        Matrix::from_fn(n, n, |r, c| {
-            40.0 * (tau * r as f64 / n as f64).sin() * (tau * c as f64 / n as f64).sin()
-                + ((r as u64 * 13 + c as u64 * 7 + salt) % 7) as f64 * 0.03
-        })
-    };
-    let mut out = Vec::with_capacity(clients * reqs_per_client);
-    for c in 0..clients {
-        for k in 0..reqs_per_client {
-            out.push(DecomposeRequest::new(
-                smooth(64, (c * reqs_per_client + k) as u64 % 13),
-                FilterBank::cdf97(),
-                3,
-            ));
-        }
-    }
-    out
-}
-
-struct ProgressiveLiveRun {
-    completed: u64,
-    /// Server-side bytes put on the wire (responses dominate).
-    bytes_out: u64,
-    planes_sent: u64,
-    cancels: u64,
-    partials: u64,
-    max_bound: f64,
-    latency: wserv::Histogram,
-    elapsed_s: f64,
-}
-
-/// Drive the progressive comparison workload live: a clean wire (the
-/// byte comparison must not be confounded by faulted re-sends), with
-/// every delivered response checked against the local engine oracle.
-fn progressive_live(
-    tcp: bool,
-    clients: usize,
-    reqs_per_client: usize,
-    tolerance: Option<f64>,
-) -> ProgressiveLiveRun {
-    let tick = Duration::from_millis(1);
-    let remote = RemoteConfig {
-        progressive: tolerance.is_some().then(lossy_codec),
-        ..RemoteConfig::default()
-    };
-    let service = closed_loop_service(ShardFaultPlan::none());
-    let (server, dial): (
-        RemoteServer,
-        Box<dyn Fn() -> Box<dyn Connector> + Send + Sync>,
-    ) = if tcp {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
-        let addr = acceptor.local_addr();
-        (
-            RemoteServer::start(service, remote, Box::new(acceptor)).expect("server starts"),
-            Box::new(move || Box::new(TcpConnector { addr, tick })),
-        )
-    } else {
-        let listener = MemListener::new(1 << 16, tick);
-        let peer = listener.clone();
-        (
-            RemoteServer::start(service, remote, Box::new(listener)).expect("server starts"),
-            Box::new(move || Box::new(peer.clone())),
-        )
-    };
-
-    let requests = progressive_live_requests(clients, reqs_per_client);
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(clients);
-    for c in 0..clients {
-        let stream: Vec<DecomposeRequest> =
-            requests[c * reqs_per_client..(c + 1) * reqs_per_client].to_vec();
-        let connector = dial();
-        handles.push(std::thread::spawn(move || {
-            let mut client = RemoteClient::new(connector, c as u64)
-                .with_response_timeout(Duration::from_secs(10));
-            if let Some(t) = tolerance {
-                client = client.with_tolerance(t);
-            }
-            let mut lat = Vec::with_capacity(stream.len());
-            let mut max_bound = 0.0f64;
-            for req in &stream {
-                let t0 = Instant::now();
-                let resp = client
-                    .call(req)
-                    .expect("clean wire")
-                    .expect("deadline-free requests all serve");
-                lat.push(t0.elapsed().as_secs_f64());
-                // The reported bound must be honest against the local
-                // engine oracle and, when a tolerance is set, met.
-                let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-                    .expect("pool geometry is valid");
-                let actual = pyramid_max_abs_diff(&resp.pyramid, &oracle)
-                    .expect("geometry matches the oracle");
-                assert!(
-                    actual <= resp.error_bound || resp.error_bound == 0.0 && actual == 0.0,
-                    "actual error {actual} exceeds the reported bound {}",
-                    resp.error_bound
-                );
-                if let Some(t) = tolerance {
-                    assert!(
-                        resp.error_bound <= t,
-                        "reported bound {} must meet the {t} tolerance",
-                        resp.error_bound
-                    );
-                }
-                max_bound = max_bound.max(resp.error_bound);
-            }
-            client.goodbye();
-            (lat, max_bound, client.progressive)
-        }));
-    }
-    let mut latency = wserv::Histogram::default();
-    let mut max_bound = 0.0f64;
-    let mut cancels = 0u64;
-    let mut partials = 0u64;
-    for h in handles {
-        let (lat, mb, tally) = h.join().expect("client threads never panic");
-        for v in lat {
-            latency.record(v);
-        }
-        max_bound = max_bound.max(mb);
-        cancels += tally.cancels;
-        partials += tally.partial_responses;
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let metrics = server.shutdown().expect("graceful drain succeeds");
-    ProgressiveLiveRun {
-        completed: metrics.service.completed(),
-        bytes_out: metrics.transport.bytes_out,
-        planes_sent: metrics.transport.planes_sent,
-        cancels,
-        partials,
-        max_bound,
-        latency,
-        elapsed_s,
-    }
-}
-
-/// Run the monolithic-vs-progressive live comparison over both
-/// transports, assert the bytes-to-tolerance and bound-honesty
-/// invariants, and return the `progressive_live` JSON rows.
-fn progressive_live_rows(clients: usize, reqs_per_client: usize) -> String {
-    let total = (clients * reqs_per_client) as u64;
-    let tolerance = 30.0;
-    let mut rows = Vec::new();
-    for (transport, tcp) in [("shim", false), ("tcp", true)] {
-        let mono = progressive_live(tcp, clients, reqs_per_client, None);
-        let prog = progressive_live(tcp, clients, reqs_per_client, Some(tolerance));
-        for run in [&mono, &prog] {
-            assert_eq!(
-                run.completed, total,
-                "{transport}: every request must serve exactly once"
-            );
-        }
-        assert_eq!(mono.planes_sent, 0, "{transport}: baseline is monolithic");
-        assert!(
-            prog.partials >= 1,
-            "{transport}: the tolerance must cut at least one sequence short"
-        );
-        assert!(
-            prog.bytes_out < mono.bytes_out,
-            "{transport}: progressive-to-tolerance must beat monolithic bytes \
-             ({} vs {})",
-            prog.bytes_out,
-            mono.bytes_out
-        );
-        eprintln!(
-            "progressive live {transport:<4} mono_B={:<8} prog_B={:<8} savings={:.1}% \
-             planes={} cancels={} bound={:.3} elapsed={:.3}s",
-            mono.bytes_out,
-            prog.bytes_out,
-            (1.0 - prog.bytes_out as f64 / mono.bytes_out as f64) * 100.0,
-            prog.planes_sent,
-            prog.cancels,
-            prog.max_bound,
-            mono.elapsed_s + prog.elapsed_s,
-        );
-        for (scenario, run) in [("monolithic", &mono), ("progressive_cancel", &prog)] {
-            rows.push(format!(
-                concat!(
-                    "{{\"transport\": \"{}\", \"scenario\": \"{}\", ",
-                    "\"clients\": {}, \"reqs_per_client\": {}, \"completed\": {}, ",
-                    "\"tolerance\": {}, \"bytes_out\": {}, \"planes_sent\": {}, ",
-                    "\"cancels\": {}, \"partial_responses\": {}, ",
-                    "\"max_error_bound\": {:.6}, \"p50_ms\": {:.6}, ",
-                    "\"p95_ms\": {:.6}, \"p99_ms\": {:.6}, \"elapsed_s\": {:.6}}}"
-                ),
-                transport,
-                scenario,
-                clients,
-                reqs_per_client,
-                run.completed,
-                if scenario == "monolithic" {
-                    "null".to_string()
-                } else {
-                    format!("{tolerance}")
-                },
-                run.bytes_out,
-                run.planes_sent,
-                run.cancels,
-                run.partials,
-                run.max_bound,
-                run.latency.quantile(0.50) * 1e3,
-                run.latency.quantile(0.95) * 1e3,
-                run.latency.quantile(0.99) * 1e3,
-                run.elapsed_s,
-            ));
-        }
-    }
-    let mut out = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(r);
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// Elastic sharding: static vs stealing vs split/merge under Zipf skew
-// ---------------------------------------------------------------------
-
 /// Zipf exponent of the elastic workload's shape popularity: a mild
 /// real-traffic skew — the top shape draws ~31% of arrivals, the top
 /// four ~63% — which lands disproportionately on whichever shards the
 /// FNV placement happens to give the popular shapes.
 const ZIPF_S: f64 = 1.1;
 
-/// Seeded open-loop stream whose shape popularity is Zipf(`s`) over
-/// the shared pool (rank k drawn with probability proportional to
+/// Seeded open-loop stream whose shape popularity is Zipf([`ZIPF_S`])
+/// over the shared pool (rank k drawn with probability proportional to
 /// `1/(k+1)^s`), priorities mixed. Same arrival process as [`stream`],
 /// different popularity law: this is the imbalance generator the
 /// elastic controller is benched against.
-fn zipf_stream(n_reqs: usize, rate_hz: f64, s: f64) -> Vec<(f64, DecomposeRequest)> {
+fn zipf_stream(n_reqs: usize, rate_hz: f64) -> Vec<(f64, DecomposeRequest)> {
     let pool = shape_pool();
     let weights: Vec<f64> = (0..pool.len())
-        .map(|k| 1.0 / ((k + 1) as f64).powf(s))
+        .map(|k| 1.0 / ((k + 1) as f64).powf(ZIPF_S))
         .collect();
     let total: f64 = weights.iter().sum();
     let mut rng = SplitMix64(SEED ^ 0xe1a5_71c5);
@@ -1475,257 +165,694 @@ fn zipf_stream(n_reqs: usize, rate_hz: f64, s: f64) -> Vec<(f64, DecomposeReques
     out
 }
 
-/// The elastic comparison grid: one static baseline and two controller
-/// modes over the identical Zipf stream. Thresholds are scaled to the
-/// simulator's microsecond-level service times (the policy defaults
-/// target live wall-clock costs).
-fn elastic_scenarios() -> Vec<(&'static str, Option<ElasticPolicy>)> {
-    let stealing = ElasticPolicy {
+/// Per-client request streams for the closed-loop scenarios, flattened
+/// `client * reqs_per_client + k`. Deadline-free on purpose: the live
+/// comparison needs outcomes that do not depend on wall-clock timing,
+/// so the shim and TCP resolution books can be asserted identical.
+fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
+    let pool = shape_pool();
+    let mut out = Vec::with_capacity(clients * reqs_per_client);
+    for c in 0..clients {
+        let mut rng = SplitMix64(SEED ^ (c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        for _ in 0..reqs_per_client {
+            let (size, bank, levels) = pool[(rng.next_u64() % pool.len() as u64) as usize].clone();
+            let priority = Priority::ALL[(rng.next_u64() % 3) as usize];
+            out.push(
+                DecomposeRequest::new(image(size, rng.next_u64() % 13), bank, levels)
+                    .with_priority(priority),
+            );
+        }
+    }
+    out
+}
+
+/// The literal wire-fault schedule shared by the deterministic
+/// scenarios and the live driver. Coordinates are `(conn = client id,
+/// dir, cumulative frame index)`: frame 0 each way is the handshake, so
+/// the client-to-server reset at frame 2 kills client 0's second
+/// request mid-frame, and the server-to-client bit flip at frame 2
+/// corrupts client 2's second response — which the client recovers via
+/// resubmit + dedup replay, never re-execution.
+fn wire_chaos_plan() -> WireFaultPlan {
+    WireFaultPlan::seeded(SEED)
+        .with_reset(0, WireDir::ClientToServer, 2)
+        .with_truncate(1, WireDir::ClientToServer, 4)
+        .with_bitflip(2, WireDir::ServerToClient, 2)
+        .with_stall(1, WireDir::ServerToClient, 3, 4e-3)
+}
+
+/// The shard-fault schedule for the failover-under-load scenarios:
+/// shard 0's worker is killed once mid-load (supervised restart),
+/// shard 1 crashes permanently and fails over to the survivors.
+fn kill_plan() -> ShardFaultPlan {
+    ShardFaultPlan::seeded(SEED)
+        .with_worker_panic(0, 1)
+        .with_shard_crash(1, 2)
+}
+
+/// Base service shape of every chaos and closed-loop scenario: three
+/// shards so one can die and two survive, a queue deep enough that
+/// closed-loop admission never rejects.
+fn three_shards() -> ServiceConfig {
+    ServiceConfig::default()
+        .with_shards(3)
+        .with_queue_capacity(64)
+        .with_cache_capacity(16)
+        .with_max_batch(4)
+}
+
+fn restart_budget(max_restarts: u32) -> SupervisorPolicy {
+    SupervisorPolicy {
+        max_restarts,
+        ..SupervisorPolicy::default()
+    }
+}
+
+/// The detail-plane codec every lossy progressive scenario shares:
+/// `threshold + step / 2 = 0.5` of absolute per-coefficient tolerance.
+fn lossy_codec() -> CheckpointCodec {
+    CheckpointCodec::WaveletQuant {
+        threshold: 0.25,
+        step: 0.5,
+    }
+}
+
+// ---------------------------------------------------------------------
+// The scenario table
+// ---------------------------------------------------------------------
+
+const RESULTS: &str = "results";
+const CHAOS: &str = "chaos_results";
+const TRANSPORT: &str = "transport_results";
+const PROGRESSIVE: &str = "progressive_results";
+const ELASTIC: &str = "elastic_results";
+
+/// The sim-derived sections in document order: JSON key, then the
+/// columns of its rows in output order (each defined in [`column`]).
+const SECTIONS: [(&str, &str); 5] = [
+    (
+        RESULTS,
+        "shards cache_capacity max_batch rate_hz accepted completed rejected_queue_full \
+         rejected_shed rejected_deadline cache_hit_rate mean_batch_occupancy p50_ms p95_ms p99_ms \
+         throughput_hz makespan_s useful_pct imbalance_pct",
+    ),
+    (
+        CHAOS,
+        "scenario shards rate_hz requests completed degraded_served restarts requeued quarantined \
+         rejected_total rejected_shard_failed rejected_requeued rejected_deadline failed_shards \
+         p95_ms throughput_hz makespan_s fault_recovery_pct",
+    ),
+    (
+        TRANSPORT,
+        "scenario clients reqs_per_client delivered retries replays frames p50_ms p95_ms p99_ms \
+         comm_ms fault_recovery_ms throughput_hz makespan_s",
+    ),
+    (
+        PROGRESSIVE,
+        "scenario clients reqs_per_client delivered threshold step tolerance byte_budget planes \
+         cancels budget_stops response_bytes monolithic_bytes savings_pct max_error_bound p50_ms \
+         p95_ms p99_ms comm_ms throughput_hz makespan_s",
+    ),
+    (
+        ELASTIC,
+        "scenario requests rate_hz zipf_s shards reserve accepted completed shed stolen splits \
+         merges actions imbalance_pct p50_ms p95_ms p99_ms throughput_hz makespan_s",
+    ),
+];
+
+type Stream = fn(usize, f64) -> Vec<(f64, DecomposeRequest)>;
+
+enum Drive {
+    /// Open loop: `(stream, requests, rate_hz)` — that many seeded
+    /// arrivals at that rate from the generator, through `run_sim`.
+    Open(Stream, usize, f64),
+    /// Closed loop: the [`closed_requests`] streams through
+    /// `run_closed_loop`, the wire in the loop.
+    Closed(Box<ClosedLoopConfig>),
+}
+
+/// One row of `BENCH_service.json`, as data.
+struct Scenario {
+    section: &'static str,
+    name: String,
+    service: ServiceConfig,
+    drive: Drive,
+}
+
+/// Name of a `results` grid point (the grid rows carry their
+/// coordinates as columns, not a `scenario` label).
+fn grid_name(shards: usize, cache: usize, batch: usize, rate_hz: f64) -> String {
+    format!("shards={shards} cache={cache} batch={batch} rate={rate_hz}")
+}
+
+/// Every row of the bench, in document order. All fault plans are a
+/// pure function of `SEED`, so the rows reproduce byte for byte.
+fn scenarios(smoke: bool) -> Vec<Scenario> {
+    use Drive::{Closed, Open};
+    let mut table = Vec::new();
+    let mut add = |section, name: &str, service, drive| {
+        let name = name.to_string();
+        table.push(Scenario {
+            section,
+            name,
+            service,
+            drive,
+        })
+    };
+
+    // Arrival rate x shard count x cache x batching.
+    let (grid_reqs, shard_grid, rates): (usize, &[usize], &[f64]) = if smoke {
+        (300, &[2], &[20_000.0, 120_000.0])
+    } else {
+        (1500, &[1, 4], &[5_000.0, 20_000.0, 120_000.0])
+    };
+    for &shards in shard_grid {
+        for (cache, batch) in [(16, 8), (0, 8), (16, 1), (0, 1)] {
+            for &rate_hz in rates {
+                let service = ServiceConfig::default()
+                    .with_shards(shards)
+                    .with_queue_capacity(64)
+                    .with_cache_capacity(cache)
+                    .with_max_batch(batch);
+                let name = grid_name(shards, cache, batch, rate_hz);
+                add(RESULTS, &name, service, Open(stream, grid_reqs, rate_hz));
+            }
+        }
+    }
+
+    // Chaos: each injected fault kind in isolation plus one combined
+    // brownout, all on the same three-shard service.
+    let plan = || ShardFaultPlan::seeded(SEED);
+    let faulted = |faults| three_shards().with_faults(faults);
+    let brownout = |faults| {
+        faulted(faults)
+            .with_supervisor(restart_budget(1))
+            .with_degraded(DegradedPolicy::default())
+    };
+    let failover = faulted(plan().with_shard_crash(0, 0)).with_supervisor(restart_budget(2));
+    let combined = plan()
+        .with_shard_crash(0, 2)
+        .with_worker_panic(1, 5)
+        .with_stall(2, 2.0, 0, 30)
+        .with_poison_rate(0.02);
+    let chaos_reqs = if smoke { 200 } else { 800 };
+    for (name, service) in [
+        ("fault_free", three_shards()),
+        ("worker_panic", faulted(plan().with_worker_panic(0, 3))),
+        ("shard_crash_failover", failover),
+        ("poison_quarantine", faulted(plan().with_poison_rate(0.05))),
+        ("stall_window", faulted(plan().with_stall(1, 3.0, 0, 40))),
+        ("degraded_brownout", brownout(plan().with_shard_crash(2, 0))),
+        ("combined", brownout(combined)),
+    ] {
+        add(CHAOS, name, service, Open(stream, chaos_reqs, 50_000.0));
+    }
+
+    // Transport: the wire in the loop — clean, faulted, then with
+    // workers killed under the same wire chaos. Progressive delivery
+    // over the same closed-loop workload: a monolithic baseline,
+    // lossless streaming (must stay bitwise), lossy streaming (must
+    // shrink the wire), tolerance-met cancellation (must shrink it
+    // further), cancellation under the literal wire-chaos plan (must
+    // stay exactly-once), and a hard byte budget (must bound the wire
+    // regardless of tolerance).
+    let (clients, reqs_per_client) = if smoke { (3, 6) } else { (4, 12) };
+    let (none, clean) = (ShardFaultPlan::none, WireFaultPlan::none);
+    let flips = WireFaultPlan::seeded(SEED).with_flip_rate(0.01);
+    let progressive = |codec, tolerance, byte_budget| {
+        Some(ProgressiveSim {
+            codec,
+            tolerance,
+            byte_budget,
+        })
+    };
+    let lossless = progressive(CheckpointCodec::Raw, None, None);
+    let lossy = progressive(lossy_codec(), None, None);
+    let cancel = progressive(lossy_codec(), Some(30.0), None);
+    let budget = progressive(lossy_codec(), None, Some(4096));
+    for (section, name, faults, wire_faults, progressive) in [
+        (TRANSPORT, "clean_wire", none(), clean(), None),
+        (TRANSPORT, "wire_chaos", none(), wire_chaos_plan(), None),
+        (TRANSPORT, "flip_rate", none(), flips, None),
+        (
+            TRANSPORT,
+            "failover_under_load",
+            kill_plan(),
+            wire_chaos_plan(),
+            None,
+        ),
+        (PROGRESSIVE, "monolithic", none(), clean(), None),
+        (
+            PROGRESSIVE,
+            "progressive_lossless",
+            none(),
+            clean(),
+            lossless,
+        ),
+        (PROGRESSIVE, "progressive_lossy", none(), clean(), lossy),
+        (PROGRESSIVE, "tolerance_cancel", none(), clean(), cancel),
+        (
+            PROGRESSIVE,
+            "tolerance_cancel_chaos",
+            none(),
+            wire_chaos_plan(),
+            cancel,
+        ),
+        (PROGRESSIVE, "byte_budget", none(), clean(), budget),
+    ] {
+        let service = faulted(faults).with_supervisor(restart_budget(1));
+        let cl = ClosedLoopConfig {
+            clients,
+            reqs_per_client,
+            wire_faults,
+            progressive,
+            ..ClosedLoopConfig::default()
+        };
+        add(section, name, service, Closed(Box::new(cl)));
+    }
+
+    // Elastic: one static baseline and two controller modes over the
+    // identical Zipf stream. Thresholds are scaled to the simulator's
+    // microsecond-level service times (the policy defaults target live
+    // wall-clock costs).
+    let scaled = |policy| ElasticPolicy {
         min_gap_s: 40e-6,
         steal_gap_s: 50e-6,
-        ..ElasticPolicy::stealing()
+        ..policy
     };
     let split_merge = ElasticPolicy {
-        min_gap_s: 40e-6,
-        steal_gap_s: 50e-6,
         split_backlog_s: 150e-6,
         merge_backlog_s: 30e-6,
-        ..ElasticPolicy::split_merge(2)
+        ..scaled(ElasticPolicy::split_merge(2))
     };
-    vec![
+    let elastic_reqs = if smoke { 400 } else { 1200 };
+    for (name, elastic) in [
         ("static", None),
-        ("stealing", Some(stealing)),
+        ("stealing", Some(scaled(ElasticPolicy::stealing()))),
         ("split_merge", Some(split_merge)),
-    ]
-}
-
-struct ElasticCell {
-    scenario: &'static str,
-    requests: usize,
-    rate_hz: f64,
-    reserve: usize,
-    report: SimReport,
-}
-
-impl ElasticCell {
-    fn shed(&self) -> u64 {
-        self.report.metrics.rejected(RejectKind::Shed)
-    }
-
-    fn imbalance_pct(&self) -> f64 {
-        self.report
-            .metrics
-            .budget_report()
-            .expect("completed work yields a budget report")
-            .imbalance_pct()
-    }
-
-    fn p_ms(&self, q: f64) -> f64 {
-        self.report.metrics.latency_quantile(q) * 1e3
-    }
-
-    fn json(&self) -> String {
-        let m = &self.report.metrics;
-        format!(
-            concat!(
-                "{{\"scenario\": \"{}\", \"requests\": {}, \"rate_hz\": {}, ",
-                "\"zipf_s\": {}, \"shards\": {}, \"reserve\": {}, ",
-                "\"accepted\": {}, \"completed\": {}, \"shed\": {}, ",
-                "\"stolen\": {}, \"splits\": {}, \"merges\": {}, \"actions\": {}, ",
-                "\"imbalance_pct\": {:.3}, \"p50_ms\": {:.6}, \"p95_ms\": {:.6}, ",
-                "\"p99_ms\": {:.6}, \"throughput_hz\": {:.3}, \"makespan_s\": {:.9}}}"
-            ),
-            self.scenario,
-            self.requests,
-            self.rate_hz,
-            ZIPF_S,
-            ELASTIC_SHARDS,
-            self.reserve,
-            m.accepted(),
-            m.completed(),
-            self.shed(),
-            m.stolen(),
-            m.splits(),
-            m.merges(),
-            self.report.actions.len(),
-            self.imbalance_pct(),
-            self.p_ms(0.50),
-            self.p_ms(0.95),
-            self.p_ms(0.99),
-            self.report.throughput(),
-            self.report.makespan_s,
-        )
-    }
-}
-
-/// Base shard count of every elastic scenario (reserve slots extra).
-const ELASTIC_SHARDS: usize = 4;
-
-fn elastic_sweep(n_reqs: usize, rate_hz: f64) -> Vec<ElasticCell> {
-    let cost = CostModel::default();
-    let mut cells = Vec::new();
-    for (scenario, policy) in elastic_scenarios() {
-        let reserve = policy.as_ref().map_or(0, |p| p.reserve);
-        let mut cfg = ServiceConfig::default()
-            .with_shards(ELASTIC_SHARDS)
+    ] {
+        let service = ServiceConfig::default()
+            .with_shards(4)
             .with_queue_capacity(64);
-        if let Some(policy) = policy {
-            cfg = cfg.with_elastic(policy);
+        let service = ServiceConfig { elastic, ..service };
+        add(
+            ELASTIC,
+            name,
+            service,
+            Open(zipf_stream, elastic_reqs, 220_000.0),
+        );
+    }
+    table
+}
+
+/// The table is complete: `(section, name)` pairs are unique and every
+/// section has its pinned row count, so a scenario dropped from the
+/// table cannot silently shrink a section.
+fn assert_table_complete(table: &[Scenario], smoke: bool) {
+    let mut names: Vec<(&str, &str)> = table.iter().map(|s| (s.section, &*s.name)).collect();
+    names.sort_unstable();
+    assert!(
+        names.windows(2).all(|w| w[0] != w[1]),
+        "duplicate (section, name) in the scenario table"
+    );
+    let grid = if smoke { 8 } else { 24 };
+    for ((section, _), rows) in SECTIONS.into_iter().zip([grid, 7, 4, 6, 3]) {
+        let have = table.iter().filter(|s| s.section == section).count();
+        assert_eq!(have, rows, "{section}: row count changed");
+    }
+}
+
+// ---------------------------------------------------------------------
+// One runner, one books check, one renderer
+// ---------------------------------------------------------------------
+
+enum Report {
+    Open(SimReport),
+    Closed(ClosedLoopReport),
+}
+
+struct Run {
+    scenario: Scenario,
+    report: Report,
+}
+
+impl Run {
+    fn name(&self) -> &str {
+        &self.scenario.name
+    }
+
+    fn closed(&self) -> (&ClosedLoopConfig, &ClosedLoopReport) {
+        match (&self.scenario.drive, &self.report) {
+            (Drive::Closed(cl), Report::Closed(r)) => (cl.as_ref(), r),
+            _ => panic!("{} is an open-loop scenario", self.name()),
         }
-        let report = run_sim(&cfg, &cost, zipf_stream(n_reqs, rate_hz, ZIPF_S));
-        let cell = ElasticCell {
-            scenario,
-            requests: n_reqs,
-            rate_hz,
-            reserve,
-            report,
-        };
-        eprintln!(
-            "elastic {scenario:<12} completed={:<4} stolen={:<3} splits={} merges={} \
-             imbalance={:.1}% p95={:.3}ms",
-            cell.report.metrics.completed(),
-            cell.report.metrics.stolen(),
-            cell.report.metrics.splits(),
-            cell.report.metrics.merges(),
-            cell.imbalance_pct(),
-            cell.p_ms(0.95),
-        );
-        cells.push(cell);
     }
-    cells
+
+    fn requests(&self) -> usize {
+        match &self.scenario.drive {
+            Drive::Open(_, requests, _) => *requests,
+            Drive::Closed(cl) => cl.clients * cl.reqs_per_client,
+        }
+    }
+
+    fn metrics(&self) -> &MetricsSnapshot {
+        match &self.report {
+            Report::Open(r) => &r.metrics,
+            Report::Closed(r) => &r.metrics,
+        }
+    }
+
+    /// What each request's client ended up holding: `None` only when a
+    /// closed-loop client gave up on the transport.
+    fn outcomes(&self) -> Vec<Option<&ServeResult>> {
+        match &self.report {
+            Report::Open(r) => r.outcomes.iter().map(Some).collect(),
+            Report::Closed(r) => r.outcomes.iter().map(|o| o.as_ref().ok()).collect(),
+        }
+    }
+
+    /// Latency quantile in milliseconds: server-side for open-loop
+    /// rows, client-observed across every retry for closed-loop rows.
+    fn p_ms(&self, q: f64) -> f64 {
+        match &self.report {
+            Report::Open(r) => r.metrics.latency_quantile(q) * 1e3,
+            Report::Closed(r) => r.latency.quantile(q) * 1e3,
+        }
+    }
+
+    /// `(throughput_hz, makespan_s)`, virtual.
+    fn pace(&self) -> (f64, f64) {
+        match &self.report {
+            Report::Open(r) => (r.throughput(), r.makespan_s),
+            Report::Closed(r) => (r.throughput(), r.makespan_s),
+        }
+    }
+
+    fn rejected_total(&self) -> u64 {
+        let m = self.metrics();
+        RejectKind::ALL.iter().map(|&k| m.rejected(k)).sum()
+    }
+
+    fn budget(&self) -> BudgetReport {
+        let budget = self.metrics().budget_report();
+        budget.expect("completed work yields a budget report")
+    }
+
+    /// Largest reported error bound across served responses.
+    fn max_error_bound(&self) -> f64 {
+        let served = self.outcomes().into_iter().flatten().flatten();
+        served.map(|r| r.error_bound).fold(0.0, f64::max)
+    }
+
+    fn savings_pct(&self) -> f64 {
+        let (_, r) = self.closed();
+        if r.monolithic_bytes == 0 {
+            return 0.0;
+        }
+        (1.0 - r.response_bytes as f64 / r.monolithic_bytes as f64) * 100.0
+    }
 }
 
-/// Elastic acceptance criteria:
-/// * exactly-once: every request terminates, completions match the Ok
-///   count, the admission books balance despite migration;
-/// * both controller modes actually act (steals > 0; splits and merges
-///   > 0 for split/merge);
-/// * both controller modes beat the static layout on imbalance, and
-///   hold the matched-set p95 at least even under the same skew.
-fn assert_elastic_coverage(cells: &[ElasticCell]) {
-    let find = |name: &str| -> &ElasticCell {
-        cells
-            .iter()
-            .find(|c| c.scenario == name)
-            .expect("scenario present in the elastic grid")
+fn run(scenario: Scenario) -> Run {
+    let (cfg, cost) = (&scenario.service, CostModel::default());
+    let report = match &scenario.drive {
+        Drive::Open(stream, requests, rate_hz) => {
+            Report::Open(run_sim(cfg, &cost, stream(*requests, *rate_hz)))
+        }
+        Drive::Closed(cl) => {
+            let requests = closed_requests(cl.clients, cl.reqs_per_client);
+            Report::Closed(run_closed_loop(cfg, &cost, cl, requests))
+        }
     };
-    for cell in cells {
-        assert_eq!(
-            cell.report.outcomes.len(),
-            cell.requests,
-            "{}: every request must terminate exactly once",
-            cell.scenario
-        );
-        let ok = cell.report.outcomes.iter().filter(|o| o.is_ok()).count() as u64;
-        assert_eq!(
-            ok,
-            cell.report.metrics.completed(),
-            "{}: completions must match the outcome log",
-            cell.scenario
-        );
-        assert_eq!(
-            cell.report.metrics.accepted(),
-            ok + cell.shed(),
-            "{}: migration must be counter-neutral in the books",
-            cell.scenario
-        );
-    }
-    let stat = find("static");
-    assert_eq!(stat.report.metrics.stolen(), 0);
-    assert!(stat.report.actions.is_empty());
-    for name in ["stealing", "split_merge"] {
-        let ela = find(name);
-        assert!(
-            ela.report.metrics.stolen() > 0,
-            "{name}: the Zipf skew must trigger steals"
-        );
-        assert!(
-            ela.imbalance_pct() < stat.imbalance_pct(),
-            "{name}: imbalance {:.2}% must undercut static {:.2}%",
-            ela.imbalance_pct(),
-            stat.imbalance_pct()
-        );
-        let (stat_p95, ela_p95) = matched_p95(&stat.report, &ela.report);
-        assert!(
-            ela_p95 <= stat_p95,
-            "{name}: matched-set p95 {:.4}ms must not regress static {:.4}ms",
-            ela_p95 * 1e3,
-            stat_p95 * 1e3
-        );
-    }
-    let sm = find("split_merge");
-    assert!(
-        sm.report.metrics.splits() > 0,
-        "split_merge: the hot shard must split onto a reserve"
+    let run = Run { scenario, report };
+    assert_nothing_lost(&run);
+    eprintln!(
+        "{:<19} {:<38} completed={:<4} p95={:.3}ms tput={:.0}/s",
+        run.scenario.section,
+        run.name(),
+        run.metrics().completed(),
+        run.p_ms(0.95),
+        run.pace().0,
     );
-    assert!(
-        sm.report.metrics.merges() > 0,
-        "split_merge: drained reserves must retire"
-    );
+    run
 }
 
-fn render(
-    n_reqs: usize,
-    cells: &[Cell],
-    chaos: &[ChaosCell],
-    transport: &[TransportCell],
-    progressive: &[ProgressiveCell],
-    elastic: &[ElasticCell],
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"wserv_load\",\n");
-    out.push_str("  \"unit\": \"virtual_seconds\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"requests_per_cell\": {n_reqs},\n"));
-    out.push_str(&format!("  \"shape_pool\": {},\n", shape_pool().len()));
-    out.push_str("  \"results\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == cells.len() { "\n" } else { ",\n" });
+/// The exactly-once invariant, asserted on every row of every section:
+/// each submitted request resolves exactly once (completed, typed
+/// rejection, or bounded-error degraded response) — injected crashes,
+/// wire faults, cancels and migration lose nothing.
+fn assert_nothing_lost(run: &Run) {
+    let (name, m, requests) = (run.name(), run.metrics(), run.requests());
+    let outcomes = run.outcomes();
+    assert_eq!(
+        outcomes.len(),
+        requests,
+        "{name}: every request must have a terminal outcome"
+    );
+    let delivered = outcomes.iter().flatten().count();
+    assert_eq!(
+        delivered,
+        requests,
+        "{name}: the retry budget must cover the fault plan (lost {})",
+        requests - delivered
+    );
+    let served = outcomes.iter().flatten().filter(|o| o.is_ok());
+    let ok = served.clone().count() as u64;
+    assert_eq!(
+        ok,
+        m.completed(),
+        "{name}: completions must match Ok outcomes"
+    );
+    let rejected = run.rejected_total();
+    assert_eq!(
+        ok + rejected,
+        requests as u64,
+        "{name}: lost requests (completed {ok} + rejected {rejected} != submitted {requests})"
+    );
+    if matches!(run.report, Report::Closed(_)) {
+        // Deadline-free closed-loop traffic under a shallow queue never
+        // rejects: every delivered outcome is a served response. (Its
+        // `degraded` flags are the client's lossy reassembly, not the
+        // service's degraded mode, so the counter check is open-loop.)
+        assert_eq!(
+            ok, requests as u64,
+            "{name}: closed-loop requests must all serve"
+        );
+    } else {
+        let degraded = served.filter(|o| o.as_ref().is_ok_and(|r| r.degraded));
+        assert_eq!(
+            degraded.count() as u64,
+            m.degraded_served(),
+            "{name}: degraded counter must match degraded Ok outcomes"
+        );
     }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"chaos_requests_per_cell\": {},\n",
-        chaos.first().map_or(0, |c| c.requests)
-    ));
-    out.push_str("  \"chaos_results\": [\n");
-    for (i, c) in chaos.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == chaos.len() { "\n" } else { ",\n" });
+}
+
+/// A JSON value as this document spells it.
+enum Val {
+    Int(u64),
+    /// `{}`-displayed float: `5000`, `0.25`, `1.1`.
+    Num(f64),
+    /// Fixed-precision float: value, decimals.
+    Fix(f64, usize),
+    Str(String),
+    Null,
+    /// The `failed_shards` list.
+    List(Vec<usize>),
+    /// A section: one object per line.
+    Rows(Vec<Row>),
+}
+
+impl Val {
+    /// A count or measure as itself, a list as its length.
+    fn magnitude(&self) -> f64 {
+        match self {
+            Val::Int(v) => *v as f64,
+            Val::Num(v) | Val::Fix(v, _) => *v,
+            Val::List(v) => v.len() as f64,
+            Val::Str(_) | Val::Null | Val::Rows(_) => panic!("not a magnitude"),
+        }
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"transport_results\": [\n");
-    for (i, c) in transport.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == transport.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
+}
+
+/// Ordered `(key, value)` columns — a row, or the document itself.
+type Row = Vec<(&'static str, Val)>;
+
+impl From<u64> for Val {
+    fn from(v: u64) -> Val {
+        Val::Int(v)
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"progressive_results\": [\n");
-    for (i, c) in progressive.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == progressive.len() {
-            "\n"
-        } else {
-            ",\n"
-        });
+}
+
+impl From<usize> for Val {
+    fn from(v: usize) -> Val {
+        Val::Int(v as u64)
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"elastic_results\": [\n");
-    for (i, c) in elastic.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&c.json());
-        out.push_str(if i + 1 == elastic.len() { "\n" } else { ",\n" });
+}
+
+/// Comma-join `items`, one per line at `indent` — the one place a JSON
+/// list is laid out.
+fn lines(indent: &str, items: impl Iterator<Item = String>) -> String {
+    let items: Vec<String> = items.collect();
+    format!("\n{indent}{}\n", items.join(&format!(",\n{indent}")))
+}
+
+fn entry((key, val): &(&'static str, Val)) -> String {
+    format!("\"{key}\": {val}")
+}
+
+fn render_row(row: &Row) -> String {
+    let cols: Vec<String> = row.iter().map(entry).collect();
+    format!("{{{}}}", cols.join(", "))
+}
+
+fn render(doc: &Row) -> String {
+    format!("{{{}}}\n", lines("  ", doc.iter().map(entry)))
+}
+
+impl std::fmt::Display for Val {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Val::Int(v) => write!(f, "{v}"),
+            Val::Num(v) => write!(f, "{v}"),
+            Val::Fix(v, decimals) => write!(f, "{v:.decimals$}"),
+            Val::Str(s) => write!(f, "\"{s}\""),
+            Val::Null => f.write_str("null"),
+            Val::List(v) => write!(f, "{v:?}"),
+            Val::Rows(rows) => write!(f, "[{}  ]", lines("    ", rows.iter().map(render_row))),
+        }
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+/// Every column a sim-derived row can report, defined once; which of
+/// them a section reports, and in what order, is [`SECTIONS`].
+fn column(run: &Run, key: &str) -> Val {
+    use Val::{Fix, List, Null, Num, Str};
+    let (cfg, m) = (&run.scenario.service, run.metrics());
+    let rejected = |kind| Val::from(m.rejected(kind));
+    let progressive = || run.closed().0.progressive;
+    let codec = || match progressive().map(|p| p.codec) {
+        Some(CheckpointCodec::WaveletQuant { threshold, step }) => (threshold, step),
+        Some(CheckpointCodec::Raw) | None => (0.0, 0.0),
+    };
+    match key {
+        "scenario" => Str(run.name().into()),
+        "shards" => cfg.shards.into(),
+        "cache_capacity" => cfg.cache_capacity.into(),
+        "max_batch" => cfg.batch.max_batch.into(),
+        "reserve" => cfg.elastic.map_or(0, |p| p.reserve).into(),
+        "zipf_s" => Num(ZIPF_S),
+        "rate_hz" => match run.scenario.drive {
+            Drive::Open(_, _, rate_hz) => Num(rate_hz),
+            Drive::Closed(_) => unreachable!("closed-loop rows have no arrival rate"),
+        },
+        "requests" => run.requests().into(),
+        "clients" => run.closed().0.clients.into(),
+        "reqs_per_client" => run.closed().0.reqs_per_client.into(),
+        "threshold" => Num(codec().0),
+        "step" => Num(codec().1),
+        "tolerance" => progressive().and_then(|p| p.tolerance).map_or(Null, Num),
+        "byte_budget" => progressive()
+            .and_then(|p| p.byte_budget)
+            .map_or(Null, Val::from),
+        "accepted" => m.accepted().into(),
+        "completed" => m.completed().into(),
+        "delivered" => run.outcomes().iter().flatten().count().into(),
+        "degraded_served" => m.degraded_served().into(),
+        "restarts" => m.restarts().into(),
+        "requeued" => m.requeued().into(),
+        "quarantined" => m.quarantined().into(),
+        "rejected_total" => run.rejected_total().into(),
+        "rejected_queue_full" => rejected(RejectKind::QueueFull),
+        "rejected_shed" | "shed" => rejected(RejectKind::Shed),
+        "rejected_deadline" => rejected(RejectKind::DeadlineExpired),
+        "rejected_shard_failed" => rejected(RejectKind::ShardFailed),
+        "rejected_requeued" => rejected(RejectKind::Requeued),
+        "failed_shards" => List(m.failed_shards()),
+        "stolen" => m.stolen().into(),
+        "splits" => m.splits().into(),
+        "merges" => m.merges().into(),
+        "actions" => match &run.report {
+            Report::Open(r) => r.actions.len().into(),
+            Report::Closed(_) => unreachable!("closed-loop rows have no controller log"),
+        },
+        "retries" => run.closed().1.retries.into(),
+        "replays" => run.closed().1.replays.into(),
+        "frames" => run.closed().1.frames.into(),
+        "planes" => run.closed().1.planes.into(),
+        "cancels" => run.closed().1.cancels.into(),
+        "budget_stops" => run.closed().1.budget_stops.into(),
+        "response_bytes" => run.closed().1.response_bytes.into(),
+        "monolithic_bytes" => run.closed().1.monolithic_bytes.into(),
+        "savings_pct" => Fix(run.savings_pct(), 3),
+        "max_error_bound" => Fix(run.max_error_bound(), 6),
+        "cache_hit_rate" => Fix(m.cache_hit_rate(), 4),
+        "mean_batch_occupancy" => Fix(m.mean_batch_occupancy(), 4),
+        "p50_ms" => Fix(run.p_ms(0.50), 6),
+        "p95_ms" => Fix(run.p_ms(0.95), 6),
+        "p99_ms" => Fix(run.p_ms(0.99), 6),
+        "comm_ms" => Fix(run.closed().1.comm_s * 1e3, 6),
+        "fault_recovery_ms" => Fix(run.closed().1.fault_recovery_s * 1e3, 6),
+        "throughput_hz" => Fix(run.pace().0, 3),
+        "makespan_s" => Fix(run.pace().1, 9),
+        "useful_pct" => Fix(run.budget().useful_pct(), 3),
+        "imbalance_pct" => Fix(run.budget().imbalance_pct(), 3),
+        "fault_recovery_pct" => Fix(run.budget().fault_pct(), 3),
+        _ => unreachable!("no column {key}"),
+    }
+}
+
+fn section<'a>(runs: &'a [Run], key: &'a str) -> impl Iterator<Item = &'a Run> + Clone {
+    runs.iter().filter(move |r| r.scenario.section == key)
+}
+
+fn row(run: &Run) -> Row {
+    let spec = SECTIONS
+        .iter()
+        .find(|(key, _)| *key == run.scenario.section);
+    let (_, columns) = spec.expect("every scenario is in a known section");
+    columns.split(' ').map(|c| (c, column(run, c))).collect()
+}
+
+/// The sim-derived document: header scalars, then each section's rows.
+fn document(runs: &[Run]) -> Row {
+    let requests = |key| section(runs, key).next().map_or(0, Run::requests);
+    let mut doc: Row = vec![
+        ("bench", Val::Str("wserv_load".into())),
+        ("unit", Val::Str("virtual_seconds".into())),
+        ("seed", SEED.into()),
+        ("requests_per_cell", requests(RESULTS).into()),
+        ("shape_pool", shape_pool().len().into()),
+    ];
+    for (key, _) in SECTIONS {
+        if key == CHAOS {
+            doc.push(("chaos_requests_per_cell", requests(key).into()));
+        }
+        doc.push((key, Val::Rows(section(runs, key).map(row).collect())));
+    }
+    doc
+}
+
+// ---------------------------------------------------------------------
+// Coverage gates: each section exercises what it claims to
+// ---------------------------------------------------------------------
+
+fn find<'a>(runs: &'a [Run], key: &str, name: &str) -> &'a Run {
+    let mut runs = runs.iter();
+    runs.find(|r| r.scenario.section == key && r.name() == name)
+        .unwrap_or_else(|| panic!("scenario {name} present in {key}"))
+}
+
+/// The reported bound must be honest against the local engine oracle.
+fn assert_honest_bound(who: &str, req: &DecomposeRequest, resp: &DecomposeResponse) {
+    let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+        .expect("pool geometry is valid");
+    let actual = pyramid_max_abs_diff(&resp.pyramid, &oracle).expect("geometry matches the oracle");
+    assert!(
+        actual <= resp.error_bound,
+        "{who}: actual error {actual} exceeds the reported bound {}",
+        resp.error_bound
+    );
 }
 
 /// p95 latency of each run over the *matched set* of request ids that
@@ -1733,11 +860,11 @@ fn render(
 /// victims, so comparing raw completed-set quantiles confounds speed
 /// with survivorship (the slower system completes a faster-skewed
 /// subset); the matched set removes that bias.
-fn matched_p95(a: &SimReport, b: &SimReport) -> (f64, f64) {
+fn matched_p95(a: &Run, b: &Run) -> (f64, f64) {
     let mut ha = wserv::Histogram::default();
     let mut hb = wserv::Histogram::default();
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        if let (Ok(rx), Ok(ry)) = (x, y) {
+    for (x, y) in a.outcomes().into_iter().zip(b.outcomes()) {
+        if let (Some(Ok(rx)), Some(Ok(ry))) = (x, y) {
             ha.record(rx.latency_s());
             hb.record(ry.latency_s());
         }
@@ -1745,34 +872,26 @@ fn matched_p95(a: &SimReport, b: &SimReport) -> (f64, f64) {
     (ha.quantile(0.95), hb.quantile(0.95))
 }
 
-/// Acceptance criteria, checked on every run:
+/// Acceptance criteria of the `results` grid, checked on every run:
 /// * at the top arrival rate, cache-on strictly beats cache-off on
 ///   matched-set p95 at equal shard count and batching;
 /// * at the top arrival rate, batching strictly raises saturation
 ///   throughput over batch-1 at equal shard count and caching.
-fn assert_dominance(cells: &[Cell], top_rate: f64) {
-    let find = |shards: usize, cache: usize, batch: usize| -> &Cell {
-        cells
-            .iter()
-            .find(|c| {
-                c.shards == shards
-                    && c.cache_capacity == cache
-                    && c.max_batch == batch
-                    && c.rate_hz == top_rate
-            })
-            .expect("cell present in the grid")
-    };
-    let shard_grid: Vec<usize> = {
-        let mut v: Vec<usize> = cells.iter().map(|c| c.shards).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
+fn assert_dominance(runs: &[Run]) {
+    let grid = section(runs, RESULTS);
+    let rates = grid.clone().map(|r| column(r, "rate_hz").magnitude());
+    let top_rate = rates.fold(0.0, f64::max);
+    let mut shard_grid: Vec<usize> = grid.map(|r| r.scenario.service.shards).collect();
+    shard_grid.sort_unstable();
+    shard_grid.dedup();
+    let cell = |shards, cache, batch| {
+        let name = grid_name(shards, cache, batch, top_rate);
+        find(runs, RESULTS, &name)
     };
     for &shards in &shard_grid {
-        for &batch in &[1usize, 8] {
-            let on = find(shards, 16, batch);
-            let off = find(shards, 0, batch);
-            let (on_p95, off_p95) = matched_p95(&on.report, &off.report);
+        for batch in [1, 8] {
+            let (on, off) = (cell(shards, 16, batch), cell(shards, 0, batch));
+            let (on_p95, off_p95) = matched_p95(on, off);
             assert!(
                 on_p95 < off_p95,
                 "cache-on matched-set p95 {:.4}ms must undercut cache-off {:.4}ms \
@@ -1780,92 +899,625 @@ fn assert_dominance(cells: &[Cell], top_rate: f64) {
                 on_p95 * 1e3,
                 off_p95 * 1e3
             );
-            assert!(on.report.metrics.cache_hit_rate() > 0.0);
+            assert!(on.metrics().cache_hit_rate() > 0.0);
         }
-        for &cache in &[0usize, 16] {
-            let batched = find(shards, cache, 8);
-            let single = find(shards, cache, 1);
+        for cache in [0, 16] {
+            let (batched, single) = (cell(shards, cache, 8), cell(shards, cache, 1));
             assert!(
-                batched.report.throughput() > single.report.throughput(),
+                batched.pace().0 > single.pace().0,
                 "batch-8 throughput {:.0}/s must beat batch-1 {:.0}/s \
                  (shards={shards} cache={cache})",
-                batched.report.throughput(),
-                single.report.throughput()
+                batched.pace().0,
+                single.pace().0
             );
         }
     }
 }
 
+/// Spot checks that each scenario exercises what it claims to, as data:
+/// `(section, scenario, column, fires)` — the column must be positive
+/// (a non-empty list) when `fires`, and exactly zero (empty) otherwise.
+const SPOT_CHECKS: [(&str, &str, &str, bool); 29] = [
+    // The failover scenario exhausts the restart budget and loses a
+    // shard, a panicked worker is restarted in place, the brownout
+    // actually serves bounded-error responses, poison is quarantined.
+    (CHAOS, "fault_free", "failed_shards", false),
+    (CHAOS, "fault_free", "restarts", false),
+    (CHAOS, "shard_crash_failover", "failed_shards", true),
+    (CHAOS, "shard_crash_failover", "restarts", true),
+    (CHAOS, "degraded_brownout", "degraded_served", true),
+    (CHAOS, "worker_panic", "restarts", true),
+    (CHAOS, "worker_panic", "failed_shards", false),
+    (CHAOS, "poison_quarantine", "quarantined", true),
+    // A clean wire never retries yet framing is still charged; wire
+    // chaos forces retries, recovers its response-path fault via dedup
+    // replay and bills the FaultRecovery lane; failover loses a shard.
+    (TRANSPORT, "clean_wire", "retries", false),
+    (TRANSPORT, "clean_wire", "replays", false),
+    (TRANSPORT, "clean_wire", "comm_ms", true),
+    (TRANSPORT, "wire_chaos", "retries", true),
+    (TRANSPORT, "wire_chaos", "replays", true),
+    (TRANSPORT, "wire_chaos", "fault_recovery_ms", true),
+    (TRANSPORT, "failover_under_load", "failed_shards", true),
+    (TRANSPORT, "failover_under_load", "restarts", true),
+    // Responses actually stream; no tolerance, no cancels; a 30.0
+    // tolerance and a 4 KiB budget on this imagery each cut at least
+    // one sequence short; the chaos plan forces at least one retry.
+    (PROGRESSIVE, "monolithic", "planes", false),
+    (PROGRESSIVE, "monolithic", "cancels", false),
+    (PROGRESSIVE, "progressive_lossless", "planes", true),
+    (PROGRESSIVE, "progressive_lossless", "cancels", false),
+    (PROGRESSIVE, "tolerance_cancel", "cancels", true),
+    (PROGRESSIVE, "tolerance_cancel_chaos", "retries", true),
+    (PROGRESSIVE, "byte_budget", "budget_stops", true),
+    // The static layout never acts; the Zipf skew triggers steals in
+    // both controller modes; the hot shard splits onto a reserve and
+    // drained reserves retire.
+    (ELASTIC, "static", "stolen", false),
+    (ELASTIC, "static", "actions", false),
+    (ELASTIC, "stealing", "stolen", true),
+    (ELASTIC, "split_merge", "stolen", true),
+    (ELASTIC, "split_merge", "splits", true),
+    (ELASTIC, "split_merge", "merges", true),
+];
+
+/// [`SPOT_CHECKS`], plus the two chaos/transport gates that compare
+/// rows: every chaos row that lost a shard charged the FaultRecovery
+/// lane for it, and killing workers mid-load cannot improve the p99.
+fn assert_spot_checks(runs: &[Run]) {
+    for (section, name, key, fires) in SPOT_CHECKS {
+        let value = column(find(runs, section, name), key).magnitude();
+        assert!(
+            if fires { value > 0.0 } else { value == 0.0 },
+            "{section} {name}: {key} = {value}, must {}",
+            if fires { "be positive" } else { "stay zero" }
+        );
+    }
+    for run in section(runs, CHAOS) {
+        let lost_shard = !run.metrics().failed_shards().is_empty();
+        assert!(
+            !lost_shard || run.budget().fault_pct() > 0.0,
+            "{}: a lost shard must cost FaultRecovery time",
+            run.name()
+        );
+    }
+    let p99 = |name| find(runs, TRANSPORT, name).p_ms(0.99);
+    assert!(
+        p99("failover_under_load") >= p99("clean_wire"),
+        "killing workers mid-load cannot improve the p99 tail"
+    );
+}
+
+/// The progressive acceptance checks, on every generated grid:
+///
+/// * lossless streaming is *bitwise*: each delivered pyramid equals the
+///   monolithic baseline's for the same request, with a zero bound;
+/// * every reported error bound is honest against the local engine
+///   oracle (`actual max-abs error <= bound`), and under a tolerance
+///   never exceeds it;
+/// * lossy streaming beats the monolithic counterfactual on response
+///   bytes, and tolerance-met cancellation beats plain lossy.
+///
+/// (Nothing is ever lost, cancels and chaos included: [`run`] checks
+/// that on every row; that each scenario streams, cancels or retries
+/// as intended is in [`SPOT_CHECKS`].)
+fn assert_progressive_coverage(runs: &[Run]) {
+    let find = |name| find(runs, PROGRESSIVE, name);
+    let (mono_cl, mono) = find("monolithic").closed();
+
+    // Lossless streaming: bitwise against the monolithic baseline.
+    let (_, lossless) = find("progressive_lossless").closed();
+    for (i, (a, b)) in mono.outcomes.iter().zip(&lossless.outcomes).enumerate() {
+        let (Ok(Ok(ra)), Ok(Ok(rb))) = (a, b) else {
+            panic!("request {i} must serve in both runs");
+        };
+        assert_eq!(
+            ra.pyramid, rb.pyramid,
+            "request {i}: lossless streaming must be bitwise"
+        );
+        assert_eq!(rb.error_bound, 0.0);
+    }
+
+    // Every reported bound is honest against the engine oracle.
+    let requests = closed_requests(mono_cl.clients, mono_cl.reqs_per_client);
+    for run in section(runs, PROGRESSIVE) {
+        for (req, out) in requests.iter().zip(run.outcomes()) {
+            if let Some(Ok(resp)) = out {
+                assert_honest_bound(run.name(), req, resp);
+            }
+        }
+    }
+
+    // Bytes-to-tolerance: quantization shrinks the wire, cancellation
+    // shrinks it further, and the tolerance is respected.
+    let (_, lossy) = find("progressive_lossy").closed();
+    assert!(
+        lossy.response_bytes < lossy.monolithic_bytes,
+        "lossy streaming must beat the monolithic counterfactual \
+         ({} vs {} bytes)",
+        lossy.response_bytes,
+        lossy.monolithic_bytes
+    );
+    let cancel_run = find("tolerance_cancel");
+    let (cancel_cl, cancel) = cancel_run.closed();
+    let tolerance = cancel_cl.progressive.and_then(|p| p.tolerance);
+    let tolerance = tolerance.expect("tolerance_cancel sets a tolerance");
+    assert!(
+        cancel_run.max_error_bound() <= tolerance,
+        "a tolerance-met cancel must leave every bound within {tolerance}"
+    );
+    assert!(
+        cancel.response_bytes < lossy.response_bytes,
+        "cancellation must save bytes over reading every plane \
+         ({} vs {} bytes)",
+        cancel.response_bytes,
+        lossy.response_bytes
+    );
+    // The byte budget is the second cancel predicate: every delivery
+    // still terminates, the budget cuts are surfaced, and the wire
+    // carries less than reading every plane would.
+    let (_, budget) = find("byte_budget").closed();
+    assert_eq!(
+        budget.budget_stops, budget.cancels,
+        "with no tolerance every cancel here is a budget stop"
+    );
+    assert!(
+        budget.response_bytes < lossy.response_bytes,
+        "a byte budget must save wire over reading every plane \
+         ({} vs {} bytes)",
+        budget.response_bytes,
+        lossy.response_bytes
+    );
+}
+
+/// Elastic acceptance criteria:
+/// * the admission books balance despite migration (on top of the
+///   exactly-once check [`run`] makes on every row);
+/// * both controller modes beat the static layout on imbalance, and
+///   hold the matched-set p95 at least even under the same skew.
+fn assert_elastic_coverage(runs: &[Run]) {
+    for run in section(runs, ELASTIC) {
+        let m = run.metrics();
+        assert_eq!(
+            m.accepted(),
+            m.completed() + m.rejected(RejectKind::Shed),
+            "{}: migration must be counter-neutral in the books",
+            run.name()
+        );
+    }
+    let stat = find(runs, ELASTIC, "static");
+    let stat_imbalance = stat.budget().imbalance_pct();
+    for name in ["stealing", "split_merge"] {
+        let ela = find(runs, ELASTIC, name);
+        assert!(
+            ela.budget().imbalance_pct() < stat_imbalance,
+            "{name}: imbalance {:.2}% must undercut static {stat_imbalance:.2}%",
+            ela.budget().imbalance_pct(),
+        );
+        let (stat_p95, ela_p95) = matched_p95(stat, ela);
+        assert!(
+            ela_p95 <= stat_p95,
+            "{name}: matched-set p95 {:.4}ms must not regress static {:.4}ms",
+            ela_p95 * 1e3,
+            stat_p95 * 1e3
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Live closed-loop mode: real server, real sockets, real worker kills
+// ---------------------------------------------------------------------
+
+/// Stable label of a client-observed service outcome, the currency of
+/// the cross-transport resolution-book comparison.
+fn outcome_label(res: &ServeResult) -> String {
+    match res {
+        Ok(r) if r.degraded => "ok_degraded".into(),
+        Ok(_) => "ok".into(),
+        Err(rej) => rej.kind().label().into(),
+    }
+}
+
+struct LiveRun {
+    /// `(client, request index, outcome label)`, sorted — the
+    /// resolution book as the clients observed it.
+    book: Vec<(u64, u64, String)>,
+    /// Client-observed wall-clock latencies, seconds.
+    latency: wserv::Histogram,
+    /// Server side; `transport.bytes_out` is what it put on the wire
+    /// (responses dominate).
+    metrics: RemoteMetrics,
+    client_retries: u64,
+    /// Client-side progressive tallies, summed.
+    cancels: u64,
+    partials: u64,
+    /// Largest error bound any served response reported.
+    max_bound: f64,
+    /// Wall seconds of serialization + framing across both sides.
+    comm_s: f64,
+    elapsed_s: f64,
+}
+
+impl LiveRun {
+    fn p_ms(&self, q: f64) -> Val {
+        Val::Fix(self.latency.quantile(q) * 1e3, 6)
+    }
+}
+
+/// Drive one real closed-loop client per entry of `streams` against a
+/// `RemoteServer` over `transport` (`"shim"` or `"tcp"`): `service`'s
+/// `ShardFaultPlan` kills real worker threads mid-load, `remote`'s wire
+/// plan faults the server's sends, `build` finishes each client (its
+/// own wire faults, retry policy, tolerance) and `check` sees every
+/// response before the next request is issued.
+fn live_run(
+    transport: &str,
+    service: ServiceConfig,
+    remote: RemoteConfig,
+    streams: &[&[DecomposeRequest]],
+    build: &(dyn Fn(RemoteClient) -> RemoteClient + Sync),
+    check: &(dyn Fn(&DecomposeRequest, &ServeResult) + Sync),
+) -> LiveRun {
+    let tick = Duration::from_millis(1);
+    type Dial = Box<dyn Fn() -> Box<dyn Connector>>;
+    let (listener, dial): (Box<dyn Listener>, Dial) = if transport == "tcp" {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
+        let addr = acceptor.local_addr();
+        (
+            Box::new(acceptor),
+            Box::new(move || Box::new(TcpConnector { addr, tick })),
+        )
+    } else {
+        let listener = MemListener::new(1 << 16, tick);
+        let peer = listener.clone();
+        (Box::new(listener), Box::new(move || Box::new(peer.clone())))
+    };
+    let server = RemoteServer::start(service, remote, listener).expect("server starts");
+
+    let started = Instant::now();
+    let finished: Vec<_> = std::thread::scope(|scope| {
+        let clients: Vec<_> = streams
+            .iter()
+            .enumerate()
+            .map(|(c, stream)| {
+                let client = RemoteClient::new(dial(), c as u64)
+                    .with_response_timeout(Duration::from_secs(10));
+                scope.spawn(move || {
+                    let mut client = build(client);
+                    let mut lat = Vec::with_capacity(stream.len());
+                    let mut book = Vec::with_capacity(stream.len());
+                    let mut max_bound = 0.0f64;
+                    for (k, req) in stream.iter().enumerate() {
+                        let t0 = Instant::now();
+                        let res = client
+                            .call(req)
+                            .expect("the retry budget covers the fault plan");
+                        lat.push(t0.elapsed().as_secs_f64());
+                        check(req, &res);
+                        if let Ok(resp) = &res {
+                            max_bound = max_bound.max(resp.error_bound);
+                        }
+                        book.push((c as u64, k as u64, outcome_label(&res)));
+                    }
+                    client.goodbye();
+                    (lat, book, max_bound, client)
+                })
+            })
+            .collect();
+        let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join();
+        clients.into_iter().map(join).collect()
+    });
+    let elapsed_s = started.elapsed().as_secs_f64();
+    let metrics = server.shutdown().expect("graceful drain succeeds");
+    let mut run = LiveRun {
+        book: Vec::new(),
+        latency: wserv::Histogram::default(),
+        client_retries: 0,
+        cancels: 0,
+        partials: 0,
+        max_bound: 0.0,
+        comm_s: metrics.transport.ser_s,
+        metrics,
+        elapsed_s,
+    };
+    for client in finished {
+        let (lat, book, max_bound, client) = client.expect("client threads never panic");
+        for v in lat {
+            run.latency.record(v);
+        }
+        run.book.extend(book);
+        run.max_bound = run.max_bound.max(max_bound);
+        run.client_retries += client.retries;
+        run.cancels += client.progressive.cancels;
+        run.partials += client.progressive.partial_responses;
+        run.comm_s += client.transport.ser_s;
+    }
+    run.book.sort();
+    eprintln!(
+        "live {transport:<4} completed={:<3} p99={:.3}ms bytes_out={:<8} retries={} elapsed={:.3}s",
+        run.metrics.service.completed(),
+        run.latency.quantile(0.99) * 1e3,
+        run.metrics.transport.bytes_out,
+        run.client_retries,
+        run.elapsed_s,
+    );
+    run
+}
+
+/// Run the sim's `failover_under_load` scenario live — same service,
+/// same shard kills, same wire faults, read back from the scenario —
+/// over both transports, assert its invariants, and return the
+/// `transport_live` rows (outside the byte-compare: these are
+/// wall-clock numbers, reported next to the simulator's prediction).
+fn transport_live(failover: &Run) -> Vec<Row> {
+    let (cl, prediction) = failover.closed();
+    let total = failover.requests() as u64;
+    let requests = closed_requests(cl.clients, cl.reqs_per_client);
+    let streams: Vec<&[DecomposeRequest]> = requests.chunks(cl.reqs_per_client).collect();
+    let mut rows = Vec::new();
+    let mut books = Vec::new();
+    for transport in ["shim", "tcp"] {
+        let remote = RemoteConfig {
+            wire_faults: cl.wire_faults.clone(),
+            ..RemoteConfig::default()
+        };
+        let build = |client: RemoteClient| {
+            client
+                .with_faults(cl.wire_faults.clone())
+                .with_retry(RetryPolicy::default())
+        };
+        let service = failover.scenario.service.clone();
+        let run = live_run(transport, service, remote, &streams, &build, &|_, _| {});
+        // Exactly-once under real worker kills: the service resolved
+        // every distinct request once — retried ids were answered from
+        // the resolution book, not re-executed.
+        assert_eq!(
+            run.book.len() as u64,
+            total,
+            "{transport}: every request must terminate at its client"
+        );
+        let served = &run.metrics.service;
+        assert_eq!(
+            served.completed(),
+            total,
+            "{transport}: deadline-free closed-loop requests must all serve exactly once"
+        );
+        assert!(
+            run.book.iter().all(|(_, _, label)| label == "ok"),
+            "{transport}: failover must be lossless for closed-loop traffic"
+        );
+        let wire = &run.metrics.transport;
+        assert!(
+            wire.dedup_replays >= 1,
+            "{transport}: the response-path fault must be recovered via dedup replay"
+        );
+        assert!(
+            served.restarts() > 0,
+            "{transport}: the worker-kill plan must actually kill a worker"
+        );
+        assert!(
+            !served.failed_shards().is_empty(),
+            "{transport}: the crash plan must actually fail a shard over"
+        );
+        assert!(
+            run.latency.quantile(0.99) > 0.0 && prediction.latency.quantile(0.99) > 0.0,
+            "{transport}: live and predicted p99 must both be measured"
+        );
+        rows.push(vec![
+            ("transport", Val::Str(transport.into())),
+            ("scenario", column(failover, "scenario")),
+            ("clients", column(failover, "clients")),
+            ("reqs_per_client", column(failover, "reqs_per_client")),
+            ("completed", served.completed().into()),
+            ("p50_ms", run.p_ms(0.50)),
+            ("p95_ms", run.p_ms(0.95)),
+            ("p99_ms", run.p_ms(0.99)),
+            ("sim_p50_ms", column(failover, "p50_ms")),
+            ("sim_p95_ms", column(failover, "p95_ms")),
+            ("sim_p99_ms", column(failover, "p99_ms")),
+            ("comm_ms", Val::Fix(run.comm_s * 1e3, 6)),
+            ("dedup_replays", wire.dedup_replays.into()),
+            ("conn_reset", wire.conn_reset.into()),
+            ("conn_aborted", wire.conn_aborted.into()),
+            ("client_retries", run.client_retries.into()),
+            ("restarts", served.restarts().into()),
+            ("failed_shards", served.failed_shards().len().into()),
+            ("elapsed_s", Val::Fix(run.elapsed_s, 6)),
+        ]);
+        books.push(run.book);
+    }
+    assert_eq!(
+        books[0], books[1],
+        "shim and TCP must produce identical resolution books for the same seed"
+    );
+    rows
+}
+
+/// The live progressive comparison stream: deep CDF 9/7 decompositions
+/// of a smooth field plus faint texture. The smoothness is the point —
+/// the fine detail planes quantize to near-empty sparse frames (the
+/// deterministic byte saving), while the sinusoid's energy keeps the
+/// coarse planes above the client tolerance so real mid-sequence
+/// cancels occur too.
+fn progressive_live_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
+    let tau = std::f64::consts::TAU;
+    let smooth = |n: usize, salt: u64| {
+        Matrix::from_fn(n, n, |r, c| {
+            40.0 * (tau * r as f64 / n as f64).sin() * (tau * c as f64 / n as f64).sin()
+                + ((r as u64 * 13 + c as u64 * 7 + salt) % 7) as f64 * 0.03
+        })
+    };
+    let salts = (0..clients * reqs_per_client).map(|i| i as u64 % 13);
+    salts
+        .map(|salt| DecomposeRequest::new(smooth(64, salt), FilterBank::cdf97(), 3))
+        .collect()
+}
+
+/// Run the monolithic-vs-progressive live comparison over both
+/// transports — a clean wire (the byte comparison must not be
+/// confounded by faulted re-sends), every served response checked
+/// against the local engine oracle and the tolerance — assert the
+/// bytes-to-tolerance invariants, and return the `progressive_live`
+/// rows.
+fn progressive_live(clients: usize, reqs_per_client: usize) -> Vec<Row> {
+    let total = (clients * reqs_per_client) as u64;
+    let requests = progressive_live_requests(clients, reqs_per_client);
+    let streams: Vec<&[DecomposeRequest]> = requests.chunks(reqs_per_client).collect();
+    let drive = |transport, tolerance: Option<f64>| {
+        let remote = RemoteConfig {
+            progressive: tolerance.is_some().then(lossy_codec),
+            ..RemoteConfig::default()
+        };
+        let build = |client: RemoteClient| match tolerance {
+            Some(t) => client.with_tolerance(t),
+            None => client,
+        };
+        let check = |req: &DecomposeRequest, res: &ServeResult| {
+            let resp = res.as_ref().expect("deadline-free requests all serve");
+            // The reported bound must be honest against the local
+            // engine oracle and, when a tolerance is set, met.
+            assert_honest_bound(transport, req, resp);
+            if let Some(t) = tolerance {
+                assert!(
+                    resp.error_bound <= t,
+                    "reported bound {} must meet the {t} tolerance",
+                    resp.error_bound
+                );
+            }
+        };
+        let service = three_shards().with_supervisor(restart_budget(1));
+        let run = live_run(transport, service, remote, &streams, &build, &check);
+        assert_eq!(
+            run.metrics.service.completed(),
+            total,
+            "{transport}: every request must serve exactly once"
+        );
+        run
+    };
+    let tolerance = 30.0;
+    let mut rows = Vec::new();
+    for transport in ["shim", "tcp"] {
+        let mono = drive(transport, None);
+        let prog = drive(transport, Some(tolerance));
+        let (mono_wire, prog_wire) = (mono.metrics.transport, prog.metrics.transport);
+        assert_eq!(
+            mono_wire.planes_sent, 0,
+            "{transport}: baseline is monolithic"
+        );
+        assert!(
+            prog.partials >= 1,
+            "{transport}: the tolerance must cut at least one sequence short"
+        );
+        assert!(
+            prog_wire.bytes_out < mono_wire.bytes_out,
+            "{transport}: progressive-to-tolerance must beat monolithic bytes \
+             ({} vs {})",
+            prog_wire.bytes_out,
+            mono_wire.bytes_out
+        );
+        for (scenario, tolerance, run) in [
+            ("monolithic", Val::Null, &mono),
+            ("progressive_cancel", Val::Num(tolerance), &prog),
+        ] {
+            rows.push(vec![
+                ("transport", Val::Str(transport.into())),
+                ("scenario", Val::Str(scenario.into())),
+                ("clients", clients.into()),
+                ("reqs_per_client", reqs_per_client.into()),
+                ("completed", run.metrics.service.completed().into()),
+                ("tolerance", tolerance),
+                ("bytes_out", run.metrics.transport.bytes_out.into()),
+                ("planes_sent", run.metrics.transport.planes_sent.into()),
+                ("cancels", run.cancels.into()),
+                ("partial_responses", run.partials.into()),
+                ("max_error_bound", Val::Fix(run.max_bound, 6)),
+                ("p50_ms", run.p_ms(0.50)),
+                ("p95_ms", run.p_ms(0.95)),
+                ("p99_ms", run.p_ms(0.99)),
+                ("elapsed_s", Val::Fix(run.elapsed_s, 6)),
+            ]);
+        }
+    }
+    rows
+}
+
 fn main() {
     let smoke = std::env::var("WSERV_SMOKE").is_ok_and(|v| v == "1");
-    let (n_reqs, shard_grid, rates): (usize, Vec<usize>, Vec<f64>) = if smoke {
-        (300, vec![2], vec![20_000.0, 120_000.0])
-    } else {
-        (1500, vec![1, 4], vec![5_000.0, 20_000.0, 120_000.0])
+    let sweep = || -> Vec<Run> {
+        let table = scenarios(smoke);
+        assert_table_complete(&table, smoke);
+        table.into_iter().map(run).collect()
     };
-    let top_rate = *rates.last().expect("non-empty rate grid");
+    let runs = sweep();
+    assert_dominance(&runs);
+    assert_spot_checks(&runs);
+    assert_progressive_coverage(&runs);
+    assert_elastic_coverage(&runs);
+    let mut doc = document(&runs);
 
-    let chaos_reqs = if smoke { 200 } else { 800 };
-    let chaos_rate = 50_000.0;
-
-    let (cl_clients, cl_reqs) = if smoke { (3, 6) } else { (4, 12) };
-
-    let cells = sweep(n_reqs, &shard_grid, &rates);
-    assert_dominance(&cells, top_rate);
-    let chaos = chaos_sweep(chaos_reqs, chaos_rate);
-    assert_chaos_coverage(&chaos);
-    let transport = transport_sweep(cl_clients, cl_reqs);
-    assert_transport_coverage(&transport);
-    let progressive = progressive_sweep(cl_clients, cl_reqs);
-    assert_progressive_coverage(&progressive);
-    let (elastic_reqs, elastic_rate) = if smoke {
-        (400, 220_000.0)
-    } else {
-        (1200, 220_000.0)
-    };
-    let elastic = elastic_sweep(elastic_reqs, elastic_rate);
-    assert_elastic_coverage(&elastic);
-    let report = render(n_reqs, &cells, &chaos, &transport, &progressive, &elastic);
-
-    // Byte-reproducibility is part of the contract: regenerate the
-    // whole sweep — chaos, transport, progressive, and elastic rows
-    // included — and require the identical document.
-    let again = render(
-        n_reqs,
-        &sweep(n_reqs, &shard_grid, &rates),
-        &chaos_sweep(chaos_reqs, chaos_rate),
-        &transport_sweep(cl_clients, cl_reqs),
-        &progressive_sweep(cl_clients, cl_reqs),
-        &elastic_sweep(elastic_reqs, elastic_rate),
+    // Byte-reproducibility is part of the contract: run the whole table
+    // again and require the identical document.
+    assert_eq!(
+        render(&doc),
+        render(&document(&sweep())),
+        "service bench must be byte-reproducible"
     );
-    assert_eq!(report, again, "service bench must be byte-reproducible");
 
     // Live closed-loop comparison: wall-clock rows, appended after the
-    // byte-compare. The simulator's failover-under-load row is the
-    // prediction the live tails are reported against.
-    let prediction = &transport
-        .iter()
-        .find(|c| c.scenario == "failover_under_load")
-        .expect("failover scenario present")
-        .report;
-    let live = live_rows(cl_clients, cl_reqs, prediction);
-    let plive = progressive_live_rows(cl_clients, cl_reqs);
-    let report = {
-        let tail = "  ]\n}\n";
-        let base = report
-            .strip_suffix(tail)
-            .expect("render ends with the elastic section");
-        format!(
-            "{base}  ],\n  \"transport_live\": [\n{live}  ],\n  \
-             \"progressive_live\": [\n{plive}  ]\n}}\n"
-        )
-    };
+    // byte-compare. The simulator's failover-under-load row is both the
+    // configuration the live runs copy and the prediction their tails
+    // are reported against.
+    let failover = find(&runs, TRANSPORT, "failover_under_load");
+    let (cl, _) = failover.closed();
+    doc.push(("transport_live", Val::Rows(transport_live(failover))));
+    let plive = progressive_live(cl.clients, cl.reqs_per_client);
+    doc.push(("progressive_live", Val::Rows(plive)));
 
     let path = if smoke {
         "target/BENCH_service_smoke.json"
     } else {
         "BENCH_service.json"
     };
-    std::fs::write(path, &report).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, render(&doc)).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Fast golden for the row renderer and the column definitions: one
+    /// full-scale scenario per value kind, run and rendered, against its
+    /// line as committed in `BENCH_service.json` — a `results` row for
+    /// the `{}`-displayed `rate_hz` and the `{:.4}`/`{:.6}`/`{:.9}`
+    /// floats, a `chaos_results` row for the `failed_shards` list, a
+    /// `progressive_results` row for `null` tolerance and byte budget.
+    #[test]
+    fn rows_render_as_committed() {
+        let committed = [
+            (
+                RESULTS,
+                grid_name(1, 16, 8, 5_000.0),
+                r#"{"shards": 1, "cache_capacity": 16, "max_batch": 8, "rate_hz": 5000, "accepted": 1500, "completed": 1500, "rejected_queue_full": 0, "rejected_shed": 0, "rejected_deadline": 0, "cache_hit_rate": 0.9893, "mean_batch_occupancy": 1.0013, "p50_ms": 0.034373, "p95_ms": 0.093355, "p99_ms": 0.120842, "throughput_hz": 4884.350, "makespan_s": 0.307103293, "useful_pct": 5.754, "imbalance_pct": 80.949}"#,
+            ),
+            (
+                CHAOS,
+                "shard_crash_failover".into(),
+                r#"{"scenario": "shard_crash_failover", "shards": 3, "rate_hz": 50000, "requests": 800, "completed": 788, "degraded_served": 0, "restarts": 2, "requeued": 66, "quarantined": 0, "rejected_total": 12, "rejected_shard_failed": 0, "rejected_requeued": 0, "rejected_deadline": 0, "failed_shards": [0], "p95_ms": 2.300808, "throughput_hz": 49315.010, "makespan_s": 0.015978908, "fault_recovery_pct": 15.463}"#,
+            ),
+            (
+                PROGRESSIVE,
+                "monolithic".into(),
+                r#"{"scenario": "monolithic", "clients": 4, "reqs_per_client": 12, "delivered": 48, "threshold": 0, "step": 0, "tolerance": null, "byte_budget": null, "planes": 0, "cancels": 0, "budget_stops": 0, "response_bytes": 1747968, "monolithic_bytes": 1747968, "savings_pct": 0.000, "max_error_bound": 0.000000, "p50_ms": 0.198386, "p95_ms": 0.346642, "p99_ms": 0.520466, "comm_ms": 8.147277, "throughput_hz": 16654.546, "makespan_s": 0.002882096}"#,
+            ),
+        ];
+        let mut table = scenarios(false);
+        for (section, name, line) in committed {
+            let at = table
+                .iter()
+                .position(|s| s.section == section && s.name == name);
+            let run = run(table.swap_remove(at.expect("scenario in the table")));
+            assert_eq!(render_row(&row(&run)), line);
+        }
+    }
 }

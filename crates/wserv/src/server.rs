@@ -619,13 +619,17 @@ fn worker_loop(live: &Live, shard_ix: usize) {
     let cfg = &live.config;
     let me = &live.shards[shard_ix];
     loop {
-        let wake = Instant::now();
         let popped = {
             let mut inner = me.inner.lock();
             loop {
                 if !inner.queue.is_empty() {
+                    // Dispatch overhead starts here, with work in hand:
+                    // the idle wait before it is `finalize`'s
+                    // ImbalanceWait, not DuplicationRedundancy too.
+                    let wake = Instant::now();
                     let depth_frac = inner.queue.len() as f64 / cfg.queue_capacity.max(1) as f64;
-                    break Some((inner.queue.pop_batch(live.now(), &cfg.batch), depth_frac));
+                    let pop = inner.queue.pop_batch(live.now(), &cfg.batch);
+                    break Some((wake, pop, depth_frac));
                 }
                 if inner.draining {
                     break None;
@@ -633,7 +637,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 me.work.wait(&mut inner);
             }
         };
-        let Some((pop, depth_frac)) = popped else {
+        let Some((wake, pop, depth_frac)) = popped else {
             // Queue empty and draining: done. The books are closed
             // centrally at shutdown (metrics are shared state).
             return;

@@ -239,3 +239,36 @@ fn graceful_drain_resolves_every_accepted_request() {
     assert!(snapshot.cache_hit_rate() > 0.0);
     assert!(snapshot.budget_report().is_some());
 }
+
+/// Lane-books regression: a shard's idle wait is billed once, to
+/// ImbalanceWait at `finalize`, and not a second time as the next
+/// dispatch's DuplicationRedundancy overhead. One shard idles 200 ms,
+/// then serves a single request; its six lanes must fit inside its
+/// lifetime. (The sleep is the scenario, not a synchronization.)
+#[test]
+fn idle_time_is_billed_to_one_lane() {
+    let service = WaveletService::start(ServiceConfig::default().with_shards(1));
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let handle = service
+        .submit(DecomposeRequest::new(image(32, 0), FilterBank::haar(), 1))
+        .expect("an idle shard admits");
+    handle.wait().expect("the request serves");
+    let snapshot = service.shutdown().expect("no worker died");
+    let lanes = snapshot.shards[0].lanes;
+    assert!(
+        lanes.duplication < 10e-3,
+        "dispatch overhead {:.4}s includes the idle wait",
+        lanes.duplication
+    );
+    let booked = lanes.useful
+        + lanes.communication
+        + lanes.duplication
+        + lanes.unique_redundancy
+        + lanes.wait
+        + lanes.fault_recovery;
+    assert!(
+        booked <= lanes.completion + 10e-3,
+        "lanes sum to {booked:.4}s on a shard that lived {:.4}s",
+        lanes.completion
+    );
+}

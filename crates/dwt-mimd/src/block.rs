@@ -9,7 +9,7 @@
 //! sequential reference; only the communication structure differs.
 //!
 //! Like the striped transform, the block transform is fault-aware: under
-//! [`ResiliencePolicy::Redistribute`] the grid positions become *roles*
+//! [`crate::ResiliencePolicy::Redistribute`] the grid positions become *roles*
 //! that move to survivors ahead of scheduled crashes (see the
 //! [`crate::resilience`] module docs), and the recovered run stays
 //! bit-identical to the fault-free transform.
@@ -22,10 +22,9 @@ use dwt::pyramid::{Pyramid, Subbands};
 use paragon::{CommError, Ctx, FaultStats, Ops, SpmdConfig};
 use perfbudget::{Category, RankBudget};
 
-use crate::checkpoint::{self, CheckpointCodec};
 use crate::partition::{contiguous_runs, output_range, owner, stripes, Stripe};
-use crate::resilience::{collect_failfast, collect_roles, RoleTracker};
-use crate::{coeff_ops, MimdDwtConfig, MimdError, ResiliencePolicy};
+use crate::resilience::{collect_outputs, DetailTile, Recovery, RoleState};
+use crate::{coeff_ops, MimdDwtConfig, MimdError};
 
 /// Split `nranks` into a near-square `rows x cols` process grid.
 pub fn process_grid(nranks: usize) -> (usize, usize) {
@@ -89,80 +88,15 @@ impl BlockDwtRun {
     }
 }
 
-/// Per-rank output: sub-band blocks with their placement.
-#[derive(Debug, Clone)]
-struct LevelBlocks {
-    k_row: usize,
-    k_col: usize,
-    lh: Matrix,
-    hl: Matrix,
-    hh: Matrix,
-}
-
+/// Per-role output: sub-band blocks with their placement.
 #[derive(Debug, Clone)]
 pub struct BlockRankOut {
-    details: Vec<LevelBlocks>,
+    details: Vec<DetailTile>,
     ll_row: usize,
     ll_col: usize,
     ll: Matrix,
     sent_messages: u64,
     sent_bytes: u64,
-}
-
-/// Per-role state carried between levels (and shipped as the checkpoint
-/// when a role changes hands).
-#[derive(Debug, Clone)]
-struct RoleState {
-    input: Matrix,
-    details: Vec<LevelBlocks>,
-}
-
-impl RoleState {
-    fn wire_bytes(&self, pixel_bytes: usize) -> usize {
-        let details: usize = self
-            .details
-            .iter()
-            .map(|d| 3 * d.lh.rows() * d.lh.cols())
-            .sum();
-        (self.input.rows() * self.input.cols() + details) * pixel_bytes
-    }
-
-    fn detail_coeffs(&self) -> usize {
-        self.details
-            .iter()
-            .map(|d| 3 * d.lh.rows() * d.lh.cols())
-            .sum()
-    }
-}
-
-/// Block-layout twin of the striped body's checkpoint encoder: apply
-/// the configured codec to the detail planes of a role state about to
-/// ship, charge the codec to the fault-recovery lane, return the wire
-/// size (LL block always raw).
-fn encode_checkpoint(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &mut RoleState) -> usize {
-    let ll_bytes = st.input.rows() * st.input.cols() * cfg.pixel_bytes;
-    match cfg.checkpoint_codec {
-        CheckpointCodec::Raw => st.wire_bytes(cfg.pixel_bytes),
-        CheckpointCodec::WaveletQuant { threshold, step } => {
-            let mut stats = checkpoint::PlaneStats::default();
-            for d in &mut st.details {
-                for m in [&mut d.lh, &mut d.hl, &mut d.hh] {
-                    stats.absorb(checkpoint::encode_plane(m, threshold, step));
-                }
-            }
-            ctx.charge_as(checkpoint::codec_ops(stats.total), Category::FaultRecovery);
-            ll_bytes + checkpoint::encoded_bytes(stats, cfg.pixel_bytes)
-        }
-    }
-}
-
-fn decode_checkpoint_charge(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &RoleState) {
-    if cfg.checkpoint_codec != CheckpointCodec::Raw {
-        ctx.charge_as(
-            checkpoint::codec_ops(st.detail_coeffs()),
-            Category::FaultRecovery,
-        );
-    }
 }
 
 /// Collective phases one resilient block level executes: checkpoint
@@ -180,21 +114,9 @@ pub fn run_block_dwt(
 ) -> Result<BlockDwtRun, MimdError> {
     cfg.validate()?;
     dwt2d::validate_dims(image.rows(), image.cols(), cfg.filter.len(), cfg.levels)?;
-    let nranks = scfg.nranks;
-    let (pr, pc) = process_grid(nranks);
-    let resilient = cfg.resilience == ResiliencePolicy::Redistribute;
-    let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, image, pr, pc, resilient))?;
-    let (budgets, faults, timeline) = (res.budgets, res.faults, res.timeline);
-    let outs: Vec<BlockRankOut> = if resilient {
-        collect_roles(res.outputs, nranks)?
-    } else {
-        let mut pairs: Vec<(usize, BlockRankOut)> = collect_failfast(res.outputs)?
-            .into_iter()
-            .flatten()
-            .collect();
-        pairs.sort_by_key(|(role, _)| *role);
-        pairs.into_iter().map(|(_, o)| o).collect()
-    };
+    let (pr, pc) = process_grid(scfg.nranks);
+    let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, image, pr, pc))?;
+    let outs: Vec<BlockRankOut> = collect_outputs(cfg.resilience, res.outputs, scfg.nranks)?;
     let mut comm = CommStats::default();
     for out in &outs {
         comm.guard_messages += out.sent_messages;
@@ -203,31 +125,35 @@ pub fn run_block_dwt(
     let pyramid = assemble(&outs, image.rows(), image.cols(), cfg.levels);
     Ok(BlockDwtRun {
         pyramid,
-        budgets,
+        budgets: res.budgets,
         comm,
-        faults,
-        timeline,
+        faults: res.faults,
+        timeline: res.timeline,
     })
 }
 
-/// The per-rank SPMD program. In fail-fast mode a rank plays exactly its
-/// own grid position; in resilient mode the set of roles it plays grows
-/// as scheduled crashes retire other ranks.
+/// The per-rank SPMD program, written over the set of roles (grid
+/// positions) this rank plays: exactly its own in fail-fast mode, a set
+/// that grows as scheduled crashes retire other ranks in resilient mode.
 fn rank_body(
     ctx: &mut Ctx,
     cfg: &MimdDwtConfig,
     image: &Matrix,
     pr: usize,
     pc: usize,
-    resilient: bool,
 ) -> Result<Vec<(usize, BlockRankOut)>, CommError> {
     let me = ctx.rank();
     let nranks = ctx.nranks();
     let f = cfg.filter.len();
     let wire = f + 2;
     let (rows0, cols0) = (image.rows(), image.cols());
-    let plan = ctx.fault_plan().clone();
-    let mut tracker = RoleTracker::new(nranks);
+    let seed: Vec<f64> = (0..nranks)
+        .map(|r| {
+            let reg = region_of(r, pr, pc, rows0, cols0);
+            (reg.rows.rows() * reg.cols.rows()) as f64
+        })
+        .collect();
+    let mut rec = Recovery::new(ctx, cfg, BLOCK_LEVEL_PHASES, seed);
     let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
     let mut stats = (0u64, 0u64);
 
@@ -245,52 +171,13 @@ fn rank_body(
 
     let mut rows_l = rows0;
     let mut cols_l = cols0;
-    // Estimated per-role work for the re-partition cost model: seeded
-    // analytically from the block areas, then replaced by measured level
-    // timings published in each level's cost-report phase.
-    let mut weights: Vec<f64> = (0..nranks)
-        .map(|r| {
-            let reg = region_of(r, pr, pc, rows0, cols0);
-            (reg.rows.rows() * reg.cols.rows()) as f64
-        })
-        .collect();
 
     for level in 0..cfg.levels {
-        // --- Checkpoint handoff (resilient mode only): look one level
-        // ahead in the plan (inclusive of the next handoff phase itself)
-        // and re-partition all roles across the survivors whenever a
-        // rank retires. See the stripe version for the protocol argument.
-        if resilient {
-            let p0 = ctx.next_phase();
-            let window_end = if level + 1 == cfg.levels {
-                u64::MAX
-            } else {
-                p0 + BLOCK_LEVEL_PHASES
-            };
-            let caps = crate::resilience::capacities(ctx, &plan, p0);
-            let takeovers = tracker.step(&plan, window_end, &weights, &caps)?;
-            let mut sends: Vec<(usize, (usize, RoleState), usize)> = Vec::new();
-            if level > 0 {
-                for t in &takeovers {
-                    if t.from != me {
-                        continue;
-                    }
-                    let mut st = roles.remove(&t.role).ok_or(CommError::Protocol {
-                        detail: "takeover of a role this rank does not hold",
-                    })?;
-                    let bytes = encode_checkpoint(ctx, cfg, &mut st);
-                    sends.push((t.to, (t.role, st), bytes));
-                }
-            }
-            for (_, (role, st)) in ctx.exchange_recovery(sends)? {
-                decode_checkpoint_charge(ctx, cfg, &st);
-                roles.insert(role, st);
-            }
-        }
+        rec.handoff(ctx, cfg, &mut roles)?;
         if level == 0 {
             // Cut role blocks straight from the globally known image
             // (adopters included — level-0 state needs no checkpoint).
-            for role in tracker.roles_of(me) {
+            for role in rec.roles_of(me) {
                 let r = region_of(role, pr, pc, rows0, cols0);
                 let input = image
                     .submatrix(r.rows.lo, r.cols.lo, r.rows.rows(), r.cols.rows())
@@ -305,13 +192,7 @@ fn rank_body(
                     },
                     Category::UniqueRedundancy,
                 );
-                roles.insert(
-                    role,
-                    RoleState {
-                        input,
-                        details: Vec::new(),
-                    },
-                );
+                roles.insert(role, RoleState::new(input));
             }
         }
 
@@ -357,7 +238,7 @@ fn rank_body(
                         }
                     }
                     let bytes = payload.len() * cfg.pixel_bytes;
-                    let dst = tracker.owner(j);
+                    let dst = rec.owner(j);
                     if dst != me {
                         stats.0 += 1;
                         stats.1 += bytes as u64;
@@ -466,7 +347,7 @@ fn rank_body(
                         payload.extend_from_slice(high.row(g - ra.rows.lo));
                     }
                     let bytes = payload.len() * cfg.pixel_bytes;
-                    let dst = tracker.owner(j);
+                    let dst = rec.owner(j);
                     if dst != me {
                         stats.0 += 1;
                         stats.1 += bytes as u64;
@@ -541,7 +422,7 @@ fn rank_body(
             }
             ctx.charge(coeff_ops(f).times(4 * (out_rows * out_cols) as u64));
             *cost.entry(a).or_insert(0.0) += ctx.now() - t0;
-            st.details.push(LevelBlocks {
+            st.details.push(DetailTile {
                 k_row: out_r.lo,
                 k_col: out_c.lo,
                 lh,
@@ -574,7 +455,7 @@ fn rank_body(
                     }
                     let seg: Vec<f64> = (ci_lo..ci_hi).map(|c| ll.get(ki, c - out_c.lo)).collect();
                     let bytes = seg.len() * cfg.pixel_bytes;
-                    sends.push((tracker.owner(dst_role), (dst_role, k, ci_lo, seg), bytes));
+                    sends.push((rec.owner(dst_role), (dst_role, k, ci_lo, seg), bytes));
                 }
             }
         }
@@ -615,64 +496,11 @@ fn rank_body(
             }
         }
 
-        // --- Cost report (resilient mode only): publish the roles'
-        // measured compute seconds so the next handoff's re-partition
-        // works from identical weights on every rank. Ranks already
-        // dead by this phase hold no roles and cannot receive.
-        if resilient {
-            // Traffic cut (see the striped body): run the report empty
-            // when the next handoff's re-partition cannot fire, keeping
-            // the replicated weights stale but identical on every rank.
-            let report_phase = ctx.next_phase();
-            let needed = level + 1 < cfg.levels && {
-                let p0_next = report_phase + 2; // barrier, then the next handoff
-                let window_end_next = if level + 2 == cfg.levels {
-                    u64::MAX
-                } else {
-                    p0_next + BLOCK_LEVEL_PHASES
-                };
-                crate::resilience::report_needed(&plan, &tracker, nranks, window_end_next)
-            };
-            let mut sends: Vec<(usize, (usize, f64), usize)> = Vec::new();
-            if needed {
-                for (&a, &c) in &cost {
-                    weights[a] = c;
-                    for j in 0..nranks {
-                        if j == me || plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
-                            continue;
-                        }
-                        sends.push((j, (a, c), std::mem::size_of::<f64>()));
-                    }
-                }
-            }
-            for (_, (a, c)) in ctx.exchange_reliable(sends)? {
-                weights[a] = c;
-            }
-        }
-
-        ctx.barrier()?;
+        rec.end_level(ctx, &cost)?;
     }
 
-    // Final gather of all coefficients (timing only), rooted at the rank
-    // playing role 0 — a live rank even when physical rank 0 crashed.
     if cfg.include_distribution {
-        let root = tracker.owner(0);
-        let my_coeffs: usize = roles
-            .values()
-            .map(|st| {
-                st.details
-                    .iter()
-                    .map(|d| 3 * d.lh.rows() * d.lh.cols())
-                    .sum::<usize>()
-                    + st.input.rows() * st.input.cols()
-            })
-            .sum();
-        let out = if me == root || my_coeffs == 0 {
-            Vec::new()
-        } else {
-            vec![(root, (), my_coeffs * cfg.pixel_bytes)]
-        };
-        ctx.exchange::<()>(out)?;
+        rec.gather(ctx, cfg, &roles)?;
     }
 
     // Wire-traffic counters ride on the first returned role so the
@@ -745,6 +573,7 @@ fn assemble(outs: &[BlockRankOut], rows: usize, cols: usize, levels: usize) -> P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ResiliencePolicy;
     use dwt::boundary::Boundary;
     use dwt::filters::FilterBank;
     use paragon::{FaultPlan, MachineSpec, Mapping};

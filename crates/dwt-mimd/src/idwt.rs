@@ -7,10 +7,11 @@
 //! of the other modes is not separable per rank); this is also the only
 //! mode with exact perfect reconstruction.
 //!
-//! Like the forward transforms, reconstruction is fault-aware: under
-//! [`ResiliencePolicy::Redistribute`] the stripe positions become
-//! *roles* re-partitioned across survivors ahead of scheduled crashes
-//! (see the [`crate::resilience`] module docs). The synthesis
+//! Like the forward transforms, reconstruction is fault-aware: the one
+//! per-rank body runs over stripe *roles*, which under
+//! [`crate::ResiliencePolicy::Redistribute`] are re-partitioned across
+//! survivors ahead of scheduled crashes (see the [`crate::resilience`]
+//! module docs; fail-fast keeps the identity assignment). The synthesis
 //! checkpoint is small: only each role's partial reconstruction needs
 //! shipping — the coefficient pyramid is the globally known input, so
 //! detail bands are cut locally by whoever plays the role, exactly as
@@ -24,9 +25,9 @@ use dwt::pyramid::Pyramid;
 use paragon::{CommError, Ctx, FaultStats, Ops, SpmdConfig};
 use perfbudget::{Category, RankBudget};
 
-use crate::partition::{contiguous_runs, owner, stripes, Stripe};
-use crate::resilience::{capacities, collect_failfast, collect_roles, RoleTracker};
-use crate::{coeff_ops, MimdDwtConfig, MimdError, ResiliencePolicy};
+use crate::partition::{contiguous_runs, stripes, Stripe};
+use crate::resilience::{collect_outputs, Recovery, RoleState};
+use crate::{coeff_ops, MimdDwtConfig, MimdError};
 
 /// Result of a distributed reconstruction.
 #[derive(Debug)]
@@ -97,55 +98,51 @@ pub fn run_mimd_idwt(
     }
     let (rows0, cols0) = pyramid.image_dims();
     dwt::dwt2d::validate_dims(rows0, cols0, cfg.filter.len(), cfg.levels)?;
-    let nranks = scfg.nranks;
-    let (outs, budgets, faults, timeline) = match cfg.resilience {
-        ResiliencePolicy::FailFast => {
-            let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, pyramid, nranks))?;
-            (
-                collect_failfast(res.outputs)?,
-                res.budgets,
-                res.faults,
-                res.timeline,
-            )
-        }
-        ResiliencePolicy::Redistribute => {
-            let res =
-                paragon::run_spmd(scfg, |ctx| resilient_rank_body(ctx, cfg, pyramid, nranks))?;
-            (
-                collect_roles(res.outputs, nranks)?,
-                res.budgets,
-                res.faults,
-                res.timeline,
-            )
-        }
-    };
+    let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, pyramid))?;
+    let outs = collect_outputs(cfg.resilience, res.outputs, scfg.nranks)?;
     let mut image = Matrix::zeros(rows0, cols0);
-    for (lo, stripe) in outs {
-        image.paste(lo, 0, &stripe).expect("stripe fits");
+    for (stripe, at) in outs.iter().zip(stripes(rows0, scfg.nranks)) {
+        image.paste(at.lo, 0, stripe).expect("stripe fits");
     }
     Ok(MimdIdwtRun {
         image,
-        budgets,
-        faults,
-        timeline,
+        budgets: res.budgets,
+        faults: res.faults,
+        timeline: res.timeline,
     })
 }
 
+/// Collective phases one resilient reconstruction level executes:
+/// checkpoint handoff, guard exchange, cost report, barrier.
+const IDWT_LEVEL_PHASES: u64 = 4;
+
+/// The per-rank SPMD program, written over the *set* of stripe roles
+/// this rank plays: its own under fail-fast (which also skips the
+/// handoff and cost-report phases), a set adopted ahead of scheduled
+/// crashes under redistribution (see the [`crate::resilience`] module
+/// docs). Only each role's partial reconstruction is role state — the
+/// coefficient pyramid is the globally known input of the transform.
 fn rank_body(
     ctx: &mut Ctx,
     cfg: &MimdDwtConfig,
     pyramid: &Pyramid,
-    nranks: usize,
-) -> Result<(usize, Matrix), CommError> {
-    let rank = ctx.rank();
+) -> Result<Vec<(usize, Matrix)>, CommError> {
+    let me = ctx.rank();
+    let nranks = ctx.nranks();
     let f = cfg.filter.len();
     let (rows0, cols0) = pyramid.image_dims();
     let levels = cfg.levels;
+    let seed: Vec<f64> = stripes(rows0 >> levels, nranks)
+        .iter()
+        .map(|s| s.rows() as f64)
+        .collect();
+    let mut rec = Recovery::new(ctx, cfg, IDWT_LEVEL_PHASES, seed);
+    let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
 
     // Initial distribution: rank 0 scatters coefficient stripes.
     if cfg.include_distribution {
         let mut out = Vec::new();
-        if rank == 0 {
+        if me == 0 {
             let per_rank_coeffs = rows0 * cols0 / nranks; // approximate, even split
             for j in 1..nranks {
                 out.push((j, (), per_rank_coeffs * cfg.pixel_bytes));
@@ -154,139 +151,136 @@ fn rank_body(
         ctx.exchange::<()>(out)?;
     }
 
-    // Start from the deepest LL stripe.
-    let rows_deep = rows0 >> levels;
-    let mut cur_stripe = stripes(rows_deep, nranks)[rank];
-    let mut current = pyramid
-        .approx
-        .submatrix(cur_stripe.lo, 0, cur_stripe.rows(), cols0 >> levels)
-        .expect("stripe inside approx");
-    ctx.charge_as(
-        Ops {
-            flops: 0,
-            intops: 16,
-            memops: 2 * (current.rows() * current.cols()) as u64,
-        },
-        Category::UniqueRedundancy,
-    );
-
     for level in (1..=levels).rev() {
         let half_rows = rows0 >> level;
         let half_cols = cols0 >> level;
-        let out_rows_total = half_rows * 2;
-        debug_assert_eq!(cur_stripe, stripes(half_rows, nranks)[rank]);
+        // A level's output stripe is exactly the next iteration's
+        // coefficient stripe (stripes() is consistent across levels).
+        let coeff_stripes = stripes(half_rows, nranks);
+        let out_stripes = stripes(half_rows * 2, nranks);
 
-        // This rank's coefficient stripes at this level.
-        let bands = &pyramid.detail[level - 1];
-        let take = |m: &Matrix| {
-            m.submatrix(cur_stripe.lo, 0, cur_stripe.rows(), half_cols)
-                .expect("band stripe")
-        };
-        let (lh, hl, hh) = (take(&bands.lh), take(&bands.hl), take(&bands.hh));
+        rec.handoff(ctx, cfg, &mut roles)?;
+        if level == levels {
+            // Start from the deepest LL stripes, cut from the globally
+            // known pyramid.
+            for role in rec.roles_of(me) {
+                let s = coeff_stripes[role];
+                let cur = pyramid
+                    .approx
+                    .submatrix(s.lo, 0, s.rows(), half_cols)
+                    .expect("stripe inside approx");
+                ctx.charge_as(
+                    Ops {
+                        flops: 0,
+                        intops: 16,
+                        memops: 2 * (cur.rows() * cur.cols()) as u64,
+                    },
+                    Category::UniqueRedundancy,
+                );
+                roles.insert(role, RoleState::new(cur));
+            }
+        }
 
-        // Output stripe of this level's synthesis.
-        let out_stripe = stripes(out_rows_total, nranks)[rank];
+        // Detail bands per role, cut from the globally known input.
+        let mut bands: BTreeMap<usize, [Matrix; 3]> = BTreeMap::new();
+        for &a in roles.keys() {
+            bands.insert(a, cut_bands(pyramid, level, coeff_stripes[a], half_cols));
+        }
 
-        // --- Guard exchange: coefficient rows from the north. Everyone
+        // --- Role-addressed guard exchange: coefficient rows other
+        // roles' column synthesis needs (from the north). Everyone
         // derives everyone's needs from the shared formula, so the send
-        // plan requires no request round-trip.
+        // plan requires no request round-trip. Messages between two
+        // roles of the same rank ride the free self-route.
         ctx.charge_as(
             Ops {
                 flops: 0,
-                intops: 30 * nranks as u64,
+                intops: 30 * (nranks * roles.len().max(1)) as u64,
                 memops: 0,
             },
             Category::UniqueRedundancy,
         );
-        // Symmetric send plan: ship (a, lh, hl, hh) rows others need.
-        let mut sends: Vec<(usize, (usize, Vec<f64>), usize)> = Vec::new();
-        for j in 0..nranks {
-            if j == rank {
-                continue;
-            }
-            let their_out = stripes(out_rows_total, nranks)[j];
-            let their_coeff = stripes(half_rows, nranks)[j];
-            let from_me: Vec<usize> = needed_coeff_rows(their_out, f, half_rows)
-                .into_iter()
-                .filter(|&k| !their_coeff.contains(k) && cur_stripe.contains(k))
-                .collect();
-            for (lo, hi) in contiguous_runs(&from_me) {
-                let run = hi - lo;
-                let mut payload = Vec::with_capacity(4 * run * half_cols);
-                for src in [&current, &lh, &hl, &hh] {
-                    for k in lo..hi {
-                        payload.extend_from_slice(src.row(k - cur_stripe.lo));
+        let mut sends: Vec<crate::RoleSend> = Vec::new();
+        for (&a, st) in &roles {
+            let sa = coeff_stripes[a];
+            let [lh, hl, hh] = &bands[&a];
+            for j in (0..nranks).filter(|&j| j != a) {
+                let from_a: Vec<usize> = needed_coeff_rows(out_stripes[j], f, half_rows)
+                    .into_iter()
+                    .filter(|&k| !coeff_stripes[j].contains(k) && sa.contains(k))
+                    .collect();
+                for (lo, hi) in contiguous_runs(&from_a) {
+                    let run = hi - lo;
+                    let mut payload = Vec::with_capacity(4 * run * half_cols);
+                    for src in [&st.input, lh, hl, hh] {
+                        for k in lo..hi {
+                            payload.extend_from_slice(src.row(k - sa.lo));
+                        }
                     }
+                    let bytes = payload.len() * cfg.pixel_bytes;
+                    sends.push((rec.owner(j), (j, lo, payload), bytes));
                 }
-                let bytes = payload.len() * cfg.pixel_bytes;
-                sends.push((j, (lo, payload), bytes));
             }
         }
-        let inbox = ctx.exchange(sends)?;
-        let mut guards: std::collections::HashMap<usize, [Vec<f64>; 4]> =
-            std::collections::HashMap::new();
-        for (_, (lo, payload)) in inbox {
+        let mut guards: HashMap<(usize, usize), [Vec<f64>; 4]> = HashMap::new();
+        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
             let run = payload.len() / (4 * half_cols);
             for (i, k) in (lo..lo + run).enumerate() {
                 let row = |band: usize| {
                     let off = (band * run + i) * half_cols;
                     payload[off..off + half_cols].to_vec()
                 };
-                guards.insert(k, [row(0), row(1), row(2), row(3)]);
+                guards.insert((role, k), [row(0), row(1), row(2), row(3)]);
             }
         }
 
-        // --- Column + row synthesis through the shared kernel. ----------
-        let out = synthesize_level(ctx, cfg, out_stripe, half_rows, half_cols, |k| {
-            if cur_stripe.contains(k) {
-                let i = k - cur_stripe.lo;
-                Ok((current.row(i), lh.row(i), hl.row(i), hh.row(i)))
-            } else {
-                let g = guards.get(&k).ok_or(CommError::Protocol {
-                    detail: crate::GUARD_LOST,
-                })?;
-                Ok((
-                    g[0].as_slice(),
-                    g[1].as_slice(),
-                    g[2].as_slice(),
-                    g[3].as_slice(),
-                ))
-            }
-        })?;
+        // --- Column + row synthesis per role through the one kernel,
+        // with per-role compute timing for the re-partition cost model.
+        let mut cost: BTreeMap<usize, f64> = BTreeMap::new();
+        let mut next_roles: BTreeMap<usize, RoleState> = BTreeMap::new();
+        for (&a, st) in &roles {
+            let sa = coeff_stripes[a];
+            let cur = &st.input;
+            let [lh, hl, hh] = &bands[&a];
+            let t0 = ctx.now();
+            let out = synthesize_level(ctx, cfg, out_stripes[a], half_rows, half_cols, |k| {
+                if sa.contains(k) {
+                    let i = k - sa.lo;
+                    Ok((cur.row(i), lh.row(i), hl.row(i), hh.row(i)))
+                } else {
+                    let g = guards.get(&(a, k)).ok_or(CommError::Protocol {
+                        detail: crate::GUARD_LOST,
+                    })?;
+                    Ok((
+                        g[0].as_slice(),
+                        g[1].as_slice(),
+                        g[2].as_slice(),
+                        g[3].as_slice(),
+                    ))
+                }
+            })?;
+            cost.insert(a, ctx.now() - t0);
+            next_roles.insert(a, RoleState::new(out));
+        }
+        roles = next_roles;
 
-        // The output stripe is exactly the next iteration's coefficient
-        // stripe (stripes() is consistent across levels).
-        current = out;
-        cur_stripe = out_stripe;
-        debug_assert_eq!(
-            owner(cur_stripe.lo, out_rows_total, nranks),
-            rank,
-            "stripe bookkeeping"
-        );
-        ctx.barrier()?;
+        rec.end_level(ctx, &cost)?;
     }
 
-    // Final gather of the image at rank 0 (timing only).
     if cfg.include_distribution {
-        let out = if rank == 0 {
-            Vec::new()
-        } else {
-            vec![(
-                0usize,
-                (),
-                current.rows() * current.cols() * cfg.pixel_bytes,
-            )]
-        };
-        ctx.exchange::<()>(out)?;
+        rec.gather(ctx, cfg, &roles)?;
     }
 
-    Ok((cur_stripe.lo, current))
+    Ok(roles
+        .into_iter()
+        .map(|(role, st)| (role, st.input))
+        .collect())
 }
 
 // ---------------------------------------------------------------------
-// Pieces shared by the fail-fast and resilient bodies. Keeping the
-// synthesis arithmetic in one place is what makes a recovered
-// reconstruction bit-identical to the fault-free one.
+// The arithmetic of one level, per role. Keeping the synthesis in one
+// place — independent of which rank plays the role — is what makes a
+// recovered reconstruction bit-identical to the fault-free one.
 // ---------------------------------------------------------------------
 
 /// One level of column + row synthesis for `out_stripe`, sourcing each
@@ -345,249 +339,6 @@ fn cut_bands(pyramid: &Pyramid, level: usize, s: Stripe, half_cols: usize) -> [M
             .expect("band stripe")
     };
     [take(&bands.lh), take(&bands.hl), take(&bands.hh)]
-}
-
-// ---------------------------------------------------------------------
-// The resilient body: one rank plays a *set* of stripe roles, adopted
-// ahead of scheduled crashes (see the `resilience` module docs). Only
-// the partial reconstruction is checkpointed — the coefficient pyramid
-// is the globally known input of the transform.
-// ---------------------------------------------------------------------
-
-/// Collective phases one resilient reconstruction level executes:
-/// checkpoint handoff, guard exchange, cost report, barrier.
-const IDWT_LEVEL_PHASES: u64 = 4;
-
-#[allow(clippy::type_complexity)]
-fn resilient_rank_body(
-    ctx: &mut Ctx,
-    cfg: &MimdDwtConfig,
-    pyramid: &Pyramid,
-    nranks: usize,
-) -> Result<Vec<(usize, (usize, Matrix))>, CommError> {
-    let me = ctx.rank();
-    let f = cfg.filter.len();
-    let (rows0, cols0) = pyramid.image_dims();
-    let levels = cfg.levels;
-    let plan = ctx.fault_plan().clone();
-    let mut tracker = RoleTracker::new(nranks);
-    // Per-role partial reconstruction — the only synthesis state that
-    // must survive a crash.
-    let mut roles: BTreeMap<usize, Matrix> = BTreeMap::new();
-
-    // Initial distribution timing (mirrors the fail-fast body).
-    if cfg.include_distribution {
-        let mut out = Vec::new();
-        if me == 0 {
-            let per_rank_coeffs = rows0 * cols0 / nranks;
-            for j in 1..nranks {
-                out.push((j, (), per_rank_coeffs * cfg.pixel_bytes));
-            }
-        }
-        ctx.exchange::<()>(out)?;
-    }
-
-    // Estimated per-role work for the re-partition cost model: seeded
-    // analytically from the deepest stripe sizes, then replaced by
-    // measured level timings published in each level's cost-report phase.
-    let mut weights: Vec<f64> = stripes(rows0 >> levels, nranks)
-        .iter()
-        .map(|s| s.rows() as f64)
-        .collect();
-
-    for level in (1..=levels).rev() {
-        let half_rows = rows0 >> level;
-        let half_cols = cols0 >> level;
-        let out_rows_total = half_rows * 2;
-        let coeff_stripes = stripes(half_rows, nranks);
-        let out_stripes = stripes(out_rows_total, nranks);
-
-        // --- Checkpoint handoff: same inclusive lookahead-window
-        // contract as the forward transforms.
-        let p0 = ctx.next_phase();
-        let window_end = if level == 1 {
-            u64::MAX // the last window also covers the trailing gather
-        } else {
-            p0 + IDWT_LEVEL_PHASES
-        };
-        let caps = capacities(ctx, &plan, p0);
-        let takeovers = tracker.step(&plan, window_end, &weights, &caps)?;
-        let mut sends: Vec<(usize, (usize, Matrix), usize)> = Vec::new();
-        if level != levels {
-            for t in &takeovers {
-                if t.from != me {
-                    continue;
-                }
-                let st = roles.remove(&t.role).ok_or(CommError::Protocol {
-                    detail: "takeover of a role this rank does not hold",
-                })?;
-                let bytes = st.rows() * st.cols() * cfg.pixel_bytes;
-                sends.push((t.to, (t.role, st), bytes));
-            }
-        }
-        for (_, (role, st)) in ctx.exchange_recovery(sends)? {
-            roles.insert(role, st);
-        }
-        if level == levels {
-            // Deepest-level state needs no checkpoint: the pyramid is
-            // globally known, so every player cuts its roles' approx
-            // stripes directly (adopters included).
-            for role in tracker.roles_of(me) {
-                let s = coeff_stripes[role];
-                let cur = pyramid
-                    .approx
-                    .submatrix(s.lo, 0, s.rows(), half_cols)
-                    .expect("stripe inside approx");
-                ctx.charge_as(
-                    Ops {
-                        flops: 0,
-                        intops: 16,
-                        memops: 2 * (cur.rows() * cur.cols()) as u64,
-                    },
-                    Category::UniqueRedundancy,
-                );
-                roles.insert(role, cur);
-            }
-        }
-
-        // Detail bands per role, cut from the globally known input.
-        let mut bands: BTreeMap<usize, [Matrix; 3]> = BTreeMap::new();
-        for &a in roles.keys() {
-            bands.insert(a, cut_bands(pyramid, level, coeff_stripes[a], half_cols));
-        }
-
-        // --- Role-addressed guard exchange: coefficient rows other
-        // roles' column synthesis needs. Messages between two roles of
-        // the same rank ride the free self-route.
-        ctx.charge_as(
-            Ops {
-                flops: 0,
-                intops: 30 * (nranks * roles.len().max(1)) as u64,
-                memops: 0,
-            },
-            Category::UniqueRedundancy,
-        );
-        let mut sends: Vec<crate::RoleSend> = Vec::new();
-        for (&a, cur) in &roles {
-            let sa = coeff_stripes[a];
-            let [lh, hl, hh] = &bands[&a];
-            for j in 0..nranks {
-                if j == a {
-                    continue;
-                }
-                let from_a: Vec<usize> = needed_coeff_rows(out_stripes[j], f, half_rows)
-                    .into_iter()
-                    .filter(|&k| !coeff_stripes[j].contains(k) && sa.contains(k))
-                    .collect();
-                for (lo, hi) in contiguous_runs(&from_a) {
-                    let run = hi - lo;
-                    let mut payload = Vec::with_capacity(4 * run * half_cols);
-                    for src in [cur, lh, hl, hh] {
-                        for k in lo..hi {
-                            payload.extend_from_slice(src.row(k - sa.lo));
-                        }
-                    }
-                    let bytes = payload.len() * cfg.pixel_bytes;
-                    sends.push((tracker.owner(j), (j, lo, payload), bytes));
-                }
-            }
-        }
-        let mut guards: HashMap<(usize, usize), [Vec<f64>; 4]> = HashMap::new();
-        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
-            let run = payload.len() / (4 * half_cols);
-            for (i, k) in (lo..lo + run).enumerate() {
-                let row = |band: usize| {
-                    let off = (band * run + i) * half_cols;
-                    payload[off..off + half_cols].to_vec()
-                };
-                guards.insert((role, k), [row(0), row(1), row(2), row(3)]);
-            }
-        }
-
-        // --- Synthesis per role through the shared kernel, with
-        // per-role compute timing for the re-partition cost model.
-        let mut cost: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut next_roles: BTreeMap<usize, Matrix> = BTreeMap::new();
-        for (&a, cur) in &roles {
-            let sa = coeff_stripes[a];
-            let [lh, hl, hh] = &bands[&a];
-            let t0 = ctx.now();
-            let out = synthesize_level(ctx, cfg, out_stripes[a], half_rows, half_cols, |k| {
-                if sa.contains(k) {
-                    let i = k - sa.lo;
-                    Ok((cur.row(i), lh.row(i), hl.row(i), hh.row(i)))
-                } else {
-                    let g = guards.get(&(a, k)).ok_or(CommError::Protocol {
-                        detail: crate::GUARD_LOST,
-                    })?;
-                    Ok((
-                        g[0].as_slice(),
-                        g[1].as_slice(),
-                        g[2].as_slice(),
-                        g[3].as_slice(),
-                    ))
-                }
-            })?;
-            cost.insert(a, ctx.now() - t0);
-            next_roles.insert(a, out);
-        }
-        roles = next_roles;
-
-        // --- Cost report: publish the roles' measured compute seconds
-        // so the next handoff's re-partition works from identical
-        // weights on every rank. Ranks already dead by this phase hold
-        // no roles and cannot receive.
-        //
-        // Traffic cut (see the striped analysis body): run the report
-        // empty when the next handoff's re-partition cannot fire,
-        // keeping the replicated weights stale but identical.
-        let report_phase = ctx.next_phase();
-        let needed = level > 1 && {
-            let p0_next = report_phase + 2; // barrier, then the next handoff
-            let window_end_next = if level - 1 == 1 {
-                u64::MAX
-            } else {
-                p0_next + IDWT_LEVEL_PHASES
-            };
-            crate::resilience::report_needed(&plan, &tracker, nranks, window_end_next)
-        };
-        let mut sends: Vec<(usize, (usize, f64), usize)> = Vec::new();
-        if needed {
-            for (&a, &c) in &cost {
-                weights[a] = c;
-                for j in 0..nranks {
-                    if j == me || plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
-                        continue;
-                    }
-                    sends.push((j, (a, c), std::mem::size_of::<f64>()));
-                }
-            }
-        }
-        for (_, (a, c)) in ctx.exchange_reliable(sends)? {
-            weights[a] = c;
-        }
-
-        ctx.barrier()?;
-    }
-
-    // Final gather of the image (timing only), rooted at the rank
-    // playing role 0 — a live rank even when physical rank 0 crashed.
-    if cfg.include_distribution {
-        let root = tracker.owner(0);
-        let my_coeffs: usize = roles.values().map(|m| m.rows() * m.cols()).sum();
-        let out = if me == root || my_coeffs == 0 {
-            Vec::new()
-        } else {
-            vec![(root, (), my_coeffs * cfg.pixel_bytes)]
-        };
-        ctx.exchange::<()>(out)?;
-    }
-
-    let final_stripes = stripes(rows0, nranks);
-    Ok(roles
-        .into_iter()
-        .map(|(role, cur)| (role, (final_stripes[role].lo, cur)))
-        .collect())
 }
 
 #[cfg(test)]
@@ -661,6 +412,33 @@ mod tests {
             let run = run_mimd_idwt(&scfg(p), &resilient, &pyr).unwrap();
             assert_eq!(run.image, oracle.image, "P={p}");
             assert!(run.faults.crashed_ranks.is_empty());
+        }
+    }
+
+    #[test]
+    fn more_ranks_than_deepest_rows_runs_under_both_policies() {
+        // Regression: 32x32 / L3 / 16 ranks leaves most ranks an empty
+        // stripe at the deepest level (4 rows). The former fail-fast copy
+        // of this body asserted stripe ownership through `owner()`, which
+        // is undefined for an empty stripe, and panicked in debug builds.
+        let img = image(32);
+        let bank = FilterBank::daubechies(2).unwrap();
+        let pyr = dwt2d::decompose(&img, &bank, 3, Boundary::Periodic).unwrap();
+        let cfg = MimdDwtConfig::tuned(bank, 3);
+        let resilient = cfg
+            .clone()
+            .with_resilience(crate::ResiliencePolicy::Redistribute);
+        let failfast = run_mimd_idwt(&scfg(16), &cfg, &pyr).unwrap();
+        let run = run_mimd_idwt(&scfg(16), &resilient, &pyr).unwrap();
+        assert_eq!(run.image, failfast.image);
+        let err = img.max_abs_diff(&failfast.image).unwrap();
+        assert!(err < 1e-12, "reconstruction error {err}");
+        // The same geometry through the two forward transforms.
+        for cfg in [&cfg, &resilient] {
+            let stripe = crate::run_mimd_dwt(&scfg(16), cfg, &img).unwrap();
+            let block = crate::block::run_block_dwt(&scfg(16), cfg, &img).unwrap();
+            assert_eq!(stripe.pyramid, pyr, "{:?}", cfg.resilience);
+            assert_eq!(block.pyramid, pyr, "{:?}", cfg.resilience);
         }
     }
 

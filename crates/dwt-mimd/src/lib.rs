@@ -25,7 +25,9 @@
 //! with a typed [`MimdError`] (the default) or are absorbed by
 //! redistributing the dead ranks' stripes to survivors (see the
 //! [`resilience`] module), still bit-identical to the fault-free
-//! transform.
+//! transform. Both policies run the same per-rank program: it is written
+//! over the set of stripe *roles* a rank plays, and fail-fast is the
+//! identity assignment with the two recovery phases skipped.
 
 pub mod block;
 pub mod checkpoint;
@@ -45,7 +47,7 @@ use perfbudget::{Category, RankBudget};
 
 pub use checkpoint::{encode_plane, encoded_bytes, CheckpointCodec, PlaneStats};
 use partition::{contiguous_runs, output_range, owner, stripes, Stripe};
-use resilience::{collect_failfast, collect_roles, RoleTracker};
+use resilience::{collect_outputs, DetailTile, Recovery, RoleState};
 pub use resilience::{MimdError, ResiliencePolicy};
 
 /// Protocol detail reported when a guard-zone message was lost beyond
@@ -194,20 +196,10 @@ impl MimdDwtConfig {
     }
 }
 
-/// Detail stripes a rank produced at one level.
-#[derive(Debug, Clone)]
-struct LevelOut {
-    /// First output row of the stripe within the level's sub-band.
-    k_lo: usize,
-    lh: Matrix,
-    hl: Matrix,
-    hh: Matrix,
-}
-
-/// Everything one rank returns from the SPMD body.
+/// Everything one role returns from the SPMD body.
 #[derive(Debug, Clone)]
 pub struct RankOut {
-    details: Vec<LevelOut>,
+    details: Vec<DetailTile>,
     ll_lo: usize,
     ll: Matrix,
 }
@@ -246,101 +238,123 @@ pub fn run_mimd_dwt(
 ) -> Result<MimdDwtRun, MimdError> {
     cfg.validate()?;
     dwt2d::validate_dims(image.rows(), image.cols(), cfg.filter.len(), cfg.levels)?;
-    let nranks = scfg.nranks;
-    let (outs, budgets, faults, timeline) = match cfg.resilience {
-        ResiliencePolicy::FailFast => {
-            let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, image, nranks))?;
-            let outs = collect_failfast(res.outputs)?;
-            (outs, res.budgets, res.faults, res.timeline)
-        }
-        ResiliencePolicy::Redistribute => {
-            let res = paragon::run_spmd(scfg, |ctx| resilient_rank_body(ctx, cfg, image, nranks))?;
-            let outs = collect_roles(res.outputs, nranks)?;
-            (outs, res.budgets, res.faults, res.timeline)
-        }
-    };
+    let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, image))?;
+    let outs = collect_outputs(cfg.resilience, res.outputs, scfg.nranks)?;
     let pyramid = assemble(&outs, image.rows(), image.cols(), cfg.levels);
     Ok(MimdDwtRun {
         pyramid,
-        budgets,
-        faults,
-        timeline,
+        budgets: res.budgets,
+        faults: res.faults,
+        timeline: res.timeline,
     })
 }
 
-/// The per-rank SPMD program (fail-fast: one rank plays one role).
+/// Collective phases one resilient level executes: checkpoint handoff,
+/// guard exchange, LL redistribution, cost report, barrier.
+const STRIPE_LEVEL_PHASES: u64 = 5;
+
+/// The per-rank SPMD program, written over the *set* of roles (stripe
+/// positions) this rank plays. Fail-fast runs keep the identity
+/// assignment — one rank, one role — and skip the handoff and
+/// cost-report phases; resilient runs adopt roles ahead of scheduled
+/// crashes (see the [`resilience`] module docs for the protocol). The
+/// level's phase schedule is the sequence of `ctx.exchange` /
+/// [`Recovery`] calls below, in order.
 fn rank_body(
     ctx: &mut Ctx,
     cfg: &MimdDwtConfig,
     image: &Matrix,
-    nranks: usize,
-) -> Result<RankOut, CommError> {
-    let rank = ctx.rank();
+) -> Result<Vec<(usize, RankOut)>, CommError> {
+    let me = ctx.rank();
+    let nranks = ctx.nranks();
     let (rows0, cols0) = (image.rows(), image.cols());
+    let seed: Vec<f64> = stripes(rows0, nranks)
+        .iter()
+        .map(|s| s.rows() as f64)
+        .collect();
+    let mut rec = Recovery::new(ctx, cfg, STRIPE_LEVEL_PHASES, seed);
+    let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
 
     // --- Initial distribution: rank 0 scatters stripes. -----------------
-    let s0 = stripes(rows0, nranks)[rank];
     if cfg.include_distribution {
         let mut out = Vec::new();
-        if rank == 0 {
+        if me == 0 {
             for (j, sj) in stripes(rows0, nranks).into_iter().enumerate().skip(1) {
                 out.push((j, (), sj.rows() * cols0 * cfg.pixel_bytes));
             }
         }
         ctx.exchange::<()>(out)?;
     }
-    // Extract the local stripe (a local copy the real code would also
-    // make when unpacking the receive buffer).
-    let mut input = extract_stripe(ctx, image, s0, cols0)?;
 
-    let mut details = Vec::with_capacity(cfg.levels);
     let mut rows_l = rows0;
     let mut cols_l = cols0;
-    let mut stripe = s0;
 
-    for _level in 0..cfg.levels {
+    for level in 0..cfg.levels {
+        let level_stripes = stripes(rows_l, nranks);
+
+        rec.handoff(ctx, cfg, &mut roles)?;
+        if level == 0 {
+            // Extract the local stripes (a local copy the real code would
+            // also make when unpacking the receive buffer).
+            for role in rec.roles_of(me) {
+                let input = extract_stripe(ctx, image, level_stripes[role], cols0)?;
+                roles.insert(role, RoleState::new(input));
+            }
+        }
+
         let half_cols = cols_l / 2;
 
-        // --- Row pass: filter own rows with L and H, decimate columns. --
-        let (low, high) = row_pass(ctx, cfg, &input, half_cols);
+        // --- Row pass: filter own rows with L and H, decimate columns —
+        // for every role this rank plays, with per-role compute timing
+        // for the re-partition cost model. -------------------------------
+        let mut filt: BTreeMap<usize, (Matrix, Matrix)> = BTreeMap::new();
+        let mut cost: BTreeMap<usize, f64> = BTreeMap::new();
+        for (&a, st) in &roles {
+            let t0 = ctx.now();
+            filt.insert(a, row_pass(ctx, cfg, &st.input, half_cols));
+            cost.insert(a, ctx.now() - t0);
+        }
 
-        // --- Guard zone: fetch row-filtered rows the column pass needs
-        // from other ranks (almost always the south neighbour). Following
+        // --- Guard zone: ship the row-filtered rows other roles' column
+        // passes need (almost always to the north neighbour). Following
         // the paper ("the depth of the zone is in the order of the filter
         // length"), the transferred window is padded by two rows beyond
         // the mathematically required `f - 2`, as the 1995 implementation
         // conservatively exchanged a full filter-length zone. Everyone
         // derives everyone's needs from the same formula, so a rank can
-        // compute its send plan without a request round-trip.
+        // compute its send plan without a request round-trip. Messages
+        // are role-addressed; those between two roles of the same rank
+        // ride the free self-route, so adopted roles stay on the one
+        // code path.
         ctx.charge_as(
             Ops {
                 flops: 0,
-                intops: 30 * nranks as u64,
+                intops: 30 * (nranks * roles.len().max(1)) as u64,
                 memops: 0,
             },
             Category::UniqueRedundancy,
         );
-        let level_stripes = stripes(rows_l, nranks);
-        let mut sends: Vec<(usize, (usize, Vec<f64>), usize)> = Vec::new();
-        for (j, &sj) in level_stripes.iter().enumerate() {
-            if j == rank {
-                continue;
-            }
-            for (lo, hi) in guard_runs(cfg, sj, stripe, rows_l) {
-                let (payload, bytes) = pack_guard(&low, &high, stripe, lo, hi, half_cols, cfg);
-                sends.push((j, (lo, payload), bytes));
+        let mut sends: Vec<RoleSend> = Vec::new();
+        for &a in roles.keys() {
+            let sa = level_stripes[a];
+            let (low, high) = &filt[&a];
+            for j in (0..nranks).filter(|&j| j != a) {
+                for (lo, hi) in guard_runs(cfg, level_stripes[j], sa, rows_l) {
+                    let (payload, bytes) = pack_guard(low, high, sa, lo, hi, half_cols, cfg);
+                    sends.push((rec.owner(j), (j, lo, payload), bytes));
+                }
             }
         }
-
         let received = match cfg.ordering {
             GuardOrdering::Simultaneous => ctx.exchange(sends)?,
             GuardOrdering::ChainOrdered => {
                 // Highest rank sends first; each subsequent sender has by
                 // then completed its own receive — the chain of the naive
-                // blocking implementation.
+                // blocking implementation. (Fail-fast only, see
+                // `validate`: rank and role coincide.)
                 let mut inbox = Vec::new();
                 for sender in (0..nranks).rev() {
-                    let batch: Vec<_> = if sender == rank {
+                    let batch = if sender == me {
                         std::mem::take(&mut sends)
                     } else {
                         Vec::new()
@@ -351,12 +365,22 @@ fn rank_body(
             }
         };
 
-        // Unpack guard rows into a lookup keyed by global row.
-        let mut guard_low: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-        let mut guard_high: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
+        // Unpack guard rows into a lookup keyed by (role, global row).
+        let mut guards: BTreeMap<(usize, usize), (Vec<f64>, Vec<f64>)> = BTreeMap::new();
         let mut guard_rows = 0u64;
-        for (_, (lo, payload)) in received {
-            guard_rows += unpack_guard(&mut guard_low, &mut guard_high, lo, payload, half_cols);
+        for (_, (role, lo, payload)) in received {
+            let run = payload.len() / (2 * half_cols);
+            guard_rows += run as u64;
+            for (i, g) in (lo..lo + run).enumerate() {
+                let off = (run + i) * half_cols;
+                guards.insert(
+                    (role, g),
+                    (
+                        payload[i * half_cols..(i + 1) * half_cols].to_vec(),
+                        payload[off..off + half_cols].to_vec(),
+                    ),
+                );
+            }
         }
         ctx.charge_as(
             Ops {
@@ -367,79 +391,95 @@ fn rank_body(
             Category::UniqueRedundancy,
         );
 
-        // --- Column pass over own output rows. ---------------------------
-        let out_r = output_range(stripe);
-        let (ll, level_out) = column_pass(ctx, cfg, out_r, rows_l, half_cols, |g| {
-            if stripe.contains(g) {
-                Ok((low.row(g - stripe.lo), high.row(g - stripe.lo)))
-            } else {
-                match (guard_low.get(&g), guard_high.get(&g)) {
-                    (Some(l), Some(h)) => Ok((l.as_slice(), h.as_slice())),
-                    _ => Err(CommError::Protocol { detail: GUARD_LOST }),
+        // --- Column pass over each role's output rows. ------------------
+        let mut lls: BTreeMap<usize, Matrix> = BTreeMap::new();
+        for (&a, st) in roles.iter_mut() {
+            let sa = level_stripes[a];
+            let (low, high) = &filt[&a];
+            let t0 = ctx.now();
+            let (ll, detail) = column_pass(ctx, cfg, output_range(sa), rows_l, half_cols, |g| {
+                if sa.contains(g) {
+                    Ok((low.row(g - sa.lo), high.row(g - sa.lo)))
+                } else {
+                    match guards.get(&(a, g)) {
+                        Some((l, h)) => Ok((l.as_slice(), h.as_slice())),
+                        None => Err(CommError::Protocol { detail: GUARD_LOST }),
+                    }
                 }
-            }
-        })?;
-        details.push(level_out);
+            })?;
+            *cost.entry(a).or_insert(0.0) += ctx.now() - t0;
+            st.details.push(detail);
+            lls.insert(a, ll);
+        }
+        drop(filt);
 
-        // --- Redistribute LL rows to the next level's stripe bounds. ----
+        // --- Redistribute LL rows to the next level's stripe bounds,
+        // role to role. --------------------------------------------------
         rows_l /= 2;
         cols_l = half_cols;
-        let next = stripes(rows_l, nranks)[rank];
-        let mut sends: Vec<(usize, (usize, Vec<f64>), usize)> = Vec::new();
-        for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
-            if !next.contains(k) {
-                let dst = owner(k, rows_l, nranks);
-                sends.push((dst, (k, ll.row(ki).to_vec()), cols_l * cfg.pixel_bytes));
+        let next_stripes = stripes(rows_l, nranks);
+        let mut sends: Vec<RoleSend> = Vec::new();
+        for (&a, ll) in &lls {
+            let out_r = output_range(level_stripes[a]);
+            for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
+                let o = owner(k, rows_l, nranks);
+                if o != a {
+                    let bytes = cols_l * cfg.pixel_bytes;
+                    sends.push((rec.owner(o), (o, k, ll.row(ki).to_vec()), bytes));
+                }
             }
         }
         let incoming = ctx.exchange(sends)?;
-        let mut next_input = Matrix::zeros(next.rows(), cols_l);
-        for k in next.lo..next.hi {
-            if out_r.contains(k) {
+        for (&a, st) in roles.iter_mut() {
+            let out_r = output_range(level_stripes[a]);
+            let next = next_stripes[a];
+            let ll = &lls[&a];
+            let mut next_input = Matrix::zeros(next.rows(), cols_l);
+            for k in (next.lo..next.hi).filter(|&k| out_r.contains(k)) {
                 next_input
                     .row_mut(k - next.lo)
                     .copy_from_slice(ll.row(k - out_r.lo));
             }
+            st.input = next_input;
         }
-        for (_, (k, data)) in incoming {
-            debug_assert!(next.contains(k));
-            next_input.row_mut(k - next.lo).copy_from_slice(&data);
+        for (_, (o, k, data)) in incoming {
+            let st = roles.get_mut(&o).ok_or(CommError::Protocol {
+                detail: "LL row routed to a rank not playing its role",
+            })?;
+            let next = next_stripes[o];
+            if !next.contains(k) {
+                return Err(CommError::Protocol {
+                    detail: "LL row routed outside its role's stripe",
+                });
+            }
+            st.input.row_mut(k - next.lo).copy_from_slice(&data);
         }
-        input = next_input;
-        stripe = next;
 
-        // End-of-level synchronization (the paper's per-level exchange
-        // boundary).
-        ctx.barrier()?;
+        rec.end_level(ctx, &cost)?;
     }
 
-    // --- Final gather of all coefficients to rank 0 (timing only; the
-    // data itself is returned through the SPMD outputs). -----------------
     if cfg.include_distribution {
-        let my_coeffs: usize = details
-            .iter()
-            .map(|d| 3 * d.lh.rows() * d.lh.cols())
-            .sum::<usize>()
-            + input.rows() * input.cols();
-        let out = if rank == 0 {
-            Vec::new()
-        } else {
-            vec![(0usize, (), my_coeffs * cfg.pixel_bytes)]
-        };
-        ctx.exchange::<()>(out)?;
+        rec.gather(ctx, cfg, &roles)?;
     }
 
-    Ok(RankOut {
-        details,
-        ll_lo: stripe.lo,
-        ll: input,
-    })
+    let final_stripes = stripes(rows_l, nranks);
+    Ok(roles
+        .into_iter()
+        .map(|(role, st)| {
+            let out = RankOut {
+                details: st.details,
+                ll_lo: final_stripes[role].lo,
+                ll: st.input,
+            };
+            (role, out)
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------
-// Pieces shared by the fail-fast and resilient bodies. Keeping the
-// arithmetic in one place is what makes the recovered transform
-// bit-identical to the fault-free one.
+// The arithmetic of one level, per role. Keeping it in one place — and
+// independent of which rank plays the role — is what makes a recovered
+// transform bit-identical to the fault-free one.
 // ---------------------------------------------------------------------
 
 /// Copy a stripe of the source image, charging the unpack cost.
@@ -532,24 +572,6 @@ fn pack_guard(
     (payload, bytes)
 }
 
-/// Unpack a guard payload into the row-keyed lookup maps; returns the
-/// number of guard rows received.
-fn unpack_guard(
-    guard_low: &mut BTreeMap<usize, Vec<f64>>,
-    guard_high: &mut BTreeMap<usize, Vec<f64>>,
-    lo: usize,
-    payload: Vec<f64>,
-    half_cols: usize,
-) -> u64 {
-    let run = payload.len() / (2 * half_cols);
-    for (i, g) in (lo..lo + run).enumerate() {
-        guard_low.insert(g, payload[i * half_cols..(i + 1) * half_cols].to_vec());
-        let off = (run + i) * half_cols;
-        guard_high.insert(g, payload[off..off + half_cols].to_vec());
-    }
-    run as u64
-}
-
 /// Column-filter the output rows `[out_r.lo, out_r.hi)`, sourcing each
 /// needed row-filtered row through `look`. Returns the LL block (input
 /// of the next level) and the detail stripes.
@@ -560,7 +582,7 @@ fn column_pass<'a>(
     rows_l: usize,
     half_cols: usize,
     look: impl Fn(usize) -> Result<(&'a [f64], &'a [f64]), CommError>,
-) -> Result<(Matrix, LevelOut), CommError> {
+) -> Result<(Matrix, DetailTile), CommError> {
     let f = cfg.filter.len();
     let out_rows = out_r.hi - out_r.lo;
     let mut ll = Matrix::zeros(out_rows, half_cols);
@@ -588,379 +610,14 @@ fn column_pass<'a>(
     ctx.charge(coeff_ops(f).times(4 * (out_rows * half_cols) as u64));
     Ok((
         ll,
-        LevelOut {
-            k_lo: out_r.lo,
+        DetailTile {
+            k_row: out_r.lo,
+            k_col: 0,
             lh,
             hl,
             hh,
         },
     ))
-}
-
-// ---------------------------------------------------------------------
-// The resilient body: one rank plays a *set* of roles, adopted ahead of
-// scheduled crashes (see the `resilience` module docs for the protocol).
-// ---------------------------------------------------------------------
-
-/// Per-role state carried between levels (and shipped as the checkpoint
-/// when a role changes hands).
-#[derive(Debug, Clone)]
-struct RoleState {
-    /// Level input: the role's stripe of the current LL band.
-    input: Matrix,
-    /// Detail stripes of completed levels.
-    details: Vec<LevelOut>,
-}
-
-impl RoleState {
-    fn wire_bytes(&self, pixel_bytes: usize) -> usize {
-        let details: usize = self
-            .details
-            .iter()
-            .map(|d| 3 * d.lh.rows() * d.lh.cols())
-            .sum();
-        (self.input.rows() * self.input.cols() + details) * pixel_bytes
-    }
-
-    fn detail_coeffs(&self) -> usize {
-        self.details
-            .iter()
-            .map(|d| 3 * d.lh.rows() * d.lh.cols())
-            .sum()
-    }
-}
-
-/// Apply the configured checkpoint codec to a role state about to ship
-/// and return its wire size. The LL input plane always ships raw (it
-/// seeds every remaining level); only completed detail planes are
-/// thresholded + quantized. Codec compute is charged to the
-/// fault-recovery lane on the sender.
-fn encode_checkpoint(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &mut RoleState) -> usize {
-    let ll_bytes = st.input.rows() * st.input.cols() * cfg.pixel_bytes;
-    match cfg.checkpoint_codec {
-        CheckpointCodec::Raw => st.wire_bytes(cfg.pixel_bytes),
-        CheckpointCodec::WaveletQuant { threshold, step } => {
-            let mut stats = checkpoint::PlaneStats::default();
-            for d in &mut st.details {
-                for m in [&mut d.lh, &mut d.hl, &mut d.hh] {
-                    stats.absorb(checkpoint::encode_plane(m, threshold, step));
-                }
-            }
-            ctx.charge_as(checkpoint::codec_ops(stats.total), Category::FaultRecovery);
-            ll_bytes + checkpoint::encoded_bytes(stats, cfg.pixel_bytes)
-        }
-    }
-}
-
-/// Charge the receive-side decode of a compressed checkpoint (sparse
-/// planes are expanded back to dense) to the fault-recovery lane.
-fn decode_checkpoint_charge(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &RoleState) {
-    if cfg.checkpoint_codec != CheckpointCodec::Raw {
-        ctx.charge_as(
-            checkpoint::codec_ops(st.detail_coeffs()),
-            Category::FaultRecovery,
-        );
-    }
-}
-
-/// Collective phases one resilient level executes: checkpoint handoff,
-/// guard exchange, LL redistribution, cost report, barrier.
-const STRIPE_LEVEL_PHASES: u64 = 5;
-
-fn resilient_rank_body(
-    ctx: &mut Ctx,
-    cfg: &MimdDwtConfig,
-    image: &Matrix,
-    nranks: usize,
-) -> Result<Vec<(usize, RankOut)>, CommError> {
-    let me = ctx.rank();
-    let (rows0, cols0) = (image.rows(), image.cols());
-    let plan = ctx.fault_plan().clone();
-    let mut tracker = RoleTracker::new(nranks);
-    let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
-
-    // Initial distribution timing (same model as the fail-fast body).
-    if cfg.include_distribution {
-        let mut out = Vec::new();
-        if me == 0 {
-            for (j, sj) in stripes(rows0, nranks).into_iter().enumerate().skip(1) {
-                out.push((j, (), sj.rows() * cols0 * cfg.pixel_bytes));
-            }
-        }
-        ctx.exchange::<()>(out)?;
-    }
-
-    let mut rows_l = rows0;
-    let mut cols_l = cols0;
-    // Estimated per-role work for the re-partition cost model: seeded
-    // analytically from the stripe sizes, then replaced by measured
-    // level timings published in each level's cost-report phase.
-    let mut weights: Vec<f64> = stripes(rows0, nranks)
-        .iter()
-        .map(|s| s.rows() as f64)
-        .collect();
-
-    for level in 0..cfg.levels {
-        let level_stripes = stripes(rows_l, nranks);
-
-        // --- Checkpoint handoff: look one level ahead in the plan
-        // (inclusive of the next handoff phase itself — a crash firing
-        // exactly there dies at its entry) and re-partition all roles
-        // across the survivors whenever a rank retires. The retiring
-        // owner is by construction still alive here (it was retired a
-        // full level before its crash fires), so the recovery channel
-        // always delivers its state.
-        let p0 = ctx.next_phase();
-        let window_end = if level + 1 == cfg.levels {
-            u64::MAX // the last window also covers the trailing gather
-        } else {
-            p0 + STRIPE_LEVEL_PHASES
-        };
-        let caps = resilience::capacities(ctx, &plan, p0);
-        let takeovers = tracker.step(&plan, window_end, &weights, &caps)?;
-        let mut sends: Vec<(usize, (usize, RoleState), usize)> = Vec::new();
-        if level > 0 {
-            for t in &takeovers {
-                if t.from != me {
-                    continue;
-                }
-                let mut st = roles.remove(&t.role).ok_or(CommError::Protocol {
-                    detail: "takeover of a role this rank does not hold",
-                })?;
-                let bytes = encode_checkpoint(ctx, cfg, &mut st);
-                sends.push((t.to, (t.role, st), bytes));
-            }
-        }
-        for (_, (role, st)) in ctx.exchange_recovery(sends)? {
-            decode_checkpoint_charge(ctx, cfg, &st);
-            roles.insert(role, st);
-        }
-        if level == 0 {
-            // Level-0 state needs no checkpoint: the source image is
-            // globally known, so every player cuts its roles' stripes
-            // directly (adopters included).
-            for role in tracker.roles_of(me) {
-                let input = extract_stripe(ctx, image, level_stripes[role], cols0)?;
-                roles.insert(
-                    role,
-                    RoleState {
-                        input,
-                        details: Vec::new(),
-                    },
-                );
-            }
-        }
-
-        let half_cols = cols_l / 2;
-
-        // --- Row pass for every role this rank plays, with per-role
-        // compute timing for the re-partition cost model. ----------------
-        let mut filt: BTreeMap<usize, (Matrix, Matrix)> = BTreeMap::new();
-        let mut cost: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&a, st) in &roles {
-            let t0 = ctx.now();
-            filt.insert(a, row_pass(ctx, cfg, &st.input, half_cols));
-            cost.insert(a, ctx.now() - t0);
-        }
-
-        // --- Role-addressed guard exchange. Messages between two roles
-        // of the same rank ride the free self-route, so adopted roles
-        // stay on the one code path.
-        ctx.charge_as(
-            Ops {
-                flops: 0,
-                intops: 30 * (nranks * roles.len().max(1)) as u64,
-                memops: 0,
-            },
-            Category::UniqueRedundancy,
-        );
-        let mut sends: Vec<RoleSend> = Vec::new();
-        for &a in roles.keys() {
-            let sa = level_stripes[a];
-            let (low, high) = &filt[&a];
-            for j in 0..nranks {
-                if j == a {
-                    continue;
-                }
-                for (lo, hi) in guard_runs(cfg, level_stripes[j], sa, rows_l) {
-                    let (payload, bytes) = pack_guard(low, high, sa, lo, hi, half_cols, cfg);
-                    sends.push((tracker.owner(j), (j, lo, payload), bytes));
-                }
-            }
-        }
-        let mut guard_low: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
-        let mut guard_high: BTreeMap<(usize, usize), Vec<f64>> = BTreeMap::new();
-        let mut guard_rows = 0u64;
-        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
-            let run = payload.len() / (2 * half_cols);
-            guard_rows += run as u64;
-            for (i, g) in (lo..lo + run).enumerate() {
-                guard_low.insert(
-                    (role, g),
-                    payload[i * half_cols..(i + 1) * half_cols].to_vec(),
-                );
-                let off = (run + i) * half_cols;
-                guard_high.insert((role, g), payload[off..off + half_cols].to_vec());
-            }
-        }
-        ctx.charge_as(
-            Ops {
-                flops: 0,
-                intops: 8 * guard_rows,
-                memops: 2 * guard_rows * half_cols as u64,
-            },
-            Category::UniqueRedundancy,
-        );
-
-        // --- Column pass per role. --------------------------------------
-        let mut lls: BTreeMap<usize, Matrix> = BTreeMap::new();
-        for (&a, st) in roles.iter_mut() {
-            let sa = level_stripes[a];
-            let (low, high) = &filt[&a];
-            let t0 = ctx.now();
-            let (ll, level_out) =
-                column_pass(ctx, cfg, output_range(sa), rows_l, half_cols, |g| {
-                    if sa.contains(g) {
-                        Ok((low.row(g - sa.lo), high.row(g - sa.lo)))
-                    } else {
-                        match (guard_low.get(&(a, g)), guard_high.get(&(a, g))) {
-                            (Some(l), Some(h)) => Ok((l.as_slice(), h.as_slice())),
-                            _ => Err(CommError::Protocol { detail: GUARD_LOST }),
-                        }
-                    }
-                })?;
-            *cost.entry(a).or_insert(0.0) += ctx.now() - t0;
-            st.details.push(level_out);
-            lls.insert(a, ll);
-        }
-        drop(filt);
-
-        // --- Role-addressed LL redistribution. --------------------------
-        rows_l /= 2;
-        cols_l = half_cols;
-        let next_stripes = stripes(rows_l, nranks);
-        let mut sends: Vec<RoleSend> = Vec::new();
-        for (&a, ll) in &lls {
-            let out_r = output_range(level_stripes[a]);
-            for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
-                let o = owner(k, rows_l, nranks);
-                if o != a {
-                    sends.push((
-                        tracker.owner(o),
-                        (o, k, ll.row(ki).to_vec()),
-                        cols_l * cfg.pixel_bytes,
-                    ));
-                }
-            }
-        }
-        let incoming = ctx.exchange(sends)?;
-        for (&a, st) in roles.iter_mut() {
-            let out_r = output_range(level_stripes[a]);
-            let next = next_stripes[a];
-            let ll = &lls[&a];
-            let mut next_input = Matrix::zeros(next.rows(), cols_l);
-            for k in next.lo..next.hi {
-                if out_r.contains(k) {
-                    next_input
-                        .row_mut(k - next.lo)
-                        .copy_from_slice(ll.row(k - out_r.lo));
-                }
-            }
-            st.input = next_input;
-        }
-        for (_, (o, k, data)) in incoming {
-            let st = roles.get_mut(&o).ok_or(CommError::Protocol {
-                detail: "LL row routed to a rank not playing its role",
-            })?;
-            let next = next_stripes[o];
-            if !next.contains(k) {
-                return Err(CommError::Protocol {
-                    detail: "LL row routed outside its role's stripe",
-                });
-            }
-            st.input.row_mut(k - next.lo).copy_from_slice(&data);
-        }
-
-        // --- Cost report: every rank publishes its roles' measured
-        // compute seconds so the next handoff's re-partition works from
-        // identical weights on every rank. Ranks already dead by this
-        // phase are skipped (they hold no roles and cannot receive);
-        // retired-but-alive ranks may keep stale weights safely — they
-        // own nothing, so their local assignment decides no sends.
-        //
-        // Traffic cut: the report's only consumer is the next handoff's
-        // re-partition, which runs only when a rank retires there. When
-        // no not-yet-retired rank is doomed inside that handoff's
-        // lookahead window — a predicate every rank evaluates
-        // identically from the shared plan — the phase runs empty and
-        // the (stale but identical) weights stand. Local weights are
-        // deliberately not updated either: a one-sided update would
-        // desynchronize the replicated LPT inputs.
-        let report_phase = ctx.next_phase();
-        let needed = level + 1 < cfg.levels && {
-            let p0_next = report_phase + 2; // barrier, then the next handoff
-            let window_end_next = if level + 2 == cfg.levels {
-                u64::MAX
-            } else {
-                p0_next + STRIPE_LEVEL_PHASES
-            };
-            resilience::report_needed(&plan, &tracker, nranks, window_end_next)
-        };
-        let mut sends: Vec<(usize, (usize, f64), usize)> = Vec::new();
-        if needed {
-            for (&a, &c) in &cost {
-                weights[a] = c;
-                for j in 0..nranks {
-                    if j == me || plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
-                        continue;
-                    }
-                    sends.push((j, (a, c), std::mem::size_of::<f64>()));
-                }
-            }
-        }
-        for (_, (a, c)) in ctx.exchange_reliable(sends)? {
-            weights[a] = c;
-        }
-
-        ctx.barrier()?;
-    }
-
-    // Final gather of all coefficients (timing only), rooted at the rank
-    // playing role 0 — a live rank even when physical rank 0 crashed.
-    if cfg.include_distribution {
-        let root = tracker.owner(0);
-        let my_coeffs: usize = roles
-            .values()
-            .map(|st| {
-                st.details
-                    .iter()
-                    .map(|d| 3 * d.lh.rows() * d.lh.cols())
-                    .sum::<usize>()
-                    + st.input.rows() * st.input.cols()
-            })
-            .sum();
-        let out = if me == root || my_coeffs == 0 {
-            Vec::new()
-        } else {
-            vec![(root, (), my_coeffs * cfg.pixel_bytes)]
-        };
-        ctx.exchange::<()>(out)?;
-    }
-
-    let final_stripes = stripes(rows_l, nranks);
-    Ok(roles
-        .into_iter()
-        .map(|(role, st)| {
-            (
-                role,
-                RankOut {
-                    details: st.details,
-                    ll_lo: final_stripes[role].lo,
-                    ll: st.input,
-                },
-            )
-        })
-        .collect())
 }
 
 /// Stitch per-rank stripes into a [`Pyramid`].
@@ -974,9 +631,9 @@ fn assemble(outs: &[RankOut], rows: usize, cols: usize, levels: usize) -> Pyrami
         let mut hh = Matrix::zeros(h, w);
         for out in outs {
             let d = &out.details[level - 1];
-            lh.paste(d.k_lo, 0, &d.lh).expect("stripe fits");
-            hl.paste(d.k_lo, 0, &d.hl).expect("stripe fits");
-            hh.paste(d.k_lo, 0, &d.hh).expect("stripe fits");
+            lh.paste(d.k_row, d.k_col, &d.lh).expect("stripe fits");
+            hl.paste(d.k_row, d.k_col, &d.hl).expect("stripe fits");
+            hh.paste(d.k_row, d.k_col, &d.hh).expect("stripe fits");
         }
         detail.push(Subbands { lh, hl, hh });
     }

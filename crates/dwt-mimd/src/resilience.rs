@@ -31,17 +31,34 @@
 //! Adopted roles are recomputed with exactly the arithmetic the original
 //! owner would have used — same filter taps, same accumulation order —
 //! so a recovered run is **bit-identical** to the fault-free transform.
+//!
+//! Each distributed transform has **one** per-rank body, written over a
+//! `BTreeMap<role, RoleState>`. This module is the single home of what
+//! those bodies share: `Recovery` owns the replicated role assignment
+//! and runs the checkpoint handoff, the cost report and the final
+//! gather; `RoleState` is the one checkpoint format (stripe, block and
+//! reconstruction alike). Under [`ResiliencePolicy::FailFast`] the same
+//! bodies run with the identity assignment and the two recovery phases
+//! (handoff, cost report) skipped — there is no second program.
 
 use std::error::Error;
 use std::fmt;
 
+use std::collections::BTreeMap;
+
 use dwt::error::DwtError;
-use paragon::{CommError, FaultPlan, SpmdError};
+use dwt::matrix::Matrix;
+use paragon::{CommError, Ctx, FaultPlan, SpmdError};
+use perfbudget::Category;
+
+use crate::checkpoint::{self, CheckpointCodec};
+use crate::MimdDwtConfig;
 
 /// What a distributed transform does about ranks the fault plan kills.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ResiliencePolicy {
-    /// Run the lean fault-free phase structure; any injected crash or
+    /// Run the lean fault-free phase structure (every rank plays its own
+    /// role, no handoff or cost-report phases); any injected crash or
     /// unrecovered message loss surfaces as a typed [`MimdError`].
     #[default]
     FailFast,
@@ -267,7 +284,7 @@ impl RoleTracker {
 /// the fault plan's scheduled slowdowns at the given phase. Higher =
 /// faster. Both input factors *multiply* charged time, so capacity is
 /// their reciprocal.
-pub(crate) fn capacities(ctx: &paragon::Ctx, plan: &FaultPlan, phase: u64) -> Vec<f64> {
+fn capacities(ctx: &Ctx, plan: &FaultPlan, phase: u64) -> Vec<f64> {
     (0..ctx.nranks())
         .map(|r| {
             let thermal = ctx.machine().node_speed_factor(ctx.node_of(r));
@@ -284,14 +301,296 @@ pub(crate) fn capacities(ctx: &paragon::Ctx, plan: &FaultPlan, phase: u64) -> Ve
 /// report runs empty (every rank evaluates the identical predicate from
 /// the shared plan, keeping weights — stale but identical — in
 /// lockstep).
-pub(crate) fn report_needed(
-    plan: &FaultPlan,
-    tracker: &RoleTracker,
-    nranks: usize,
-    window_end: u64,
-) -> bool {
+fn report_needed(plan: &FaultPlan, tracker: &RoleTracker, nranks: usize, window_end: u64) -> bool {
     (0..nranks)
         .any(|r| !tracker.is_retired(r) && plan.crash_phase(r).is_some_and(|p| p <= window_end))
+}
+
+/// Detail sub-bands one role produced at one level, placed at
+/// `(k_row, k_col)` of the level's sub-band (a stripe has `k_col == 0`).
+#[derive(Debug, Clone)]
+pub(crate) struct DetailTile {
+    pub k_row: usize,
+    pub k_col: usize,
+    pub lh: Matrix,
+    pub hl: Matrix,
+    pub hh: Matrix,
+}
+
+/// Per-role state carried between levels — and the checkpoint shipped
+/// when the role changes hands, in the stripe and block layouts alike.
+#[derive(Debug, Clone)]
+pub(crate) struct RoleState {
+    /// Level input: the role's tile of the current LL band (for the
+    /// reconstruction, its partial image).
+    pub input: Matrix,
+    /// Detail tiles of completed levels. Always empty in the
+    /// reconstruction: its detail bands are the globally known input,
+    /// cut locally by whoever plays the role, so only `input` ships.
+    pub details: Vec<DetailTile>,
+}
+
+impl RoleState {
+    pub fn new(input: Matrix) -> Self {
+        RoleState {
+            input,
+            details: Vec::new(),
+        }
+    }
+
+    fn detail_coeffs(&self) -> usize {
+        self.details
+            .iter()
+            .map(|d| 3 * d.lh.rows() * d.lh.cols())
+            .sum()
+    }
+
+    /// Coefficients held: the dense (raw) checkpoint size, and the
+    /// role's share of the final gather.
+    fn coeffs(&self) -> usize {
+        self.input.rows() * self.input.cols() + self.detail_coeffs()
+    }
+}
+
+/// Apply the configured checkpoint codec to a role state about to ship
+/// and return its wire size. The LL input plane always ships raw (it
+/// seeds every remaining level); only completed detail planes are
+/// thresholded + quantized. Codec compute is charged to the
+/// fault-recovery lane on the sender.
+fn encode_checkpoint(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &mut RoleState) -> usize {
+    match cfg.checkpoint_codec {
+        CheckpointCodec::Raw => st.coeffs() * cfg.pixel_bytes,
+        CheckpointCodec::WaveletQuant { threshold, step } => {
+            let mut stats = checkpoint::PlaneStats::default();
+            for d in &mut st.details {
+                for m in [&mut d.lh, &mut d.hl, &mut d.hh] {
+                    stats.absorb(checkpoint::encode_plane(m, threshold, step));
+                }
+            }
+            ctx.charge_as(checkpoint::codec_ops(stats.total), Category::FaultRecovery);
+            st.input.rows() * st.input.cols() * cfg.pixel_bytes
+                + checkpoint::encoded_bytes(stats, cfg.pixel_bytes)
+        }
+    }
+}
+
+/// Charge the receive-side decode of a compressed checkpoint (sparse
+/// planes are expanded back to dense) to the fault-recovery lane.
+fn decode_checkpoint_charge(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &RoleState) {
+    if cfg.checkpoint_codec != CheckpointCodec::Raw {
+        ctx.charge_as(
+            checkpoint::codec_ops(st.detail_coeffs()),
+            Category::FaultRecovery,
+        );
+    }
+}
+
+/// The recovery side of a rank body: the replicated role assignment and
+/// the three collective phases that depend on it. Every rank advances an
+/// identical copy in lockstep from shared data (the fault plan, the
+/// machine table, the published costs), so send plans and takeovers
+/// agree without any membership communication.
+///
+/// Under [`ResiliencePolicy::FailFast`] the assignment stays the
+/// identity and [`Recovery::handoff`] and the cost report inside
+/// [`Recovery::end_level`] run no phase at all.
+pub(crate) struct Recovery {
+    resilient: bool,
+    plan: FaultPlan,
+    tracker: RoleTracker,
+    /// Estimated per-role work for the re-partition cost model: seeded
+    /// analytically by the transform (tile sizes), then replaced by
+    /// measured level timings published in each level's cost report.
+    weights: Vec<f64>,
+    /// Collective phases one resilient level of the calling transform
+    /// executes, handoff and closing barrier included: the size of the
+    /// crash look-ahead window. Checked against the schedule actually
+    /// executed at every level's barrier (debug builds).
+    level_phases: u64,
+    /// Levels not yet started; after [`Recovery::handoff`], the levels
+    /// still to come after the current one.
+    remaining: usize,
+    /// Phase index of the current level's handoff.
+    p0: u64,
+}
+
+impl Recovery {
+    pub fn new(ctx: &Ctx, cfg: &MimdDwtConfig, level_phases: u64, weights: Vec<f64>) -> Self {
+        debug_assert_eq!(weights.len(), ctx.nranks());
+        Recovery {
+            resilient: cfg.resilience == ResiliencePolicy::Redistribute,
+            plan: ctx.fault_plan().clone(),
+            tracker: RoleTracker::new(ctx.nranks()),
+            weights,
+            level_phases,
+            remaining: cfg.levels,
+            p0: 0,
+        }
+    }
+
+    /// Physical rank currently playing `role`.
+    pub fn owner(&self, role: usize) -> usize {
+        self.tracker.owner(role)
+    }
+
+    /// Roles the given rank currently plays, ascending.
+    pub fn roles_of(&self, rank: usize) -> Vec<usize> {
+        self.tracker.roles_of(rank)
+    }
+
+    /// End of the look-ahead window of a handoff at phase `p0` with
+    /// `remaining` levels after its own: one level ahead, **inclusive**
+    /// of the next handoff phase itself — a crash firing exactly there
+    /// dies at its entry and could never ship its state. The last
+    /// level's window also covers the trailing gather.
+    fn window_end(&self, p0: u64, remaining: usize) -> u64 {
+        if remaining == 0 {
+            u64::MAX
+        } else {
+            p0 + self.level_phases
+        }
+    }
+
+    /// Checkpoint handoff, the first phase of a resilient level: retire
+    /// every rank doomed inside the look-ahead window and re-partition
+    /// all roles across the survivors, shipping each moved role's state
+    /// from its previous owner. That owner is by construction still
+    /// alive here (it was retired a full level before its crash fires),
+    /// so the recovery channel always delivers its state.
+    ///
+    /// At the first level nothing ships: the transform's input is
+    /// globally known, so after this call every player cuts the state of
+    /// [`Recovery::roles_of`] itself directly (adopters included).
+    pub fn handoff(
+        &mut self,
+        ctx: &mut Ctx,
+        cfg: &MimdDwtConfig,
+        roles: &mut BTreeMap<usize, RoleState>,
+    ) -> Result<(), CommError> {
+        let first = self.remaining == cfg.levels;
+        self.remaining -= 1;
+        if !self.resilient {
+            return Ok(());
+        }
+        let me = ctx.rank();
+        self.p0 = ctx.next_phase();
+        let window_end = self.window_end(self.p0, self.remaining);
+        let caps = capacities(ctx, &self.plan, self.p0);
+        let tracker = &mut self.tracker;
+        let takeovers = tracker.step(&self.plan, window_end, &self.weights, &caps)?;
+        let mut sends: Vec<(usize, (usize, RoleState), usize)> = Vec::new();
+        if !first {
+            for t in takeovers.iter().filter(|t| t.from == me) {
+                let mut st = roles.remove(&t.role).ok_or(CommError::Protocol {
+                    detail: "takeover of a role this rank does not hold",
+                })?;
+                let bytes = encode_checkpoint(ctx, cfg, &mut st);
+                sends.push((t.to, (t.role, st), bytes));
+            }
+        }
+        for (_, (role, st)) in ctx.exchange_recovery(sends)? {
+            decode_checkpoint_charge(ctx, cfg, &st);
+            roles.insert(role, st);
+        }
+        Ok(())
+    }
+
+    /// Close a level: the cost report (resilient runs only), then the
+    /// end-of-level barrier — the paper's per-level exchange boundary.
+    ///
+    /// Cost report: every rank publishes its roles' measured compute
+    /// seconds (`cost`) so the next handoff's re-partition works from
+    /// identical weights on every rank. Ranks already dead by this phase
+    /// are skipped (they hold no roles and cannot receive);
+    /// retired-but-alive ranks may keep stale weights safely — they own
+    /// nothing, so their local assignment decides no sends.
+    ///
+    /// Traffic cut: the report's only consumer is the next handoff's
+    /// re-partition, which runs only when a rank retires there. When no
+    /// not-yet-retired rank is doomed inside that handoff's look-ahead
+    /// window — a predicate every rank evaluates identically from the
+    /// shared plan — the phase runs empty and the (stale but identical)
+    /// weights stand. Local weights are deliberately not updated either:
+    /// a one-sided update would desynchronize the replicated LPT inputs.
+    pub fn end_level(
+        &mut self,
+        ctx: &mut Ctx,
+        cost: &BTreeMap<usize, f64>,
+    ) -> Result<(), CommError> {
+        if !self.resilient {
+            return ctx.barrier();
+        }
+        let (me, nranks) = (ctx.rank(), ctx.nranks());
+        let report_phase = ctx.next_phase();
+        let needed = self.remaining > 0 && {
+            let p0_next = report_phase + 2; // barrier, then the next handoff
+            let window_end_next = self.window_end(p0_next, self.remaining - 1);
+            report_needed(&self.plan, &self.tracker, nranks, window_end_next)
+        };
+        let mut sends: Vec<(usize, (usize, f64), usize)> = Vec::new();
+        if needed {
+            for (&a, &c) in cost {
+                self.weights[a] = c;
+                for j in 0..nranks {
+                    if j == me || self.plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
+                        continue;
+                    }
+                    sends.push((j, (a, c), std::mem::size_of::<f64>()));
+                }
+            }
+        }
+        for (_, (a, c)) in ctx.exchange_reliable(sends)? {
+            self.weights[a] = c;
+        }
+        ctx.barrier()?;
+        debug_assert_eq!(
+            ctx.next_phase() - self.p0,
+            self.level_phases,
+            "the transform's *_LEVEL_PHASES constant is out of step with the level it runs"
+        );
+        Ok(())
+    }
+
+    /// Final gather of every role's coefficients (timing only; the data
+    /// itself is returned through the SPMD outputs), rooted at the rank
+    /// playing role 0 — a live rank even when physical rank 0 crashed.
+    /// A rank holding no coefficients has nothing to send.
+    pub fn gather(
+        &self,
+        ctx: &mut Ctx,
+        cfg: &MimdDwtConfig,
+        roles: &BTreeMap<usize, RoleState>,
+    ) -> Result<(), CommError> {
+        let root = self.owner(0);
+        let mine: usize = roles.values().map(RoleState::coeffs).sum();
+        let out = if ctx.rank() == root || mine == 0 {
+            Vec::new()
+        } else {
+            vec![(root, (), mine * cfg.pixel_bytes)]
+        };
+        ctx.exchange::<()>(out)?;
+        Ok(())
+    }
+}
+
+/// Fold the per-rank outputs of a rank body (each a list of
+/// `(role, output)` pairs) into a role-indexed vector under the given
+/// policy: fail-fast turns any failure into a typed error, redistribute
+/// tolerates the planned crashes.
+pub(crate) fn collect_outputs<T>(
+    policy: ResiliencePolicy,
+    outputs: Vec<Result<Vec<(usize, T)>, CommError>>,
+    nranks: usize,
+) -> Result<Vec<T>, MimdError> {
+    match policy {
+        // Identity roles: rank order is role order.
+        ResiliencePolicy::FailFast => Ok(collect_failfast(outputs)?
+            .into_iter()
+            .flatten()
+            .map(|(_, out)| out)
+            .collect()),
+        ResiliencePolicy::Redistribute => collect_roles(outputs, nranks),
+    }
 }
 
 /// Fold per-rank SPMD outputs of a fail-fast run, converting the first
@@ -301,7 +600,7 @@ pub(crate) fn report_needed(
 /// Among several crashes the *earliest phase* wins (ties broken by
 /// rank): a rank dying later cannot be the root cause of an earlier
 /// failure, whatever its rank number.
-pub(crate) fn collect_failfast<T>(outputs: Vec<Result<T, CommError>>) -> Result<Vec<T>, MimdError> {
+fn collect_failfast<T>(outputs: Vec<Result<T, CommError>>) -> Result<Vec<T>, MimdError> {
     let mut outs = Vec::with_capacity(outputs.len());
     let mut first_crash: Option<(usize, CommError)> = None;
     let mut first_other: Option<(usize, CommError)> = None;
@@ -334,7 +633,7 @@ pub(crate) fn collect_failfast<T>(outputs: Vec<Result<T, CommError>>) -> Result<
 /// Fold per-rank SPMD outputs of a resilient run into a role-indexed
 /// vector, tolerating the planned crashes and converting everything else
 /// into typed errors. `T` is the per-role output type.
-pub(crate) fn collect_roles<T>(
+fn collect_roles<T>(
     outputs: Vec<Result<Vec<(usize, T)>, CommError>>,
     nranks: usize,
 ) -> Result<Vec<T>, MimdError> {

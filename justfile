@@ -71,6 +71,23 @@ faults:
 faults-json:
     cargo run --release -p bench --bin bench_faults
 
+# Pin the MIMD simulation: BENCH_faults.json must regenerate byte for
+# byte (its header promises reproducibility), and the three full-size
+# paper harnesses that run the distributed transforms must print
+# exactly the captured results/<name>.txt (blank lines ignored). A
+# refactor of dwt-mimd or paragon must leave this green; a deliberate
+# modelling change commits the regenerated files.
+mimd-pin:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo run --release -p bench --bin bench_faults
+    git diff --exit-code BENCH_faults.json
+    for name in repro_table1 repro_fig5_7 repro_fig3_block_stripe; do
+        diff <(grep -v '^\s*$' "results/$name.txt") \
+             <(REPRO_FULL=1 cargo bench -q -p bench --bench "$name" | grep -v '^\s*$')
+        echo "mimd-pin OK: $name identical to results/$name.txt"
+    done
+
 # Chaos gate: sweep the shard-crash axis of the serving fault grid and
 # run the full chaos invariant suite (exactly-once resolution, seeded
 # replay, supervision, failover, quarantine, degraded mode) at every

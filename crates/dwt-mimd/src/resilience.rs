@@ -41,10 +41,9 @@
 //! bodies run with the identity assignment and the two recovery phases
 //! (handoff, cost report) skipped — there is no second program.
 
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-
-use std::collections::BTreeMap;
 
 use dwt::error::DwtError;
 use dwt::matrix::Matrix;
@@ -284,11 +283,11 @@ impl RoleTracker {
 /// the fault plan's scheduled slowdowns at the given phase. Higher =
 /// faster. Both input factors *multiply* charged time, so capacity is
 /// their reciprocal.
-fn capacities(ctx: &Ctx, plan: &FaultPlan, phase: u64) -> Vec<f64> {
+fn capacities(ctx: &Ctx, phase: u64) -> Vec<f64> {
     (0..ctx.nranks())
         .map(|r| {
             let thermal = ctx.machine().node_speed_factor(ctx.node_of(r));
-            let slow = plan.slowdown_factor(r, phase);
+            let slow = ctx.fault_plan().slowdown_factor(r, phase);
             1.0 / (thermal * slow).max(1e-12)
         })
         .collect()
@@ -396,7 +395,6 @@ fn decode_checkpoint_charge(ctx: &mut Ctx, cfg: &MimdDwtConfig, st: &RoleState) 
 /// [`Recovery::end_level`] run no phase at all.
 pub(crate) struct Recovery {
     resilient: bool,
-    plan: FaultPlan,
     tracker: RoleTracker,
     /// Estimated per-role work for the re-partition cost model: seeded
     /// analytically by the transform (tile sizes), then replaced by
@@ -419,7 +417,6 @@ impl Recovery {
         debug_assert_eq!(weights.len(), ctx.nranks());
         Recovery {
             resilient: cfg.resilience == ResiliencePolicy::Redistribute,
-            plan: ctx.fault_plan().clone(),
             tracker: RoleTracker::new(ctx.nranks()),
             weights,
             level_phases,
@@ -475,9 +472,9 @@ impl Recovery {
         let me = ctx.rank();
         self.p0 = ctx.next_phase();
         let window_end = self.window_end(self.p0, self.remaining);
-        let caps = capacities(ctx, &self.plan, self.p0);
+        let caps = capacities(ctx, self.p0);
         let tracker = &mut self.tracker;
-        let takeovers = tracker.step(&self.plan, window_end, &self.weights, &caps)?;
+        let takeovers = tracker.step(ctx.fault_plan(), window_end, &self.weights, &caps)?;
         let mut sends: Vec<(usize, (usize, RoleState), usize)> = Vec::new();
         if !first {
             for t in takeovers.iter().filter(|t| t.from == me) {
@@ -525,14 +522,15 @@ impl Recovery {
         let needed = self.remaining > 0 && {
             let p0_next = report_phase + 2; // barrier, then the next handoff
             let window_end_next = self.window_end(p0_next, self.remaining - 1);
-            report_needed(&self.plan, &self.tracker, nranks, window_end_next)
+            report_needed(ctx.fault_plan(), &self.tracker, nranks, window_end_next)
         };
         let mut sends: Vec<(usize, (usize, f64), usize)> = Vec::new();
         if needed {
+            let plan = ctx.fault_plan();
             for (&a, &c) in cost {
                 self.weights[a] = c;
                 for j in 0..nranks {
-                    if j == me || self.plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
+                    if j == me || plan.crash_phase(j).is_some_and(|p| p <= report_phase) {
                         continue;
                     }
                     sends.push((j, (a, c), std::mem::size_of::<f64>()));

@@ -1,26 +1,24 @@
 //! Machine-readable serving benchmark, as one scenario table and one
-//! pipeline. [`scenarios`] lists every sim-derived row of
-//! `BENCH_service.json` as data — section, name, `ServiceConfig`, and
-//! how it is driven: a seeded open-loop arrival stream through
-//! `run_sim` (the arrival-rate x shard-count x cache x batching grid,
-//! the chaos scenarios, the Zipf-skewed elastic comparison) or a
-//! closed-loop multi-client workload through `run_closed_loop` with the
-//! wire itself in the loop (framing cost charged to the Communication
-//! lane, seeded `WireFaultPlan` faults, progressive delivery). [`run`]
-//! drives one row and checks the exactly-once invariant on it — nothing
-//! injected loses a request — and [`column`] defines what it reports.
+//! pipeline. [`scenarios`] lists every row of `BENCH_service.json` as
+//! data — section, name, `ServiceConfig`, and how it is driven: a
+//! seeded open-loop arrival stream through `run_sim` (the arrival-rate
+//! x shard-count x cache x batching grid, the chaos scenarios, the
+//! Zipf-skewed elastic comparison) or a closed-loop multi-client
+//! workload through `run_closed_loop` with the wire itself in the loop
+//! (framing cost charged to the Communication lane, seeded
+//! `WireFaultPlan` faults, progressive delivery). [`run`] drives one
+//! row and checks the exactly-once invariant on it — nothing injected
+//! loses a request — and [`column`] defines what it reports.
 //!
-//! Every latency and throughput number in those sections is *virtual*
-//! (simulated) time: a pure function of the seed, which this harness
-//! proves by running the table twice and comparing the bytes. The
-//! `transport_live` and `progressive_live` sections then run the same
-//! closed-loop workloads for real — `RemoteServer` + `RemoteClient`
-//! over both the in-memory shim transport and localhost TCP, with the
-//! same wire faults and with real worker threads killed mid-load — and
-//! report measured wall-clock tail latency next to the simulator's
-//! prediction. Live rows sit outside the byte-compare; their invariants
-//! (exactly-once, zero lost, shim-vs-TCP identical resolution books,
-//! honest error bounds) are asserted instead.
+//! This binary is the *model* and only the model: every latency and
+//! throughput number is virtual time under the `CostModel` /
+//! `WireCostModel` constants printed in the header (`"source":
+//! "model"`), a pure function of the seed — proved by running the table
+//! twice and comparing the bytes. It starts no server and reads no wall
+//! clock: the same paths are *measured* by `benchmark/` (wbench
+//! `rpc_*`, `pipe_zipf`), and the live invariants (exactly-once under
+//! worker kills and wire faults, shim-vs-TCP identical books, honest
+//! bounds) run on every push in `tests/wserv_remote.rs`.
 //!
 //! Run from the repo root with `just serve-bench` (or
 //! `cargo run --release -p bench --bin bench_service`). Set
@@ -28,22 +26,17 @@
 //! `target/BENCH_service_smoke.json` instead; every gate is asserted
 //! at both scales.
 
-use std::time::{Duration, Instant};
-
 use dwt::{dwt2d, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use perfbudget::BudgetReport;
 use wserv::progressive::pyramid_max_abs_diff;
 use wserv::sim::{
     run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
-    SimReport,
+    SimReport, WireCostModel,
 };
-use wserv::transport::{Connector, Listener};
 use wserv::{
-    DecomposeRequest, DecomposeResponse, DegradedPolicy, ElasticPolicy, MemListener,
-    MetricsSnapshot, Priority, RejectKind, RemoteClient, RemoteConfig, RemoteMetrics, RemoteServer,
-    RetryPolicy, ServeResult, ServiceConfig, ShardFaultPlan, SupervisorPolicy, TcpAcceptor,
-    TcpConnector, WireDir, WireFaultPlan,
+    DecomposeRequest, DegradedPolicy, ElasticPolicy, MetricsSnapshot, Priority, RejectKind,
+    ServeResult, ServiceConfig, ShardFaultPlan, SupervisorPolicy, WireDir, WireFaultPlan,
 };
 
 const SEED: u64 = 1996; // the paper's year; any fixed seed works
@@ -166,9 +159,9 @@ fn zipf_stream(n_reqs: usize, rate_hz: f64) -> Vec<(f64, DecomposeRequest)> {
 }
 
 /// Per-client request streams for the closed-loop scenarios, flattened
-/// `client * reqs_per_client + k`. Deadline-free on purpose: the live
-/// comparison needs outcomes that do not depend on wall-clock timing,
-/// so the shim and TCP resolution books can be asserted identical.
+/// `client * reqs_per_client + k`. Deadline-free on purpose: with no
+/// expiry and a queue deeper than the client count, every closed-loop
+/// request must serve, which [`assert_nothing_lost`] holds each row to.
 fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
     let pool = shape_pool();
     let mut out = Vec::with_capacity(clients * reqs_per_client);
@@ -186,8 +179,8 @@ fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeReque
     out
 }
 
-/// The literal wire-fault schedule shared by the deterministic
-/// scenarios and the live driver. Coordinates are `(conn = client id,
+/// The literal wire-fault schedule of the faulted closed-loop
+/// scenarios. Coordinates are `(conn = client id,
 /// dir, cumulative frame index)`: frame 0 each way is the handshake, so
 /// the client-to-server reset at frame 2 kills client 0's second
 /// request mid-frame, and the server-to-client bit flip at frame 2
@@ -201,7 +194,7 @@ fn wire_chaos_plan() -> WireFaultPlan {
         .with_stall(1, WireDir::ServerToClient, 3, 4e-3)
 }
 
-/// The shard-fault schedule for the failover-under-load scenarios:
+/// The shard-fault schedule of the failover-under-load scenario:
 /// shard 0's worker is killed once mid-load (supervised restart),
 /// shard 1 crashes permanently and fails over to the survivors.
 fn kill_plan() -> ShardFaultPlan {
@@ -659,6 +652,8 @@ enum Val {
     Null,
     /// The `failed_shards` list.
     List(Vec<usize>),
+    /// A header object, on one line.
+    Obj(Row),
     /// A section: one object per line.
     Rows(Vec<Row>),
 }
@@ -670,7 +665,7 @@ impl Val {
             Val::Int(v) => *v as f64,
             Val::Num(v) | Val::Fix(v, _) => *v,
             Val::List(v) => v.len() as f64,
-            Val::Str(_) | Val::Null | Val::Rows(_) => panic!("not a magnitude"),
+            Val::Str(_) | Val::Null | Val::Obj(_) | Val::Rows(_) => panic!("not a magnitude"),
         }
     }
 }
@@ -719,6 +714,7 @@ impl std::fmt::Display for Val {
             Val::Str(s) => write!(f, "\"{s}\""),
             Val::Null => f.write_str("null"),
             Val::List(v) => write!(f, "{v:?}"),
+            Val::Obj(row) => f.write_str(&render_row(row)),
             Val::Rows(rows) => write!(f, "[{}  ]", lines("    ", rows.iter().map(render_row))),
         }
     }
@@ -814,12 +810,43 @@ fn row(run: &Run) -> Row {
     columns.split(' ').map(|c| (c, column(run, c))).collect()
 }
 
-/// The sim-derived document: header scalars, then each section's rows.
+/// The default constants of a cost model as a header object. The
+/// pattern has no `..`, so a constant added to the model cannot be left
+/// out of the header, and a key cannot drift from its field's name.
+macro_rules! constants {
+    ($model:ident { $($field:ident),+ }) => {{
+        let $model { $($field),+ } = $model::default();
+        Val::Obj(vec![$((stringify!($field), Val::Num($field))),+])
+    }};
+}
+
+/// The document: what was run and the model constants every row was
+/// priced with ([`run`] uses the same defaults), then each section.
 fn document(runs: &[Run]) -> Row {
     let requests = |key| section(runs, key).next().map_or(0, Run::requests);
     let mut doc: Row = vec![
         ("bench", Val::Str("wserv_load".into())),
         ("unit", Val::Str("virtual_seconds".into())),
+        ("source", Val::Str("model".into())),
+        (
+            "cost_model",
+            constants!(CostModel {
+                transform_s_per_coeff_tap,
+                plan_base_s,
+                plan_s_per_coeff,
+                dispatch_s,
+                deliver_s_per_request
+            }),
+        ),
+        (
+            "wire_cost_model",
+            constants!(WireCostModel {
+                ser_s_per_byte,
+                frame_overhead_s,
+                wire_s_per_byte,
+                rtt_s
+            }),
+        ),
         ("seed", SEED.into()),
         ("requests_per_cell", requests(RESULTS).into()),
         ("shape_pool", shape_pool().len().into()),
@@ -841,18 +868,6 @@ fn find<'a>(runs: &'a [Run], key: &str, name: &str) -> &'a Run {
     let mut runs = runs.iter();
     runs.find(|r| r.scenario.section == key && r.name() == name)
         .unwrap_or_else(|| panic!("scenario {name} present in {key}"))
-}
-
-/// The reported bound must be honest against the local engine oracle.
-fn assert_honest_bound(who: &str, req: &DecomposeRequest, resp: &DecomposeResponse) {
-    let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-        .expect("pool geometry is valid");
-    let actual = pyramid_max_abs_diff(&resp.pyramid, &oracle).expect("geometry matches the oracle");
-    assert!(
-        actual <= resp.error_bound,
-        "{who}: actual error {actual} exceeds the reported bound {}",
-        resp.error_bound
-    );
 }
 
 /// p95 latency of each run over the *matched set* of request ids that
@@ -1022,9 +1037,17 @@ fn assert_progressive_coverage(runs: &[Run]) {
     let requests = closed_requests(mono_cl.clients, mono_cl.reqs_per_client);
     for run in section(runs, PROGRESSIVE) {
         for (req, out) in requests.iter().zip(run.outcomes()) {
-            if let Some(Ok(resp)) = out {
-                assert_honest_bound(run.name(), req, resp);
-            }
+            let Some(Ok(resp)) = out else { continue };
+            let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+                .expect("pool geometry is valid");
+            let actual =
+                pyramid_max_abs_diff(&resp.pyramid, &oracle).expect("geometry matches the oracle");
+            assert!(
+                actual <= resp.error_bound,
+                "{}: actual error {actual} exceeds the reported bound {}",
+                run.name(),
+                resp.error_bound
+            );
         }
     }
 
@@ -1104,343 +1127,6 @@ fn assert_elastic_coverage(runs: &[Run]) {
     }
 }
 
-// ---------------------------------------------------------------------
-// Live closed-loop mode: real server, real sockets, real worker kills
-// ---------------------------------------------------------------------
-
-/// Stable label of a client-observed service outcome, the currency of
-/// the cross-transport resolution-book comparison.
-fn outcome_label(res: &ServeResult) -> String {
-    match res {
-        Ok(r) if r.degraded => "ok_degraded".into(),
-        Ok(_) => "ok".into(),
-        Err(rej) => rej.kind().label().into(),
-    }
-}
-
-struct LiveRun {
-    /// `(client, request index, outcome label)`, sorted — the
-    /// resolution book as the clients observed it.
-    book: Vec<(u64, u64, String)>,
-    /// Client-observed wall-clock latencies, seconds.
-    latency: wserv::Histogram,
-    /// Server side; `transport.bytes_out` is what it put on the wire
-    /// (responses dominate).
-    metrics: RemoteMetrics,
-    client_retries: u64,
-    /// Client-side progressive tallies, summed.
-    cancels: u64,
-    partials: u64,
-    /// Largest error bound any served response reported.
-    max_bound: f64,
-    /// Wall seconds of serialization + framing across both sides.
-    comm_s: f64,
-    elapsed_s: f64,
-}
-
-impl LiveRun {
-    fn p_ms(&self, q: f64) -> Val {
-        Val::Fix(self.latency.quantile(q) * 1e3, 6)
-    }
-}
-
-/// Drive one real closed-loop client per entry of `streams` against a
-/// `RemoteServer` over `transport` (`"shim"` or `"tcp"`): `service`'s
-/// `ShardFaultPlan` kills real worker threads mid-load, `remote`'s wire
-/// plan faults the server's sends, `build` finishes each client (its
-/// own wire faults, retry policy, tolerance) and `check` sees every
-/// response before the next request is issued.
-fn live_run(
-    transport: &str,
-    service: ServiceConfig,
-    remote: RemoteConfig,
-    streams: &[&[DecomposeRequest]],
-    build: &(dyn Fn(RemoteClient) -> RemoteClient + Sync),
-    check: &(dyn Fn(&DecomposeRequest, &ServeResult) + Sync),
-) -> LiveRun {
-    let tick = Duration::from_millis(1);
-    type Dial = Box<dyn Fn() -> Box<dyn Connector>>;
-    let (listener, dial): (Box<dyn Listener>, Dial) = if transport == "tcp" {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick).expect("bind localhost");
-        let addr = acceptor.local_addr();
-        (
-            Box::new(acceptor),
-            Box::new(move || Box::new(TcpConnector { addr, tick })),
-        )
-    } else {
-        let listener = MemListener::new(1 << 16, tick);
-        let peer = listener.clone();
-        (Box::new(listener), Box::new(move || Box::new(peer.clone())))
-    };
-    let server = RemoteServer::start(service, remote, listener).expect("server starts");
-
-    let started = Instant::now();
-    let finished: Vec<_> = std::thread::scope(|scope| {
-        let clients: Vec<_> = streams
-            .iter()
-            .enumerate()
-            .map(|(c, stream)| {
-                let client = RemoteClient::new(dial(), c as u64)
-                    .with_response_timeout(Duration::from_secs(10));
-                scope.spawn(move || {
-                    let mut client = build(client);
-                    let mut lat = Vec::with_capacity(stream.len());
-                    let mut book = Vec::with_capacity(stream.len());
-                    let mut max_bound = 0.0f64;
-                    for (k, req) in stream.iter().enumerate() {
-                        let t0 = Instant::now();
-                        let res = client
-                            .call(req)
-                            .expect("the retry budget covers the fault plan");
-                        lat.push(t0.elapsed().as_secs_f64());
-                        check(req, &res);
-                        if let Ok(resp) = &res {
-                            max_bound = max_bound.max(resp.error_bound);
-                        }
-                        book.push((c as u64, k as u64, outcome_label(&res)));
-                    }
-                    client.goodbye();
-                    (lat, book, max_bound, client)
-                })
-            })
-            .collect();
-        let join = |h: std::thread::ScopedJoinHandle<'_, _>| h.join();
-        clients.into_iter().map(join).collect()
-    });
-    let elapsed_s = started.elapsed().as_secs_f64();
-    let metrics = server.shutdown().expect("graceful drain succeeds");
-    let mut run = LiveRun {
-        book: Vec::new(),
-        latency: wserv::Histogram::default(),
-        client_retries: 0,
-        cancels: 0,
-        partials: 0,
-        max_bound: 0.0,
-        comm_s: metrics.transport.ser_s,
-        metrics,
-        elapsed_s,
-    };
-    for client in finished {
-        let (lat, book, max_bound, client) = client.expect("client threads never panic");
-        for v in lat {
-            run.latency.record(v);
-        }
-        run.book.extend(book);
-        run.max_bound = run.max_bound.max(max_bound);
-        run.client_retries += client.retries;
-        run.cancels += client.progressive.cancels;
-        run.partials += client.progressive.partial_responses;
-        run.comm_s += client.transport.ser_s;
-    }
-    run.book.sort();
-    eprintln!(
-        "live {transport:<4} completed={:<3} p99={:.3}ms bytes_out={:<8} retries={} elapsed={:.3}s",
-        run.metrics.service.completed(),
-        run.latency.quantile(0.99) * 1e3,
-        run.metrics.transport.bytes_out,
-        run.client_retries,
-        run.elapsed_s,
-    );
-    run
-}
-
-/// Run the sim's `failover_under_load` scenario live — same service,
-/// same shard kills, same wire faults, read back from the scenario —
-/// over both transports, assert its invariants, and return the
-/// `transport_live` rows (outside the byte-compare: these are
-/// wall-clock numbers, reported next to the simulator's prediction).
-fn transport_live(failover: &Run) -> Vec<Row> {
-    let (cl, prediction) = failover.closed();
-    let total = failover.requests() as u64;
-    let requests = closed_requests(cl.clients, cl.reqs_per_client);
-    let streams: Vec<&[DecomposeRequest]> = requests.chunks(cl.reqs_per_client).collect();
-    let mut rows = Vec::new();
-    let mut books = Vec::new();
-    for transport in ["shim", "tcp"] {
-        let remote = RemoteConfig {
-            wire_faults: cl.wire_faults.clone(),
-            ..RemoteConfig::default()
-        };
-        let build = |client: RemoteClient| {
-            client
-                .with_faults(cl.wire_faults.clone())
-                .with_retry(RetryPolicy::default())
-        };
-        let service = failover.scenario.service.clone();
-        let run = live_run(transport, service, remote, &streams, &build, &|_, _| {});
-        // Exactly-once under real worker kills: the service resolved
-        // every distinct request once — retried ids were answered from
-        // the resolution book, not re-executed.
-        assert_eq!(
-            run.book.len() as u64,
-            total,
-            "{transport}: every request must terminate at its client"
-        );
-        let served = &run.metrics.service;
-        assert_eq!(
-            served.completed(),
-            total,
-            "{transport}: deadline-free closed-loop requests must all serve exactly once"
-        );
-        assert!(
-            run.book.iter().all(|(_, _, label)| label == "ok"),
-            "{transport}: failover must be lossless for closed-loop traffic"
-        );
-        let wire = &run.metrics.transport;
-        assert!(
-            wire.dedup_replays >= 1,
-            "{transport}: the response-path fault must be recovered via dedup replay"
-        );
-        assert!(
-            served.restarts() > 0,
-            "{transport}: the worker-kill plan must actually kill a worker"
-        );
-        assert!(
-            !served.failed_shards().is_empty(),
-            "{transport}: the crash plan must actually fail a shard over"
-        );
-        assert!(
-            run.latency.quantile(0.99) > 0.0 && prediction.latency.quantile(0.99) > 0.0,
-            "{transport}: live and predicted p99 must both be measured"
-        );
-        rows.push(vec![
-            ("transport", Val::Str(transport.into())),
-            ("scenario", column(failover, "scenario")),
-            ("clients", column(failover, "clients")),
-            ("reqs_per_client", column(failover, "reqs_per_client")),
-            ("completed", served.completed().into()),
-            ("p50_ms", run.p_ms(0.50)),
-            ("p95_ms", run.p_ms(0.95)),
-            ("p99_ms", run.p_ms(0.99)),
-            ("sim_p50_ms", column(failover, "p50_ms")),
-            ("sim_p95_ms", column(failover, "p95_ms")),
-            ("sim_p99_ms", column(failover, "p99_ms")),
-            ("comm_ms", Val::Fix(run.comm_s * 1e3, 6)),
-            ("dedup_replays", wire.dedup_replays.into()),
-            ("conn_reset", wire.conn_reset.into()),
-            ("conn_aborted", wire.conn_aborted.into()),
-            ("client_retries", run.client_retries.into()),
-            ("restarts", served.restarts().into()),
-            ("failed_shards", served.failed_shards().len().into()),
-            ("elapsed_s", Val::Fix(run.elapsed_s, 6)),
-        ]);
-        books.push(run.book);
-    }
-    assert_eq!(
-        books[0], books[1],
-        "shim and TCP must produce identical resolution books for the same seed"
-    );
-    rows
-}
-
-/// The live progressive comparison stream: deep CDF 9/7 decompositions
-/// of a smooth field plus faint texture. The smoothness is the point —
-/// the fine detail planes quantize to near-empty sparse frames (the
-/// deterministic byte saving), while the sinusoid's energy keeps the
-/// coarse planes above the client tolerance so real mid-sequence
-/// cancels occur too.
-fn progressive_live_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
-    let tau = std::f64::consts::TAU;
-    let smooth = |n: usize, salt: u64| {
-        Matrix::from_fn(n, n, |r, c| {
-            40.0 * (tau * r as f64 / n as f64).sin() * (tau * c as f64 / n as f64).sin()
-                + ((r as u64 * 13 + c as u64 * 7 + salt) % 7) as f64 * 0.03
-        })
-    };
-    let salts = (0..clients * reqs_per_client).map(|i| i as u64 % 13);
-    salts
-        .map(|salt| DecomposeRequest::new(smooth(64, salt), FilterBank::cdf97(), 3))
-        .collect()
-}
-
-/// Run the monolithic-vs-progressive live comparison over both
-/// transports — a clean wire (the byte comparison must not be
-/// confounded by faulted re-sends), every served response checked
-/// against the local engine oracle and the tolerance — assert the
-/// bytes-to-tolerance invariants, and return the `progressive_live`
-/// rows.
-fn progressive_live(clients: usize, reqs_per_client: usize) -> Vec<Row> {
-    let total = (clients * reqs_per_client) as u64;
-    let requests = progressive_live_requests(clients, reqs_per_client);
-    let streams: Vec<&[DecomposeRequest]> = requests.chunks(reqs_per_client).collect();
-    let drive = |transport, tolerance: Option<f64>| {
-        let remote = RemoteConfig {
-            progressive: tolerance.is_some().then(lossy_codec),
-            ..RemoteConfig::default()
-        };
-        let build = |client: RemoteClient| match tolerance {
-            Some(t) => client.with_tolerance(t),
-            None => client,
-        };
-        let check = |req: &DecomposeRequest, res: &ServeResult| {
-            let resp = res.as_ref().expect("deadline-free requests all serve");
-            // The reported bound must be honest against the local
-            // engine oracle and, when a tolerance is set, met.
-            assert_honest_bound(transport, req, resp);
-            if let Some(t) = tolerance {
-                assert!(
-                    resp.error_bound <= t,
-                    "reported bound {} must meet the {t} tolerance",
-                    resp.error_bound
-                );
-            }
-        };
-        let service = three_shards().with_supervisor(restart_budget(1));
-        let run = live_run(transport, service, remote, &streams, &build, &check);
-        assert_eq!(
-            run.metrics.service.completed(),
-            total,
-            "{transport}: every request must serve exactly once"
-        );
-        run
-    };
-    let tolerance = 30.0;
-    let mut rows = Vec::new();
-    for transport in ["shim", "tcp"] {
-        let mono = drive(transport, None);
-        let prog = drive(transport, Some(tolerance));
-        let (mono_wire, prog_wire) = (mono.metrics.transport, prog.metrics.transport);
-        assert_eq!(
-            mono_wire.planes_sent, 0,
-            "{transport}: baseline is monolithic"
-        );
-        assert!(
-            prog.partials >= 1,
-            "{transport}: the tolerance must cut at least one sequence short"
-        );
-        assert!(
-            prog_wire.bytes_out < mono_wire.bytes_out,
-            "{transport}: progressive-to-tolerance must beat monolithic bytes \
-             ({} vs {})",
-            prog_wire.bytes_out,
-            mono_wire.bytes_out
-        );
-        for (scenario, tolerance, run) in [
-            ("monolithic", Val::Null, &mono),
-            ("progressive_cancel", Val::Num(tolerance), &prog),
-        ] {
-            rows.push(vec![
-                ("transport", Val::Str(transport.into())),
-                ("scenario", Val::Str(scenario.into())),
-                ("clients", clients.into()),
-                ("reqs_per_client", reqs_per_client.into()),
-                ("completed", run.metrics.service.completed().into()),
-                ("tolerance", tolerance),
-                ("bytes_out", run.metrics.transport.bytes_out.into()),
-                ("planes_sent", run.metrics.transport.planes_sent.into()),
-                ("cancels", run.cancels.into()),
-                ("partial_responses", run.partials.into()),
-                ("max_error_bound", Val::Fix(run.max_bound, 6)),
-                ("p50_ms", run.p_ms(0.50)),
-                ("p95_ms", run.p_ms(0.95)),
-                ("p99_ms", run.p_ms(0.99)),
-                ("elapsed_s", Val::Fix(run.elapsed_s, 6)),
-            ]);
-        }
-    }
-    rows
-}
-
 fn main() {
     let smoke = std::env::var("WSERV_SMOKE").is_ok_and(|v| v == "1");
     let sweep = || -> Vec<Run> {
@@ -1453,32 +1139,22 @@ fn main() {
     assert_spot_checks(&runs);
     assert_progressive_coverage(&runs);
     assert_elastic_coverage(&runs);
-    let mut doc = document(&runs);
+    let doc = render(&document(&runs));
 
-    // Byte-reproducibility is part of the contract: run the whole table
-    // again and require the identical document.
+    // Byte-reproducibility is the contract: run the whole table again
+    // and require the identical document.
     assert_eq!(
-        render(&doc),
+        doc,
         render(&document(&sweep())),
         "service bench must be byte-reproducible"
     );
-
-    // Live closed-loop comparison: wall-clock rows, appended after the
-    // byte-compare. The simulator's failover-under-load row is both the
-    // configuration the live runs copy and the prediction their tails
-    // are reported against.
-    let failover = find(&runs, TRANSPORT, "failover_under_load");
-    let (cl, _) = failover.closed();
-    doc.push(("transport_live", Val::Rows(transport_live(failover))));
-    let plive = progressive_live(cl.clients, cl.reqs_per_client);
-    doc.push(("progressive_live", Val::Rows(plive)));
 
     let path = if smoke {
         "target/BENCH_service_smoke.json"
     } else {
         "BENCH_service.json"
     };
-    std::fs::write(path, render(&doc)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, doc).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("wrote {path}");
 }
 

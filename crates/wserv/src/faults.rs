@@ -28,6 +28,8 @@
 //! (bounded-error approximate responses under reduced capacity). Both
 //! are clock-free and shared verbatim by the live server and the sim.
 
+use dwt_mimd::CheckpointCodec;
+
 /// Hash-domain separator for the poison-request decision stream.
 const KIND_POISON: u64 = 0x706f_6973; // "pois"
 
@@ -352,7 +354,8 @@ impl DegradedPolicy {
     /// Largest absolute error the degraded response can introduce into
     /// one detail coefficient (the LL plane is always exact).
     pub fn error_bound(&self) -> f64 {
-        self.threshold + self.step / 2.0
+        let (threshold, step) = (self.threshold, self.step);
+        CheckpointCodec::WaveletQuant { threshold, step }.tolerance()
     }
 
     /// Validate the policy. Returns a human-readable reason on failure.

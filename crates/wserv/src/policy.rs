@@ -1,7 +1,7 @@
 //! The serving policy, written once.
 //!
-//! Everything the service decides about a request after the door —
-//! re-admission, shed and deadline resolution, poisoned-batch
+//! Everything the service decides about a request — the door's
+//! outcome, re-admission, shed and deadline resolution, poisoned-batch
 //! quarantine, worker death (restart or fail-over), elastic
 //! steal/split/merge, and degraded responses — lives here, generic
 //! over a [`Shards`] storage backend. Two backends exist, both
@@ -54,19 +54,53 @@ pub(crate) fn alive<S: Shards>(store: &S) -> Vec<bool> {
     (0..store.len()).map(|s| store.alive(s)).collect()
 }
 
+/// Count `rejection` on shard `s`'s door books and hand it back — the
+/// live door returns a refusal where every other path resolves a tag.
+pub(crate) fn refusal<S: Shards>(store: &mut S, s: usize, rejection: Rejection) -> Rejection {
+    store.queue(s, |q| q.counters.reject(rejection.kind()));
+    rejection
+}
+
 /// The typed rejection for work shard `s` can no longer be routed
 /// around, counted on `s`'s door books so they still balance per shard.
 pub(crate) fn shard_failed<S: Shards>(store: &mut S, s: usize) -> Rejection {
     let restarts = store.metrics(s, |m| m.restarts as u32);
-    store.queue(s, |q| q.counters.reject(RejectKind::ShardFailed));
-    Rejection::ShardFailed { shard: s, restarts }
+    refusal(store, s, Rejection::ShardFailed { shard: s, restarts })
 }
 
 /// Count `rejection` on shard `s`'s door books and resolve `tag` with
 /// it.
 pub(crate) fn reject<S: Shards>(store: &mut S, s: usize, tag: S::Tag, rejection: Rejection) {
-    store.queue(s, |q| q.counters.reject(rejection.kind()));
+    let rejection = refusal(store, s, rejection);
     store.resolve(tag, Err(rejection));
+}
+
+/// Settle what `target`'s queue answered an arrival of class `incoming`
+/// at `now`: wake the shard, and fail a shed victim with its wasted
+/// queue time billed. Returns the refusal, if the entry was not queued
+/// (the queue already counted it), with the tag it is owed to —
+/// [`admit`] resolves that tag, the live door hands the refusal back to
+/// its submitter instead.
+pub(crate) fn settle<S: Shards>(
+    store: &mut S,
+    target: usize,
+    incoming: Priority,
+    admitted: Admit<S::Tag>,
+    now: f64,
+) -> Option<(S::Tag, Rejection)> {
+    store.wake(target, now);
+    match admitted {
+        Admit::Accepted => None,
+        Admit::AcceptedShedding(victim) => {
+            // The queue guarantees the victim's class is strictly
+            // below the arrival's; the rejection records who won.
+            debug_assert!(victim.req.priority < incoming);
+            store.metrics(target, |m| m.record_lost(now - victim.arrival));
+            store.resolve(victim.tag, Err(Rejection::Shed { by: incoming }));
+            None
+        }
+        Admit::Rejected(entry, rejection) => Some((entry.tag, rejection)),
+    }
 }
 
 /// Offer `entry` to `target`'s queue at `now`, resolving a shed victim
@@ -79,16 +113,10 @@ pub(crate) fn admit<S: Shards>(
 ) -> bool {
     let incoming = entry.req.priority;
     let admitted = store.queue(target, |q| q.admit(now, entry));
-    store.wake(target, now);
-    match admitted {
-        Admit::Accepted => true,
-        Admit::AcceptedShedding(victim) => {
-            store.metrics(target, |m| m.record_lost(now - victim.arrival));
-            store.resolve(victim.tag, Err(Rejection::Shed { by: incoming }));
-            true
-        }
-        Admit::Rejected(entry, rejection) => {
-            store.resolve(entry.tag, Err(rejection));
+    match settle(store, target, incoming, admitted, now) {
+        None => true,
+        Some((tag, rejection)) => {
+            store.resolve(tag, Err(rejection));
             false
         }
     }

@@ -28,7 +28,7 @@
 //! reports that sum.
 
 use dwt::Pyramid;
-use dwt_mimd::{encode_plane, CheckpointCodec};
+use dwt_mimd::{encode_plane, encoded_bytes, CheckpointCodec, PlaneStats};
 
 use crate::request::DecomposeResponse;
 use crate::wire::{PlaneBand, PlaneCoeffs, ProgressiveHeader, ProgressivePlane, WireError};
@@ -43,11 +43,13 @@ fn max_abs(data: &[f64]) -> f64 {
     data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
-/// Sparse wins when `kept * (8 + 4) < total * 8` — the same breakeven
-/// [`dwt_mimd::encoded_bytes`] bills for checkpoints.
+/// Sparse (value + 32-bit coordinate) when that is strictly smaller
+/// than the dense plane — the breakeven [`encoded_bytes`] bills for
+/// checkpoints.
 fn pick_coeffs(data: Vec<f64>) -> PlaneCoeffs {
-    let kept = data.iter().filter(|v| **v != 0.0).count();
-    if kept * 12 < data.len() * 8 {
+    let (kept, total) = (data.iter().filter(|v| **v != 0.0).count(), data.len());
+    let pixel = std::mem::size_of::<f64>();
+    if encoded_bytes(PlaneStats { kept, total }, pixel) < total * pixel {
         PlaneCoeffs::Sparse(
             data.iter()
                 .enumerate()

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::admission::{AdmissionQueue, Admit};
+use crate::admission::AdmissionQueue;
 use crate::batch::{Batch, BatchPolicy};
 use crate::cache::PlanCache;
 use crate::elastic::{BalanceAction, BalanceController, ElasticPolicy, ShardMap};
@@ -450,20 +450,22 @@ impl WaveletService {
     /// whose home shard has failed over route to its live successor on
     /// the shard ring.
     pub fn submit(&self, req: DecomposeRequest) -> Result<ResponseHandle, Rejection> {
-        req.validate()?;
-        let live = &*self.live;
+        let mut live = &*self.live;
         let shape = req.shape();
         let alive = policy::alive(&live);
         let (home, routed) = {
             let map = live.map.lock();
             (map.home(&shape), map.route(&shape, &alive))
         };
+        // Refusals the queue never sees are accounted to the shape's
+        // home shard, so the books still balance per shard.
+        if let Err(rejection) = req.validate() {
+            return Err(policy::refusal(&mut live, home, rejection));
+        }
         let Some(shard_ix) = routed else {
-            // Every shard is down; account the rejection to the home
-            // shard so the books still balance per shard.
-            return Err(policy::shard_failed(&mut &*live, home));
+            // Every shard is down.
+            return Err(policy::shard_failed(&mut live, home));
         };
-        let state = &live.shards[shard_ix];
         let cell = Arc::new(ResponseCell::default());
         let id = {
             let mut next = self.next_id.lock();
@@ -481,27 +483,16 @@ impl WaveletService {
             tag: Arc::clone(&cell),
         };
         let admitted = {
-            let mut inner = state.inner.lock();
+            let mut inner = live.shards[shard_ix].inner.lock();
             if inner.draining {
                 inner.queue.counters.reject(RejectKind::Draining);
                 return Err(Rejection::Draining);
             }
             inner.queue.admit(now, entry)
         };
-        let result = match admitted {
-            Admit::Accepted => {
-                state.work.notify_one();
-                Ok(ResponseHandle { cell })
-            }
-            Admit::AcceptedShedding(victim) => {
-                // The queue guarantees the victim's class is strictly
-                // below the arrival's; the rejection records who won.
-                debug_assert!(victim.req.priority < incoming);
-                victim.tag.resolve(Err(Rejection::Shed { by: incoming }));
-                state.work.notify_one();
-                Ok(ResponseHandle { cell })
-            }
-            Admit::Rejected(_, rejection) => Err(rejection),
+        let result = match policy::settle(&mut live, shard_ix, incoming, admitted, now) {
+            None => Ok(ResponseHandle { cell }),
+            Some((_, rejection)) => Err(rejection),
         };
         // The control plane runs on the submit path (no clock thread):
         // each admission gives the balancer one chance to act.

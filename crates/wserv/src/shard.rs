@@ -11,6 +11,7 @@ use std::hash::{Hash, Hasher};
 
 use dwt::engine::PlanShape;
 use dwt::Pyramid;
+use dwt_mimd::encode_plane;
 
 use crate::batch::Batch;
 use crate::cache::PlanCache;
@@ -94,9 +95,10 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
     })
 }
 
-/// Degrade one response pyramid in place, `WaveletQuant`-style: detail
-/// magnitudes at or below the policy threshold are zeroed, survivors
-/// are quantized to the policy step, and the LL plane is untouched.
+/// Degrade one response pyramid in place with the checkpoint codec's
+/// own quantizer ([`encode_plane`]): detail magnitudes at or below the
+/// policy threshold are zeroed, survivors are quantized to the policy
+/// step, and the LL plane is untouched.
 /// The per-coefficient error versus the exact pyramid is bounded by
 /// [`DegradedPolicy::error_bound`] by construction. Returns the number
 /// of surviving (nonzero) detail coefficients, which is what the
@@ -106,16 +108,7 @@ pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy
     for bands in &mut pyr.detail {
         let (lh, hl, hh) = bands.split_mut();
         for plane in [lh, hl, hh] {
-            for v in plane.data_mut() {
-                if v.abs() <= policy.threshold {
-                    *v = 0.0;
-                } else if policy.step > 0.0 {
-                    *v = (*v / policy.step).round() * policy.step;
-                }
-                if *v != 0.0 {
-                    kept += 1;
-                }
-            }
+            kept += encode_plane(plane, policy.threshold, policy.step).kept;
         }
     }
     kept

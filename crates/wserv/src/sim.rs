@@ -42,11 +42,14 @@ use crate::wire::{self, encode_progressive_header, encode_progressive_plane};
 use dwt::engine::PlanShape;
 use dwt_mimd::CheckpointCodec;
 
-/// Analytic stage costs, loosely calibrated to the measured engine
-/// numbers in `BENCH_dwt.json` (the absolute scale matters less than
-/// the ratios: plan construction and per-dispatch overhead are each
-/// worth tens of microseconds, i.e. comparable to a small transform —
-/// which is exactly the regime where caching and batching pay).
+/// Analytic stage costs. The defaults are hand-set, not fitted: they
+/// were eyeballed from the engine numbers in `BENCH_dwt.json`, and no
+/// error against the live service is reported for them yet — fitting
+/// them from a wbench traced pass is ROADMAP item 3(a). Until then read
+/// the ratios, not the absolute scale: plan construction and
+/// per-dispatch overhead are each worth tens of microseconds, i.e.
+/// comparable to a small transform — exactly the regime where caching
+/// and batching pay.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     /// Transform seconds per coefficient-tap (folds in the level-sum
@@ -507,9 +510,8 @@ impl<'a> SimService<'a> {
 
 /// Analytic price of the wire between a client and the service:
 /// serialization, framing, transfer, and propagation. All virtual
-/// seconds — the closed-loop simulator charges these to the
-/// Communication lane so the live benchmark can compare its measured
-/// framing cost against the model's.
+/// seconds, hand-set like [`CostModel`]'s — the closed-loop simulator
+/// charges these to the Communication lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireCostModel {
     /// Encode + decode cost per payload byte (both ends combined).

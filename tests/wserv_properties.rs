@@ -10,8 +10,8 @@ use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use proptest::prelude::*;
 use wserv::sim::{run_sim, CostModel};
 use wserv::{
-    AdmissionQueue, Admit, DecomposeRequest, Entry, Priority, Rejection, ServiceConfig,
-    WaveletService,
+    AdmissionQueue, Admit, DecomposeRequest, Entry, Priority, RejectKind, Rejection, ServiceConfig,
+    ShardFaultPlan, WaveletService,
 };
 
 fn image(n: usize, salt: u64) -> Matrix {
@@ -270,5 +270,80 @@ fn idle_time_is_billed_to_one_lane() {
         booked <= lanes.completion + 10e-3,
         "lanes sum to {booked:.4}s on a shard that lived {:.4}s",
         lanes.completion
+    );
+}
+
+/// One-door regression: the live `submit` settles an admission through
+/// the same policy code as the simulator's `arrive`. One shard with a
+/// capacity-1 queue, its worker held on a stalled first dispatch; a
+/// queued Batch request is shed by an Interactive arrival after a
+/// measured wait, then a malformed request knocks. The victim's wasted
+/// queue time must land in the FaultRecovery lane and the malformed
+/// request on the door books, and `run_sim` fed the same four requests
+/// back to back must book the same rejections. (The stall and the sleep
+/// are the scenario; the one interleaving that matters — the victim
+/// queues only after the worker took the busy request — is forced by
+/// probing the door.)
+#[test]
+fn live_door_books_what_the_sim_books() {
+    let config = ServiceConfig::default()
+        .with_shards(1)
+        .with_queue_capacity(1)
+        .with_faults(ShardFaultPlan::none().with_stall(0, 200.0, 0, 1));
+    let request =
+        |n, salt, levels| DecomposeRequest::new(image(n, salt), FilterBank::haar(), levels);
+    let busy = request(256, 0, 1);
+    let victim = request(8, 1, 1).with_priority(Priority::Batch);
+    let winner = request(8, 2, 1).with_priority(Priority::Interactive);
+    let invalid = request(8, 3, 0);
+
+    let service = WaveletService::start(config.clone());
+    let busy_handle = service.submit(busy.clone()).expect("an idle shard admits");
+    // The one queue slot frees when the worker pops `busy`; until then
+    // the door refuses the victim, and every refusal is on the books.
+    let mut probes = 0;
+    let victim_handle = loop {
+        match service.submit(victim.clone()) {
+            Ok(handle) => break handle,
+            Err(Rejection::QueueFull { .. }) => probes += 1,
+            Err(other) => panic!("unexpected door rejection: {other:?}"),
+        }
+    };
+    let queued_by = service.now();
+    std::thread::sleep(std::time::Duration::from_millis(2));
+    let shed_after = service.now();
+    let winner_handle = service
+        .submit(winner.clone())
+        .expect("an Interactive arrival displaces queued Batch work");
+    assert!(matches!(
+        service.submit(invalid.clone()),
+        Err(Rejection::Invalid { .. })
+    ));
+    assert!(
+        matches!(victim_handle.wait(), Err(Rejection::Shed { by }) if by == Priority::Interactive),
+        "the stalled dispatch must outlast the victim's wait"
+    );
+    busy_handle.wait().expect("the busy request serves");
+    winner_handle.wait().expect("the winner serves");
+    let live = service.shutdown().expect("no worker died");
+
+    let wasted = live.shards[0].lanes.fault_recovery;
+    assert!(
+        wasted >= shed_after - queued_by,
+        "FaultRecovery lane {wasted:.6}s misses the victim's {:.6}s in the queue",
+        shed_after - queued_by
+    );
+    assert_eq!(live.rejected(RejectKind::Invalid), 1);
+
+    let arrivals = [busy, victim, winner, invalid].into_iter().enumerate();
+    let arrivals = arrivals.map(|(i, req)| (i as f64 * 1e-6, req)).collect();
+    let sim = run_sim(&config, &CostModel::default(), arrivals).metrics;
+    for kind in RejectKind::ALL {
+        let probes = u64::from(kind == RejectKind::QueueFull) * probes;
+        assert_eq!(live.rejected(kind) - probes, sim.rejected(kind), "{kind:?}");
+    }
+    assert_eq!(
+        (live.accepted(), live.completed()),
+        (sim.accepted(), sim.completed())
     );
 }

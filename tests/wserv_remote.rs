@@ -19,18 +19,19 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dwt::{FilterBank, Matrix};
+use dwt::engine::PlanShape;
+use dwt::{Boundary, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use wserv::progressive::pyramid_max_abs_diff;
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy};
-use wserv::transport::{Connector, FrameIo, RecvFrame, Transport, WireClock};
+use wserv::transport::{Connector, FrameIo, Listener, RecvFrame, Transport, WireClock};
 use wserv::wire::{
     decode_response, encode_hello, encode_request, FrameKind, Hello, DEFAULT_MAX_PAYLOAD,
     PROTOCOL_VERSION,
 };
 use wserv::{
-    DecomposeRequest, MemListener, RemoteClient, ServiceConfig, SupervisorPolicy, TcpAcceptor,
-    TcpConnector, TransportError, WireDir, WireFaultPlan,
+    DecomposeRequest, MemListener, RemoteClient, ServiceConfig, ShardFaultPlan, SupervisorPolicy,
+    TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
 };
 
 fn tick() -> Duration {
@@ -95,13 +96,15 @@ fn wire_plan() -> WireFaultPlan {
         .with_stall(0, WireDir::ServerToClient, 4, 3e-3)
 }
 
-/// Drive `clients × reqs` through a server on `connector`, return the
-/// outcome book as `(client, request, ok)` triples plus total retries.
+/// Drive `clients × reqs` through a server on `connector` — client
+/// `c`'s request `k` is `request(c * 100 + k)` — and return the outcome
+/// book as `(client, request, ok)` triples plus total retries.
 fn drive(
     connector: impl Fn(u64) -> Box<dyn Connector>,
     clients: u64,
     reqs: u64,
     faults: &WireFaultPlan,
+    request: fn(u64) -> DecomposeRequest,
 ) -> (Vec<(u64, u64, bool)>, u64) {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
@@ -156,7 +159,8 @@ fn wire_chaos_resolves_every_request_exactly_once() {
     let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
         .expect("config is valid");
 
-    let (book, retries) = drive(|_| Box::new(listener.clone()), clients, reqs, &wire_plan());
+    let dial = |_| Box::new(listener.clone()) as Box<dyn Connector>;
+    let (book, retries) = drive(dial, clients, reqs, &wire_plan(), request);
 
     assert_eq!(book.len(), (clients * reqs) as usize);
     for &(c, k, ok) in &book {
@@ -497,50 +501,98 @@ fn protocol_mismatch_is_terminal_and_typed() {
 // Shim / TCP parity
 // ---------------------------------------------------------------------
 
+/// The parity test's second input: `bench_service`'s failover schedule
+/// — shard 0's worker killed once mid-load (supervised restart), shard
+/// 1 crashing for good past a restart budget of one — as real thread
+/// deaths under the same wire faults.
+fn failover_config() -> ServiceConfig {
+    let kills = ShardFaultPlan::seeded(1996)
+        .with_worker_panic(0, 1)
+        .with_shard_crash(1, 2);
+    let supervisor = SupervisorPolicy {
+        max_restarts: 1,
+        ..service_config().supervisor
+    };
+    service_config()
+        .with_shards(3)
+        .with_supervisor(supervisor)
+        .with_faults(kills)
+}
+
+/// Requests for [`failover_config`], alternating between a shape homed
+/// on shard 0 and one homed on shard 1 of the three: each closed-loop
+/// client alone sends three dispatches' worth to either shard, so both
+/// scheduled kills fire however the clients interleave or coalesce.
+fn failover_request(salt: u64) -> DecomposeRequest {
+    let bank = FilterBank::cdf53();
+    let shape = |n| PlanShape::new(n, n, &bank, 2, Boundary::Periodic);
+    let homed = |n: &usize| wserv::shard::shard_of(&shape(*n), 3) == (salt % 2) as usize;
+    let n = (8..=256).step_by(4).find(homed);
+    let n = n.expect("some size routes to either shard");
+    DecomposeRequest::new(image(n, salt), bank, 2)
+}
+
 /// The same seed, the same requests, the same fault plan: the in-memory
-/// shim and localhost TCP produce the identical outcome book. The shim
-/// is the sandbox stand-in for the real wire, so divergence here means
-/// one of them lies about the protocol.
+/// shim and localhost TCP produce the identical outcome book — on the
+/// plain service, and again while real workers are being killed. The
+/// shim is the sandbox stand-in for the real wire, so divergence here
+/// means one of them lies about the protocol; and under either
+/// transport, retries across wire faults and worker deaths execute
+/// every request exactly once.
 #[test]
 fn shim_and_tcp_produce_identical_outcome_books() {
     let (clients, reqs) = (2u64, 6u64);
     let plan = wire_plan();
-
-    let faulty = || RemoteConfig {
-        wire_faults: wire_plan(),
-        ..remote_config()
-    };
-    let shim_book = {
-        let listener = MemListener::new(1 << 16, tick());
-        let server = RemoteServer::start(service_config(), faulty(), Box::new(listener.clone()))
-            .expect("config is valid");
-        let (book, _) = drive(|_| Box::new(listener.clone()), clients, reqs, &plan);
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), clients * reqs);
-        book
-    };
-
-    let tcp_book = {
-        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
-        let addr = acceptor.local_addr();
-        let server = RemoteServer::start(service_config(), faulty(), Box::new(acceptor))
-            .expect("config is valid");
-        let (book, _) = drive(
-            |_| Box::new(TcpConnector { addr, tick: tick() }),
-            clients,
-            reqs,
-            &plan,
+    type Request = fn(u64) -> DecomposeRequest;
+    for (service, request, kills) in [
+        (service_config(), request as Request, false),
+        (failover_config(), failover_request, true),
+    ] {
+        let serve = |listener: Box<dyn Listener>, dial: &dyn Fn(u64) -> Box<dyn Connector>| {
+            let faulty = RemoteConfig {
+                wire_faults: wire_plan(),
+                ..remote_config()
+            };
+            let server =
+                RemoteServer::start(service.clone(), faulty, listener).expect("config is valid");
+            let (book, _) = drive(dial, clients, reqs, &plan, request);
+            let metrics = server.shutdown().expect("clean drain");
+            let served = &metrics.service;
+            assert_eq!(
+                served.completed(),
+                clients * reqs,
+                "exactly-once: executions match unique requests (kills: {kills})"
+            );
+            assert!(
+                metrics.transport.dedup_replays >= 1,
+                "the truncated response must replay from the dedup book (kills: {kills})"
+            );
+            assert_eq!(served.restarts() > 0, kills, "a worker is killed");
+            assert_eq!(
+                !served.failed_shards().is_empty(),
+                kills,
+                "a shard fails over"
+            );
+            book
+        };
+        let shim_book = {
+            let listener = MemListener::new(1 << 16, tick());
+            let peer = listener.clone();
+            serve(Box::new(listener), &|_| Box::new(peer.clone()))
+        };
+        let tcp_book = {
+            let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
+            let addr = acceptor.local_addr();
+            serve(Box::new(acceptor), &|_| {
+                Box::new(TcpConnector { addr, tick: tick() })
+            })
+        };
+        assert_eq!(shim_book, tcp_book, "same seed, same book, different bytes");
+        assert!(
+            shim_book.iter().all(|&(_, _, ok)| ok),
+            "everything resolves Ok, worker kills included: failover is lossless"
         );
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), clients * reqs);
-        book
-    };
-
-    assert_eq!(shim_book, tcp_book, "same seed, same book, different bytes");
-    assert!(
-        shim_book.iter().all(|&(_, _, ok)| ok),
-        "everything resolves Ok"
-    );
+    }
 }
 
 // ---------------------------------------------------------------------

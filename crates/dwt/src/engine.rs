@@ -1071,6 +1071,40 @@ mod tests {
     }
 
     #[test]
+    fn reconstruct_matches_separable_synthesis_across_banks() {
+        // The bitwise pin of the convolution inverse: every kernel length
+        // class, every boundary, a non-square shape, and a workspace
+        // reused across calls (stale scratch must never leak through).
+        let banks = [
+            FilterBank::haar(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::daubechies(8).unwrap(),
+            FilterBank::coiflet(6).unwrap(),
+        ];
+        let img = test_image(48, 80);
+        for bank in banks {
+            for mode in Boundary::ALL {
+                for levels in 1..=3 {
+                    let pyr = dwt2d::decompose_separable(&img, &bank, levels, mode).unwrap();
+                    let reference = dwt2d::reconstruct_separable(&pyr, &bank, mode).unwrap();
+                    let plan = DwtPlan::new(48, 80, bank.clone(), levels, mode).unwrap();
+                    let mut ws = plan.make_workspace();
+                    let mut got = Matrix::zeros(48, 80);
+                    for pass in 0..2 {
+                        plan.reconstruct_into(&pyr, &mut ws, &mut got).unwrap();
+                        assert_eq!(
+                            reference.max_abs_diff(&got),
+                            Some(0.0),
+                            "{} {mode:?} L{levels} pass {pass}",
+                            bank.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn rejects_mismatched_shapes() {
         let bank = FilterBank::haar();
         let plan = DwtPlan::new(16, 16, bank.clone(), 2, Boundary::Periodic).unwrap();

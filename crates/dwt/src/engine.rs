@@ -16,9 +16,12 @@
 //! design:
 //!
 //! * a [`DwtPlan`] precomputes everything the transform needs (validated
-//!   geometry per level, tile/band width, thread-lane partitioning);
-//! * a [`DwtWorkspace`] owns every scratch buffer, so steady-state
-//!   decomposition and reconstruction perform **zero allocations**;
+//!   geometry per level, tile/band width, thread-lane partitioning, the
+//!   synthesis tap lists);
+//! * a [`DwtWorkspace`] owns every scratch buffer (the lanes' rings, the
+//!   ping-pong approximation pair, one synthesis row or the lifting
+//!   staging window), so steady-state decomposition and reconstruction
+//!   perform **zero allocations**;
 //! * the analysis kernel **fuses** the row and column passes: the image is
 //!   processed in column *bands* (cache-sized tiles), and within a band a
 //!   ring buffer of `filter_len` row-filtered rows — the tile's *halo*,
@@ -26,12 +29,17 @@
 //!   Each input row is row-filtered once into the ring; each output row is
 //!   produced by a column filter whose inner loop runs over **contiguous
 //!   output columns** (vertical vectorization), which LLVM auto-vectorizes
-//!   without any `unsafe`.
+//!   without any `unsafe`;
+//! * the synthesis kernel is the same sweep run backwards: each output row
+//!   accumulates its column taps from **contiguous coefficient rows** into
+//!   one intermediate row and row-synthesizes it in the same visit — no
+//!   per-column gather, no half-image intermediates.
 //!
 //! The arithmetic performed per coefficient is the *same sequence of
 //! operations* as the separable reference, so results are bit-identical —
-//! [`crate::dwt2d::decompose_separable`] is kept (hidden) as the
-//! property-test oracle.
+//! [`crate::dwt2d::decompose_separable`] and
+//! [`crate::dwt2d::reconstruct_separable`] are kept (hidden) as the
+//! test oracles.
 //!
 //! # Quickstart
 //!
@@ -212,6 +220,8 @@ pub struct DwtPlan {
     threads: usize,
     kernel: KernelKind,
     level_dims: Vec<LevelDims>,
+    /// Per-level synthesis tap lists (convolution plans only).
+    synth_taps: Vec<SynthTaps>,
 }
 
 /// Lifting needs every level's dimensions even and at least 2, but has
@@ -275,6 +285,13 @@ impl DwtPlan {
             r /= 2;
             c /= 2;
         }
+        let synth_taps = match kernel {
+            KernelKind::Convolution => level_dims
+                .iter()
+                .map(|d| SynthTaps::new(d.rows_out(), bank.len(), mode))
+                .collect(),
+            KernelKind::Lifting(_) => Vec::new(),
+        };
         Ok(DwtPlan {
             rows,
             cols,
@@ -285,12 +302,19 @@ impl DwtPlan {
             threads: 1,
             kernel,
             level_dims,
+            synth_taps,
         })
     }
 
     /// Use up to `threads` worker lanes (clamped to at least 1). Lane
     /// workspaces are sized when the [`DwtWorkspace`] is created, so set
     /// this before calling [`DwtPlan::make_workspace`].
+    ///
+    /// Only the convolution *analysis* stripes its output rows across
+    /// the lanes. Lifting plans allocate no lanes and every
+    /// reconstruction (either kernel) runs on the calling thread, so for
+    /// those the setting changes nothing but what [`DwtPlan::threads`]
+    /// reports.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -351,60 +375,54 @@ impl DwtPlan {
         self.band_width.min(self.cols / 2).max(1)
     }
 
+    /// Rows per ring buffer: the column filter's window.
+    fn ring_rows(&self) -> usize {
+        self.bank.len().max(2)
+    }
+
+    /// What a workspace for this plan is sized by. Only the convolution
+    /// analysis stripes across lanes, so a lifting plan records none.
+    fn workspace_geometry(&self) -> WorkspaceGeometry {
+        WorkspaceGeometry {
+            rows: self.rows,
+            cols: self.cols,
+            filter_len: self.bank.len(),
+            kernel: self.kernel,
+            lanes: match self.kernel {
+                KernelKind::Convolution => self.threads,
+                KernelKind::Lifting(_) => 0,
+            },
+            band_width: self.effective_band_width(),
+        }
+    }
+
     /// Allocate the workspace holding every scratch buffer the plan's
     /// execution needs. Reuse it across calls for zero steady-state
     /// allocations.
     pub fn make_workspace(&self) -> DwtWorkspace {
+        let built_for = self.workspace_geometry();
         // Ping-pong LL buffers. Decomposition alternates shrinking levels
         // between them, but reconstruction grows the approximation back up
         // through the same pair, so both must hold the largest
         // intermediate: the level-1 LL of rows/2 x cols/2.
         let ll_elems = (self.rows / 2) * (self.cols / 2);
-        if let KernelKind::Lifting(_) = self.kernel {
-            // The lifting sweep needs one rows x cols staging buffer and
-            // two half-row scratch lanes; none of the convolution rings.
-            return DwtWorkspace {
-                ring_rows: self.bank.len().max(2),
-                band_width: self.effective_band_width(),
-                lanes: Vec::new(),
-                ll_a: vec![0.0; ll_elems],
-                ll_b: vec![0.0; ll_elems],
-                synth_low: Vec::new(),
-                synth_high: Vec::new(),
-                col_a: Vec::new(),
-                col_d: Vec::new(),
-                col_buf: Vec::new(),
-                lift_buf: vec![0.0; lifting::staging_len(self.rows, self.cols)],
-                lift_e: vec![0.0; self.cols / 2],
-                lift_o: vec![0.0; self.cols / 2],
-            };
-        }
-        let flen = self.bank.len();
-        let ring_rows = flen.max(2);
-        let bw = self.effective_band_width();
-        let lanes = (0..self.threads)
-            .map(|_| LaneBuf {
-                low_ring: vec![0.0; ring_rows * bw],
-                high_ring: vec![0.0; ring_rows * bw],
-            })
-            .collect();
-        // Synthesis intermediates: the finest level reassembles two
-        // matrices of rows x cols/2 each.
-        let synth_elems = self.rows * (self.cols / 2);
+        let ring_elems = self.ring_rows() * built_for.band_width;
+        let (lift_elems, synth_elems) = match self.kernel {
+            KernelKind::Lifting(_) => (lifting::staging_len(self.rows, self.cols), 0),
+            KernelKind::Convolution => (0, self.cols),
+        };
         DwtWorkspace {
-            ring_rows,
-            band_width: bw,
-            lanes,
+            built_for,
+            lanes: (0..built_for.lanes)
+                .map(|_| LaneBuf {
+                    low_ring: vec![0.0; ring_elems],
+                    high_ring: vec![0.0; ring_elems],
+                })
+                .collect(),
             ll_a: vec![0.0; ll_elems],
             ll_b: vec![0.0; ll_elems],
-            synth_low: vec![0.0; synth_elems],
-            synth_high: vec![0.0; synth_elems],
-            col_a: vec![0.0; self.rows / 2],
-            col_d: vec![0.0; self.rows / 2],
-            col_buf: vec![0.0; self.rows],
-            lift_buf: Vec::new(),
-            lift_e: Vec::new(),
-            lift_o: Vec::new(),
+            lift_buf: vec![0.0; lift_elems],
+            synth_rows: vec![0.0; synth_elems],
         }
     }
 
@@ -431,20 +449,10 @@ impl DwtPlan {
     }
 
     /// Check that `ws` was created by a plan of identical geometry.
+    /// Compared exactly: two geometries can agree on every buffer
+    /// *length* (100x1024 and 200x512 do) and still index differently.
     fn check_workspace(&self, ws: &DwtWorkspace) -> Result<()> {
-        let want_bw = self.effective_band_width();
-        let common_ok = ws.band_width == want_bw
-            && ws.ring_rows == self.bank.len().max(2)
-            && ws.ll_a.len() >= (self.rows / 2) * (self.cols / 2);
-        let kernel_ok = match self.kernel {
-            KernelKind::Lifting(_) => {
-                ws.lift_buf.len() >= lifting::staging_len(self.rows, self.cols)
-                    && ws.lift_e.len() >= self.cols / 2
-                    && ws.lift_o.len() >= self.cols / 2
-            }
-            KernelKind::Convolution => ws.lanes.len() >= self.threads.min(self.rows / 2).max(1),
-        };
-        if !common_ok || !kernel_ok {
+        if ws.built_for != self.workspace_geometry() {
             return Err(DwtError::DimensionMismatch {
                 detail: "workspace was built by a plan with different geometry".to_string(),
             });
@@ -485,37 +493,18 @@ impl DwtPlan {
         self.check_pyramid(out)?;
         for level in 0..self.levels {
             let dims = self.level_dims[level];
-            let last = level + 1 == self.levels;
-            // Destructure the workspace so the borrows of the source
-            // buffer and the destination buffer are disjoint.
-            let (src, ll_dst): (&[f64], &mut [f64]) = match (level, level % 2) {
-                (0, _) => (
-                    img.data(),
-                    if last {
-                        out.approx.data_mut()
-                    } else {
-                        &mut ws.ll_a[..dims.rows_out() * dims.cols_out()]
-                    },
-                ),
-                (_, 1) => (
-                    &ws.ll_a[..dims.rows_in * dims.cols_in],
-                    if last {
-                        out.approx.data_mut()
-                    } else {
-                        &mut ws.ll_b[..dims.rows_out() * dims.cols_out()]
-                    },
-                ),
-                _ => (
-                    &ws.ll_b[..dims.rows_in * dims.cols_in],
-                    if last {
-                        out.approx.data_mut()
-                    } else {
-                        &mut ws.ll_a[..dims.rows_out() * dims.cols_out()]
-                    },
-                ),
+            let (prev, next) = ping_pong(&mut ws.ll_a, &mut ws.ll_b, level);
+            let src = if level == 0 {
+                img.data()
+            } else {
+                &prev[..dims.rows_in * dims.cols_in]
             };
-            let bands = &mut out.detail[level];
-            let (lh, hl, hh) = bands.split_mut();
+            let ll_dst = if level + 1 == self.levels {
+                out.approx.data_mut()
+            } else {
+                &mut next[..dims.rows_out() * dims.cols_out()]
+            };
+            let (lh, hl, hh) = out.detail[level].split_mut();
             if let KernelKind::Lifting(kind) = self.kernel {
                 lifting::forward_level(
                     src,
@@ -527,8 +516,6 @@ impl DwtPlan {
                     hl.data_mut(),
                     hh.data_mut(),
                     &mut ws.lift_buf,
-                    &mut ws.lift_e,
-                    &mut ws.lift_o,
                 );
             } else {
                 self.decompose_level(
@@ -539,8 +526,6 @@ impl DwtPlan {
                     hl.data_mut(),
                     hh.data_mut(),
                     &mut ws.lanes,
-                    ws.ring_rows,
-                    ws.band_width,
                 );
             }
         }
@@ -567,11 +552,10 @@ impl DwtPlan {
         hl: &mut [f64],
         hh: &mut [f64],
         lanes: &mut [LaneBuf],
-        ring_rows: usize,
-        band_width: usize,
     ) {
         let rows_out = dims.rows_out();
         let cols_out = dims.cols_out();
+        let (ring_rows, band_width) = (self.ring_rows(), self.effective_band_width());
         let nlanes = self.threads.min(lanes.len()).min(rows_out).max(1);
         if nlanes <= 1 {
             fused_band_sweep(
@@ -641,63 +625,79 @@ impl DwtPlan {
         self.check_image(out)?;
         // Walk coarsest -> finest, ping-ponging the growing approximation
         // between the workspace LL buffers; the last step writes `out`.
-        let coarse_elems = pyr.approx.rows() * pyr.approx.cols();
-        ws.ll_a[..coarse_elems].copy_from_slice(pyr.approx.data());
-        let mut cur_in_a = true;
-        for level in (0..self.levels).rev() {
+        for (step, level) in (0..self.levels).rev().enumerate() {
             let dims = self.level_dims[level];
-            let (r, c) = (dims.rows_out(), dims.cols_out());
-            let bands = &pyr.detail[level];
-            // Split buffers for source and destination without overlap.
-            let (src_buf, dst_buf): (&[f64], &mut [f64]) = if level == 0 {
-                (
-                    if cur_in_a {
-                        &ws.ll_a[..r * c]
-                    } else {
-                        &ws.ll_b[..r * c]
-                    },
-                    out.data_mut(),
-                )
-            } else if cur_in_a {
-                (
-                    &ws.ll_a[..r * c],
-                    &mut ws.ll_b[..dims.rows_in * dims.cols_in],
-                )
+            let (prev, next) = ping_pong(&mut ws.ll_a, &mut ws.ll_b, step);
+            let ll = if step == 0 {
+                pyr.approx.data()
             } else {
-                (
-                    &ws.ll_b[..r * c],
-                    &mut ws.ll_a[..dims.rows_in * dims.cols_in],
-                )
+                &prev[..dims.rows_out() * dims.cols_out()]
             };
+            let dst = if level == 0 {
+                out.data_mut()
+            } else {
+                &mut next[..dims.rows_in * dims.cols_in]
+            };
+            let bands = &pyr.detail[level];
             if let KernelKind::Lifting(kind) = self.kernel {
                 lifting::inverse_level(
-                    src_buf,
+                    ll,
                     bands,
                     dims.rows_in,
                     dims.cols_in,
                     kind,
-                    dst_buf,
+                    dst,
                     &mut ws.lift_buf,
                 );
             } else {
-                synth_step_into(
-                    src_buf,
-                    r,
-                    c,
-                    bands,
-                    &self.bank,
-                    self.mode,
-                    dst_buf,
-                    &mut ws.synth_low[..dims.rows_in * c],
-                    &mut ws.synth_high[..dims.rows_in * c],
-                    &mut ws.col_a[..r],
-                    &mut ws.col_d[..r],
-                    &mut ws.col_buf[..dims.rows_in],
-                )?;
+                self.synthesize_level(level, ll, bands, dst, &mut ws.synth_rows);
             }
-            cur_in_a = !cur_in_a;
         }
         Ok(())
+    }
+
+    /// The fused synthesis kernel — [`fused_band_sweep`] run backwards.
+    /// Each output row of `level` is produced in one visit: the column
+    /// synthesis accumulates its [`SynthTaps`] from contiguous
+    /// coefficient rows into the `[low | high]` intermediate row
+    /// `scratch`, which is row-synthesized straight into `dst`. Per
+    /// element that is the accumulation chain of the separable reference
+    /// — low-filter taps of `LL` (`HL`), then high-filter taps of `LH`
+    /// (`HH`), `(k, m)` ascending — so results are bit-identical. The
+    /// reference skips zero coefficients; adding their `±0.0` products
+    /// is the same, because an accumulator that starts at `+0.0` never
+    /// becomes `-0.0`.
+    fn synthesize_level(
+        &self,
+        level: usize,
+        ll: &[f64],
+        bands: &Subbands,
+        dst: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let c = self.level_dims[level].cols_out();
+        let taps = &self.synth_taps[level];
+        let (low, high) = (self.bank.low(), self.bank.high());
+        let (lh, hl, hh) = (bands.lh.data(), bands.hl.data(), bands.hh.data());
+        let (low_row, high_row) = scratch[..2 * c].split_at_mut(c);
+        for (i, drow) in dst.chunks_exact_mut(2 * c).enumerate() {
+            low_row.fill(0.0);
+            high_row.fill(0.0);
+            let pairs = &taps.pairs[taps.start[i]..taps.start[i + 1]];
+            for &(k, m) in pairs {
+                let at = k * c..(k + 1) * c;
+                kernel::axpy(low_row, &ll[at.clone()], low[m]);
+                kernel::axpy(high_row, &hl[at], low[m]);
+            }
+            for &(k, m) in pairs {
+                let at = k * c..(k + 1) * c;
+                kernel::axpy(low_row, &lh[at.clone()], high[m]);
+                kernel::axpy(high_row, &hh[at], high[m]);
+            }
+            drow.fill(0.0);
+            conv::synthesize_add_unchecked(low_row, low, self.mode, drow);
+            conv::synthesize_add_unchecked(high_row, high, self.mode, drow);
+        }
     }
 
     /// Convenience wrapper allocating the workspace and output image.
@@ -717,27 +717,45 @@ struct LaneBuf {
     high_ring: Vec<f64>,
 }
 
+/// The geometry a [`DwtWorkspace`] was sized for. A plan accepts only a
+/// workspace whose record equals its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WorkspaceGeometry {
+    rows: usize,
+    cols: usize,
+    filter_len: usize,
+    kernel: KernelKind,
+    lanes: usize,
+    band_width: usize,
+}
+
 /// All scratch storage for executing a [`DwtPlan`]. Create once with
 /// [`DwtPlan::make_workspace`], reuse for every frame.
 #[derive(Debug, Clone)]
 pub struct DwtWorkspace {
-    ring_rows: usize,
-    band_width: usize,
+    built_for: WorkspaceGeometry,
+    /// Analysis ring buffers, one per thread lane (convolution only).
     lanes: Vec<LaneBuf>,
     ll_a: Vec<f64>,
     ll_b: Vec<f64>,
-    synth_low: Vec<f64>,
-    synth_high: Vec<f64>,
-    col_a: Vec<f64>,
-    col_d: Vec<f64>,
-    col_buf: Vec<f64>,
     /// Lifting staging buffer ([`lifting::staging_len`] elements: the
     /// cache-blocked stash+ring window, or the whole image when it is
     /// small enough for the plain path), empty for convolution plans.
     lift_buf: Vec<f64>,
-    /// Row-lift even/odd scratch (`cols / 2` each).
-    lift_e: Vec<f64>,
-    lift_o: Vec<f64>,
+    /// The convolution synthesis sweep's `[low | high]` intermediate row
+    /// (`cols` elements), empty for lifting plans.
+    synth_rows: Vec<f64>,
+}
+
+/// Buffers of step `step` of a level walk through the ping-pong pair:
+/// `(the previous step's output, this step's output)`. Step 0 has no
+/// previous output — its caller reads the walk's own input instead.
+fn ping_pong<'a>(a: &'a mut [f64], b: &'a mut [f64], step: usize) -> (&'a [f64], &'a mut [f64]) {
+    if step.is_multiple_of(2) {
+        (b, a)
+    } else {
+        (a, b)
+    }
 }
 
 /// Row-filter input row `x_row` with both filters over output columns
@@ -850,28 +868,9 @@ fn fused_band_sweep(
             if k > k0 {
                 // Slide the window: two fresh intermediate rows replace
                 // the two evicted ones.
-                fill_ring_row(
-                    src,
-                    dims,
-                    bank,
-                    mode,
-                    2 * k + flen - 2,
-                    c0,
-                    w,
-                    buf,
-                    ring_rows,
-                );
-                fill_ring_row(
-                    src,
-                    dims,
-                    bank,
-                    mode,
-                    2 * k + flen - 1,
-                    c0,
-                    w,
-                    buf,
-                    ring_rows,
-                );
+                for t in [2 * k + flen - 2, 2 * k + flen - 1] {
+                    fill_ring_row(src, dims, bank, mode, t, c0, w, buf, ring_rows);
+                }
             }
             // Column filter: contiguous output chunks, one tap at a time,
             // ascending — the same accumulation order as the separable
@@ -896,73 +895,46 @@ fn fused_band_sweep(
     }
 }
 
-/// One workspace-backed synthesis step: merge `(ll, bands)` of size
-/// `r x c` into `dst` (`2r x 2c`), using caller-provided intermediates.
-#[allow(clippy::too_many_arguments)]
-fn synth_step_into(
-    ll: &[f64],
-    r: usize,
-    c: usize,
-    bands: &Subbands,
-    bank: &FilterBank,
-    mode: Boundary,
-    dst: &mut [f64],
-    low: &mut [f64],
-    high: &mut [f64],
-    col_a: &mut [f64],
-    col_d: &mut [f64],
-    col_buf: &mut [f64],
-) -> Result<()> {
-    if bands.rows() != r || bands.cols() != c {
-        return Err(DwtError::DimensionMismatch {
-            detail: format!(
-                "LL is {r}x{c} but detail bands are {}x{}",
-                bands.rows(),
-                bands.cols()
-            ),
-        });
-    }
-    debug_assert_eq!(dst.len(), 4 * r * c);
-    debug_assert_eq!(low.len(), 2 * r * c);
-    // Invert the column pass: scatter the coefficient columns into the
-    // low/high row-filtered intermediates.
-    low.fill(0.0);
-    high.fill(0.0);
-    for cc in 0..c {
-        for (rr, slot) in col_a.iter_mut().enumerate() {
-            *slot = ll[rr * c + cc];
-        }
-        for (rr, slot) in col_d.iter_mut().enumerate() {
-            *slot = bands.lh.get(rr, cc);
-        }
-        col_buf.fill(0.0);
-        conv::synthesize_add_unchecked(col_a, bank.low(), mode, col_buf);
-        conv::synthesize_add_unchecked(col_d, bank.high(), mode, col_buf);
-        for (rr, &v) in col_buf.iter().enumerate() {
-            low[rr * c + cc] = v;
-        }
+/// For each intermediate row `i` of one level's synthesis, the `(k, m)`
+/// pairs — coefficient row `k`, filter tap `m` — with
+/// `mode.map(2k + m) == i`, in `(k, m)`-ascending order: the order in
+/// which the per-column scatter of the separable reference adds them.
+/// Built from `mode.map` itself, so every boundary policy (folds that
+/// land two taps of one `k` on the same row included) is covered by
+/// construction.
+#[derive(Debug, Clone)]
+struct SynthTaps {
+    /// Row `i` owns `pairs[start[i]..start[i + 1]]`.
+    start: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
+}
 
-        for (rr, slot) in col_a.iter_mut().enumerate() {
-            *slot = bands.hl.get(rr, cc);
+impl SynthTaps {
+    /// Table for a level whose sub-bands have `rows_out` rows.
+    fn new(rows_out: usize, filter_len: usize, mode: Boundary) -> Self {
+        let n = 2 * rows_out;
+        let hits = || {
+            (0..rows_out).flat_map(move |k| {
+                (0..filter_len)
+                    .filter_map(move |m| mode.map((2 * k + m) as isize, n).map(|i| (i, (k, m))))
+            })
+        };
+        // Counting sort by row; stable, so each row keeps (k, m) order.
+        let mut start = vec![0usize; n + 1];
+        for (i, _) in hits() {
+            start[i + 1] += 1;
         }
-        for (rr, slot) in col_d.iter_mut().enumerate() {
-            *slot = bands.hh.get(rr, cc);
+        for i in 0..n {
+            start[i + 1] += start[i];
         }
-        col_buf.fill(0.0);
-        conv::synthesize_add_unchecked(col_a, bank.low(), mode, col_buf);
-        conv::synthesize_add_unchecked(col_d, bank.high(), mode, col_buf);
-        for (rr, &v) in col_buf.iter().enumerate() {
-            high[rr * c + cc] = v;
+        let mut next = start.clone();
+        let mut pairs = vec![(0, 0); start[n]];
+        for (i, pair) in hits() {
+            pairs[next[i]] = pair;
+            next[i] += 1;
         }
+        SynthTaps { start, pairs }
     }
-    // Invert the row pass.
-    dst.fill(0.0);
-    for rr in 0..2 * r {
-        let drow = &mut dst[rr * 2 * c..(rr + 1) * 2 * c];
-        conv::synthesize_add_unchecked(&low[rr * c..(rr + 1) * c], bank.low(), mode, drow);
-        conv::synthesize_add_unchecked(&high[rr * c..(rr + 1) * c], bank.high(), mode, drow);
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1101,6 +1073,35 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rejects_a_workspace_whose_buffer_lengths_happen_to_fit() {
+        // 100x1024 and 200x512 share band width, ring rows and LL length,
+        // so only an exact geometry comparison tells them apart; the
+        // 9/7 pair likewise shares its (capped) staging length.
+        for bank in [FilterBank::daubechies(4).unwrap(), FilterBank::cdf97()] {
+            let foreign = DwtPlan::new(100, 1024, bank.clone(), 1, Boundary::Periodic).unwrap();
+            let plan = DwtPlan::new(200, 512, bank.clone(), 1, Boundary::Periodic).unwrap();
+            let mut ws = foreign.make_workspace();
+            let mut pyr = plan.make_pyramid();
+            let mut img = test_image(200, 512);
+            let name = bank.name();
+            assert!(
+                matches!(
+                    plan.decompose_into(&img, &mut ws, &mut pyr),
+                    Err(DwtError::DimensionMismatch { .. })
+                ),
+                "{name} decompose"
+            );
+            assert!(
+                matches!(
+                    plan.reconstruct_into(&pyr, &mut ws, &mut img),
+                    Err(DwtError::DimensionMismatch { .. })
+                ),
+                "{name} reconstruct"
+            );
         }
     }
 

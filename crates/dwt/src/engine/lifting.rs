@@ -10,20 +10,20 @@
 //!
 //! # Kernel structure
 //!
-//! One level runs as a **single fused sweep** over the image:
+//! One level of either direction runs as a **single fused [`sweep`]**:
 //!
-//! * each input row is row-lifted once into a `rows x cols` staging
-//!   buffer, packed as `[low | high]` halves (any 9/7 scaling folded
-//!   into the write-out);
-//! * the column transform runs as a software pipeline over that buffer:
-//!   stage `k` of the predict/update schedule trails stage `k-1` by one
-//!   row pair, so every buffer row is touched while still cache-hot.
+//! * *fill* — analysis row-lifts each input row into a staging row
+//!   packed as `[low | high]` halves; synthesis gathers the matching
+//!   sub-band rows (any 9/7 scaling applied in the staging row);
+//! * the column transform runs as a software pipeline over the staged
+//!   rows: stage `k` of the predict/update schedule trails stage `k-1`
+//!   by one row pair, so every row is touched while still cache-hot.
 //!   The periodic wrap rows that a stage cannot process mid-stream
-//!   (a *deferral set* derived per stage, see [`defer_table`]) are
+//!   (a *deferral set* derived per stage, see [`Pipeline`]) are
 //!   finished in a short epilogue;
-//! * as soon as a row pair leaves the last stage it is scattered to the
-//!   four sub-bands (analysis) or row-unlifted into the output image
-//!   (synthesis).
+//! * *drain* — as soon as a row pair leaves the last stage it is
+//!   scattered to the four sub-bands (analysis) or row-unlifted into
+//!   the output image (synthesis).
 //!
 //! The working set is a dozen buffer rows regardless of image height —
 //! the lifting analogue of the convolution engine's ring-buffer halo.
@@ -63,65 +63,33 @@ struct Stage {
     c: f64,
 }
 
-const FWD_53: [Stage; 2] = [
-    Stage {
-        op: Op::Predict,
-        c: -0.5,
-    },
-    Stage {
-        op: Op::Update,
-        c: 0.25,
-    },
-];
+const fn predict(c: f64) -> Stage {
+    Stage { op: Op::Predict, c }
+}
 
-const INV_53: [Stage; 2] = [
-    Stage {
-        op: Op::Update,
-        c: -0.25,
-    },
-    Stage {
-        op: Op::Predict,
-        c: 0.5,
-    },
-];
+const fn update(c: f64) -> Stage {
+    Stage { op: Op::Update, c }
+}
 
-const FWD_97: [Stage; 4] = [
-    Stage {
-        op: Op::Predict,
-        c: ALPHA,
-    },
-    Stage {
-        op: Op::Update,
-        c: BETA,
-    },
-    Stage {
-        op: Op::Predict,
-        c: GAMMA,
-    },
-    Stage {
-        op: Op::Update,
-        c: DELTA,
-    },
-];
+/// The inverse of a schedule: its steps undone last to first, each by
+/// the same step with the coefficient negated.
+const fn undo<const N: usize>(fwd: [Stage; N]) -> [Stage; N] {
+    let mut inv = fwd;
+    let mut k = 0;
+    while k < N {
+        inv[k] = Stage {
+            op: fwd[N - 1 - k].op,
+            c: -fwd[N - 1 - k].c,
+        };
+        k += 1;
+    }
+    inv
+}
 
-const INV_97: [Stage; 4] = [
-    Stage {
-        op: Op::Update,
-        c: -DELTA,
-    },
-    Stage {
-        op: Op::Predict,
-        c: -GAMMA,
-    },
-    Stage {
-        op: Op::Update,
-        c: -BETA,
-    },
-    Stage {
-        op: Op::Predict,
-        c: -ALPHA,
-    },
-];
+const FWD_53: [Stage; 2] = [predict(-0.5), update(0.25)];
+const INV_53: [Stage; 2] = undo(FWD_53);
+const FWD_97: [Stage; 4] = [predict(ALPHA), update(BETA), predict(GAMMA), update(DELTA)];
+const INV_97: [Stage; 4] = undo(FWD_97);
 
 fn stages(kind: LiftingKind, inverse: bool) -> &'static [Stage] {
     match (kind, inverse) {
@@ -162,6 +130,22 @@ pub fn lift_step(dst: &mut [f64], a: &[f64], b: &[f64], c: f64) {
     while i < n {
         dst[i] += c * (a[i] + b[i]);
         i += 1;
+    }
+}
+
+/// `row[i] *= z` — the 9/7 normalization of a low half (analysis) or a
+/// high half (synthesis).
+fn scale(row: &mut [f64], z: f64) {
+    for v in row {
+        *v *= z;
+    }
+}
+
+/// `row[i] /= z` — the other half. A true division, not a multiply by
+/// the reciprocal: the oracle divides.
+fn unscale(row: &mut [f64], z: f64) {
+    for v in row {
+        *v /= z;
     }
 }
 
@@ -244,12 +228,8 @@ pub fn forward_1d_into(
     }
     lift_halves(approx, detail, stages(kind, false));
     if let Some(z) = zeta(kind) {
-        for v in approx.iter_mut() {
-            *v *= z;
-        }
-        for v in detail.iter_mut() {
-            *v /= z;
-        }
+        scale(approx, z);
+        unscale(detail, z);
     }
     Ok(())
 }
@@ -276,34 +256,39 @@ pub fn inverse_1d_into(
     if h == 0 {
         return Ok(());
     }
-    match zeta(kind) {
-        Some(z) => {
-            for i in 0..h {
-                out[2 * i] = approx[i] / z;
-                out[2 * i + 1] = detail[i] * z;
-            }
-        }
-        None => {
-            for i in 0..h {
-                out[2 * i] = approx[i];
-                out[2 * i + 1] = detail[i];
-            }
+    for (pair, (&a, &d)) in out.chunks_exact_mut(2).zip(approx.iter().zip(detail)) {
+        pair[0] = a;
+        pair[1] = d;
+    }
+    if let Some(z) = zeta(kind) {
+        for pair in out.chunks_exact_mut(2) {
+            pair[0] /= z;
+            pair[1] *= z;
         }
     }
     lift_interleaved(out, stages(kind, true));
     Ok(())
 }
 
-/// Staging-buffer length (in `f64`s) that covers both level paths for
-/// every schedule: the plain path stages the whole image but only runs
-/// below `h < 2·(nst + maxp + maxq) + 4` (at most 40 rows for the
-/// deepest schedule, CDF 9/7), while the cache-blocked fused path
-/// needs just `2·(stash + ring)` rows (at most 26).
+/// Longest schedule ([`FWD_97`] / [`INV_97`]).
+const MAX_STAGES: usize = 4;
+
+/// Row cap of the staging buffer: no schedule's [`Pipeline`] touches
+/// more staging rows than this, whichever path a level takes (the
+/// deepest, the 9/7 inverse, stages up to 38 rows plain and 26
+/// blocked). [`sweep`] `debug_assert`s it and a unit test checks it
+/// against every schedule.
+const STAGING_ROW_CAP: usize = 40;
+
+/// Staging-buffer length (in `f64`s) that covers both level paths of
+/// every schedule for a `rows x cols` level.
 pub(crate) fn staging_len(rows: usize, cols: usize) -> usize {
-    rows.min(40) * cols
+    rows.min(STAGING_ROW_CAP) * cols
 }
 
-/// Per-stage deferral set of the software pipeline.
+/// Staging geometry of one schedule's [`sweep`] — the one place the
+/// deferral table, the plain-path threshold and the blocked window are
+/// computed.
 ///
 /// Rows stream through the column stages top-down, so stage `k` cannot
 /// process the first `p_k` and last `q_k` row pairs mid-sweep: those
@@ -322,31 +307,66 @@ pub(crate) fn staging_len(rows: usize, cols: usize) -> usize {
 /// Deferred positions run in the epilogue, in schedule order — by then
 /// every upstream value is final and, because later stages defer
 /// supersets, nothing downstream has overwritten an input.
-fn defer_table(stages: &[Stage]) -> Vec<(usize, usize)> {
-    let mut table = Vec::with_capacity(stages.len());
-    let (mut p, mut q) = (0usize, 0usize);
-    for (k, st) in stages.iter().enumerate() {
-        match st.op {
-            Op::Update => {
-                if k == 0 {
-                    p = 1;
-                } else {
-                    p += 1;
+struct Pipeline {
+    /// Per-stage `(p, q)`; entries past the schedule stay `(0, 0)`.
+    table: [(usize, usize); MAX_STAGES],
+    /// The last stage's — the largest — `p` and `q`.
+    maxp: usize,
+    maxq: usize,
+    /// Levels with fewer row pairs than this run plain per-stage passes
+    /// over a whole-level staging buffer.
+    plain_below: usize,
+    /// Head pairs that persist for the epilogue (also the wrap target of
+    /// in-sweep `j = h-1` predicts).
+    stash: usize,
+    /// Sliding window of in-flight pairs, sized past the deepest stage's
+    /// reach plus the deferred tail.
+    ring: usize,
+}
+
+impl Pipeline {
+    fn new(stages: &[Stage]) -> Self {
+        let mut table = [(0, 0); MAX_STAGES];
+        let (mut p, mut q) = (0usize, 0usize);
+        for (k, st) in stages.iter().enumerate() {
+            match st.op {
+                Op::Update => {
+                    if k == 0 {
+                        p = 1;
+                    } else {
+                        p += 1;
+                    }
                 }
-            }
-            Op::Predict => {
-                if k > 0 {
-                    if q > 0 {
-                        q += 1;
-                    } else if p > 0 {
-                        q = 1;
+                Op::Predict => {
+                    if k > 0 {
+                        if q > 0 {
+                            q += 1;
+                        } else if p > 0 {
+                            q = 1;
+                        }
                     }
                 }
             }
+            table[k] = (p, q);
         }
-        table.push((p, q));
+        Pipeline {
+            table,
+            maxp: p,
+            maxq: q,
+            plain_below: 2 * (stages.len() + p + q) + 4,
+            stash: p + 1,
+            ring: stages.len() + q + 4,
+        }
     }
-    table
+
+    /// Staging rows a level of `rows` rows touches.
+    fn staging_rows(&self, rows: usize) -> usize {
+        if rows / 2 < self.plain_below {
+            rows
+        } else {
+            2 * (self.stash + self.ring)
+        }
+    }
 }
 
 /// Split three distinct rows of `buf` (row-major, `cols` wide) into one
@@ -405,10 +425,113 @@ fn col_stage(
     }
 }
 
-/// Row-lift input row `r` into staging row `brow`: deinterleave, run
-/// the forward schedule on the halves, write back `[low | high]` with
-/// the 9/7 scaling folded in.
-#[allow(clippy::too_many_arguments)]
+/// One level of either direction: `fill(buf, t, bt)` stages logical row
+/// `t` into staging row `bt`, the column schedule `st` runs over the
+/// staged rows, and `drain(buf, p, bp)` consumes finished row pair `p`
+/// from staging slot `bp` (rows `2·bp`, `2·bp + 1`). Analysis fills by
+/// row-lifting the image and drains by scattering to the sub-bands;
+/// synthesis fills by gathering the sub-bands and drains by
+/// row-unlifting into the image. Both closures are monomorphised.
+///
+/// Short levels run plain per-stage passes over a whole-level staging
+/// buffer. Otherwise the level is one fused pipeline: the fill feeds the
+/// column stages, each trailing the previous by one row pair, and a
+/// pair drains as soon as it leaves the last stage; the positions the
+/// [`Pipeline`] table postpones run in an epilogue.
+///
+/// `margin` widens the drain's own deferral past the stages' `(maxp,
+/// maxq)`: a drain that *mutates* its staging rows (synthesis unlifts
+/// them in place) must also wait for the epilogue stages, which still
+/// read the neighbours of their deferred positions — pairs `maxp` and
+/// `h - maxq - 1` — so it passes `1`; a read-only drain passes `0`.
+fn sweep(
+    rows: usize,
+    cols: usize,
+    st: &[Stage],
+    buf: &mut [f64],
+    margin: usize,
+    mut fill: impl FnMut(&mut [f64], usize, usize),
+    mut drain: impl FnMut(&mut [f64], usize, usize),
+) {
+    debug_assert!(rows >= 2 && rows.is_multiple_of(2) && cols >= 2 && cols.is_multiple_of(2));
+    let h = rows / 2;
+    let pipe = Pipeline::new(st);
+    debug_assert!(pipe.staging_rows(rows) * cols <= staging_len(rows, cols));
+    let buf = &mut buf[..pipe.staging_rows(rows) * cols];
+
+    if h < pipe.plain_below {
+        // Short image: plain per-stage passes (identical arithmetic).
+        for t in 0..rows {
+            fill(buf, t, t);
+        }
+        for stage in st {
+            for j in 0..h {
+                col_stage(buf, cols, h, *stage, j, |p| p);
+            }
+        }
+        for p in 0..h {
+            drain(buf, p, p);
+        }
+        return;
+    }
+
+    // Cache-blocked staging: the pipeline only ever touches the head
+    // pairs the epilogue will revisit (the stash) plus a sliding window
+    // of in-flight pairs (the ring), so the staging rows stay
+    // cache-resident instead of streaming a second `rows x cols` image
+    // through memory.
+    let (stash, ring) = (pipe.stash, pipe.ring);
+    let map = |p: usize| {
+        if p < stash {
+            p
+        } else {
+            stash + (p - stash) % ring
+        }
+    };
+
+    let nst = st.len();
+    let (head, tail) = (pipe.maxp + margin, pipe.maxq + margin);
+    let mut next_row = 0usize;
+    for i in 0..h + nst - 1 {
+        if i < h {
+            // Stage 0 at pair i reaches rows 2i+1 (update) or 2i+2
+            // (predict); its row-0 wrap is always available.
+            let need = (2 * i + 2).min(rows - 1);
+            while next_row <= need {
+                fill(buf, next_row, 2 * map(next_row / 2) + next_row % 2);
+                next_row += 1;
+            }
+        }
+        for (k, (stage, &(p, q))) in st.iter().zip(&pipe.table).enumerate() {
+            if i < k {
+                break;
+            }
+            let j = i - k;
+            if j >= p && j + q < h {
+                col_stage(buf, cols, h, *stage, j, map);
+            }
+        }
+        if i + 1 >= nst {
+            let p = i + 1 - nst;
+            if p >= head && p + tail < h {
+                drain(buf, p, map(p));
+            }
+        }
+    }
+    // Epilogue: deferred wrap positions, in schedule order.
+    for (stage, &(p, q)) in st.iter().zip(&pipe.table) {
+        for j in (0..p).chain(h - q..h) {
+            col_stage(buf, cols, h, *stage, j, map);
+        }
+    }
+    for p in (0..head).chain(h - tail..h) {
+        drain(buf, p, map(p));
+    }
+}
+
+/// Row-lift input row `r` into staging row `brow`: deinterleave into its
+/// `[low | high]` halves, run the forward schedule on them in place,
+/// then apply the 9/7 scaling.
 fn row_lift(
     src: &[f64],
     cols: usize,
@@ -417,36 +540,17 @@ fn row_lift(
     st: &[Stage],
     z: Option<f64>,
     buf: &mut [f64],
-    e: &mut [f64],
-    o: &mut [f64],
 ) {
-    let c2 = cols / 2;
     let x = &src[r * cols..(r + 1) * cols];
-    let row = &mut buf[brow * cols..(brow + 1) * cols];
-    match z {
-        Some(z) => {
-            for (i, pair) in x.chunks_exact(2).enumerate() {
-                e[i] = pair[0];
-                o[i] = pair[1];
-            }
-            lift_halves(&mut e[..c2], &mut o[..c2], st);
-            for (dst, &v) in row[..c2].iter_mut().zip(e.iter()) {
-                *dst = v * z;
-            }
-            for (dst, &v) in row[c2..].iter_mut().zip(o.iter()) {
-                *dst = v / z;
-            }
-        }
-        None => {
-            // No scaling pass: deinterleave straight into the staging
-            // row's halves and lift in place, skipping the copy-back.
-            let (re, ro) = row.split_at_mut(c2);
-            for (i, pair) in x.chunks_exact(2).enumerate() {
-                re[i] = pair[0];
-                ro[i] = pair[1];
-            }
-            lift_halves(re, ro, st);
-        }
+    let (e, o) = buf[brow * cols..(brow + 1) * cols].split_at_mut(cols / 2);
+    for (i, pair) in x.chunks_exact(2).enumerate() {
+        e[i] = pair[0];
+        o[i] = pair[1];
+    }
+    lift_halves(e, o, st);
+    if let Some(z) = z {
+        scale(e, z);
+        unscale(o, z);
     }
 }
 
@@ -471,27 +575,21 @@ fn scatter_pair(
     let hlr = &mut hl[p * c2..(p + 1) * c2];
     let lhr = &mut lh[p * c2..(p + 1) * c2];
     let hhr = &mut hh[p * c2..(p + 1) * c2];
-    match z {
-        Some(z) => {
-            for j in 0..c2 {
-                llr[j] = s[j] * z;
-                hlr[j] = s[c2 + j] * z;
-                lhr[j] = d[j] / z;
-                hhr[j] = d[c2 + j] / z;
-            }
-        }
-        None => {
-            llr.copy_from_slice(&s[..c2]);
-            hlr.copy_from_slice(&s[c2..]);
-            lhr.copy_from_slice(&d[..c2]);
-            hhr.copy_from_slice(&d[c2..]);
-        }
+    llr.copy_from_slice(&s[..c2]);
+    hlr.copy_from_slice(&s[c2..]);
+    lhr.copy_from_slice(&d[..c2]);
+    hhr.copy_from_slice(&d[c2..]);
+    if let Some(z) = z {
+        scale(llr, z);
+        scale(hlr, z);
+        unscale(lhr, z);
+        unscale(hhr, z);
     }
 }
 
 /// One level of fused lifting analysis: `src` (`rows x cols`) into the
-/// four sub-band slices. `buf` is `rows x cols` staging, `e`/`o` are
-/// `cols/2` row scratch. Allocation-free; bit-identical to the oracle.
+/// four sub-band slices, staged through `buf` ([`staging_len`]
+/// elements). Allocation-free; bit-identical to the oracle.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_level(
     src: &[f64],
@@ -503,97 +601,19 @@ pub(crate) fn forward_level(
     hl: &mut [f64],
     hh: &mut [f64],
     buf: &mut [f64],
-    e: &mut [f64],
-    o: &mut [f64],
 ) {
-    debug_assert!(rows >= 2 && rows.is_multiple_of(2) && cols >= 2 && cols.is_multiple_of(2));
-    debug_assert!(src.len() >= rows * cols && buf.len() >= staging_len(rows, cols));
-    let h = rows / 2;
+    debug_assert!(src.len() >= rows * cols);
     let st = stages(kind, false);
     let z = zeta(kind);
-    let table = defer_table(st);
-    let nst = st.len();
-    let maxp = table.iter().map(|t| t.0).max().unwrap_or(0);
-    let maxq = table.iter().map(|t| t.1).max().unwrap_or(0);
-    if h < 2 * (nst + maxp + maxq) + 4 {
-        // Short image: plain per-stage passes (identical arithmetic).
-        let buf = &mut buf[..rows * cols];
-        for r in 0..rows {
-            row_lift(src, cols, r, r, st, z, buf, e, o);
-        }
-        for stage in st {
-            for j in 0..h {
-                col_stage(buf, cols, h, *stage, j, |p| p);
-            }
-        }
-        for p in 0..h {
-            scatter_pair(buf, cols, p, p, z, ll, lh, hl, hh);
-        }
-        return;
-    }
-
-    // Cache-blocked staging: the pipeline only ever touches the head
-    // pairs the epilogue will revisit (`stash`, also the wrap target of
-    // in-sweep `j = h-1` predicts) plus a sliding window of in-flight
-    // pairs (`ring`, sized past the deepest stage's reach plus the
-    // deferred tail), so the staging rows stay cache-resident instead
-    // of streaming a second `rows x cols` image through memory.
-    let stash = maxp + 1;
-    let ring = nst + maxq + 4;
-    let map = |p: usize| {
-        if p < stash {
-            p
-        } else {
-            stash + (p - stash) % ring
-        }
-    };
-    let buf = &mut buf[..2 * (stash + ring) * cols];
-
-    // Fused pipeline: row-lift feeds the column stages, each trailing
-    // the previous by one row pair; finished pairs scatter immediately.
-    let mut next_row = 0usize;
-    for i in 0..h + nst - 1 {
-        if i < h {
-            // Stage 0 at pair i reaches rows 2i+1 (update) or 2i+2
-            // (predict); its row-0 wrap is always available.
-            let need = (2 * i + 2).min(rows - 1);
-            while next_row <= need {
-                let brow = 2 * map(next_row / 2) + next_row % 2;
-                row_lift(src, cols, next_row, brow, st, z, buf, e, o);
-                next_row += 1;
-            }
-        }
-        for (k, (stage, &(p, q))) in st.iter().zip(&table).enumerate() {
-            if i < k {
-                break;
-            }
-            let j = i - k;
-            if j >= p && j + q < h {
-                col_stage(buf, cols, h, *stage, j, map);
-            }
-        }
-        if i + 1 >= nst {
-            let p = i + 1 - nst;
-            if p >= maxp && p + maxq < h {
-                scatter_pair(buf, cols, map(p), p, z, ll, lh, hl, hh);
-            }
-        }
-    }
-    // Epilogue: deferred wrap positions, in schedule order.
-    for (stage, &(p, q)) in st.iter().zip(&table) {
-        for j in 0..p {
-            col_stage(buf, cols, h, *stage, j, map);
-        }
-        for j in h - q..h {
-            col_stage(buf, cols, h, *stage, j, map);
-        }
-    }
-    for p in 0..maxp {
-        scatter_pair(buf, cols, map(p), p, z, ll, lh, hl, hh);
-    }
-    for p in h - maxq..h {
-        scatter_pair(buf, cols, map(p), p, z, ll, lh, hl, hh);
-    }
+    sweep(
+        rows,
+        cols,
+        st,
+        buf,
+        0,
+        |buf, r, brow| row_lift(src, cols, r, brow, st, z, buf),
+        |buf, p, bp| scatter_pair(buf, cols, bp, p, z, ll, lh, hl, hh),
+    );
 }
 
 /// Gather logical staging row `t` (into buffer row `bt`) for the
@@ -609,35 +629,16 @@ fn gather_row(
 ) {
     let (ll, lh, hl, hh) = bands;
     let c2 = cols / 2;
-    let k = t / 2;
+    let at = t / 2 * c2..(t / 2 + 1) * c2;
     let row = &mut buf[bt * cols..(bt + 1) * cols];
-    let (left_src, right_src, scale_div) = if t.is_multiple_of(2) {
-        (&ll[k * c2..(k + 1) * c2], &hl[k * c2..(k + 1) * c2], true)
-    } else {
-        (&lh[k * c2..(k + 1) * c2], &hh[k * c2..(k + 1) * c2], false)
-    };
+    let even = t.is_multiple_of(2);
+    let (left, right) = if even { (ll, hl) } else { (lh, hh) };
+    row[..c2].copy_from_slice(&left[at.clone()]);
+    row[c2..].copy_from_slice(&right[at]);
     match z {
-        Some(z) => {
-            if scale_div {
-                for (dst, &v) in row[..c2].iter_mut().zip(left_src) {
-                    *dst = v / z;
-                }
-                for (dst, &v) in row[c2..].iter_mut().zip(right_src) {
-                    *dst = v / z;
-                }
-            } else {
-                for (dst, &v) in row[..c2].iter_mut().zip(left_src) {
-                    *dst = v * z;
-                }
-                for (dst, &v) in row[c2..].iter_mut().zip(right_src) {
-                    *dst = v * z;
-                }
-            }
-        }
-        None => {
-            row[..c2].copy_from_slice(left_src);
-            row[c2..].copy_from_slice(right_src);
-        }
+        Some(z) if even => unscale(row, z),
+        Some(z) => scale(row, z),
+        None => {}
     }
 }
 
@@ -657,12 +658,8 @@ fn finalize_row(
     let row = &mut buf[bt * cols..(bt + 1) * cols];
     let (e, o) = row.split_at_mut(c2);
     if let Some(z) = z {
-        for v in e.iter_mut() {
-            *v /= z;
-        }
-        for v in o.iter_mut() {
-            *v *= z;
-        }
+        unscale(e, z);
+        scale(o, z);
     }
     lift_halves(e, o, st);
     let out = &mut dst[t * cols..(t + 1) * cols];
@@ -673,11 +670,10 @@ fn finalize_row(
 }
 
 /// One level of fused lifting synthesis: the four sub-bands
-/// (`rows/2 x cols/2` each) into `dst` (`rows x cols`). Same pipeline
-/// as [`forward_level`], run with the inverse schedule: gathered
+/// (`rows/2 x cols/2` each) into `dst` (`rows x cols`) — the same
+/// [`sweep`] as [`forward_level`] with the inverse schedule: gathered
 /// sub-band rows stream through the inverse column stages, and each
 /// finished row is inverse-row-lifted straight into `dst`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn inverse_level(
     ll: &[f64],
     bands: &Subbands,
@@ -687,91 +683,22 @@ pub(crate) fn inverse_level(
     dst: &mut [f64],
     buf: &mut [f64],
 ) {
-    debug_assert!(rows >= 2 && rows.is_multiple_of(2) && cols >= 2 && cols.is_multiple_of(2));
-    debug_assert!(dst.len() >= rows * cols && buf.len() >= staging_len(rows, cols));
-    let h = rows / 2;
+    debug_assert!(dst.len() >= rows * cols);
     let st = stages(kind, true);
     let z = zeta(kind);
-    let table = defer_table(st);
-    let nst = st.len();
-    let maxp = table.iter().map(|t| t.0).max().unwrap_or(0);
-    let maxq = table.iter().map(|t| t.1).max().unwrap_or(0);
     let src = (ll, bands.lh.data(), bands.hl.data(), bands.hh.data());
-    let dst = &mut dst[..rows * cols];
-
-    if h < 2 * (nst + maxp + maxq) + 4 {
-        let buf = &mut buf[..rows * cols];
-        for t in 0..rows {
-            gather_row(src, cols, t, t, z, buf);
-        }
-        for stage in st {
-            for j in 0..h {
-                col_stage(buf, cols, h, *stage, j, |p| p);
-            }
-        }
-        for t in 0..rows {
-            finalize_row(buf, cols, t, t, st, z, dst);
-        }
-        return;
-    }
-
-    // Same cache-blocked staging as the analysis sweep: deferred head
-    // pairs persist in the stash, everything else cycles through a
-    // small ring that stays cache-resident.
-    let stash = maxp + 1;
-    let ring = nst + maxq + 4;
-    let map = |p: usize| {
-        if p < stash {
-            p
-        } else {
-            stash + (p - stash) % ring
-        }
-    };
-    let buf = &mut buf[..2 * (stash + ring) * cols];
-
-    let mut next_row = 0usize;
-    for i in 0..h + nst - 1 {
-        if i < h {
-            let need = (2 * i + 2).min(rows - 1);
-            while next_row <= need {
-                let brow = 2 * map(next_row / 2) + next_row % 2;
-                gather_row(src, cols, next_row, brow, z, buf);
-                next_row += 1;
-            }
-        }
-        for (k, (stage, &(p, q))) in st.iter().zip(&table).enumerate() {
-            if i < k {
-                break;
-            }
-            let j = i - k;
-            if j >= p && j + q < h {
-                col_stage(buf, cols, h, *stage, j, map);
-            }
-        }
-        if i + 1 >= nst {
-            let p = i + 1 - nst;
-            // One pair wider than the stage deferral margins: finalize
-            // mutates the staging row in place, and the epilogue stages
-            // still read the *neighbours* of their deferred positions
-            // (pairs maxp and h-maxq-1).
-            if p > maxp && p + maxq + 1 < h {
-                finalize_row(buf, cols, 2 * p, 2 * map(p), st, z, dst);
-                finalize_row(buf, cols, 2 * p + 1, 2 * map(p) + 1, st, z, dst);
-            }
-        }
-    }
-    for (stage, &(p, q)) in st.iter().zip(&table) {
-        for j in 0..p {
-            col_stage(buf, cols, h, *stage, j, map);
-        }
-        for j in h - q..h {
-            col_stage(buf, cols, h, *stage, j, map);
-        }
-    }
-    for p in (0..=maxp).chain(h - maxq - 1..h) {
-        finalize_row(buf, cols, 2 * p, 2 * map(p), st, z, dst);
-        finalize_row(buf, cols, 2 * p + 1, 2 * map(p) + 1, st, z, dst);
-    }
+    sweep(
+        rows,
+        cols,
+        st,
+        buf,
+        1,
+        |buf, t, bt| gather_row(src, cols, t, bt, z, buf),
+        |buf, p, bp| {
+            finalize_row(buf, cols, 2 * p, 2 * bp, st, z, dst);
+            finalize_row(buf, cols, 2 * p + 1, 2 * bp + 1, st, z, dst);
+        },
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1043,8 +970,6 @@ mod tests {
                 let mut hl = vec![0.0; h * c2];
                 let mut hh = vec![0.0; h * c2];
                 let mut buf = vec![0.0; rows * cols];
-                let mut e = vec![0.0; c2];
-                let mut o = vec![0.0; c2];
                 forward_level(
                     img.data(),
                     rows,
@@ -1055,8 +980,6 @@ mod tests {
                     &mut hl,
                     &mut hh,
                     &mut buf,
-                    &mut e,
-                    &mut o,
                 );
                 assert_eq!(ll, oll.data(), "{kind:?} rows={rows} LL");
                 assert_eq!(lh, obands.lh.data(), "{kind:?} rows={rows} LH");
@@ -1080,6 +1003,28 @@ mod tests {
                 assert_eq!(dst, want.data(), "{kind:?} rows={rows}");
             }
         }
+    }
+
+    #[test]
+    fn staging_row_cap_covers_every_schedule_on_both_paths() {
+        // Heights up to 4x the cap reach the plain path, the switchover
+        // and the (height-independent) blocked window of each schedule.
+        let mut worst = 0;
+        for kind in KINDS {
+            for inverse in [false, true] {
+                let pipe = Pipeline::new(stages(kind, inverse));
+                for rows in (2..=4 * STAGING_ROW_CAP).step_by(2) {
+                    let need = pipe.staging_rows(rows);
+                    assert!(
+                        need * 6 <= staging_len(rows, 6),
+                        "{kind:?} inverse={inverse} rows={rows}: {need} staging rows"
+                    );
+                    worst = worst.max(need);
+                }
+            }
+        }
+        // The figure the cap's doc quotes: the 9/7 inverse, plain path.
+        assert_eq!(worst, 38);
     }
 
     #[test]

@@ -102,8 +102,6 @@ pub fn analyze_step(img: &Matrix, kind: LiftingKind) -> Result<(Matrix, Subbands
     let mut hl = Matrix::zeros(r2, c2);
     let mut hh = Matrix::zeros(r2, c2);
     let mut buf = vec![0.0; engine::lifting::staging_len(rows, cols)];
-    let mut e = vec![0.0; c2];
-    let mut o = vec![0.0; c2];
     engine::lifting::forward_level(
         img.data(),
         rows,
@@ -114,8 +112,6 @@ pub fn analyze_step(img: &Matrix, kind: LiftingKind) -> Result<(Matrix, Subbands
         hl.data_mut(),
         hh.data_mut(),
         &mut buf,
-        &mut e,
-        &mut o,
     );
     Ok((ll, Subbands { lh, hl, hh }))
 }

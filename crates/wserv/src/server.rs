@@ -75,7 +75,10 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Batching policy shared by all shards.
     pub batch: BatchPolicy,
-    /// Engine worker lanes per cached plan.
+    /// Engine worker lanes per cached plan. Only convolution-bank
+    /// *decompositions* stripe across them
+    /// ([`dwt::engine::DwtPlan::with_threads`]); lifting-bank plans
+    /// (CDF 5/3, 9/7) allocate no lanes and run on the shard's thread.
     pub engine_threads: usize,
     /// Deterministic fault-injection schedule (empty = no faults).
     pub faults: ShardFaultPlan,

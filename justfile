@@ -9,6 +9,14 @@ check:
     cargo build --release
     cargo test -q
 
+# Bit-identity of the dwt kernels in the profile every measured number
+# comes from: the oracle suites also run in debug under `check`, but the
+# auto-vectorised `axpy` and the unrolled `lift_step` only exist in
+# `--release`.
+kernel-pin:
+    cargo test -q --release -p dwt
+    cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions
+
 # Lints as CI runs them.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings

@@ -556,7 +556,7 @@ impl DwtPlan {
         let rows_out = dims.rows_out();
         let cols_out = dims.cols_out();
         let (ring_rows, band_width) = (self.ring_rows(), self.effective_band_width());
-        let nlanes = self.threads.min(lanes.len()).min(rows_out).max(1);
+        let nlanes = lanes.len().min(rows_out).max(1);
         if nlanes <= 1 {
             fused_band_sweep(
                 src,

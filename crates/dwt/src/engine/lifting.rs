@@ -456,8 +456,9 @@ fn sweep(
     debug_assert!(rows >= 2 && rows.is_multiple_of(2) && cols >= 2 && cols.is_multiple_of(2));
     let h = rows / 2;
     let pipe = Pipeline::new(st);
-    debug_assert!(pipe.staging_rows(rows) * cols <= staging_len(rows, cols));
-    let buf = &mut buf[..pipe.staging_rows(rows) * cols];
+    let staged = pipe.staging_rows(rows) * cols;
+    debug_assert!(staged <= staging_len(rows, cols));
+    let buf = &mut buf[..staged];
 
     if h < pipe.plain_below {
         // Short image: plain per-stage passes (identical arithmetic).

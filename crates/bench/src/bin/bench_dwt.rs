@@ -8,11 +8,17 @@
 //! fused CDF 5/3 / 9/7 lifting kernel at the same size. A smaller
 //! size/filter matrix rides along.
 //!
+//! The `host` block records what the rows are read against: the core
+//! count and a same-footprint copy rate. One gate is asserted over the
+//! rows before the file is written, at both scales: CDF 5/3 lifting is
+//! no slower than the D4 convolution engine at the headline size.
+//!
 //! Run from the repo root with `just bench-json` (or
 //! `cargo run --release -p bench --bin bench_dwt`). Set `DWT_SMOKE=1`
 //! for the downscaled CI mode: headline only, at 512x512, written to
 //! `target/BENCH_dwt_smoke.json`.
 
+use bench::{full_size, render, Row, Val};
 use dwt::engine::{lifting as elift, DwtPlan};
 use dwt::lifting::{self, LiftingKind};
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
@@ -20,9 +26,10 @@ use imagery::{landsat_scene, SceneParams};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Median wall-clock nanoseconds of `f`, sampled adaptively: at least
-/// `min_samples` runs and at least ~300 ms of total measurement.
-fn median_ns(min_samples: usize, mut f: impl FnMut()) -> f64 {
+/// Median wall-clock nanoseconds of `f` and how many samples it is the
+/// median of. Sampling is adaptive: at least `min_samples` runs, then on
+/// until ~300 ms of measurement or 25 samples.
+fn median_ns(min_samples: usize, mut f: impl FnMut()) -> (f64, usize) {
     // Warm-up run (first touch of buffers, page faults).
     f();
     let mut samples = Vec::new();
@@ -34,11 +41,12 @@ fn median_ns(min_samples: usize, mut f: impl FnMut()) -> f64 {
         samples.push(t.elapsed().as_nanos() as f64);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+    (samples[samples.len() / 2], samples.len())
 }
 
-struct Row {
-    name: String,
+/// One measured configuration — a line of `results`.
+struct Timing {
+    name: &'static str,
     size: usize,
     filter: String,
     levels: usize,
@@ -47,87 +55,117 @@ struct Row {
     samples: usize,
 }
 
+/// Time `f`, which makes `passes` transforms of a `size`² image per call.
+fn time(
+    name: &'static str,
+    size: usize,
+    bank: &FilterBank,
+    levels: usize,
+    threads: usize,
+    passes: usize,
+    f: impl FnMut(),
+) -> Timing {
+    let (med, samples) = median_ns(5, f);
+    Timing {
+        name,
+        size,
+        filter: bank.name().to_string(),
+        levels,
+        threads,
+        ns_per_px: med / (passes * size * size) as f64,
+        samples,
+    }
+}
+
 fn measure_engine(
-    name: &str,
+    name: &'static str,
     img: &Matrix,
     bank: &FilterBank,
     levels: usize,
     threads: usize,
-) -> Row {
+) -> Timing {
     let n = img.rows();
     let plan = DwtPlan::new(n, n, bank.clone(), levels, Boundary::Periodic)
         .unwrap()
         .with_threads(threads);
     let mut ws = plan.make_workspace();
     let mut pyr = plan.make_pyramid();
-    let med = median_ns(5, || {
+    time(name, n, bank, levels, threads, 1, || {
         plan.decompose_into(black_box(img), &mut ws, &mut pyr)
             .unwrap();
-    });
-    Row {
-        name: name.to_string(),
-        size: n,
-        filter: bank.name().to_string(),
-        levels,
-        threads,
-        ns_per_px: med / (n * n) as f64,
-        samples: 5,
-    }
+    })
 }
 
-fn measure_legacy(img: &Matrix, bank: &FilterBank, levels: usize) -> Row {
+fn measure_legacy(img: &Matrix, bank: &FilterBank, levels: usize) -> Timing {
     let n = img.rows();
-    let med = median_ns(5, || {
+    time("legacy_separable_1t", n, bank, levels, 1, 1, || {
         dwt2d::decompose_separable(black_box(img), bank, levels, Boundary::Periodic).unwrap();
-    });
-    Row {
-        name: "legacy_separable_1t".to_string(),
-        size: n,
-        filter: bank.name().to_string(),
-        levels,
-        threads: 1,
-        ns_per_px: med / (n * n) as f64,
-        samples: 5,
-    }
+    })
 }
 
 /// Naive straight-line lifting (the hidden oracle in `dwt::lifting`),
 /// timed as the baseline the fused engine kernel must beat.
-fn measure_lifting_oracle(img: &Matrix, kind: LiftingKind, levels: usize) -> Row {
-    let n = img.rows();
-    let med = median_ns(5, || {
+fn measure_lifting_oracle(img: &Matrix, kind: LiftingKind, levels: usize) -> Timing {
+    let bank = FilterBank::for_lifting(kind);
+    time("lifting_oracle_1t", img.rows(), &bank, levels, 1, 1, || {
         lifting::decompose_oracle(black_box(img), kind, levels).unwrap();
-    });
-    Row {
-        name: "lifting_oracle_1t".to_string(),
-        size: n,
-        filter: FilterBank::for_lifting(kind).name().to_string(),
-        levels,
-        threads: 1,
-        ns_per_px: med / (n * n) as f64,
-        samples: 5,
-    }
+    })
 }
 
 /// Reversible integer lifting, timed over a full forward+inverse round
 /// trip so the cost is per transform direction.
-fn measure_lifting_int(n: usize, kind: LiftingKind, levels: usize) -> Row {
+fn measure_lifting_int(n: usize, kind: LiftingKind, levels: usize) -> Timing {
     let mut data: Vec<i32> = (0..n * n)
         .map(|i| ((i.wrapping_mul(2654435761) >> 8) % 65536) as i32 - 32768)
         .collect();
-    let med = median_ns(5, || {
+    let bank = FilterBank::for_lifting(kind);
+    time("engine_lifting_int_1t", n, &bank, levels, 1, 2, || {
         elift::forward_int(black_box(&mut data), n, n, levels, kind).unwrap();
         elift::inverse_int(black_box(&mut data), n, n, levels, kind).unwrap();
-    });
-    Row {
-        name: "engine_lifting_int_1t".to_string(),
-        size: n,
-        filter: FilterBank::for_lifting(kind).name().to_string(),
-        levels,
-        threads: 1,
-        ns_per_px: med / (2 * n * n) as f64,
-        samples: 5,
+    })
+}
+
+/// The memory ceiling an ns/px row is read against: GB/s of one
+/// `copy_from_slice` of `img` into a buffer of the same footprint,
+/// counting bytes read plus bytes written (2 x 8 B per pixel) — the
+/// accounting of wbench's `host.copy_gbps`.
+fn copy_gbps(img: &Matrix) -> f64 {
+    let src = img.data();
+    let mut dst = vec![0.0; src.len()];
+    let (ns, _) = median_ns(5, || dst.copy_from_slice(black_box(src)));
+    black_box(&dst);
+    (2 * std::mem::size_of_val(src)) as f64 / ns
+}
+
+/// The gate: at the headline size the fused CDF 5/3 lifting kernel is no
+/// slower than the D4 convolution engine. Both rows must be there; `Ok`
+/// is their `(lifting, convolution)` ns/px.
+fn lifting_gate(rows: &[Timing], size: usize) -> Result<(f64, f64), String> {
+    let at = |name: &str, filter: &str| {
+        let mut rows = rows.iter();
+        rows.find(|r| r.name == name && r.filter == filter && r.size == size)
+            .map(|r| r.ns_per_px)
+            .ok_or_else(|| format!("no {name} {filter} row at {size}x{size}"))
+    };
+    let (lift, conv) = (at("engine_lifting_1t", "CDF53")?, at("engine_1t", "D4")?);
+    if lift > conv {
+        return Err(format!(
+            "CDF53 lifting {lift:.3} ns/px slower than D4 convolution {conv:.3} ns/px at {size}x{size}"
+        ));
     }
+    Ok((lift, conv))
+}
+
+fn row(t: &Timing) -> Row {
+    vec![
+        ("name", t.name.into()),
+        ("size", t.size.into()),
+        ("filter", t.filter.as_str().into()),
+        ("levels", t.levels.into()),
+        ("threads", t.threads.into()),
+        ("median_ns_per_px", Val::Fix(t.ns_per_px, 3)),
+        ("samples", t.samples.into()),
+    ]
 }
 
 fn main() {
@@ -137,7 +175,7 @@ fn main() {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut rows: Vec<Row> = Vec::new();
+    let mut rows: Vec<Timing> = Vec::new();
 
     // --- Headline: 2048x2048 (512 in smoke mode), D4 vs lifting, L3. ----
     eprintln!("headline: {head_n}x{head_n} D4 L{levels} ...");
@@ -145,6 +183,8 @@ fn main() {
     let cdf53 = FilterBank::cdf53();
     let cdf97 = FilterBank::cdf97();
     let img = landsat_scene(head_n, head_n, SceneParams::default());
+    let copy = copy_gbps(&img);
+    eprintln!("  host: {cores} core(s), same-footprint copy {copy:.2} GB/s (read + written)");
     let legacy = measure_legacy(&img, &d4, levels);
     let engine1 = measure_engine("engine_1t", &img, &d4, levels, 1);
     // On a one-core host `engine_par` would re-measure `engine_1t`
@@ -159,18 +199,26 @@ fn main() {
         "  legacy {:.2} ns/px | engine(1t) {:.2} ns/px ({speedup:.2}x)",
         legacy.ns_per_px, engine1.ns_per_px
     );
-    let par_headline = enginep.as_ref().map(|p| {
+    let mut headline: Row = vec![
+        ("size", head_n.into()),
+        ("filter", "D4".into()),
+        ("levels", levels.into()),
+        ("legacy_ns_per_px", Val::Fix(legacy.ns_per_px, 3)),
+        ("engine_1t_ns_per_px", Val::Fix(engine1.ns_per_px, 3)),
+        ("engine_1t_speedup", Val::Fix(speedup, 3)),
+    ];
+    if let Some(p) = &enginep {
         let par_speedup = legacy.ns_per_px / p.ns_per_px;
         eprintln!(
             "  engine({cores}t) {:.2} ns/px ({par_speedup:.2}x)",
             p.ns_per_px
         );
-        format!(
-            "\"engine_par_threads\": {cores}, \"engine_par_ns_per_px\": {:.3}, \"engine_par_speedup\": {par_speedup:.3}, ",
-            p.ns_per_px
-        )
-    });
-    let par_headline = par_headline.unwrap_or_default();
+        headline.extend([
+            ("engine_par_threads", cores.into()),
+            ("engine_par_ns_per_px", Val::Fix(p.ns_per_px, 3)),
+            ("engine_par_speedup", Val::Fix(par_speedup, 3)),
+        ]);
+    }
     eprintln!("headline: {head_n}x{head_n} lifting L{levels} ...");
     let lift53_oracle = measure_lifting_oracle(&img, LiftingKind::LeGall53, levels);
     let lift53 = measure_engine("engine_lifting_1t", &img, &cdf53, levels, 1);
@@ -187,24 +235,11 @@ fn main() {
         "  int round-trip: cdf53 {:.2} ns/px | cdf97 {:.2} ns/px (per direction)",
         lift53_int.ns_per_px, lift97_int.ns_per_px
     );
-    let headline = format!(
-        concat!(
-            "{{\"size\": {}, \"filter\": \"D4\", \"levels\": {}, ",
-            "\"legacy_ns_per_px\": {:.3}, \"engine_1t_ns_per_px\": {:.3}, ",
-            "\"engine_1t_speedup\": {:.3}, {}",
-            "\"cdf53_lifting_ns_per_px\": {:.3}, \"cdf97_lifting_ns_per_px\": {:.3}, ",
-            "\"cdf53_lifting_vs_d4_engine\": {:.3}}}"
-        ),
-        head_n,
-        levels,
-        legacy.ns_per_px,
-        engine1.ns_per_px,
-        speedup,
-        par_headline,
-        lift53.ns_per_px,
-        lift97.ns_per_px,
-        lift53_vs_d4
-    );
+    headline.extend([
+        ("cdf53_lifting_ns_per_px", Val::Fix(lift53.ns_per_px, 3)),
+        ("cdf97_lifting_ns_per_px", Val::Fix(lift97.ns_per_px, 3)),
+        ("cdf53_lifting_vs_d4_engine", Val::Fix(lift53_vs_d4, 3)),
+    ]);
     rows.push(legacy);
     rows.push(engine1);
     rows.extend(enginep);
@@ -243,10 +278,7 @@ fn main() {
         }
 
         // --- Size sweep with D4. ----------------------------------------
-        let full = std::env::var("REPRO_FULL")
-            .map(|v| v == "1")
-            .unwrap_or(false);
-        let sweep: &[usize] = if full {
+        let sweep: &[usize] = if full_size() {
             &[256, 512, 1024, 2048, 4096]
         } else {
             &[256, 1024]
@@ -260,36 +292,66 @@ fn main() {
         }
     }
 
-    // --- Emit JSON. ------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"dwt2d_engine\",\n");
-    out.push_str("  \"unit\": \"ns_per_pixel_median\",\n");
-    out.push_str(&format!("  \"host_threads\": {cores},\n"));
-    out.push_str(&format!("  \"headline\": {headline},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"size\": {}, \"filter\": \"{}\", ",
-                "\"levels\": {}, \"threads\": {}, \"median_ns_per_px\": {:.3}, ",
-                "\"samples\": {}}}{}\n"
-            ),
-            r.name,
-            r.size,
-            r.filter,
-            r.levels,
-            r.threads,
-            r.ns_per_px,
-            r.samples,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
+    // --- Gate, then emit. ------------------------------------------------
+    let (lift, conv) = lifting_gate(&rows, head_n).unwrap_or_else(|why| panic!("gate: {why}"));
+    eprintln!("lifting gate OK: {lift:.3} ns/px vs D4 engine {conv:.3} ns/px");
+    let host: Row = vec![
+        ("nproc", cores.into()),
+        ("copy_gbps", Val::Fix(copy, 3)),
+        (
+            "copy_counts",
+            "read + written bytes, one copy_from_slice of the headline image, median".into(),
+        ),
+    ];
+    let doc: Row = vec![
+        ("bench", "dwt2d_engine".into()),
+        ("unit", "ns_per_pixel_median".into()),
+        ("host", Val::Obj(host)),
+        ("headline", Val::Obj(headline)),
+        ("results", Val::Rows(rows.iter().map(row).collect())),
+    ];
     let path = if smoke {
         "target/BENCH_dwt_smoke.json"
     } else {
         "BENCH_dwt.json"
     };
-    std::fs::write(path, &out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    std::fs::write(path, render(&doc)).unwrap_or_else(|e| panic!("write {path}: {e}"));
     eprintln!("wrote {path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn timing(name: &'static str, filter: &str, ns_per_px: f64) -> Timing {
+        Timing {
+            name,
+            size: 512,
+            filter: filter.to_string(),
+            levels: 3,
+            threads: 1,
+            ns_per_px,
+            samples: 5,
+        }
+    }
+
+    /// The gate is a function of the rows, so no timing is involved: it
+    /// passes a faster (or equal) lifting row and refuses a slower one, a
+    /// missing one, and one that is only there at another size.
+    #[test]
+    fn lifting_gate_refuses_slow_or_missing_lifting_rows() {
+        let d4 = || timing("engine_1t", "D4", 4.0);
+        let lift = |ns| timing("engine_lifting_1t", "CDF53", ns);
+        assert_eq!(lifting_gate(&[d4(), lift(3.0)], 512), Ok((3.0, 4.0)));
+        assert_eq!(lifting_gate(&[d4(), lift(4.0)], 512), Ok((4.0, 4.0)));
+
+        let slower = lifting_gate(&[d4(), lift(4.5)], 512).unwrap_err();
+        assert!(slower.contains("slower than D4"), "{slower}");
+        let missing = lifting_gate(&[d4(), timing("engine_lifting_1t", "CDF97", 3.0)], 512);
+        assert!(missing
+            .unwrap_err()
+            .contains("no engine_lifting_1t CDF53 row"));
+        let elsewhere = lifting_gate(&[d4(), lift(3.0)], 2048);
+        assert!(elsewhere.unwrap_err().contains("at 2048x2048"));
+    }
 }

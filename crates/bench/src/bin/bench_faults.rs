@@ -11,7 +11,7 @@
 //! Run from the repo root with `just faults-json` (or
 //! `cargo run --release -p bench --bin bench_faults`).
 
-use bench::{paper_image, paragon_cfg, t3d_cfg, tuned_dwt};
+use bench::{paper_image, paragon_cfg, render, t3d_cfg, tuned_dwt, Row, Val};
 use dwt::{dwt2d, Boundary, FilterBank};
 use dwt_mimd::block::run_block_dwt;
 use dwt_mimd::idwt::run_mimd_idwt;
@@ -45,7 +45,7 @@ const WRAP_RATES: [f64; 4] = [0.0, 1e-2, 1e-1, 3e-1];
 /// the given phase.
 const BOARD_CRASHES: [(usize, u64); 2] = [(1, 7), (6, 12)];
 
-struct Row {
+struct Run {
     machine: &'static str,
     transform: &'static str,
     sweep: &'static str,
@@ -56,41 +56,31 @@ struct Row {
     faults: FaultStats,
 }
 
-impl Row {
-    fn json(&self) -> String {
-        let report = BudgetReport::from_ranks(&self.budgets).expect("non-empty budgets");
-        let crashed: Vec<String> = self
-            .faults
-            .crashed_ranks
-            .iter()
-            .map(|r| r.to_string())
-            .collect();
-        format!(
-            concat!(
-                "{{\"machine\": \"{}\", \"transform\": \"{}\", \"sweep\": \"{}\", ",
-                "\"drop_rate\": {}, ",
-                "\"crashes\": {}, \"parallel_time_s\": {:.9}, ",
-                "\"useful_pct\": {:.3}, \"communication_pct\": {:.3}, ",
-                "\"redundancy_pct\": {:.3}, \"imbalance_pct\": {:.3}, ",
-                "\"fault_recovery_pct\": {:.3}, \"drops\": {}, ",
-                "\"retransmissions\": {}, \"crashed_ranks\": [{}]}}"
-            ),
-            self.machine,
-            self.transform,
-            self.sweep,
-            self.drop_rate,
-            self.crashes,
-            self.time,
-            report.useful_pct(),
-            report.communication_pct(),
-            report.redundancy_pct(),
-            report.imbalance_pct(),
-            report.fault_pct(),
-            self.faults.totals.drops,
-            self.faults.totals.retransmissions,
-            crashed.join(", "),
-        )
-    }
+fn row(run: &Run) -> Row {
+    use Val::{Fix, Num};
+    let report = BudgetReport::from_ranks(&run.budgets).expect("non-empty budgets");
+    vec![
+        ("machine", run.machine.into()),
+        ("transform", run.transform.into()),
+        ("sweep", run.sweep.into()),
+        ("drop_rate", Num(run.drop_rate)),
+        ("crashes", run.crashes.into()),
+        ("parallel_time_s", Fix(run.time, 9)),
+        ("useful_pct", Fix(report.useful_pct(), 3)),
+        ("communication_pct", Fix(report.communication_pct(), 3)),
+        ("redundancy_pct", Fix(report.redundancy_pct(), 3)),
+        ("imbalance_pct", Fix(report.imbalance_pct(), 3)),
+        ("fault_recovery_pct", Fix(report.fault_pct(), 3)),
+        ("drops", u64::from(run.faults.totals.drops).into()),
+        (
+            "retransmissions",
+            u64::from(run.faults.totals.retransmissions).into(),
+        ),
+        (
+            "crashed_ranks",
+            run.faults.crashed_ranks.iter().copied().collect(),
+        ),
+    ]
 }
 
 fn machine_cfg(machine: &'static str) -> SpmdConfig {
@@ -107,7 +97,7 @@ fn main() {
     let bank = FilterBank::daubechies(4).expect("D4 exists");
     let pyramid =
         dwt2d::decompose(&img, &bank, 3, Boundary::Periodic).expect("analysis of the bench scene");
-    let mut rows: Vec<Row> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
 
     for machine in ["paragon", "t3d"] {
         // --- Link-fault sweep: drop probability vs slowdown. -------------
@@ -121,7 +111,7 @@ fn main() {
                 run.faults.totals.drops,
                 run.faults.totals.retransmissions
             );
-            rows.push(Row {
+            runs.push(Run {
                 machine,
                 transform: "block_dwt",
                 sweep: "drop_rate",
@@ -141,7 +131,7 @@ fn main() {
                 run.faults.totals.drops,
                 run.faults.totals.retransmissions
             );
-            rows.push(Row {
+            runs.push(Run {
                 machine,
                 transform: "idwt",
                 sweep: "drop_rate",
@@ -166,7 +156,7 @@ fn main() {
                 run.parallel_time(),
                 run.faults.crashed_ranks
             );
-            rows.push(Row {
+            runs.push(Run {
                 machine,
                 transform: "block_dwt",
                 sweep: "crash_count",
@@ -189,7 +179,7 @@ fn main() {
                 run.parallel_time(),
                 run.faults.crashed_ranks
             );
-            rows.push(Row {
+            runs.push(Run {
                 machine,
                 transform: "idwt",
                 sweep: "crash_count",
@@ -213,7 +203,7 @@ fn main() {
             run.faults.totals.drops,
             run.faults.totals.retransmissions
         );
-        rows.push(Row {
+        runs.push(Run {
             machine: "t3d",
             transform: "block_dwt",
             sweep: "link_geometry",
@@ -238,7 +228,7 @@ fn main() {
             run.parallel_time(),
             run.faults.crashed_ranks
         );
-        rows.push(Row {
+        runs.push(Run {
             machine: "t3d",
             transform: "block_dwt",
             sweep: "board_crash",
@@ -250,21 +240,21 @@ fn main() {
         });
     }
 
-    let mut out = String::new();
-    out.push_str("{\n  \"bench\": \"dwt_fault_degradation\",\n");
-    out.push_str("  \"unit\": \"virtual_seconds\",\n");
-    out.push_str(&format!("  \"seed\": {SEED},\n"));
-    out.push_str(&format!("  \"ranks\": {RANKS},\n"));
-    out.push_str(&format!("  \"image\": {},\n", img.rows()));
-    out.push_str("  \"transforms\": [\"D4 L3 block analysis\", \"D4 L3 striped synthesis\"],\n");
-    out.push_str("  \"policy\": \"redistribute-on-crash\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(&r.json());
-        out.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write("BENCH_faults.json", &out).expect("write BENCH_faults.json");
+    let doc: Row = vec![
+        ("bench", "dwt_fault_degradation".into()),
+        ("unit", "virtual_seconds".into()),
+        ("seed", SEED.into()),
+        ("ranks", RANKS.into()),
+        ("image", img.rows().into()),
+        (
+            "transforms",
+            ["D4 L3 block analysis", "D4 L3 striped synthesis"]
+                .into_iter()
+                .collect(),
+        ),
+        ("policy", "redistribute-on-crash".into()),
+        ("results", Val::Rows(runs.iter().map(row).collect())),
+    ];
+    std::fs::write("BENCH_faults.json", render(&doc)).expect("write BENCH_faults.json");
     eprintln!("wrote BENCH_faults.json");
 }

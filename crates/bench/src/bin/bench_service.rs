@@ -26,6 +26,7 @@
 //! `target/BENCH_service_smoke.json` instead; every gate is asserted
 //! at both scales.
 
+use bench::{render, Row, Val};
 use dwt::{dwt2d, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use perfbudget::BudgetReport;
@@ -641,89 +642,10 @@ fn assert_nothing_lost(run: &Run) {
     }
 }
 
-/// A JSON value as this document spells it.
-enum Val {
-    Int(u64),
-    /// `{}`-displayed float: `5000`, `0.25`, `1.1`.
-    Num(f64),
-    /// Fixed-precision float: value, decimals.
-    Fix(f64, usize),
-    Str(String),
-    Null,
-    /// The `failed_shards` list.
-    List(Vec<usize>),
-    /// A header object, on one line.
-    Obj(Row),
-    /// A section: one object per line.
-    Rows(Vec<Row>),
-}
-
-impl Val {
-    /// A count or measure as itself, a list as its length.
-    fn magnitude(&self) -> f64 {
-        match self {
-            Val::Int(v) => *v as f64,
-            Val::Num(v) | Val::Fix(v, _) => *v,
-            Val::List(v) => v.len() as f64,
-            Val::Str(_) | Val::Null | Val::Obj(_) | Val::Rows(_) => panic!("not a magnitude"),
-        }
-    }
-}
-
-/// Ordered `(key, value)` columns — a row, or the document itself.
-type Row = Vec<(&'static str, Val)>;
-
-impl From<u64> for Val {
-    fn from(v: u64) -> Val {
-        Val::Int(v)
-    }
-}
-
-impl From<usize> for Val {
-    fn from(v: usize) -> Val {
-        Val::Int(v as u64)
-    }
-}
-
-/// Comma-join `items`, one per line at `indent` — the one place a JSON
-/// list is laid out.
-fn lines(indent: &str, items: impl Iterator<Item = String>) -> String {
-    let items: Vec<String> = items.collect();
-    format!("\n{indent}{}\n", items.join(&format!(",\n{indent}")))
-}
-
-fn entry((key, val): &(&'static str, Val)) -> String {
-    format!("\"{key}\": {val}")
-}
-
-fn render_row(row: &Row) -> String {
-    let cols: Vec<String> = row.iter().map(entry).collect();
-    format!("{{{}}}", cols.join(", "))
-}
-
-fn render(doc: &Row) -> String {
-    format!("{{{}}}\n", lines("  ", doc.iter().map(entry)))
-}
-
-impl std::fmt::Display for Val {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Val::Int(v) => write!(f, "{v}"),
-            Val::Num(v) => write!(f, "{v}"),
-            Val::Fix(v, decimals) => write!(f, "{v:.decimals$}"),
-            Val::Str(s) => write!(f, "\"{s}\""),
-            Val::Null => f.write_str("null"),
-            Val::List(v) => write!(f, "{v:?}"),
-            Val::Obj(row) => f.write_str(&render_row(row)),
-            Val::Rows(rows) => write!(f, "[{}  ]", lines("    ", rows.iter().map(render_row))),
-        }
-    }
-}
-
 /// Every column a sim-derived row can report, defined once; which of
 /// them a section reports, and in what order, is [`SECTIONS`].
 fn column(run: &Run, key: &str) -> Val {
-    use Val::{Fix, List, Null, Num, Str};
+    use Val::{Fix, Null, Num, Str};
     let (cfg, m) = (&run.scenario.service, run.metrics());
     let rejected = |kind| Val::from(m.rejected(kind));
     let progressive = || run.closed().0.progressive;
@@ -764,7 +686,7 @@ fn column(run: &Run, key: &str) -> Val {
         "rejected_deadline" => rejected(RejectKind::DeadlineExpired),
         "rejected_shard_failed" => rejected(RejectKind::ShardFailed),
         "rejected_requeued" => rejected(RejectKind::Requeued),
-        "failed_shards" => List(m.failed_shards()),
+        "failed_shards" => m.failed_shards().into_iter().collect(),
         "stolen" => m.stolen().into(),
         "splits" => m.splits().into(),
         "merges" => m.merges().into(),
@@ -1161,13 +1083,16 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bench::render_row;
 
-    /// Fast golden for the row renderer and the column definitions: one
-    /// full-scale scenario per value kind, run and rendered, against its
-    /// line as committed in `BENCH_service.json` — a `results` row for
-    /// the `{}`-displayed `rate_hz` and the `{:.4}`/`{:.6}`/`{:.9}`
-    /// floats, a `chaos_results` row for the `failed_shards` list, a
-    /// `progressive_results` row for `null` tolerance and byte budget.
+    /// Fast golden for the shared row renderer (`bench::render_row`, which
+    /// `bench_dwt` and `bench_faults` write through too) and the column
+    /// definitions: one full-scale scenario per value kind, run and
+    /// rendered, against its line as committed in `BENCH_service.json` —
+    /// a `results` row for the `{}`-displayed `rate_hz` and the
+    /// `{:.4}`/`{:.6}`/`{:.9}` floats, a `chaos_results` row for the
+    /// `failed_shards` list, a `progressive_results` row for `null`
+    /// tolerance and byte budget.
     #[test]
     fn rows_render_as_committed() {
         let committed = [

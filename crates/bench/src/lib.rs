@@ -1,5 +1,7 @@
-//! Shared plumbing for the reproduction harnesses: experiment
-//! configurations matching the paper's setups and table formatting.
+//! Shared plumbing for the reproduction harnesses — experiment
+//! configurations matching the paper's setups and table formatting — and
+//! the one writer of the committed `BENCH_*.json` files: a bench binary
+//! builds typed [`Row`]s, asserts its gates over them, then [`render`]s.
 
 use dwt::{Boundary, FilterBank, Matrix};
 use dwt_mimd::{GuardOrdering, MimdDwtConfig};
@@ -78,6 +80,102 @@ pub fn speedup_row(times: &[(usize, f64)]) -> String {
         .map(|(p, t)| format!("P={p:<2} T={t:8.4}s S={:5.2}x", t1 / t))
         .collect::<Vec<_>>()
         .join("  |  ")
+}
+
+/// A JSON value as the `BENCH_*.json` documents spell it.
+pub enum Val {
+    Int(u64),
+    /// `{}`-displayed float: `5000`, `0.25`, `1.1`.
+    Num(f64),
+    /// Fixed-precision float: value, decimals.
+    Fix(f64, usize),
+    Str(String),
+    Null,
+    /// A list on one line: `[0, 2]`, `["a", "b"]`.
+    List(Vec<Val>),
+    /// A header object, on one line.
+    Obj(Row),
+    /// A section: one object per line.
+    Rows(Vec<Row>),
+}
+
+impl Val {
+    /// A count or measure as itself, a list as its length.
+    pub fn magnitude(&self) -> f64 {
+        match self {
+            Val::Int(v) => *v as f64,
+            Val::Num(v) | Val::Fix(v, _) => *v,
+            Val::List(v) => v.len() as f64,
+            Val::Str(_) | Val::Null | Val::Obj(_) | Val::Rows(_) => panic!("not a magnitude"),
+        }
+    }
+}
+
+/// Ordered `(key, value)` columns — a row, or the document itself.
+pub type Row = Vec<(&'static str, Val)>;
+
+impl From<u64> for Val {
+    fn from(v: u64) -> Val {
+        Val::Int(v)
+    }
+}
+
+impl From<usize> for Val {
+    fn from(v: usize) -> Val {
+        Val::Int(v as u64)
+    }
+}
+
+impl From<&str> for Val {
+    fn from(v: &str) -> Val {
+        Val::Str(v.into())
+    }
+}
+
+impl<T: Into<Val>> FromIterator<T> for Val {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Val {
+        Val::List(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Comma-join `items`, one per line at `indent` — the one place a JSON
+/// list is laid out.
+fn lines(indent: &str, items: impl Iterator<Item = String>) -> String {
+    let items: Vec<String> = items.collect();
+    format!("\n{indent}{}\n", items.join(&format!(",\n{indent}")))
+}
+
+fn entry((key, val): &(&'static str, Val)) -> String {
+    format!("\"{key}\": {val}")
+}
+
+/// One row as a one-line JSON object.
+pub fn render_row(row: &Row) -> String {
+    let cols: Vec<String> = row.iter().map(entry).collect();
+    format!("{{{}}}", cols.join(", "))
+}
+
+/// The whole document: one top-level key per line.
+pub fn render(doc: &Row) -> String {
+    format!("{{{}}}\n", lines("  ", doc.iter().map(entry)))
+}
+
+impl std::fmt::Display for Val {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Val::Int(v) => write!(f, "{v}"),
+            Val::Num(v) => write!(f, "{v}"),
+            Val::Fix(v, decimals) => write!(f, "{v:.decimals$}"),
+            Val::Str(s) => write!(f, "\"{s}\""),
+            Val::Null => f.write_str("null"),
+            Val::List(v) => {
+                let items: Vec<String> = v.iter().map(Val::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
+            Val::Obj(row) => f.write_str(&render_row(row)),
+            Val::Rows(rows) => write!(f, "[{}  ]", lines("    ", rows.iter().map(render_row))),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ use dwt_mimd::CheckpointCodec;
 /// Analytic stage costs. The defaults are hand-set, not fitted: they
 /// were eyeballed from the engine numbers in `BENCH_dwt.json`, and no
 /// error against the live service is reported for them yet — fitting
-/// them from a wbench traced pass is ROADMAP item 3(a). Until then read
+/// them from a wbench traced pass is ROADMAP item 4(b). Until then read
 /// the ratios, not the absolute scale: plan construction and
 /// per-dispatch overhead are each worth tens of microseconds, i.e.
 /// comparable to a small transform — exactly the regime where caching

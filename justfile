@@ -22,43 +22,21 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
 
-# Regenerate BENCH_dwt.json (engine vs legacy, median ns/pixel).
+# Regenerate BENCH_dwt.json (engine vs legacy, median ns/pixel, with
+# the host's core count and copy rate; asserts the lifting gate).
 # Set REPRO_FULL=1 for the full 256²–4096² size sweep.
 bench-json:
     cargo run --release -p bench --bin bench_dwt
-
-# Criterion engine benchmarks (human-readable companion to bench-json).
-bench-engine:
-    cargo bench -p bench --bench dwt_engine
 
 # Named for the lifting-vs-convolution headline rows of BENCH_dwt.json.
 alias lift-bench := bench-json
 
 # Downscaled lifting bench as CI runs it: headline only at 512x512,
-# writes target/BENCH_dwt_smoke.json, then asserts the lifting rows are
-# present, carry the full row schema, and that CDF 5/3 lifting is no
-# slower than the D4 convolution engine at the smoke size (bench_dwt
-# has no in-binary assert, so this check lives here).
+# writes target/BENCH_dwt_smoke.json. The gate — CDF 5/3 lifting is no
+# slower than the D4 convolution engine at the headline size — is
+# asserted inside the binary, so its exit code is the check.
 lift-bench-smoke:
-    #!/usr/bin/env bash
-    set -euo pipefail
     DWT_SMOKE=1 cargo run --release -p bench --bin bench_dwt
-    python3 - <<'EOF'
-    import json
-    rows = json.load(open("target/BENCH_dwt_smoke.json"))["results"]
-    required = {"name", "size", "filter", "levels", "threads", "median_ns_per_px", "samples"}
-    for r in rows:
-        assert required <= set(r), sorted(required - set(r))
-    lift = [r for r in rows if r["name"] == "engine_lifting_1t" and r["filter"] == "CDF53"]
-    assert lift, "no CDF53 lifting rows in smoke output"
-    conv = [r for r in rows if r["name"] == "engine_1t" and r["filter"] == "D4"
-            and r["size"] == lift[0]["size"]]
-    assert conv, "no D4 engine row at the smoke size"
-    l = min(r["median_ns_per_px"] for r in lift)
-    c = conv[0]["median_ns_per_px"]
-    assert l <= c, f"lifting {l} ns/px slower than D4 convolution {c} ns/px"
-    print(f"lifting smoke OK: {l:.3f} ns/px vs D4 engine {c:.3f} ns/px")
-    EOF
 
 # Fault-matrix gate: sweep the drop-rate x crash-count grid CI runs and
 # assert crash recovery stays bit-identical at every point, for the
@@ -135,7 +113,6 @@ serve-bench-pin:
 
 # Downscaled serving bench as CI runs it, once: fixed seed, small table,
 # writes target/BENCH_service_smoke.json. Every gate is asserted inside
-# the binary; this only checks that the output still parses as JSON.
+# the binary, so its exit code is the check.
 serve-bench-smoke:
     WSERV_SMOKE=1 cargo run --release -p bench --bin bench_service
-    python3 -m json.tool target/BENCH_service_smoke.json > /dev/null

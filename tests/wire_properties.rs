@@ -13,7 +13,10 @@
 //!    round-trips through real wire frames, reassembles bitwise equal
 //!    to the monolithic response once every plane has arrived (lossless
 //!    codec), and the client-visible error bound is monotone
-//!    nonincreasing in planes received — in any arrival order.
+//!    nonincreasing in planes received — in any arrival order;
+//! 5. the bytes themselves are pinned: one fixture of every message the
+//!    protocol has, through `encode_*` + `encode_frame`, folds to a
+//!    fixed digest, so a codec refactor cannot move a byte unnoticed.
 
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
@@ -22,8 +25,9 @@ use wserv::progressive::{pyramid_max_abs_diff, split_response, Reassembler};
 use wserv::request::DecomposeResponse;
 use wserv::wire::{
     decode_complete, decode_frame, decode_request, decode_response, decode_response_body,
-    encode_frame, encode_progressive_header, encode_progressive_plane, encode_request,
-    encode_response, Frame, FrameKind, ResponseBody, DEFAULT_MAX_PAYLOAD,
+    encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
+    encode_request, encode_response, Frame, FrameKind, Hello, PlaneBand, PlaneCoeffs,
+    ProgressiveHeader, ProgressivePlane, ResponseBody, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use wserv::{DecomposeRequest, Priority, Rejection, ServeResult};
 
@@ -397,4 +401,112 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
         let j = (seed >> 33) as usize % (i + 1);
         v.swap(i, j);
     }
+}
+
+/// Captured at the parent of the remote-layer pass (commit f3101ed).
+/// Only a deliberate wire-format change — a new `PROTOCOL_VERSION` —
+/// may replace it.
+const WIRE_GOLDEN: u64 = 0xbb3c_52b0_54d4_9f2b;
+
+/// One frame of every message the protocol has, in a fixed order.
+fn golden_frames() -> Vec<Frame> {
+    let hello = Hello {
+        protocol: PROTOCOL_VERSION as u32,
+        max_payload: DEFAULT_MAX_PAYLOAD,
+        window: 8,
+    };
+    let haar = DecomposeRequest::new(image(8, 3), FilterBank::haar(), 2)
+        .with_priority(Priority::Interactive)
+        .with_deadline(0.125);
+    let cdf97 =
+        DecomposeRequest::new(image(16, 5), FilterBank::cdf97(), 3).with_mode(Boundary::Symmetric);
+    let rejections = [
+        Rejection::QueueFull { depth: 64 },
+        Rejection::Shed {
+            by: Priority::Interactive,
+        },
+        Rejection::DeadlineExpired {
+            deadline: 0.5,
+            now: 0.75,
+        },
+        Rejection::Invalid {
+            detail: "image 7x9 does not divide by 2^2".into(),
+        },
+        Rejection::Draining,
+        Rejection::ShardFailed {
+            shard: 2,
+            restarts: 3,
+        },
+        Rejection::Requeued { attempts: 4 },
+    ];
+    let header = ProgressiveHeader {
+        cache_hit: true,
+        degraded: true,
+        batch_size: 3,
+        wait_s: 0.25,
+        service_s: 0.5,
+        base_error_bound: 0.125,
+        rows: 8,
+        cols: 8,
+        levels: 2,
+        planes_total: 6,
+        codec_tolerance: 0.05,
+        bound_after: 1.5,
+        approx: Matrix::from_fn(2, 2, |r, c| (r * 2 + c) as f64 - 0.5),
+    };
+    let dense = ProgressivePlane {
+        seq: 1,
+        level: 2,
+        band: PlaneBand::Lh,
+        rows: 2,
+        cols: 2,
+        bound_after: 0.75,
+        coeffs: PlaneCoeffs::Dense(vec![1.0, -2.0, -0.0, 0.5]),
+    };
+    let sparse = ProgressivePlane {
+        seq: 2,
+        level: 1,
+        band: PlaneBand::Hh,
+        rows: 4,
+        cols: 4,
+        bound_after: 0.05,
+        coeffs: PlaneCoeffs::Sparse(vec![(0, 3.0), (5, -1.25), (15, 0.125)]),
+    };
+
+    let mut frames = vec![
+        encode_hello(FrameKind::Hello, 7, &hello),
+        encode_hello(FrameKind::HelloAck, 7, &hello),
+        encode_request(0, &haar).expect("request encodes"),
+        encode_request(1, &cdf97).expect("request encodes"),
+        encode_response(0, &Ok(response_fixture(16, 3, 2, 11))).expect("response encodes"),
+    ];
+    for (i, rejection) in rejections.into_iter().enumerate() {
+        frames.push(encode_response(2 + i as u64, &Err(rejection)).expect("rejection encodes"));
+    }
+    frames.push(encode_progressive_header(9, &header).expect("header encodes"));
+    frames.push(encode_progressive_plane(9, &dense, true).expect("plane encodes"));
+    frames.push(encode_progressive_plane(9, &sparse, false).expect("plane encodes"));
+    frames.push(Frame::new(FrameKind::Bye, 7, Vec::new()));
+    frames.push(Frame::new(FrameKind::Cancel, 9, Vec::new()));
+    frames
+}
+
+/// The wire bytes are what two builds must agree on; this pins them.
+#[test]
+fn wire_bytes_match_the_pinned_golden() {
+    let mut bytes = Vec::new();
+    for frame in golden_frames() {
+        bytes.extend(encode_frame(&frame).expect("fixture frames encode"));
+    }
+    // FNV-1a 64, spelled here so the pin does not lean on the checksum
+    // it guards.
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        digest,
+        WIRE_GOLDEN,
+        "wire bytes moved: {} frame bytes now fold to {digest:#018x}",
+        bytes.len()
+    );
 }

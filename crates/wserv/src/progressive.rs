@@ -31,13 +31,10 @@ use dwt::Pyramid;
 use dwt_mimd::{encode_plane, encoded_bytes, CheckpointCodec, PlaneStats};
 
 use crate::request::DecomposeResponse;
-use crate::wire::{PlaneBand, PlaneCoeffs, ProgressiveHeader, ProgressivePlane, WireError};
-
-fn corrupt(detail: impl Into<String>) -> WireError {
-    WireError::FrameCorrupt {
-        detail: detail.into(),
-    }
-}
+use crate::wire::{
+    corrupt, encode_progressive_header, encode_progressive_plane, Frame, PlaneBand, PlaneCoeffs,
+    ProgressiveHeader, ProgressivePlane, WireError,
+};
 
 fn max_abs(data: &[f64]) -> f64 {
     data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
@@ -181,6 +178,22 @@ pub fn split_response(
     Ok((header, planes))
 }
 
+/// What the reader of a progressive sequence does after a frame — the
+/// answer of [`Reassembler::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Keep reading planes.
+    Read,
+    /// The sequence is over: every plane is in, or the sender ended it.
+    Finished,
+    /// Stop reading and Cancel the request: the tolerance is met, or
+    /// (`budget`) the byte budget is spent with the tolerance unmet.
+    Cancel {
+        /// Whether the byte budget, not the tolerance, stopped it.
+        budget: bool,
+    },
+}
+
 /// Incremental client-side reassembly of a progressive response.
 ///
 /// Applying planes is idempotent (a replayed sequence after a retry
@@ -274,6 +287,31 @@ impl Reassembler {
         self.header.base_error_bound + self.progressive_bound
     }
 
+    /// The reader's stop rule for the energy-ordered stream, asked after
+    /// the header and after every plane by the live client and the
+    /// simulated one alike. `ended` says the sender marked this frame
+    /// the sequence's last; `got_bytes` is the on-wire response bytes
+    /// the call has received so far. A sequence that is over is never
+    /// cancelled, and the tolerance is asked before the byte budget, so
+    /// a budget stop means the tolerance was *not* met.
+    pub(crate) fn step(
+        &self,
+        ended: bool,
+        got_bytes: usize,
+        tolerance: Option<f64>,
+        byte_budget: Option<usize>,
+    ) -> Step {
+        if ended || self.complete() {
+            Step::Finished
+        } else if tolerance.is_some_and(|tol| self.bound() <= tol) {
+            Step::Cancel { budget: false }
+        } else if byte_budget.is_some_and(|budget| got_bytes >= budget) {
+            Step::Cancel { budget: true }
+        } else {
+            Step::Read
+        }
+    }
+
     /// Detail planes applied so far.
     pub fn planes_received(&self) -> usize {
         self.applied.iter().filter(|a| **a).count()
@@ -322,21 +360,29 @@ pub fn pyramid_max_abs_diff(a: &Pyramid, b: &Pyramid) -> Option<f64> {
     Some(worst)
 }
 
+/// The frames a split response travels as, in order: the header, then
+/// every plane, the continuation flag set on all but the last. Encoded
+/// one at a time, so a sender cut short by a Cancel never pays for the
+/// planes it did not send.
+pub(crate) fn sequence_frames<'a>(
+    id: u64,
+    header: &'a ProgressiveHeader,
+    planes: &'a [ProgressivePlane],
+) -> impl Iterator<Item = Result<Frame, WireError>> + 'a {
+    let framed = move |(i, p)| encode_progressive_plane(id, p, i + 1 < planes.len());
+    std::iter::once_with(move || encode_progressive_header(id, header))
+        .chain(planes.iter().enumerate().map(framed))
+}
+
 /// Total wire payload bytes of a plane sequence plus its header — the
 /// progressive cost the ledger compares against monolithic shipping.
 pub fn sequence_payload_bytes(
     header: &ProgressiveHeader,
     planes: &[ProgressivePlane],
 ) -> Result<usize, WireError> {
-    let mut total = crate::wire::encode_progressive_header(0, header)?
-        .payload
-        .len();
-    for (i, p) in planes.iter().enumerate() {
-        total += crate::wire::encode_progressive_plane(0, p, i + 1 < planes.len())?
-            .payload
-            .len();
-    }
-    Ok(total)
+    sequence_frames(0, header, planes)
+        .map(|frame| Ok(frame?.payload.len()))
+        .sum()
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@
 //! this: after `drain_grace` it is aborted and counted in
 //! [`TransportMetrics::conn_aborted`].
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -64,16 +64,16 @@ use dwt_mimd::CheckpointCodec;
 
 use crate::faults::{WireDir, WireFaultPlan};
 use crate::metrics::{MetricsSnapshot, TransportMetrics};
-use crate::progressive::{split_response, Reassembler};
+use crate::progressive::{sequence_frames, split_response, Reassembler, Step};
 use crate::request::{DecomposeRequest, Rejection, ServeResult};
 use crate::server::{ResponseHandle, ServiceConfig, ServiceError, WaveletService};
 use crate::transport::{
     Connector, FrameIo, Listener, RecvFrame, Transport, TransportError, WireClock,
 };
 use crate::wire::{
-    decode_hello, decode_request, decode_response_body, encode_hello, encode_progressive_header,
-    encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Hello,
-    ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    decode_hello, decode_request, decode_response_body, encode_hello, encode_request,
+    encode_response, Frame, FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    PROTOCOL_VERSION, TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -157,10 +157,13 @@ pub struct RemoteMetrics {
 // Dedup registry (the per-client resolution book)
 // ---------------------------------------------------------------------
 
+/// One id's state in the book. A recorded outcome is held once: the
+/// book, every replay and the frame encoder share the `Arc` the writer
+/// wrapped around what the service returned.
 #[derive(Debug, Clone)]
 enum Slot {
     InFlight,
-    Done(ServeResult),
+    Done(Arc<ServeResult>),
 }
 
 #[derive(Default)]
@@ -171,7 +174,9 @@ struct ClientBook {
 
 struct Dedup {
     books: Mutex<HashMap<u64, ClientBook>>,
-    resolved: Condvar,
+    /// Notified whenever an `InFlight` entry stops being one: resolved,
+    /// or forgotten.
+    settled: Condvar,
     /// Resolved entries older than this many ids below the client's
     /// newest are pruned — a client retries only its outstanding window,
     /// so anything far behind the head can never be asked for again.
@@ -182,13 +187,14 @@ impl Dedup {
     fn new(window: u32) -> Arc<Dedup> {
         Arc::new(Dedup {
             books: Mutex::new(HashMap::new()),
-            resolved: Condvar::new(),
+            settled: Condvar::new(),
             keep: window as u64 * 4 + 64,
         })
     }
 
     /// Look up `(client, id)`; if unseen, mark it `InFlight` and return
-    /// `None` (the caller owns the submission).
+    /// `None` (the caller owns the submission, and must either hand it
+    /// to its writer or [`Dedup::forget_claim`] it).
     fn claim(&self, client: u64, id: u64) -> Option<Slot> {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
@@ -204,10 +210,10 @@ impl Dedup {
 
     /// Record the terminal outcome for `(client, id)` and prune the
     /// book's resolved tail.
-    fn resolve(&self, client: u64, id: u64, result: &ServeResult) {
+    fn resolve(&self, client: u64, id: u64, result: Arc<ServeResult>) {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
-        book.entries.insert(id, Slot::Done(result.clone()));
+        book.entries.insert(id, Slot::Done(result));
         let horizon = book.max_id.saturating_sub(self.keep);
         while let Some((&first, slot)) = book.entries.first_key_value() {
             if first >= horizon || !matches!(slot, Slot::Done(_)) {
@@ -215,27 +221,38 @@ impl Dedup {
             }
             book.entries.remove(&first);
         }
-        self.resolved.notify_all();
+        self.settled.notify_all();
     }
 
-    /// Wait until `(client, id)` resolves (the original connection's
-    /// writer records it), bailing out if `dead` is raised.
-    fn await_done(
-        &self,
-        client: u64,
-        id: u64,
-        tick: Duration,
-        dead: &AtomicBool,
-    ) -> Option<ServeResult> {
+    /// Remove an `InFlight` claim that was never submitted (refused at
+    /// the door), and tell whoever waits on it that it will not resolve.
+    fn forget_claim(&self, client: u64, id: u64) {
+        let mut books = self.books.lock();
+        if let Some(book) = books.get_mut(&client) {
+            if matches!(book.entries.get(&id), Some(Slot::InFlight)) {
+                book.entries.remove(&id);
+            }
+        }
+        self.settled.notify_all();
+    }
+
+    /// Wait until `(client, id)` — claimed by another connection — is
+    /// resolved, and return the book's own pointer to the outcome;
+    /// `None` if the claim was forgotten instead.
+    ///
+    /// The wait is finite. The reader that made the claim either forgets
+    /// it (which notifies) or hands the submission to its writer; every
+    /// accepted request resolves (the service's drain sees to that), and
+    /// a writer works off every item it was handed before it exits, send
+    /// failure or not, so that `resolve` runs.
+    fn await_done(&self, client: u64, id: u64) -> Option<Arc<ServeResult>> {
         let mut books = self.books.lock();
         loop {
-            if let Some(Slot::Done(result)) = books.get(&client).and_then(|b| b.entries.get(&id)) {
-                return Some(result.clone());
+            match books.get(&client).and_then(|b| b.entries.get(&id)) {
+                Some(Slot::Done(result)) => return Some(Arc::clone(result)),
+                Some(Slot::InFlight) => self.settled.wait(&mut books),
+                None => return None,
             }
-            if dead.load(Ordering::SeqCst) {
-                return None;
-            }
-            self.resolved.wait_for(&mut books, tick);
         }
     }
 }
@@ -244,37 +261,56 @@ impl Dedup {
 // Per-connection in-flight window
 // ---------------------------------------------------------------------
 
+/// The requests in flight on one connection — admitted by the reader,
+/// not yet answered by the writer — as `(id, cancelled)`, never more
+/// than `cap` of them. A Cancel marks an entry and the entry goes with
+/// its response, so cancels cannot outgrow the window however many
+/// sequences a connection cuts short.
 struct Window {
-    permits: Mutex<u32>,
+    in_flight: Mutex<Vec<(u64, bool)>>,
+    cap: usize,
     freed: Condvar,
 }
 
 impl Window {
     fn new(cap: u32) -> Arc<Window> {
         Arc::new(Window {
-            permits: Mutex::new(cap),
+            in_flight: Mutex::new(Vec::new()),
+            cap: cap as usize,
             freed: Condvar::new(),
         })
     }
 
-    /// Take one permit; `false` if the connection died while waiting.
-    fn acquire(&self, tick: Duration, dead: &AtomicBool) -> bool {
-        let mut permits = self.permits.lock();
-        loop {
-            if *permits > 0 {
-                *permits -= 1;
-                return true;
-            }
-            if dead.load(Ordering::SeqCst) {
-                return false;
-            }
-            self.freed.wait_for(&mut permits, tick);
+    /// Admit `id` once the window has room. The wait is finite: every
+    /// entry is an item in the writer's queue, and the writer releases
+    /// every item it is handed, even after a send failure.
+    fn acquire(&self, id: u64) {
+        let mut in_flight = self.in_flight.lock();
+        while in_flight.len() >= self.cap {
+            self.freed.wait(&mut in_flight);
+        }
+        in_flight.push((id, false));
+    }
+
+    fn release(&self, id: u64) {
+        let mut in_flight = self.in_flight.lock();
+        if let Some(oldest) = in_flight.iter().position(|&(held, _)| held == id) {
+            in_flight.remove(oldest);
+        }
+        self.freed.notify_all();
+    }
+
+    /// Mark `id` cancelled if the writer still owes its response. Any
+    /// other id — unknown, finished, repeated after the finish — is a
+    /// no-op: there are no planes left to cut.
+    fn cancel(&self, id: u64) {
+        for entry in self.in_flight.lock().iter_mut().filter(|e| e.0 == id) {
+            entry.1 = true;
         }
     }
 
-    fn release(&self) {
-        *self.permits.lock() += 1;
-        self.freed.notify_all();
+    fn cancelled(&self, id: u64) -> bool {
+        self.in_flight.lock().contains(&(id, true))
     }
 }
 
@@ -282,15 +318,15 @@ impl Window {
 // Server
 // ---------------------------------------------------------------------
 
-enum WriteItem {
-    /// Wait on the service handle, record the outcome, send it.
-    Resolve { id: u64, handle: ResponseHandle },
-    /// Send a known outcome (rejection or dedup replay).
-    Ready { id: u64, result: ServeResult },
-    /// Wait for another connection's writer to record the outcome.
-    AwaitDedup { id: u64 },
-    /// The server's half of the handshake.
-    Ack { client: u64 },
+/// Where the outcome of a response the writer owes comes from; sending
+/// it and releasing its window entry are the same for all three.
+enum Source {
+    /// The service is executing it; the writer records the outcome.
+    Service(ResponseHandle),
+    /// A refusal at the door, or a recorded outcome replayed.
+    Known(Arc<ServeResult>),
+    /// Another connection submitted this id; its writer records it.
+    Book,
 }
 
 struct ServerShared {
@@ -395,226 +431,205 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         Arc::clone(&shared.clock),
     )
     .with_max_payload(cfg.max_payload);
+    // The writer's queue and thread, once the handshake got that far.
+    let mut writer = None;
 
-    // Handshake: first frame must be a Hello within the grace window.
-    let started = Instant::now();
-    let hello = loop {
-        match rio.recv_frame() {
-            Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::Hello => match decode_hello(&f) {
-                Ok(h) => break Some((f.id, h)),
-                Err(e) => {
-                    local.count_error(&e.into());
-                    break None;
-                }
-            },
-            Ok(RecvFrame::Frame(_)) => {
-                local.handshake_mismatch += 1;
-                break None;
-            }
-            Ok(RecvFrame::Eof) => break None,
-            Ok(RecvFrame::Idle) => {
-                if started.elapsed() > cfg.drain_grace.max(Duration::from_millis(250))
-                    || shared.drain.load(Ordering::SeqCst)
-                {
-                    break None;
-                }
-            }
-            Err(e) => {
-                local.count_error(&e);
-                break None;
-            }
-        }
-    };
-    let Some((client, hello)) = hello else {
-        rio.abort();
-        merge_stats(&shared, local, &rio, None);
-        return;
-    };
-
-    let protocol_ok = hello.protocol == PROTOCOL_VERSION as u32;
-    if !protocol_ok {
-        local.handshake_mismatch += 1;
-    } else {
-        local.conns_accepted += 1;
-    }
-    rio.set_conn(client);
-
-    // Both sides settle on min(client, server) for the payload window,
-    // so neither peer can push a frame the other must reject. The ack
-    // still announces our raw config — the client runs the same
-    // negotiation over the two announced values.
-    let eff_payload = negotiate_payload(cfg.max_payload, hello.max_payload);
-    rio.set_max_payload(eff_payload);
-
-    // Writer thread: FIFO over the queue, owns the send half.
-    let Some(write_io) = write_half else {
-        rio.abort();
-        merge_stats(&shared, local, &rio, None);
-        return;
-    };
-    let wio = FrameIo::new(
-        write_io,
-        client,
-        WireDir::ServerToClient,
-        cfg.wire_faults.clone(),
-        Arc::clone(&shared.clock),
-    )
-    .with_max_payload(eff_payload);
-    let window = Window::new(cfg.window.min(hello.window.max(1)));
-    let dead = Arc::new(AtomicBool::new(false));
-    let cancels: Arc<Mutex<HashSet<u64>>> = Arc::new(Mutex::new(HashSet::new()));
-    let (tx, rx) = mpsc::channel::<WriteItem>();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        let window = Arc::clone(&window);
-        let dead = Arc::clone(&dead);
-        let cancels = Arc::clone(&cancels);
-        std::thread::spawn(move || writer_main(shared, client, wio, rx, window, dead, cancels))
-    };
-    tx.send(WriteItem::Ack { client })
-        .expect("writer just spawned");
-
-    if !protocol_ok {
-        // The ack (carrying our protocol) is the client's mismatch
-        // evidence; nothing further is served on this connection.
-        drop(tx);
-        let (wstats, _) = writer.join().expect("writer never panics");
-        merge_stats(&shared, local, &rio, Some(wstats));
-        return;
-    }
-
-    // Main read loop.
-    let mut drain_seen: Option<Instant> = None;
-    let mut abort = false;
-    loop {
-        match rio.recv_frame() {
-            Ok(RecvFrame::Frame(f)) => match f.kind {
-                FrameKind::Request => {
-                    if !window.acquire(cfg.tick, &dead) {
-                        abort = true;
-                        break;
+    // Every way out of the connection leaves this block: `true` after a
+    // clean end of the request stream, `false` to close abortively.
+    let clean = 'conn: {
+        // Handshake: first frame must be a Hello within the grace window.
+        let started = Instant::now();
+        let hello = loop {
+            match rio.recv_frame() {
+                Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::Hello => match decode_hello(&f) {
+                    Ok(h) => break Some((f.id, h)),
+                    Err(e) => {
+                        local.count_error(&e.into());
+                        break None;
                     }
-                    let item = match shared.dedup.claim(client, f.id) {
-                        Some(Slot::Done(result)) => {
-                            local.dedup_replays += 1;
-                            WriteItem::Ready { id: f.id, result }
+                },
+                Ok(RecvFrame::Frame(_)) => {
+                    local.handshake_mismatch += 1;
+                    break None;
+                }
+                Ok(RecvFrame::Eof) => break None,
+                Ok(RecvFrame::Idle) => {
+                    if started.elapsed() > cfg.drain_grace.max(Duration::from_millis(250))
+                        || shared.drain.load(Ordering::SeqCst)
+                    {
+                        break None;
+                    }
+                }
+                Err(e) => {
+                    local.count_error(&e);
+                    break None;
+                }
+            }
+        };
+        let Some((client, hello)) = hello else {
+            break 'conn false;
+        };
+
+        let protocol_ok = hello.protocol == PROTOCOL_VERSION as u32;
+        if !protocol_ok {
+            local.handshake_mismatch += 1;
+        } else {
+            local.conns_accepted += 1;
+        }
+        rio.set_conn(client);
+
+        // Both sides settle on min(client, server) for the payload
+        // window, so neither peer can push a frame the other must
+        // reject. The ack still announces our raw config — the client
+        // runs the same negotiation over the two announced values.
+        let eff_payload = negotiate_payload(cfg.max_payload, hello.max_payload);
+        rio.set_max_payload(eff_payload);
+
+        // Writer thread: opens with the ack, then FIFO over the queue;
+        // owns the send half.
+        let Some(write_io) = write_half else {
+            break 'conn false;
+        };
+        let wio = FrameIo::new(
+            write_io,
+            client,
+            WireDir::ServerToClient,
+            cfg.wire_faults.clone(),
+            Arc::clone(&shared.clock),
+        )
+        .with_max_payload(eff_payload);
+        let window = Window::new(cfg.window.min(hello.window.max(1)));
+        // Raised by the writer when it can no longer deliver.
+        let dead = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel::<(u64, Source)>();
+        let handle = {
+            let shared = Arc::clone(&shared);
+            let window = Arc::clone(&window);
+            let dead = Arc::clone(&dead);
+            std::thread::spawn(move || writer_main(shared, client, wio, rx, window, dead))
+        };
+        let (tx, _) = writer.insert((tx, handle));
+
+        if !protocol_ok {
+            // The ack (carrying our protocol) is the client's mismatch
+            // evidence; nothing further is served on this connection.
+            break 'conn true;
+        }
+
+        // Main read loop.
+        let mut drain_seen: Option<Instant> = None;
+        loop {
+            match rio.recv_frame() {
+                Ok(RecvFrame::Frame(f)) => match f.kind {
+                    FrameKind::Request => {
+                        window.acquire(f.id);
+                        if dead.load(Ordering::SeqCst) {
+                            break 'conn false;
                         }
-                        Some(Slot::InFlight) => {
-                            local.dedup_replays += 1;
-                            WriteItem::AwaitDedup { id: f.id }
-                        }
-                        None => {
-                            let t0 = Instant::now();
-                            let decoded = decode_request(&f);
-                            local.ser_s += t0.elapsed().as_secs_f64();
-                            match decoded {
-                                Err(e) => {
-                                    local.count_error(&e.into());
-                                    window.release();
-                                    abort = true;
-                                    break;
-                                }
-                                Ok(req) => {
-                                    let submitted = shared
-                                        .service
-                                        .lock()
-                                        .as_ref()
-                                        .map(|svc| svc.submit(req))
-                                        .unwrap_or(Err(Rejection::Draining));
-                                    match submitted {
-                                        Ok(handle) => WriteItem::Resolve { id: f.id, handle },
-                                        Err(rej) => {
-                                            // Not recorded in the book: a
-                                            // rejected request was never
-                                            // executed, so a retry may
-                                            // re-attempt admission.
-                                            forget_claim(&shared.dedup, client, f.id);
-                                            WriteItem::Ready {
-                                                id: f.id,
-                                                result: Err(rej),
-                                            }
-                                        }
+                        let from = match shared.dedup.claim(client, f.id) {
+                            Some(Slot::Done(result)) => {
+                                local.dedup_replays += 1;
+                                Source::Known(result)
+                            }
+                            Some(Slot::InFlight) => {
+                                local.dedup_replays += 1;
+                                Source::Book
+                            }
+                            None => {
+                                let t0 = Instant::now();
+                                let decoded = decode_request(&f);
+                                local.ser_s += t0.elapsed().as_secs_f64();
+                                let req = match decoded {
+                                    Ok(req) => req,
+                                    Err(e) => {
+                                        shared.dedup.forget_claim(client, f.id);
+                                        local.count_error(&e.into());
+                                        break 'conn false;
+                                    }
+                                };
+                                let submitted = shared
+                                    .service
+                                    .lock()
+                                    .as_ref()
+                                    .map(|svc| svc.submit(req))
+                                    .unwrap_or(Err(Rejection::Draining));
+                                match submitted {
+                                    Ok(handle) => Source::Service(handle),
+                                    Err(rej) => {
+                                        // Not recorded in the book: a
+                                        // rejected request was never
+                                        // executed, so a retry may
+                                        // re-attempt admission.
+                                        shared.dedup.forget_claim(client, f.id);
+                                        Source::Known(Arc::new(Err(rej)))
                                     }
                                 }
                             }
+                        };
+                        if tx.send((f.id, from)).is_err() {
+                            break 'conn false;
                         }
-                    };
-                    if tx.send(item).is_err() {
-                        abort = true;
-                        break;
+                    }
+                    FrameKind::Cancel => window.cancel(f.id),
+                    FrameKind::Bye => break 'conn true,
+                    _ => {
+                        local.count_error(&TransportError::FrameCorrupt {
+                            detail: format!("unexpected {:?} frame mid-stream", f.kind),
+                        });
+                        break 'conn false;
+                    }
+                },
+                Ok(RecvFrame::Eof) => break 'conn true,
+                Ok(RecvFrame::Idle) => {
+                    if dead.load(Ordering::SeqCst) {
+                        break 'conn false;
+                    }
+                    if shared.drain.load(Ordering::SeqCst) {
+                        let seen = *drain_seen.get_or_insert_with(Instant::now);
+                        if !rio.mid_frame() {
+                            break 'conn true;
+                        }
+                        if seen.elapsed() >= cfg.drain_grace {
+                            // Half-open mid-frame past its grace: abort
+                            // so drain cannot be held hostage.
+                            local.conn_aborted += 1;
+                            break 'conn false;
+                        }
                     }
                 }
-                FrameKind::Cancel => {
-                    // Idempotent: unknown, finished, and repeated ids
-                    // are all no-ops — the writer simply never (or no
-                    // longer) finds more planes to cut.
-                    cancels.lock().insert(f.id);
+                Err(e) => {
+                    local.count_error(&e);
+                    break 'conn false;
                 }
-                FrameKind::Bye => break,
-                _ => {
-                    local.count_error(&TransportError::FrameCorrupt {
-                        detail: format!("unexpected {:?} frame mid-stream", f.kind),
-                    });
-                    abort = true;
-                    break;
-                }
-            },
-            Ok(RecvFrame::Eof) => break,
-            Ok(RecvFrame::Idle) => {
-                if dead.load(Ordering::SeqCst) {
-                    abort = true;
-                    break;
-                }
-                if shared.drain.load(Ordering::SeqCst) {
-                    let seen = *drain_seen.get_or_insert_with(Instant::now);
-                    if !rio.mid_frame() {
-                        break;
-                    }
-                    if seen.elapsed() >= cfg.drain_grace {
-                        // Half-open mid-frame past its grace: abort so
-                        // drain cannot be held hostage.
-                        local.conn_aborted += 1;
-                        abort = true;
-                        break;
-                    }
-                }
-            }
-            Err(e) => {
-                local.count_error(&e);
-                abort = true;
-                break;
             }
         }
-    }
-    if abort {
-        dead.store(true, Ordering::SeqCst);
+    };
+
+    // The abortive close comes before the join: it is what unblocks a
+    // writer parked in a send the peer will never read.
+    if !clean {
         rio.abort();
     }
-    drop(tx);
-    let (wstats, wmetrics) = writer.join().expect("writer never panics");
-    local.merge(&wmetrics);
-    merge_stats(&shared, local, &rio, Some(wstats));
-}
-
-/// Remove an `InFlight` claim that was never submitted (rejection path).
-fn forget_claim(dedup: &Dedup, client: u64, id: u64) {
-    let mut books = dedup.books.lock();
-    if let Some(book) = books.get_mut(&client) {
-        if matches!(book.entries.get(&id), Some(Slot::InFlight)) {
-            book.entries.remove(&id);
-        }
+    local.absorb_wire(&rio.stats);
+    if let Some((tx, handle)) = writer {
+        drop(tx);
+        let (wstats, wmetrics) = handle.join().expect("writer never panics");
+        local.merge(&wmetrics);
+        local.absorb_wire(&wstats);
     }
+    shared.metrics.lock().merge(&local);
 }
 
 /// Send one response — progressively when configured and successful,
-/// monolithically otherwise. Checks `cancels` between plane frames so
-/// an honored Cancel cuts the sequence at the next boundary. A
-/// monolithic response over the negotiated payload window degrades to
-/// a typed rejection instead of killing the connection.
+/// monolithically otherwise. Asks the window between plane frames
+/// whether the client cancelled, so an honored Cancel cuts the sequence
+/// at the next boundary. A monolithic response over the negotiated
+/// payload window degrades to a typed rejection instead of killing the
+/// connection.
 fn send_response(
     shared: &ServerShared,
     wio: &mut FrameIo,
-    cancels: &Mutex<HashSet<u64>>,
+    window: &Window,
     id: u64,
     result: &ServeResult,
     local: &mut TransportMetrics,
@@ -622,14 +637,14 @@ fn send_response(
     let sent = if let (Some(codec), Ok(resp)) = (shared.config.progressive, result) {
         (|| {
             let (header, planes) = split_response(resp, codec)?;
-            wio.send_frame(&encode_progressive_header(id, &header)?)?;
-            for (i, plane) in planes.iter().enumerate() {
-                if cancels.lock().contains(&id) {
+            let mut frames = sequence_frames(id, &header, &planes);
+            wio.send_frame(&frames.next().expect("the header leads")?)?;
+            for plane in frames {
+                if window.cancelled(id) {
                     local.cancels_honored += 1;
                     return Ok(());
                 }
-                let more = i + 1 < planes.len();
-                wio.send_frame(&encode_progressive_plane(id, plane, more)?)?;
+                wio.send_frame(&plane?)?;
                 local.planes_sent += 1;
             }
             Ok(())
@@ -655,86 +670,63 @@ fn send_response(
     }
 }
 
-/// Writer side of one connection: resolve → record → send, FIFO.
+/// Writer side of one connection: the handshake ack, then for every
+/// queued item outcome → send → release, FIFO. A failed send raises
+/// `dead` so the reader stops pulling new work, but the queue is still
+/// worked off: outcomes recorded here stay replayable from the book,
+/// and every permit goes back.
 fn writer_main(
     shared: Arc<ServerShared>,
     client: u64,
     mut wio: FrameIo,
-    rx: mpsc::Receiver<WriteItem>,
+    rx: mpsc::Receiver<(u64, Source)>,
     window: Arc<Window>,
     dead: Arc<AtomicBool>,
-    cancels: Arc<Mutex<HashSet<u64>>>,
 ) -> (crate::transport::WireStats, TransportMetrics) {
     let mut local = TransportMetrics::default();
-    let tick = shared.config.tick;
-    let mut send_ok = true;
-    for item in rx.iter() {
-        let (id, result, releases) = match item {
-            WriteItem::Ack { client } => {
-                let ack = encode_hello(
-                    FrameKind::HelloAck,
-                    client,
-                    &Hello {
-                        protocol: PROTOCOL_VERSION as u32,
-                        max_payload: shared.config.max_payload,
-                        window: shared.config.window,
-                    },
-                );
-                if send_ok {
-                    if let Err(e) = wio.send_frame(&ack) {
-                        local.count_error(&e);
-                        send_ok = false;
-                        dead.store(true, Ordering::SeqCst);
-                    }
-                }
-                continue;
-            }
-            WriteItem::Resolve { id, handle } => {
-                let result = handle.wait();
-                shared.dedup.resolve(client, id, &result);
-                (id, result, true)
-            }
-            WriteItem::Ready { id, result } => (id, result, true),
-            WriteItem::AwaitDedup { id } => {
-                match shared.dedup.await_done(client, id, tick, &dead) {
-                    Some(result) => (id, result, true),
-                    None => {
-                        window.release();
-                        continue;
-                    }
-                }
-            }
-        };
-        if send_ok {
-            if let Err(e) = send_response(&shared, &mut wio, &cancels, id, &result, &mut local) {
-                local.count_error(&e);
-                send_ok = false;
-                // The reader must stop pulling new work; resolutions
-                // already recorded stay replayable from the book.
-                dead.store(true, Ordering::SeqCst);
-            }
-        }
-        if releases {
-            window.release();
-        }
+    let ack = encode_hello(
+        FrameKind::HelloAck,
+        client,
+        &Hello {
+            protocol: PROTOCOL_VERSION as u32,
+            max_payload: shared.config.max_payload,
+            window: shared.config.window,
+        },
+    );
+    if let Err(e) = wio.send_frame(&ack) {
+        local.count_error(&e);
+        dead.store(true, Ordering::SeqCst);
     }
-    if send_ok {
+    for (id, from) in rx.iter() {
+        let result = match from {
+            Source::Service(handle) => {
+                let result = Arc::new(handle.wait());
+                shared.dedup.resolve(client, id, Arc::clone(&result));
+                Some(result)
+            }
+            Source::Known(result) => Some(result),
+            Source::Book => shared.dedup.await_done(client, id),
+        };
+        match result {
+            Some(result) if !dead.load(Ordering::SeqCst) => {
+                if let Err(e) = send_response(&shared, &mut wio, &window, id, &result, &mut local) {
+                    local.count_error(&e);
+                    dead.store(true, Ordering::SeqCst);
+                }
+            }
+            Some(_) => {}
+            // The submission this id waited on was refused at the door,
+            // so nothing will resolve it here. Fail the connection: the
+            // client's retry re-attempts admission, as it does after
+            // any rejection.
+            None => dead.store(true, Ordering::SeqCst),
+        }
+        window.release(id);
+    }
+    if !dead.load(Ordering::SeqCst) {
         wio.shutdown_write();
     }
     (wio.stats, local)
-}
-
-fn merge_stats(
-    shared: &Arc<ServerShared>,
-    mut local: TransportMetrics,
-    rio: &FrameIo,
-    wstats: Option<crate::transport::WireStats>,
-) {
-    local.absorb_wire(&rio.stats);
-    if let Some(w) = wstats {
-        local.absorb_wire(&w);
-    }
-    shared.metrics.lock().merge(&local);
 }
 
 // ---------------------------------------------------------------------
@@ -960,45 +952,29 @@ impl RemoteClient {
                 window: 1,
             },
         ))?;
-        let deadline = Instant::now() + self.response_timeout;
-        loop {
-            match io.recv_frame()? {
-                RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => {
-                    let ack = decode_hello(&f)?;
-                    if ack.protocol != self.protocol {
-                        return Err(TransportError::HandshakeMismatch {
-                            detail: format!(
-                                "server speaks protocol {}, we speak {}",
-                                ack.protocol, self.protocol
-                            ),
-                        });
-                    }
-                    // Same negotiation the server runs over the two
-                    // announced values, so both ends enforce the same
-                    // window in both directions.
-                    let eff = negotiate_payload(self.max_payload, ack.max_payload);
-                    io.set_max_payload(eff);
-                    // This client is synchronous (announces window 1)
-                    // and validate() forbids a zero server window, so
-                    // min(ours, theirs) is always 1.
-                    self.negotiated = Some((eff, 1));
-                    break;
-                }
-                RecvFrame::Frame(f) => {
-                    return Err(TransportError::HandshakeMismatch {
-                        detail: format!("expected HelloAck, got {:?}", f.kind),
-                    });
-                }
-                RecvFrame::Eof => return Err(TransportError::ConnReset),
-                RecvFrame::Idle => {
-                    if Instant::now() >= deadline {
-                        return Err(TransportError::ConnTimeout {
-                            waited_ms: self.response_timeout.as_millis() as u64,
-                        });
-                    }
-                }
-            }
+        let ack = next_frame(&mut io, Instant::now(), self.response_timeout)?;
+        if ack.kind != FrameKind::HelloAck {
+            return Err(TransportError::HandshakeMismatch {
+                detail: format!("expected HelloAck, got {:?}", ack.kind),
+            });
         }
+        let ack = decode_hello(&ack)?;
+        if ack.protocol != self.protocol {
+            return Err(TransportError::HandshakeMismatch {
+                detail: format!(
+                    "server speaks protocol {}, we speak {}",
+                    ack.protocol, self.protocol
+                ),
+            });
+        }
+        // Same negotiation the server runs over the two announced
+        // values, so both ends enforce the same window in both
+        // directions.
+        let eff = negotiate_payload(self.max_payload, ack.max_payload);
+        io.set_max_payload(eff);
+        // This client is synchronous (announces window 1) and validate()
+        // forbids a zero server window, so min(ours, theirs) is always 1.
+        self.negotiated = Some((eff, 1));
         self.io = Some(io);
         Ok(())
     }
@@ -1089,21 +1065,26 @@ impl RemoteClient {
     }
 }
 
-/// Cancel the in-flight sequence and resolve the call from the partial
-/// reassembly. The second return says whether the connection must be
-/// dropped (the Cancel itself could not be sent).
-fn cancel_and_finish(
+/// The next frame on a client connection, waiting until `timeout` past
+/// `since`. A server that closes while the client still waits on it has
+/// reset the exchange, however cleanly it closed.
+fn next_frame(
     io: &mut FrameIo,
-    id: u64,
-    assembly: Reassembler,
-    tally: &mut ProgressiveTally,
-) -> Result<(ServeResult, bool), TransportError> {
-    let cancel_sent = io
-        .send_frame(&Frame::new(FrameKind::Cancel, id, Vec::new()))
-        .is_ok();
-    tally.cancels += 1;
-    tally.partial_responses += 1;
-    Ok((Ok(assembly.into_response()), !cancel_sent))
+    since: Instant,
+    timeout: Duration,
+) -> Result<Frame, TransportError> {
+    loop {
+        match io.recv_frame()? {
+            RecvFrame::Frame(f) => return Ok(f),
+            RecvFrame::Eof => return Err(TransportError::ConnReset),
+            RecvFrame::Idle if since.elapsed() >= timeout => {
+                return Err(TransportError::ConnTimeout {
+                    waited_ms: timeout.as_millis() as u64,
+                });
+            }
+            RecvFrame::Idle => {}
+        }
+    }
 }
 
 /// Wait for the response to `id` — a terminal outcome, or a progressive
@@ -1118,92 +1099,179 @@ fn recv_response(
     byte_budget: Option<usize>,
     tally: &mut ProgressiveTally,
 ) -> Result<(ServeResult, bool), TransportError> {
-    let deadline = Instant::now() + timeout;
+    let since = Instant::now();
     let mut assembly: Option<Reassembler> = None;
     // On-wire bytes received for this call's Response frames; the
     // byte-budget predicate is over delivered wire bytes, not decoded
     // coefficient counts, so it bounds what the link actually carried.
     let mut got_bytes = 0usize;
-    let over_budget = |got: usize| byte_budget.is_some_and(|b| got >= b);
     loop {
-        match io.recv_frame()? {
-            RecvFrame::Frame(f) if f.kind == FrameKind::Response && f.id == id => {
-                got_bytes += HEADER_LEN + f.payload.len() + TRAILER_LEN;
-                match decode_response_body(&f)? {
-                    ResponseBody::Outcome(result) => return Ok((result, false)),
-                    ResponseBody::Header(h) => {
-                        let more = f.more_follows();
-                        let r = Reassembler::new(h)?;
-                        tally.headers += 1;
-                        if !more {
-                            // Zero-plane sequence: complete by itself.
-                            return Ok((Ok(r.into_response()), false));
-                        }
-                        if tolerance.is_some_and(|tol| r.bound() <= tol) {
-                            return cancel_and_finish(io, id, r, tally);
-                        }
-                        if over_budget(got_bytes) {
-                            tally.budget_stops += 1;
-                            return cancel_and_finish(io, id, r, tally);
-                        }
-                        assembly = Some(r);
-                    }
-                    ResponseBody::Plane(p) => {
-                        let Some(r) = assembly.as_mut() else {
-                            return Err(TransportError::FrameCorrupt {
-                                detail: "detail plane before progressive header".into(),
-                            });
-                        };
-                        r.apply(&p)?;
-                        tally.planes += 1;
-                        if r.complete() || !f.more_follows() {
-                            let r = assembly.take().expect("assembly just applied");
-                            if !r.complete() {
-                                // The server cut the sequence (e.g. a
-                                // Cancel from a prior attempt landed
-                                // late); the partial result is still
-                                // within its reported bound.
-                                tally.partial_responses += 1;
-                            }
-                            return Ok((Ok(r.into_response()), false));
-                        }
-                        if tolerance.is_some_and(|tol| r.bound() <= tol) {
-                            let r = assembly.take().expect("assembly just applied");
-                            return cancel_and_finish(io, id, r, tally);
-                        }
-                        if over_budget(got_bytes) {
-                            tally.budget_stops += 1;
-                            let r = assembly.take().expect("assembly just applied");
-                            return cancel_and_finish(io, id, r, tally);
-                        }
-                    }
-                }
-            }
-            RecvFrame::Frame(f) if f.kind == FrameKind::Response => {
-                // A stale response frame from an earlier id — a prior
-                // attempt's monolithic reply or the tail of a cancelled
-                // sequence; harmless, keep waiting for ours.
-                debug_assert!(f.id < id, "responses never outrun requests");
-            }
-            RecvFrame::Frame(f) => {
-                return Err(TransportError::FrameCorrupt {
-                    detail: format!("unexpected {:?} frame mid-stream", f.kind),
-                });
-            }
-            RecvFrame::Eof => return Err(TransportError::ConnReset),
-            RecvFrame::Idle => {
-                if Instant::now() >= deadline {
-                    return Err(TransportError::ConnTimeout {
-                        waited_ms: timeout.as_millis() as u64,
-                    });
-                }
-            }
+        let f = next_frame(io, since, timeout)?;
+        if f.kind != FrameKind::Response {
+            return Err(TransportError::FrameCorrupt {
+                detail: format!("unexpected {:?} frame mid-stream", f.kind),
+            });
         }
+        if f.id != id {
+            // A stale response frame from an earlier id — a prior
+            // attempt's monolithic reply or the tail of a cancelled
+            // sequence; harmless, keep waiting for ours.
+            debug_assert!(f.id < id, "responses never outrun requests");
+            continue;
+        }
+        got_bytes += HEADER_LEN + f.payload.len() + TRAILER_LEN;
+        let r = match decode_response_body(&f)? {
+            ResponseBody::Outcome(result) => return Ok((result, false)),
+            ResponseBody::Header(h) => {
+                let r = Reassembler::new(h)?;
+                tally.headers += 1;
+                assembly.insert(r)
+            }
+            ResponseBody::Plane(p) => {
+                let Some(r) = assembly.as_mut() else {
+                    return Err(TransportError::FrameCorrupt {
+                        detail: "detail plane before progressive header".into(),
+                    });
+                };
+                r.apply(&p)?;
+                tally.planes += 1;
+                r
+            }
+        };
+        let step = r.step(!f.more_follows(), got_bytes, tolerance, byte_budget);
+        if step == Step::Read {
+            continue;
+        }
+        let r = assembly.take().expect("assembly just stepped");
+        let mut drop_conn = false;
+        if let Step::Cancel { budget } = step {
+            let cancel = Frame::new(FrameKind::Cancel, id, Vec::new());
+            drop_conn = io.send_frame(&cancel).is_err();
+            tally.cancels += 1;
+            tally.budget_stops += budget as u64;
+        }
+        if !r.complete() {
+            // Cut short by our Cancel, or by the server (e.g. a Cancel
+            // from a prior attempt landed late); either way the partial
+            // result is still within its reported bound.
+            tally.partial_responses += 1;
+        }
+        return Ok((Ok(r.into_response()), drop_conn));
     }
 }
 
 impl Drop for RemoteClient {
     fn drop(&mut self) {
         self.goodbye();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::DecomposeResponse;
+    use dwt::Pyramid;
+
+    fn outcome() -> Arc<ServeResult> {
+        Arc::new(Ok(DecomposeResponse {
+            pyramid: Pyramid::zeros(8, 8, 1).expect("dyadic geometry"),
+            cache_hit: false,
+            batch_size: 1,
+            wait_s: 0.0,
+            service_s: 0.0,
+            degraded: false,
+            error_bound: 0.0,
+        }))
+    }
+
+    /// Run `wait` on its own thread and hand back its answer. The nap
+    /// only makes "the waiter is parked before the test goes on" the
+    /// common order; every assertion below holds in the other order
+    /// too. No wait under test has a timer, so one that misses its
+    /// wake-up fails the `recv_timeout` instead of passing late.
+    fn parked<T: Send + 'static>(wait: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(wait()));
+        std::thread::sleep(Duration::from_millis(20));
+        rx
+    }
+
+    const WOKEN: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn a_waiter_gets_the_books_own_pointer() {
+        let dedup = Dedup::new(8);
+        assert!(dedup.claim(7, 0).is_none(), "first sight claims the id");
+        assert!(matches!(dedup.claim(7, 0), Some(Slot::InFlight)));
+        let waiter = {
+            let dedup = Arc::clone(&dedup);
+            parked(move || dedup.await_done(7, 0))
+        };
+        let result = outcome();
+        dedup.resolve(7, 0, Arc::clone(&result));
+        let got = waiter
+            .recv_timeout(WOKEN)
+            .expect("resolve wakes the waiter");
+        assert!(Arc::ptr_eq(&got.expect("resolved"), &result), "no copy");
+        match dedup.claim(7, 0) {
+            Some(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &result)),
+            other => panic!("expected the recorded outcome, got {other:?}"),
+        }
+        // Book, waiter's answer (dropped), replay (dropped), ours.
+        assert_eq!(Arc::strong_count(&result), 2);
+    }
+
+    #[test]
+    fn forgetting_a_claim_releases_its_waiter() {
+        let dedup = Dedup::new(8);
+        assert!(dedup.claim(7, 0).is_none());
+        let waiter = {
+            let dedup = Arc::clone(&dedup);
+            parked(move || dedup.await_done(7, 0))
+        };
+        dedup.forget_claim(7, 0);
+        let got = waiter
+            .recv_timeout(WOKEN)
+            .expect("forget_claim wakes the waiter");
+        assert!(got.is_none(), "a forgotten claim never resolves");
+        assert!(dedup.claim(7, 0).is_none(), "the retry claims it afresh");
+    }
+
+    #[test]
+    fn a_full_window_opens_on_release() {
+        let window = Window::new(2);
+        window.acquire(0);
+        window.acquire(1);
+        let third = {
+            let window = Arc::clone(&window);
+            parked(move || window.acquire(2))
+        };
+        assert!(third.try_recv().is_err(), "no permit, no admission");
+        window.release(0);
+        third.recv_timeout(WOKEN).expect("release wakes the reader");
+        assert_eq!(*window.in_flight.lock(), [(1, false), (2, false)]);
+    }
+
+    #[test]
+    fn cancels_never_outgrow_the_window() {
+        let window = Window::new(2);
+        window.acquire(1);
+        window.acquire(2);
+        window.cancel(1);
+        window.cancel(99);
+        assert!(window.cancelled(1));
+        assert!(!window.cancelled(2) && !window.cancelled(99));
+        window.release(1);
+        window.cancel(1);
+        assert!(!window.cancelled(1), "a finished id is past cancelling");
+        // A connection that cancels every sequence it asks for.
+        for id in 10..1000 {
+            window.acquire(id);
+            window.cancel(id);
+            assert!(window.cancelled(id));
+            window.release(id);
+            assert!(window.in_flight.lock().len() <= 2);
+        }
+        assert_eq!(*window.in_flight.lock(), [(2, false)], "only id 2 is left");
     }
 }

@@ -32,13 +32,13 @@ use crate::elastic::{BalanceAction, BalanceController, ShardMap};
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot, ShardMetrics};
 use crate::policy::{self, Shards};
-use crate::progressive::{split_response, Reassembler};
+use crate::progressive::{sequence_frames, split_response, Reassembler, Step};
 use crate::remote::RetryPolicy;
 use crate::request::{DecomposeRequest, Entry, Rejection, ServeResult};
 use crate::server::ServiceConfig;
 use crate::shard;
 use crate::transport::TransportError;
-use crate::wire::{self, encode_progressive_header, encode_progressive_plane};
+use crate::wire;
 use dwt::engine::PlanShape;
 use dwt_mimd::CheckpointCodec;
 
@@ -931,16 +931,9 @@ fn deliver_result(
     };
     let frame_bytes: Vec<u64> = match &progressive {
         None => vec![mono_bytes],
-        Some((_, header, planes)) => {
-            let header = encode_progressive_header(0, header).expect("header always frames");
-            let planes = planes.iter().enumerate().map(|(i, p)| {
-                encode_progressive_plane(0, p, i + 1 < planes.len()).expect("planes always frame")
-            });
-            std::iter::once(header)
-                .chain(planes)
-                .map(|frame| frame.payload.len() as u64)
-                .collect()
-        }
+        Some((_, header, planes)) => sequence_frames(0, header, planes)
+            .map(|frame| frame.expect("a split response always frames").payload.len() as u64)
+            .collect(),
     };
     let mut t = t_res;
     'attempt: loop {
@@ -949,7 +942,7 @@ fn deliver_result(
         });
         // On-wire bytes delivered this attempt (framing included), the
         // same quantity the live client's byte-budget predicate sees.
-        let mut got_bytes = 0u64;
+        let mut got_bytes = 0usize;
         for (j, &bytes) in frame_bytes.iter().enumerate() {
             acc.response_bytes += bytes;
             let one_way = cl.wire.frame_payload_s(bytes as f64);
@@ -968,22 +961,21 @@ fn deliver_result(
             let (Some((ps, _, planes)), Some(reasm)) = (&progressive, &mut reasm) else {
                 continue;
             };
-            got_bytes += bytes + (wire::HEADER_LEN + wire::TRAILER_LEN) as u64;
+            got_bytes += bytes as usize + wire::HEADER_LEN + wire::TRAILER_LEN;
             if j > 0 {
                 let plane = &planes[j - 1];
                 reasm.apply(plane).expect("planes fit their header");
                 acc.planes += 1;
             }
-            let tolerance_met = ps.tolerance.is_some_and(|tol| reasm.bound() <= tol);
-            let over_budget = ps.byte_budget.is_some_and(|b| got_bytes >= b as u64);
-            if (tolerance_met || over_budget) && !reasm.complete() {
+            let last = j + 1 == frame_bytes.len();
+            if let Step::Cancel { budget } =
+                reasm.step(last, got_bytes, ps.tolerance, ps.byte_budget)
+            {
                 sc.frames[WireDir::ClientToServer as usize] += 1; // Cancel frame
                 acc.frames += 1;
                 acc.comm_s += cl.wire.frame_payload_s(0.0);
                 acc.cancels += 1;
-                if !tolerance_met {
-                    acc.budget_stops += 1;
-                }
+                acc.budget_stops += budget as u64;
                 break;
             }
         }

@@ -22,7 +22,8 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -201,10 +202,7 @@ impl Transport for TcpTransport {
         match self.stream.read(buf) {
             Ok(0) => Ok(Recv::Eof),
             Ok(n) => Ok(Recv::Data(n)),
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                Ok(Recv::Idle)
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(Recv::Idle),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(Recv::Idle),
             Err(_) => Err(TransportError::ConnReset),
         }
     }
@@ -292,10 +290,7 @@ impl Transport for MemTransport {
         let mut sent = 0;
         while sent < bytes.len() {
             let mut st = self.tx.state.lock();
-            if st.broken {
-                return Err(TransportError::ConnReset);
-            }
-            if st.write_closed {
+            if st.broken || st.write_closed {
                 return Err(TransportError::ConnReset);
             }
             let room = self.tx.capacity.saturating_sub(st.buf.len());
@@ -316,37 +311,28 @@ impl Transport for MemTransport {
 
     fn recv(&mut self, buf: &mut [u8]) -> Result<Recv, TransportError> {
         let mut st = self.rx.state.lock();
+        if st.buf.is_empty() && !st.broken && !st.write_closed {
+            // Nothing to report yet: park one tick for bytes, a close
+            // or a break.
+            self.rx.readable.wait_for(&mut st, self.tick);
+        }
+        // Bytes already in the pipe are delivered before the state that
+        // follows them.
         if st.buf.is_empty() {
-            if st.broken {
-                return Err(TransportError::ConnReset);
-            }
-            if st.write_closed {
-                return Ok(Recv::Eof);
-            }
-            if self.rx.readable.wait_for(&mut st, self.tick) && st.buf.is_empty() {
-                return if st.broken {
-                    Err(TransportError::ConnReset)
-                } else if st.write_closed {
-                    Ok(Recv::Eof)
-                } else {
-                    Ok(Recv::Idle)
-                };
-            }
-            if st.buf.is_empty() {
-                // Woken without bytes: closed or broken state changed.
-                return if st.broken {
-                    Err(TransportError::ConnReset)
-                } else if st.write_closed {
-                    Ok(Recv::Eof)
-                } else {
-                    Ok(Recv::Idle)
-                };
-            }
+            return if st.broken {
+                Err(TransportError::ConnReset)
+            } else if st.write_closed {
+                Ok(Recv::Eof)
+            } else {
+                Ok(Recv::Idle)
+            };
         }
         let n = buf.len().min(st.buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = st.buf.pop_front().expect("len checked");
-        }
+        let (front, back) = st.buf.as_slices();
+        let head = n.min(front.len());
+        buf[..head].copy_from_slice(&front[..head]);
+        buf[head..n].copy_from_slice(&back[..n - head]);
+        st.buf.drain(..n);
         self.rx.writable.notify_all();
         Ok(Recv::Data(n))
     }
@@ -683,35 +669,29 @@ impl FrameIo {
         let t0 = Instant::now();
         let mut bytes = encode_frame(frame)?;
         self.stats.ser_s += t0.elapsed().as_secs_f64();
-        match self.faults.decide(self.conn, self.dir, idx) {
+        let fault = self.faults.decide(self.conn, self.dir, idx);
+        self.stats.faults_injected += fault.is_some() as u64;
+        match fault {
             None => {}
             Some(WireFault::BitFlip { entropy }) => {
-                self.stats.faults_injected += 1;
                 let bit = (entropy % (bytes.len() as u64 * 8)) as usize;
                 bytes[bit / 8] ^= 1 << (bit % 8);
             }
-            Some(WireFault::Truncate) => {
-                // Half the frame, then a clean FIN: the peer sees EOF
-                // mid-frame and types it FrameCorrupt.
-                self.stats.faults_injected += 1;
+            Some(cut @ (WireFault::Truncate | WireFault::Reset)) => {
+                // Half the frame, then either a clean FIN (the peer sees
+                // EOF mid-frame and types it FrameCorrupt) or an
+                // abortive close (the peer sees a reset, not an EOF).
                 let half = &bytes[..bytes.len() / 2];
                 let _ = self.io.send(half);
                 self.stats.bytes_out += half.len() as u64;
-                self.io.shutdown_write();
-                return Err(TransportError::ConnReset);
-            }
-            Some(WireFault::Reset) => {
-                // Half the frame, then an abortive close: the peer sees
-                // a reset, not an EOF.
-                self.stats.faults_injected += 1;
-                let half = &bytes[..bytes.len() / 2];
-                let _ = self.io.send(half);
-                self.stats.bytes_out += half.len() as u64;
-                self.io.abort();
+                if cut == WireFault::Truncate {
+                    self.io.shutdown_write();
+                } else {
+                    self.io.abort();
+                }
                 return Err(TransportError::ConnReset);
             }
             Some(WireFault::Stall { seconds }) => {
-                self.stats.faults_injected += 1;
                 std::thread::sleep(Duration::from_secs_f64(seconds));
             }
         }

@@ -170,7 +170,7 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn corrupt(detail: impl Into<String>) -> WireError {
+pub(crate) fn corrupt(detail: impl Into<String>) -> WireError {
     WireError::FrameCorrupt {
         detail: detail.into(),
     }
@@ -233,17 +233,14 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
 /// yields one frame and how many bytes it spanned. Errors are terminal
 /// for the byte stream (framing is lost once bytes are untrustworthy).
 pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.len() < HEADER_LEN {
-        // Reject bad magic as soon as the bytes disagree, without
-        // waiting for a full header.
-        let n = buf.len().min(4);
-        if buf[..n] != MAGIC[..n] {
-            return Err(corrupt("bad magic"));
-        }
-        return Ok(None);
-    }
-    if buf[0..4] != MAGIC {
+    // Reject bad magic as soon as the bytes disagree, without waiting
+    // for a full header.
+    let n = buf.len().min(MAGIC.len());
+    if buf[..n] != MAGIC[..n] {
         return Err(corrupt("bad magic"));
+    }
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
     }
     if buf[4] != PROTOCOL_VERSION {
         return Err(corrupt(format!(
@@ -362,6 +359,17 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
+    /// A `rows x cols` matrix of f64 values. The element count must
+    /// agree with what the payload can actually hold, which `take`
+    /// enforces by refusing short reads — the guard against adversarial
+    /// geometry.
+    fn matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, WireError> {
+        let n = rows
+            .checked_mul(cols)
+            .ok_or_else(|| corrupt("matrix dims overflow"))?;
+        Matrix::from_vec(rows, cols, self.plane(n)?).map_err(|e| corrupt(e.to_string()))
+    }
+
     fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -389,17 +397,11 @@ fn put_plane(out: &mut Vec<u8>, data: &[f64]) {
     }
 }
 
-/// Guard a decoded `rows x cols` geometry against adversarial sizes:
-/// the element count must agree with what the payload can actually
-/// hold, which the cursor enforces by refusing short reads.
+/// A matrix led by its own `rows`, `cols`.
 fn matrix(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
-    let n = rows
-        .checked_mul(cols)
-        .ok_or_else(|| corrupt("matrix dims overflow"))?;
-    let data = r.plane(n)?;
-    Matrix::from_vec(rows, cols, data).map_err(|e| corrupt(e.to_string()))
+    r.matrix(rows, cols)
 }
 
 fn put_matrix(out: &mut Vec<u8>, m: &Matrix) -> Result<(), WireError> {
@@ -548,21 +550,23 @@ pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
     })
 }
 
-fn encode_pyramid(out: &mut Vec<u8>, pyr: &Pyramid) -> Result<(), WireError> {
-    let (rows, cols) = pyr.image_dims();
+/// Image rows, cols and decomposition depth — how the monolithic
+/// pyramid and the progressive header both open their geometry.
+fn put_geometry(
+    out: &mut Vec<u8>,
+    rows: usize,
+    cols: usize,
+    levels: usize,
+) -> Result<(), WireError> {
     out.extend_from_slice(&wire_u32(rows, "pyramid rows")?.to_le_bytes());
     out.extend_from_slice(&wire_u32(cols, "pyramid cols")?.to_le_bytes());
-    out.extend_from_slice(&wire_u32(pyr.levels(), "pyramid levels")?.to_le_bytes());
-    put_plane(out, pyr.approx.data());
-    for bands in &pyr.detail {
-        put_plane(out, bands.lh.data());
-        put_plane(out, bands.hl.data());
-        put_plane(out, bands.hh.data());
-    }
+    out.extend_from_slice(&wire_u32(levels, "pyramid levels")?.to_le_bytes());
     Ok(())
 }
 
-fn decode_pyramid(r: &mut Reader<'_>) -> Result<Pyramid, WireError> {
+/// Read `(rows, cols, levels)` and refuse any geometry that is not a
+/// dyadic pyramid, before a plane is sized from it.
+fn geometry(r: &mut Reader<'_>) -> Result<(usize, usize, usize), WireError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
     let levels = r.u32()? as usize;
@@ -574,18 +578,31 @@ fn decode_pyramid(r: &mut Reader<'_>) -> Result<Pyramid, WireError> {
             "pyramid dims {rows}x{cols} do not divide by 2^{levels}"
         )));
     }
-    let band = |r: &mut Reader<'_>, h: usize, w: usize| -> Result<Matrix, WireError> {
-        let data = r.plane(h.checked_mul(w).ok_or_else(|| corrupt("band overflow"))?)?;
-        Matrix::from_vec(h, w, data).map_err(|e| corrupt(e.to_string()))
-    };
-    let approx = band(r, rows >> levels, cols >> levels)?;
+    Ok((rows, cols, levels))
+}
+
+fn encode_pyramid(out: &mut Vec<u8>, pyr: &Pyramid) -> Result<(), WireError> {
+    let (rows, cols) = pyr.image_dims();
+    put_geometry(out, rows, cols, pyr.levels())?;
+    put_plane(out, pyr.approx.data());
+    for bands in &pyr.detail {
+        put_plane(out, bands.lh.data());
+        put_plane(out, bands.hl.data());
+        put_plane(out, bands.hh.data());
+    }
+    Ok(())
+}
+
+fn decode_pyramid(r: &mut Reader<'_>) -> Result<Pyramid, WireError> {
+    let (rows, cols, levels) = geometry(r)?;
+    let approx = r.matrix(rows >> levels, cols >> levels)?;
     let mut detail = Vec::with_capacity(levels);
     for level in 1..=levels {
         let (h, w) = (rows >> level, cols >> level);
         detail.push(Subbands {
-            lh: band(r, h, w)?,
-            hl: band(r, h, w)?,
-            hh: band(r, h, w)?,
+            lh: r.matrix(h, w)?,
+            hl: r.matrix(h, w)?,
+            hh: r.matrix(h, w)?,
         });
     }
     Ok(Pyramid { approx, detail })
@@ -649,19 +666,61 @@ fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
     })
 }
 
+/// The serving metadata every successful response opens with, after its
+/// outcome tag: two flags, a zero padding byte, the batch size, queue
+/// wait, service time and the server-side error bound.
+fn put_meta(
+    out: &mut Vec<u8>,
+    cache_hit: bool,
+    degraded: bool,
+    batch_size: usize,
+    wait_s: f64,
+    service_s: f64,
+    error_bound: f64,
+) -> Result<(), WireError> {
+    out.push(cache_hit as u8);
+    out.push(degraded as u8);
+    out.push(0);
+    out.extend_from_slice(&wire_u32(batch_size, "batch size")?.to_le_bytes());
+    for v in [wait_s, service_s, error_bound] {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    Ok(())
+}
+
+/// What [`put_meta`] wrote, in its order: `(cache_hit, degraded,
+/// batch_size, wait_s, service_s, error_bound)`.
+fn meta(r: &mut Reader<'_>) -> Result<(bool, bool, usize, f64, f64, f64), WireError> {
+    let cache_hit = r.u8()? != 0;
+    let degraded = r.u8()? != 0;
+    if r.u8()? != 0 {
+        return Err(corrupt("nonzero response padding"));
+    }
+    Ok((
+        cache_hit,
+        degraded,
+        r.u32()? as usize,
+        r.f64()?,
+        r.f64()?,
+        r.f64()?,
+    ))
+}
+
 /// Encode one terminal outcome as a [`FrameKind::Response`] frame.
 pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError> {
     let mut payload = Vec::new();
     match result {
         Ok(resp) => {
             payload.push(0);
-            payload.push(resp.cache_hit as u8);
-            payload.push(resp.degraded as u8);
-            payload.push(0);
-            payload.extend_from_slice(&wire_u32(resp.batch_size, "batch size")?.to_le_bytes());
-            payload.extend_from_slice(&resp.wait_s.to_bits().to_le_bytes());
-            payload.extend_from_slice(&resp.service_s.to_bits().to_le_bytes());
-            payload.extend_from_slice(&resp.error_bound.to_bits().to_le_bytes());
+            put_meta(
+                &mut payload,
+                resp.cache_hit,
+                resp.degraded,
+                resp.batch_size,
+                resp.wait_s,
+                resp.service_s,
+                resp.error_bound,
+            )?;
             encode_pyramid(&mut payload, &resp.pyramid)?;
         }
         Err(rej) => {
@@ -676,39 +735,12 @@ pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError
 /// outcome (tag 0 or 1). Progressive header/plane payloads are a typed
 /// error here; use [`decode_response_body`] to accept all three.
 pub fn decode_response(frame: &Frame) -> Result<ServeResult, WireError> {
-    let mut r = Reader::new(&frame.payload);
-    let result = match r.u8()? {
-        0 => {
-            let cache_hit = r.u8()? != 0;
-            let degraded = r.u8()? != 0;
-            if r.u8()? != 0 {
-                return Err(corrupt("nonzero response padding"));
-            }
-            let batch_size = r.u32()? as usize;
-            let wait_s = r.f64()?;
-            let service_s = r.f64()?;
-            let error_bound = r.f64()?;
-            let pyramid = decode_pyramid(&mut r)?;
-            Ok(DecomposeResponse {
-                pyramid,
-                cache_hit,
-                batch_size,
-                wait_s,
-                service_s,
-                degraded,
-                error_bound,
-            })
-        }
-        1 => Err(decode_rejection(&mut r)?),
-        t @ (2 | 3) => {
-            return Err(corrupt(format!(
-                "progressive response tag {t} where a terminal outcome was expected"
-            )))
-        }
-        t => return Err(corrupt(format!("unknown outcome tag {t}"))),
-    };
-    r.done()?;
-    Ok(result)
+    match decode_response_body(frame)? {
+        ResponseBody::Outcome(result) => Ok(result),
+        ResponseBody::Header(_) | ResponseBody::Plane(_) => Err(corrupt(
+            "progressive response payload where a terminal outcome was expected",
+        )),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -810,16 +842,16 @@ pub struct ProgressivePlane {
 pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame, WireError> {
     let mut payload = Vec::with_capacity(64 + h.approx.data().len() * 8);
     payload.push(2);
-    payload.push(h.cache_hit as u8);
-    payload.push(h.degraded as u8);
-    payload.push(0);
-    payload.extend_from_slice(&wire_u32(h.batch_size, "batch size")?.to_le_bytes());
-    payload.extend_from_slice(&h.wait_s.to_bits().to_le_bytes());
-    payload.extend_from_slice(&h.service_s.to_bits().to_le_bytes());
-    payload.extend_from_slice(&h.base_error_bound.to_bits().to_le_bytes());
-    payload.extend_from_slice(&wire_u32(h.rows, "pyramid rows")?.to_le_bytes());
-    payload.extend_from_slice(&wire_u32(h.cols, "pyramid cols")?.to_le_bytes());
-    payload.extend_from_slice(&wire_u32(h.levels, "pyramid levels")?.to_le_bytes());
+    put_meta(
+        &mut payload,
+        h.cache_hit,
+        h.degraded,
+        h.batch_size,
+        h.wait_s,
+        h.service_s,
+        h.base_error_bound,
+    )?;
+    put_geometry(&mut payload, h.rows, h.cols, h.levels)?;
     payload.extend_from_slice(&wire_u32(h.planes_total, "plane count")?.to_le_bytes());
     payload.extend_from_slice(&h.codec_tolerance.to_bits().to_le_bytes());
     payload.extend_from_slice(&h.bound_after.to_bits().to_le_bytes());
@@ -833,29 +865,11 @@ pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame
 }
 
 fn decode_progressive_header(r: &mut Reader<'_>) -> Result<ProgressiveHeader, WireError> {
-    let cache_hit = r.u8()? != 0;
-    let degraded = r.u8()? != 0;
-    if r.u8()? != 0 {
-        return Err(corrupt("nonzero progressive header padding"));
-    }
-    let batch_size = r.u32()? as usize;
-    let wait_s = r.f64()?;
-    let service_s = r.f64()?;
-    let base_error_bound = r.f64()?;
-    let rows = r.u32()? as usize;
-    let cols = r.u32()? as usize;
-    let levels = r.u32()? as usize;
+    let (cache_hit, degraded, batch_size, wait_s, service_s, base_error_bound) = meta(r)?;
+    let (rows, cols, levels) = geometry(r)?;
     let planes_total = r.u32()? as usize;
     let codec_tolerance = r.f64()?;
     let bound_after = r.f64()?;
-    if levels == 0 || levels >= 32 {
-        return Err(corrupt(format!("pyramid depth {levels} out of range")));
-    }
-    if rows >> levels << levels != rows || cols >> levels << levels != cols {
-        return Err(corrupt(format!(
-            "pyramid dims {rows}x{cols} do not divide by 2^{levels}"
-        )));
-    }
     if planes_total != 3 * levels {
         return Err(corrupt(format!(
             "progressive header declares {planes_total} planes for {levels} levels"
@@ -998,23 +1012,27 @@ pub enum ResponseBody {
 /// Decode any [`FrameKind::Response`] payload — monolithic outcome,
 /// progressive header, or progressive plane.
 pub fn decode_response_body(frame: &Frame) -> Result<ResponseBody, WireError> {
-    match frame.payload.first() {
-        Some(2) => {
-            let mut r = Reader::new(&frame.payload);
-            let _tag = r.u8()?;
-            let h = decode_progressive_header(&mut r)?;
-            r.done()?;
-            Ok(ResponseBody::Header(h))
+    let mut r = Reader::new(&frame.payload);
+    let body = match r.u8()? {
+        0 => {
+            let (cache_hit, degraded, batch_size, wait_s, service_s, error_bound) = meta(&mut r)?;
+            ResponseBody::Outcome(Ok(DecomposeResponse {
+                pyramid: decode_pyramid(&mut r)?,
+                cache_hit,
+                batch_size,
+                wait_s,
+                service_s,
+                degraded,
+                error_bound,
+            }))
         }
-        Some(3) => {
-            let mut r = Reader::new(&frame.payload);
-            let _tag = r.u8()?;
-            let p = decode_progressive_plane(&mut r)?;
-            r.done()?;
-            Ok(ResponseBody::Plane(p))
-        }
-        _ => Ok(ResponseBody::Outcome(decode_response(frame)?)),
-    }
+        1 => ResponseBody::Outcome(Err(decode_rejection(&mut r)?)),
+        2 => ResponseBody::Header(decode_progressive_header(&mut r)?),
+        3 => ResponseBody::Plane(decode_progressive_plane(&mut r)?),
+        t => return Err(corrupt(format!("unknown outcome tag {t}"))),
+    };
+    r.done()?;
+    Ok(body)
 }
 
 #[cfg(test)]

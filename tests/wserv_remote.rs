@@ -359,6 +359,86 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
 }
 
 // ---------------------------------------------------------------------
+// Resubmit while the original is still executing
+// ---------------------------------------------------------------------
+
+/// A connection dies with its request still executing; the client's
+/// resubmit of the same id on a fresh connection must wait for the
+/// original execution and be answered from the book — one execution,
+/// one replay, the oracle's pyramid — not run the request a second time
+/// and not wait on a timer.
+#[test]
+fn resubmit_while_in_flight_is_answered_by_the_original_execution() {
+    let listener = MemListener::new(1 << 16, tick());
+    // Whichever shard homes the request crawls through its first
+    // dispatch (4000x a cold 64x64 decomposition: a few hundred
+    // milliseconds), so the id is still in flight when it is asked for
+    // again.
+    let crawl = ShardFaultPlan::none()
+        .with_stall(0, 4000.0, 0, 1)
+        .with_stall(1, 4000.0, 0, 1);
+    let server = RemoteServer::start(
+        service_config().with_faults(crawl),
+        remote_config(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    let req = DecomposeRequest::new(image(64, 7), FilterBank::cdf53(), 2);
+
+    // Connection A: handshake by hand as client 7, send id 0, then die
+    // abortively without reading a byte of the response.
+    let mut a = FrameIo::new(
+        Box::new(listener.connect().expect("listener open")),
+        7,
+        WireDir::ClientToServer,
+        WireFaultPlan::none(),
+        WireClock::new(),
+    );
+    a.send_frame(&encode_hello(
+        FrameKind::Hello,
+        7,
+        &Hello {
+            protocol: PROTOCOL_VERSION as u32,
+            max_payload: DEFAULT_MAX_PAYLOAD,
+            window: 1,
+        },
+    ))
+    .expect("hello fits");
+    loop {
+        match a.recv_frame().expect("handshake survives") {
+            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => break,
+            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
+            RecvFrame::Idle => continue,
+            RecvFrame::Eof => panic!("server hung up mid-handshake"),
+        }
+    }
+    a.send_frame(&encode_request(0, &req).expect("request encodes"))
+        .expect("request fits the pipe");
+    // Let A's reader claim the id first. Should B win the race instead
+    // the roles swap and every assertion below still holds; the nap
+    // only makes the intended order the common one.
+    std::thread::sleep(Duration::from_millis(20));
+    a.abort();
+
+    // Connection B: the same client's first call is the same id 0.
+    let mut b = RemoteClient::new(Box::new(listener.clone()), 7)
+        .with_response_timeout(Duration::from_secs(30));
+    let resp = b
+        .call(&req)
+        .expect("B's wire is clean")
+        .expect("request serves Ok");
+    let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+        .expect("oracle geometry is valid");
+    assert_eq!(resp.pyramid, oracle);
+    assert_eq!(b.retries, 0, "B was answered on its first attempt");
+    b.goodbye();
+
+    let metrics = server.shutdown().expect("clean drain");
+    assert_eq!(metrics.service.completed(), 1, "executed exactly once");
+    assert_eq!(metrics.transport.dedup_replays, 1, "B was a replay");
+}
+
+// ---------------------------------------------------------------------
 // Drain with a half-open connection (conn_aborted)
 // ---------------------------------------------------------------------
 

@@ -178,18 +178,15 @@ pub fn split_response(
     Ok((header, planes))
 }
 
-/// What the reader of a progressive sequence does after a frame — the
-/// answer of [`Reassembler::step`].
+/// What the reader of a progressive sequence does after a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// Keep reading planes.
     Read,
-    /// The sequence is over: every plane is in, or the sender ended it.
+    /// Every plane is in, or the sender ended the sequence.
     Finished,
     /// Stop reading and Cancel the request: the tolerance is met, or
     /// (`budget`) the byte budget is spent with the tolerance unmet.
     Cancel {
-        /// Whether the byte budget, not the tolerance, stopped it.
         budget: bool,
     },
 }

@@ -11,8 +11,10 @@
 //! in-flight window: the reader stops pulling bytes once `window`
 //! submitted requests have unsent responses, so a client that floods
 //! requests without reading responses backpressures itself (its TCP
-//! send buffer / pipe window fills) instead of ballooning server
-//! memory.
+//! send buffer / pipe window fills) instead of queueing responses
+//! without bound. The reader's wait for room and the writer's wait for
+//! another connection's resolution are plain condvar waits, woken by
+//! the events that end them; each says at the wait why it is finite.
 //!
 //! ## Exactly-once
 //!
@@ -25,7 +27,13 @@
 //! original resolution and sends that. Execution happens at most once
 //! per id; rejected submissions are deliberately *not* recorded, so a
 //! retry after `QueueFull` re-attempts admission rather than replaying
-//! the rejection.
+//! the rejection — and a resubmit caught waiting on a claim that is
+//! then refused is woken and fails its connection, so its client
+//! retries too. An outcome exists once: the writer wraps what the
+//! service returned in an `Arc`, and the book, every replay and the
+//! encoder share it. The book keeps the last `4·window + 64` resolved
+//! ids per client; that retention, not the window, bounds the
+//! server's resident results.
 //!
 //! ## Progressive delivery
 //!
@@ -36,9 +44,10 @@
 //! flag clear. The whole sequence occupies *one* window permit — flow
 //! control is per-request, so a progressive response cannot starve its
 //! neighbours beyond what a monolithic one would. A client whose
-//! tolerance is met mid-sequence sends [`FrameKind::Cancel`]; the
-//! reader records the id and the writer stops the sequence at the next
-//! plane boundary. Cancel is idempotent and dedup-safe: the request
+//! tolerance is met (or byte budget spent) mid-sequence sends
+//! [`FrameKind::Cancel`]; the reader marks the id's window entry and
+//! the writer stops the sequence at the next plane boundary, with no
+//! closing frame. Cancel is idempotent and dedup-safe: the request
 //! already executed and its outcome is in the resolution book, so
 //! cancellation only trims delivery, never accounting.
 //!
@@ -47,7 +56,9 @@
 //! [`RemoteServer::shutdown`] closes the listener, lets every reader
 //! stop at a frame boundary, runs the service's own graceful drain
 //! (which resolves every accepted request), and lets writers flush
-//! those responses before FIN — lossless for everything accepted. A
+//! those responses before FIN — lossless for everything accepted. The
+//! accept thread joins the connections it spawned and frees the
+//! resolution book before it exits. A
 //! half-open connection (partial frame, then silence) cannot block
 //! this: after `drain_grace` it is aborted and counted in
 //! [`TransportMetrics::conn_aborted`].
@@ -95,7 +106,10 @@ pub struct RemoteConfig {
     pub window: u32,
     /// Largest frame payload either side accepts.
     pub max_payload: u32,
-    /// Poll period for receive/accept waits.
+    /// Read by nothing any more: the two waits it paced are condvar
+    /// waits woken by their events, and receive/accept poll periods
+    /// belong to the transports. Kept because wbench still names the
+    /// field (ROADMAP item 2(b)).
     pub tick: Duration,
     /// How long drain waits for a mid-frame connection to finish its
     /// frame before aborting it.
@@ -158,8 +172,7 @@ pub struct RemoteMetrics {
 // ---------------------------------------------------------------------
 
 /// One id's state in the book. A recorded outcome is held once: the
-/// book, every replay and the frame encoder share the `Arc` the writer
-/// wrapped around what the service returned.
+/// book, every replay and the frame encoder share the writer's `Arc`.
 #[derive(Debug, Clone)]
 enum Slot {
     InFlight,
@@ -342,7 +355,7 @@ struct ServerShared {
 /// docs for the connection anatomy and drain semantics.
 pub struct RemoteServer {
     shared: Arc<ServerShared>,
-    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
+    accept: Option<JoinHandle<()>>,
 }
 
 impl RemoteServer {
@@ -365,11 +378,7 @@ impl RemoteServer {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::spawn(move || {
             let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            loop {
-                if accept_shared.drain.load(Ordering::SeqCst) {
-                    listener.close();
-                    break;
-                }
+            while !accept_shared.drain.load(Ordering::SeqCst) {
                 if let Some(transport) = listener.poll_accept() {
                     let conn_shared = Arc::clone(&accept_shared);
                     conns.push(std::thread::spawn(move || {
@@ -377,7 +386,20 @@ impl RemoteServer {
                     }));
                 }
             }
-            conns
+            listener.close();
+            // The connections are this thread's to see out — they end
+            // once the service has drained — and the book they shared
+            // ends with them, here rather than wherever the server is
+            // dropped. The results in it were allocated by the shard
+            // workers; glibc parks a thread's first few small frees in
+            // that thread's own cache, and parked there by a caller
+            // that lives on they pin the dead server's arenas (+29 %
+            // peak RSS on wbench's rpc_small_hot, DESIGN.md
+            // "Backpressure"). This thread is about to exit.
+            for conn in conns {
+                conn.join().expect("connection threads never panic");
+            }
+            accept_shared.dedup.books.lock().clear();
         });
         Ok(RemoteServer {
             shared,
@@ -391,15 +413,10 @@ impl RemoteServer {
     /// counted in [`TransportMetrics::conn_aborted`].
     pub fn shutdown(mut self) -> Result<RemoteMetrics, ServiceError> {
         self.shared.drain.store(true, Ordering::SeqCst);
-        let conns = self
-            .accept
-            .take()
-            .expect("shutdown runs once")
-            .join()
-            .expect("accept loop never panics");
         // Drain the service *while* connection writers are still
         // running: its shutdown resolves every accepted request, which
-        // is exactly what the writers are waiting to flush.
+        // is exactly what the writers are waiting to flush. A request
+        // that reaches the door after this finds it `Draining`.
         let service = self
             .shared
             .service
@@ -407,9 +424,11 @@ impl RemoteServer {
             .take()
             .expect("service present until shutdown");
         let snapshot = service.shutdown()?;
-        for conn in conns {
-            conn.join().expect("connection threads never panic");
-        }
+        self.accept
+            .take()
+            .expect("shutdown runs once")
+            .join()
+            .expect("accept loop never panics");
         let transport = *self.shared.metrics.lock();
         Ok(RemoteMetrics {
             service: snapshot,

@@ -426,8 +426,10 @@ fn degraded_mode_serves_bounded_error_under_pressure() {
 // ---------------------------------------------------------------------
 
 /// Digest of everything a run reports — outcome kinds, response timing
-/// and error-bound bit patterns, pyramid bits, the full metrics
-/// snapshot, the makespan — through the wire checksum.
+/// and error-bound bit patterns, pyramid bits, every shard's books, the
+/// makespan — through the wire checksum. The books are walked field by
+/// field, so the digest moves when a number moves, not when the
+/// metrics structs gain or lose a field.
 fn report_digest(report: &SimReport) -> u64 {
     let mut bytes = Vec::new();
     for outcome in &report.outcomes {
@@ -447,17 +449,58 @@ fn report_digest(report: &SimReport) -> u64 {
             Err(rejection) => bytes.push(1 + rejection.kind() as u8),
         }
     }
-    bytes.extend_from_slice(format!("{:?}", report.metrics).as_bytes());
+    for s in &report.metrics.shards {
+        let counters = [
+            s.queue.accepted,
+            s.completed,
+            s.batches,
+            s.cache_hits,
+            s.cache_misses,
+            s.cache_evictions,
+            s.restarts,
+            s.requeued,
+            s.quarantined,
+            s.degraded_served,
+            s.stolen_in,
+            s.stolen_out,
+            s.splits,
+            s.merges,
+            s.failed as u64,
+        ];
+        for n in counters.iter().chain(&s.queue.rejected) {
+            bytes.extend_from_slice(&n.to_le_bytes());
+        }
+        let l = &s.lanes;
+        let seconds = [
+            l.useful,
+            l.communication,
+            l.duplication,
+            l.unique_redundancy,
+            l.wait,
+            l.fault_recovery,
+            l.completion,
+            s.busy_s,
+        ];
+        for v in seconds {
+            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        // The latency samples, in recording order. They are private to
+        // the histogram; `{:?}` of a finite f64 is its shortest
+        // round-trip decimal, so the text is one-to-one with the bits.
+        bytes.extend_from_slice(format!("{:?}", s.latency).as_bytes());
+    }
     bytes.extend_from_slice(&report.makespan_s.to_bits().to_le_bytes());
     wserv::wire::checksum(&bytes)
 }
 
 /// The fault-free simulator used to be a second, per-shard event loop,
 /// asserted bit-identical to the joint loop under an empty fault plan.
-/// That loop is gone; these digests were taken from it before it was
+/// That loop is gone; the digests were taken from it before it was
 /// deleted, so the joint loop still has to reproduce it bit for bit —
 /// on a plain stream and on one exercising batching, cache eviction,
-/// shedding and deadline expiry.
+/// shedding and deadline expiry. (Re-pinned once since, with the same
+/// simulator on both sides: when `report_digest` went from the `{:?}`
+/// text of the snapshot to walking its fields.)
 #[test]
 fn run_sim_matches_pinned_golden() {
     let cost = CostModel::default();
@@ -465,7 +508,7 @@ fn run_sim_matches_pinned_golden() {
         .with_shards(3)
         .with_queue_capacity(8);
     let run = run_sim(&plain, &cost, stream(80, 11, 100_000.0));
-    assert_eq!(report_digest(&run), 0x3a54_a6fa_747b_ca05);
+    assert_eq!(report_digest(&run), 0x783b_e06d_e46e_b306);
 
     let batched = plain.with_cache_capacity(1).with_max_batch(4);
     let deadlined = stream(80, 11, 100_000.0).into_iter().enumerate();
@@ -476,7 +519,7 @@ fn run_sim_matches_pinned_golden() {
     let run = run_sim(&batched, &cost, deadlined.collect());
     let expired = run.metrics.rejected(RejectKind::DeadlineExpired);
     assert!(expired > 0 && run.metrics.rejected(RejectKind::Shed) > 0);
-    assert_eq!(report_digest(&run), 0x1fd1_044c_1858_5495);
+    assert_eq!(report_digest(&run), 0xee8f_c831_66d0_4ca8);
 }
 
 /// Simulated failover: a permanently crashed shard burns its budget,

@@ -50,7 +50,7 @@ pub struct AdmissionQueue<T> {
     capacity: usize,
     /// One FIFO per [`Priority`], indexed by the class discriminant.
     buckets: [VecDeque<Entry<T>>; 3],
-    /// Self-reported counters (accepted/rejected/shed/depth).
+    /// Self-reported counters (accepted, rejected by kind).
     pub counters: QueueCounters,
 }
 
@@ -205,22 +205,18 @@ impl<T> AdmissionQueue<T> {
                 }
             }
         }
-        if !taken.is_empty() {
-            self.counters.depth.record(self.len() as f64);
-        }
         taken
     }
 
     /// Accept an entry migrated from another shard's queue. Unlike
     /// [`AdmissionQueue::admit`] this is counter-neutral: the entry was
-    /// already door-counted (`accepted`) on its original shard, so only
-    /// the depth gauge moves. The caller (the elastic driver) bounds
-    /// migrations by this queue's free space, so capacity is respected
-    /// by construction; the debug assert keeps that contract honest.
+    /// already door-counted (`accepted`) on its original shard. The
+    /// caller (the elastic driver) bounds migrations by this queue's
+    /// free space, so capacity is respected by construction; the debug
+    /// assert keeps that contract honest.
     pub fn accept_migrated(&mut self, entry: Entry<T>) {
         debug_assert!(self.len() < self.capacity, "migration overfilled the queue");
         self.buckets[entry.req.priority as usize].push_back(entry);
-        self.counters.depth.record(self.len() as f64);
     }
 
     /// Admission slots left before the queue is full.
@@ -231,7 +227,6 @@ impl<T> AdmissionQueue<T> {
     fn push(&mut self, entry: Entry<T>) {
         self.counters.accepted += 1;
         self.buckets[entry.req.priority as usize].push_back(entry);
-        self.counters.depth.record(self.len() as f64);
     }
 
     /// The youngest entry of the lowest queued class strictly below

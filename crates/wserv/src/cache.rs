@@ -23,8 +23,6 @@ pub struct CachedPlan {
     pub plan: DwtPlan,
     /// Zero-allocation execution scratch, reused across requests.
     pub workspace: DwtWorkspace,
-    /// Requests served by this entry since it was built.
-    pub uses: u64,
 }
 
 /// LRU plan cache. Entries are keyed by [`PlanShape`]; the most
@@ -144,11 +142,7 @@ impl PlanCache {
         .map_err(|e| e.to_string())?
         .with_threads(threads);
         let workspace = plan.make_workspace();
-        Ok(CachedPlan {
-            plan,
-            workspace,
-            uses: 0,
-        })
+        Ok(CachedPlan { plan, workspace })
     }
 }
 

@@ -37,40 +37,19 @@ impl Histogram {
         self.samples.push(v);
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        self.samples.iter().copied().fold(0.0, f64::max)
-    }
-
     /// Nearest-rank quantile `q` in `[0, 1]` (0 when empty).
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[idx]
+        nearest_rank(self.samples.clone(), q)
     }
+}
 
-    /// Absorb another histogram's samples.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
+/// Nearest-rank quantile `q` in `[0, 1]` of `samples` (0 when empty).
+fn nearest_rank(mut samples: Vec<f64>, q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
     }
+    samples.sort_by(f64::total_cmp);
+    samples[((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
 }
 
 /// Counters the admission queue maintains about itself.
@@ -80,8 +59,6 @@ pub struct QueueCounters {
     pub accepted: u64,
     /// Rejections by [`crate::RejectKind`] bucket.
     pub rejected: [u64; 7],
-    /// Queue depth sampled after every successful admission.
-    pub depth: Histogram,
 }
 
 impl QueueCounters {
@@ -124,14 +101,11 @@ pub struct ShardMetrics {
     pub cache_misses: u64,
     /// Plans evicted by LRU pressure.
     pub cache_evictions: u64,
-    /// Queue wait per completed request (dispatch start − arrival).
-    pub wait: Histogram,
-    /// Service time per dispatch.
-    pub service: Histogram,
-    /// End-to-end latency per completed request.
+    /// End-to-end latency per completed request: the one distribution
+    /// the service exports ([`MetricsSnapshot::latency_quantile`] reads
+    /// it). Exact, so 8 B per completed request for the life of the
+    /// shard — nothing bounds it yet (ROADMAP item 5(c)).
     pub latency: Histogram,
-    /// Requests per dispatch.
-    pub batch_occupancy: Histogram,
     /// Lane accounting in the shared `perfbudget` vocabulary.
     pub lanes: RankBudget,
     /// Total busy seconds (sum of dispatch service intervals).
@@ -167,10 +141,7 @@ impl ShardMetrics {
     pub fn record_batch(&mut self, start: f64, end: f64, arrivals: &[f64], split: LaneSplit) {
         self.batches += 1;
         self.completed += arrivals.len() as u64;
-        self.batch_occupancy.record(arrivals.len() as f64);
-        self.service.record(end - start);
         for &a in arrivals {
-            self.wait.record((start - a).max(0.0));
             self.latency.record((end - a).max(0.0));
         }
         self.busy_s += end - start;
@@ -413,20 +384,18 @@ impl MetricsSnapshot {
 
     /// Nearest-rank latency quantile over all completed requests.
     pub fn latency_quantile(&self, q: f64) -> f64 {
-        let mut merged = Histogram::default();
-        for s in &self.shards {
-            merged.merge(&s.latency);
-        }
-        merged.quantile(q)
+        let latencies = self.shards.iter().map(|s| &s.latency.samples);
+        nearest_rank(latencies.flatten().copied().collect(), q)
     }
 
-    /// Mean requests per engine dispatch.
+    /// Mean requests per engine dispatch (0 with no dispatches).
     pub fn mean_batch_occupancy(&self) -> f64 {
-        let mut merged = Histogram::default();
-        for s in &self.shards {
-            merged.merge(&s.batch_occupancy);
+        let batches: u64 = self.shards.iter().map(|s| s.batches).sum();
+        if batches == 0 {
+            0.0
+        } else {
+            self.completed() as f64 / batches as f64
         }
-        merged.mean()
     }
 
     /// Roll the shards up as ranks of a [`BudgetReport`] — the serving
@@ -450,9 +419,20 @@ mod tests {
         assert_eq!(h.quantile(0.0), 1.0);
         assert_eq!(h.quantile(0.5), 3.0);
         assert_eq!(h.quantile(1.0), 5.0);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.mean(), 3.0);
         assert_eq!(Histogram::default().quantile(0.99), 0.0);
+    }
+
+    #[test]
+    fn mean_batch_occupancy_is_completed_over_batches() {
+        let mut shards = [ShardMetrics::default(), ShardMetrics::default()];
+        for (shard, size) in [(0, 1), (1, 4), (0, 2)] {
+            shards[shard].record_batch(0.0, 1.0, &vec![0.0; size], LaneSplit::default());
+        }
+        let snap = MetricsSnapshot {
+            shards: shards.to_vec(),
+        };
+        assert_eq!(snap.mean_batch_occupancy(), 7.0 / 3.0);
+        assert_eq!(MetricsSnapshot::default().mean_batch_occupancy(), 0.0);
     }
 
     #[test]

@@ -31,9 +31,12 @@
 //! then refused is woken and fails its connection, so its client
 //! retries too. An outcome exists once: the writer wraps what the
 //! service returned in an `Arc`, and the book, every replay and the
-//! encoder share it. The book keeps the last `4·window + 64` resolved
-//! ids per client; that retention, not the window, bounds the
-//! server's resident results.
+//! encoder share it. The book remembers exactly what the protocol can
+//! still ask for: a client has at most `window` consecutive ids
+//! outstanding and connections answer in submission order, so resolved
+//! ids more than `window` behind a client's newest are pruned —
+//! `window + 1` results per client, with the argument at
+//! `Dedup::window`.
 //!
 //! ## Progressive delivery
 //!
@@ -190,10 +193,30 @@ struct Dedup {
     /// Notified whenever an `InFlight` entry stops being one: resolved,
     /// or forgotten.
     settled: Condvar,
-    /// Resolved entries older than this many ids below the client's
-    /// newest are pruned — a client retries only its outstanding window,
-    /// so anything far behind the head can never be asked for again.
-    keep: u64,
+    /// The server's configured in-flight window — the largest any
+    /// connection negotiates — and therefore how far behind a client's
+    /// newest id the book has to remember: resolved ids more than
+    /// `window` behind it are pruned. Read by `resolve`; the bound it
+    /// gives is `window + 1` results per client. Nothing the protocol
+    /// can still ask for is ever pruned, because
+    ///
+    /// 1. a client numbers its requests consecutively and has at most
+    ///    `window` of them outstanding — sent, response not yet read —
+    ///    which is what the negotiated window means ([`RemoteClient`]
+    ///    has one);
+    /// 2. a connection's writer answers in submission order, so what a
+    ///    client still waits for is always the *newest* ids it has
+    ///    sent, never an old one left behind by later answers;
+    /// 3. after a fault a client resubmits every id it still waits for
+    ///    before it issues a new one.
+    ///
+    /// So a client's unanswered ids lie in `(newest − window, newest]`,
+    /// where `newest` is the largest id it has sent, and the largest the
+    /// server has seen is no larger. A resubmit that was claimed before
+    /// its entry left the book is unaffected: it holds its own `Arc`.
+    /// (A client that floods past the window is still flow-controlled,
+    /// but a response it has not read may be re-executed on resubmit.)
+    window: u64,
 }
 
 impl Dedup {
@@ -201,7 +224,7 @@ impl Dedup {
         Arc::new(Dedup {
             books: Mutex::new(HashMap::new()),
             settled: Condvar::new(),
-            keep: window as u64 * 4 + 64,
+            window: window as u64,
         })
     }
 
@@ -227,7 +250,7 @@ impl Dedup {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
         book.entries.insert(id, Slot::Done(result));
-        let horizon = book.max_id.saturating_sub(self.keep);
+        let horizon = book.max_id.saturating_sub(self.window);
         while let Some((&first, slot)) = book.entries.first_key_value() {
             if first >= horizon || !matches!(slot, Slot::Done(_)) {
                 break;
@@ -845,8 +868,8 @@ pub struct RemoteClient {
     response_timeout: Duration,
     /// Payload window announced in our Hello.
     max_payload: u32,
-    /// `(max_payload, window)` settled by the last handshake.
-    negotiated: Option<(u32, u32)>,
+    /// The payload window settled by the last handshake.
+    negotiated: Option<u32>,
     /// Stop reading a progressive sequence (and Cancel it) once the
     /// running error bound reaches this.
     tolerance: Option<f64>,
@@ -941,13 +964,7 @@ impl RemoteClient {
     /// The payload window the last handshake settled on
     /// (`min(client, server)`); `None` before the first connection.
     pub fn negotiated_max_payload(&self) -> Option<u32> {
-        self.negotiated.map(|(p, _)| p)
-    }
-
-    /// The in-flight window the last handshake settled on; `None`
-    /// before the first connection.
-    pub fn negotiated_window(&self) -> Option<u32> {
-        self.negotiated.map(|(_, w)| w)
+        self.negotiated
     }
 
     fn ensure_conn(&mut self) -> Result<(), TransportError> {
@@ -991,9 +1008,7 @@ impl RemoteClient {
         // directions.
         let eff = negotiate_payload(self.max_payload, ack.max_payload);
         io.set_max_payload(eff);
-        // This client is synchronous (announces window 1) and validate()
-        // forbids a zero server window, so min(ours, theirs) is always 1.
-        self.negotiated = Some((eff, 1));
+        self.negotiated = Some(eff);
         self.io = Some(io);
         Ok(())
     }
@@ -1254,6 +1269,33 @@ mod tests {
             .expect("forget_claim wakes the waiter");
         assert!(got.is_none(), "a forgotten claim never resolves");
         assert!(dedup.claim(7, 0).is_none(), "the retry claims it afresh");
+    }
+
+    #[test]
+    fn the_book_remembers_one_window_of_results() {
+        let window = 8u64;
+        let dedup = Dedup::new(window as u32);
+        let results: Vec<_> = (0..10 * window)
+            .map(|id| {
+                assert!(dedup.claim(7, id).is_none(), "id {id} is new");
+                let result = outcome();
+                dedup.resolve(7, id, Arc::clone(&result));
+                let held = dedup.books.lock()[&7].entries.len() as u64;
+                assert!(held <= window + 1, "{held} results held after id {id}");
+                result
+            })
+            .collect();
+        let newest = 10 * window - 1;
+        for id in newest + 1 - window..=newest {
+            match dedup.claim(7, id) {
+                Some(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &results[id as usize])),
+                other => panic!("id {id} must replay, got {other:?}"),
+            }
+        }
+        // What fell behind the horizon was freed, not just unlinked: the
+        // book was its last owner besides this test.
+        assert_eq!(Arc::strong_count(&results[0]), 1);
+        assert_eq!(Arc::strong_count(&results[newest as usize]), 2);
     }
 
     #[test]

@@ -243,11 +243,6 @@ impl ResponseHandle {
             self.cell.ready.wait(&mut slot);
         }
     }
-
-    /// The outcome, if already resolved (non-blocking).
-    pub fn try_take(&self) -> Option<ServeResult> {
-        self.cell.slot.lock().take()
-    }
 }
 
 type LiveQueue = AdmissionQueue<Arc<ResponseCell>>;
@@ -574,9 +569,11 @@ impl WaveletService {
                 entry.tag.resolve(Err(rejection));
             }
         }
-        // Close every shard's books exactly once. Reserve slots that
-        // were never activated served nothing — they are omitted so
-        // their zero-completion lanes don't skew the imbalance rollup
+        // Close every shard's books exactly once, by moving them out:
+        // every thread that wrote them has been joined, and the
+        // snapshot is their only reader. Reserve slots that were never
+        // activated served nothing — they are omitted so their
+        // zero-completion lanes don't skew the imbalance rollup
         // (activation always picks the lowest reserve slot, so the
         // omissions are a stable suffix).
         let now = live.now();
@@ -589,8 +586,8 @@ impl WaveletService {
         let shards = shards
             .filter(|(ix, _)| *ix < live.config.shards || activated(*ix))
             .map(|(_, state)| {
-                let mut m = state.metrics.lock().clone();
-                m.queue = state.inner.lock().queue.counters.clone();
+                let mut m = std::mem::take(&mut *state.metrics.lock());
+                m.queue = std::mem::take(&mut state.inner.lock().queue.counters);
                 m.absorb_cache(&state.cache.lock());
                 m.finalize(now);
                 m

@@ -87,7 +87,6 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
             .decompose_into(&entry.req.image, &mut cached.workspace, &mut pyr)
             .map_err(|e| e.to_string())?;
         pyramids.push(pyr);
-        cached.uses += 1;
     }
     Ok(Executed {
         pyramids,
@@ -100,9 +99,9 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
 /// policy threshold are zeroed, survivors are quantized to the policy
 /// step, and the LL plane is untouched.
 /// The per-coefficient error versus the exact pyramid is bounded by
-/// [`DegradedPolicy::error_bound`] by construction. Returns the number
-/// of surviving (nonzero) detail coefficients, which is what the
-/// delivery cost of a degraded response scales with.
+/// [`crate::faults::DegradedPolicy::error_bound`] by construction.
+/// Returns the number of surviving (nonzero) detail coefficients, which
+/// is what the delivery cost of a degraded response scales with.
 pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy) -> usize {
     let mut kept = 0;
     for bands in &mut pyr.detail {

@@ -472,7 +472,7 @@ impl<'a> SimService<'a> {
         let mut shards = Vec::with_capacity(self.store.shards.len());
         let closing = std::mem::take(&mut self.store.shards);
         for (s, mut sh) in closing.into_iter().enumerate() {
-            sh.metrics.queue = sh.queue.counters.clone();
+            sh.metrics.queue = sh.queue.counters;
             sh.metrics.absorb_cache(&sh.cache);
             if s < base {
                 makespan_s = makespan_s.max(sh.t_free);

@@ -26,7 +26,7 @@ use wserv::progressive::pyramid_max_abs_diff;
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy};
 use wserv::transport::{Connector, FrameIo, Listener, RecvFrame, Transport, WireClock};
 use wserv::wire::{
-    decode_response, encode_hello, encode_request, FrameKind, Hello, DEFAULT_MAX_PAYLOAD,
+    decode_response, encode_hello, encode_request, Frame, FrameKind, Hello, DEFAULT_MAX_PAYLOAD,
     PROTOCOL_VERSION,
 };
 use wserv::{
@@ -136,6 +136,57 @@ fn drive(
     }
     book.sort_unstable();
     (book, retries)
+}
+
+/// A hand-driven client connection: handshake over `transport` as
+/// `client` announcing `window`, and return the framed connection with
+/// the HelloAck consumed.
+fn raw_client(transport: Box<dyn Transport>, client: u64, window: u32) -> FrameIo {
+    let mut io = FrameIo::new(
+        transport,
+        client,
+        WireDir::ClientToServer,
+        WireFaultPlan::none(),
+        WireClock::new(),
+    );
+    io.send_frame(&encode_hello(
+        FrameKind::Hello,
+        client,
+        &Hello {
+            protocol: PROTOCOL_VERSION as u32,
+            max_payload: DEFAULT_MAX_PAYLOAD,
+            window,
+        },
+    ))
+    .expect("hello fits");
+    loop {
+        match io.recv_frame().expect("handshake survives") {
+            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => return io,
+            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
+            RecvFrame::Idle => continue,
+            RecvFrame::Eof => panic!("server hung up mid-handshake"),
+        }
+    }
+}
+
+/// The next `n` Response frames on `io`, in arrival order.
+fn responses(io: &mut FrameIo, n: usize) -> Vec<Frame> {
+    let mut got = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got.len() < n {
+        assert!(
+            Instant::now() < deadline,
+            "responses stalled at {}",
+            got.len()
+        );
+        match io.recv_frame().expect("responses survive") {
+            RecvFrame::Frame(f) if f.kind == FrameKind::Response => got.push(f),
+            RecvFrame::Frame(f) => panic!("unexpected {:?} frame", f.kind),
+            RecvFrame::Idle => continue,
+            RecvFrame::Eof => panic!("premature EOF after {} responses", got.len()),
+        }
+    }
+    got
 }
 
 // ---------------------------------------------------------------------
@@ -335,19 +386,10 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
     });
 
     let mut got = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while got.len() < total as usize {
-        assert!(Instant::now() < deadline, "responses stalled: got {got:?}");
-        match rx.recv_frame().expect("responses survive") {
-            RecvFrame::Frame(f) if f.kind == FrameKind::Response => {
-                let outcome = decode_response(&f).expect("well-formed response");
-                assert!(outcome.is_ok(), "request {} must serve Ok", f.id);
-                got.push(f.id);
-            }
-            RecvFrame::Frame(f) => panic!("unexpected {:?} frame", f.kind),
-            RecvFrame::Idle => continue,
-            RecvFrame::Eof => panic!("premature EOF with {got:?}"),
-        }
+    for f in responses(&mut rx, total as usize) {
+        let outcome = decode_response(&f).expect("well-formed response");
+        assert!(outcome.is_ok(), "request {} must serve Ok", f.id);
+        got.push(f.id);
     }
     assert_eq!(got, (0..total).collect::<Vec<_>>(), "FIFO responses");
     let mut tx = sender.join().expect("sender never panics");
@@ -387,31 +429,7 @@ fn resubmit_while_in_flight_is_answered_by_the_original_execution() {
 
     // Connection A: handshake by hand as client 7, send id 0, then die
     // abortively without reading a byte of the response.
-    let mut a = FrameIo::new(
-        Box::new(listener.connect().expect("listener open")),
-        7,
-        WireDir::ClientToServer,
-        WireFaultPlan::none(),
-        WireClock::new(),
-    );
-    a.send_frame(&encode_hello(
-        FrameKind::Hello,
-        7,
-        &Hello {
-            protocol: PROTOCOL_VERSION as u32,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            window: 1,
-        },
-    ))
-    .expect("hello fits");
-    loop {
-        match a.recv_frame().expect("handshake survives") {
-            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => break,
-            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
-            RecvFrame::Idle => continue,
-            RecvFrame::Eof => panic!("server hung up mid-handshake"),
-        }
-    }
+    let mut a = raw_client(Box::new(listener.connect().expect("listener open")), 7, 1);
     a.send_frame(&encode_request(0, &req).expect("request encodes"))
         .expect("request fits the pipe");
     // Let A's reader claim the id first. Should B win the race instead
@@ -436,6 +454,69 @@ fn resubmit_while_in_flight_is_answered_by_the_original_execution() {
     let metrics = server.shutdown().expect("clean drain");
     assert_eq!(metrics.service.completed(), 1, "executed exactly once");
     assert_eq!(metrics.transport.dedup_replays, 1, "B was a replay");
+}
+
+// ---------------------------------------------------------------------
+// A whole window lost and resubmitted
+// ---------------------------------------------------------------------
+
+/// A pipelining client keeps a full window outstanding, and after two
+/// windows answered normally loses the connection with a third sent and
+/// none of its responses in hand. It resubmits all of them on a fresh
+/// connection and every one is replayed from the book — which by then
+/// has pruned what lies a window behind and must still hold this one —
+/// and none is executed again.
+///
+/// The only signal that the server has seen a request is its response,
+/// so connection A takes the third window's response frames off the
+/// wire and drops them undecoded before it dies: to the server that is
+/// a client that never got them.
+#[test]
+fn a_lost_window_is_replayed_not_re_executed() {
+    const WINDOW: u64 = 4;
+    let listener = MemListener::new(1 << 16, tick());
+    let config = RemoteConfig {
+        window: WINDOW as u32,
+        ..remote_config()
+    };
+    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
+        .expect("config is valid");
+    let connect = || {
+        let transport = Box::new(listener.connect().expect("listener open"));
+        raw_client(transport, 7, WINDOW as u32)
+    };
+    let send_window = |io: &mut FrameIo, first: u64| {
+        for id in first..first + WINDOW {
+            io.send_frame(&encode_request(id, &request(id)).expect("request encodes"))
+                .expect("request fits the pipe");
+        }
+    };
+
+    let mut a = connect();
+    for round in 0..3 {
+        send_window(&mut a, round * WINDOW);
+        responses(&mut a, WINDOW as usize);
+    }
+    a.abort();
+
+    let lost = 2 * WINDOW;
+    let mut b = connect();
+    send_window(&mut b, lost);
+    for (id, f) in (lost..).zip(responses(&mut b, WINDOW as usize)) {
+        assert_eq!(f.id, id, "replays come back in submission order");
+        let resp = decode_response(&f)
+            .expect("well-formed response")
+            .expect("request served Ok");
+        let req = request(id);
+        let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+            .expect("oracle geometry is valid");
+        assert_eq!(resp.pyramid, oracle, "id {id} replayed its own outcome");
+    }
+    b.shutdown_write();
+
+    let metrics = server.shutdown().expect("clean drain");
+    assert_eq!(metrics.service.completed(), 3 * WINDOW, "no re-execution");
+    assert_eq!(metrics.transport.dedup_replays, WINDOW);
 }
 
 // ---------------------------------------------------------------------
@@ -467,31 +548,7 @@ fn drain_aborts_half_open_connections_after_grace() {
     // then silence — never a FIN, never the rest of the frame.
     let raw = listener.connect().expect("listener open");
     let mut stuck_half = raw.try_clone().expect("mem transport clones");
-    let mut hio = FrameIo::new(
-        Box::new(raw),
-        99,
-        WireDir::ClientToServer,
-        WireFaultPlan::none(),
-        WireClock::new(),
-    );
-    hio.send_frame(&encode_hello(
-        FrameKind::Hello,
-        99,
-        &Hello {
-            protocol: PROTOCOL_VERSION as u32,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            window: 1,
-        },
-    ))
-    .expect("hello fits");
-    loop {
-        match hio.recv_frame().expect("handshake survives") {
-            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => break,
-            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
-            RecvFrame::Idle => continue,
-            RecvFrame::Eof => panic!("server hung up mid-handshake"),
-        }
-    }
+    let mut hio = raw_client(Box::new(raw), 99, 1);
     let frame_bytes =
         wserv::wire::encode_frame(&encode_request(0, &request(9)).expect("request encodes"))
             .expect("request frame encodes");

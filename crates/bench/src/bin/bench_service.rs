@@ -8,7 +8,7 @@
 //! (framing cost charged to the Communication lane, seeded
 //! `WireFaultPlan` faults, progressive delivery). [`run`] drives one
 //! row and checks the exactly-once invariant on it — nothing injected
-//! loses a request — and [`column`] defines what it reports.
+//! loses a request — and [`column()`] defines what it reports.
 //!
 //! This binary is the *model* and only the model: every latency and
 //! throughput number is virtual time under the `CostModel` /
@@ -242,7 +242,7 @@ const PROGRESSIVE: &str = "progressive_results";
 const ELASTIC: &str = "elastic_results";
 
 /// The sim-derived sections in document order: JSON key, then the
-/// columns of its rows in output order (each defined in [`column`]).
+/// columns of its rows in output order (each defined in [`column()`]).
 const SECTIONS: [(&str, &str); 5] = [
     (
         RESULTS,

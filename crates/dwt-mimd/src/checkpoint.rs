@@ -13,8 +13,9 @@
 //! serialized onto the recovery channel, and bills the wire the
 //! sparse-encoded size (value + coordinate per surviving coefficient)
 //! when that is smaller than the dense plane. Encoding and decoding
-//! compute is charged to the [`Category::FaultRecovery`] budget lane:
-//! the codec exists only because a crash is being recovered from.
+//! compute is charged to the [`perfbudget::Category::FaultRecovery`]
+//! budget lane: the codec exists only because a crash is being
+//! recovered from.
 //!
 //! The codec is opt-in (default [`CheckpointCodec::Raw`]) because it
 //! trades the recovery layer's 0-ULP guarantee for bounded error: after

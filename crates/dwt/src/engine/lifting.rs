@@ -10,7 +10,7 @@
 //!
 //! # Kernel structure
 //!
-//! One level of either direction runs as a **single fused [`sweep`]**:
+//! One level of either direction runs as a **single fused `sweep`**:
 //!
 //! * *fill* — analysis row-lifts each input row into a staging row
 //!   packed as `[low | high]` halves; synthesis gathers the matching
@@ -19,7 +19,7 @@
 //!   rows: stage `k` of the predict/update schedule trails stage `k-1`
 //!   by one row pair, so every row is touched while still cache-hot.
 //!   The periodic wrap rows that a stage cannot process mid-stream
-//!   (a *deferral set* derived per stage, see [`Pipeline`]) are
+//!   (a *deferral set* derived per stage, see `Pipeline`) are
 //!   finished in a short epilogue;
 //! * *drain* — as soon as a row pair leaves the last stage it is
 //!   scattered to the four sub-bands (analysis) or row-unlifted into

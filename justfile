@@ -22,6 +22,11 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
 
+# Every intra-doc link resolves: a doc comment naming a deleted or
+# private item fails here, not silently in the rendered pages.
+doc:
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Regenerate BENCH_dwt.json (engine vs legacy, median ns/pixel, with
 # the host's core count and copy rate; asserts the lifting gate).
 # Set REPRO_FULL=1 for the full 256²–4096² size sweep.

@@ -189,11 +189,6 @@ impl Matrix {
                 .fold(0.0, f64::max),
         )
     }
-
-    /// Iterate over rows as slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
-    }
 }
 
 #[cfg(test)]

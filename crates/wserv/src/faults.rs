@@ -221,21 +221,7 @@ impl ShardFaultPlan {
         if self.poison_ids.contains(&id) {
             return true;
         }
-        self.poison_rate > 0.0 && self.decision(KIND_POISON, id) < self.poison_rate
-    }
-
-    /// The pure decision function: a uniform value in `[0, 1)` derived
-    /// from the seed and a coordinate. SplitMix64 finalizer — the same
-    /// construction `paragon::faults` uses.
-    fn decision(&self, kind: u64, coord: u64) -> f64 {
-        let mut h = self.seed ^ kind.wrapping_mul(0x9e3779b97f4a7c15);
-        for v in [coord, kind] {
-            h ^= v.wrapping_add(0x9e3779b97f4a7c15);
-            h = (h ^ (h >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            h = (h ^ (h >> 27)).wrapping_mul(0x94d049bb133111eb);
-            h ^= h >> 31;
-        }
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.poison_rate > 0.0 && decision(self.seed, KIND_POISON, id) < self.poison_rate
     }
 }
 
@@ -245,7 +231,9 @@ impl ShardFaultPlan {
 /// All costs are seconds on the service clock: wall seconds in the
 /// live driver (the supervisor really backs off), virtual seconds
 /// charged to the [`perfbudget::Category::FaultRecovery`] lane in the
-/// simulator.
+/// simulator. How a death is *noticed* is not policy: it is an event
+/// in both drivers — the simulator meets it at the dispatch that dies,
+/// a live worker thread reports its own exit to a sleeping supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorPolicy {
     /// Worker restarts allowed per shard before the shard is declared
@@ -258,9 +246,6 @@ pub struct SupervisorPolicy {
     /// Seconds charged per re-queued or re-routed entry (the state
     /// handoff cost, billed to the FaultRecovery lane).
     pub requeue_s: f64,
-    /// Supervisor health-check period in the live driver (wall
-    /// seconds). The sim needs no polling — death is an event.
-    pub poll_s: f64,
 }
 
 impl Default for SupervisorPolicy {
@@ -270,14 +255,13 @@ impl Default for SupervisorPolicy {
             backoff_base_s: 1e-3,
             backoff_mult: 2.0,
             requeue_s: 5e-6,
-            poll_s: 200e-6,
         }
     }
 }
 
 impl SupervisorPolicy {
-    /// No supervision at all: a dead worker stays dead and is only
-    /// discovered (and surfaced as a typed error) at shutdown.
+    /// No supervision at all: a dead worker stays dead, its work stays
+    /// stranded, and the death surfaces (as a typed error) at shutdown.
     pub fn disabled() -> Self {
         SupervisorPolicy {
             max_restarts: 0,
@@ -285,7 +269,7 @@ impl SupervisorPolicy {
         }
     }
 
-    /// Whether a supervisor runs (any restart budget at all).
+    /// Whether dead workers are recovered (any restart budget at all).
     pub fn enabled(&self) -> bool {
         self.max_restarts > 0
     }
@@ -301,7 +285,6 @@ impl SupervisorPolicy {
         for (name, v) in [
             ("backoff_base_s", self.backoff_base_s),
             ("requeue_s", self.requeue_s),
-            ("poll_s", self.poll_s),
         ] {
             if !(v >= 0.0 && v.is_finite()) {
                 return Err(format!("{name} = {v} must be finite and >= 0"));
@@ -568,8 +551,8 @@ fn wire_coord(conn: u64, dir: WireDir, frame: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Raw decision bits: the SplitMix64-finalizer stream shared with
-/// [`ShardFaultPlan::decision`], exposed as a full-width value.
+/// Raw decision bits: a pure function of the seed and a coordinate.
+/// SplitMix64 finalizer — the same construction `paragon::faults` uses.
 fn decision_bits(seed: u64, kind: u64, coord: u64) -> u64 {
     let mut h = seed ^ kind.wrapping_mul(0x9e3779b97f4a7c15);
     for v in [coord, kind] {

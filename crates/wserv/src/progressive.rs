@@ -309,11 +309,6 @@ impl Reassembler {
         }
     }
 
-    /// Detail planes applied so far.
-    pub fn planes_received(&self) -> usize {
-        self.applied.iter().filter(|a| **a).count()
-    }
-
     /// Whether every detail plane has arrived.
     pub fn complete(&self) -> bool {
         self.applied.iter().all(|a| *a)

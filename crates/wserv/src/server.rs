@@ -21,11 +21,14 @@
 //!   in-thread — batchmates are re-queued to retry *solo*, and a
 //!   request that panics even alone is terminally rejected
 //!   [`Rejection::Requeued`] instead of taking the worker down;
-//! * a supervisor thread health-checks the workers and restarts dead
-//!   ones under [`SupervisorPolicy`]'s bounded exponential-backoff
+//! * a worker's exit, clean or panicked, is an event its thread
+//!   reports: the supervisor — which runs every worker inside its own
+//!   [`std::thread::scope`] and otherwise sleeps — wakes to restart a
+//!   dead one under [`SupervisorPolicy`]'s bounded exponential-backoff
 //!   budget; past the budget the shard is failed over — its queued and
 //!   in-flight work re-routes to live successors on the shard ring, and
-//!   future submissions route around it;
+//!   future submissions route around it (with no budget at all the
+//!   death is only recorded and the work stays put until shutdown);
 //! * under reduced capacity (covering for a failed peer, or a queue
 //!   past the high-water mark) a shard may answer sub-interactive work
 //!   with a degraded, bounded-error response ([`DegradedPolicy`])
@@ -38,17 +41,18 @@
 //!
 //! Shutdown is a graceful drain: [`WaveletService::shutdown`] flips the
 //! drain flag (new submissions are rejected [`Rejection::Draining`]),
-//! wakes every worker, and joins them. Workers keep popping until their
-//! queue is empty, so every accepted request still resolves — the drain
-//! invariant the property tests pin down. A worker found dead at
-//! shutdown surfaces as a typed [`ServiceError`], never as a
-//! caller-visible panic, and its stranded requests are resolved
+//! wakes every worker, and joins the supervisor, whose scope ends when
+//! the last worker has. Workers keep popping until their queue is
+//! empty, so every accepted request still resolves — the drain
+//! invariant the property tests pin down. A worker that died with
+//! nothing to restart it surfaces as a typed [`ServiceError`], never as
+//! a caller-visible panic, and its stranded requests are resolved
 //! [`Rejection::ShardFailed`] first.
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -182,15 +186,15 @@ impl ServiceConfig {
 /// never see a worker panic propagate through `join`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// A shard worker was found dead at shutdown and supervision was
-    /// disabled, so nothing restarted it. Its stranded requests were
-    /// resolved [`Rejection::ShardFailed`] before this was returned.
+    /// A shard worker died and supervision was disabled, so nothing
+    /// restarted it. Its stranded requests were resolved
+    /// [`Rejection::ShardFailed`] before this was returned.
     WorkerPanicked {
         /// The shard whose worker died.
         shard: usize,
     },
-    /// The supervisor thread itself panicked (a service bug; worker
-    /// threads may be left running detached).
+    /// The supervisor thread itself panicked (a service bug; its scope
+    /// still joined every worker before the panic reached `shutdown`).
     SupervisorFailed,
 }
 
@@ -382,17 +386,15 @@ impl Shards for &Live {
 #[derive(Debug)]
 pub struct WaveletService {
     live: Arc<Live>,
-    /// Present when supervision is enabled; owns the worker handles.
-    supervisor: Option<thread::JoinHandle<()>>,
-    /// Worker handles when supervision is disabled (joined at
-    /// shutdown, where a panic becomes a typed [`ServiceError`]).
-    workers: Vec<thread::JoinHandle<()>>,
+    /// The one thread the service joins: its scope owns every worker.
+    /// Returns the shards whose worker died with supervision disabled.
+    supervisor: thread::JoinHandle<Vec<usize>>,
     next_id: Mutex<u64>,
 }
 
 impl WaveletService {
-    /// Start the service: spawns one worker thread per shard, plus a
-    /// supervisor when the policy enables one.
+    /// Start the service: spawns the supervisor thread, which spawns
+    /// one worker thread per shard slot.
     ///
     /// # Panics
     ///
@@ -417,23 +419,13 @@ impl WaveletService {
             log: Mutex::new(Vec::new()),
             config,
         });
-        // Reserve-slot workers spawn with the rest: they sleep on their
-        // empty queues until a split routes work their way, and they
-        // drain like any other shard at shutdown.
-        let handles: Vec<thread::JoinHandle<()>> =
-            (0..total).map(|ix| spawn_worker(&live, ix)).collect();
-        let (supervisor, workers) = if live.config.supervisor.enabled() {
+        let supervisor = {
             let live = Arc::clone(&live);
-            let handles = handles.into_iter().map(Some).collect();
-            let sup = thread::spawn(move || supervisor_loop(&live, handles));
-            (Some(sup), Vec::new())
-        } else {
-            (None, handles)
+            thread::spawn(move || supervisor_loop(&live))
         };
         WaveletService {
             live,
             supervisor,
-            workers,
             next_id: Mutex::new(0),
         }
     }
@@ -531,9 +523,10 @@ impl WaveletService {
     }
 
     /// Graceful drain: reject new work, let workers empty their queues,
-    /// join them, and return the merged metrics.
+    /// join the supervisor (whose scope joins them), and return the
+    /// merged metrics.
     ///
-    /// A worker found dead with supervision disabled surfaces as
+    /// A worker that died with supervision disabled surfaces as
     /// `Err(ServiceError::WorkerPanicked)` — never a caller-visible
     /// panic — after its stranded requests are resolved
     /// [`Rejection::ShardFailed`] (every accepted request still
@@ -544,19 +537,17 @@ impl WaveletService {
             state.inner.lock().draining = true;
             state.work.notify_all();
         }
-        let mut error = None;
-        if let Some(sup) = self.supervisor {
-            if sup.join().is_err() {
-                error = Some(ServiceError::SupervisorFailed);
+        let error = match self.supervisor.join() {
+            Err(_) => Some(ServiceError::SupervisorFailed),
+            Ok(dead) => {
+                for &shard in &dead {
+                    live.mark_failed(shard);
+                    live.shards[shard].metrics.lock().failed = true;
+                }
+                let shard = dead.into_iter().min();
+                shard.map(|shard| ServiceError::WorkerPanicked { shard })
             }
-        }
-        for (ix, handle) in self.workers.into_iter().enumerate() {
-            if handle.join().is_err() {
-                live.mark_failed(ix);
-                live.shards[ix].metrics.lock().failed = true;
-                error.get_or_insert(ServiceError::WorkerPanicked { shard: ix });
-            }
-        }
+        };
         // Backstop sweep: anything still queued or in flight (stranded
         // by an unsupervised death, or re-routed into a shard whose
         // worker had already drained) resolves ShardFailed so every
@@ -598,11 +589,6 @@ impl WaveletService {
             Some(e) => Err(e),
         }
     }
-}
-
-fn spawn_worker(live: &Arc<Live>, shard_ix: usize) -> thread::JoinHandle<()> {
-    let live = Arc::clone(live);
-    thread::spawn(move || worker_loop(&live, shard_ix))
 }
 
 fn worker_loop(live: &Live, shard_ix: usize) {
@@ -684,7 +670,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 let batch_size = batch.len();
                 let shape_key = shard::shape_key(&batch.shape);
                 let arrivals = batch.arrivals();
-                let cache_hit = done.cache_hit;
+                let plan_s = done.plan_s;
                 let end = policy::respond(
                     &mut store,
                     shard_ix,
@@ -699,11 +685,8 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 let dispatch_s = (t0.duration_since(wake)).as_secs_f64();
                 let split = LaneSplit {
                     dispatch_s,
-                    // The cache splits build from reuse internally; a
-                    // miss's whole execution interval is conservatively
-                    // split by whether the plan was rebuilt.
-                    plan_s: if cache_hit { 0.0 } else { exec_s * 0.5 },
-                    transform_s: if cache_hit { exec_s } else { exec_s * 0.5 },
+                    plan_s,
+                    transform_s: exec_s - plan_s,
                     deliver_s,
                 };
                 let booked_end = end + deliver_s;
@@ -728,34 +711,68 @@ fn worker_loop(live: &Live, shard_ix: usize) {
     }
 }
 
-/// The supervisor: polls worker liveness and hands every dead worker
-/// to [`policy::worker_died`] — which re-queues whatever it held and
-/// grants a restart under the backoff budget, or past the budget fails
-/// the shard over to its live successors on the shard ring.
-fn supervisor_loop(live: &Arc<Live>, mut handles: Vec<Option<thread::JoinHandle<()>>>) {
+/// The supervisor: runs every worker in its thread scope, sleeps until
+/// one exits, and hands a panicked one to [`policy::worker_died`] —
+/// which re-queues whatever it held and grants a restart under the
+/// backoff budget, or past the budget fails the shard over to its live
+/// successors on the shard ring. Without a budget a death is only
+/// recorded — batch and queue stay put for `shutdown` to sweep — and
+/// the recorded shards are returned.
+fn supervisor_loop(live: &Live) -> Vec<usize> {
     let sup = live.config.supervisor;
-    loop {
-        let mut all_done = true;
-        for (s, slot) in handles.iter_mut().enumerate() {
-            if slot.as_ref().is_some_and(|h| h.is_finished()) {
-                let handle = slot.take().expect("presence just checked");
-                if handle.join().is_err() {
-                    let held = live.shards[s].in_flight.lock().take();
-                    let restart = {
-                        let map = live.map.lock();
-                        policy::worker_died(&mut &**live, &map, s, held, &sup, live.now())
-                    };
-                    if let Some(backoff) = restart {
-                        thread::sleep(Duration::from_secs_f64(backoff));
-                        *slot = Some(spawn_worker(live, s));
-                    }
-                }
+    let (exits, reports) = mpsc::channel();
+    // A worker thread's body. The report is sent from outside
+    // `worker_loop`'s frame, so by the time the supervisor reads it a
+    // panic has finished unwinding and released the in-flight slot's
+    // guard with the batch still stashed.
+    let worker = |shard_ix: usize| {
+        let exits = exits.clone();
+        move || {
+            let run = AssertUnwindSafe(|| worker_loop(live, shard_ix));
+            let panicked = panic::catch_unwind(run).is_err();
+            let report = exits.send((shard_ix, panicked));
+            report.expect("the receiver outlives the scope");
+        }
+    };
+    thread::scope(|scope| {
+        // Reserve-slot workers spawn with the rest: they sleep on their
+        // empty queues until a split routes work their way, and they
+        // drain like any other shard at shutdown.
+        let mut running = live.shards.len();
+        for shard_ix in 0..running {
+            scope.spawn(worker(shard_ix));
+        }
+        let mut dead = Vec::new();
+        while running > 0 {
+            // No timeout, and finite once `shutdown` runs. Every worker
+            // counted in `running` sends one report, whether its loop
+            // returned or unwound; the channel is unbounded and this
+            // thread holds the receiver, so none is refused or lost.
+            // Until `shutdown` there is nothing to do before a worker
+            // dies; once it has set the drain flag and notified, a
+            // worker — first or restarted — reads the flag under the
+            // queue lock before it can wait on the condvar, so each
+            // returns when its queue is empty.
+            let (s, panicked) = reports.recv().expect("this thread holds a sender");
+            running -= 1;
+            if !panicked {
+                continue;
             }
-            all_done &= slot.is_none();
+            if !sup.enabled() {
+                dead.push(s);
+                continue;
+            }
+            let held = live.shards[s].in_flight.lock().take();
+            let restart = {
+                let map = live.map.lock();
+                policy::worker_died(&mut &*live, &map, s, held, &sup, live.now())
+            };
+            if let Some(backoff) = restart {
+                thread::sleep(Duration::from_secs_f64(backoff));
+                scope.spawn(worker(s));
+                running += 1;
+            }
         }
-        if all_done {
-            return;
-        }
-        thread::sleep(Duration::from_secs_f64(sup.poll_s));
-    }
+        dead
+    })
 }

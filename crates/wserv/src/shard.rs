@@ -8,6 +8,7 @@
 //! simulator.
 
 use std::hash::{Hash, Hasher};
+use std::time::Instant;
 
 use dwt::engine::PlanShape;
 use dwt::Pyramid;
@@ -72,12 +73,22 @@ pub struct Executed {
     pub pyramids: Vec<Pyramid>,
     /// Whether the plan lookup hit the cache.
     pub cache_hit: bool,
+    /// Wall seconds the lookup spent building the plan: 0.0 on a hit.
+    /// The live driver's plan lane. The simulator prices a miss from its
+    /// cost model and must not read this: it is a function of the seed.
+    pub plan_s: f64,
 }
 
 /// Execute every request of `batch` with one cached plan.
 pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, String> {
     let bank = &batch.entries[0].req.bank;
+    let t0 = Instant::now();
     let cache_hit = cache.ensure(&batch.shape, bank)?;
+    let plan_s = if cache_hit {
+        0.0
+    } else {
+        t0.elapsed().as_secs_f64()
+    };
     let cached = cache.entry_mut(&batch.shape);
     let mut pyramids = Vec::with_capacity(batch.len());
     for entry in &batch.entries {
@@ -91,6 +102,7 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
     Ok(Executed {
         pyramids,
         cache_hit,
+        plan_s,
     })
 }
 
@@ -117,6 +129,7 @@ pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy
 mod tests {
     use super::*;
     use crate::faults::DegradedPolicy;
+    use crate::request::{DecomposeRequest, Entry};
     use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 
     #[test]
@@ -136,6 +149,30 @@ mod tests {
         assert_eq!(route(&shape, &two_down), Some((home + 2) % n));
         assert_eq!(route(&shape, &vec![false; n]), None);
         assert_eq!(route(&shape, &[]), None);
+    }
+
+    /// The plan lane is measured, not guessed: a miss reports the time
+    /// `ensure` spent building, a hit reports none.
+    #[test]
+    fn execute_times_plan_construction_on_a_miss_only() {
+        let req = DecomposeRequest::new(Matrix::zeros(16, 16), FilterBank::haar(), 1);
+        let entry = Entry {
+            id: 0,
+            arrival: 0.0,
+            req,
+            attempts: 0,
+            tag: (),
+        };
+        let batch = Batch {
+            shape: entry.req.shape(),
+            entries: vec![entry],
+        };
+        let mut cache = PlanCache::new(2, 1);
+        let first = execute(&mut cache, &batch).unwrap();
+        assert!(!first.cache_hit && first.plan_s > 0.0);
+        let second = execute(&mut cache, &batch).unwrap();
+        assert!(second.cache_hit && second.plan_s == 0.0);
+        assert_eq!(first.pyramids, second.pyramids);
     }
 
     #[test]

@@ -554,17 +554,6 @@ impl WireCostModel {
         self.frame_payload_s(shape.coeffs() as f64 * 8.0 + 64.0)
     }
 
-    /// One-way cost of a monolithic successful response (a pyramid
-    /// holds exactly `coeffs()` coefficients).
-    pub fn response_ok_s(&self, shape: &PlanShape) -> f64 {
-        self.frame_payload_s(shape.coeffs() as f64 * 8.0 + 64.0)
-    }
-
-    /// One-way cost of a rejection response (payload is a short tag).
-    pub fn response_err_s(&self) -> f64 {
-        self.frame_payload_s(64.0)
-    }
-
     /// Hello + HelloAck exchange on a fresh connection.
     pub fn handshake_s(&self) -> f64 {
         2.0 * self.frame_overhead_s

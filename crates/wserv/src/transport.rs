@@ -143,8 +143,10 @@ pub trait Transport: Send {
 
     /// A second handle onto the same connection, so a reader thread and
     /// a writer thread can share it without a lock. `None` if the
-    /// transport cannot be duplicated (the connection is then driven
-    /// single-threaded).
+    /// transport cannot be duplicated. There is no single-threaded
+    /// fallback: the server reads the connection's `Hello`, then closes
+    /// it abortively without an ack, so the client sees a reset and
+    /// retries under its own policy.
     fn try_clone(&self) -> Option<Box<dyn Transport>>;
 }
 

@@ -97,6 +97,22 @@ chaos:
 chaos-smoke: serve-bench-smoke
     WSERV_CRASH_SHARDS=1 cargo test -q --test wserv_chaos
 
+# Soak the live supervisor's wake-up path: it blocks until a worker
+# reports its exit, so a lost report hangs instead of failing an
+# assertion. The supervision tests of wserv_chaos (unsupervised death,
+# restart, two deaths at once, death while draining, budget exhaustion)
+# run 25 times, one test at a time, each round under `timeout` so a
+# hang is a non-zero exit within a minute.
+supervise-soak:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo test -q --release --test wserv_chaos --no-run
+    for round in $(seq 25); do
+        timeout 60 cargo test -q --release --test wserv_chaos -- \
+            worker restart_budget --test-threads=1 2>/dev/null
+    done
+    echo "supervise-soak OK: 25 rounds"
+
 # Regenerate BENCH_service.json — the serving *model*: every row of
 # bench_service's scenario table (arrival rate x shards x cache x
 # batching, chaos, closed-loop transport, progressive delivery, elastic

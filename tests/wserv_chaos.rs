@@ -23,8 +23,8 @@ use dwt::{dwt2d, Boundary, FilterBank, Matrix, Pyramid};
 use proptest::prelude::*;
 use wserv::sim::{run_sim, CostModel, SimReport};
 use wserv::{
-    DecomposeRequest, DegradedPolicy, Priority, RejectKind, Rejection, ServiceConfig, ServiceError,
-    ShardFaultPlan, SupervisorPolicy, WaveletService,
+    DecomposeRequest, DegradedPolicy, MetricsSnapshot, Priority, RejectKind, Rejection,
+    ServiceConfig, ServiceError, ShardFaultPlan, SupervisorPolicy, WaveletService,
 };
 
 fn image(n: usize, salt: u64) -> Matrix {
@@ -187,7 +187,6 @@ fn supervisor_restarts_a_panicked_worker_without_losing_requests() {
             .with_supervisor(SupervisorPolicy {
                 max_restarts: 3,
                 backoff_base_s: 2e-4,
-                poll_s: 1e-4,
                 ..SupervisorPolicy::default()
             })
             .with_faults(ShardFaultPlan::none().with_worker_panic(victim, 1)),
@@ -235,6 +234,86 @@ fn supervisor_restarts_a_panicked_worker_without_losing_requests() {
     assert!(snapshot.failed_shards().is_empty());
 }
 
+/// Submit `request(0..n)`, shut down straight away, and require that
+/// the drain served every one exactly.
+fn drain_serving_all(
+    service: WaveletService,
+    n: u64,
+    request: impl Fn(u64) -> DecomposeRequest,
+) -> MetricsSnapshot {
+    let handles: Vec<_> = (0..n)
+        .map(|i| service.submit(request(i)).expect("queue has room"))
+        .collect();
+    let snapshot = service.shutdown().expect("supervised shutdown succeeds");
+    for (i, h) in (0..n).zip(handles) {
+        let resp = h
+            .wait()
+            .unwrap_or_else(|r| panic!("request {i} lost: {r:?}"));
+        assert_eq!(resp.pyramid, oracle(&request(i)), "request {i} corrupted");
+    }
+    assert_eq!(snapshot.completed(), n);
+    snapshot
+}
+
+/// Two deaths reported back to back: both shards' workers die at the
+/// same dispatch index, so the second report can arrive while the
+/// supervisor is backing off for the first and must wait in its
+/// channel. Neither is lost: each worker restarts once and every
+/// request completes.
+#[test]
+fn two_workers_dying_at_the_same_dispatch_each_restart_once() {
+    let nshards = 2;
+    let shapes = [0, 1].map(|s| shape_on_shard(s, nshards));
+    let request = |i: u64| {
+        let (size, levels) = shapes[(i % 2) as usize];
+        DecomposeRequest::new(image(size, i), FilterBank::haar(), levels)
+    };
+    let service = WaveletService::start(
+        ServiceConfig::default()
+            .with_shards(nshards)
+            .with_max_batch(1)
+            .with_supervisor(SupervisorPolicy {
+                backoff_base_s: 2e-4,
+                ..SupervisorPolicy::default()
+            })
+            .with_faults(
+                ShardFaultPlan::none()
+                    .with_worker_panic(0, 1)
+                    .with_worker_panic(1, 1),
+            ),
+    );
+    let snapshot = drain_serving_all(service, 12, request);
+    for shard in &snapshot.shards {
+        assert_eq!(shard.restarts, 1, "one injected death per shard");
+    }
+    assert!(snapshot.failed_shards().is_empty());
+}
+
+/// A death the supervisor hears about while `shutdown` is already
+/// waiting on it: the panic is scheduled at the last dispatch of a
+/// queue that is draining, so the worker dies with the queue empty and
+/// the drain flag set (or about to be — the outcome must not depend on
+/// which). The restarted worker finds the re-queued dispatch, serves it
+/// and exits; nothing is left for the backstop sweep.
+#[test]
+fn a_worker_dying_on_the_last_dispatch_of_a_draining_queue_restarts_and_drains() {
+    let n = 8u64;
+    let service = WaveletService::start(
+        ServiceConfig::default()
+            .with_shards(1)
+            .with_max_batch(1)
+            .with_supervisor(SupervisorPolicy {
+                backoff_base_s: 2e-4,
+                ..SupervisorPolicy::default()
+            })
+            .with_faults(ShardFaultPlan::none().with_worker_panic(0, n - 1)),
+    );
+    let request = |i: u64| DecomposeRequest::new(image(16, i), FilterBank::haar(), 1);
+    let snapshot = drain_serving_all(service, n, request);
+    assert_eq!(snapshot.restarts(), 1, "exactly one injected death");
+    assert_eq!(snapshot.rejected(RejectKind::ShardFailed), 0);
+}
+
 /// A permanently crashing shard burns its restart budget, fails over,
 /// and its work — in-flight, queued, and future — is served by the
 /// ring survivor.
@@ -251,7 +330,6 @@ fn restart_budget_exhaustion_fails_over_to_ring_survivors() {
             .with_supervisor(SupervisorPolicy {
                 max_restarts: 2,
                 backoff_base_s: 2e-4,
-                poll_s: 1e-4,
                 ..SupervisorPolicy::default()
             })
             .with_faults(ShardFaultPlan::none().with_shard_crash(victim, 0)),
@@ -325,10 +403,6 @@ fn poisoned_requests_quarantine_without_killing_batchmates() {
         ServiceConfig::default()
             .with_shards(1)
             .with_max_batch(4)
-            .with_supervisor(SupervisorPolicy {
-                poll_s: 1e-4,
-                ..SupervisorPolicy::default()
-            })
             .with_faults(ShardFaultPlan::none().with_poison(poisoned_id)),
     );
     let handles: Vec<_> = (0..6u64)

@@ -54,7 +54,6 @@ fn service_config() -> ServiceConfig {
         .with_queue_capacity(64)
         .with_supervisor(SupervisorPolicy {
             backoff_base_s: 2e-4,
-            poll_s: 1e-4,
             ..SupervisorPolicy::default()
         })
 }

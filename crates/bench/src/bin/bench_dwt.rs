@@ -3,15 +3,18 @@
 //! `BENCH_dwt.json` in the current directory.
 //!
 //! The headline comparison is the acceptance configuration: 2048x2048,
-//! Daubechies-4, 3 levels, single thread, plus the threaded engine at the
-//! machine's core count (only on a host with more than one core) and the
-//! fused CDF 5/3 / 9/7 lifting kernel at the same size. A smaller
-//! size/filter matrix rides along.
+//! Daubechies-4, 3 levels, single thread, plus the fused CDF 5/3 / 9/7
+//! lifting kernel at the same size and D4 reconstruction. On a host with
+//! more than one core each of those four engine rows has a threaded twin
+//! (`*_par`) at the machine's core count. A smaller size/filter matrix
+//! rides along.
 //!
 //! The `host` block records what the rows are read against: the core
-//! count and a same-footprint copy rate. One gate is asserted over the
-//! rows before the file is written, at both scales: CDF 5/3 lifting is
-//! no slower than the D4 convolution engine at the headline size.
+//! count and a same-footprint copy rate. Gates are asserted over the
+//! rows before the file is written: at both scales, CDF 5/3 lifting is
+//! no slower than the D4 convolution engine at the headline size; in
+//! full mode, every threaded row at the headline size is no slower than
+//! its one-thread twin.
 //!
 //! Run from the repo root with `just bench-json` (or
 //! `cargo run --release -p bench --bin bench_dwt`). Set `DWT_SMOKE=1`
@@ -96,6 +99,27 @@ fn measure_engine(
     })
 }
 
+/// [`measure_engine`] for the inverse: reconstruction of `img`'s pyramid.
+fn measure_reconstruct(
+    name: &'static str,
+    img: &Matrix,
+    bank: &FilterBank,
+    levels: usize,
+    threads: usize,
+) -> Timing {
+    let n = img.rows();
+    let plan = DwtPlan::new(n, n, bank.clone(), levels, Boundary::Periodic)
+        .unwrap()
+        .with_threads(threads);
+    let mut ws = plan.make_workspace();
+    let pyr = plan.decompose(img).unwrap();
+    let mut back = Matrix::zeros(n, n);
+    time(name, n, bank, levels, threads, 1, || {
+        plan.reconstruct_into(black_box(&pyr), &mut ws, &mut back)
+            .unwrap();
+    })
+}
+
 fn measure_legacy(img: &Matrix, bank: &FilterBank, levels: usize) -> Timing {
     let n = img.rows();
     time("legacy_separable_1t", n, bank, levels, 1, 1, || {
@@ -156,6 +180,34 @@ fn lifting_gate(rows: &[Timing], size: usize) -> Result<(f64, f64), String> {
     Ok((lift, conv))
 }
 
+/// The threading gate: at the headline size every threaded row (`*_par`)
+/// is no slower than its one-thread twin (`*_1t`, same filter). `Ok` is
+/// the number of pairs checked, at least one.
+fn threads_gate(rows: &[Timing], size: usize) -> Result<usize, String> {
+    let mut checked = 0;
+    for par in rows
+        .iter()
+        .filter(|r| r.size == size && r.name.ends_with("_par"))
+    {
+        let one = par.name.replace("_par", "_1t");
+        let base = rows
+            .iter()
+            .find(|r| r.name == one && r.filter == par.filter && r.size == size)
+            .ok_or_else(|| format!("no {one} {} row at {size}x{size}", par.filter))?;
+        if par.ns_per_px > base.ns_per_px {
+            return Err(format!(
+                "{} {} on {} threads {:.3} ns/px slower than one thread {:.3} ns/px at {size}x{size}",
+                par.name, par.filter, par.threads, par.ns_per_px, base.ns_per_px
+            ));
+        }
+        checked += 1;
+    }
+    if checked == 0 {
+        return Err(format!("no threaded row at {size}x{size}"));
+    }
+    Ok(checked)
+}
+
 fn row(t: &Timing) -> Row {
     vec![
         ("name", t.name.into()),
@@ -187,13 +239,13 @@ fn main() {
     eprintln!("  host: {cores} core(s), same-footprint copy {copy:.2} GB/s (read + written)");
     let legacy = measure_legacy(&img, &d4, levels);
     let engine1 = measure_engine("engine_1t", &img, &d4, levels, 1);
-    // On a one-core host `engine_par` would re-measure `engine_1t`
+    // On a one-core host a `*_par` row would re-measure its `*_1t` twin
     // under another name, so the threaded rows and headline keys exist
     // only when there is a second core to run them on.
-    let par = |img: &Matrix, bank: &FilterBank| {
-        (cores > 1).then(|| measure_engine("engine_par", img, bank, levels, cores))
+    let par = |name, img: &Matrix, bank: &FilterBank| {
+        (cores > 1).then(|| measure_engine(name, img, bank, levels, cores))
     };
-    let enginep = par(&img, &d4);
+    let enginep = par("engine_par", &img, &d4);
     let speedup = legacy.ns_per_px / engine1.ns_per_px;
     eprintln!(
         "  legacy {:.2} ns/px | engine(1t) {:.2} ns/px ({speedup:.2}x)",
@@ -222,8 +274,13 @@ fn main() {
     eprintln!("headline: {head_n}x{head_n} lifting L{levels} ...");
     let lift53_oracle = measure_lifting_oracle(&img, LiftingKind::LeGall53, levels);
     let lift53 = measure_engine("engine_lifting_1t", &img, &cdf53, levels, 1);
+    let lift53p = par("engine_lifting_par", &img, &cdf53);
     let lift97_oracle = measure_lifting_oracle(&img, LiftingKind::Cdf97, levels);
     let lift97 = measure_engine("engine_lifting_1t", &img, &cdf97, levels, 1);
+    let lift97p = par("engine_lifting_par", &img, &cdf97);
+    let recon1 = measure_reconstruct("engine_reconstruct_1t", &img, &d4, levels, 1);
+    let reconp = (cores > 1)
+        .then(|| measure_reconstruct("engine_reconstruct_par", &img, &d4, levels, cores));
     let lift53_int = measure_lifting_int(head_n, LiftingKind::LeGall53, levels);
     let lift97_int = measure_lifting_int(head_n, LiftingKind::Cdf97, levels);
     let lift53_vs_d4 = engine1.ns_per_px / lift53.ns_per_px;
@@ -235,6 +292,13 @@ fn main() {
         "  int round-trip: cdf53 {:.2} ns/px | cdf97 {:.2} ns/px (per direction)",
         lift53_int.ns_per_px, lift97_int.ns_per_px
     );
+    eprintln!("  D4 reconstruct(1t) {:.2} ns/px", recon1.ns_per_px);
+    for p in [&lift53p, &lift97p, &reconp].into_iter().flatten() {
+        eprintln!(
+            "  {} {} ({cores}t) {:.2} ns/px",
+            p.name, p.filter, p.ns_per_px
+        );
+    }
     headline.extend([
         ("cdf53_lifting_ns_per_px", Val::Fix(lift53.ns_per_px, 3)),
         ("cdf97_lifting_ns_per_px", Val::Fix(lift97.ns_per_px, 3)),
@@ -245,8 +309,12 @@ fn main() {
     rows.extend(enginep);
     rows.push(lift53_oracle);
     rows.push(lift53);
+    rows.extend(lift53p);
     rows.push(lift97_oracle);
     rows.push(lift97);
+    rows.extend(lift97p);
+    rows.push(recon1);
+    rows.extend(reconp);
     rows.push(lift53_int);
     rows.push(lift97_int);
 
@@ -262,7 +330,7 @@ fn main() {
             eprintln!("matrix: 512x512 {} L3 ...", bank.name());
             rows.push(measure_legacy(&img512, &bank, levels));
             rows.push(measure_engine("engine_1t", &img512, &bank, levels, 1));
-            rows.extend(par(&img512, &bank));
+            rows.extend(par("engine_par", &img512, &bank));
         }
         for kind in [LiftingKind::LeGall53, LiftingKind::Cdf97] {
             let bank = FilterBank::for_lifting(kind);
@@ -275,6 +343,7 @@ fn main() {
                 levels,
                 1,
             ));
+            rows.extend(par("engine_lifting_par", &img512, &bank));
         }
 
         // --- Size sweep with D4. ----------------------------------------
@@ -288,13 +357,17 @@ fn main() {
             let img = landsat_scene(n, n, SceneParams::default());
             rows.push(measure_legacy(&img, &d4, levels));
             rows.push(measure_engine("engine_1t", &img, &d4, levels, 1));
-            rows.extend(par(&img, &d4));
+            rows.extend(par("engine_par", &img, &d4));
         }
     }
 
     // --- Gate, then emit. ------------------------------------------------
     let (lift, conv) = lifting_gate(&rows, head_n).unwrap_or_else(|why| panic!("gate: {why}"));
     eprintln!("lifting gate OK: {lift:.3} ns/px vs D4 engine {conv:.3} ns/px");
+    if cores > 1 && !smoke {
+        let pairs = threads_gate(&rows, head_n).unwrap_or_else(|why| panic!("gate: {why}"));
+        eprintln!("threads gate OK: {pairs} threaded rows no slower than one thread");
+    }
     let host: Row = vec![
         ("nproc", cores.into()),
         ("copy_gbps", Val::Fix(copy, 3)),
@@ -353,5 +426,45 @@ mod tests {
             .contains("no engine_lifting_1t CDF53 row"));
         let elsewhere = lifting_gate(&[d4(), lift(3.0)], 2048);
         assert!(elsewhere.unwrap_err().contains("at 2048x2048"));
+    }
+
+    /// Same for the threading gate: each `*_par` row is held against its
+    /// own `*_1t` twin (same name stem and filter), and a threaded row
+    /// with no twin, or no threaded row at all, is refused.
+    #[test]
+    fn threads_gate_refuses_slow_or_unmatched_threaded_rows() {
+        let one = |name, filter, ns| timing(name, filter, ns);
+        let two = |name, filter, ns| Timing {
+            threads: 2,
+            ..timing(name, filter, ns)
+        };
+        let rows = [
+            one("engine_1t", "D4", 4.0),
+            two("engine_par", "D4", 2.0),
+            one("engine_lifting_1t", "CDF53", 3.0),
+            two("engine_lifting_par", "CDF53", 3.0),
+            one("engine_lifting_1t", "CDF97", 5.0),
+            two("engine_lifting_par", "CDF97", 2.6),
+        ];
+        assert_eq!(threads_gate(&rows, 512), Ok(3));
+
+        let slow = [
+            one("engine_lifting_1t", "CDF97", 5.0),
+            two("engine_lifting_par", "CDF97", 5.5),
+        ];
+        let why = threads_gate(&slow, 512).unwrap_err();
+        assert!(
+            why.contains("engine_lifting_par CDF97 on 2 threads"),
+            "{why}"
+        );
+        // The CDF 5/3 twin does not stand in for the 9/7 one.
+        let unmatched = [
+            one("engine_lifting_1t", "CDF53", 3.0),
+            two("engine_lifting_par", "CDF97", 2.0),
+        ];
+        let why = threads_gate(&unmatched, 512).unwrap_err();
+        assert!(why.contains("no engine_lifting_1t CDF97 row"), "{why}");
+        assert!(threads_gate(&rows[..1], 512).is_err());
+        assert!(threads_gate(&rows, 2048).is_err());
     }
 }

@@ -18,10 +18,10 @@
 //! * a [`DwtPlan`] precomputes everything the transform needs (validated
 //!   geometry per level, tile/band width, thread-lane partitioning, the
 //!   synthesis tap lists);
-//! * a [`DwtWorkspace`] owns every scratch buffer (the lanes' rings, the
-//!   ping-pong approximation pair, one synthesis row or the lifting
-//!   staging window), so steady-state decomposition and reconstruction
-//!   perform **zero allocations**;
+//! * a [`DwtWorkspace`] owns every scratch buffer (per thread lane, the
+//!   analysis rings and one synthesis row, or the lifting staging
+//!   window; the ping-pong approximation pair), so steady-state
+//!   decomposition and reconstruction perform **zero allocations**;
 //! * the analysis kernel **fuses** the row and column passes: the image is
 //!   processed in column *bands* (cache-sized tiles), and within a band a
 //!   ring buffer of `filter_len` row-filtered rows — the tile's *halo*,
@@ -68,6 +68,7 @@ use crate::filters::FilterBank;
 use crate::lifting::LiftingKind;
 use crate::matrix::Matrix;
 use crate::pyramid::{Pyramid, Subbands};
+use std::ops::Range;
 
 pub mod lifting;
 
@@ -310,11 +311,13 @@ impl DwtPlan {
     /// workspaces are sized when the [`DwtWorkspace`] is created, so set
     /// this before calling [`DwtPlan::make_workspace`].
     ///
-    /// Only the convolution *analysis* stripes its output rows across
-    /// the lanes. Lifting plans allocate no lanes and every
-    /// reconstruction (either kernel) runs on the calling thread, so for
-    /// those the setting changes nothing but what [`DwtPlan::threads`]
-    /// reports.
+    /// Every level of both kernels, in both directions, splits its
+    /// sub-band rows into contiguous stripes, one per lane, each lane on
+    /// its own scoped thread (the caller runs the last). A level uses
+    /// fewer lanes when it has too few rows to give each one a
+    /// worthwhile stripe, so small images and coarse levels run on the
+    /// calling thread whatever this says. Results are bit-identical for
+    /// every thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -380,18 +383,15 @@ impl DwtPlan {
         self.bank.len().max(2)
     }
 
-    /// What a workspace for this plan is sized by. Only the convolution
-    /// analysis stripes across lanes, so a lifting plan records none.
+    /// What a workspace for this plan is sized by: one lane of scratch
+    /// per thread, whichever the kernel — every path stripes.
     fn workspace_geometry(&self) -> WorkspaceGeometry {
         WorkspaceGeometry {
             rows: self.rows,
             cols: self.cols,
             filter_len: self.bank.len(),
             kernel: self.kernel,
-            lanes: match self.kernel {
-                KernelKind::Convolution => self.threads,
-                KernelKind::Lifting(_) => 0,
-            },
+            lanes: self.threads,
             band_width: self.effective_band_width(),
         }
     }
@@ -406,10 +406,9 @@ impl DwtPlan {
         // through the same pair, so both must hold the largest
         // intermediate: the level-1 LL of rows/2 x cols/2.
         let ll_elems = (self.rows / 2) * (self.cols / 2);
-        let ring_elems = self.ring_rows() * built_for.band_width;
-        let (lift_elems, synth_elems) = match self.kernel {
-            KernelKind::Lifting(_) => (lifting::staging_len(self.rows, self.cols), 0),
-            KernelKind::Convolution => (0, self.cols),
+        let (ring_elems, row_elems) = match self.kernel {
+            KernelKind::Lifting(kind) => (0, lifting::staging_len(kind, self.cols)),
+            KernelKind::Convolution => (self.ring_rows() * built_for.band_width, self.cols),
         };
         DwtWorkspace {
             built_for,
@@ -417,12 +416,11 @@ impl DwtPlan {
                 .map(|_| LaneBuf {
                     low_ring: vec![0.0; ring_elems],
                     high_ring: vec![0.0; ring_elems],
+                    rows: vec![0.0; row_elems],
                 })
                 .collect(),
             ll_a: vec![0.0; ll_elems],
             ll_b: vec![0.0; ll_elems],
-            lift_buf: vec![0.0; lift_elems],
-            synth_rows: vec![0.0; synth_elems],
         }
     }
 
@@ -481,7 +479,8 @@ impl DwtPlan {
     }
 
     /// Full multi-level decomposition into preallocated storage.
-    /// Performs no heap allocation.
+    /// Performs no heap allocation on one lane (a level striped across
+    /// several spawns scoped threads).
     pub fn decompose_into(
         &self,
         img: &Matrix,
@@ -505,28 +504,35 @@ impl DwtPlan {
                 &mut next[..dims.rows_out() * dims.cols_out()]
             };
             let (lh, hl, hh) = out.detail[level].split_mut();
-            if let KernelKind::Lifting(kind) = self.kernel {
-                lifting::forward_level(
-                    src,
-                    dims.rows_in,
-                    dims.cols_in,
-                    kind,
-                    ll_dst,
-                    lh.data_mut(),
-                    hl.data_mut(),
-                    hh.data_mut(),
-                    &mut ws.lift_buf,
-                );
-            } else {
-                self.decompose_level(
-                    src,
-                    dims,
-                    ll_dst,
-                    lh.data_mut(),
-                    hl.data_mut(),
-                    hh.data_mut(),
-                    &mut ws.lanes,
-                );
+            let outs = [ll_dst, lh.data_mut(), hl.data_mut(), hh.data_mut()];
+            let lanes = &mut ws.lanes;
+            match self.kernel {
+                KernelKind::Lifting(kind) => {
+                    stripe(dims.rows_out(), outs, lanes, |pairs, outs, lane| {
+                        lifting::forward_level(
+                            src,
+                            dims.rows_in,
+                            dims.cols_in,
+                            kind,
+                            pairs,
+                            outs,
+                            &mut lane.rows,
+                        )
+                    })
+                }
+                KernelKind::Convolution => stripe(dims.rows_out(), outs, lanes, |k, outs, lane| {
+                    fused_band_sweep(
+                        src,
+                        dims,
+                        &self.bank,
+                        self.mode,
+                        k,
+                        outs,
+                        lane,
+                        self.ring_rows(),
+                        self.effective_band_width(),
+                    )
+                }),
             }
         }
         Ok(())
@@ -540,80 +546,9 @@ impl DwtPlan {
         Ok(out)
     }
 
-    /// One level of the fused transform: distribute output-row stripes
-    /// over the plan's thread lanes.
-    #[allow(clippy::too_many_arguments)]
-    fn decompose_level(
-        &self,
-        src: &[f64],
-        dims: LevelDims,
-        ll: &mut [f64],
-        lh: &mut [f64],
-        hl: &mut [f64],
-        hh: &mut [f64],
-        lanes: &mut [LaneBuf],
-    ) {
-        let rows_out = dims.rows_out();
-        let cols_out = dims.cols_out();
-        let (ring_rows, band_width) = (self.ring_rows(), self.effective_band_width());
-        let nlanes = lanes.len().min(rows_out).max(1);
-        if nlanes <= 1 {
-            fused_band_sweep(
-                src,
-                dims,
-                &self.bank,
-                self.mode,
-                0..rows_out,
-                ll,
-                lh,
-                hl,
-                hh,
-                &mut lanes[0],
-                ring_rows,
-                band_width,
-            );
-            return;
-        }
-        // Contiguous output-row stripes, one per lane — the shared-memory
-        // analogue of the paper's row-stripe distribution.
-        let base = rows_out / nlanes;
-        let rem = rows_out % nlanes;
-        let mut jobs = Vec::with_capacity(nlanes);
-        let (mut ll_rest, mut lh_rest, mut hl_rest, mut hh_rest) = (ll, lh, hl, hh);
-        let mut lanes_rest = lanes;
-        let mut k0 = 0usize;
-        for lane in 0..nlanes {
-            let take = base + usize::from(lane < rem);
-            let (ll_c, ll_n) = ll_rest.split_at_mut(take * cols_out);
-            let (lh_c, lh_n) = lh_rest.split_at_mut(take * cols_out);
-            let (hl_c, hl_n) = hl_rest.split_at_mut(take * cols_out);
-            let (hh_c, hh_n) = hh_rest.split_at_mut(take * cols_out);
-            let (buf, buf_n) = lanes_rest.split_at_mut(1);
-            jobs.push((k0..k0 + take, ll_c, lh_c, hl_c, hh_c, &mut buf[0]));
-            ll_rest = ll_n;
-            lh_rest = lh_n;
-            hl_rest = hl_n;
-            hh_rest = hh_n;
-            lanes_rest = buf_n;
-            k0 += take;
-        }
-        let bank = &self.bank;
-        let mode = self.mode;
-        std::thread::scope(|s| {
-            for (range, ll_c, lh_c, hl_c, hh_c, buf) in jobs {
-                s.spawn(move || {
-                    fused_band_sweep(
-                        src, dims, bank, mode, range, ll_c, lh_c, hl_c, hh_c, buf, ring_rows,
-                        band_width,
-                    );
-                });
-            }
-        });
-    }
-
     /// Full multi-level reconstruction into a preallocated image.
-    /// Performs no heap allocation; exact inverse of
-    /// [`DwtPlan::decompose_into`] for [`Boundary::Periodic`].
+    /// Allocates no more than [`DwtPlan::decompose_into`]; exact inverse
+    /// of it for [`Boundary::Periodic`].
     pub fn reconstruct_into(
         &self,
         pyr: &Pyramid,
@@ -639,39 +574,50 @@ impl DwtPlan {
                 &mut next[..dims.rows_in * dims.cols_in]
             };
             let bands = &pyr.detail[level];
-            if let KernelKind::Lifting(kind) = self.kernel {
-                lifting::inverse_level(
-                    ll,
-                    bands,
-                    dims.rows_in,
-                    dims.cols_in,
-                    kind,
-                    dst,
-                    &mut ws.lift_buf,
-                );
-            } else {
-                self.synthesize_level(level, ll, bands, dst, &mut ws.synth_rows);
+            let lanes = &mut ws.lanes;
+            match self.kernel {
+                KernelKind::Lifting(kind) => {
+                    stripe(dims.rows_out(), [dst], lanes, |pairs, [dst], lane| {
+                        lifting::inverse_level(
+                            ll,
+                            bands,
+                            dims.rows_in,
+                            dims.cols_in,
+                            kind,
+                            pairs,
+                            dst,
+                            &mut lane.rows,
+                        )
+                    })
+                }
+                KernelKind::Convolution => {
+                    stripe(dims.rows_out(), [dst], lanes, |k, [dst], lane| {
+                        self.synthesize_rows(level, ll, bands, 2 * k.start, dst, &mut lane.rows)
+                    })
+                }
             }
         }
         Ok(())
     }
 
     /// The fused synthesis kernel — [`fused_band_sweep`] run backwards.
-    /// Each output row of `level` is produced in one visit: the column
-    /// synthesis accumulates its [`SynthTaps`] from contiguous
-    /// coefficient rows into the `[low | high]` intermediate row
-    /// `scratch`, which is row-synthesized straight into `dst`. Per
-    /// element that is the accumulation chain of the separable reference
-    /// — low-filter taps of `LL` (`HL`), then high-filter taps of `LH`
-    /// (`HH`), `(k, m)` ascending — so results are bit-identical. The
-    /// reference skips zero coefficients; adding their `±0.0` products
-    /// is the same, because an accumulator that starts at `+0.0` never
-    /// becomes `-0.0`.
-    fn synthesize_level(
+    /// Each output row of `level`, from row `first` on, is produced in
+    /// one visit: the column synthesis accumulates its [`SynthTaps`]
+    /// from contiguous coefficient rows into the `[low | high]`
+    /// intermediate row `scratch`, which is row-synthesized straight
+    /// into `dst`. Per element that is the accumulation chain of the
+    /// separable reference — low-filter taps of `LL` (`HL`), then
+    /// high-filter taps of `LH` (`HH`), `(k, m)` ascending — so results
+    /// are bit-identical. The reference skips zero coefficients; adding
+    /// their `±0.0` products is the same, because an accumulator that
+    /// starts at `+0.0` never becomes `-0.0`. A stripe needs no halo:
+    /// every row reads whole coefficient rows only.
+    fn synthesize_rows(
         &self,
         level: usize,
         ll: &[f64],
         bands: &Subbands,
+        first: usize,
         dst: &mut [f64],
         scratch: &mut [f64],
     ) {
@@ -680,7 +626,7 @@ impl DwtPlan {
         let (low, high) = (self.bank.low(), self.bank.high());
         let (lh, hl, hh) = (bands.lh.data(), bands.hl.data(), bands.hh.data());
         let (low_row, high_row) = scratch[..2 * c].split_at_mut(c);
-        for (i, drow) in dst.chunks_exact_mut(2 * c).enumerate() {
+        for (i, drow) in (first..).zip(dst.chunks_exact_mut(2 * c)) {
             low_row.fill(0.0);
             high_row.fill(0.0);
             let pairs = &taps.pairs[taps.start[i]..taps.start[i + 1]];
@@ -709,12 +655,16 @@ impl DwtPlan {
     }
 }
 
-/// Per-lane scratch: the ring buffers holding `ring_rows` row-filtered
-/// intermediate rows of one band — the tile halo.
+/// One thread lane's scratch. Convolution plans: the ring buffers
+/// holding `ring_rows` row-filtered intermediate rows of one band (the
+/// tile halo) and the synthesis sweep's `[low | high]` intermediate row
+/// (`cols` elements). Lifting plans: the staging window
+/// ([`lifting::staging_len`] elements) and no rings.
 #[derive(Debug, Clone)]
 struct LaneBuf {
     low_ring: Vec<f64>,
     high_ring: Vec<f64>,
+    rows: Vec<f64>,
 }
 
 /// The geometry a [`DwtWorkspace`] was sized for. A plan accepts only a
@@ -734,17 +684,64 @@ struct WorkspaceGeometry {
 #[derive(Debug, Clone)]
 pub struct DwtWorkspace {
     built_for: WorkspaceGeometry,
-    /// Analysis ring buffers, one per thread lane (convolution only).
+    /// One per thread lane.
     lanes: Vec<LaneBuf>,
     ll_a: Vec<f64>,
     ll_b: Vec<f64>,
-    /// Lifting staging buffer ([`lifting::staging_len`] elements: the
-    /// cache-blocked stash+ring window, or the whole image when it is
-    /// small enough for the plain path), empty for convolution plans.
-    lift_buf: Vec<f64>,
-    /// The convolution synthesis sweep's `[low | high]` intermediate row
-    /// (`cols` elements), empty for lifting plans.
-    synth_rows: Vec<f64>,
+}
+
+/// Fewest sub-band rows a lane is given: a level of `rows` rows runs on
+/// at most `rows / MIN_STRIPE_ROWS` lanes, so one shorter than
+/// `2 · MIN_STRIPE_ROWS` runs on the calling thread alone. Chosen on the
+/// two-core host of `BENCH_dwt.json` by timing one periodic level of a
+/// square image with this clamp at 1, median µs one lane → two: a lane
+/// costs ~27 µs to start and join (32², D4 3.6 → 30.4); at 128² (64
+/// rows, 32 a lane) two lanes still lose for every bank (D4 43.8 → 51.0,
+/// CDF 5/3 22.6 → 39.3, CDF 9/7 48.5 → 52.7, reconstruction alike); at
+/// 256² (128 rows, 64 a lane) every bank wins in both directions (D4
+/// 170 → 118, CDF 5/3 96.5 → 84.3, CDF 9/7 228 → 151).
+const MIN_STRIPE_ROWS: usize = 64;
+
+/// The one striping driver, shared by both kernels in both directions.
+/// Splits a level's `rows` sub-band rows into contiguous stripes, one
+/// per lane used, hands each stripe its rows of every slice in `outs`
+/// (each `rows` equal rows long) and its lane's scratch, and runs
+/// `work` on them: the last stripe on the calling thread, the others on
+/// scoped threads — the shared-memory analogue of the paper's row-stripe
+/// distribution. Stripes share nothing writable; each re-derives the
+/// halo rows it reads.
+fn stripe<const N: usize>(
+    rows: usize,
+    mut outs: [&mut [f64]; N],
+    lanes: &mut [LaneBuf],
+    work: impl Fn(Range<usize>, [&mut [f64]; N], &mut LaneBuf) + Sync,
+) {
+    let used = lanes.len().min(rows / MIN_STRIPE_ROWS).max(1);
+    if used == 1 {
+        // No scope either: it allocates, and one lane must not.
+        return work(0..rows, outs, &mut lanes[0]);
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let mut start = 0;
+        for (lane, buf) in lanes[..used].iter_mut().enumerate() {
+            let take = rows / used + usize::from(lane < rows % used);
+            let left = rows - start;
+            let mine = outs.each_mut().map(|rest| {
+                let at = rest.len() / left * take;
+                let (head, tail) = std::mem::take(rest).split_at_mut(at);
+                *rest = tail;
+                head
+            });
+            let range = start..start + take;
+            start += take;
+            if lane + 1 == used {
+                work(range, mine, buf);
+            } else {
+                s.spawn(move || work(range, mine, buf));
+            }
+        }
+    });
 }
 
 /// Buffers of step `step` of a level walk through the ping-pong pair:
@@ -833,8 +830,9 @@ fn fill_ring_row(
     }
 }
 
-/// The fused analysis kernel: for output rows `k_range` of one level,
-/// sweep the image in column bands. Within a band, a ring buffer of
+/// The fused analysis kernel: for output rows `k_range` of one level
+/// (the stripe's rows of `[ll, lh, hl, hh]`), sweep the image in column
+/// bands. Within a band, a ring buffer of
 /// `ring_rows` row-filtered rows (the halo) slides down the image; each
 /// output row is produced by a column filter whose inner loop runs over
 /// contiguous output columns.
@@ -844,11 +842,8 @@ fn fused_band_sweep(
     dims: LevelDims,
     bank: &FilterBank,
     mode: Boundary,
-    k_range: std::ops::Range<usize>,
-    ll: &mut [f64],
-    lh: &mut [f64],
-    hl: &mut [f64],
-    hh: &mut [f64],
+    k_range: Range<usize>,
+    [ll, lh, hl, hh]: [&mut [f64]; 4],
     buf: &mut LaneBuf,
     ring_rows: usize,
     band_width: usize,
@@ -974,20 +969,88 @@ mod tests {
     }
 
     #[test]
-    fn threaded_engine_matches_single_thread() {
-        let bank = FilterBank::daubechies(8).unwrap();
-        let img = test_image(128, 64);
-        let seq = DwtPlan::new(128, 64, bank.clone(), 3, Boundary::Periodic)
-            .unwrap()
-            .decompose(&img)
-            .unwrap();
-        for threads in [2usize, 3, 4, 7] {
-            let par = DwtPlan::new(128, 64, bank.clone(), 3, Boundary::Periodic)
-                .unwrap()
-                .with_threads(threads)
-                .decompose(&img)
-                .unwrap();
-            assert_eq!(seq, par, "threads={threads}");
+    fn every_thread_count_is_bit_identical_to_the_oracles() {
+        // 64 rows never stripe; at 272 and 544 the finest levels split
+        // into two and four stripes of uneven length, coarser ones into
+        // fewer. Convolution in both directions under every boundary.
+        let conv = [
+            FilterBank::haar(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::daubechies(8).unwrap(),
+            FilterBank::coiflet(6).unwrap(),
+        ];
+        for rows in [64usize, 272, 544] {
+            for levels in (1..=5).filter(|l| rows % (1 << l) == 0) {
+                let cols = 8 << levels;
+                let img = test_image(rows, cols);
+                for bank in &conv {
+                    for mode in Boundary::ALL {
+                        let Ok(want) = dwt2d::decompose_separable(&img, bank, levels, mode) else {
+                            continue;
+                        };
+                        let back = dwt2d::reconstruct_separable(&want, bank, mode).unwrap();
+                        for threads in 1..=4 {
+                            let plan = DwtPlan::new(rows, cols, bank.clone(), levels, mode)
+                                .unwrap()
+                                .with_threads(threads);
+                            let at =
+                                format!("{} {mode:?} {rows} L{levels} t{threads}", bank.name());
+                            assert_eq!(plan.decompose(&img).unwrap(), want, "{at}");
+                            assert_eq!(plan.reconstruct(&want).unwrap(), back, "{at}");
+                        }
+                    }
+                }
+                for kind in [LiftingKind::LeGall53, LiftingKind::Cdf97] {
+                    let want = crate::lifting::decompose_oracle(&img, kind, levels).unwrap();
+                    let back = crate::lifting::reconstruct_oracle(&want, kind).unwrap();
+                    for threads in 1..=4 {
+                        let bank = FilterBank::for_lifting(kind);
+                        let plan = DwtPlan::new(rows, cols, bank, levels, Boundary::Periodic)
+                            .unwrap()
+                            .with_threads(threads);
+                        let at = format!("{kind:?} {rows} L{levels} t{threads}");
+                        assert_eq!(plan.decompose(&img).unwrap(), want, "{at}");
+                        assert_eq!(plan.reconstruct(&want).unwrap(), back, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stripes_never_get_fewer_rows_than_the_minimum() {
+        // A level uses a lane only if it can give it MIN_STRIPE_ROWS
+        // rows; record how many stripes each level of a 4-lane plan cut.
+        let mut lanes: Vec<LaneBuf> = (0..4)
+            .map(|_| LaneBuf {
+                low_ring: Vec::new(),
+                high_ring: Vec::new(),
+                rows: Vec::new(),
+            })
+            .collect();
+        for (rows, stripes) in [
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (191, 2),
+            (192, 3),
+            (300, 4),
+            (4096, 4),
+        ] {
+            let cut = std::sync::Mutex::new(Vec::new());
+            let mut out = vec![0.0; rows];
+            stripe(rows, [&mut out[..]], &mut lanes, |range, [o], _| {
+                assert_eq!(o.len(), range.len());
+                o.fill(1.0);
+                cut.lock().unwrap().push(range);
+            });
+            let mut cut = cut.into_inner().unwrap();
+            cut.sort_by_key(|r| r.start);
+            assert_eq!(cut.len(), stripes, "{rows} rows");
+            assert!(cut.iter().all(|r| r.len() >= MIN_STRIPE_ROWS.min(rows)));
+            assert!(cut.windows(2).all(|w| w[0].end == w[1].start));
+            assert_eq!((cut[0].start, cut[stripes - 1].end), (0, rows));
+            assert!(out.iter().all(|&v| v == 1.0), "{rows} rows");
         }
     }
 
@@ -1098,6 +1161,32 @@ mod tests {
             assert!(
                 matches!(
                     plan.reconstruct_into(&pyr, &mut ws, &mut img),
+                    Err(DwtError::DimensionMismatch { .. })
+                ),
+                "{name} reconstruct"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_a_workspace_built_for_another_lane_count() {
+        for bank in [FilterBank::daubechies(4).unwrap(), FilterBank::cdf53()] {
+            let one = DwtPlan::new(64, 64, bank.clone(), 2, Boundary::Periodic).unwrap();
+            let two = one.clone().with_threads(2);
+            let mut ws = one.make_workspace();
+            let mut pyr = two.make_pyramid();
+            let mut img = test_image(64, 64);
+            let name = bank.name();
+            assert!(
+                matches!(
+                    two.decompose_into(&img, &mut ws, &mut pyr),
+                    Err(DwtError::DimensionMismatch { .. })
+                ),
+                "{name} decompose"
+            );
+            assert!(
+                matches!(
+                    two.reconstruct_into(&pyr, &mut ws, &mut img),
                     Err(DwtError::DimensionMismatch { .. })
                 ),
                 "{name} reconstruct"

@@ -10,7 +10,8 @@
 //!
 //! # Kernel structure
 //!
-//! One level of either direction runs as a **single fused `sweep`**:
+//! One stripe of row pairs of one level, either direction, runs as a
+//! **single fused `sweep`**:
 //!
 //! * *fill* — analysis row-lifts each input row into a staging row
 //!   packed as `[low | high]` halves; synthesis gathers the matching
@@ -18,18 +19,20 @@
 //! * the column transform runs as a software pipeline over the staged
 //!   rows: stage `k` of the predict/update schedule trails stage `k-1`
 //!   by one row pair, so every row is touched while still cache-hot.
-//!   The periodic wrap rows that a stage cannot process mid-stream
-//!   (a *deferral set* derived per stage, see `Pipeline`) are
-//!   finished in a short epilogue;
+//!   The sweep stages the stripe plus a *halo* of one (5/3) or two (9/7)
+//!   row pairs at each edge, fetched modulo the level height, so no
+//!   stage ever wraps: the periodic wrap is one more stripe edge,
+//!   recomputed the way the paper's guard zones are;
 //! * *drain* — as soon as a row pair leaves the last stage it is
 //!   scattered to the four sub-bands (analysis) or row-unlifted into
 //!   the output image (synthesis).
 //!
-//! The working set is a dozen buffer rows regardless of image height —
-//! the lifting analogue of the convolution engine's ring-buffer halo.
-//! Interior loops go through [`lift_step`], a manually 4-way unrolled
-//! `dst[i] += c · (a[i] + b[i])` over contiguous rows (vertical
-//! vectorization); boundary wraps take the scalar prologue/epilogue.
+//! The working set is at most a dozen buffer rows regardless of image
+//! height — the lifting analogue of the convolution engine's
+//! ring-buffer halo — and stripes share nothing, so the engine runs one
+//! per thread lane. Interior loops go through [`lift_step`], a manually
+//! 4-way unrolled `dst[i] += c · (a[i] + b[i])` over contiguous rows
+//! (vertical vectorization); the row transforms' wraps are scalar.
 //!
 //! Per element the arithmetic is the *same sequence of operations* as
 //! the (hidden) oracle in [`crate::lifting`], so results are
@@ -43,6 +46,8 @@
 //! every step adds `floor(c · (a + b) + 1/2)` and the final `ζ` scaling
 //! is omitted. Both use whole-sample symmetric extension, so **odd**
 //! lengths round-trip exactly too.
+
+use std::ops::Range;
 
 use crate::error::{DwtError, Result};
 use crate::lifting::{LiftingKind, ALPHA, BETA, DELTA, GAMMA, ZETA};
@@ -273,98 +278,64 @@ pub fn inverse_1d_into(
 /// Longest schedule ([`FWD_97`] / [`INV_97`]).
 const MAX_STAGES: usize = 4;
 
-/// Row cap of the staging buffer: no schedule's [`Pipeline`] touches
-/// more staging rows than this, whichever path a level takes (the
-/// deepest, the 9/7 inverse, stages up to 38 rows plain and 26
-/// blocked). [`sweep`] `debug_assert`s it and a unit test checks it
-/// against every schedule.
-const STAGING_ROW_CAP: usize = 40;
-
-/// Staging-buffer length (in `f64`s) that covers both level paths of
-/// every schedule for a `rows x cols` level.
-pub(crate) fn staging_len(rows: usize, cols: usize) -> usize {
-    rows.min(STAGING_ROW_CAP) * cols
+/// Staging-buffer length (in `f64`s) of one lane's sweep over a level
+/// `cols` wide: the ring of in-flight row pairs, two rows each.
+pub(crate) fn staging_len(kind: LiftingKind, cols: usize) -> usize {
+    2 * Pipeline::new(stages(kind, false)).ring * cols
 }
 
-/// Staging geometry of one schedule's [`sweep`] — the one place the
-/// deferral table, the plain-path threshold and the blocked window are
-/// computed.
+/// Window arithmetic of one schedule's sweep — where each stage runs,
+/// how wide the halo is, how many pairs are in flight.
 ///
-/// Rows stream through the column stages top-down, so stage `k` cannot
-/// process the first `p_k` and last `q_k` row pairs mid-sweep: those
-/// positions read periodic-wrap neighbours that either have not been
-/// produced yet or are themselves deferred in stage `k-1`. The
-/// recurrence (`(p, q)` per stage, in schedule order):
+/// A sweep stages a *window* of row pairs and runs the column stages on
+/// it with no wrap: the periodic neighbour of a pair is the next window
+/// position, fetched modulo `h` by the fill. A stage can only run where
+/// its inputs already hold the previous stage's values, so the valid
+/// part of the window shrinks stage by stage. Its `(head, tail)`
+/// margins, kept separately for the even (`s`) and odd (`d`) rows:
 ///
-/// * stage 0: `p = 1` if it is an update (its `j = 0` wraps onto the
-///   *last* odd row, which has not streamed in yet), else `p = 0`;
-///   `q = 0` (a predict's `j = h-1` wraps onto row 0, long available);
-/// * an update inherits `(p+1, q)` — its `j = p` input `d[p-1]` is
-///   deferred upstream;
-/// * a predict inherits `p` and grows `q` by one (or to one, the first
-///   time a wrap-onto-deferred-row appears).
+/// * a predict `d[w] += c · (s[w] + s[w+1])` reads `s` one pair further
+///   down: `d = (max(d.head, s.head), max(d.tail, s.tail + 1))`;
+/// * an update `s[w] += c · (d[w-1] + d[w])` reads `d` one pair further
+///   up: `s = (max(s.head, d.head + 1), max(s.tail, d.tail))`.
 ///
-/// Deferred positions run in the epilogue, in schedule order — by then
-/// every upstream value is final and, because later stages defer
-/// supersets, nothing downstream has overwritten an input.
+/// The halo is the widest final margin — 1 pair for CDF 5/3, 2 for
+/// 9/7, either direction. A stripe that fetches `halo` pairs beyond
+/// each of its edges holds every stage's value on all of its own pairs:
+/// the constant-width guard zone of the paper's stripe decomposition,
+/// recomputed by each side instead of exchanged. The periodic wrap is
+/// just another stripe edge.
 struct Pipeline {
-    /// Per-stage `(p, q)`; entries past the schedule stay `(0, 0)`.
-    table: [(usize, usize); MAX_STAGES],
-    /// The last stage's — the largest — `p` and `q`.
-    maxp: usize,
-    maxq: usize,
-    /// Levels with fewer row pairs than this run plain per-stage passes
-    /// over a whole-level staging buffer.
-    plain_below: usize,
-    /// Head pairs that persist for the epilogue (also the wrap target of
-    /// in-sweep `j = h-1` predicts).
-    stash: usize,
-    /// Sliding window of in-flight pairs, sized past the deepest stage's
-    /// reach plus the deferred tail.
+    /// Per stage, the `(head, tail)` margins of the window positions it
+    /// runs at; entries past the schedule stay `(0, 0)`.
+    reach: [(usize, usize); MAX_STAGES],
+    /// Pairs fetched beyond each stripe edge.
+    halo: usize,
+    /// Pairs live at once: the fill's newest, the one each stage
+    /// reaches back to, and the drain's.
     ring: usize,
 }
 
 impl Pipeline {
     fn new(stages: &[Stage]) -> Self {
-        let mut table = [(0, 0); MAX_STAGES];
-        let (mut p, mut q) = (0usize, 0usize);
+        let mut reach = [(0, 0); MAX_STAGES];
+        let (mut s, mut d) = ((0usize, 0usize), (0usize, 0usize));
         for (k, st) in stages.iter().enumerate() {
-            match st.op {
-                Op::Update => {
-                    if k == 0 {
-                        p = 1;
-                    } else {
-                        p += 1;
-                    }
-                }
+            reach[k] = match st.op {
                 Op::Predict => {
-                    if k > 0 {
-                        if q > 0 {
-                            q += 1;
-                        } else if p > 0 {
-                            q = 1;
-                        }
-                    }
+                    d = (d.0.max(s.0), d.1.max(s.1 + 1));
+                    d
                 }
-            }
-            table[k] = (p, q);
+                Op::Update => {
+                    s = (s.0.max(d.0 + 1), s.1.max(d.1));
+                    s
+                }
+            };
         }
         Pipeline {
-            table,
-            maxp: p,
-            maxq: q,
-            plain_below: 2 * (stages.len() + p + q) + 4,
-            stash: p + 1,
-            ring: stages.len() + q + 4,
-        }
-    }
-
-    /// Staging rows a level of `rows` rows touches.
-    fn staging_rows(&self, rows: usize) -> usize {
-        if rows / 2 < self.plain_below {
-            rows
-        } else {
-            2 * (self.stash + self.ring)
+            reach,
+            halo: s.0.max(s.1).max(d.0).max(d.1),
+            ring: stages.len() + 2,
         }
     }
 }
@@ -394,139 +365,74 @@ fn row3<'a>(
     (drow, fetch(a), fetch(b))
 }
 
-/// Apply column stage `st` at row-pair index `j`: one [`lift_step`]
-/// across the full row. `map` translates a logical row-pair index into
-/// a staging-buffer slot (identity for the full buffer, a ring map for
-/// the cache-blocked pipeline); pair `p` lives in rows
-/// `2·map(p)`/`2·map(p)+1`.
-fn col_stage(
-    buf: &mut [f64],
-    cols: usize,
-    h: usize,
-    st: Stage,
-    j: usize,
-    map: impl Fn(usize) -> usize,
-) {
-    match st.op {
-        Op::Predict => {
-            // d[j] += c · (s[j] + s[j+1]).
-            let above = 2 * map(j);
-            let below = 2 * map(if j + 1 == h { 0 } else { j + 1 });
-            let (drow, s0, s1) = row3(buf, cols, 2 * map(j) + 1, above, below);
-            lift_step(drow, s0, s1, st.c);
-        }
-        Op::Update => {
-            // s[j] += c · (d[j-1] + d[j]).
-            let above = 2 * map(if j == 0 { h - 1 } else { j - 1 }) + 1;
-            let below = 2 * map(j) + 1;
-            let (srow, d0, d1) = row3(buf, cols, 2 * map(j), above, below);
-            lift_step(srow, d0, d1, st.c);
-        }
-    }
+/// Apply column stage `st` at window position `w`: one [`lift_step`]
+/// across the full row. Pair `w` lives in staging rows `2·slot(w)` (`s`)
+/// and `2·slot(w) + 1` (`d`); its periodic neighbours are the window
+/// positions `w ± 1`, so nothing here wraps.
+fn col_stage(buf: &mut [f64], cols: usize, st: Stage, w: usize, slot: impl Fn(usize) -> usize) {
+    let (dst, a, b) = match st.op {
+        // d[w] += c · (s[w] + s[w+1]).
+        Op::Predict => (2 * slot(w) + 1, 2 * slot(w), 2 * slot(w + 1)),
+        // s[w] += c · (d[w-1] + d[w]).
+        Op::Update => (2 * slot(w), 2 * slot(w - 1) + 1, 2 * slot(w) + 1),
+    };
+    let (drow, a, b) = row3(buf, cols, dst, a, b);
+    lift_step(drow, a, b, st.c);
 }
 
-/// One level of either direction: `fill(buf, t, bt)` stages logical row
-/// `t` into staging row `bt`, the column schedule `st` runs over the
-/// staged rows, and `drain(buf, p, bp)` consumes finished row pair `p`
-/// from staging slot `bp` (rows `2·bp`, `2·bp + 1`). Analysis fills by
-/// row-lifting the image and drains by scattering to the sub-bands;
-/// synthesis fills by gathering the sub-bands and drains by
-/// row-unlifting into the image. Both closures are monomorphised.
+/// Row pairs `pairs` of one level (`h` pairs, `cols` wide), either
+/// direction: `fill(buf, t, bt)` stages logical row `t` into staging
+/// row `bt`, the column schedule `st` runs over the staged rows, and
+/// `drain(buf, q, bq)` consumes the stripe's `q`-th pair from staging
+/// slot `bq` (rows `2·bq`, `2·bq + 1`). Analysis fills by row-lifting
+/// the image and drains by scattering to the sub-bands; synthesis fills
+/// by gathering the sub-bands and drains by row-unlifting into the
+/// image. Both closures are monomorphised.
 ///
-/// Short levels run plain per-stage passes over a whole-level staging
-/// buffer. Otherwise the level is one fused pipeline: the fill feeds the
-/// column stages, each trailing the previous by one row pair, and a
-/// pair drains as soon as it leaves the last stage; the positions the
-/// [`Pipeline`] table postpones run in an epilogue.
-///
-/// `margin` widens the drain's own deferral past the stages' `(maxp,
-/// maxq)`: a drain that *mutates* its staging rows (synthesis unlifts
-/// them in place) must also wait for the epilogue stages, which still
-/// read the neighbours of their deferred positions — pairs `maxp` and
-/// `h - maxq - 1` — so it passes `1`; a read-only drain passes `0`.
+/// The window is the stripe plus [`Pipeline`]'s halo at each end,
+/// fetched modulo `h`. A whole level is the stripe `0..h`: it recomputes
+/// its own wrap exactly as two stripes recompute their shared edge, so
+/// one lane and many run this same loop. It is one top-down pass — the
+/// fill stages pair `i`, stage `k` trails it by `k + 1` pairs, and the
+/// drain trails the last stage by one more, so nothing reads a pair
+/// after it drains (the synthesis drain unlifts its rows in place).
+/// Only [`Pipeline`]'s `ring` pairs are ever live, so the staging rows
+/// stay cache-resident while source and outputs stream through memory
+/// once.
 fn sweep(
-    rows: usize,
+    h: usize,
     cols: usize,
+    pairs: Range<usize>,
     st: &[Stage],
     buf: &mut [f64],
-    margin: usize,
     mut fill: impl FnMut(&mut [f64], usize, usize),
     mut drain: impl FnMut(&mut [f64], usize, usize),
 ) {
-    debug_assert!(rows >= 2 && rows.is_multiple_of(2) && cols >= 2 && cols.is_multiple_of(2));
-    let h = rows / 2;
+    debug_assert!(pairs.end <= h && cols >= 2 && cols.is_multiple_of(2));
     let pipe = Pipeline::new(st);
-    let staged = pipe.staging_rows(rows) * cols;
-    debug_assert!(staged <= staging_len(rows, cols));
-    let buf = &mut buf[..staged];
-
-    if h < pipe.plain_below {
-        // Short image: plain per-stage passes (identical arithmetic).
-        for t in 0..rows {
-            fill(buf, t, t);
+    let (halo, ring, nst) = (pipe.halo, pipe.ring, st.len());
+    let buf = &mut buf[..2 * ring * cols];
+    let slot = |w: usize| w % ring;
+    // Window position `w` holds pair `pairs.start - halo + w` (mod h).
+    let first = pairs.start + h - halo % h;
+    let width = pairs.len() + 2 * halo;
+    for i in 0..width - halo + nst + 1 {
+        if i < width {
+            let p = (first + i) % h;
+            fill(buf, 2 * p, 2 * slot(i));
+            fill(buf, 2 * p + 1, 2 * slot(i) + 1);
         }
-        for stage in st {
-            for j in 0..h {
-                col_stage(buf, cols, h, *stage, j, |p| p);
+        for (k, (stage, &(head, tail))) in st.iter().zip(&pipe.reach).enumerate() {
+            match i.checked_sub(k + 1) {
+                Some(w) if w >= head && w + tail < width => col_stage(buf, cols, *stage, w, slot),
+                _ => {}
             }
         }
-        for p in 0..h {
-            drain(buf, p, p);
-        }
-        return;
-    }
-
-    // Cache-blocked staging: the pipeline only ever touches the head
-    // pairs the epilogue will revisit (the stash) plus a sliding window
-    // of in-flight pairs (the ring), so the staging rows stay
-    // cache-resident instead of streaming a second `rows x cols` image
-    // through memory.
-    let (stash, ring) = (pipe.stash, pipe.ring);
-    let map = |p: usize| {
-        if p < stash {
-            p
-        } else {
-            stash + (p - stash) % ring
-        }
-    };
-
-    let nst = st.len();
-    let (head, tail) = (pipe.maxp + margin, pipe.maxq + margin);
-    let mut next_row = 0usize;
-    for i in 0..h + nst - 1 {
-        if i < h {
-            // Stage 0 at pair i reaches rows 2i+1 (update) or 2i+2
-            // (predict); its row-0 wrap is always available.
-            let need = (2 * i + 2).min(rows - 1);
-            while next_row <= need {
-                fill(buf, next_row, 2 * map(next_row / 2) + next_row % 2);
-                next_row += 1;
+        if let Some(w) = i.checked_sub(nst + 1) {
+            if w >= halo && w + halo < width {
+                drain(buf, w - halo, slot(w));
             }
         }
-        for (k, (stage, &(p, q))) in st.iter().zip(&pipe.table).enumerate() {
-            if i < k {
-                break;
-            }
-            let j = i - k;
-            if j >= p && j + q < h {
-                col_stage(buf, cols, h, *stage, j, map);
-            }
-        }
-        if i + 1 >= nst {
-            let p = i + 1 - nst;
-            if p >= head && p + tail < h {
-                drain(buf, p, map(p));
-            }
-        }
-    }
-    // Epilogue: deferred wrap positions, in schedule order.
-    for (stage, &(p, q)) in st.iter().zip(&pipe.table) {
-        for j in (0..p).chain(h - q..h) {
-            col_stage(buf, cols, h, *stage, j, map);
-        }
-    }
-    for p in (0..head).chain(h - tail..h) {
-        drain(buf, p, map(p));
     }
 }
 
@@ -588,32 +494,31 @@ fn scatter_pair(
     }
 }
 
-/// One level of fused lifting analysis: `src` (`rows x cols`) into the
-/// four sub-band slices, staged through `buf` ([`staging_len`]
-/// elements). Allocation-free; bit-identical to the oracle.
-#[allow(clippy::too_many_arguments)]
+/// Row pairs `pairs` of one level of fused lifting analysis: `src`
+/// (`rows x cols`) into the stripe's rows of the four sub-bands
+/// (`[ll, lh, hl, hh]`, `pairs.len()` rows each), staged through `buf`
+/// ([`staging_len`] elements). Allocation-free; bit-identical to the
+/// oracle.
 pub(crate) fn forward_level(
     src: &[f64],
     rows: usize,
     cols: usize,
     kind: LiftingKind,
-    ll: &mut [f64],
-    lh: &mut [f64],
-    hl: &mut [f64],
-    hh: &mut [f64],
+    pairs: Range<usize>,
+    [ll, lh, hl, hh]: [&mut [f64]; 4],
     buf: &mut [f64],
 ) {
     debug_assert!(src.len() >= rows * cols);
     let st = stages(kind, false);
     let z = zeta(kind);
     sweep(
-        rows,
+        rows / 2,
         cols,
+        pairs,
         st,
         buf,
-        0,
         |buf, r, brow| row_lift(src, cols, r, brow, st, z, buf),
-        |buf, p, bp| scatter_pair(buf, cols, bp, p, z, ll, lh, hl, hh),
+        |buf, q, bq| scatter_pair(buf, cols, bq, q, z, ll, lh, hl, hh),
     );
 }
 
@@ -670,34 +575,37 @@ fn finalize_row(
     }
 }
 
-/// One level of fused lifting synthesis: the four sub-bands
-/// (`rows/2 x cols/2` each) into `dst` (`rows x cols`) — the same
-/// [`sweep`] as [`forward_level`] with the inverse schedule: gathered
-/// sub-band rows stream through the inverse column stages, and each
-/// finished row is inverse-row-lifted straight into `dst`.
+/// Row pairs `pairs` of one level of fused lifting synthesis: the four
+/// sub-bands (`rows/2 x cols/2` each) into the stripe's rows of the
+/// image (`dst`, `2 · pairs.len()` rows of `cols`) — the same [`sweep`]
+/// as [`forward_level`] with the inverse schedule: gathered sub-band
+/// rows stream through the inverse column stages, and each finished row
+/// is inverse-row-lifted straight into `dst`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn inverse_level(
     ll: &[f64],
     bands: &Subbands,
     rows: usize,
     cols: usize,
     kind: LiftingKind,
+    pairs: Range<usize>,
     dst: &mut [f64],
     buf: &mut [f64],
 ) {
-    debug_assert!(dst.len() >= rows * cols);
+    debug_assert!(dst.len() >= 2 * pairs.len() * cols);
     let st = stages(kind, true);
     let z = zeta(kind);
     let src = (ll, bands.lh.data(), bands.hl.data(), bands.hh.data());
     sweep(
-        rows,
+        rows / 2,
         cols,
+        pairs,
         st,
         buf,
-        1,
         |buf, t, bt| gather_row(src, cols, t, bt, z, buf),
-        |buf, p, bp| {
-            finalize_row(buf, cols, 2 * p, 2 * bp, st, z, dst);
-            finalize_row(buf, cols, 2 * p + 1, 2 * bp + 1, st, z, dst);
+        |buf, q, bq| {
+            finalize_row(buf, cols, 2 * q, 2 * bq, st, z, dst);
+            finalize_row(buf, cols, 2 * q + 1, 2 * bq + 1, st, z, dst);
         },
     );
 }
@@ -956,76 +864,101 @@ mod tests {
         }
     }
 
+    /// One level of analysis run as consecutive stripes ending at
+    /// `ends`, each through its own staging buffer, the way separate
+    /// lanes run it: `[ll, lh, hl, hh]`.
+    fn forward_stripes(img: &Matrix, kind: LiftingKind, ends: &[usize]) -> [Vec<f64>; 4] {
+        let (rows, cols) = (img.rows(), img.cols());
+        let mut bands: [Vec<f64>; 4] = std::array::from_fn(|_| vec![0.0; rows * cols / 4]);
+        let mut start = 0;
+        for &end in ends {
+            let at = start * cols / 2..end * cols / 2;
+            let outs = bands.each_mut().map(|b| &mut b[at.clone()]);
+            let mut buf = vec![0.0; staging_len(kind, cols)];
+            forward_level(img.data(), rows, cols, kind, start..end, outs, &mut buf);
+            start = end;
+        }
+        bands
+    }
+
+    /// [`forward_stripes`] for one level of synthesis: the image.
+    fn inverse_stripes(
+        ll: &Matrix,
+        bands: &Subbands,
+        kind: LiftingKind,
+        ends: &[usize],
+    ) -> Vec<f64> {
+        let (rows, cols) = (2 * ll.rows(), 2 * ll.cols());
+        let mut dst = vec![0.0; rows * cols];
+        let mut start = 0;
+        for &end in ends {
+            let mut buf = vec![0.0; staging_len(kind, cols)];
+            let out = &mut dst[2 * start * cols..2 * end * cols];
+            inverse_level(
+                ll.data(),
+                bands,
+                rows,
+                cols,
+                kind,
+                start..end,
+                out,
+                &mut buf,
+            );
+            start = end;
+        }
+        dst
+    }
+
+    /// Every way to cut a level of `h` pairs into one, two or three
+    /// stripes: edges on the wrap, next to it and away from it.
+    fn cuts(h: usize) -> Vec<Vec<usize>> {
+        let mut all = vec![vec![h]];
+        for a in 1..h {
+            all.push(vec![a, h]);
+            all.extend((a + 1..h).map(|b| vec![a, b, h]));
+        }
+        all
+    }
+
     #[test]
-    fn fused_level_matches_oracle_across_heights() {
-        // Covers the short-image path, the fused pipeline, and the
-        // switchover, for both schedules.
+    fn stripes_match_the_oracle_bitwise_wherever_their_edges_fall() {
+        // Heights from one pair (every halo pair a copy of it) up to 48
+        // pairs, both schedules, both directions.
         for kind in KINDS {
-            for rows in [2usize, 4, 8, 16, 24, 32, 48, 64, 96] {
+            for rows in [2usize, 4, 6, 8, 10, 16, 24, 34, 48, 96] {
                 let cols = 12;
                 let img = image(rows, cols, 31);
-                let (oll, obands) = oracle::analyze_step_oracle(&img, kind).unwrap();
-                let (h, c2) = (rows / 2, cols / 2);
-                let mut ll = vec![0.0; h * c2];
-                let mut lh = vec![0.0; h * c2];
-                let mut hl = vec![0.0; h * c2];
-                let mut hh = vec![0.0; h * c2];
-                let mut buf = vec![0.0; rows * cols];
-                forward_level(
-                    img.data(),
-                    rows,
-                    cols,
-                    kind,
-                    &mut ll,
-                    &mut lh,
-                    &mut hl,
-                    &mut hh,
-                    &mut buf,
-                );
-                assert_eq!(ll, oll.data(), "{kind:?} rows={rows} LL");
-                assert_eq!(lh, obands.lh.data(), "{kind:?} rows={rows} LH");
-                assert_eq!(hl, obands.hl.data(), "{kind:?} rows={rows} HL");
-                assert_eq!(hh, obands.hh.data(), "{kind:?} rows={rows} HH");
-            }
-        }
-    }
-
-    #[test]
-    fn fused_inverse_matches_oracle_across_heights() {
-        for kind in KINDS {
-            for rows in [2usize, 4, 8, 16, 32, 48, 96] {
-                let cols = 8;
-                let img = image(rows, cols, 5);
                 let (ll, bands) = oracle::analyze_step_oracle(&img, kind).unwrap();
-                let want = oracle::synthesize_step_oracle(&ll, &bands, kind).unwrap();
-                let mut dst = vec![0.0; rows * cols];
-                let mut buf = vec![0.0; rows * cols];
-                inverse_level(ll.data(), &bands, rows, cols, kind, &mut dst, &mut buf);
-                assert_eq!(dst, want.data(), "{kind:?} rows={rows}");
-            }
-        }
-    }
-
-    #[test]
-    fn staging_row_cap_covers_every_schedule_on_both_paths() {
-        // Heights up to 4x the cap reach the plain path, the switchover
-        // and the (height-independent) blocked window of each schedule.
-        let mut worst = 0;
-        for kind in KINDS {
-            for inverse in [false, true] {
-                let pipe = Pipeline::new(stages(kind, inverse));
-                for rows in (2..=4 * STAGING_ROW_CAP).step_by(2) {
-                    let need = pipe.staging_rows(rows);
-                    assert!(
-                        need * 6 <= staging_len(rows, 6),
-                        "{kind:?} inverse={inverse} rows={rows}: {need} staging rows"
+                let want = [ll.data(), bands.lh.data(), bands.hl.data(), bands.hh.data()];
+                let back = oracle::synthesize_step_oracle(&ll, &bands, kind).unwrap();
+                for ends in cuts(rows / 2) {
+                    let got = forward_stripes(&img, kind, &ends);
+                    for ((name, g), w) in ["LL", "LH", "HL", "HH"].into_iter().zip(&got).zip(want) {
+                        assert_eq!(g, w, "{kind:?} rows={rows} stripes={ends:?} {name}");
+                    }
+                    let got = inverse_stripes(&ll, &bands, kind, &ends);
+                    assert_eq!(
+                        got,
+                        back.data(),
+                        "{kind:?} rows={rows} stripes={ends:?} inverse"
                     );
-                    worst = worst.max(need);
                 }
             }
         }
-        // The figure the cap's doc quotes: the 9/7 inverse, plain path.
-        assert_eq!(worst, 38);
+    }
+
+    #[test]
+    fn halo_and_ring_per_schedule() {
+        // The figures the docs quote: a one-pair halo for 5/3 and two
+        // for 9/7, both directions; `stages + 2` pairs live at once.
+        for (kind, halo) in [(LiftingKind::LeGall53, 1), (LiftingKind::Cdf97, 2)] {
+            for inverse in [false, true] {
+                let st = stages(kind, inverse);
+                let pipe = Pipeline::new(st);
+                assert_eq!(pipe.halo, halo, "{kind:?} inverse={inverse}");
+                assert_eq!(pipe.ring, st.len() + 2, "{kind:?} inverse={inverse}");
+            }
+        }
     }
 
     #[test]

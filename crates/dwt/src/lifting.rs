@@ -101,16 +101,14 @@ pub fn analyze_step(img: &Matrix, kind: LiftingKind) -> Result<(Matrix, Subbands
     let mut lh = Matrix::zeros(r2, c2);
     let mut hl = Matrix::zeros(r2, c2);
     let mut hh = Matrix::zeros(r2, c2);
-    let mut buf = vec![0.0; engine::lifting::staging_len(rows, cols)];
+    let mut buf = vec![0.0; engine::lifting::staging_len(kind, cols)];
     engine::lifting::forward_level(
         img.data(),
         rows,
         cols,
         kind,
-        ll.data_mut(),
-        lh.data_mut(),
-        hl.data_mut(),
-        hh.data_mut(),
+        0..r2,
+        [ll.data_mut(), lh.data_mut(), hl.data_mut(), hh.data_mut()],
         &mut buf,
     );
     Ok((ll, Subbands { lh, hl, hh }))
@@ -130,8 +128,9 @@ pub fn synthesize_step(ll: &Matrix, bands: &Subbands, kind: LiftingKind) -> Resu
     }
     let (rows, cols) = (2 * r, 2 * c);
     let mut out = Matrix::zeros(rows, cols);
-    let mut buf = vec![0.0; engine::lifting::staging_len(rows, cols)];
-    engine::lifting::inverse_level(ll.data(), bands, rows, cols, kind, out.data_mut(), &mut buf);
+    let mut buf = vec![0.0; engine::lifting::staging_len(kind, cols)];
+    let dst = out.data_mut();
+    engine::lifting::inverse_level(ll.data(), bands, rows, cols, kind, 0..r, dst, &mut buf);
     Ok(out)
 }
 

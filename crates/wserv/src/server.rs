@@ -79,10 +79,11 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Batching policy shared by all shards.
     pub batch: BatchPolicy,
-    /// Engine worker lanes per cached plan. Only convolution-bank
-    /// *decompositions* stripe across them
-    /// ([`dwt::engine::DwtPlan::with_threads`]); lifting-bank plans
-    /// (CDF 5/3, 9/7) allocate no lanes and run on the shard's thread.
+    /// Engine worker lanes per cached plan: every level of every plan,
+    /// both directions, stripes across them
+    /// ([`dwt::engine::DwtPlan::with_threads`]), except levels too short
+    /// to give each lane a worthwhile stripe, which run on the shard's
+    /// thread. The default, 1, spawns nothing.
     pub engine_threads: usize,
     /// Deterministic fault-injection schedule (empty = no faults).
     pub faults: ShardFaultPlan,

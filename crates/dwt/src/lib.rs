@@ -31,10 +31,9 @@
 //!   Where the paper ships guard rows over the mesh once per level, the
 //!   engine keeps them resident in L1 and recomputes nothing: every input
 //!   row is row-filtered exactly once per band.
-//! * [`parallel`] — a shared-memory parallel implementation using rayon
-//!   with the same striped decomposition and guard-zone structure as the
-//!   paper's coarse-grain Paragon algorithm; its multi-level entry point
-//!   routes through the threaded [`engine`].
+//! * [`parallel`] — `decompose_par` / `reconstruct_par`: the [`engine`]
+//!   with one lane per core, each lane a row stripe with guard zones as
+//!   in the paper's coarse-grain Paragon algorithm.
 //!
 //! # Quickstart
 //!

@@ -1,250 +1,53 @@
-//! Shared-memory parallel Mallat decomposition using rayon.
+//! Shared-memory parallel Mallat decomposition and reconstruction.
 //!
-//! The work decomposition mirrors the paper's coarse-grain Paragon
-//! algorithm: the image is processed in **row stripes**. The row-filter
-//! pass is embarrassingly parallel over rows. The column-filter pass is
-//! parallelized over *output* rows — output row `k` reads input rows
-//! `2k .. 2k+filter_len`, the shared-memory analogue of the paper's guard
-//! zone brought from the south neighbour.
-//!
-//! Synthesis is parallelized for [`Boundary::Periodic`] (the paper's
-//! configuration); other modes fall back to the sequential kernels.
-
-use rayon::prelude::*;
+//! Both entry points are [`DwtPlan`]s with one lane per core of the
+//! host. The plan splits each level tall enough to pay for it into
+//! contiguous row stripes, one per lane, each reading its neighbours'
+//! boundary rows — the shared-memory form of the paper's coarse-grain
+//! Paragon algorithm, one stripe per node with guard zones exchanged
+//! between them (DESIGN.md "Threading"). Output is bit-identical for
+//! every lane count.
 
 use crate::boundary::Boundary;
-use crate::conv;
-use crate::dwt2d;
-use crate::engine;
+use crate::engine::DwtPlan;
 use crate::error::Result;
 use crate::filters::FilterBank;
 use crate::matrix::Matrix;
-use crate::pyramid::{Pyramid, Subbands};
+use crate::pyramid::Pyramid;
 
-/// Parallel row pass: filter every row with `taps` and decimate columns.
-pub fn filter_rows_par(img: &Matrix, taps: &[f64], mode: Boundary) -> Matrix {
-    let half = img.cols() / 2;
-    let mut out = Matrix::zeros(img.rows(), half);
-    out.data_mut()
-        .par_chunks_exact_mut(half)
-        .enumerate()
-        .for_each(|(r, dst)| {
-            conv::analyze_into(img.row(r), taps, mode, dst).expect("output sized to cols/2");
-        });
-    out
+/// Lanes for a parallel plan: the host's available parallelism.
+fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Parallel column pass: filter every column with `taps` and decimate
-/// rows. Output row `k` is the accumulation `Σ_m taps[m] · in[2k+m]`,
-/// computed row-wise for cache-friendliness.
-///
-/// Interior output rows (windows that stay inside the image) read their
-/// source rows directly; boundary mapping is resolved once per tail row
-/// up front, outside the tap loop, so the accumulation loops stay
-/// branch-free.
-pub fn filter_cols_par(img: &Matrix, taps: &[f64], mode: Boundary) -> Matrix {
-    let in_rows = img.rows();
-    let cols = img.cols();
-    let out_rows = in_rows / 2;
-    let flen = taps.len();
-    let mut out = Matrix::zeros(out_rows, cols);
-    let interior = conv::interior_outputs(in_rows, flen, out_rows);
-    // Resolve the boundary policy for every (tail row, tap) pair before
-    // entering the hot loops.
-    let tail_map: Vec<Option<usize>> = (interior..out_rows)
-        .flat_map(|k| (0..flen).map(move |m| ((2 * k + m) as isize, in_rows)))
-        .map(|(i, n)| mode.map(i, n))
-        .collect();
-    out.data_mut()
-        .par_chunks_exact_mut(cols)
-        .enumerate()
-        .for_each(|(k, dst)| {
-            if k < interior {
-                let base = 2 * k;
-                for (m, &t) in taps.iter().enumerate() {
-                    engine::kernel::axpy(dst, img.row(base + m), t);
-                }
-            } else {
-                let maps = &tail_map[(k - interior) * flen..][..flen];
-                for (&src_row, &t) in maps.iter().zip(taps) {
-                    let Some(src_row) = src_row else { continue };
-                    engine::kernel::axpy(dst, img.row(src_row), t);
-                }
-            }
-        });
-    out
-}
-
-/// One parallel 2-D analysis step producing `(LL, Subbands)`.
-pub fn analyze_step_par(
-    img: &Matrix,
-    bank: &FilterBank,
-    mode: Boundary,
-) -> Result<(Matrix, Subbands)> {
-    dwt2d::validate_dims(img.rows(), img.cols(), bank.len(), 1)?;
-    let (low, high) = rayon::join(
-        || filter_rows_par(img, bank.low(), mode),
-        || filter_rows_par(img, bank.high(), mode),
-    );
-    let ((ll, lh), (hl, hh)) = rayon::join(
-        || {
-            rayon::join(
-                || filter_cols_par(&low, bank.low(), mode),
-                || filter_cols_par(&low, bank.high(), mode),
-            )
-        },
-        || {
-            rayon::join(
-                || filter_cols_par(&high, bank.low(), mode),
-                || filter_cols_par(&high, bank.high(), mode),
-            )
-        },
-    );
-    Ok((ll, Subbands { lh, hl, hh }))
-}
-
-/// Parallel multi-level decomposition. Produces bit-identical results to
-/// [`dwt2d::decompose`] — the arithmetic per coefficient is the same
-/// sequence of operations, only distributed over threads.
-///
-/// Routes through the fused [`engine`] with one worker lane per rayon
-/// thread; each lane owns a contiguous stripe of output rows, the
-/// shared-memory analogue of the paper's node-per-stripe distribution.
+/// Parallel multi-level decomposition: [`crate::dwt2d::decompose`] on a
+/// plan with one lane per core, and bit-identical to it.
 pub fn decompose_par(
     img: &Matrix,
     bank: &FilterBank,
     levels: usize,
     mode: Boundary,
 ) -> Result<Pyramid> {
-    let plan = engine::DwtPlan::new(img.rows(), img.cols(), bank.clone(), levels, mode)?
-        .with_threads(rayon::current_num_threads());
-    plan.decompose(img)
+    DwtPlan::new(img.rows(), img.cols(), bank.clone(), levels, mode)?
+        .with_threads(host_threads())
+        .decompose(img)
 }
 
-/// Legacy stripe-parallel decomposition over the materializing separable
-/// passes. Kept as an independent parallel oracle for the engine tests;
-/// use [`decompose_par`] in production code.
-#[doc(hidden)]
-pub fn decompose_par_separable(
-    img: &Matrix,
-    bank: &FilterBank,
-    levels: usize,
-    mode: Boundary,
-) -> Result<Pyramid> {
-    dwt2d::validate_dims(img.rows(), img.cols(), bank.len(), levels)?;
-    let mut approx = img.clone();
-    let mut detail = Vec::with_capacity(levels);
-    for _ in 0..levels {
-        let (ll, bands) = analyze_step_par(&approx, bank, mode)?;
-        detail.push(bands);
-        approx = ll;
-    }
-    Ok(Pyramid { approx, detail })
-}
-
-/// Parallel synthesis row pass for periodic boundaries, in gather form:
-/// output sample `n` receives `coef[(n-m)/2 mod half] · taps[m]` for every
-/// tap `m` with `n - m` even.
-fn synth_rows_gather(a: &Matrix, d: &Matrix, bank: &FilterBank, out: &mut Matrix) {
-    let half = a.cols();
-    let out_cols = out.cols();
-    debug_assert_eq!(out_cols, 2 * half);
-    let (low, high) = (bank.low(), bank.high());
-    let a_data = a.data();
-    let d_data = d.data();
-    out.data_mut()
-        .par_chunks_exact_mut(out_cols)
-        .enumerate()
-        .for_each(|(r, dst)| {
-            let arow = &a_data[r * half..(r + 1) * half];
-            let drow = &d_data[r * half..(r + 1) * half];
-            for (n, slot) in dst.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for (m, (&l, &h)) in low.iter().zip(high).enumerate() {
-                    let t = n as isize - m as isize;
-                    if t % 2 != 0 {
-                        continue;
-                    }
-                    let k = (t / 2).rem_euclid(half as isize) as usize;
-                    acc += arow[k] * l + drow[k] * h;
-                }
-                *slot = acc;
-            }
-        });
-}
-
-/// Parallel synthesis column pass (periodic), gather form over output rows.
-fn synth_cols_gather(a: &Matrix, d: &Matrix, bank: &FilterBank, out: &mut Matrix) {
-    let half = a.rows();
-    let cols = a.cols();
-    debug_assert_eq!(out.rows(), 2 * half);
-    debug_assert_eq!(out.cols(), cols);
-    let (low, high) = (bank.low(), bank.high());
-    let a_data = a.data();
-    let d_data = d.data();
-    out.data_mut()
-        .par_chunks_exact_mut(cols)
-        .enumerate()
-        .for_each(|(n, dst)| {
-            dst.iter_mut().for_each(|v| *v = 0.0);
-            for (m, (&l, &h)) in low.iter().zip(high).enumerate() {
-                let t = n as isize - m as isize;
-                if t % 2 != 0 {
-                    continue;
-                }
-                let k = (t / 2).rem_euclid(half as isize) as usize;
-                let arow = &a_data[k * cols..(k + 1) * cols];
-                let drow = &d_data[k * cols..(k + 1) * cols];
-                for ((slot, &av), &dv) in dst.iter_mut().zip(arow).zip(drow) {
-                    *slot += av * l + dv * h;
-                }
-            }
-        });
-}
-
-/// One parallel synthesis step (exact inverse of [`analyze_step_par`] for
-/// periodic boundaries; delegates to the sequential kernel otherwise).
-pub fn synthesize_step_par(
-    ll: &Matrix,
-    bands: &Subbands,
-    bank: &FilterBank,
-    mode: Boundary,
-) -> Result<Matrix> {
-    if mode != Boundary::Periodic {
-        return dwt2d::synthesize_step(ll, bands, bank, mode);
-    }
-    let (r, c) = (ll.rows(), ll.cols());
-    // Invert the column pass for the low and high row-intermediates.
-    let (low, high) = rayon::join(
-        || {
-            let mut m = Matrix::zeros(2 * r, c);
-            synth_cols_gather(ll, &bands.lh, bank, &mut m);
-            m
-        },
-        || {
-            let mut m = Matrix::zeros(2 * r, c);
-            synth_cols_gather(&bands.hl, &bands.hh, bank, &mut m);
-            m
-        },
-    );
-    // Invert the row pass.
-    let mut out = Matrix::zeros(2 * r, 2 * c);
-    synth_rows_gather(&low, &high, bank, &mut out);
-    Ok(out)
-}
-
-/// Parallel multi-level reconstruction.
+/// Parallel multi-level reconstruction: [`crate::dwt2d::reconstruct`]
+/// on a plan with one lane per core. Same contract — the inverse of
+/// [`decompose_par`] for every bank and boundary a plan accepts — and
+/// bit-identical output.
 pub fn reconstruct_par(pyr: &Pyramid, bank: &FilterBank, mode: Boundary) -> Result<Matrix> {
-    let mut approx = pyr.approx.clone();
-    for bands in pyr.detail.iter().rev() {
-        approx = synthesize_step_par(&approx, bands, bank, mode)?;
-    }
-    Ok(approx)
+    let (rows, cols) = pyr.image_dims();
+    DwtPlan::new(rows, cols, bank.clone(), pyr.levels(), mode)?
+        .with_threads(host_threads())
+        .reconstruct(pyr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{dwt2d, lifting};
 
     fn test_image(r: usize, c: usize) -> Matrix {
         Matrix::from_fn(r, c, |i, j| ((i * 37 + j * 11) % 19) as f64 - 9.0)
@@ -258,18 +61,7 @@ mod tests {
             for mode in Boundary::ALL {
                 let seq = dwt2d::decompose(&img, &bank, 2, mode).unwrap();
                 let par = decompose_par(&img, &bank, 2, mode).unwrap();
-                let legacy = decompose_par_separable(&img, &bank, 2, mode).unwrap();
-                assert_eq!(legacy, par, "D{taps} {mode:?} legacy-par differs");
-                assert_eq!(
-                    seq.approx.max_abs_diff(&par.approx),
-                    Some(0.0),
-                    "D{taps} {mode:?} LL differs"
-                );
-                for (s, p) in seq.detail.iter().zip(&par.detail) {
-                    assert_eq!(s.lh.max_abs_diff(&p.lh), Some(0.0));
-                    assert_eq!(s.hl.max_abs_diff(&p.hl), Some(0.0));
-                    assert_eq!(s.hh.max_abs_diff(&p.hh), Some(0.0));
-                }
+                assert_eq!(par, seq, "D{taps} {mode:?}");
             }
         }
     }
@@ -285,27 +77,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_synthesis_matches_sequential() {
-        let bank = FilterBank::daubechies(4).unwrap();
-        let img = test_image(32, 32);
-        let pyr = dwt2d::decompose(&img, &bank, 1, Boundary::Periodic).unwrap();
-        let seq =
-            dwt2d::synthesize_step(&pyr.approx, &pyr.detail[0], &bank, Boundary::Periodic).unwrap();
-        let par =
-            synthesize_step_par(&pyr.approx, &pyr.detail[0], &bank, Boundary::Periodic).unwrap();
-        let err = seq.max_abs_diff(&par).unwrap();
-        assert!(err < 1e-12, "synthesis mismatch {err}");
+    fn reconstruct_par_matches_separable_oracle() {
+        // 272 rows stripe two ways at the finest level on a multi-core
+        // host; coarser levels fall back to one lane.
+        let img = test_image(272, 64);
+        let banks = [
+            FilterBank::haar(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::daubechies(8).unwrap(),
+            FilterBank::coiflet(6).unwrap(),
+        ];
+        for bank in &banks {
+            for mode in Boundary::ALL {
+                let pyr = dwt2d::decompose_separable(&img, bank, 3, mode).unwrap();
+                let want = dwt2d::reconstruct_separable(&pyr, bank, mode).unwrap();
+                let got = reconstruct_par(&pyr, bank, mode).unwrap();
+                assert_eq!(got, want, "{} {mode:?}", bank.name());
+            }
+        }
     }
 
     #[test]
-    fn non_periodic_synthesis_falls_back() {
-        let bank = FilterBank::haar();
-        let img = test_image(16, 16);
-        let pyr = dwt2d::decompose(&img, &bank, 1, Boundary::Zero).unwrap();
-        // Just verify it runs and produces the right shape.
-        let rec = synthesize_step_par(&pyr.approx, &pyr.detail[0], &bank, Boundary::Zero).unwrap();
-        assert_eq!(rec.rows(), 16);
-        assert_eq!(rec.cols(), 16);
+    fn cdf_banks_reconstruct_through_lifting() {
+        let img = test_image(64, 64);
+        for bank in [FilterBank::cdf53(), FilterBank::cdf97()] {
+            let kind = bank.lifting_kind().unwrap();
+            let pyr = decompose_par(&img, &bank, 3, Boundary::Periodic).unwrap();
+            let want = lifting::reconstruct_oracle(&pyr, kind).unwrap();
+            let got = reconstruct_par(&pyr, &bank, Boundary::Periodic).unwrap();
+            assert_eq!(got, want, "{}", bank.name());
+        }
     }
 
     #[test]

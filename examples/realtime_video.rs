@@ -5,7 +5,7 @@
 //!
 //! This example measures sustained frames/second for every machine model
 //! on the paper's three configurations — plus the modern comparison:
-//! this host's rayon-parallel transform.
+//! this host's engine with one lane per core (`parallel::decompose_par`).
 //!
 //! ```text
 //! cargo run --release --example realtime_video
@@ -48,8 +48,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("{row}");
 
-    // This host, rayon (real wall time).
-    let mut row = format!("{:<28}", "this host, rayon (real)");
+    // This host, one engine lane per core (real wall time).
+    let mut row = format!("{:<28}", "this host, all cores (real)");
     for (f, l) in configs {
         let bank = FilterBank::daubechies(f)?;
         // Warm up, then time a few frames.

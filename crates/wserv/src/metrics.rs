@@ -217,8 +217,8 @@ impl ShardMetrics {
 pub struct TransportMetrics {
     /// Connections the server accepted and handshook.
     pub conns_accepted: u64,
-    /// Half-open or mid-frame connections force-closed at drain after
-    /// exhausting their grace window.
+    /// Connections cut off mid-frame by drain (a half-open peer) and
+    /// force-closed.
     pub conn_aborted: u64,
     /// Connections that ended in a reset (observed or injected).
     pub conn_reset: u64,

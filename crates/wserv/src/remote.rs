@@ -15,6 +15,11 @@
 //! without bound. The reader's wait for room and the writer's wait for
 //! another connection's resolution are plain condvar waits, woken by
 //! the events that end them; each says at the wait why it is finite.
+//! So are the transport waits: the accept blocks until a dial or
+//! [`Listener::close`], and the reader until a frame, the peer's FIN,
+//! the writer's abort or drain's [`Transport::close_read`]. The only
+//! timers are contracts: the client's response timeout and the
+//! server's [`HELLO_TIMEOUT`].
 //!
 //! ## Exactly-once
 //!
@@ -56,15 +61,17 @@
 //!
 //! ## Drain
 //!
-//! [`RemoteServer::shutdown`] closes the listener, lets every reader
-//! stop at a frame boundary, runs the service's own graceful drain
-//! (which resolves every accepted request), and lets writers flush
-//! those responses before FIN — lossless for everything accepted. The
-//! accept thread joins the connections it spawned and frees the
-//! resolution book before it exits. A
-//! half-open connection (partial frame, then silence) cannot block
-//! this: after `drain_grace` it is aborted and counted in
-//! [`TransportMetrics::conn_aborted`].
+//! [`RemoteServer::shutdown`] closes the listener and runs the
+//! service's own graceful drain (which resolves every accepted
+//! request). The accept thread, woken by the close, closes the read
+//! side of every live connection: a reader between frames ends
+//! cleanly and its writer flushes every owed response before FIN —
+//! lossless for everything accepted. A reader cut off mid-frame (a
+//! half-open peer: partial frame, then silence) is aborted and counted
+//! in [`TransportMetrics::conn_aborted`]; no grace could have served
+//! that frame, because the service is already closed to it. The
+//! accept thread sees its connections out and frees the resolution
+//! book before it exits.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -94,6 +101,10 @@ use crate::wire::{
 /// a handshake or rejection even against an absurd peer announcement.
 const MIN_NEGOTIATED_PAYLOAD: u32 = 64;
 
+/// How long the server waits for a new connection's `Hello` before it
+/// closes the connection.
+pub const HELLO_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// `min(ours, theirs)` with the floor both sides clamp to, so the two
 /// ends always agree on the window byte-for-byte.
 fn negotiate_payload(ours: u32, theirs: u32) -> u32 {
@@ -109,14 +120,10 @@ pub struct RemoteConfig {
     pub window: u32,
     /// Largest frame payload either side accepts.
     pub max_payload: u32,
-    /// Read by nothing any more: the two waits it paced are condvar
-    /// waits woken by their events, and receive/accept poll periods
-    /// belong to the transports. Kept because wbench still names the
-    /// field (ROADMAP item 2(b)).
+    /// Ignored: every wait in the remote layer and its transports is
+    /// woken by the event that ends it. Kept only so existing callers
+    /// compile.
     pub tick: Duration,
-    /// How long drain waits for a mid-frame connection to finish its
-    /// frame before aborting it.
-    pub drain_grace: Duration,
     /// Seeded wire faults, injected on the server's send path (the
     /// client injects its own directions from the same plan).
     pub wire_faults: WireFaultPlan,
@@ -132,7 +139,6 @@ impl Default for RemoteConfig {
             window: 8,
             max_payload: DEFAULT_MAX_PAYLOAD,
             tick: Duration::from_millis(1),
-            drain_grace: Duration::from_millis(50),
             wire_faults: WireFaultPlan::none(),
             progressive: None,
         }
@@ -366,11 +372,12 @@ enum Source {
 }
 
 struct ServerShared {
+    /// Taken by drain before it closes any connection's read side, so
+    /// a reader that fails and finds it gone was cut off by drain.
     service: Mutex<Option<WaveletService>>,
     dedup: Arc<Dedup>,
     clock: Arc<WireClock>,
     metrics: Mutex<TransportMetrics>,
-    drain: AtomicBool,
     config: RemoteConfig,
 }
 
@@ -378,6 +385,7 @@ struct ServerShared {
 /// docs for the connection anatomy and drain semantics.
 pub struct RemoteServer {
     shared: Arc<ServerShared>,
+    listener: Arc<dyn Listener>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -386,7 +394,7 @@ impl RemoteServer {
     pub fn start(
         service: ServiceConfig,
         config: RemoteConfig,
-        mut listener: Box<dyn Listener>,
+        listener: Box<dyn Listener>,
     ) -> Result<RemoteServer, String> {
         service.validate()?;
         config.validate()?;
@@ -395,21 +403,14 @@ impl RemoteServer {
             dedup: Dedup::new(config.window),
             clock: WireClock::new(),
             metrics: Mutex::new(TransportMetrics::default()),
-            drain: AtomicBool::new(false),
             config,
         });
-        let accept_shared = Arc::clone(&shared);
+        let listener: Arc<dyn Listener> = Arc::from(listener);
+        let (accept_shared, accept_listener) = (Arc::clone(&shared), Arc::clone(&listener));
         let accept = std::thread::spawn(move || {
-            let mut conns: Vec<JoinHandle<()>> = Vec::new();
-            while !accept_shared.drain.load(Ordering::SeqCst) {
-                if let Some(transport) = listener.poll_accept() {
-                    let conn_shared = Arc::clone(&accept_shared);
-                    conns.push(std::thread::spawn(move || {
-                        conn_main(conn_shared, transport);
-                    }));
-                }
-            }
-            listener.close();
+            // A second handle onto each live connection, for drain to
+            // close its read side; a connection removes its own on exit.
+            let live: Mutex<HashMap<u64, Box<dyn Transport>>> = Mutex::default();
             // The connections are this thread's to see out — they end
             // once the service has drained — and the book they shared
             // ends with them, here rather than wherever the server is
@@ -419,23 +420,37 @@ impl RemoteServer {
             // that lives on they pin the dead server's arenas (+29 %
             // peak RSS on wbench's rpc_small_hot, DESIGN.md
             // "Backpressure"). This thread is about to exit.
-            for conn in conns {
-                conn.join().expect("connection threads never panic");
-            }
+            std::thread::scope(|scope| {
+                let mut key = 0u64;
+                while let Some(transport) = accept_listener.accept() {
+                    if let Some(waker) = transport.try_clone() {
+                        live.lock().insert(key, waker);
+                    }
+                    let (shared, live) = (Arc::clone(&accept_shared), &live);
+                    scope.spawn(move || {
+                        conn_main(shared, transport);
+                        live.lock().remove(&key);
+                    });
+                    key += 1;
+                }
+                for conn in live.lock().values_mut() {
+                    conn.close_read();
+                }
+            });
             accept_shared.dedup.books.lock().clear();
         });
         Ok(RemoteServer {
             shared,
+            listener,
             accept: Some(accept),
         })
     }
 
     /// Graceful drain: stop accepting, finish every accepted request,
     /// flush responses, FIN all connections, then return the merged
-    /// books. Half-open connections are aborted after their grace and
-    /// counted in [`TransportMetrics::conn_aborted`].
+    /// books. A connection cut off mid-frame is aborted and counted in
+    /// [`TransportMetrics::conn_aborted`].
     pub fn shutdown(mut self) -> Result<RemoteMetrics, ServiceError> {
-        self.shared.drain.store(true, Ordering::SeqCst);
         // Drain the service *while* connection writers are still
         // running: its shutdown resolves every accepted request, which
         // is exactly what the writers are waiting to flush. A request
@@ -446,6 +461,7 @@ impl RemoteServer {
             .lock()
             .take()
             .expect("service present until shutdown");
+        self.listener.close();
         let snapshot = service.shutdown()?;
         self.accept
             .take()
@@ -475,41 +491,26 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     .with_max_payload(cfg.max_payload);
     // The writer's queue and thread, once the handshake got that far.
     let mut writer = None;
+    // Raised by the writer when it can no longer deliver; it aborts the
+    // connection as it does, which wakes this reader.
+    let dead = Arc::new(AtomicBool::new(false));
 
-    // Every way out of the connection leaves this block: `true` after a
-    // clean end of the request stream, `false` to close abortively.
-    let clean = 'conn: {
-        // Handshake: first frame must be a Hello within the grace window.
-        let started = Instant::now();
-        let hello = loop {
-            match rio.recv_frame() {
-                Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::Hello => match decode_hello(&f) {
-                    Ok(h) => break Some((f.id, h)),
-                    Err(e) => {
-                        local.count_error(&e.into());
-                        break None;
-                    }
-                },
-                Ok(RecvFrame::Frame(_)) => {
-                    local.handshake_mismatch += 1;
-                    break None;
-                }
-                Ok(RecvFrame::Eof) => break None,
-                Ok(RecvFrame::Idle) => {
-                    if started.elapsed() > cfg.drain_grace.max(Duration::from_millis(250))
-                        || shared.drain.load(Ordering::SeqCst)
-                    {
-                        break None;
-                    }
-                }
-                Err(e) => {
-                    local.count_error(&e);
-                    break None;
-                }
+    // Every way out of the connection leaves this block: `Ok(true)`
+    // after a clean end of the request stream, `Ok(false)` to close
+    // abortively, an error to close abortively and count it.
+    let end: Result<bool, TransportError> = 'conn: {
+        // Handshake: first frame must be a Hello within HELLO_TIMEOUT.
+        let (client, hello) = match rio.recv_frame_until(Instant::now() + HELLO_TIMEOUT) {
+            Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::Hello => match decode_hello(&f) {
+                Ok(h) => (f.id, h),
+                Err(e) => break 'conn Err(e.into()),
+            },
+            Ok(RecvFrame::Frame(_)) => {
+                local.handshake_mismatch += 1;
+                break 'conn Ok(false);
             }
-        };
-        let Some((client, hello)) = hello else {
-            break 'conn false;
+            Ok(RecvFrame::Eof | RecvFrame::Idle) => break 'conn Ok(false),
+            Err(e) => break 'conn Err(e),
         };
 
         let protocol_ok = hello.protocol == PROTOCOL_VERSION as u32;
@@ -530,7 +531,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         // Writer thread: opens with the ack, then FIFO over the queue;
         // owns the send half.
         let Some(write_io) = write_half else {
-            break 'conn false;
+            break 'conn Ok(false);
         };
         let wio = FrameIo::new(
             write_io,
@@ -541,8 +542,6 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         )
         .with_max_payload(eff_payload);
         let window = Window::new(cfg.window.min(hello.window.max(1)));
-        // Raised by the writer when it can no longer deliver.
-        let dead = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<(u64, Source)>();
         let handle = {
             let shared = Arc::clone(&shared);
@@ -555,18 +554,17 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         if !protocol_ok {
             // The ack (carrying our protocol) is the client's mismatch
             // evidence; nothing further is served on this connection.
-            break 'conn true;
+            break 'conn Ok(true);
         }
 
         // Main read loop.
-        let mut drain_seen: Option<Instant> = None;
         loop {
             match rio.recv_frame() {
                 Ok(RecvFrame::Frame(f)) => match f.kind {
                     FrameKind::Request => {
                         window.acquire(f.id);
                         if dead.load(Ordering::SeqCst) {
-                            break 'conn false;
+                            break 'conn Ok(false);
                         }
                         let from = match shared.dedup.claim(client, f.id) {
                             Some(Slot::Done(result)) => {
@@ -585,8 +583,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                                     Ok(req) => req,
                                     Err(e) => {
                                         shared.dedup.forget_claim(client, f.id);
-                                        local.count_error(&e.into());
-                                        break 'conn false;
+                                        break 'conn Err(e.into());
                                     }
                                 };
                                 let submitted = shared
@@ -609,41 +606,35 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                             }
                         };
                         if tx.send((f.id, from)).is_err() {
-                            break 'conn false;
+                            break 'conn Ok(false);
                         }
                     }
                     FrameKind::Cancel => window.cancel(f.id),
-                    FrameKind::Bye => break 'conn true,
+                    FrameKind::Bye => break 'conn Ok(true),
                     _ => {
-                        local.count_error(&TransportError::FrameCorrupt {
+                        break 'conn Err(TransportError::FrameCorrupt {
                             detail: format!("unexpected {:?} frame mid-stream", f.kind),
-                        });
-                        break 'conn false;
+                        })
                     }
                 },
-                Ok(RecvFrame::Eof) => break 'conn true,
-                Ok(RecvFrame::Idle) => {
-                    if dead.load(Ordering::SeqCst) {
-                        break 'conn false;
-                    }
-                    if shared.drain.load(Ordering::SeqCst) {
-                        let seen = *drain_seen.get_or_insert_with(Instant::now);
-                        if !rio.mid_frame() {
-                            break 'conn true;
-                        }
-                        if seen.elapsed() >= cfg.drain_grace {
-                            // Half-open mid-frame past its grace: abort
-                            // so drain cannot be held hostage.
-                            local.conn_aborted += 1;
-                            break 'conn false;
-                        }
-                    }
-                }
-                Err(e) => {
-                    local.count_error(&e);
-                    break 'conn false;
-                }
+                // The peer's FIN, or drain's close between frames.
+                Ok(RecvFrame::Eof | RecvFrame::Idle) => break 'conn Ok(true),
+                Err(e) => break 'conn Err(e),
             }
+        }
+    };
+    // An error once the writer gave up is its abort echoing back; one
+    // after drain closed the read side is a reader cut off mid-frame.
+    let clean = match end {
+        Ok(clean) => clean && !dead.load(Ordering::SeqCst),
+        Err(_) if dead.load(Ordering::SeqCst) => false,
+        Err(_) if shared.service.lock().is_none() => {
+            local.conn_aborted += 1;
+            false
+        }
+        Err(e) => {
+            local.count_error(&e);
+            false
         }
     };
 
@@ -714,9 +705,9 @@ fn send_response(
 
 /// Writer side of one connection: the handshake ack, then for every
 /// queued item outcome → send → release, FIFO. A failed send raises
-/// `dead` so the reader stops pulling new work, but the queue is still
-/// worked off: outcomes recorded here stay replayable from the book,
-/// and every permit goes back.
+/// `dead` and aborts the connection so the reader stops pulling new
+/// work, but the queue is still worked off: outcomes recorded here stay
+/// replayable from the book, and every permit goes back.
 fn writer_main(
     shared: Arc<ServerShared>,
     client: u64,
@@ -735,9 +726,14 @@ fn writer_main(
             window: shared.config.window,
         },
     );
+    // Stop the reader pulling new work, and wake it with an abort.
+    let give_up = |wio: &mut FrameIo| {
+        dead.store(true, Ordering::SeqCst);
+        wio.abort();
+    };
     if let Err(e) = wio.send_frame(&ack) {
         local.count_error(&e);
-        dead.store(true, Ordering::SeqCst);
+        give_up(&mut wio);
     }
     for (id, from) in rx.iter() {
         let result = match from {
@@ -753,7 +749,7 @@ fn writer_main(
             Some(result) if !dead.load(Ordering::SeqCst) => {
                 if let Err(e) = send_response(&shared, &mut wio, &window, id, &result, &mut local) {
                     local.count_error(&e);
-                    dead.store(true, Ordering::SeqCst);
+                    give_up(&mut wio);
                 }
             }
             Some(_) => {}
@@ -761,7 +757,7 @@ fn writer_main(
             // so nothing will resolve it here. Fail the connection: the
             // client's retry re-attempts admission, as it does after
             // any rejection.
-            None => dead.store(true, Ordering::SeqCst),
+            None => give_up(&mut wio),
         }
         window.release(id);
     }
@@ -1107,17 +1103,16 @@ fn next_frame(
     since: Instant,
     timeout: Duration,
 ) -> Result<Frame, TransportError> {
-    loop {
-        match io.recv_frame()? {
-            RecvFrame::Frame(f) => return Ok(f),
-            RecvFrame::Eof => return Err(TransportError::ConnReset),
-            RecvFrame::Idle if since.elapsed() >= timeout => {
-                return Err(TransportError::ConnTimeout {
-                    waited_ms: timeout.as_millis() as u64,
-                });
-            }
-            RecvFrame::Idle => {}
-        }
+    let got = match since.checked_add(timeout) {
+        Some(deadline) => io.recv_frame_until(deadline)?,
+        None => io.recv_frame()?,
+    };
+    match got {
+        RecvFrame::Frame(f) => Ok(f),
+        RecvFrame::Eof => Err(TransportError::ConnReset),
+        RecvFrame::Idle => Err(TransportError::ConnTimeout {
+            waited_ms: timeout.as_millis() as u64,
+        }),
     }
 }
 

@@ -25,6 +25,7 @@ use std::fmt;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,10 +116,11 @@ impl From<WireError> for TransportError {
 pub enum Recv {
     /// `n` bytes arrived.
     Data(usize),
-    /// The peer half-closed its sending side (clean FIN).
+    /// The peer half-closed its sending side (clean FIN), or this side
+    /// closed its reading side ([`Transport::close_read`]).
     Eof,
-    /// Nothing arrived within one poll tick; the stream is still open.
-    /// Callers use the tick to re-check drain flags and deadlines.
+    /// The caller's deadline passed with nothing received; the stream
+    /// is still open. Never returned to a receive without a deadline.
     Idle,
 }
 
@@ -129,16 +131,24 @@ pub trait Transport: Send {
     /// closed or reset stream is [`TransportError::ConnReset`].
     fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
 
-    /// Read up to `buf.len()` bytes, blocking at most one poll tick.
-    fn recv(&mut self, buf: &mut [u8]) -> Result<Recv, TransportError>;
+    /// Read up to `buf.len()` bytes, blocking until some arrive, the
+    /// stream ends, or `deadline` (if any) passes.
+    fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<Recv, TransportError>;
 
     /// Half-close: flush and FIN the sending side; the peer's reads
     /// drain what was sent, then see [`Recv::Eof`].
     fn shutdown_write(&mut self);
 
+    /// Close the receiving side from any handle onto the connection:
+    /// reads — a blocked one included — deliver what already arrived,
+    /// then [`Recv::Eof`]. The peer's sends are unaffected. Drain uses
+    /// it to wake every reader.
+    fn close_read(&mut self);
+
     /// Abortive close of both directions — the peer observes a reset,
-    /// not a clean EOF. Used by injected [`WireFault::Reset`] and by
-    /// drain when a half-open connection exhausts its grace.
+    /// not a clean EOF. Used by injected [`WireFault::Reset`], by a
+    /// server writer that can no longer deliver, and by drain for a
+    /// reader cut off mid-frame.
     fn abort(&mut self);
 
     /// A second handle onto the same connection, so a reader thread and
@@ -161,15 +171,13 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wrap a connected stream, arming it with `tick` as the read poll
-    /// period and a generous write timeout (writes only stall under
-    /// pathological backpressure; the bound keeps drain finite).
-    pub fn new(stream: TcpStream, tick: Duration) -> Result<Self, TransportError> {
+    /// Wrap a connected stream with a generous write timeout (writes
+    /// only stall under pathological backpressure; the bound keeps
+    /// drain finite). Reads block until data, EOF or their deadline.
+    /// `_tick` is ignored: it is kept only so existing callers compile.
+    pub fn new(stream: TcpStream, _tick: Duration) -> Result<Self, TransportError> {
         stream
             .set_nodelay(true)
-            .map_err(|_| TransportError::ConnReset)?;
-        stream
-            .set_read_timeout(Some(tick))
             .map_err(|_| TransportError::ConnReset)?;
         stream
             .set_write_timeout(Some(Duration::from_secs(10)))
@@ -180,10 +188,11 @@ impl TcpTransport {
         })
     }
 
-    /// Connect to `addr` and arm timeouts as [`TcpTransport::new`].
-    pub fn connect(addr: SocketAddr, tick: Duration) -> Result<Self, TransportError> {
+    /// Connect to `addr` and arm it as [`TcpTransport::new`] does;
+    /// `_tick` is ignored the same way.
+    pub fn connect(addr: SocketAddr, _tick: Duration) -> Result<Self, TransportError> {
         let stream = TcpStream::connect(addr).map_err(|_| TransportError::ConnReset)?;
-        TcpTransport::new(stream, tick)
+        TcpTransport::new(stream, Duration::ZERO)
     }
 }
 
@@ -197,20 +206,35 @@ impl Transport for TcpTransport {
             .map_err(|_| TransportError::ConnReset)
     }
 
-    fn recv(&mut self, buf: &mut [u8]) -> Result<Recv, TransportError> {
-        if self.aborted {
-            return Err(TransportError::ConnReset);
-        }
-        match self.stream.read(buf) {
-            Ok(0) => Ok(Recv::Eof),
-            Ok(n) => Ok(Recv::Data(n)),
-            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(Recv::Idle),
-            Err(_) => Err(TransportError::ConnReset),
+    fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<Recv, TransportError> {
+        loop {
+            if self.aborted {
+                return Err(TransportError::ConnReset);
+            }
+            let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                Some(left) if left.is_zero() => return Ok(Recv::Idle),
+                left => left,
+            };
+            self.stream
+                .set_read_timeout(timeout)
+                .map_err(|_| TransportError::ConnReset)?;
+            match self.stream.read(buf) {
+                Ok(0) => return Ok(Recv::Eof),
+                Ok(n) => return Ok(Recv::Data(n)),
+                // The loop re-reads the clock: a timeout that fires a
+                // hair early, or a signal, is not yet the deadline.
+                Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+                Err(_) => return Err(TransportError::ConnReset),
+            }
         }
     }
 
     fn shutdown_write(&mut self) {
         let _ = self.stream.shutdown(Shutdown::Write);
+    }
+
+    fn close_read(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Read);
     }
 
     fn abort(&mut self) {
@@ -237,6 +261,10 @@ impl Transport for TcpTransport {
 struct PipeState {
     buf: VecDeque<u8>,
     write_closed: bool,
+    /// The reading end closed its side: reads see EOF once `buf` is
+    /// empty, while sends still land, as on a TCP socket after
+    /// `shutdown(Read)`.
+    read_closed: bool,
     broken: bool,
 }
 
@@ -253,6 +281,7 @@ impl Pipe {
             state: Mutex::new(PipeState {
                 buf: VecDeque::new(),
                 write_closed: false,
+                read_closed: false,
                 broken: false,
             }),
             capacity,
@@ -268,22 +297,21 @@ impl Pipe {
 pub struct MemTransport {
     tx: Arc<Pipe>,
     rx: Arc<Pipe>,
-    tick: Duration,
 }
 
 /// Build a connected duplex pair: what one end sends the other
 /// receives. `capacity` bounds each direction's in-flight bytes (the
-/// backpressure window); `tick` is the receive poll period.
-pub fn mem_pair(capacity: usize, tick: Duration) -> (MemTransport, MemTransport) {
+/// backpressure window). `_tick` is ignored: every wait on the pipe is
+/// woken by the event that ends it.
+pub fn mem_pair(capacity: usize, _tick: Duration) -> (MemTransport, MemTransport) {
     let a = Pipe::new(capacity);
     let b = Pipe::new(capacity);
     (
         MemTransport {
             tx: Arc::clone(&a),
             rx: Arc::clone(&b),
-            tick,
         },
-        MemTransport { tx: b, rx: a, tick },
+        MemTransport { tx: b, rx: a },
     )
 }
 
@@ -298,9 +326,8 @@ impl Transport for MemTransport {
             let room = self.tx.capacity.saturating_sub(st.buf.len());
             if room == 0 {
                 // Backpressured: park until the reader drains bytes or
-                // the pipe breaks. The tick keeps the wait responsive
-                // to aborts without spinning.
-                self.tx.writable.wait_for(&mut st, self.tick);
+                // the pipe breaks; both notify `writable`.
+                self.tx.writable.wait(&mut st);
                 continue;
             }
             let n = room.min(bytes.len() - sent);
@@ -311,19 +338,22 @@ impl Transport for MemTransport {
         Ok(())
     }
 
-    fn recv(&mut self, buf: &mut [u8]) -> Result<Recv, TransportError> {
+    fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<Recv, TransportError> {
         let mut st = self.rx.state.lock();
-        if st.buf.is_empty() && !st.broken && !st.write_closed {
-            // Nothing to report yet: park one tick for bytes, a close
-            // or a break.
-            self.rx.readable.wait_for(&mut st, self.tick);
+        // Park until bytes, a close or a break: each notifies `readable`.
+        while st.buf.is_empty() && !st.broken && !st.write_closed && !st.read_closed {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => self.rx.readable.wait(&mut st),
+                Some(left) if left.is_zero() => break,
+                Some(left) => _ = self.rx.readable.wait_for(&mut st, left),
+            }
         }
         // Bytes already in the pipe are delivered before the state that
         // follows them.
         if st.buf.is_empty() {
             return if st.broken {
                 Err(TransportError::ConnReset)
-            } else if st.write_closed {
+            } else if st.write_closed || st.read_closed {
                 Ok(Recv::Eof)
             } else {
                 Ok(Recv::Idle)
@@ -343,6 +373,13 @@ impl Transport for MemTransport {
         let mut st = self.tx.state.lock();
         st.write_closed = true;
         self.tx.readable.notify_all();
+        self.tx.writable.notify_all();
+    }
+
+    fn close_read(&mut self) {
+        let mut st = self.rx.state.lock();
+        st.read_closed = true;
+        self.rx.readable.notify_all();
     }
 
     fn abort(&mut self) {
@@ -358,7 +395,6 @@ impl Transport for MemTransport {
         Some(Box::new(MemTransport {
             tx: Arc::clone(&self.tx),
             rx: Arc::clone(&self.rx),
-            tick: self.tick,
         }))
     }
 }
@@ -369,7 +405,6 @@ impl Transport for MemTransport {
 pub struct MemListener {
     inner: Arc<MemListenerState>,
     capacity: usize,
-    tick: Duration,
 }
 
 struct MemListenerState {
@@ -379,15 +414,14 @@ struct MemListenerState {
 
 impl MemListener {
     /// A listener whose accepted connections use `capacity`-byte
-    /// per-direction windows and `tick` receive polling.
-    pub fn new(capacity: usize, tick: Duration) -> Self {
+    /// per-direction windows. `_tick` is ignored, as in [`mem_pair`].
+    pub fn new(capacity: usize, _tick: Duration) -> Self {
         MemListener {
             inner: Arc::new(MemListenerState {
                 queue: Mutex::new((VecDeque::new(), false)),
                 pending: Condvar::new(),
             }),
             capacity,
-            tick,
         }
     }
 
@@ -395,7 +429,7 @@ impl MemListener {
     /// for `accept`. Fails with [`TransportError::ConnReset`] once the
     /// listener is closed (drain).
     pub fn connect(&self) -> Result<MemTransport, TransportError> {
-        let (client, server) = mem_pair(self.capacity, self.tick);
+        let (client, server) = mem_pair(self.capacity, Duration::ZERO);
         let mut q = self.inner.queue.lock();
         if q.1 {
             return Err(TransportError::ConnReset);
@@ -404,29 +438,6 @@ impl MemListener {
         self.inner.pending.notify_all();
         Ok(client)
     }
-
-    /// Take one pending connection, waiting at most one tick; `None`
-    /// when the tick elapsed or the listener is closed and drained.
-    pub fn accept(&self) -> Option<MemTransport> {
-        let mut q = self.inner.queue.lock();
-        if q.0.is_empty() && !q.1 {
-            self.inner.pending.wait_for(&mut q, self.tick);
-        }
-        q.0.pop_front()
-    }
-
-    /// Stop accepting: future dials fail, already-queued pairs still
-    /// accept (they connected before the drain).
-    pub fn close(&self) {
-        let mut q = self.inner.queue.lock();
-        q.1 = true;
-        self.inner.pending.notify_all();
-    }
-
-    /// Whether the listener has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.inner.queue.lock().1
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -434,12 +445,13 @@ impl MemListener {
 // ---------------------------------------------------------------------
 
 /// Server-side accept surface over either transport.
-pub trait Listener: Send {
-    /// Take one pending connection, waiting at most one poll tick.
-    /// `None` when the tick elapsed (or the listener is closed).
-    fn poll_accept(&mut self) -> Option<Box<dyn Transport>>;
+pub trait Listener: Send + Sync {
+    /// Take one connection, blocking until a peer dials; `None` once
+    /// the listener is closed.
+    fn accept(&self) -> Option<Box<dyn Transport>>;
 
-    /// Stop admitting new connections (drain).
+    /// Stop admitting new connections (drain), waking a blocked
+    /// [`Listener::accept`] on another thread.
     fn close(&self);
 }
 
@@ -449,13 +461,22 @@ pub trait Connector: Send {
     fn dial(&self) -> Result<Box<dyn Transport>, TransportError>;
 }
 
+/// Pending pairs are handed out in dial order; once closed, future
+/// dials fail and already-queued pairs still accept (they connected
+/// before the drain).
 impl Listener for MemListener {
-    fn poll_accept(&mut self) -> Option<Box<dyn Transport>> {
-        self.accept().map(|t| Box::new(t) as Box<dyn Transport>)
+    fn accept(&self) -> Option<Box<dyn Transport>> {
+        let mut q = self.inner.queue.lock();
+        // Both a dial and `close` notify `pending`.
+        while q.0.is_empty() && !q.1 {
+            self.inner.pending.wait(&mut q);
+        }
+        q.0.pop_front().map(|t| Box::new(t) as Box<dyn Transport>)
     }
 
     fn close(&self) {
-        MemListener::close(self);
+        self.inner.queue.lock().1 = true;
+        self.inner.pending.notify_all();
     }
 }
 
@@ -465,21 +486,25 @@ impl Connector for MemListener {
     }
 }
 
-/// TCP accept side: a bound localhost listener polled non-blocking.
+/// How long [`TcpAcceptor`] pauses after a failed accept. Only an error
+/// sleeps; an idle acceptor blocks in the kernel.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// TCP accept side: a bound localhost listener with a blocking accept.
 pub struct TcpAcceptor {
     listener: std::net::TcpListener,
-    tick: Duration,
+    closed: AtomicBool,
 }
 
 impl TcpAcceptor {
-    /// Bind `addr` (use port 0 for an ephemeral port) and switch the
-    /// listener to non-blocking polling at `tick`.
-    pub fn bind(addr: &str, tick: Duration) -> Result<Self, TransportError> {
+    /// Bind `addr` (use port 0 for an ephemeral port). `_tick` is
+    /// ignored: [`Listener::close`] wakes the accept.
+    pub fn bind(addr: &str, _tick: Duration) -> Result<Self, TransportError> {
         let listener = std::net::TcpListener::bind(addr).map_err(|_| TransportError::ConnReset)?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|_| TransportError::ConnReset)?;
-        Ok(TcpAcceptor { listener, tick })
+        Ok(TcpAcceptor {
+            listener,
+            closed: AtomicBool::new(false),
+        })
     }
 
     /// The bound address (what clients dial).
@@ -491,22 +516,31 @@ impl TcpAcceptor {
 }
 
 impl Listener for TcpAcceptor {
-    fn poll_accept(&mut self) -> Option<Box<dyn Transport>> {
-        match self.listener.accept() {
-            Ok((stream, _)) => TcpTransport::new(stream, self.tick)
-                .ok()
-                .map(|t| Box::new(t) as Box<dyn Transport>),
-            Err(_) => {
-                std::thread::sleep(self.tick);
-                None
+    fn accept(&self) -> Option<Box<dyn Transport>> {
+        while !self.closed.load(Ordering::SeqCst) {
+            // An accept error is a peer that reset in the backlog, or the
+            // host out of descriptors: take the next dial, but pause
+            // first so a lasting condition is not a busy loop.
+            let Ok((stream, _)) = self.listener.accept() else {
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            };
+            if self.closed.load(Ordering::SeqCst) {
+                break;
+            }
+            if let Ok(t) = TcpTransport::new(stream, Duration::ZERO) {
+                return Some(Box::new(t));
             }
         }
+        None
     }
 
     fn close(&self) {
-        // Nothing to signal: the accept loop stops polling and the
-        // socket closes when the acceptor drops; later dials are
-        // refused by the OS and surface as ConnReset.
+        // Raise the flag, then dial ourselves so a blocked accept
+        // returns and sees it. Later dials queue in the backlog and are
+        // reset when the acceptor drops.
+        self.closed.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.local_addr());
     }
 }
 
@@ -514,7 +548,8 @@ impl Listener for TcpAcceptor {
 pub struct TcpConnector {
     /// Server address.
     pub addr: SocketAddr,
-    /// Receive poll period for dialed connections.
+    /// Ignored, like the tick of [`TcpTransport::connect`]; kept only
+    /// so existing callers compile.
     pub tick: Duration,
 }
 
@@ -577,9 +612,11 @@ pub struct WireStats {
 pub enum RecvFrame {
     /// One complete, checksum-verified frame.
     Frame(Frame),
-    /// Clean EOF between frames (peer finished sending).
+    /// Clean EOF between frames (peer finished sending, or this side
+    /// closed its reading side).
     Eof,
-    /// One poll tick elapsed with the frame still incomplete.
+    /// The deadline of [`FrameIo::recv_frame_until`] passed with the
+    /// frame still incomplete.
     Idle,
 }
 
@@ -633,22 +670,10 @@ impl FrameIo {
         self.max_payload = max_payload;
     }
 
-    /// The payload window currently enforced in both directions.
-    pub fn max_payload(&self) -> u32 {
-        self.max_payload
-    }
-
     /// Re-key the fault coordinates once the peer's identity is known
     /// (a server learns the connection id from the client's Hello).
     pub fn set_conn(&mut self, conn: u64) {
         self.conn = conn;
-    }
-
-    /// Whether any bytes of a frame are buffered but incomplete — a
-    /// half-open peer mid-frame. Drain uses this to distinguish "idle
-    /// between frames" from "stalled inside one".
-    pub fn mid_frame(&self) -> bool {
-        !self.rbuf.is_empty()
     }
 
     /// Encode and send one frame, injecting whatever the fault plan
@@ -703,10 +728,22 @@ impl FrameIo {
         Ok(())
     }
 
-    /// Receive one frame, waiting at most one poll tick for progress.
-    /// Corrupt bytes, oversized declarations, truncation at EOF and
-    /// resets all surface as their typed [`TransportError`].
+    /// Receive one frame, blocking until it is complete or the stream
+    /// ends; never [`RecvFrame::Idle`]. Corrupt bytes, oversized
+    /// declarations, truncation at EOF and resets all surface as their
+    /// typed [`TransportError`].
     pub fn recv_frame(&mut self) -> Result<RecvFrame, TransportError> {
+        self.recv_frame_by(None)
+    }
+
+    /// [`FrameIo::recv_frame`], giving up with [`RecvFrame::Idle`] once
+    /// `deadline` passes. Bytes of an incomplete frame stay buffered for
+    /// the next call.
+    pub fn recv_frame_until(&mut self, deadline: Instant) -> Result<RecvFrame, TransportError> {
+        self.recv_frame_by(Some(deadline))
+    }
+
+    fn recv_frame_by(&mut self, deadline: Option<Instant>) -> Result<RecvFrame, TransportError> {
         loop {
             if !self.rbuf.is_empty() {
                 let t0 = Instant::now();
@@ -723,7 +760,7 @@ impl FrameIo {
                 }
             }
             let mut chunk = [0u8; 16 * 1024];
-            match self.io.recv(&mut chunk)? {
+            match self.io.recv(&mut chunk, deadline)? {
                 Recv::Data(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     self.stats.bytes_in += n as u64;
@@ -823,16 +860,7 @@ mod tests {
         let big = frame(9, 4096);
         let big2 = big.clone();
         let h = std::thread::spawn(move || tx.send_frame(&big2));
-        loop {
-            match rx.recv_frame().unwrap() {
-                RecvFrame::Frame(f) => {
-                    assert_eq!(f, big);
-                    break;
-                }
-                RecvFrame::Idle => continue,
-                RecvFrame::Eof => panic!("premature EOF"),
-            }
-        }
+        assert_eq!(rx.recv_frame().unwrap(), RecvFrame::Frame(big));
         h.join().unwrap().unwrap();
     }
 
@@ -917,12 +945,7 @@ mod tests {
                 Err(TransportError::ConnReset),
                 "sender learns immediately"
             );
-            let got = loop {
-                match rx.recv_frame() {
-                    Ok(RecvFrame::Idle) => continue,
-                    other => break other,
-                }
-            };
+            let got = rx.recv_frame();
             if want_reset {
                 assert_eq!(got, Err(TransportError::ConnReset));
             } else {
@@ -975,12 +998,109 @@ mod tests {
         let mut server = lst.accept().expect("pending connection");
         client.send(b"ping").unwrap();
         let mut buf = [0u8; 8];
-        assert_eq!(server.recv(&mut buf).unwrap(), Recv::Data(4));
+        assert_eq!(server.recv(&mut buf, None).unwrap(), Recv::Data(4));
         assert_eq!(&buf[..4], b"ping");
         lst.close();
-        assert!(lst.is_closed());
         assert_eq!(lst.connect().err(), Some(TransportError::ConnReset));
         assert!(lst.accept().is_none());
+    }
+
+    /// Run `wait` on its own thread and hand back its answer; the nap
+    /// makes "parked before the wake" the common order. None of the
+    /// waits under test has a timer, so a missed wake fails the
+    /// `recv_timeout` instead of passing late.
+    fn parked<T: Send + 'static>(
+        wait: impl FnOnce() -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(wait()));
+        std::thread::sleep(Duration::from_millis(20));
+        rx
+    }
+
+    const WOKEN: Duration = Duration::from_secs(10);
+
+    /// A TCP pair: (dialed end, accepted end).
+    fn tcp_pair() -> (Box<dyn Transport>, Box<dyn Transport>) {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).unwrap();
+        let near = TcpTransport::connect(acceptor.local_addr(), tick()).unwrap();
+        (Box::new(near), Listener::accept(&acceptor).unwrap())
+    }
+
+    fn mem_boxed() -> (Box<dyn Transport>, Box<dyn Transport>) {
+        let (a, b) = mem_pair(1 << 10, tick());
+        (Box::new(a), Box::new(b))
+    }
+
+    #[test]
+    fn close_read_wakes_a_blocked_reader_with_eof_after_the_bytes() {
+        for (name, pair) in [("mem", mem_boxed as fn() -> _), ("tcp", tcp_pair)] {
+            let (mut near, far) = pair();
+            let mut waker = far.try_clone().expect("both transports clone");
+            near.send(b"ab").unwrap();
+            let reader = parked(move || {
+                let mut far = far;
+                let mut buf = [0u8; 8];
+                let first = far.recv(&mut buf, None);
+                (first, far.recv(&mut buf, None))
+            });
+            waker.close_read();
+            let (first, second) = reader.recv_timeout(WOKEN).expect("close_read wakes it");
+            assert_eq!(first, Ok(Recv::Data(2)), "{name}: bytes first");
+            assert_eq!(second, Ok(Recv::Eof), "{name}: then EOF");
+            assert!(
+                near.send(b"more").is_ok(),
+                "{name}: the peer may still send"
+            );
+        }
+    }
+
+    #[test]
+    fn a_deadline_read_keeps_the_partial_frame() {
+        for (name, pair) in [("mem", mem_boxed as fn() -> _), ("tcp", tcp_pair)] {
+            let (mut near, far) = pair();
+            let mut rx = FrameIo::new(
+                far,
+                1,
+                WireDir::ServerToClient,
+                WireFaultPlan::none(),
+                WireClock::new(),
+            );
+            let bytes = encode_frame(&frame(4, 64)).unwrap();
+            near.send(&bytes[..10]).unwrap();
+            let t0 = Instant::now();
+            let deadline = t0 + Duration::from_millis(30);
+            assert_eq!(rx.recv_frame_until(deadline), Ok(RecvFrame::Idle), "{name}");
+            assert!(
+                Instant::now() >= deadline,
+                "{name}: Idle only at the deadline"
+            );
+            near.send(&bytes[10..]).unwrap();
+            assert_eq!(
+                rx.recv_frame(),
+                Ok(RecvFrame::Frame(frame(4, 64))),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_accept() {
+        let mem = MemListener::new(1 << 10, tick());
+        let tcp = Arc::new(TcpAcceptor::bind("127.0.0.1:0", tick()).unwrap());
+        for (name, lst) in [
+            ("mem", Arc::new(mem) as Arc<dyn Listener>),
+            ("tcp", tcp as Arc<dyn Listener>),
+        ] {
+            let accepting = Arc::clone(&lst);
+            let accepted = parked(move || accepting.accept().is_none());
+            lst.close();
+            assert!(
+                accepted.recv_timeout(WOKEN).expect("close wakes it"),
+                "{name}"
+            );
+            assert!(lst.accept().is_none(), "{name}: closed stays closed");
+        }
     }
 
     #[test]
@@ -997,12 +1117,8 @@ mod tests {
                 WireFaultPlan::none(),
                 WireClock::new(),
             );
-            let f = loop {
-                match io.recv_frame().unwrap() {
-                    RecvFrame::Frame(f) => break f,
-                    RecvFrame::Idle => continue,
-                    RecvFrame::Eof => panic!("premature EOF"),
-                }
+            let RecvFrame::Frame(f) = io.recv_frame().unwrap() else {
+                panic!("premature EOF");
             };
             io.send_frame(&f).unwrap();
         });
@@ -1016,14 +1132,7 @@ mod tests {
         );
         let f = frame(77, 256);
         io.send_frame(&f).unwrap();
-        let echo = loop {
-            match io.recv_frame().unwrap() {
-                RecvFrame::Frame(f) => break f,
-                RecvFrame::Idle => continue,
-                RecvFrame::Eof => panic!("premature EOF"),
-            }
-        };
-        assert_eq!(echo, f);
+        assert_eq!(io.recv_frame().unwrap(), RecvFrame::Frame(f));
         server.join().unwrap();
     }
 }

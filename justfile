@@ -113,6 +113,22 @@ supervise-soak:
     done
     echo "supervise-soak OK: 25 rounds"
 
+# Soak the remote layer's wake-ups: accept, reads and drain block until
+# an event — a dial, a frame, a close — so a lost wake hangs instead of
+# failing an assertion. The drain, handshake and response-timeout tests
+# of wserv_remote, over the shim and TCP, run 25 times, one test at a
+# time, each round under `timeout` so a hang is a non-zero exit within a
+# minute.
+remote-soak:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo test -q --release --test wserv_remote --no-run
+    for round in $(seq 25); do
+        timeout 60 cargo test -q --release --test wserv_remote -- \
+            drain hello times_out --test-threads=1 2>/dev/null
+    done
+    echo "remote-soak OK: 25 rounds"
+
 # Regenerate BENCH_service.json — the serving *model*: every row of
 # bench_service's scenario table (arrival rate x shards x cache x
 # batching, chaos, closed-loop transport, progressive delivery, elastic

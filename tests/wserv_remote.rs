@@ -9,10 +9,13 @@
 //!   outcome from the dedup book instead of re-executing;
 //! * the per-connection in-flight window backpressures a pipelining
 //!   client without losing or reordering responses;
-//! * graceful drain is lossless for accepted work and cannot be held
-//!   hostage by a half-open connection — past its grace the connection
-//!   is aborted and counted in `conn_aborted`;
-//! * a protocol mismatch is a terminal, typed handshake failure;
+//! * graceful drain is lossless for accepted work and wakes every
+//!   connection: an idle one ends cleanly, and a half-open one cannot
+//!   hold drain hostage — cut off mid-frame, it is aborted and counted
+//!   in `conn_aborted`;
+//! * a protocol mismatch is a terminal, typed handshake failure, a
+//!   connection that never says `Hello` is closed, and a client that
+//!   gets no answer gives up typed at its response timeout;
 //! * the in-memory shim and localhost TCP produce identical outcome
 //!   books for the same seed — same protocol, different bytes.
 
@@ -23,8 +26,8 @@ use dwt::engine::PlanShape;
 use dwt::{Boundary, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
 use wserv::progressive::pyramid_max_abs_diff;
-use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy};
-use wserv::transport::{Connector, FrameIo, Listener, RecvFrame, Transport, WireClock};
+use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy, HELLO_TIMEOUT};
+use wserv::transport::{Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock};
 use wserv::wire::{
     decode_response, encode_hello, encode_request, Frame, FrameKind, Hello, DEFAULT_MAX_PAYLOAD,
     PROTOCOL_VERSION,
@@ -61,10 +64,33 @@ fn service_config() -> ServiceConfig {
 fn remote_config() -> RemoteConfig {
     RemoteConfig {
         tick: tick(),
-        drain_grace: Duration::from_millis(40),
         ..RemoteConfig::default()
     }
 }
+
+/// Dials fresh connectors to one server.
+type Dial = Box<dyn Fn() -> Box<dyn Connector>>;
+
+/// The two transports the table-driven tests run over.
+const TRANSPORTS: [&str; 2] = ["mem", "tcp"];
+
+/// A listener for a server over `transport` (`"mem"` or `"tcp"`), and
+/// the way to dial it.
+fn endpoints(transport: &str) -> (Box<dyn Listener>, Dial) {
+    if transport == "mem" {
+        let listener = MemListener::new(1 << 16, tick());
+        let peer = listener.clone();
+        (Box::new(listener), Box::new(move || Box::new(peer.clone())))
+    } else {
+        let acceptor = TcpAcceptor::bind("127.0.0.1:0", tick()).expect("loopback bind");
+        let addr = acceptor.local_addr();
+        let dial = move || Box::new(TcpConnector { addr, tick: tick() }) as Box<dyn Connector>;
+        (Box::new(acceptor), Box::new(dial))
+    }
+}
+
+/// How long a test helper waits on the server before failing.
+const PATIENCE: Duration = Duration::from_secs(10);
 
 fn fast_retry() -> RetryPolicy {
     RetryPolicy {
@@ -158,30 +184,32 @@ fn raw_client(transport: Box<dyn Transport>, client: u64, window: u32) -> FrameI
         },
     ))
     .expect("hello fits");
-    loop {
-        match io.recv_frame().expect("handshake survives") {
-            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => return io,
-            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
-            RecvFrame::Idle => continue,
-            RecvFrame::Eof => panic!("server hung up mid-handshake"),
-        }
+    expect_ack(&mut io);
+    io
+}
+
+/// Consume the HelloAck that must come next on `io`.
+fn expect_ack(io: &mut FrameIo) {
+    match io
+        .recv_frame_until(Instant::now() + PATIENCE)
+        .expect("handshake survives")
+    {
+        RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => {}
+        RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
+        RecvFrame::Idle => panic!("no HelloAck within {PATIENCE:?}"),
+        RecvFrame::Eof => panic!("server hung up mid-handshake"),
     }
 }
 
 /// The next `n` Response frames on `io`, in arrival order.
 fn responses(io: &mut FrameIo, n: usize) -> Vec<Frame> {
     let mut got = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + PATIENCE;
     while got.len() < n {
-        assert!(
-            Instant::now() < deadline,
-            "responses stalled at {}",
-            got.len()
-        );
-        match io.recv_frame().expect("responses survive") {
+        match io.recv_frame_until(deadline).expect("responses survive") {
             RecvFrame::Frame(f) if f.kind == FrameKind::Response => got.push(f),
             RecvFrame::Frame(f) => panic!("unexpected {:?} frame", f.kind),
-            RecvFrame::Idle => continue,
+            RecvFrame::Idle => panic!("responses stalled at {}", got.len()),
             RecvFrame::Eof => panic!("premature EOF after {} responses", got.len()),
         }
     }
@@ -364,14 +392,7 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
         },
     ))
     .expect("hello fits");
-    loop {
-        match rx.recv_frame().expect("handshake survives") {
-            RecvFrame::Frame(f) if f.kind == FrameKind::HelloAck => break,
-            RecvFrame::Frame(f) => panic!("expected HelloAck, got {:?}", f.kind),
-            RecvFrame::Idle => continue,
-            RecvFrame::Eof => panic!("server hung up mid-handshake"),
-        }
-    }
+    expect_ack(&mut rx);
 
     // Flood from a second thread: sends block on the 256 B pipe and on
     // the server's window; the main thread deliberately reads nothing
@@ -519,77 +540,192 @@ fn a_lost_window_is_replayed_not_re_executed() {
 }
 
 // ---------------------------------------------------------------------
-// Drain with a half-open connection (conn_aborted)
+// Drain wakes every connection; the handshake and response timers
 // ---------------------------------------------------------------------
 
 /// A connection that handshakes, sends half a frame, then goes silent
-/// cannot hold drain hostage: `shutdown` completes shortly after the
-/// grace window, the stuck connection is aborted and counted, and work
-/// accepted on healthy connections is fully served first.
+/// cannot hold drain hostage: `shutdown` closes its read side, the
+/// reader is cut off mid-frame, and the connection is aborted and
+/// counted, while work accepted on healthy connections is fully served
+/// first — over the shim and over TCP.
 #[test]
-fn drain_aborts_half_open_connections_after_grace() {
-    let listener = MemListener::new(1 << 16, tick());
-    let grace = Duration::from_millis(40);
-    let config = RemoteConfig {
-        drain_grace: grace,
-        ..remote_config()
-    };
-    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
-        .expect("config is valid");
+fn drain_aborts_half_open_connections_mid_frame() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
 
-    // A healthy client completes one request — drain must preserve it.
-    let mut healthy = RemoteClient::new(Box::new(listener.clone()), 1);
-    let outcome = healthy.call(&request(1)).expect("clean wire");
-    assert!(outcome.is_ok());
-    healthy.goodbye();
+        // A healthy client completes one request — drain must preserve it.
+        let mut healthy = RemoteClient::new(dial(), 1);
+        let outcome = healthy.call(&request(1)).expect("clean wire");
+        assert!(outcome.is_ok());
+        healthy.goodbye();
 
-    // The half-open peer: full handshake, then half a request frame,
-    // then silence — never a FIN, never the rest of the frame.
-    let raw = listener.connect().expect("listener open");
-    let mut stuck_half = raw.try_clone().expect("mem transport clones");
-    let mut hio = raw_client(Box::new(raw), 99, 1);
-    let frame_bytes =
-        wserv::wire::encode_frame(&encode_request(0, &request(9)).expect("request encodes"))
-            .expect("request frame encodes");
-    stuck_half
-        .send(&frame_bytes[..frame_bytes.len() / 2])
-        .expect("partial frame lands in the pipe");
+        // The half-open peer: full handshake, then half a request frame,
+        // then silence — never a FIN, never the rest of the frame.
+        let raw = dial().dial().expect("server is up");
+        let mut stuck_half = raw.try_clone().expect("both transports clone");
+        let mut hio = raw_client(raw, 99, 1);
+        let frame_bytes =
+            wserv::wire::encode_frame(&encode_request(0, &request(9)).expect("request encodes"))
+                .expect("request frame encodes");
+        stuck_half
+            .send(&frame_bytes[..frame_bytes.len() / 2])
+            .expect("partial frame lands");
 
-    // Give the reader a tick to buffer the partial frame, then drain.
-    std::thread::sleep(Duration::from_millis(5));
-    let t0 = Instant::now();
-    let metrics = server
-        .shutdown()
-        .expect("drain completes despite the half-open peer");
-    let took = t0.elapsed();
-    assert!(
-        took < grace * 50,
-        "drain must not hang on a half-open connection (took {took:?})"
-    );
-    assert!(
-        metrics.transport.conn_aborted >= 1,
-        "the half-open connection is aborted and counted"
-    );
-    assert_eq!(
-        metrics.service.completed(),
-        1,
-        "accepted work survives drain"
-    );
+        // Let the reader buffer the partial frame (bytes it has not read
+        // yet are delivered before drain's EOF all the same), then drain.
+        std::thread::sleep(Duration::from_millis(20));
+        let t0 = Instant::now();
+        let metrics = server
+            .shutdown()
+            .expect("drain completes despite the half-open peer");
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{transport}: drain must not wait on a half-open connection (took {took:?})"
+        );
+        assert_eq!(
+            metrics.transport.conn_aborted, 1,
+            "{transport}: the half-open connection is aborted and counted"
+        );
+        assert_eq!(
+            metrics.service.completed(),
+            1,
+            "{transport}: accepted work survives drain"
+        );
 
-    // The aborted peer observes a reset, not a clean goodbye.
-    let observed = loop {
-        match hio.recv_frame() {
-            Ok(RecvFrame::Idle) => continue,
-            other => break other,
+        // The aborted peer observes the connection die, not a response.
+        let observed = hio.recv_frame_until(Instant::now() + PATIENCE);
+        assert!(
+            matches!(
+                observed,
+                Err(TransportError::ConnReset) | Ok(RecvFrame::Eof)
+            ),
+            "{transport}: half-open peer sees the connection die, got {observed:?}"
+        );
+    }
+}
+
+/// Handshaken clients that sit idle between frames and never say `Bye`
+/// do not stall drain either: drain wakes their readers, they end
+/// cleanly, and nothing is counted as aborted — over the shim and over
+/// TCP.
+#[test]
+fn drain_ends_idle_connections_that_never_say_bye() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let mut idle: Vec<_> = (0..2)
+            .map(|c| {
+                let mut client = RemoteClient::new(dial(), c).with_retry(RetryPolicy {
+                    max_attempts: 1,
+                    ..fast_retry()
+                });
+                let outcome = client.call(&request(c)).expect("clean wire");
+                assert!(outcome.is_ok());
+                client
+            })
+            .collect();
+
+        let t0 = Instant::now();
+        let metrics = server.shutdown().expect("clean drain");
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{transport}: drain must not wait on idle clients (took {took:?})"
+        );
+        assert_eq!(metrics.service.completed(), 2, "{transport}");
+        assert_eq!(
+            metrics.transport.conn_aborted, 0,
+            "{transport}: idle is clean"
+        );
+        for client in &mut idle {
+            assert!(
+                client.call(&request(7)).is_err(),
+                "{transport}: the drained server answers nothing more"
+            );
         }
-    };
-    assert!(
-        matches!(
-            observed,
-            Err(TransportError::ConnReset) | Ok(RecvFrame::Eof)
-        ),
-        "half-open peer sees the connection die, got {observed:?}"
-    );
+    }
+}
+
+/// A connection that never sends its `Hello` is closed by the server
+/// after [`HELLO_TIMEOUT`], with no drain to prompt it — over the shim
+/// and over TCP.
+#[test]
+fn a_connection_that_never_says_hello_is_closed() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let mut silent = dial().dial().expect("server is up");
+        let t0 = Instant::now();
+        let mut buf = [0u8; 64];
+        let closed = silent.recv(&mut buf, Some(t0 + Duration::from_secs(2)));
+        let took = t0.elapsed();
+        assert!(
+            matches!(closed, Ok(Recv::Eof) | Err(TransportError::ConnReset)),
+            "{transport}: the server closes the silent connection, got {closed:?}"
+        );
+        assert!(
+            took >= HELLO_TIMEOUT && took < Duration::from_secs(2),
+            "{transport}: closed at the Hello timeout, not before (took {took:?})"
+        );
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.transport.conns_accepted, 0, "{transport}");
+    }
+}
+
+/// A peer that accepts, reads the `Hello` and never acks: a client with
+/// a 50 ms response timeout and no retries gives up with the typed
+/// [`TransportError::ConnTimeout`] at its deadline — over the shim and
+/// over TCP.
+#[test]
+fn a_silent_server_times_out_the_client_typed() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let (hang_up, hold) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let conn = listener.accept().expect("the client dials");
+            let mut io = FrameIo::new(
+                conn,
+                0,
+                WireDir::ServerToClient,
+                WireFaultPlan::none(),
+                WireClock::new(),
+            );
+            match io.recv_frame_until(Instant::now() + PATIENCE) {
+                Ok(RecvFrame::Frame(f)) => assert_eq!(f.kind, FrameKind::Hello),
+                other => panic!("expected the Hello, got {other:?}"),
+            }
+            // Hold the connection open, unanswered, until the client is done.
+            let _ = hold.recv();
+        });
+
+        let timeout = Duration::from_millis(50);
+        let mut client = RemoteClient::new(dial(), 3)
+            .with_response_timeout(timeout)
+            .with_retry(RetryPolicy {
+                max_attempts: 1,
+                ..fast_retry()
+            });
+        let t0 = Instant::now();
+        let got = client.call(&request(1));
+        let took = t0.elapsed();
+        assert_eq!(
+            got.err(),
+            Some(TransportError::ConnTimeout { waited_ms: 50 }),
+            "{transport}"
+        );
+        assert!(
+            took >= timeout && took < Duration::from_secs(1),
+            "{transport}: gave up at the deadline (took {took:?})"
+        );
+        drop(client);
+        hang_up.send(()).expect("peer is holding");
+        peer.join().expect("peer never panics");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -4,17 +4,19 @@
 //!
 //! The headline comparison is the acceptance configuration: 2048x2048,
 //! Daubechies-4, 3 levels, single thread, plus the fused CDF 5/3 / 9/7
-//! lifting kernel at the same size and D4 reconstruction. On a host with
-//! more than one core each of those four engine rows has a threaded twin
-//! (`*_par`) at the machine's core count. A smaller size/filter matrix
-//! rides along.
+//! lifting kernel at the same size and reconstruction by D4 and both
+//! lifting banks. On a host with more than one core each of those engine
+//! rows has a threaded twin (`*_par`) at the machine's core count. A
+//! smaller size/filter matrix rides along.
 //!
 //! The `host` block records what the rows are read against: the core
-//! count and a same-footprint copy rate. Gates are asserted over the
-//! rows before the file is written: at both scales, CDF 5/3 lifting is
-//! no slower than the D4 convolution engine at the headline size; in
-//! full mode, every threaded row at the headline size is no slower than
-//! its one-thread twin.
+//! count and a same-footprint copy rate. Every engine row at the headline
+//! size also carries its computed compulsory traffic (`bytes_per_px`)
+//! and the share of the copy rate it reaches (`copy_frac`). Gates are
+//! asserted over the rows before the file is written: at both scales,
+//! CDF 5/3 lifting is no slower than the D4 convolution engine at the
+//! headline size; in full mode, every threaded row at the headline size
+//! is no slower than its one-thread twin.
 //!
 //! Run from the repo root with `just bench-json` (or
 //! `cargo run --release -p bench --bin bench_dwt`). Set `DWT_SMOKE=1`
@@ -149,6 +151,18 @@ fn measure_lifting_int(n: usize, kind: LiftingKind, levels: usize) -> Timing {
     })
 }
 
+/// Compulsory traffic of one transform direction per image pixel,
+/// computed from the row's shape: each level reads its input once and
+/// writes four quarter-size bands (or the reverse), so level 1 moves two
+/// samples per pixel and each further level a quarter of the one before
+/// — 16 B/px × (1 + 1/4 + 1/16) = 21 B/px for three f64 levels, tending
+/// to 16 × 4/3. The in-place integer rows move `i32` samples.
+fn bytes_per_px(t: &Timing) -> f64 {
+    let sample = if t.name.contains("_int") { 4.0 } else { 8.0 };
+    let levels: f64 = (0..t.levels).map(|l| 0.25f64.powi(l as i32)).sum();
+    2.0 * sample * levels
+}
+
 /// The memory ceiling an ns/px row is read against: GB/s of one
 /// `copy_from_slice` of `img` into a buffer of the same footprint,
 /// counting bytes read plus bytes written (2 x 8 B per pixel) — the
@@ -208,8 +222,11 @@ fn threads_gate(rows: &[Timing], size: usize) -> Result<usize, String> {
     Ok(checked)
 }
 
-fn row(t: &Timing) -> Row {
-    vec![
+/// One rendered row; `copy` is the host copy rate (GB/s) for a row read
+/// against it, which adds the computed traffic and the copy fraction
+/// (bytes per ns are GB/s).
+fn row(t: &Timing, copy: Option<f64>) -> Row {
+    let mut row = vec![
         ("name", t.name.into()),
         ("size", t.size.into()),
         ("filter", t.filter.as_str().into()),
@@ -217,7 +234,15 @@ fn row(t: &Timing) -> Row {
         ("threads", t.threads.into()),
         ("median_ns_per_px", Val::Fix(t.ns_per_px, 3)),
         ("samples", t.samples.into()),
-    ]
+    ];
+    if let Some(copy) = copy {
+        let bytes = bytes_per_px(t);
+        row.extend([
+            ("bytes_per_px", Val::Fix(bytes, 3)),
+            ("copy_frac", Val::Fix(bytes / t.ns_per_px / copy, 3)),
+        ]);
+    }
+    row
 }
 
 fn main() {
@@ -281,6 +306,14 @@ fn main() {
     let recon1 = measure_reconstruct("engine_reconstruct_1t", &img, &d4, levels, 1);
     let reconp = (cores > 1)
         .then(|| measure_reconstruct("engine_reconstruct_par", &img, &d4, levels, cores));
+    let mut lift_recon = Vec::new();
+    for bank in [&cdf53, &cdf97] {
+        let name = "engine_lifting_reconstruct_1t";
+        lift_recon.push(measure_reconstruct(name, &img, bank, levels, 1));
+        let name = "engine_lifting_reconstruct_par";
+        lift_recon
+            .extend((cores > 1).then(|| measure_reconstruct(name, &img, bank, levels, cores)));
+    }
     let lift53_int = measure_lifting_int(head_n, LiftingKind::LeGall53, levels);
     let lift97_int = measure_lifting_int(head_n, LiftingKind::Cdf97, levels);
     let lift53_vs_d4 = engine1.ns_per_px / lift53.ns_per_px;
@@ -293,10 +326,11 @@ fn main() {
         lift53_int.ns_per_px, lift97_int.ns_per_px
     );
     eprintln!("  D4 reconstruct(1t) {:.2} ns/px", recon1.ns_per_px);
-    for p in [&lift53p, &lift97p, &reconp].into_iter().flatten() {
+    let threaded = [&lift53p, &lift97p, &reconp].into_iter().flatten();
+    for p in threaded.chain(&lift_recon) {
         eprintln!(
-            "  {} {} ({cores}t) {:.2} ns/px",
-            p.name, p.filter, p.ns_per_px
+            "  {} {} ({}t) {:.2} ns/px",
+            p.name, p.filter, p.threads, p.ns_per_px
         );
     }
     headline.extend([
@@ -315,6 +349,7 @@ fn main() {
     rows.extend(lift97p);
     rows.push(recon1);
     rows.extend(reconp);
+    rows.extend(lift_recon);
     rows.push(lift53_int);
     rows.push(lift97_int);
 
@@ -376,12 +411,17 @@ fn main() {
             "read + written bytes, one copy_from_slice of the headline image, median".into(),
         ),
     ];
+    let engine_row = |t: &Timing| t.size == head_n && t.name.starts_with("engine");
+    let results = rows
+        .iter()
+        .map(|t| row(t, engine_row(t).then_some(copy)))
+        .collect();
     let doc: Row = vec![
         ("bench", "dwt2d_engine".into()),
         ("unit", "ns_per_pixel_median".into()),
         ("host", Val::Obj(host)),
         ("headline", Val::Obj(headline)),
-        ("results", Val::Rows(rows.iter().map(row).collect())),
+        ("results", Val::Rows(results)),
     ];
     let path = if smoke {
         "target/BENCH_dwt_smoke.json"

@@ -27,17 +27,21 @@
 //!   ring buffer of `filter_len` row-filtered rows — the tile's *halo*,
 //!   the exact analogue of the paper's guard zone — slides down the image.
 //!   Each input row is row-filtered once into the ring; each output row is
-//!   produced by a column filter whose inner loop runs over **contiguous
-//!   output columns** (vertical vectorization), which LLVM auto-vectorizes
-//!   without any `unsafe`;
+//!   produced by a column filter over **contiguous output columns**
+//!   (vertical vectorization), which LLVM auto-vectorizes without any
+//!   `unsafe`;
 //! * the synthesis kernel is the same sweep run backwards: each output row
-//!   accumulates its column taps from **contiguous coefficient rows** into
+//!   gathers its column taps from **contiguous coefficient rows** into
 //!   one intermediate row and row-synthesizes it in the same visit — no
-//!   per-column gather, no half-image intermediates.
+//!   strided column walk, no half-image intermediates.
 //!
-//! The arithmetic performed per coefficient is the *same sequence of
-//! operations* as the separable reference, so results are bit-identical —
-//! [`crate::dwt2d::decompose_separable`] and
+//! Every inner loop is **register-blocked**: a block of adjacent outputs
+//! (columns in the column stages, row positions in the row stages) keeps
+//! its accumulation chains in registers over all taps and stores each
+//! element once, instead of streaming a partial sum through memory per
+//! tap. The arithmetic performed per coefficient is still the *same
+//! sequence of operations* as the separable reference, so results are
+//! bit-identical — [`crate::dwt2d::decompose_separable`] and
 //! [`crate::dwt2d::reconstruct_separable`] are kept (hidden) as the
 //! test oracles.
 //!
@@ -221,8 +225,10 @@ pub struct DwtPlan {
     threads: usize,
     kernel: KernelKind,
     level_dims: Vec<LevelDims>,
-    /// Per-level synthesis tap lists (convolution plans only).
-    synth_taps: Vec<SynthTaps>,
+    /// Per-level synthesis tap tables (convolution plans only): one over
+    /// the level's rows for the column pass, one over its columns for the
+    /// row pass.
+    synth_taps: Vec<[SynthTaps; 2]>,
 }
 
 /// Lifting needs every level's dimensions even and at least 2, but has
@@ -289,7 +295,9 @@ impl DwtPlan {
         let synth_taps = match kernel {
             KernelKind::Convolution => level_dims
                 .iter()
-                .map(|d| SynthTaps::new(d.rows_out(), bank.len(), mode))
+                .map(|d| {
+                    [d.rows_out(), d.cols_out()].map(|len| SynthTaps::new(len, bank.len(), mode))
+                })
                 .collect(),
             KernelKind::Lifting(_) => Vec::new(),
         };
@@ -324,7 +332,7 @@ impl DwtPlan {
     }
 
     /// Override the band (tile) width in output columns. Values are
-    /// clamped to at least the filter length.
+    /// clamped to at least the filter length and at least 8.
     pub fn with_band_width(mut self, width: usize) -> Self {
         self.band_width = width.max(self.bank.len()).max(8);
         self
@@ -602,16 +610,17 @@ impl DwtPlan {
 
     /// The fused synthesis kernel — [`fused_band_sweep`] run backwards.
     /// Each output row of `level`, from row `first` on, is produced in
-    /// one visit: the column synthesis accumulates its [`SynthTaps`]
+    /// one visit: the column synthesis gathers the row's [`SynthTaps`]
     /// from contiguous coefficient rows into the `[low | high]`
-    /// intermediate row `scratch`, which is row-synthesized straight
-    /// into `dst`. Per element that is the accumulation chain of the
-    /// separable reference — low-filter taps of `LL` (`HL`), then
-    /// high-filter taps of `LH` (`HH`), `(k, m)` ascending — so results
-    /// are bit-identical. The reference skips zero coefficients; adding
-    /// their `±0.0` products is the same, because an accumulator that
-    /// starts at `+0.0` never becomes `-0.0`. A stripe needs no halo:
-    /// every row reads whole coefficient rows only.
+    /// intermediate row `scratch`, a block of adjacent columns at a time,
+    /// and [`synthesize_row`] gathers that row straight into `dst`. Per
+    /// element that is the accumulation chain of the separable
+    /// reference's scatter — low-filter taps of `LL` (`HL`), then
+    /// high-filter taps of `LH` (`HH`), `(k, m)` ascending, from `+0.0` —
+    /// so results are bit-identical. The reference skips zero
+    /// coefficients; adding their `±0.0` products is the same, because an
+    /// accumulator that starts at `+0.0` never becomes `-0.0`. A stripe
+    /// needs no halo: every row reads whole coefficient rows only.
     fn synthesize_rows(
         &self,
         level: usize,
@@ -622,27 +631,21 @@ impl DwtPlan {
         scratch: &mut [f64],
     ) {
         let c = self.level_dims[level].cols_out();
-        let taps = &self.synth_taps[level];
+        let [row_taps, col_taps] = &self.synth_taps[level];
         let (low, high) = (self.bank.low(), self.bank.high());
-        let (lh, hl, hh) = (bands.lh.data(), bands.hl.data(), bands.hh.data());
+        let coeffs = [ll, bands.lh.data(), bands.hl.data(), bands.hh.data()];
         let (low_row, high_row) = scratch[..2 * c].split_at_mut(c);
         for (i, drow) in (first..).zip(dst.chunks_exact_mut(2 * c)) {
-            low_row.fill(0.0);
-            high_row.fill(0.0);
-            let pairs = &taps.pairs[taps.start[i]..taps.start[i + 1]];
-            for &(k, m) in pairs {
-                let at = k * c..(k + 1) * c;
-                kernel::axpy(low_row, &ll[at.clone()], low[m]);
-                kernel::axpy(high_row, &hl[at], low[m]);
+            let pairs = row_taps.of(i);
+            let mut x = 0;
+            while x + PAIR_BLOCK <= c {
+                synth_column_block::<PAIR_BLOCK>(pairs, low, high, coeffs, c, x, low_row, high_row);
+                x += PAIR_BLOCK;
             }
-            for &(k, m) in pairs {
-                let at = k * c..(k + 1) * c;
-                kernel::axpy(low_row, &lh[at.clone()], high[m]);
-                kernel::axpy(high_row, &hh[at], high[m]);
+            for x in x..c {
+                synth_column_block::<1>(pairs, low, high, coeffs, c, x, low_row, high_row);
             }
-            drow.fill(0.0);
-            conv::synthesize_add_unchecked(low_row, low, self.mode, drow);
-            conv::synthesize_add_unchecked(high_row, high, self.mode, drow);
+            synthesize_row(low_row, high_row, low, high, col_taps, drow);
         }
     }
 
@@ -755,34 +758,30 @@ fn ping_pong<'a>(a: &'a mut [f64], b: &'a mut [f64], step: usize) -> (&'a [f64],
     }
 }
 
-/// Row-filter input row `x_row` with both filters over output columns
-/// `[c0, c0 + w)`, writing into `low_out`/`high_out` (length `w`).
+/// Row-filter input row `x` with both filters over output columns
+/// `[c0, c0 + w)`, writing into `lo`/`hi` (length `w`).
 /// The interior region is branch-free; only windows crossing the image
 /// edge consult the boundary policy.
 #[inline]
 fn row_filter_band(
-    x_row: &[f64],
+    x: &[f64],
     bank: &FilterBank,
     mode: Boundary,
     c0: usize,
     w: usize,
-    low_out: &mut [f64],
-    high_out: &mut [f64],
+    lo: &mut [f64],
+    hi: &mut [f64],
 ) {
-    let n = x_row.len();
+    let n = x.len();
     let (low, high) = (bank.low(), bank.high());
-    let flen = low.len();
-    let interior_end = conv::interior_outputs(n, flen, n / 2).clamp(c0, c0 + w);
-    for j in c0..interior_end {
-        let window = &x_row[2 * j..2 * j + flen];
-        let mut accl = 0.0;
-        let mut acch = 0.0;
-        for ((&tl, &th), &v) in low.iter().zip(high).zip(window) {
-            accl += tl * v;
-            acch += th * v;
-        }
-        low_out[j - c0] = accl;
-        high_out[j - c0] = acch;
+    let interior_end = conv::interior_outputs(n, low.len(), n / 2).clamp(c0, c0 + w);
+    let mut j = c0;
+    while j + PAIR_BLOCK <= interior_end {
+        row_filter_block::<PAIR_BLOCK>(x, low, high, j, &mut lo[j - c0..], &mut hi[j - c0..]);
+        j += PAIR_BLOCK;
+    }
+    for j in j..interior_end {
+        row_filter_block::<1>(x, low, high, j, &mut lo[j - c0..], &mut hi[j - c0..]);
     }
     for j in interior_end..c0 + w {
         let base = 2 * j;
@@ -790,13 +789,48 @@ fn row_filter_band(
         let mut acch = 0.0;
         for (m, (&tl, &th)) in low.iter().zip(high).enumerate() {
             if let Some(idx) = mode.map((base + m) as isize, n) {
-                accl += tl * x_row[idx];
-                acch += th * x_row[idx];
+                accl += tl * x[idx];
+                acch += th * x[idx];
             }
         }
-        low_out[j - c0] = accl;
-        high_out[j - c0] = acch;
+        lo[j - c0] = accl;
+        hi[j - c0] = acch;
     }
+}
+
+/// Adjacent outputs per register block where two chains run side by
+/// side: the row filter (low, high), the synthesis column stage (low,
+/// high rows) and the synthesis row gather (even, odd columns).
+const PAIR_BLOCK: usize = 8;
+
+/// Adjacent columns per register block of the analysis column stage,
+/// which runs four chains (`LL`, `LH`, `HL`, `HH`) side by side.
+const QUAD_BLOCK: usize = 4;
+
+/// Row-filter interior outputs `j .. j + B` (every window inside `x`)
+/// into the heads of `low_out`/`high_out`. Each output is one chain from
+/// `+0.0`, taps ascending, held in registers and stored once.
+#[inline(always)]
+fn row_filter_block<const B: usize>(
+    x: &[f64],
+    low: &[f64],
+    high: &[f64],
+    j: usize,
+    low_out: &mut [f64],
+    high_out: &mut [f64],
+) {
+    let mut accl = [0.0; B];
+    let mut acch = [0.0; B];
+    for (m, (&tl, &th)) in low.iter().zip(high).enumerate() {
+        // Sample `2(j + b) + m` of `x` for every lane `b`.
+        let window = &x[2 * j + m..][..2 * B - 1];
+        for b in 0..B {
+            accl[b] += tl * window[2 * b];
+            acch[b] += th * window[2 * b];
+        }
+    }
+    low_out[..B].copy_from_slice(&accl);
+    high_out[..B].copy_from_slice(&acch);
 }
 
 /// Compute the ring slot for intermediate row `t`, filling it with the
@@ -843,7 +877,7 @@ fn fused_band_sweep(
     bank: &FilterBank,
     mode: Boundary,
     k_range: Range<usize>,
-    [ll, lh, hl, hh]: [&mut [f64]; 4],
+    mut bands: [&mut [f64]; 4],
     buf: &mut LaneBuf,
     ring_rows: usize,
     band_width: usize,
@@ -867,49 +901,198 @@ fn fused_band_sweep(
                     fill_ring_row(src, dims, bank, mode, t, c0, w, buf, ring_rows);
                 }
             }
-            // Column filter: contiguous output chunks, one tap at a time,
-            // ascending — the same accumulation order as the separable
-            // reference, so results are bit-identical.
+            // Column filter over blocks of adjacent columns: tap `m`
+            // reads ring row `2k + m`, whose slot is `(2k + m) mod
+            // ring_rows` (`ring_rows == flen`, so one subtraction wraps).
             let o = (k - k0) * cols_out + c0;
-            let ll_row = &mut ll[o..o + w];
-            let lh_row = &mut lh[o..o + w];
-            let hl_row = &mut hl[o..o + w];
-            let hh_row = &mut hh[o..o + w];
-            ll_row.fill(0.0);
-            lh_row.fill(0.0);
-            hl_row.fill(0.0);
-            hh_row.fill(0.0);
-            for (m, (&tl, &th)) in low.iter().zip(high).enumerate() {
-                let slot = ((2 * k + m) % ring_rows) * w;
-                let lrow = &buf.low_ring[slot..slot + w];
-                let hrow = &buf.high_ring[slot..slot + w];
-                kernel::accumulate_quad(ll_row, lh_row, hl_row, hh_row, lrow, hrow, tl, th);
+            let mut outs = bands.each_mut().map(|band| &mut band[o..o + w]);
+            let first = 2 * k % ring_rows;
+            let taps = || {
+                (first..).zip(low.iter().zip(high)).map(|(s, (&tl, &th))| {
+                    let slot = if s < ring_rows { s } else { s - ring_rows };
+                    (slot * w, tl, th)
+                })
+            };
+            let rings = [&buf.low_ring[..], &buf.high_ring[..]];
+            let mut x = 0;
+            while x + QUAD_BLOCK <= w {
+                column_block::<QUAD_BLOCK>(rings, taps(), x, &mut outs);
+                x += QUAD_BLOCK;
+            }
+            for x in x..w {
+                column_block::<1>(rings, taps(), x, &mut outs);
             }
         }
         c0 += w;
     }
 }
 
-/// For each intermediate row `i` of one level's synthesis, the `(k, m)`
-/// pairs — coefficient row `k`, filter tap `m` — with
-/// `mode.map(2k + m) == i`, in `(k, m)`-ascending order: the order in
-/// which the per-column scatter of the separable reference adds them.
-/// Built from `mode.map` itself, so every boundary policy (folds that
-/// land two taps of one `k` on the same row included) is covered by
-/// construction.
+/// Column-filter columns `x .. x + B` of one output row of the four
+/// sub-bands (`outs`, `[ll, lh, hl, hh]`) from the band's `[low, high]`
+/// rings.
+/// `taps` yields `(ring offset, low tap, high tap)` per tap, ascending.
+/// Each element is one chain from `+0.0`, held in registers and stored
+/// once: the separable reference's column chain (a zero ring row, where
+/// the boundary drops a tap, adds a `±0.0` product, which cannot change a
+/// chain that starts at `+0.0`).
+#[inline(always)]
+fn column_block<const B: usize>(
+    [low_ring, high_ring]: [&[f64]; 2],
+    taps: impl Iterator<Item = (usize, f64, f64)>,
+    x: usize,
+    outs: &mut [&mut [f64]; 4],
+) {
+    let mut acc = [[0.0; B]; 4];
+    for (slot, tl, th) in taps {
+        let lrow: &[f64; B] = low_ring[slot + x..][..B].try_into().unwrap();
+        let hrow: &[f64; B] = high_ring[slot + x..][..B].try_into().unwrap();
+        for b in 0..B {
+            acc[0][b] += tl * lrow[b];
+            acc[1][b] += th * lrow[b];
+            acc[2][b] += tl * hrow[b];
+            acc[3][b] += th * hrow[b];
+        }
+    }
+    for (band, acc) in outs.iter_mut().zip(&acc) {
+        band[x..x + B].copy_from_slice(acc);
+    }
+}
+
+/// Column-synthesize columns `x .. x + B` of one intermediate row into
+/// `low_row`/`high_row`: the row's `pairs` of low taps over `LL`/`HL`,
+/// then of high taps over `LH`/`HH` (`coeffs` is `[ll, lh, hl, hh]`, rows
+/// `c` wide). Each element is one chain from `+0.0`, held in registers
+/// and stored once.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn synth_column_block<const B: usize>(
+    pairs: &[(usize, usize)],
+    low: &[f64],
+    high: &[f64],
+    [ll, lh, hl, hh]: [&[f64]; 4],
+    c: usize,
+    x: usize,
+    low_row: &mut [f64],
+    high_row: &mut [f64],
+) {
+    let mut lo = [0.0; B];
+    let mut hi = [0.0; B];
+    for (taps, from_lo, from_hi) in [(low, ll, hl), (high, lh, hh)] {
+        for &(k, m) in pairs {
+            let t = taps[m];
+            let a: &[f64; B] = from_lo[k * c + x..][..B].try_into().unwrap();
+            let b: &[f64; B] = from_hi[k * c + x..][..B].try_into().unwrap();
+            for j in 0..B {
+                lo[j] += t * a[j];
+                hi[j] += t * b[j];
+            }
+        }
+    }
+    low_row[x..x + B].copy_from_slice(&lo);
+    high_row[x..x + B].copy_from_slice(&hi);
+}
+
+/// Row-synthesize one intermediate row (`lo`/`hi`, its low and high
+/// halves, `c` each) into the output row `out` (`2c`) by gathering: each
+/// output is the chain of its low products `lo[k] · low[m]`, then its high
+/// products, `(k, m)` ascending from `+0.0` — the order in which the
+/// reference's scatter adds them. Column pairs `2j, 2j + 1` whose taps
+/// are the plain interior chain run in register blocks; the pairs `taps`
+/// lists as edges (a wrapped, folded or dropped tap, or a short chain)
+/// replay their tap lists.
+fn synthesize_row(
+    lo: &[f64],
+    hi: &[f64],
+    low: &[f64],
+    high: &[f64],
+    taps: &SynthTaps,
+    out: &mut [f64],
+) {
+    let c = lo.len();
+    let mut j = 0;
+    for &edge in taps.edges.iter().chain([&c]) {
+        while j + PAIR_BLOCK <= edge {
+            gather_block::<PAIR_BLOCK>(lo, hi, low, high, j, out);
+            j += PAIR_BLOCK;
+        }
+        for j in j..edge {
+            gather_block::<1>(lo, hi, low, high, j, out);
+        }
+        if edge == c {
+            break;
+        }
+        for i in [2 * edge, 2 * edge + 1] {
+            let pairs = taps.of(i);
+            let mut acc = 0.0;
+            for (half, taps) in [(lo, low), (hi, high)] {
+                for &(k, m) in pairs {
+                    acc += half[k] * taps[m];
+                }
+            }
+            out[i] = acc;
+        }
+        j = edge + 1;
+    }
+}
+
+/// Gather output columns `2j .. 2(j + B)` of [`synthesize_row`], all
+/// interior: column `2j'` (`2j' + 1`) is the chain over `k = j' + 1 − h
+/// ..= j'` of `lo[k] · low[2(j' − k)]` (`low[2(j' − k) + 1]`), then the
+/// same over `hi` and `high`, `h` being half the filter length.
+#[inline(always)]
+fn gather_block<const B: usize>(
+    lo: &[f64],
+    hi: &[f64],
+    low: &[f64],
+    high: &[f64],
+    j: usize,
+    out: &mut [f64],
+) {
+    let k0 = j + 1 - low.len() / 2;
+    let mut even = [0.0; B];
+    let mut odd = [0.0; B];
+    for (half, taps) in [(lo, low), (hi, high)] {
+        // Tap pairs from the last down: `q` steps `k` up from `k0`.
+        for (q, t) in taps.chunks_exact(2).rev().enumerate() {
+            let xs: &[f64; B] = half[k0 + q..][..B].try_into().unwrap();
+            for b in 0..B {
+                even[b] += xs[b] * t[0];
+                odd[b] += xs[b] * t[1];
+            }
+        }
+    }
+    let out = &mut out[2 * j..][..2 * B];
+    for b in 0..B {
+        out[2 * b] = even[b];
+        out[2 * b + 1] = odd[b];
+    }
+}
+
+/// For each position `i` of one level's synthesis along one axis (rows
+/// for the column pass, columns for the row pass), the `(k, m)` pairs —
+/// coefficient `k`, filter tap `m` — with `mode.map(2k + m) == i`, in
+/// `(k, m)`-ascending order: the order in which the separable reference's
+/// scatter adds them. Built from `mode.map` itself, so every boundary
+/// policy (folds that land two taps of one `k` on the same position
+/// included) is covered by construction.
 #[derive(Debug, Clone)]
 struct SynthTaps {
-    /// Row `i` owns `pairs[start[i]..start[i + 1]]`.
+    /// Position `i` owns `pairs[start[i]..start[i + 1]]`.
     start: Vec<usize>,
     pairs: Vec<(usize, usize)>,
+    /// Ascending `j` whose positions `2j`, `2j + 1` are not both the
+    /// plain interior chain `(k, i − 2k)`, `k = j + 1 − filter_len / 2
+    /// ..= j`: the edges [`synthesize_row`] replays (a wrapped or folded
+    /// tap lands there, or the chain is cut short at the start).
+    edges: Vec<usize>,
 }
 
 impl SynthTaps {
-    /// Table for a level whose sub-bands have `rows_out` rows.
-    fn new(rows_out: usize, filter_len: usize, mode: Boundary) -> Self {
-        let n = 2 * rows_out;
+    /// Table for an axis of `len` coefficients (`2 · len` positions).
+    fn new(len: usize, filter_len: usize, mode: Boundary) -> Self {
+        let n = 2 * len;
         let hits = || {
-            (0..rows_out).flat_map(move |k| {
+            (0..len).flat_map(move |k| {
                 (0..filter_len)
                     .filter_map(move |m| mode.map((2 * k + m) as isize, n).map(|i| (i, (k, m))))
             })
@@ -928,7 +1111,24 @@ impl SynthTaps {
             pairs[next[i]] = pair;
             next[i] += 1;
         }
-        SynthTaps { start, pairs }
+        // Position `i` (`2j` or `2j + 1`) with `j + 1 ≥ h` always gets its
+        // `h` in-range taps `(k, i − 2k)`, `k = j + 1 − h ..= j`: it is the
+        // plain interior chain unless a wrapped or folded tap lands too.
+        let h = filter_len / 2;
+        let interior = |i: usize| i / 2 + 1 >= h && start[i + 1] - start[i] == h;
+        let edges = (0..len)
+            .filter(|&j| !(interior(2 * j) && interior(2 * j + 1)))
+            .collect();
+        SynthTaps {
+            start,
+            pairs,
+            edges,
+        }
+    }
+
+    /// The pairs of position `i`.
+    fn of(&self, i: usize) -> &[(usize, usize)] {
+        &self.pairs[self.start[i]..self.start[i + 1]]
     }
 }
 

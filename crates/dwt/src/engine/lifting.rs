@@ -15,7 +15,7 @@
 //!
 //! * *fill* — analysis row-lifts each input row into a staging row
 //!   packed as `[low | high]` halves; synthesis gathers the matching
-//!   sub-band rows (any 9/7 scaling applied in the staging row);
+//!   sub-band rows (any 9/7 scaling fused into that copy);
 //! * the column transform runs as a software pipeline over the staged
 //!   rows: stage `k` of the predict/update schedule trails stage `k-1`
 //!   by one row pair, so every row is touched while still cache-hot.
@@ -24,15 +24,17 @@
 //!   stage ever wraps: the periodic wrap is one more stripe edge,
 //!   recomputed the way the paper's guard zones are;
 //! * *drain* — as soon as a row pair leaves the last stage it is
-//!   scattered to the four sub-bands (analysis) or row-unlifted into
-//!   the output image (synthesis).
+//!   scattered to the four sub-bands, the 9/7 scaling fused into the
+//!   copy (analysis), or row-unlifted into the output image (synthesis).
 //!
 //! The working set is at most a dozen buffer rows regardless of image
 //! height — the lifting analogue of the convolution engine's
 //! ring-buffer halo — and stripes share nothing, so the engine runs one
-//! per thread lane. Interior loops go through [`lift_step`], a manually
-//! 4-way unrolled `dst[i] += c · (a[i] + b[i])` over contiguous rows
-//! (vertical vectorization); the row transforms' wraps are scalar.
+//! per thread lane. Interior loops go through [`lift_step`], a plain
+//! zipped `dst[i] += c · (a[i] + b[i])` over contiguous rows that LLVM
+//! vectorizes (vertical vectorization); the row transforms' wraps are
+//! scalar, and their deinterleave and interleave are zipped loops with
+//! no per-index bounds checks.
 //!
 //! Per element the arithmetic is the *same sequence of operations* as
 //! the (hidden) oracle in [`crate::lifting`], so results are
@@ -114,27 +116,13 @@ fn zeta(kind: LiftingKind) -> Option<f64> {
 }
 
 /// `dst[i] += c · (a[i] + b[i])` over contiguous slices — the vertical
-/// lifting update. Manually unrolled 4-wide so the compiler keeps four
-/// independent f64 lanes in flight; the remainder runs scalar.
+/// lifting update. A plain zipped loop: no bounds checks, and LLVM
+/// vectorizes it as it stands.
 #[inline]
 pub fn lift_step(dst: &mut [f64], a: &[f64], b: &[f64], c: f64) {
-    let n = dst.len();
-    debug_assert!(a.len() >= n && b.len() >= n);
-    let quads = n - n % 4;
-    let mut i = 0usize;
-    while i < quads {
-        let a4 = &a[i..i + 4];
-        let b4 = &b[i..i + 4];
-        let d4 = &mut dst[i..i + 4];
-        d4[0] += c * (a4[0] + b4[0]);
-        d4[1] += c * (a4[1] + b4[1]);
-        d4[2] += c * (a4[2] + b4[2]);
-        d4[3] += c * (a4[3] + b4[3]);
-        i += 4;
-    }
-    while i < n {
-        dst[i] += c * (a[i] + b[i]);
-        i += 1;
+    debug_assert!(a.len() >= dst.len() && b.len() >= dst.len());
+    for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+        *d += c * (x + y);
     }
 }
 
@@ -151,6 +139,24 @@ fn scale(row: &mut [f64], z: f64) {
 fn unscale(row: &mut [f64], z: f64) {
     for v in row {
         *v /= z;
+    }
+}
+
+/// `dst = src` with any 9/7 normalization fused into the copy:
+/// [`scale`] when `times`, else [`unscale`] (still a true division).
+fn copy_normalized(dst: &mut [f64], src: &[f64], z: Option<f64>, times: bool) {
+    match z {
+        Some(z) if times => {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v * z;
+            }
+        }
+        Some(z) => {
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = v / z;
+            }
+        }
+        None => dst.copy_from_slice(src),
     }
 }
 
@@ -450,9 +456,9 @@ fn row_lift(
 ) {
     let x = &src[r * cols..(r + 1) * cols];
     let (e, o) = buf[brow * cols..(brow + 1) * cols].split_at_mut(cols / 2);
-    for (i, pair) in x.chunks_exact(2).enumerate() {
-        e[i] = pair[0];
-        o[i] = pair[1];
+    for ((pair, e), o) in x.chunks_exact(2).zip(e.iter_mut()).zip(o.iter_mut()) {
+        *e = pair[0];
+        *o = pair[1];
     }
     lift_halves(e, o, st);
     if let Some(z) = z {
@@ -462,7 +468,7 @@ fn row_lift(
 }
 
 /// Scatter finished staging pair (slot `bp`) into row `p` of the four
-/// sub-bands, applying the column-pass 9/7 scaling.
+/// sub-bands, applying the column-pass 9/7 scaling in the same pass.
 #[allow(clippy::too_many_arguments)]
 fn scatter_pair(
     buf: &[f64],
@@ -476,21 +482,16 @@ fn scatter_pair(
     hh: &mut [f64],
 ) {
     let c2 = cols / 2;
-    let s = &buf[2 * bp * cols..(2 * bp + 1) * cols];
-    let d = &buf[(2 * bp + 1) * cols..(2 * bp + 2) * cols];
-    let llr = &mut ll[p * c2..(p + 1) * c2];
-    let hlr = &mut hl[p * c2..(p + 1) * c2];
-    let lhr = &mut lh[p * c2..(p + 1) * c2];
-    let hhr = &mut hh[p * c2..(p + 1) * c2];
-    llr.copy_from_slice(&s[..c2]);
-    hlr.copy_from_slice(&s[c2..]);
-    lhr.copy_from_slice(&d[..c2]);
-    hhr.copy_from_slice(&d[c2..]);
-    if let Some(z) = z {
-        scale(llr, z);
-        scale(hlr, z);
-        unscale(lhr, z);
-        unscale(hhr, z);
+    let at = p * c2..(p + 1) * c2;
+    let (s, d) = buf[2 * bp * cols..(2 * bp + 2) * cols].split_at(cols);
+    // Even (`s`) rows feed LL/HL, scaled by ζ; odd (`d`) rows LH/HH, divided.
+    for (dst, src, times) in [
+        (&mut ll[at.clone()], &s[..c2], true),
+        (&mut hl[at.clone()], &s[c2..], true),
+        (&mut lh[at.clone()], &d[..c2], false),
+        (&mut hh[at], &d[c2..], false),
+    ] {
+        copy_normalized(dst, src, z, times);
     }
 }
 
@@ -539,12 +540,11 @@ fn gather_row(
     let row = &mut buf[bt * cols..(bt + 1) * cols];
     let even = t.is_multiple_of(2);
     let (left, right) = if even { (ll, hl) } else { (lh, hh) };
-    row[..c2].copy_from_slice(&left[at.clone()]);
-    row[c2..].copy_from_slice(&right[at]);
-    match z {
-        Some(z) if even => unscale(row, z),
-        Some(z) => scale(row, z),
-        None => {}
+    for (dst, src) in row
+        .chunks_exact_mut(c2)
+        .zip([&left[at.clone()], &right[at]])
+    {
+        copy_normalized(dst, src, z, !even);
     }
 }
 
@@ -569,9 +569,9 @@ fn finalize_row(
     }
     lift_halves(e, o, st);
     let out = &mut dst[t * cols..(t + 1) * cols];
-    for i in 0..c2 {
-        out[2 * i] = e[i];
-        out[2 * i + 1] = o[i];
+    for ((pair, &e), &o) in out.chunks_exact_mut(2).zip(&*e).zip(&*o) {
+        pair[0] = e;
+        pair[1] = o;
     }
 }
 

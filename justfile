@@ -11,11 +11,13 @@ check:
 
 # Bit-identity of the dwt kernels in the profile every measured number
 # comes from: the oracle suites also run in debug under `check`, but the
-# auto-vectorised `axpy` and the unrolled `lift_step` only exist in
-# `--release`.
+# register-blocked convolution chains and the vectorised `lift_step` only
+# exist in `--release`. `mimd_golden` and `cross_machine_dwt` pin the
+# engine's other consumers (the MIMD simulation's digests, the
+# cross-machine agreement) in the same profile.
 kernel-pin:
     cargo test -q --release -p dwt
-    cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions
+    cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions --test mimd_golden --test cross_machine_dwt
 
 # Lints as CI runs them.
 lint:

@@ -11,6 +11,7 @@
 //! number of lanes.
 
 use dwt::engine::DwtPlan;
+use dwt::lifting::{self, LiftingKind};
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use proptest::prelude::*;
 
@@ -155,5 +156,92 @@ proptest! {
         let got = plan.reconstruct(&pyr).unwrap();
         let d = oracle.max_abs_diff(&got).unwrap();
         prop_assert!(d == 0.0, "reconstruction differs by {d}");
+    }
+}
+
+/// Fixed texture for the table-driven cases below.
+fn fixed_noise() -> Vec<f64> {
+    (0..64u64)
+        .map(|i| ((i.wrapping_mul(6364136223846793005) >> 33) % 2000) as f64 / 10.0 - 100.0)
+        .collect()
+}
+
+/// The geometry the kernel benchmarks run, scaled to 1024²/L3: every
+/// level has at least 128 sub-band rows, so each stripes on two lanes,
+/// and the finest level spans two full default-width bands. D4 against
+/// the separable oracles, both CDF banks against the lifting oracles,
+/// at one and two lanes, both directions, bitwise.
+#[test]
+fn measured_geometry_matches_the_oracles_bitwise() {
+    let (n, levels) = (1024, 3);
+    let img = build_image(n, n, &fixed_noise());
+    let d4 = FilterBank::daubechies(4).unwrap();
+    let want = dwt2d::decompose_separable(&img, &d4, levels, Boundary::Periodic).unwrap();
+    let back = dwt2d::reconstruct_separable(&want, &d4, Boundary::Periodic).unwrap();
+    let mut cases = vec![(d4, want, back)];
+    for kind in [LiftingKind::LeGall53, LiftingKind::Cdf97] {
+        let want = lifting::decompose_oracle(&img, kind, levels).unwrap();
+        let back = lifting::reconstruct_oracle(&want, kind).unwrap();
+        cases.push((FilterBank::for_lifting(kind), want, back));
+    }
+    for (bank, want, back) in cases {
+        for threads in [1, 2] {
+            let plan = DwtPlan::new(n, n, bank.clone(), levels, Boundary::Periodic)
+                .unwrap()
+                .with_threads(threads);
+            let at = format!("{} t{threads}", bank.name());
+            assert!(plan.decompose(&img).unwrap() == want, "{at} decompose");
+            assert!(plan.reconstruct(&want).unwrap() == back, "{at} reconstruct");
+        }
+    }
+}
+
+/// Every register-block remainder and every row edge of the convolution
+/// kernels: each bank under each boundary, every even width from the
+/// narrowest valid one to `4·filter_len + 6` (empty, one-block and
+/// ragged interiors), depths 1–2, the default band width and three that
+/// do not divide the output, both directions, bitwise.
+#[test]
+fn block_remainders_and_row_edges_match_the_oracles_bitwise() {
+    let banks = [
+        FilterBank::haar(),
+        FilterBank::daubechies(4).unwrap(),
+        FilterBank::daubechies(8).unwrap(),
+        FilterBank::daubechies(10).unwrap(),
+        FilterBank::coiflet(6).unwrap(),
+    ];
+    let noise = fixed_noise();
+    for bank in &banks {
+        let flen = bank.len();
+        let rows = 4 * flen;
+        for mode in Boundary::ALL {
+            for levels in 1..=2 {
+                let mut checked = 0;
+                for cols in (2..=4 * flen + 6).step_by(2) {
+                    let Ok(plan) = DwtPlan::new(rows, cols, bank.clone(), levels, mode) else {
+                        continue;
+                    };
+                    let img = build_image(rows, cols, &noise);
+                    let want = dwt2d::decompose_separable(&img, bank, levels, mode).unwrap();
+                    let back = dwt2d::reconstruct_separable(&want, bank, mode).unwrap();
+                    let at = format!("{} {mode:?} L{levels} {rows}x{cols}", bank.name());
+                    assert!(plan.reconstruct(&want).unwrap() == back, "{at} reconstruct");
+                    for width in [None, Some(5), Some(7), Some(13)] {
+                        let plan = match width {
+                            Some(w) => plan.clone().with_band_width(w),
+                            None => plan.clone(),
+                        };
+                        let got = plan.decompose(&img).unwrap();
+                        assert!(got == want, "{at} band width {width:?} decompose");
+                    }
+                    checked += 1;
+                }
+                assert!(
+                    checked > 0,
+                    "{} {mode:?} L{levels}: no valid width",
+                    bank.name()
+                );
+            }
+        }
     }
 }

@@ -4,10 +4,11 @@
 //! carries most of the energy and each detail plane refines it. This
 //! module turns a [`DecomposeResponse`] into an ordered plane sequence
 //! — the header frame ships the exact LL plane plus all serving
-//! metadata, then detail planes follow in decreasing energy order — and
-//! reassembles the sequence on the receiving side with a running,
-//! provable error bound, so a client can stop (and cancel the request)
-//! the moment its tolerance is met.
+//! metadata, then detail planes follow in decreasing order of the bound
+//! each one removes — and reassembles the sequence on the receiving
+//! side with a running, provable error bound, so a client can stop (and
+//! cancel the request) the moment its tolerance is met. The server
+//! quantizes and sends a plane only once the reader asks for it.
 //!
 //! Detail planes are optionally compressed on the wire with
 //! [`CheckpointCodec::WaveletQuant`] — the exact arithmetic the
@@ -27,17 +28,24 @@
 //! `base_error_bound` (triangle inequality); [`Reassembler::bound`]
 //! reports that sum.
 
-use dwt::Pyramid;
+use dwt::{Matrix, Pyramid, Subbands};
 use dwt_mimd::{encode_plane, encoded_bytes, CheckpointCodec, PlaneStats};
 
 use crate::request::DecomposeResponse;
 use crate::wire::{
-    corrupt, encode_progressive_header, encode_progressive_plane, Frame, PlaneBand, PlaneCoeffs,
-    ProgressiveHeader, ProgressivePlane, WireError,
+    corrupt, PlaneBand, PlaneCoeffs, ProgressiveHeader, ProgressivePlane, WireError,
 };
 
 fn max_abs(data: &[f64]) -> f64 {
     data.iter().fold(0.0f64, |m, v| m.max(v.abs()))
+}
+
+fn band_of(sb: &Subbands, band: PlaneBand) -> &Matrix {
+    match band {
+        PlaneBand::Lh => &sb.lh,
+        PlaneBand::Hl => &sb.hl,
+        PlaneBand::Hh => &sb.hh,
+    }
 }
 
 /// Sparse (value + 32-bit coordinate) when that is strictly smaller
@@ -59,123 +67,135 @@ fn pick_coeffs(data: Vec<f64>) -> PlaneCoeffs {
     }
 }
 
+/// A response cut into its progressive sequence: the header, and the
+/// detail planes in bound order, each quantized only when it is asked
+/// for — a sequence its reader stops early never pays for the planes it
+/// did not read.
+///
+/// Plane order is descending largest original coefficient; on ties the
+/// smaller plane goes first, then `(level, band)` so the order is total
+/// and deterministic. A reader with tolerance `T` over base bound
+/// `base` needs exactly the planes with `max |c| > T − base`: the bound
+/// after any prefix is the largest coefficient still outstanding (or
+/// the codec tolerance), so every plane above that line must arrive
+/// and none below it helps. This order puts the whole set first, for
+/// every `T` at once, so each prefix is the fewest planes — and bytes,
+/// since every one of them must be paid for anyway — for its bound.
+pub(crate) struct PlaneSequence<'a> {
+    resp: &'a DecomposeResponse,
+    codec: CheckpointCodec,
+    header: ProgressiveHeader,
+    /// `(level, band, bound_after)` of each plane, in sequence order.
+    order: Vec<(usize, PlaneBand, f64)>,
+}
+
+impl<'a> PlaneSequence<'a> {
+    pub(crate) fn new(
+        resp: &'a DecomposeResponse,
+        codec: CheckpointCodec,
+    ) -> Result<PlaneSequence<'a>, WireError> {
+        if !codec.is_valid() {
+            return Err(corrupt("invalid progressive codec parameters"));
+        }
+        let mut cands = Vec::with_capacity(3 * resp.pyramid.levels());
+        for (i, sb) in resp.pyramid.detail.iter().enumerate() {
+            for band in [PlaneBand::Lh, PlaneBand::Hl, PlaneBand::Hh] {
+                let m = band_of(sb, band);
+                cands.push((i + 1, band, m.data().len(), max_abs(m.data())));
+            }
+        }
+        cands.sort_by(|a, b| {
+            b.3.total_cmp(&a.3)
+                .then(a.2.cmp(&b.2))
+                .then(a.0.cmp(&b.0))
+                .then((a.1 as u8).cmp(&(b.1 as u8)))
+        });
+        // bound_after[j] = max(codec tolerance, largest orig_max over
+        // planes strictly after j) — under this order, the next plane's.
+        let tol = codec.tolerance();
+        let bound = |j: usize| cands.get(j).map_or(tol, |c| tol.max(c.3));
+        let order = (0..cands.len())
+            .map(|j| (cands[j].0, cands[j].1, bound(j + 1)))
+            .collect();
+        let (rows, cols) = resp.pyramid.image_dims();
+        let header = ProgressiveHeader {
+            cache_hit: resp.cache_hit,
+            degraded: resp.degraded,
+            batch_size: resp.batch_size,
+            wait_s: resp.wait_s,
+            service_s: resp.service_s,
+            base_error_bound: resp.error_bound,
+            rows,
+            cols,
+            levels: resp.pyramid.levels(),
+            planes_total: cands.len(),
+            codec_tolerance: tol,
+            bound_after: bound(0),
+            approx: resp.pyramid.approx.clone(),
+        };
+        Ok(PlaneSequence {
+            resp,
+            codec,
+            header,
+            order,
+        })
+    }
+
+    /// The header frame's payload.
+    pub(crate) fn header(&self) -> &ProgressiveHeader {
+        &self.header
+    }
+
+    /// Detail planes in the sequence.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Plane `seq` (1-based), quantized now. With a lossless codec
+    /// (`Raw`, or `WaveletQuant` with `threshold == 0 && step == 0`) it
+    /// ships untouched — byte-for-byte the monolithic coefficients,
+    /// including signed zeros.
+    pub(crate) fn plane(&self, seq: usize) -> ProgressivePlane {
+        let (level, band, bound_after) = self.order[seq - 1];
+        let m = band_of(&self.resp.pyramid.detail[level - 1], band);
+        let data = match self.codec {
+            CheckpointCodec::WaveletQuant { threshold, step } if self.codec.tolerance() > 0.0 => {
+                let mut coded = m.clone();
+                encode_plane(&mut coded, threshold, step);
+                coded.into_vec()
+            }
+            // encode_plane normalizes -0.0 to +0.0; bypass it so a
+            // complete lossless reassembly stays bitwise identical.
+            _ => m.data().to_vec(),
+        };
+        ProgressivePlane {
+            seq,
+            level,
+            band,
+            rows: m.rows(),
+            cols: m.cols(),
+            bound_after,
+            coeffs: pick_coeffs(data),
+        }
+    }
+}
+
 /// Split a successful response into a progressive header + detail-plane
-/// sequence, quantizing detail planes with `codec` on the way out.
-///
-/// Plane order is decreasing post-codec energy (ties broken by
-/// `(level, band)` so the order is total and deterministic). Each
-/// plane's `bound_after` is computed from the **original** coefficient
-/// magnitudes of the planes still outstanding, so the sequence of
-/// bounds is honest for a receiver that reads missing planes as zero.
-///
-/// With a lossless codec (`Raw`, or `WaveletQuant` with
-/// `threshold == 0 && step == 0`) planes ship untouched — byte-for-byte
-/// the monolithic coefficients, including signed zeros.
+/// sequence, quantizing detail planes with `codec` on the way out: the
+/// order a progressive server sends — descending largest original
+/// coefficient, ties to the smaller plane, then `(level, band)` — with
+/// every plane realized, where the server realizes only the planes its
+/// client asks for. Each plane's `bound_after` is computed from the
+/// **original** coefficient magnitudes of the planes still outstanding,
+/// so the sequence of bounds is honest for a receiver that reads
+/// missing planes as zero.
 pub fn split_response(
     resp: &DecomposeResponse,
     codec: CheckpointCodec,
 ) -> Result<(ProgressiveHeader, Vec<ProgressivePlane>), WireError> {
-    if !codec.is_valid() {
-        return Err(corrupt("invalid progressive codec parameters"));
-    }
-    let lossless = codec.tolerance() == 0.0;
-    let (rows, cols) = resp.pyramid.image_dims();
-    let levels = resp.pyramid.levels();
-
-    struct Cand {
-        level: usize,
-        band: PlaneBand,
-        rows: usize,
-        cols: usize,
-        data: Vec<f64>,
-        orig_max: f64,
-        energy: f64,
-    }
-    let mut cands = Vec::with_capacity(3 * levels);
-    for (i, sb) in resp.pyramid.detail.iter().enumerate() {
-        let level = i + 1;
-        for (band, m) in [
-            (PlaneBand::Lh, &sb.lh),
-            (PlaneBand::Hl, &sb.hl),
-            (PlaneBand::Hh, &sb.hh),
-        ] {
-            let orig_max = max_abs(m.data());
-            let data = if lossless {
-                // encode_plane normalizes -0.0 to +0.0; bypass it so a
-                // complete lossless reassembly stays bitwise identical.
-                m.data().to_vec()
-            } else {
-                let mut coded = m.clone();
-                let (threshold, step) = match codec {
-                    CheckpointCodec::Raw => (0.0, 0.0),
-                    CheckpointCodec::WaveletQuant { threshold, step } => (threshold, step),
-                };
-                encode_plane(&mut coded, threshold, step);
-                coded.into_vec()
-            };
-            let energy = data.iter().map(|v| v * v).sum::<f64>();
-            cands.push(Cand {
-                level,
-                band,
-                rows: m.rows(),
-                cols: m.cols(),
-                data,
-                orig_max,
-                energy,
-            });
-        }
-    }
-    // Highest-energy planes first; ties resolved structurally so the
-    // order (and therefore the wire bytes) is deterministic.
-    cands.sort_by(|a, b| {
-        b.energy
-            .total_cmp(&a.energy)
-            .then(a.level.cmp(&b.level))
-            .then((a.band as u8).cmp(&(b.band as u8)))
-    });
-
-    // bound_after[j] = max(codec tolerance, max orig_max over planes
-    // strictly after j). Computed back-to-front.
-    let tol = codec.tolerance();
-    let n = cands.len();
-    let mut bounds = vec![tol; n];
-    let mut running = tol;
-    for j in (0..n).rev() {
-        bounds[j] = running;
-        running = running.max(cands[j].orig_max);
-    }
-    let header_bound = running; // all detail planes outstanding
-
-    let header = ProgressiveHeader {
-        cache_hit: resp.cache_hit,
-        degraded: resp.degraded,
-        batch_size: resp.batch_size,
-        wait_s: resp.wait_s,
-        service_s: resp.service_s,
-        base_error_bound: resp.error_bound,
-        rows,
-        cols,
-        levels,
-        planes_total: n,
-        codec_tolerance: tol,
-        bound_after: header_bound,
-        approx: resp.pyramid.approx.clone(),
-    };
-    let planes = cands
-        .into_iter()
-        .zip(bounds)
-        .enumerate()
-        .map(|(j, (c, bound_after))| ProgressivePlane {
-            seq: j + 1,
-            level: c.level,
-            band: c.band,
-            rows: c.rows,
-            cols: c.cols,
-            bound_after,
-            coeffs: pick_coeffs(c.data),
-        })
-        .collect();
-    Ok((header, planes))
+    let seq = PlaneSequence::new(resp, codec)?;
+    let planes = (1..=seq.len()).map(|s| seq.plane(s)).collect();
+    Ok((seq.header, planes))
 }
 
 /// What the reader of a progressive sequence does after a frame.
@@ -284,7 +304,7 @@ impl Reassembler {
         self.header.base_error_bound + self.progressive_bound
     }
 
-    /// The reader's stop rule for the energy-ordered stream, asked after
+    /// The reader's stop rule for the bound-ordered stream, asked after
     /// the header and after every plane by the live client and the
     /// simulated one alike. `ended` says the sender marked this frame
     /// the sequence's last; `got_bytes` is the on-wire response bytes
@@ -352,36 +372,13 @@ pub fn pyramid_max_abs_diff(a: &Pyramid, b: &Pyramid) -> Option<f64> {
     Some(worst)
 }
 
-/// The frames a split response travels as, in order: the header, then
-/// every plane, the continuation flag set on all but the last. Encoded
-/// one at a time, so a sender cut short by a Cancel never pays for the
-/// planes it did not send.
-pub(crate) fn sequence_frames<'a>(
-    id: u64,
-    header: &'a ProgressiveHeader,
-    planes: &'a [ProgressivePlane],
-) -> impl Iterator<Item = Result<Frame, WireError>> + 'a {
-    let framed = move |(i, p)| encode_progressive_plane(id, p, i + 1 < planes.len());
-    std::iter::once_with(move || encode_progressive_header(id, header))
-        .chain(planes.iter().enumerate().map(framed))
-}
-
-/// Total wire payload bytes of a plane sequence plus its header — the
-/// progressive cost the ledger compares against monolithic shipping.
-pub fn sequence_payload_bytes(
-    header: &ProgressiveHeader,
-    planes: &[ProgressivePlane],
-) -> Result<usize, WireError> {
-    sequence_frames(0, header, planes)
-        .map(|frame| Ok(frame?.payload.len()))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{encode_progressive_header, encode_progressive_plane};
     use dwt::engine::DwtPlan;
-    use dwt::{Boundary, FilterBank, Matrix};
+    use dwt::{Boundary, FilterBank};
+    use proptest::prelude::*;
 
     fn exact_response(rows: usize, cols: usize, levels: usize) -> DecomposeResponse {
         let img = Matrix::from_fn(rows, cols, |r, c| {
@@ -389,16 +386,7 @@ mod tests {
         });
         let plan = DwtPlan::new(rows, cols, FilterBank::cdf97(), levels, Boundary::Periodic)
             .expect("plan");
-        let pyramid = plan.decompose(&img).expect("decompose");
-        DecomposeResponse {
-            pyramid,
-            cache_hit: false,
-            batch_size: 1,
-            wait_s: 0.0,
-            service_s: 0.001,
-            degraded: false,
-            error_bound: 0.0,
-        }
+        exact_response_of(plan.decompose(&img).expect("decompose"))
     }
 
     #[test]
@@ -462,21 +450,92 @@ mod tests {
         assert_eq!(r.into_response().pyramid, snapshot.pyramid);
     }
 
-    #[test]
-    fn planes_stream_highest_energy_first() {
-        let resp = exact_response(32, 32, 3);
-        let (_, planes) = split_response(&resp, CheckpointCodec::Raw).unwrap();
-        let energy = |p: &ProgressivePlane| match &p.coeffs {
-            PlaneCoeffs::Dense(d) => d.iter().map(|v| v * v).sum::<f64>(),
-            PlaneCoeffs::Sparse(s) => s.iter().map(|(_, v)| v * v).sum::<f64>(),
+    fn response(n: usize, bank: u8, levels: usize, salt: u64, base: f64) -> DecomposeResponse {
+        let img = Matrix::from_fn(n, n, |r, c| {
+            ((r as u64 * 31 + c as u64 * 17 + salt * 7) % 61) as f64 - 30.5
+                + ((r * c) as u64 % (salt % 13 + 2)) as f64 * (salt % 5) as f64
+        });
+        let bank = match bank % 4 {
+            0 => FilterBank::haar(),
+            1 => FilterBank::daubechies(4).expect("D4 exists"),
+            2 => FilterBank::cdf53(),
+            _ => FilterBank::cdf97(),
         };
-        for w in planes.windows(2) {
-            assert!(
-                energy(&w[0]) >= energy(&w[1]),
-                "plane {} outranks plane {}",
-                w[1].seq,
-                w[0].seq
-            );
+        let plan = DwtPlan::new(n, n, bank, levels, Boundary::Periodic).expect("plan");
+        DecomposeResponse {
+            degraded: base > 0.0,
+            error_bound: base,
+            ..exact_response_of(plan.decompose(&img).expect("decompose"))
+        }
+    }
+
+    fn exact_response_of(pyramid: Pyramid) -> DecomposeResponse {
+        DecomposeResponse {
+            pyramid,
+            cache_hit: false,
+            batch_size: 1,
+            wait_s: 0.0,
+            service_s: 0.001,
+            degraded: false,
+            error_bound: 0.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The order is byte-minimal for every tolerance at once: a
+        /// reader with tolerance `T` that applies planes until
+        /// `bound() <= T` has applied exactly the planes with
+        /// `max |p| > T − base` (computed as the bound is, `base +
+        /// max |p| > T`) — whatever the pyramid, codec and degraded-mode
+        /// base, and for `T` on a plane's own maximum too.
+        #[test]
+        fn a_reader_applies_exactly_the_planes_its_tolerance_needs(
+            n_tag in 0usize..2,
+            bank in 0u8..4,
+            levels in 1usize..4,
+            salt in 0u64..1000,
+            threshold in 0.0f64..0.5,
+            step in 0.0f64..0.5,
+            degraded in 0u8..2,
+            pick in 0usize..12,
+            frac in 0.0f64..1.0,
+        ) {
+            let base = 0.375 * degraded as f64;
+            let resp = response([16, 32][n_tag], bank, levels, salt, base);
+            let codec = CheckpointCodec::WaveletQuant { threshold, step };
+            let (header, planes) = split_response(&resp, codec).expect("valid codec");
+            let max_of = |p: &ProgressivePlane| {
+                max_abs(band_of(&resp.pyramid.detail[p.level - 1], p.band).data())
+            };
+            let floor = base + codec.tolerance();
+            let top = planes.iter().map(max_of).fold(0.0, f64::max);
+            // On a plane's maximum for a quarter of the cases, inside
+            // the reachable range otherwise.
+            let t = match planes.get(pick) {
+                Some(p) if pick % 4 == 0 && base + max_of(p) >= floor => base + max_of(p),
+                _ => floor + frac * top,
+            };
+
+            let mut r = Reassembler::new(header).expect("own header");
+            let mut applied = Vec::new();
+            for p in &planes {
+                if r.bound() <= t {
+                    break;
+                }
+                r.apply(p).expect("own plane");
+                applied.push((p.level, p.band as u8));
+            }
+            prop_assert!(r.bound() <= t, "bound {} never met {t}", r.bound());
+            let mut needed: Vec<_> = planes
+                .iter()
+                .filter(|p| base + max_of(p) > t)
+                .map(|p| (p.level, p.band as u8))
+                .collect();
+            applied.sort_unstable();
+            needed.sort_unstable();
+            prop_assert_eq!(applied, needed);
         }
     }
 
@@ -489,8 +548,15 @@ mod tests {
             step: 0.5,
         };
         let (lossy_h, lossy_p) = split_response(&resp, codec).unwrap();
-        let full = sequence_payload_bytes(&lossless_h, &lossless_p).unwrap();
-        let lossy = sequence_payload_bytes(&lossy_h, &lossy_p).unwrap();
+        let bytes = |h: &ProgressiveHeader, planes: &[ProgressivePlane]| {
+            let header = encode_progressive_header(0, h).unwrap().payload.len();
+            let frames = planes
+                .iter()
+                .map(|p| encode_progressive_plane(0, p, true).unwrap());
+            header + frames.map(|f| f.payload.len()).sum::<usize>()
+        };
+        let full = bytes(&lossless_h, &lossless_p);
+        let lossy = bytes(&lossy_h, &lossy_p);
         assert!(
             lossy < full,
             "quantized sequence ({lossy} B) should undercut lossless ({full} B)"

@@ -12,9 +12,10 @@
 //! submitted requests have unsent responses, so a client that floods
 //! requests without reading responses backpressures itself (its TCP
 //! send buffer / pipe window fills) instead of queueing responses
-//! without bound. The reader's wait for room and the writer's wait for
-//! another connection's resolution are plain condvar waits, woken by
-//! the events that end them; each says at the wait why it is finite.
+//! without bound. The reader's wait for room, and the writer's waits
+//! for another connection's resolution and for a progressive client's
+//! next credit, are plain condvar waits, woken by the events that end
+//! them; each says at the wait why it is finite.
 //! So are the transport waits: the accept blocks until a dial or
 //! [`Listener::close`], and the reader until a frame, the peer's FIN,
 //! the writer's abort or drain's [`Transport::close_read`]. The only
@@ -48,16 +49,20 @@
 //! With [`RemoteConfig::progressive`] set, successful responses ship
 //! as a plane sequence instead of one monolithic frame: a header frame
 //! (metadata + exact LL plane, [`crate::wire::FLAG_CONTINUE`] set),
-//! then detail planes in decreasing energy order, the last with the
-//! flag clear. The whole sequence occupies *one* window permit — flow
-//! control is per-request, so a progressive response cannot starve its
-//! neighbours beyond what a monolithic one would. A client whose
-//! tolerance is met (or byte budget spent) mid-sequence sends
-//! [`FrameKind::Cancel`]; the reader marks the id's window entry and
-//! the writer stops the sequence at the next plane boundary, with no
-//! closing frame. Cancel is idempotent and dedup-safe: the request
-//! already executed and its outcome is in the resolution book, so
-//! cancellation only trims delivery, never accounting.
+//! then detail planes in decreasing order of the bound each removes,
+//! the last with the flag clear. The header goes unasked; each plane
+//! goes only once the client's [`FrameKind::Credit`] covers it, which
+//! [`RemoteClient`] sends whenever it wants to read on — so the server
+//! never runs ahead of its reader, and quantizes no plane nobody reads.
+//! The whole sequence occupies *one* window permit — flow control is
+//! per-request, so a progressive response cannot starve its neighbours
+//! beyond what a monolithic one would. A client whose tolerance is met
+//! (or byte budget spent) sends [`FrameKind::Cancel`] instead of the
+//! next credit; the reader marks the id's window entry and the writer,
+//! parked on that credit, stops the sequence with no closing frame.
+//! Cancel and Credit are idempotent and dedup-safe: the request already
+//! executed and its outcome is in the resolution book, so they only
+//! pace and trim delivery, never accounting.
 //!
 //! ## Drain
 //!
@@ -85,16 +90,16 @@ use dwt_mimd::CheckpointCodec;
 
 use crate::faults::{WireDir, WireFaultPlan};
 use crate::metrics::{MetricsSnapshot, TransportMetrics};
-use crate::progressive::{sequence_frames, split_response, Reassembler, Step};
+use crate::progressive::{PlaneSequence, Reassembler, Step};
 use crate::request::{DecomposeRequest, Rejection, ServeResult};
 use crate::server::{ResponseHandle, ServiceConfig, ServiceError, WaveletService};
 use crate::transport::{
     Connector, FrameIo, Listener, RecvFrame, Transport, TransportError, WireClock,
 };
 use crate::wire::{
-    decode_hello, decode_request, decode_response_body, encode_hello, encode_request,
-    encode_response, Frame, FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
-    PROTOCOL_VERSION, TRAILER_LEN,
+    decode_credit, decode_hello, decode_request, decode_response_body, encode_credit, encode_hello,
+    encode_progressive_header, encode_progressive_plane, encode_request, encode_response, Frame,
+    FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -128,8 +133,9 @@ pub struct RemoteConfig {
     /// client injects its own directions from the same plan).
     pub wire_faults: WireFaultPlan,
     /// When set, successful responses stream progressively (header +
-    /// energy-ordered detail planes) with this codec quantizing the
-    /// planes on the wire. `None` keeps monolithic responses.
+    /// bound-ordered detail planes, each sent when the client credits
+    /// it) with this codec quantizing the planes on the wire. `None`
+    /// keeps monolithic responses.
     pub progressive: Option<CheckpointCodec>,
 }
 
@@ -303,56 +309,162 @@ impl Dedup {
 // Per-connection in-flight window
 // ---------------------------------------------------------------------
 
+/// One request in flight on a connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pending {
+    id: u64,
+    /// The client sent Cancel for it.
+    cancelled: bool,
+    /// The highest plane sequence number the client has credited.
+    credit: u32,
+}
+
+#[derive(Default)]
+struct WindowState {
+    in_flight: Vec<Pending>,
+    /// The reader has left: no credit or Cancel will come.
+    closed: bool,
+    /// The `(id, seq)` the writer is parked on, waiting for a credit.
+    parked: Option<(u64, usize)>,
+}
+
+impl WindowState {
+    /// What the writer may do about plane `seq` of `id` right now;
+    /// `None` while it must wait for the client.
+    fn pull(&self, id: u64, seq: usize) -> Option<Pull> {
+        let Some(entry) = self.in_flight.iter().find(|e| e.id == id) else {
+            return Some(Pull::Closed);
+        };
+        if entry.cancelled {
+            Some(Pull::Cancelled)
+        } else if entry.credit as usize >= seq {
+            Some(Pull::Send)
+        } else if self.closed {
+            Some(Pull::Closed)
+        } else {
+            None
+        }
+    }
+}
+
+/// The writer's answer from [`Window::await_credit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pull {
+    /// A credit covers the plane.
+    Send,
+    /// The client cancelled the sequence.
+    Cancelled,
+    /// The reader has left, so nothing will ever cover the plane.
+    Closed,
+}
+
 /// The requests in flight on one connection — admitted by the reader,
-/// not yet answered by the writer — as `(id, cancelled)`, never more
-/// than `cap` of them. A Cancel marks an entry and the entry goes with
-/// its response, so cancels cannot outgrow the window however many
-/// sequences a connection cuts short.
+/// not yet answered by the writer — never more than `cap` of them, each
+/// with the Cancel mark and the credit its client sent for it. Marks
+/// and credits go with their entry, so they cannot outgrow the window
+/// however many sequences a connection reads or cuts short.
 struct Window {
-    in_flight: Mutex<Vec<(u64, bool)>>,
+    state: Mutex<WindowState>,
     cap: usize,
+    /// Notified when an entry leaves, or the writer parks.
     freed: Condvar,
+    /// Notified on a credit, a Cancel, or the reader's exit.
+    pulled: Condvar,
 }
 
 impl Window {
     fn new(cap: u32) -> Arc<Window> {
         Arc::new(Window {
-            in_flight: Mutex::new(Vec::new()),
+            state: Mutex::default(),
             cap: cap as usize,
             freed: Condvar::new(),
+            pulled: Condvar::new(),
         })
     }
 
-    /// Admit `id` once the window has room. The wait is finite: every
-    /// entry is an item in the writer's queue, and the writer releases
-    /// every item it is handed, even after a send failure.
-    fn acquire(&self, id: u64) {
-        let mut in_flight = self.in_flight.lock();
-        while in_flight.len() >= self.cap {
-            self.freed.wait(&mut in_flight);
+    /// Admit `id` once the window has room; `false` if it never will.
+    /// The wait is finite: every entry is an item in the writer's
+    /// queue, and the writer releases every item it is handed, even
+    /// after a send failure — unless it is parked on a credit only this
+    /// reader could deliver. A client that sends past the window
+    /// instead of crediting the sequence it is reading has stalled
+    /// itself, so the reader gives up on it rather than wait forever.
+    fn acquire(&self, id: u64) -> bool {
+        let mut state = self.state.lock();
+        while state.in_flight.len() >= self.cap {
+            let stuck = state
+                .parked
+                .is_some_and(|(p, seq)| state.pull(p, seq).is_none());
+            if stuck {
+                return false;
+            }
+            self.freed.wait(&mut state);
         }
-        in_flight.push((id, false));
+        state.in_flight.push(Pending {
+            id,
+            cancelled: false,
+            credit: 0,
+        });
+        true
     }
 
     fn release(&self, id: u64) {
-        let mut in_flight = self.in_flight.lock();
-        if let Some(oldest) = in_flight.iter().position(|&(held, _)| held == id) {
-            in_flight.remove(oldest);
+        let mut state = self.state.lock();
+        if let Some(oldest) = state.in_flight.iter().position(|e| e.id == id) {
+            state.in_flight.remove(oldest);
         }
         self.freed.notify_all();
     }
 
-    /// Mark `id` cancelled if the writer still owes its response. Any
-    /// other id — unknown, finished, repeated after the finish — is a
-    /// no-op: there are no planes left to cut.
-    fn cancel(&self, id: u64) {
-        for entry in self.in_flight.lock().iter_mut().filter(|e| e.0 == id) {
-            entry.1 = true;
-        }
+    /// Apply `f` to `id`'s entry if the writer still owes its response.
+    /// Any other id — unknown, finished, repeated after the finish — is
+    /// a no-op: there are no planes left to pace or cut.
+    fn mark(&self, id: u64, f: impl Fn(&mut Pending)) {
+        let mut state = self.state.lock();
+        state
+            .in_flight
+            .iter_mut()
+            .filter(|e| e.id == id)
+            .for_each(f);
+        self.pulled.notify_all();
     }
 
-    fn cancelled(&self, id: u64) -> bool {
-        self.in_flight.lock().contains(&(id, true))
+    fn cancel(&self, id: u64) {
+        self.mark(id, |e| e.cancelled = true);
+    }
+
+    /// Raise `id`'s credit to `upto`. A high-water mark: a lower or
+    /// repeated credit changes nothing, and one past the sequence's last
+    /// plane covers every plane there is.
+    fn credit(&self, id: u64, upto: u32) {
+        self.mark(id, |e| e.credit = e.credit.max(upto));
+    }
+
+    /// The reader has left; wake a writer parked on a credit.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.pulled.notify_all();
+    }
+
+    /// Park until plane `seq` of `id` may go, or never will. The wait
+    /// is finite: it ends on a credit, a Cancel, or the reader's exit,
+    /// and the reader closes the window on every way out of its loop.
+    /// Parking wakes a reader waiting for room, so that a client which
+    /// pipelines past its window instead of crediting is cut off rather
+    /// than left holding both threads.
+    fn await_credit(&self, id: u64, seq: usize) -> Pull {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(pull) = state.pull(id, seq) {
+                state.parked = None;
+                return pull;
+            }
+            if state.parked.is_none() {
+                state.parked = Some((id, seq));
+                self.freed.notify_all();
+            }
+            self.pulled.wait(&mut state);
+        }
     }
 }
 
@@ -489,7 +601,8 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         Arc::clone(&shared.clock),
     )
     .with_max_payload(cfg.max_payload);
-    // The writer's queue and thread, once the handshake got that far.
+    // The writer's queue, thread and window, once the handshake got
+    // that far.
     let mut writer = None;
     // Raised by the writer when it can no longer deliver; it aborts the
     // connection as it does, which wakes this reader.
@@ -549,7 +662,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
             let dead = Arc::clone(&dead);
             std::thread::spawn(move || writer_main(shared, client, wio, rx, window, dead))
         };
-        let (tx, _) = writer.insert((tx, handle));
+        let (tx, _, _) = writer.insert((tx, handle, Arc::clone(&window)));
 
         if !protocol_ok {
             // The ack (carrying our protocol) is the client's mismatch
@@ -562,8 +675,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
             match rio.recv_frame() {
                 Ok(RecvFrame::Frame(f)) => match f.kind {
                     FrameKind::Request => {
-                        window.acquire(f.id);
-                        if dead.load(Ordering::SeqCst) {
+                        if !window.acquire(f.id) || dead.load(Ordering::SeqCst) {
                             break 'conn Ok(false);
                         }
                         let from = match shared.dedup.claim(client, f.id) {
@@ -610,6 +722,10 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                         }
                     }
                     FrameKind::Cancel => window.cancel(f.id),
+                    FrameKind::Credit => match decode_credit(&f) {
+                        Ok(upto) => window.credit(f.id, upto),
+                        Err(e) => break 'conn Err(e.into()),
+                    },
                     FrameKind::Bye => break 'conn Ok(true),
                     _ => {
                         break 'conn Err(TransportError::FrameCorrupt {
@@ -639,12 +755,15 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     };
 
     // The abortive close comes before the join: it is what unblocks a
-    // writer parked in a send the peer will never read.
+    // writer parked in a send the peer will never read. Closing the
+    // window unblocks one parked on a credit this reader will never
+    // deliver.
     if !clean {
         rio.abort();
     }
     local.absorb_wire(&rio.stats);
-    if let Some((tx, handle)) = writer {
+    if let Some((tx, handle, window)) = writer {
+        window.close();
         drop(tx);
         let (wstats, wmetrics) = handle.join().expect("writer never panics");
         local.merge(&wmetrics);
@@ -654,11 +773,11 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
 }
 
 /// Send one response — progressively when configured and successful,
-/// monolithically otherwise. Asks the window between plane frames
-/// whether the client cancelled, so an honored Cancel cuts the sequence
-/// at the next boundary. A monolithic response over the negotiated
-/// payload window degrades to a typed rejection instead of killing the
-/// connection.
+/// monolithically otherwise. A progressive sequence sends its header at
+/// once and parks on the window before each plane until the client
+/// credits it; a Cancel, or the reader's exit, ends the sequence there.
+/// A monolithic response over the negotiated payload window degrades to
+/// a typed rejection instead of killing the connection.
 fn send_response(
     shared: &ServerShared,
     wio: &mut FrameIo,
@@ -669,15 +788,18 @@ fn send_response(
 ) -> Result<(), TransportError> {
     let sent = if let (Some(codec), Ok(resp)) = (shared.config.progressive, result) {
         (|| {
-            let (header, planes) = split_response(resp, codec)?;
-            let mut frames = sequence_frames(id, &header, &planes);
-            wio.send_frame(&frames.next().expect("the header leads")?)?;
-            for plane in frames {
-                if window.cancelled(id) {
-                    local.cancels_honored += 1;
-                    return Ok(());
+            let seq = PlaneSequence::new(resp, codec)?;
+            wio.send_frame(&encode_progressive_header(id, seq.header())?)?;
+            for s in 1..=seq.len() {
+                match window.await_credit(id, s) {
+                    Pull::Send => {}
+                    Pull::Cancelled => {
+                        local.cancels_honored += 1;
+                        return Ok(());
+                    }
+                    Pull::Closed => return Ok(()),
                 }
-                wio.send_frame(&plane?)?;
+                wio.send_frame(&encode_progressive_plane(id, &seq.plane(s), s < seq.len())?)?;
                 local.planes_sent += 1;
             }
             Ok(())
@@ -1040,7 +1162,7 @@ impl RemoteClient {
         .map_err(|e| (e, false))?;
         if drop_conn {
             // The Cancel could not be sent; redial lazily rather than
-            // read a sequence the server will keep streaming.
+            // leave the server parked on a sequence nobody reads.
             if let Some(io) = self.io.take() {
                 self.transport.absorb_wire(&io.stats);
             }
@@ -1117,9 +1239,9 @@ fn next_frame(
 }
 
 /// Wait for the response to `id` — a terminal outcome, or a progressive
-/// sequence reassembled incrementally (cut short by Cancel once
-/// `tolerance` is met or `byte_budget` response bytes have landed).
-/// Returns `(result, drop_connection)`.
+/// sequence reassembled incrementally, one credited plane at a time
+/// (cut short by Cancel once `tolerance` is met or `byte_budget`
+/// response bytes have landed). Returns `(result, drop_connection)`.
 fn recv_response(
     io: &mut FrameIo,
     id: u64,
@@ -1134,6 +1256,8 @@ fn recv_response(
     // byte-budget predicate is over delivered wire bytes, not decoded
     // coefficient counts, so it bounds what the link actually carried.
     let mut got_bytes = 0usize;
+    // The highest plane sequence number credited.
+    let mut pulled = 0u32;
     loop {
         let f = next_frame(io, since, timeout)?;
         if f.kind != FrameKind::Response {
@@ -1142,9 +1266,8 @@ fn recv_response(
             });
         }
         if f.id != id {
-            // A stale response frame from an earlier id — a prior
-            // attempt's monolithic reply or the tail of a cancelled
-            // sequence; harmless, keep waiting for ours.
+            // A stale response frame from an earlier id; harmless, keep
+            // waiting for ours.
             debug_assert!(f.id < id, "responses never outrun requests");
             continue;
         }
@@ -1169,6 +1292,9 @@ fn recv_response(
         };
         let step = r.step(!f.more_follows(), got_bytes, tolerance, byte_budget);
         if step == Step::Read {
+            // Pull the next plane: every one so far arrived in order.
+            pulled += 1;
+            io.send_frame(&encode_credit(id, pulled))?;
             continue;
         }
         let r = assembly.take().expect("assembly just stepped");
@@ -1293,41 +1419,113 @@ mod tests {
         assert_eq!(Arc::strong_count(&results[newest as usize]), 2);
     }
 
+    fn entry(id: u64, cancelled: bool, credit: u32) -> Pending {
+        Pending {
+            id,
+            cancelled,
+            credit,
+        }
+    }
+
     #[test]
     fn a_full_window_opens_on_release() {
         let window = Window::new(2);
-        window.acquire(0);
-        window.acquire(1);
+        assert!(window.acquire(0) && window.acquire(1));
         let third = {
             let window = Arc::clone(&window);
             parked(move || window.acquire(2))
         };
         assert!(third.try_recv().is_err(), "no permit, no admission");
         window.release(0);
-        third.recv_timeout(WOKEN).expect("release wakes the reader");
-        assert_eq!(*window.in_flight.lock(), [(1, false), (2, false)]);
+        assert!(third.recv_timeout(WOKEN).expect("release wakes the reader"));
+        assert_eq!(
+            window.state.lock().in_flight,
+            [entry(1, false, 0), entry(2, false, 0)]
+        );
     }
 
     #[test]
-    fn cancels_never_outgrow_the_window() {
+    fn marks_and_credits_never_outgrow_the_window() {
         let window = Window::new(2);
         window.acquire(1);
         window.acquire(2);
         window.cancel(1);
         window.cancel(99);
-        assert!(window.cancelled(1));
-        assert!(!window.cancelled(2) && !window.cancelled(99));
+        window.credit(2, 3);
+        window.credit(2, 1);
+        window.credit(99, 7);
+        assert_eq!(
+            window.state.lock().in_flight,
+            [entry(1, true, 0), entry(2, false, 3)],
+            "a credit is a high-water mark; unknown ids are no-ops"
+        );
         window.release(1);
         window.cancel(1);
-        assert!(!window.cancelled(1), "a finished id is past cancelling");
+        window.credit(1, 5);
+        assert_eq!(window.state.lock().in_flight, [entry(2, false, 3)]);
         // A connection that cancels every sequence it asks for.
         for id in 10..1000 {
             window.acquire(id);
+            window.credit(id, 2);
             window.cancel(id);
-            assert!(window.cancelled(id));
+            assert_eq!(window.await_credit(id, 3), Pull::Cancelled);
             window.release(id);
-            assert!(window.in_flight.lock().len() <= 2);
+            assert!(window.state.lock().in_flight.len() <= 2);
         }
-        assert_eq!(*window.in_flight.lock(), [(2, false)], "only id 2 is left");
+        assert_eq!(window.state.lock().in_flight, [entry(2, false, 3)]);
+    }
+
+    #[test]
+    fn a_parked_writer_wakes_on_credit_cancel_and_close() {
+        let window = Window::new(2);
+        window.acquire(1);
+        let wait = |seq| {
+            let window = Arc::clone(&window);
+            parked(move || window.await_credit(1, seq))
+        };
+        let writer = wait(1);
+        assert!(writer.try_recv().is_err(), "no credit, no plane");
+        window.credit(1, 1);
+        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Send));
+        // A credit past the last plane covers every plane there is.
+        window.credit(1, u32::MAX);
+        assert_eq!(window.await_credit(1, 9), Pull::Send);
+
+        window.acquire(2);
+        let writer = {
+            let window = Arc::clone(&window);
+            parked(move || window.await_credit(2, 1))
+        };
+        window.cancel(2);
+        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Cancelled));
+
+        window.release(1);
+        window.release(2);
+        window.acquire(3);
+        let writer = {
+            let window = Arc::clone(&window);
+            parked(move || window.await_credit(3, 1))
+        };
+        window.close();
+        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
+    }
+
+    #[test]
+    fn a_reader_past_the_window_gives_up_on_a_stuck_writer() {
+        let window = Window::new(1);
+        window.acquire(1);
+        let reader = {
+            let window = Arc::clone(&window);
+            parked(move || window.acquire(2))
+        };
+        // The writer parks on a credit the client never sends, because
+        // it sent another request instead.
+        let writer = {
+            let window = Arc::clone(&window);
+            parked(move || window.await_credit(1, 1))
+        };
+        assert_eq!(reader.recv_timeout(WOKEN), Ok(false), "the reader gives up");
+        window.close();
+        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
     }
 }

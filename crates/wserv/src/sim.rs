@@ -32,7 +32,7 @@ use crate::elastic::{BalanceAction, BalanceController, ShardMap};
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::{Histogram, LaneSplit, MetricsSnapshot, ShardMetrics};
 use crate::policy::{self, Shards};
-use crate::progressive::{sequence_frames, split_response, Reassembler, Step};
+use crate::progressive::{PlaneSequence, Reassembler, Step};
 use crate::remote::RetryPolicy;
 use crate::request::{DecomposeRequest, Entry, Rejection, ServeResult};
 use crate::server::ServiceConfig;
@@ -887,13 +887,16 @@ fn send_until_arrives(
 ///
 /// Progressive sequences price every header/plane frame individually
 /// through [`WireCostModel::frame_payload_s`] with its actual encoded
-/// size; a frame lost mid-sequence costs a backoff + reconnect +
-/// request resend and the server replays the *whole* sequence from the
-/// header (the reassembly is idempotent). A tolerance-met Cancel
-/// consumes one client-to-server frame index priced as an empty frame;
-/// unlike live delivery it is never faulted itself — the live client
-/// simply drops the connection when a Cancel fails, which costs it
-/// nothing the simulator tracks.
+/// size, and each plane after the client's Credit for it: one
+/// client-to-server frame and its one-way trip, faulted like any other
+/// frame, so the simulated frames and bytes are the live ones. A frame
+/// lost mid-sequence costs a backoff + reconnect + request resend and
+/// the server replays the *whole* sequence from the header (the
+/// reassembly is idempotent). A tolerance-met Cancel consumes one
+/// client-to-server frame index priced as an empty frame; unlike live
+/// delivery it is never faulted itself — the live client simply drops
+/// the connection when a Cancel fails, which costs it nothing the
+/// simulator tracks.
 fn deliver_result(
     cl: &ClosedLoopConfig,
     sc: &mut SimClient,
@@ -908,34 +911,53 @@ fn deliver_result(
         Err(_) => 64,
     };
     acc.monolithic_bytes += mono_bytes;
-    // The response as a frame sequence: header then planes when it
-    // streams progressively, one monolithic frame otherwise.
+    // The response as a frame sequence: header then credited planes
+    // when it streams progressively, one monolithic frame otherwise.
     let progressive = match (&cl.progressive, res) {
         (Some(ps), Ok(resp)) => {
-            let (header, planes) =
-                split_response(resp, ps.codec).expect("validated codec splits any response");
-            Some((ps, header, planes))
+            let seq =
+                PlaneSequence::new(resp, ps.codec).expect("validated codec splits any response");
+            Some((ps, seq))
         }
         _ => None,
     };
-    let frame_bytes: Vec<u64> = match &progressive {
-        None => vec![mono_bytes],
-        Some((_, header, planes)) => sequence_frames(0, header, planes)
-            .map(|frame| frame.expect("a split response always frames").payload.len() as u64)
-            .collect(),
-    };
+    let frames = progressive.as_ref().map_or(1, |(_, seq)| 1 + seq.len());
+    let credit_s = cl.wire.frame_payload_s(4.0);
     let mut t = t_res;
     'attempt: loop {
-        let mut reasm = progressive.as_ref().map(|(_, header, _)| {
-            Reassembler::new(header.clone()).expect("header geometry is valid")
+        let mut reasm = progressive.as_ref().map(|(_, seq)| {
+            Reassembler::new(seq.header().clone()).expect("header geometry is valid")
         });
         // On-wire bytes delivered this attempt (framing included), the
         // same quantity the live client's byte-budget predicate sees.
         let mut got_bytes = 0usize;
-        for (j, &bytes) in frame_bytes.iter().enumerate() {
-            acc.response_bytes += bytes;
-            let one_way = cl.wire.frame_payload_s(bytes as f64);
-            match transit(cl, sc, conn, WireDir::ServerToClient, t, one_way, acc) {
+        for j in 0..frames {
+            let plane = match &progressive {
+                Some((_, seq)) if j > 0 => Some(seq.plane(j)),
+                _ => None,
+            };
+            let frame = match (&progressive, &plane) {
+                (None, _) => None,
+                (Some((_, seq)), None) => Some(wire::encode_progressive_header(0, seq.header())),
+                (Some((_, seq)), Some(p)) => {
+                    Some(wire::encode_progressive_plane(0, p, j < seq.len()))
+                }
+            };
+            let bytes = frame.map_or(mono_bytes, |f| {
+                f.expect("a split response frames").payload.len() as u64
+            });
+            // A plane leaves the server only once its Credit lands.
+            let credited = if j > 0 {
+                transit(cl, sc, conn, WireDir::ClientToServer, t, credit_s, acc)
+            } else {
+                Ok(t)
+            };
+            let sent = credited.and_then(|t| {
+                acc.response_bytes += bytes;
+                let one_way = cl.wire.frame_payload_s(bytes as f64);
+                transit(cl, sc, conn, WireDir::ServerToClient, t, one_way, acc)
+            });
+            match sent {
                 Ok(td) => t = td,
                 Err(lost) => {
                     // Back off, reconnect, resend the request; the
@@ -947,18 +969,16 @@ fn deliver_result(
                     continue 'attempt;
                 }
             }
-            let (Some((ps, _, planes)), Some(reasm)) = (&progressive, &mut reasm) else {
+            let (Some((ps, _)), Some(reasm)) = (&progressive, &mut reasm) else {
                 continue;
             };
             got_bytes += bytes as usize + wire::HEADER_LEN + wire::TRAILER_LEN;
-            if j > 0 {
-                let plane = &planes[j - 1];
-                reasm.apply(plane).expect("planes fit their header");
+            if let Some(plane) = plane {
+                reasm.apply(&plane).expect("planes fit their header");
                 acc.planes += 1;
             }
-            let last = j + 1 == frame_bytes.len();
             if let Step::Cancel { budget } =
-                reasm.step(last, got_bytes, ps.tolerance, ps.byte_budget)
+                reasm.step(j + 1 == frames, got_bytes, ps.tolerance, ps.byte_budget)
             {
                 sc.frames[WireDir::ClientToServer as usize] += 1; // Cancel frame
                 acc.frames += 1;

@@ -6,9 +6,9 @@
 //!  offset  size  field
 //!  ------  ----  -----------------------------------------------
 //!       0     4  magic  = "WSRV"
-//!       4     1  protocol version (= 2)
+//!       4     1  protocol version (= 3)
 //!       5     1  frame kind (Hello / HelloAck / Request / Response /
-//!                Bye / Cancel)
+//!                Bye / Cancel / Credit)
 //!       6     1  flags (bit 0 = continuation: more frames follow for
 //!                this id; other bits must be zero)
 //!       7     1  reserved, must be zero
@@ -21,10 +21,22 @@
 //! Protocol version 2 repurposed one of version 1's two reserved
 //! header bytes as a flags field so a response can span a *sequence*
 //! of frames: a progressive header frame (exact LL plane) followed by
-//! detail-plane frames ordered by energy, every frame but the last
-//! carrying [`FLAG_CONTINUE`]. Version 2 also added
-//! [`FrameKind::Cancel`], the client's idempotent "stop sending planes
-//! for this id".
+//! detail-plane frames, every frame but the last carrying
+//! [`FLAG_CONTINUE`]. Version 2 also added [`FrameKind::Cancel`], the
+//! client's idempotent "stop sending planes for this id". Version 3
+//! made delivery pull-driven: the server sends a plane only once a
+//! [`FrameKind::Credit`] covers it, so it never runs ahead of its
+//! reader.
+//!
+//! | kind | dir | id | payload |
+//! |---|---|---|---|
+//! | `Hello` = 0 | C→S | client id | [`Hello`] |
+//! | `HelloAck` = 1 | S→C | client id | [`Hello`] |
+//! | `Request` = 2 | C→S | request id | [`DecomposeRequest`] |
+//! | `Response` = 3 | S→C | request id | outcome, progressive header or plane ([`ResponseBody`]) |
+//! | `Bye` = 4 | C→S | client id | none |
+//! | `Cancel` = 5 | C→S | request id | none |
+//! | `Credit` = 6 | C→S | request id | `u32` plane sequence number to send through |
 //!
 //! All integers are little-endian; all floating-point payloads are
 //! IEEE-754 bit patterns, so encode→decode round-trips *bitwise* — the
@@ -46,8 +58,9 @@ use dwt::{Boundary, FilterBank, Matrix, Pyramid, Subbands};
 
 /// Frame magic: `"WSRV"`.
 pub const MAGIC: [u8; 4] = *b"WSRV";
-/// Protocol version this build speaks (2: continuation flag + Cancel).
-pub const PROTOCOL_VERSION: u8 = 2;
+/// Protocol version this build speaks (3: continuation flag, Cancel and
+/// Credit).
+pub const PROTOCOL_VERSION: u8 = 3;
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 20;
 /// Trailing checksum bytes after the payload.
@@ -81,6 +94,12 @@ pub enum FrameKind {
     /// (its tolerance is met). Idempotent: unknown, finished, or
     /// repeated ids are all no-ops; no payload.
     Cancel = 5,
+    /// Client asks the server to send this id's detail planes through
+    /// the sequence number in the payload ([`encode_credit`]). A
+    /// high-water mark: a lower or repeated credit, an unknown or
+    /// finished id, are all no-ops, and one past the last plane reads as
+    /// the last.
+    Credit = 6,
 }
 
 impl FrameKind {
@@ -92,6 +111,7 @@ impl FrameKind {
             3 => Some(FrameKind::Response),
             4 => Some(FrameKind::Bye),
             5 => Some(FrameKind::Cancel),
+            6 => Some(FrameKind::Credit),
             _ => None,
         }
     }
@@ -442,6 +462,20 @@ pub fn decode_hello(frame: &Frame) -> Result<Hello, WireError> {
     };
     r.done()?;
     Ok(hello)
+}
+
+/// Encode a [`FrameKind::Credit`]: send request `id`'s detail planes
+/// through sequence number `upto`.
+pub fn encode_credit(id: u64, upto: u32) -> Frame {
+    Frame::new(FrameKind::Credit, id, upto.to_le_bytes().to_vec())
+}
+
+/// Decode a [`FrameKind::Credit`] payload: exactly one `u32`.
+pub fn decode_credit(frame: &Frame) -> Result<u32, WireError> {
+    let mut r = Reader::new(&frame.payload);
+    let upto = r.u32()?;
+    r.done()?;
+    Ok(upto)
 }
 
 fn encode_bank(out: &mut Vec<u8>, bank: &FilterBank) -> Result<(), WireError> {
@@ -819,7 +853,7 @@ pub enum PlaneCoeffs {
 /// One detail-plane frame of a progressive response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressivePlane {
-    /// 1-based position in the energy-ordered plane sequence.
+    /// 1-based position in the plane sequence.
     pub seq: usize,
     /// Pyramid level (1 = finest).
     pub level: usize,
@@ -1070,6 +1104,7 @@ mod tests {
             .unwrap(),
             Frame::new(FrameKind::Bye, 0, Vec::new()),
             Frame::new(FrameKind::Cancel, 17, Vec::new()),
+            encode_credit(17, 4),
             Frame::new(FrameKind::Response, 3, vec![9, 9]).with_continue(),
         ] {
             let bytes = encode_frame(&frame).unwrap();

@@ -24,21 +24,23 @@ use proptest::prelude::*;
 use wserv::progressive::{pyramid_max_abs_diff, split_response, Reassembler};
 use wserv::request::DecomposeResponse;
 use wserv::wire::{
-    decode_complete, decode_frame, decode_request, decode_response, decode_response_body,
-    encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
-    encode_request, encode_response, Frame, FrameKind, Hello, PlaneBand, PlaneCoeffs,
-    ProgressiveHeader, ProgressivePlane, ResponseBody, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    decode_complete, decode_credit, decode_frame, decode_request, decode_response,
+    decode_response_body, encode_credit, encode_frame, encode_hello, encode_progressive_header,
+    encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Hello, PlaneBand,
+    PlaneCoeffs, ProgressiveHeader, ProgressivePlane, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD,
+    PROTOCOL_VERSION,
 };
 use wserv::{DecomposeRequest, Priority, Rejection, ServeResult};
 
 fn kind(tag: u8) -> FrameKind {
-    match tag % 6 {
+    match tag % 7 {
         0 => FrameKind::Hello,
         1 => FrameKind::HelloAck,
         2 => FrameKind::Request,
         3 => FrameKind::Response,
         4 => FrameKind::Bye,
-        _ => FrameKind::Cancel,
+        5 => FrameKind::Cancel,
+        _ => FrameKind::Credit,
     }
 }
 
@@ -105,7 +107,7 @@ proptest! {
     /// the complete-buffer decoder.
     #[test]
     fn frame_round_trips_bitwise(
-        tag in 0u8..5,
+        tag in 0u8..7,
         id in 0u64..u64::MAX,
         payload in prop::collection::vec(0u8..=255u8, 0..300),
         garbage in prop::collection::vec(0u8..=255u8, 0..16),
@@ -133,7 +135,7 @@ proptest! {
     /// large"; what it must never do is return a *different* frame.)
     #[test]
     fn single_bit_flip_never_passes(
-        tag in 0u8..5,
+        tag in 0u8..7,
         id in 0u64..u64::MAX,
         payload in prop::collection::vec(0u8..=255u8, 1..128),
         flip_seed in 0usize..usize::MAX,
@@ -246,6 +248,35 @@ proptest! {
             out
         };
         prop_assert_eq!(planes(&resp.pyramid), planes(&orig.pyramid));
+    }
+
+    /// A Credit's sequence number survives the wire bitwise, framing
+    /// included, and its decoder is total: any payload that is not
+    /// exactly one `u32` is a typed `FrameCorrupt`, never a panic.
+    #[test]
+    fn credit_round_trips_and_its_decoder_is_total(
+        id in 0u64..u64::MAX,
+        upto in 0u32..u32::MAX,
+        junk in prop::collection::vec(0u8..=255u8, 0..12),
+    ) {
+        let frame = encode_credit(id, upto);
+        let bytes = encode_frame(&frame).expect("credit encodes");
+        let back = decode_complete(&bytes, DEFAULT_MAX_PAYLOAD).expect("credit decodes");
+        prop_assert_eq!(back.kind, FrameKind::Credit);
+        prop_assert_eq!(back.id, id);
+        prop_assert_eq!(decode_credit(&back).expect("four bytes"), upto);
+
+        let odd = Frame::new(FrameKind::Credit, id, junk.clone());
+        match decode_credit(&odd) {
+            Ok(got) => {
+                prop_assert_eq!(junk.len(), 4);
+                prop_assert_eq!(got.to_le_bytes().to_vec(), junk);
+            }
+            Err(e) => {
+                prop_assert!(junk.len() != 4, "a 4-byte payload must decode");
+                prop_assert!(matches!(e, WireError::FrameCorrupt { .. }), "{e}");
+            }
+        }
     }
 
     /// Every rejection variant survives the wire with its payload.
@@ -403,10 +434,10 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
     }
 }
 
-/// Captured at the parent of the remote-layer pass (commit f3101ed).
-/// Only a deliberate wire-format change — a new `PROTOCOL_VERSION` —
-/// may replace it.
-const WIRE_GOLDEN: u64 = 0xbb3c_52b0_54d4_9f2b;
+/// Captured when protocol version 3 added the Credit frame. Only a
+/// deliberate wire-format change — a new `PROTOCOL_VERSION` — may
+/// replace it.
+const WIRE_GOLDEN: u64 = 0x0c6d_8657_5802_8858;
 
 /// One frame of every message the protocol has, in a fixed order.
 fn golden_frames() -> Vec<Frame> {
@@ -488,6 +519,7 @@ fn golden_frames() -> Vec<Frame> {
     frames.push(encode_progressive_plane(9, &sparse, false).expect("plane encodes"));
     frames.push(Frame::new(FrameKind::Bye, 7, Vec::new()));
     frames.push(Frame::new(FrameKind::Cancel, 9, Vec::new()));
+    frames.push(encode_credit(9, 2));
     frames
 }
 

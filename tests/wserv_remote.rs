@@ -17,7 +17,12 @@
 //!   connection that never says `Hello` is closed, and a client that
 //!   gets no answer gives up typed at its response timeout;
 //! * the in-memory shim and localhost TCP produce identical outcome
-//!   books for the same seed — same protocol, different bytes.
+//!   books for the same seed — same protocol, different bytes;
+//! * progressive delivery is pull-driven: the server sends exactly the
+//!   planes the client credits, which the closed-loop simulator prices
+//!   to the byte, and a writer parked on a credit always wakes — on the
+//!   reader's exit, on drain, or by cutting off a client that sent past
+//!   its window instead of crediting.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,16 +30,20 @@ use std::time::{Duration, Instant};
 use dwt::engine::PlanShape;
 use dwt::{Boundary, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
-use wserv::progressive::pyramid_max_abs_diff;
+use imagery::{landsat_scene, SceneParams};
+use wserv::progressive::{pyramid_max_abs_diff, split_response};
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy, HELLO_TIMEOUT};
+use wserv::sim::CostModel;
 use wserv::transport::{Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock};
 use wserv::wire::{
-    decode_response, encode_hello, encode_request, Frame, FrameKind, Hello, DEFAULT_MAX_PAYLOAD,
-    PROTOCOL_VERSION,
+    decode_credit, decode_request, decode_response, decode_response_body, encode_hello,
+    encode_progressive_header, encode_request, Frame, FrameKind, Hello, ResponseBody,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 use wserv::{
-    DecomposeRequest, MemListener, RemoteClient, ServiceConfig, ShardFaultPlan, SupervisorPolicy,
-    TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
+    run_closed_loop, ClosedLoopConfig, DecomposeRequest, MemListener, ProgressiveSim, RemoteClient,
+    ServiceConfig, ShardFaultPlan, SupervisorPolicy, TcpAcceptor, TcpConnector, TransportError,
+    WireDir, WireFaultPlan,
 };
 
 fn tick() -> Duration {
@@ -745,23 +754,26 @@ fn protocol_mismatch_is_terminal_and_typed() {
     )
     .expect("config is valid");
 
-    let mut wrong = RemoteClient::new(Box::new(listener.clone()), 3)
-        .with_claimed_protocol(PROTOCOL_VERSION as u32 + 41)
-        .with_retry(fast_retry());
-    match wrong.call(&request(1)) {
-        Err(TransportError::HandshakeMismatch { detail }) => {
-            assert!(
-                detail.contains("protocol"),
-                "diagnostic names the cause: {detail}"
-            );
+    // A v2 peer (no Credit frame), and one from the far future.
+    for claimed in [2, PROTOCOL_VERSION as u32 + 41] {
+        let mut wrong = RemoteClient::new(Box::new(listener.clone()), 3)
+            .with_claimed_protocol(claimed)
+            .with_retry(fast_retry());
+        match wrong.call(&request(1)) {
+            Err(TransportError::HandshakeMismatch { detail }) => {
+                assert!(
+                    detail.contains("protocol"),
+                    "diagnostic names the cause: {detail}"
+                );
+            }
+            other => panic!("v{claimed}: expected HandshakeMismatch, got {other:?}"),
         }
-        other => panic!("expected HandshakeMismatch, got {other:?}"),
+        assert_eq!(wrong.retries, 0, "mismatch is terminal, never retried");
+        wrong.goodbye();
     }
-    assert_eq!(wrong.retries, 0, "mismatch is terminal, never retried");
-    wrong.goodbye();
 
     let metrics = server.shutdown().expect("clean drain");
-    assert!(metrics.transport.handshake_mismatch >= 1);
+    assert!(metrics.transport.handshake_mismatch >= 2);
     assert_eq!(
         metrics.service.completed(),
         0,
@@ -1205,4 +1217,263 @@ fn progressive_chaos_keeps_exactly_once_accounting() {
         clients * reqs,
         "exactly-once accounting survives cancels under chaos"
     );
+}
+
+// ---------------------------------------------------------------------
+// Pull-driven progressive delivery: the server sends what is read
+// ---------------------------------------------------------------------
+
+/// The progressive quantizer and tolerance wbench's
+/// `rpc_large_progressive` freezes.
+const LARGE_QUANT: CheckpointCodec = CheckpointCodec::WaveletQuant {
+    threshold: 0.25,
+    step: 0.5,
+};
+const LARGE_TOLERANCE: f64 = 100.0;
+
+/// Two seeded 512² Landsat-like scenes, each at depth 3 through CDF 5/3
+/// and D4.
+fn large_requests() -> Vec<DecomposeRequest> {
+    let mut reqs = Vec::new();
+    for seed in [1996, 2024] {
+        let params = SceneParams {
+            seed,
+            ..SceneParams::default()
+        };
+        let scene = landsat_scene(512, 512, params);
+        for bank in [FilterBank::cdf53(), FilterBank::daubechies(4).expect("D4")] {
+            reqs.push(DecomposeRequest::new(scene.clone(), bank, 3));
+        }
+    }
+    reqs
+}
+
+/// A tolerance client reads a few planes of each 512² sequence and the
+/// server sends exactly those: its plane count is the client's, every
+/// byte it writes is a byte the client consumed — over the shim and
+/// over TCP — and the closed-loop simulator, fed the same requests on a
+/// clean wire, prices the same response bytes, planes and frames.
+#[test]
+fn the_server_sends_only_what_the_reader_read() {
+    let reqs = large_requests();
+    let remote = || RemoteConfig {
+        progressive: Some(LARGE_QUANT),
+        ..remote_config()
+    };
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server = RemoteServer::start(service_config(), remote(), listener).expect("valid");
+        let mut client = RemoteClient::new(dial(), 8).with_tolerance(LARGE_TOLERANCE);
+        for req in &reqs {
+            let resp = client
+                .call(req)
+                .expect("clean wire")
+                .expect("request serves Ok");
+            assert!(resp.error_bound <= LARGE_TOLERANCE, "{transport}");
+        }
+        client.goodbye();
+        let tally = client.progressive;
+        let metrics = server.shutdown().expect("clean drain").transport;
+        assert_eq!(tally.headers, reqs.len() as u64, "{transport}");
+        assert_eq!(
+            tally.cancels, tally.headers,
+            "{transport}: every sequence stops early"
+        );
+        assert!(
+            tally.planes < 9 * tally.headers,
+            "{transport}: planes read {tally:?}"
+        );
+        assert_eq!(metrics.planes_sent, tally.planes, "{transport}");
+        assert_eq!(metrics.cancels_honored, tally.cancels, "{transport}");
+        assert_eq!(
+            (metrics.frames_out, metrics.bytes_out),
+            (client.transport.frames_in, client.transport.bytes_in),
+            "{transport}: the server wrote exactly what the client consumed"
+        );
+
+        // The same stream through the simulator, wire in the loop.
+        let cl = ClosedLoopConfig {
+            clients: 1,
+            reqs_per_client: reqs.len(),
+            progressive: Some(ProgressiveSim {
+                codec: LARGE_QUANT,
+                tolerance: Some(LARGE_TOLERANCE),
+                byte_budget: None,
+            }),
+            ..ClosedLoopConfig::default()
+        };
+        let sim = run_closed_loop(&service_config(), &CostModel::default(), &cl, reqs.clone());
+        let framing = (HEADER_LEN + TRAILER_LEN) as u64;
+        // Everything the server wrote but the HelloAck (12 B of payload).
+        let response_payload = metrics.bytes_out - metrics.frames_out * framing - 12;
+        assert_eq!(sim.response_bytes, response_payload, "{transport}");
+        assert_eq!(sim.planes, tally.planes, "{transport}");
+        assert_eq!(sim.cancels, tally.cancels, "{transport}");
+        // Both ways: Hello, requests, credits, cancels and their Bye;
+        // HelloAck and responses. The sim's client never says Bye.
+        let live_frames = client.transport.frames_out - 1 + client.transport.frames_in;
+        assert_eq!(sim.frames, live_frames, "{transport}");
+    }
+}
+
+/// A progressive server over `transport` and a raw client on it that
+/// has sent one 64² request and read the sequence's header — and
+/// credits nothing.
+fn a_header_read(transport: &str) -> (RemoteServer, FrameIo) {
+    let (listener, dial) = endpoints(transport);
+    let remote = RemoteConfig {
+        progressive: Some(CheckpointCodec::Raw),
+        ..remote_config()
+    };
+    let server = RemoteServer::start(service_config(), remote, listener).expect("valid");
+    let mut io = raw_client(dial().dial().expect("server is up"), 11, 1);
+    let req = DecomposeRequest::new(image(64, 3), FilterBank::cdf53(), 2);
+    io.send_frame(&encode_request(0, &req).expect("request encodes"))
+        .expect("request fits");
+    let header = responses(&mut io, 1).remove(0);
+    assert!(header.more_follows(), "{transport}: planes would follow");
+    match decode_response_body(&header).expect("well-formed header") {
+        ResponseBody::Header(h) => assert_eq!(h.planes_total, 6),
+        other => panic!("{transport}: expected the header, got {other:?}"),
+    }
+    (server, io)
+}
+
+/// The client's side of the connection ends within [`PATIENCE`].
+fn closes(io: &mut FrameIo) -> bool {
+    matches!(
+        io.recv_frame_until(Instant::now() + PATIENCE),
+        Ok(RecvFrame::Eof) | Err(TransportError::ConnReset)
+    )
+}
+
+/// A raw client reads the header, never credits a plane, and closes its
+/// sending side: the writer parked on the credit wakes when the reader
+/// leaves, so the connection finishes and FINs on its own — no drain —
+/// and its permit goes back, with no plane sent and nothing cancelled.
+#[test]
+fn a_parked_writer_wakes_when_its_reader_leaves() {
+    for transport in TRANSPORTS {
+        let (server, mut io) = a_header_read(transport);
+        io.shutdown_write();
+        assert!(
+            closes(&mut io),
+            "{transport}: the connection ends by itself"
+        );
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), 1, "{transport}");
+        let t = metrics.transport;
+        assert_eq!((t.planes_sent, t.cancels_honored), (0, 0), "{transport}");
+        assert_eq!(t.conn_aborted, 0, "{transport}: a clean end");
+    }
+}
+
+/// `shutdown()` while a writer waits on a credit returns promptly: drain
+/// closes the reader, which wakes the writer.
+#[test]
+fn a_parked_writer_does_not_hold_up_drain() {
+    for transport in TRANSPORTS {
+        let (server, mut io) = a_header_read(transport);
+        let t0 = Instant::now();
+        let metrics = server.shutdown().expect("clean drain");
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{transport}: drain must not wait on a credit (took {took:?})"
+        );
+        assert_eq!(metrics.transport.planes_sent, 0, "{transport}");
+        assert!(closes(&mut io), "{transport}: the client sees the end");
+    }
+}
+
+/// A client that sends past its window instead of crediting the
+/// sequence it is reading would hold the reader (waiting for room) and
+/// the writer (waiting for the credit) forever; the server cuts it off
+/// instead, and drains promptly.
+#[test]
+fn a_parked_writer_cuts_off_a_client_past_its_window() {
+    for transport in TRANSPORTS {
+        let (server, mut io) = a_header_read(transport);
+        io.send_frame(&encode_request(1, &request(1)).expect("request encodes"))
+            .expect("request fits");
+        assert!(closes(&mut io), "{transport}: the server gives up");
+        let t0 = Instant::now();
+        server.shutdown().expect("clean drain");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{transport}");
+    }
+}
+
+/// A server that sends the header and then stalls — it reads the
+/// client's credit and never answers it — leaves a client with a 50 ms
+/// response timeout and no retries the typed
+/// [`TransportError::ConnTimeout`] at its deadline.
+#[test]
+fn a_server_stalled_mid_sequence_times_out_the_client() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let (hang_up, hold) = std::sync::mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let conn = listener.accept().expect("the client dials");
+            let mut io = FrameIo::new(
+                conn,
+                0,
+                WireDir::ServerToClient,
+                WireFaultPlan::none(),
+                WireClock::new(),
+            );
+            let next = |io: &mut FrameIo| match io.recv_frame_until(Instant::now() + PATIENCE) {
+                Ok(RecvFrame::Frame(f)) => f,
+                other => panic!("expected a frame, got {other:?}"),
+            };
+            let hello = next(&mut io);
+            assert_eq!(hello.kind, FrameKind::Hello);
+            let ack = Hello {
+                protocol: PROTOCOL_VERSION as u32,
+                max_payload: DEFAULT_MAX_PAYLOAD,
+                window: 1,
+            };
+            io.send_frame(&encode_hello(FrameKind::HelloAck, hello.id, &ack))
+                .expect("client is up");
+            let req = next(&mut io);
+            let req_id = req.id;
+            let req = decode_request(&req).expect("a request follows the hello");
+            let pyramid = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+                .expect("request geometry is valid");
+            let resp = wserv::DecomposeResponse {
+                pyramid,
+                cache_hit: false,
+                batch_size: 1,
+                wait_s: 0.0,
+                service_s: 0.0,
+                degraded: false,
+                error_bound: 0.0,
+            };
+            let (header, _) = split_response(&resp, CheckpointCodec::Raw).expect("lossless");
+            io.send_frame(&encode_progressive_header(req_id, &header).expect("encodes"))
+                .expect("client is up");
+            let credit = next(&mut io);
+            assert_eq!(credit.kind, FrameKind::Credit);
+            assert_eq!(decode_credit(&credit), Ok(1), "the client pulls plane 1");
+            // Hold the sequence open, unanswered, until the client is done.
+            let _ = hold.recv();
+        });
+
+        let timeout = Duration::from_millis(50);
+        let mut client = RemoteClient::new(dial(), 3)
+            .with_response_timeout(timeout)
+            .with_retry(RetryPolicy {
+                max_attempts: 1,
+                ..fast_retry()
+            });
+        let got = client.call(&request(1));
+        assert_eq!(
+            got.err(),
+            Some(TransportError::ConnTimeout { waited_ms: 50 }),
+            "{transport}"
+        );
+        assert_eq!(client.progressive.headers, 1, "{transport}");
+        drop(client);
+        hang_up.send(()).expect("peer is holding");
+        peer.join().expect("peer never panics");
+    }
 }

@@ -12,10 +12,13 @@
 //! submitted requests have unsent responses, so a client that floods
 //! requests without reading responses backpressures itself (its TCP
 //! send buffer / pipe window fills) instead of queueing responses
-//! without bound. The reader's wait for room, and the writer's waits
-//! for another connection's resolution and for a progressive client's
-//! next credit, are plain condvar waits, woken by the events that end
-//! them; each says at the wait why it is finite.
+//! without bound. Under progressive delivery a client that sends past
+//! its window instead of crediting the sequence it is reading is cut
+//! off instead: the writer waits on a credit that client will never
+//! send. The reader's wait for room, and the writer's waits for another
+//! connection's resolution and for a progressive client's next credit,
+//! are plain condvar waits, woken by the events that end them; each
+//! says at the wait why it is finite.
 //! So are the transport waits: the accept blocks until a dial or
 //! [`Listener::close`], and the reader until a frame, the peer's FIN,
 //! the writer's abort or drain's [`Transport::close_read`]. The only
@@ -54,6 +57,8 @@
 //! goes only once the client's [`FrameKind::Credit`] covers it, which
 //! [`RemoteClient`] sends whenever it wants to read on — so the server
 //! never runs ahead of its reader, and quantizes no plane nobody reads.
+//! A client with neither a tolerance nor a byte budget reads every
+//! plane, so it credits the whole sequence once, after the header.
 //! The whole sequence occupies *one* window permit — flow control is
 //! per-request, so a progressive response cannot starve its neighbours
 //! beyond what a monolithic one would. A client whose tolerance is met
@@ -71,7 +76,9 @@
 //! request). The accept thread, woken by the close, closes the read
 //! side of every live connection: a reader between frames ends
 //! cleanly and its writer flushes every owed response before FIN —
-//! lossless for everything accepted. A reader cut off mid-frame (a
+//! lossless for everything accepted. That includes the rest of a
+//! progressive sequence: after a clean end (drain, or the peer's FIN)
+//! every plane still owed reads as credited. A reader cut off mid-frame (a
 //! half-open peer: partial frame, then silence) is aborted and counted
 //! in [`TransportMetrics::conn_aborted`]; no grace could have served
 //! that frame, because the service is already closed to it. The
@@ -354,7 +361,8 @@ enum Pull {
     Send,
     /// The client cancelled the sequence.
     Cancelled,
-    /// The reader has left, so nothing will ever cover the plane.
+    /// The reader has left abortively, so nothing will ever cover the
+    /// plane.
     Closed,
 }
 
@@ -440,9 +448,17 @@ impl Window {
         self.mark(id, |e| e.credit = e.credit.max(upto));
     }
 
-    /// The reader has left; wake a writer parked on a credit.
-    fn close(&self) {
-        self.state.lock().closed = true;
+    /// The reader has left; wake a writer parked on a credit. After a
+    /// clean end — the peer's FIN, or drain between frames — every
+    /// sequence still owed reads as fully credited, so the writer
+    /// flushes it as it would a monolithic response. After an abortive
+    /// end nothing more is sent.
+    fn close(&self, clean: bool) {
+        let mut state = self.state.lock();
+        if clean {
+            state.in_flight.iter_mut().for_each(|e| e.credit = u32::MAX);
+        }
+        state.closed = true;
         self.pulled.notify_all();
     }
 
@@ -757,13 +773,14 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     // The abortive close comes before the join: it is what unblocks a
     // writer parked in a send the peer will never read. Closing the
     // window unblocks one parked on a credit this reader will never
-    // deliver.
+    // deliver: after a clean end it flushes what it owes, after an
+    // abortive one it stops.
     if !clean {
         rio.abort();
     }
     local.absorb_wire(&rio.stats);
     if let Some((tx, handle, window)) = writer {
-        window.close();
+        window.close(clean);
         drop(tx);
         let (wstats, wmetrics) = handle.join().expect("writer never panics");
         local.merge(&wmetrics);
@@ -1292,9 +1309,17 @@ fn recv_response(
         };
         let step = r.step(!f.more_follows(), got_bytes, tolerance, byte_budget);
         if step == Step::Read {
-            // Pull the next plane: every one so far arrived in order.
-            pulled += 1;
-            io.send_frame(&encode_credit(id, pulled))?;
+            // Pull the next plane: every one so far arrived in order. A
+            // reader with no stop rule reads every plane, so one credit
+            // after the header covers the sequence. A credit that cannot
+            // be sent ends nothing by itself: a drained server flushes
+            // what it owes unasked, and a dead connection shows in the
+            // next read.
+            let stops = tolerance.is_some() || byte_budget.is_some();
+            if stops || pulled == 0 {
+                pulled = if stops { pulled + 1 } else { u32::MAX };
+                let _ = io.send_frame(&encode_credit(id, pulled));
+            }
             continue;
         }
         let r = assembly.take().expect("assembly just stepped");
@@ -1506,8 +1531,27 @@ mod tests {
             let window = Arc::clone(&window);
             parked(move || window.await_credit(3, 1))
         };
-        window.close();
+        window.close(false);
         assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
+    }
+
+    #[test]
+    fn a_clean_close_credits_every_sequence_still_owed() {
+        let window = Window::new(3);
+        window.acquire(1);
+        window.acquire(2);
+        window.acquire(3);
+        window.cancel(3);
+        let writer = {
+            let window = Arc::clone(&window);
+            parked(move || window.await_credit(1, 1))
+        };
+        window.close(true);
+        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Send));
+        assert_eq!(window.await_credit(1, 9), Pull::Send);
+        // The sequence queued behind it goes whole; a cancelled one not.
+        assert_eq!(window.await_credit(2, 9), Pull::Send);
+        assert_eq!(window.await_credit(3, 1), Pull::Cancelled);
     }
 
     #[test]
@@ -1525,7 +1569,7 @@ mod tests {
             parked(move || window.await_credit(1, 1))
         };
         assert_eq!(reader.recv_timeout(WOKEN), Ok(false), "the reader gives up");
-        window.close();
+        window.close(false);
         assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
     }
 }

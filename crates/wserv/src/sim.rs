@@ -889,7 +889,9 @@ fn send_until_arrives(
 /// through [`WireCostModel::frame_payload_s`] with its actual encoded
 /// size, and each plane after the client's Credit for it: one
 /// client-to-server frame and its one-way trip, faulted like any other
-/// frame, so the simulated frames and bytes are the live ones. A frame
+/// frame, so the simulated frames and bytes are the live ones. A client
+/// with neither tolerance nor byte budget credits the whole sequence
+/// once, before the first plane, as the live one does. A frame
 /// lost mid-sequence costs a backoff + reconnect + request resend and
 /// the server replays the *whole* sequence from the header (the
 /// reassembly is idempotent). A tolerance-met Cancel consumes one
@@ -946,11 +948,17 @@ fn deliver_result(
             let bytes = frame.map_or(mono_bytes, |f| {
                 f.expect("a split response frames").payload.len() as u64
             });
-            // A plane leaves the server only once its Credit lands.
-            let credited = if j > 0 {
-                transit(cl, sc, conn, WireDir::ClientToServer, t, credit_s, acc)
-            } else {
-                Ok(t)
+            // A plane leaves the server only once its Credit lands: one
+            // per plane for a reader with a stop rule, one for the whole
+            // sequence for a reader without.
+            let credited = match &progressive {
+                Some((ps, _))
+                    if j == 1
+                        || (j > 1 && (ps.tolerance.is_some() || ps.byte_budget.is_some())) =>
+                {
+                    transit(cl, sc, conn, WireDir::ClientToServer, t, credit_s, acc)
+                }
+                _ => Ok(t),
             };
             let sent = credited.and_then(|t| {
                 acc.response_bytes += bytes;

@@ -8,11 +8,13 @@
 //!   them), retries after response-path losses replay the recorded
 //!   outcome from the dedup book instead of re-executing;
 //! * the per-connection in-flight window backpressures a pipelining
-//!   client without losing or reordering responses;
-//! * graceful drain is lossless for accepted work and wakes every
-//!   connection: an idle one ends cleanly, and a half-open one cannot
-//!   hold drain hostage — cut off mid-frame, it is aborted and counted
-//!   in `conn_aborted`;
+//!   client without losing or reordering responses — under progressive
+//!   delivery, a client that sends past its window instead of crediting
+//!   is cut off;
+//! * graceful drain is lossless for accepted work, a progressive
+//!   sequence mid-read included, and wakes every connection: an idle
+//!   one ends cleanly, and a half-open one cannot hold drain hostage —
+//!   cut off mid-frame, it is aborted and counted in `conn_aborted`;
 //! * a protocol mismatch is a terminal, typed handshake failure, a
 //!   connection that never says `Hello` is closed, and a client that
 //!   gets no answer gives up typed at its response timeout;
@@ -21,8 +23,8 @@
 //! * progressive delivery is pull-driven: the server sends exactly the
 //!   planes the client credits, which the closed-loop simulator prices
 //!   to the byte, and a writer parked on a credit always wakes — on the
-//!   reader's exit, on drain, or by cutting off a client that sent past
-//!   its window instead of crediting.
+//!   reader's clean exit or drain, flushing what it owes, or by cutting
+//!   off a client that sent past its window instead of crediting.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1003,6 +1005,11 @@ fn progressive_lossless_is_bitwise_equal_to_oracle_over_shim_and_tcp() {
         );
         assert_eq!(client.progressive.cancels, 0, "no tolerance, no cancels");
         client.goodbye();
+        assert_eq!(
+            client.transport.frames_out,
+            1 + 3 * 2 + 1,
+            "Hello, then a request and one credit per sequence, then Bye"
+        );
         let metrics = server.shutdown().expect("clean drain");
         assert_eq!(metrics.service.completed(), 3);
         assert_eq!(metrics.transport.planes_sent, 3 * 3 * 2);
@@ -1347,15 +1354,25 @@ fn closes(io: &mut FrameIo) -> bool {
     )
 }
 
+/// The six planes [`a_header_read`] left owed arrive in order, and the
+/// last one closes the sequence.
+fn the_rest_arrives(io: &mut FrameIo, transport: &str) {
+    for (k, plane) in responses(io, 6).iter().enumerate() {
+        assert_eq!(plane.more_follows(), k < 5, "{transport}: plane {}", k + 1);
+    }
+}
+
 /// A raw client reads the header, never credits a plane, and closes its
-/// sending side: the writer parked on the credit wakes when the reader
-/// leaves, so the connection finishes and FINs on its own — no drain —
-/// and its permit goes back, with no plane sent and nothing cancelled.
+/// sending side — a clean end. The writer parked on the credit wakes
+/// when the reader leaves and flushes the rest of the sequence it owes;
+/// then the connection FINs on its own — no drain — and its permit goes
+/// back.
 #[test]
 fn a_parked_writer_wakes_when_its_reader_leaves() {
     for transport in TRANSPORTS {
         let (server, mut io) = a_header_read(transport);
         io.shutdown_write();
+        the_rest_arrives(&mut io, transport);
         assert!(
             closes(&mut io),
             "{transport}: the connection ends by itself"
@@ -1363,13 +1380,14 @@ fn a_parked_writer_wakes_when_its_reader_leaves() {
         let metrics = server.shutdown().expect("clean drain");
         assert_eq!(metrics.service.completed(), 1, "{transport}");
         let t = metrics.transport;
-        assert_eq!((t.planes_sent, t.cancels_honored), (0, 0), "{transport}");
+        assert_eq!((t.planes_sent, t.cancels_honored), (6, 0), "{transport}");
         assert_eq!(t.conn_aborted, 0, "{transport}: a clean end");
     }
 }
 
-/// `shutdown()` while a writer waits on a credit returns promptly: drain
-/// closes the reader, which wakes the writer.
+/// `shutdown()` while a writer waits on a credit returns promptly and
+/// loses nothing: drain ends the reader between frames, a clean end, so
+/// the writer flushes the rest of the sequence before FIN.
 #[test]
 fn a_parked_writer_does_not_hold_up_drain() {
     for transport in TRANSPORTS {
@@ -1381,15 +1399,60 @@ fn a_parked_writer_does_not_hold_up_drain() {
             took < Duration::from_secs(1),
             "{transport}: drain must not wait on a credit (took {took:?})"
         );
-        assert_eq!(metrics.transport.planes_sent, 0, "{transport}");
+        let t = metrics.transport;
+        assert_eq!((t.planes_sent, t.conn_aborted), (6, 0), "{transport}");
+        the_rest_arrives(&mut io, transport);
         assert!(closes(&mut io), "{transport}: the client sees the end");
+    }
+}
+
+/// Drain while a [`RemoteClient`] is mid-sequence loses nothing. The
+/// client's credit for plane 1 is held back, by a stall on its own send
+/// path, until the server has drained; the call still resolves, first
+/// try, with the whole lossless pyramid — over the shim and over TCP.
+#[test]
+fn drain_delivers_a_progressive_sequence_mid_read() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let remote = RemoteConfig {
+            progressive: Some(CheckpointCodec::Raw),
+            ..remote_config()
+        };
+        let server = RemoteServer::start(service_config(), remote, listener).expect("valid");
+        let req = DecomposeRequest::new(image(64, 5), FilterBank::cdf53(), 2);
+        let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+            .expect("oracle geometry is valid");
+        // The client's frames: Hello 0, the request 1, the credit for
+        // plane 1 is frame 2.
+        let held = WireFaultPlan::seeded(1).with_stall(12, WireDir::ClientToServer, 2, 0.3);
+        let mut client = RemoteClient::new(dial(), 12)
+            .with_faults(held)
+            .with_tolerance(0.0)
+            .with_retry(RetryPolicy {
+                max_attempts: 1,
+                ..fast_retry()
+            });
+        let reading = std::thread::spawn(move || (client.call(&req), client.progressive));
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        let metrics = server.shutdown().expect("clean drain");
+        assert!(t0.elapsed() < Duration::from_secs(1), "{transport}");
+        let (got, tally) = reading.join().expect("the client never panics");
+        let resp = got
+            .unwrap_or_else(|e| panic!("{transport}: drain broke the sequence: {e}"))
+            .expect("request serves Ok");
+        assert_eq!(resp.pyramid, oracle, "{transport}: every plane arrives");
+        assert_eq!(resp.error_bound, 0.0, "{transport}");
+        assert_eq!((tally.headers, tally.planes), (1, 6), "{transport}");
+        assert_eq!(metrics.transport.planes_sent, 6, "{transport}");
     }
 }
 
 /// A client that sends past its window instead of crediting the
 /// sequence it is reading would hold the reader (waiting for room) and
 /// the writer (waiting for the credit) forever; the server cuts it off
-/// instead, and drains promptly.
+/// instead — an abortive end, so nothing more of the sequence goes —
+/// and drains promptly.
 #[test]
 fn a_parked_writer_cuts_off_a_client_past_its_window() {
     for transport in TRANSPORTS {
@@ -1398,8 +1461,9 @@ fn a_parked_writer_cuts_off_a_client_past_its_window() {
             .expect("request fits");
         assert!(closes(&mut io), "{transport}: the server gives up");
         let t0 = Instant::now();
-        server.shutdown().expect("clean drain");
+        let metrics = server.shutdown().expect("clean drain");
         assert!(t0.elapsed() < Duration::from_secs(1), "{transport}");
+        assert_eq!(metrics.transport.planes_sent, 0, "{transport}");
     }
 }
 
@@ -1453,7 +1517,11 @@ fn a_server_stalled_mid_sequence_times_out_the_client() {
                 .expect("client is up");
             let credit = next(&mut io);
             assert_eq!(credit.kind, FrameKind::Credit);
-            assert_eq!(decode_credit(&credit), Ok(1), "the client pulls plane 1");
+            assert_eq!(
+                decode_credit(&credit),
+                Ok(u32::MAX),
+                "a reader with no stop rule pulls the whole sequence at once"
+            );
             // Hold the sequence open, unanswered, until the client is done.
             let _ = hold.recv();
         });

@@ -56,12 +56,9 @@ use crate::shard::{self, shape_key};
 /// of estimated backlog (queue census priced through the [`CostBook`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticPolicy {
-    /// Reserve shard slots available to split into (0 = steal-only).
+    /// Reserve shard slots available to split into and merge back out
+    /// of (0 = steal-only: no slot to split into, none to retire).
     pub reserve: usize,
-    /// Enable cross-shard work stealing.
-    pub steal: bool,
-    /// Enable split (reserve activation) and merge (reserve retire).
-    pub split_merge: bool,
     /// Hysteresis: minimum seconds between controller actions.
     pub min_gap_s: f64,
     /// Steal when the hot/cold backlog gap reaches this many seconds.
@@ -85,8 +82,6 @@ impl ElasticPolicy {
     pub fn stealing() -> Self {
         ElasticPolicy {
             reserve: 0,
-            steal: true,
-            split_merge: false,
             min_gap_s: 200e-6,
             steal_gap_s: 400e-6,
             split_backlog_s: f64::INFINITY,
@@ -101,8 +96,6 @@ impl ElasticPolicy {
     pub fn split_merge(reserve: usize) -> Self {
         ElasticPolicy {
             reserve,
-            steal: true,
-            split_merge: true,
             min_gap_s: 200e-6,
             steal_gap_s: 400e-6,
             split_backlog_s: 2e-3,
@@ -114,9 +107,6 @@ impl ElasticPolicy {
 
     /// Validate the policy. Returns a human-readable reason on failure.
     pub fn validate(&self) -> Result<(), String> {
-        if self.split_merge && self.reserve == 0 {
-            return Err("split_merge requires a non-empty reserve pool".into());
-        }
         if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
             return Err(format!(
                 "ewma_alpha = {} must be in (0, 1]",
@@ -498,9 +488,6 @@ impl BalanceController {
     /// Hot shard past the split threshold with ≥ 2 distinct movable
     /// shapes, and a reserve slot free: divide its shape set.
     fn decide_split(&self, loads: &[ShardLoad]) -> Option<BalanceAction> {
-        if !self.policy.split_merge {
-            return None;
-        }
         let to = loads.iter().position(|l| !l.active && !l.failed)?;
         let (from, load, backlog) = loads
             .iter()
@@ -543,9 +530,6 @@ impl BalanceController {
     /// Hot/cold backlog gap past the threshold: migrate the queued
     /// shape whose movable backlog best levels the pair.
     fn decide_steal(&self, loads: &[ShardLoad]) -> Option<BalanceAction> {
-        if !self.policy.steal {
-            return None;
-        }
         let mut hot: Option<(usize, f64)> = None;
         let mut cold: Option<(usize, f64)> = None;
         for (s, l) in loads.iter().enumerate() {
@@ -593,9 +577,6 @@ impl BalanceController {
     /// the FNV base domain merge, so the default hash always has a
     /// routable home.
     fn decide_merge(&self, loads: &[ShardLoad]) -> Option<BalanceAction> {
-        if !self.policy.split_merge {
-            return None;
-        }
         let base = loads.len() - self.policy.reserve;
         loads
             .iter()
@@ -794,9 +775,7 @@ mod tests {
     fn policy_validation_rejects_nonsense() {
         assert!(ElasticPolicy::stealing().validate().is_ok());
         assert!(ElasticPolicy::split_merge(2).validate().is_ok());
-        let mut p = ElasticPolicy::split_merge(0);
-        assert!(p.validate().is_err(), "split with no reserve");
-        p = ElasticPolicy::stealing();
+        let mut p = ElasticPolicy::stealing();
         p.ewma_alpha = 0.0;
         assert!(p.validate().is_err());
         p = ElasticPolicy::stealing();

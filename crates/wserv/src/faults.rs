@@ -260,18 +260,12 @@ impl Default for SupervisorPolicy {
 }
 
 impl SupervisorPolicy {
-    /// No supervision at all: a dead worker stays dead, its work stays
-    /// stranded, and the death surfaces (as a typed error) at shutdown.
+    /// No restart budget: the first death fails the shard over.
     pub fn disabled() -> Self {
         SupervisorPolicy {
             max_restarts: 0,
             ..Self::default()
         }
-    }
-
-    /// Whether dead workers are recovered (any restart budget at all).
-    pub fn enabled(&self) -> bool {
-        self.max_restarts > 0
     }
 
     /// Backoff charged before restart `restart` (1-based: the first
@@ -639,8 +633,6 @@ mod tests {
         assert!((s.backoff_s(1) - 1e-3).abs() < 1e-15);
         assert!((s.backoff_s(2) - 2e-3).abs() < 1e-15);
         assert!((s.backoff_s(3) - 4e-3).abs() < 1e-15);
-        assert!(s.enabled());
-        assert!(!SupervisorPolicy::disabled().enabled());
     }
 
     #[test]

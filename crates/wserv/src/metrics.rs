@@ -249,15 +249,6 @@ pub struct TransportMetrics {
 }
 
 impl TransportMetrics {
-    /// Fold one connection's wire counters into the totals.
-    pub fn absorb_wire(&mut self, stats: &crate::transport::WireStats) {
-        self.frames_in += stats.frames_in;
-        self.frames_out += stats.frames_out;
-        self.bytes_in += stats.bytes_in;
-        self.bytes_out += stats.bytes_out;
-        self.ser_s += stats.ser_s;
-    }
-
     /// Count one terminal transport error against its taxonomy bucket.
     pub fn count_error(&mut self, err: &crate::transport::TransportError) {
         use crate::transport::TransportError::*;

@@ -778,13 +778,11 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
     if !clean {
         rio.abort();
     }
-    local.absorb_wire(&rio.stats);
+    local.merge(&rio.stats);
     if let Some((tx, handle, window)) = writer {
         window.close(clean);
         drop(tx);
-        let (wstats, wmetrics) = handle.join().expect("writer never panics");
-        local.merge(&wmetrics);
-        local.absorb_wire(&wstats);
+        local.merge(&handle.join().expect("writer never panics"));
     }
     shared.metrics.lock().merge(&local);
 }
@@ -854,7 +852,7 @@ fn writer_main(
     rx: mpsc::Receiver<(u64, Source)>,
     window: Arc<Window>,
     dead: Arc<AtomicBool>,
-) -> (crate::transport::WireStats, TransportMetrics) {
+) -> TransportMetrics {
     let mut local = TransportMetrics::default();
     let ack = encode_hello(
         FrameKind::HelloAck,
@@ -903,7 +901,8 @@ fn writer_main(
     if !dead.load(Ordering::SeqCst) {
         wio.shutdown_write();
     }
-    (wio.stats, local)
+    local.merge(&wio.stats);
+    local
 }
 
 // ---------------------------------------------------------------------
@@ -1181,7 +1180,7 @@ impl RemoteClient {
             // The Cancel could not be sent; redial lazily rather than
             // leave the server parked on a sequence nobody reads.
             if let Some(io) = self.io.take() {
-                self.transport.absorb_wire(&io.stats);
+                self.transport.merge(&io.stats);
             }
         }
         Ok(result)
@@ -1212,7 +1211,7 @@ impl RemoteClient {
                 Err((e, false)) => {
                     self.transport.count_error(&e);
                     if let Some(io) = self.io.take() {
-                        self.transport.absorb_wire(&io.stats);
+                        self.transport.merge(&io.stats);
                     }
                     if attempt >= self.retry.max_attempts {
                         return Err(e);
@@ -1229,7 +1228,7 @@ impl RemoteClient {
         if let Some(mut io) = self.io.take() {
             let _ = io.send_frame(&Frame::new(FrameKind::Bye, self.client_id, Vec::new()));
             io.shutdown_write();
-            self.transport.absorb_wire(&io.stats);
+            self.transport.merge(&io.stats);
         }
     }
 }

@@ -27,8 +27,8 @@
 //!   dead one under [`SupervisorPolicy`]'s bounded exponential-backoff
 //!   budget; past the budget the shard is failed over — its queued and
 //!   in-flight work re-routes to live successors on the shard ring, and
-//!   future submissions route around it (with no budget at all the
-//!   death is only recorded and the work stays put until shutdown);
+//!   future submissions route around it (with no budget at all, at the
+//!   first death);
 //! * under reduced capacity (covering for a failed peer, or a queue
 //!   past the high-water mark) a shard may answer sub-interactive work
 //!   with a degraded, bounded-error response ([`DegradedPolicy`])
@@ -44,10 +44,9 @@
 //! wakes every worker, and joins the supervisor, whose scope ends when
 //! the last worker has. Workers keep popping until their queue is
 //! empty, so every accepted request still resolves — the drain
-//! invariant the property tests pin down. A worker that died with
-//! nothing to restart it surfaces as a typed [`ServiceError`], never as
-//! a caller-visible panic, and its stranded requests are resolved
-//! [`Rejection::ShardFailed`] first.
+//! invariant the property tests pin down. A worker death never
+//! surfaces as a caller-visible panic: it is a restart or a failover,
+//! and work with no live shard left resolves [`Rejection::ShardFailed`].
 
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -183,17 +182,10 @@ impl ServiceConfig {
 }
 
 /// A shutdown-time failure of the service itself (as opposed to a
-/// per-request [`Rejection`]). Surfaced as a typed error so callers
-/// never see a worker panic propagate through `join`.
+/// per-request [`Rejection`]). A worker death is never one: the
+/// supervisor restarts the worker or fails its shard over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// A shard worker died and supervision was disabled, so nothing
-    /// restarted it. Its stranded requests were resolved
-    /// [`Rejection::ShardFailed`] before this was returned.
-    WorkerPanicked {
-        /// The shard whose worker died.
-        shard: usize,
-    },
     /// The supervisor thread itself panicked (a service bug; its scope
     /// still joined every worker before the panic reached `shutdown`).
     SupervisorFailed,
@@ -202,12 +194,6 @@ pub enum ServiceError {
 impl fmt::Display for ServiceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServiceError::WorkerPanicked { shard } => {
-                write!(
-                    f,
-                    "shard {shard} worker panicked (no supervisor to restart it)"
-                )
-            }
             ServiceError::SupervisorFailed => write!(f, "supervisor thread panicked"),
         }
     }
@@ -388,8 +374,7 @@ impl Shards for &Live {
 pub struct WaveletService {
     live: Arc<Live>,
     /// The one thread the service joins: its scope owns every worker.
-    /// Returns the shards whose worker died with supervision disabled.
-    supervisor: thread::JoinHandle<Vec<usize>>,
+    supervisor: thread::JoinHandle<()>,
     next_id: Mutex<u64>,
 }
 
@@ -527,32 +512,20 @@ impl WaveletService {
     /// join the supervisor (whose scope joins them), and return the
     /// merged metrics.
     ///
-    /// A worker that died with supervision disabled surfaces as
-    /// `Err(ServiceError::WorkerPanicked)` — never a caller-visible
-    /// panic — after its stranded requests are resolved
-    /// [`Rejection::ShardFailed`] (every accepted request still
-    /// terminates, even through an error shutdown).
+    /// Worker deaths were restarts or failovers by the time this
+    /// returns; only a panic of the supervisor itself is an `Err`, and
+    /// even then every accepted request has terminated.
     pub fn shutdown(self) -> Result<MetricsSnapshot, ServiceError> {
         let mut live = &*self.live;
         for state in &live.shards {
             state.inner.lock().draining = true;
             state.work.notify_all();
         }
-        let error = match self.supervisor.join() {
-            Err(_) => Some(ServiceError::SupervisorFailed),
-            Ok(dead) => {
-                for &shard in &dead {
-                    live.mark_failed(shard);
-                    live.shards[shard].metrics.lock().failed = true;
-                }
-                let shard = dead.into_iter().min();
-                shard.map(|shard| ServiceError::WorkerPanicked { shard })
-            }
-        };
-        // Backstop sweep: anything still queued or in flight (stranded
-        // by an unsupervised death, or re-routed into a shard whose
-        // worker had already drained) resolves ShardFailed so every
-        // accepted request terminates.
+        let joined = self.supervisor.join();
+        // Backstop sweep: anything still queued or in flight (re-routed
+        // into a shard whose worker had already drained, or held by a
+        // worker the supervisor panicked before handling) resolves
+        // ShardFailed so every accepted request terminates.
         for (shard, state) in live.shards.iter().enumerate() {
             let stranded = state.in_flight.lock().take();
             let queued = state.inner.lock().queue.drain();
@@ -585,9 +558,9 @@ impl WaveletService {
                 m
             })
             .collect();
-        match error {
-            None => Ok(MetricsSnapshot { shards }),
-            Some(e) => Err(e),
+        match joined {
+            Ok(()) => Ok(MetricsSnapshot { shards }),
+            Err(_) => Err(ServiceError::SupervisorFailed),
         }
     }
 }
@@ -716,10 +689,8 @@ fn worker_loop(live: &Live, shard_ix: usize) {
 /// one exits, and hands a panicked one to [`policy::worker_died`] —
 /// which re-queues whatever it held and grants a restart under the
 /// backoff budget, or past the budget fails the shard over to its live
-/// successors on the shard ring. Without a budget a death is only
-/// recorded — batch and queue stay put for `shutdown` to sweep — and
-/// the recorded shards are returned.
-fn supervisor_loop(live: &Live) -> Vec<usize> {
+/// successors on the shard ring.
+fn supervisor_loop(live: &Live) {
     let sup = live.config.supervisor;
     let (exits, reports) = mpsc::channel();
     // A worker thread's body. The report is sent from outside
@@ -743,7 +714,6 @@ fn supervisor_loop(live: &Live) -> Vec<usize> {
         for shard_ix in 0..running {
             scope.spawn(worker(shard_ix));
         }
-        let mut dead = Vec::new();
         while running > 0 {
             // No timeout, and finite once `shutdown` runs. Every worker
             // counted in `running` sends one report, whether its loop
@@ -759,10 +729,6 @@ fn supervisor_loop(live: &Live) -> Vec<usize> {
             if !panicked {
                 continue;
             }
-            if !sup.enabled() {
-                dead.push(s);
-                continue;
-            }
             let held = live.shards[s].in_flight.lock().take();
             let restart = {
                 let map = live.map.lock();
@@ -774,6 +740,5 @@ fn supervisor_loop(live: &Live) -> Vec<usize> {
                 running += 1;
             }
         }
-        dead
     })
 }

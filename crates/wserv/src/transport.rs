@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
+use crate::metrics::TransportMetrics;
 use crate::wire::{decode_frame, encode_frame, Frame, WireError, DEFAULT_MAX_PAYLOAD};
 
 /// Typed transport failure. The taxonomy every remote caller matches
@@ -588,25 +589,6 @@ impl WireClock {
     }
 }
 
-/// Byte/frame counters for one framed connection; folded into
-/// [`crate::metrics::TransportMetrics`] when the connection ends.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct WireStats {
-    /// Frames fully sent.
-    pub frames_out: u64,
-    /// Frames fully received and verified.
-    pub frames_in: u64,
-    /// Bytes put on the wire (including injected-fault partial sends).
-    pub bytes_out: u64,
-    /// Bytes taken off the wire.
-    pub bytes_in: u64,
-    /// Seconds spent encoding and decoding frames (serialization cost,
-    /// charged to the Communication lane).
-    pub ser_s: f64,
-    /// Faults this side injected on its send path.
-    pub faults_injected: u64,
-}
-
 /// Outcome of one framed receive attempt.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecvFrame {
@@ -630,8 +612,10 @@ pub struct FrameIo {
     max_payload: u32,
     faults: WireFaultPlan,
     clock: Arc<WireClock>,
-    /// Live counters for this connection.
-    pub stats: WireStats,
+    /// Live frame, byte and serialization counters for this
+    /// connection (bytes out include injected-fault partial sends);
+    /// merged into the owner's totals when the connection ends.
+    pub stats: TransportMetrics,
 }
 
 impl FrameIo {
@@ -653,7 +637,7 @@ impl FrameIo {
             max_payload: DEFAULT_MAX_PAYLOAD,
             faults,
             clock,
-            stats: WireStats::default(),
+            stats: TransportMetrics::default(),
         }
     }
 
@@ -696,9 +680,7 @@ impl FrameIo {
         let t0 = Instant::now();
         let mut bytes = encode_frame(frame)?;
         self.stats.ser_s += t0.elapsed().as_secs_f64();
-        let fault = self.faults.decide(self.conn, self.dir, idx);
-        self.stats.faults_injected += fault.is_some() as u64;
-        match fault {
+        match self.faults.decide(self.conn, self.dir, idx) {
             None => {}
             Some(WireFault::BitFlip { entropy }) => {
                 let bit = (entropy % (bytes.len() as u64 * 8)) as usize;
@@ -909,7 +891,6 @@ mod tests {
             clock,
         );
         tx.send_frame(&frame(1, 64)).unwrap();
-        assert_eq!(tx.stats.faults_injected, 1);
         match rx.recv_frame() {
             Err(TransportError::FrameCorrupt { .. }) => {}
             other => panic!("expected FrameCorrupt, got {other:?}"),

@@ -101,9 +101,9 @@ chaos-smoke: serve-bench-smoke
 
 # Soak the live supervisor's wake-up path: it blocks until a worker
 # reports its exit, so a lost report hangs instead of failing an
-# assertion. The supervision tests of wserv_chaos (unsupervised death,
-# restart, two deaths at once, death while draining, budget exhaustion)
-# run 25 times, one test at a time, each round under `timeout` so a
+# assertion. The supervision tests of wserv_chaos (zero-budget failover,
+# the live-vs-sim worker-death grid, restart, two deaths at once, death
+# while draining, budget exhaustion) run 25 times, one test at a time, each round under `timeout` so a
 # hang is a non-zero exit within a minute.
 supervise-soak:
     #!/usr/bin/env bash

@@ -8,15 +8,20 @@
 //!    degraded), or a typed rejection. Nothing hangs, nothing is
 //!    silently dropped, nothing resolves twice (the response cell
 //!    debug-asserts single resolution).
-//! 2. **Typed failures.** A worker death never surfaces as a
-//!    caller-visible panic: supervised shards restart or fail over;
-//!    unsupervised deaths become `ServiceError::WorkerPanicked` at
-//!    shutdown with every stranded request resolved `ShardFailed`.
+//! 2. **One meaning for a worker death.** A death never surfaces as a
+//!    caller-visible panic: within the restart budget the worker
+//!    restarts, past it (at the first death with no budget) the shard
+//!    fails over to its ring survivors — and the live driver and the
+//!    simulator agree on which, death for death.
 //! 3. **Deterministic replay.** The chaos simulator is a pure function
 //!    of `(config, cost, stream)` — same seed, byte-identical run.
 //! 4. **Asserted degradation.** A degraded response's detail planes
 //!    deviate from the exact oracle by at most its carried
 //!    `error_bound`; its LL plane is exact.
+
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use dwt::engine::PlanShape;
 use dwt::{dwt2d, Boundary, FilterBank, Matrix, Pyramid};
@@ -24,7 +29,7 @@ use proptest::prelude::*;
 use wserv::sim::{run_sim, CostModel, SimReport};
 use wserv::{
     DecomposeRequest, DegradedPolicy, MetricsSnapshot, Priority, RejectKind, Rejection,
-    ServiceConfig, ServiceError, ShardFaultPlan, SupervisorPolicy, WaveletService,
+    ResponseHandle, ServeResult, ServiceConfig, ShardFaultPlan, SupervisorPolicy, WaveletService,
 };
 
 fn image(n: usize, salt: u64) -> Matrix {
@@ -130,15 +135,25 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport) {
 // Live threaded driver
 // ---------------------------------------------------------------------
 
-/// Regression for the historical fatal `expect` on worker join: with
-/// supervision disabled, a dead worker surfaces at shutdown as a typed
-/// `ServiceError` — never a caller-visible panic — and every stranded
-/// request resolves `ShardFailed`.
+/// Wait on every handle before `shutdown`, panicking rather than hanging
+/// if a death stranded one of them.
+fn wait_all(handles: Vec<ResponseHandle>, row: &str) -> Vec<ServeResult> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(handles.iter().map(|h| h.wait()).collect()));
+    rx.recv_timeout(Duration::from_secs(20))
+        .unwrap_or_else(|_| panic!("{row}: a request was stranded"))
+}
+
+/// Zero restart budget: the first death fails the shard over, as in the
+/// simulator — its in-flight and queued work re-routes to the ring
+/// survivor, every request completes exactly, and `shutdown` succeeds
+/// with the victim booked failed.
 #[test]
-fn unsupervised_worker_death_is_a_typed_shutdown_error() {
+fn zero_restart_budget_fails_the_worker_over_at_its_first_death() {
     let nshards = 2;
     let victim = 0;
     let (size, levels) = shape_on_shard(victim, nshards);
+    let request = |i: u64| DecomposeRequest::new(image(size, i), FilterBank::haar(), levels);
     let service = WaveletService::start(
         ServiceConfig::default()
             .with_shards(nshards)
@@ -147,29 +162,92 @@ fn unsupervised_worker_death_is_a_typed_shutdown_error() {
             .with_faults(ShardFaultPlan::none().with_shard_crash(victim, 0)),
     );
     let handles: Vec<_> = (0..6u64)
-        .map(|i| {
-            service
-                .submit(DecomposeRequest::new(
-                    image(size, i),
-                    FilterBank::haar(),
-                    levels,
-                ))
-                .expect("queue has room")
-        })
+        .map(|i| service.submit(request(i)).expect("queue has room"))
         .collect();
-    // Give the worker a chance to pop a dispatch and die with it in
-    // flight (the error path must hold either way).
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    match service.shutdown() {
-        Err(ServiceError::WorkerPanicked { shard }) => assert_eq!(shard, victim),
-        Err(other) => panic!("wrong service error: {other:?}"),
-        Ok(_) => panic!("a dead unsupervised worker must fail shutdown"),
+    // Failover is what resolves these, so waiting is the
+    // synchronization: no death is reported after drain begins.
+    for (i, outcome) in (0..6u64).zip(wait_all(handles, "zero budget")) {
+        let resp = outcome.unwrap_or_else(|r| panic!("request {i} lost: {r:?}"));
+        assert_eq!(resp.pyramid, oracle(&request(i)), "request {i} corrupted");
     }
-    for h in handles {
-        match h.wait() {
-            Err(Rejection::ShardFailed { shard, .. }) => assert_eq!(shard, victim),
-            other => panic!("stranded request resolved {other:?}, want ShardFailed"),
+    let snapshot = service
+        .shutdown()
+        .expect("failover leaves nothing stranded");
+    assert_eq!(snapshot.failed_shards(), vec![victim]);
+    assert_eq!(snapshot.restarts(), 0, "no budget, no restart");
+    assert_eq!(snapshot.completed(), 6);
+    assert!(snapshot.requeued() >= 1, "failover re-routed entries");
+}
+
+/// Both drivers give a worker death one meaning. Over victim ×
+/// restart budget × {one-shot panic, permanent crash} at the victim's
+/// first dispatch, the simulator and the live service fed the same
+/// six requests for the victim's shape agree on which shards failed
+/// and how many restarts were spent, and both serve every request
+/// exactly.
+#[test]
+fn both_drivers_agree_on_every_worker_death() {
+    let nshards = 2;
+    let mut rows = Vec::new();
+    for victim in 0..nshards {
+        for max_restarts in 0..=2u32 {
+            for crash in [false, true] {
+                rows.push((victim, max_restarts, crash));
+            }
         }
+    }
+    for (victim, max_restarts, crash) in rows {
+        let row = format!("victim {victim}, max_restarts {max_restarts}, crash {crash}");
+        let faults = match crash {
+            false => ShardFaultPlan::none().with_worker_panic(victim, 0),
+            true => ShardFaultPlan::none().with_shard_crash(victim, 0),
+        };
+        let cfg = ServiceConfig::default()
+            .with_shards(nshards)
+            .with_max_batch(1)
+            .with_supervisor(SupervisorPolicy {
+                max_restarts,
+                backoff_base_s: 2e-4,
+                ..SupervisorPolicy::default()
+            })
+            .with_faults(faults);
+        let (size, levels) = shape_on_shard(victim, nshards);
+        let request = |i: u64| DecomposeRequest::new(image(size, i), FilterBank::haar(), levels);
+        let n = 6u64;
+
+        let stream = (0..n).map(|i| (i as f64 * 1e-6, request(i))).collect();
+        let sim = run_sim(&cfg, &CostModel::default(), stream);
+
+        let service = WaveletService::start(cfg);
+        let handles: Vec<_> = (0..n)
+            .map(|i| service.submit(request(i)).expect("queue has room"))
+            .collect();
+        // Every handle resolves before drain begins, so no death can be
+        // reported into a shutdown already under way.
+        let live = wait_all(handles, &row);
+        let snapshot = service.shutdown().expect("no driver strands work");
+
+        for (i, (s, l)) in (0..n).zip(sim.outcomes.iter().zip(&live)) {
+            let exact = oracle(&request(i));
+            let s = s
+                .as_ref()
+                .unwrap_or_else(|r| panic!("{row}: sim lost {i}: {r:?}"));
+            let l = l
+                .as_ref()
+                .unwrap_or_else(|r| panic!("{row}: live lost {i}: {r:?}"));
+            assert_eq!(s.pyramid, exact, "{row}: sim corrupted request {i}");
+            assert_eq!(l.pyramid, exact, "{row}: live corrupted request {i}");
+        }
+        assert_eq!(
+            sim.metrics.failed_shards(),
+            snapshot.failed_shards(),
+            "{row}: failed shards"
+        );
+        assert_eq!(
+            sim.metrics.restarts(),
+            snapshot.restarts(),
+            "{row}: restarts"
+        );
     }
 }
 

@@ -82,9 +82,9 @@ pub mod lifting;
 /// streaming through L2.
 pub const DEFAULT_BAND_WIDTH: usize = 256;
 
-/// Shared low-level loops, used by the fused kernel and exported so the
-/// machine-simulation crates (`dwt-mimd`) can run their per-rank filter
-/// passes through the same SIMD-friendly code.
+/// Low-level vector loops for the machine-simulation crate
+/// (`dwt-mimd`), whose per-rank filter passes run through them; the
+/// engine's own register-blocked sweeps do not use them.
 pub mod kernel {
     /// `dst[i] += t · src[i]` over contiguous slices — the vertical
     /// column-filter update. Auto-vectorizes.

@@ -52,8 +52,18 @@ use dwt::engine::PlanShape;
 
 use crate::shard::{self, shape_key};
 
+/// EWMA smoothing factor of the controller's per-shape [`CostBook`].
+const EWMA_ALPHA: f64 = 0.3;
+
+/// The controller's per-request cost estimate for a shape it has not
+/// observed yet.
+const DEFAULT_COST_S: f64 = 150e-6;
+
 /// Knobs of the elastic control plane. All thresholds are in seconds
-/// of estimated backlog (queue census priced through the [`CostBook`]).
+/// of estimated backlog: a queue census priced through a [`CostBook`]
+/// that smooths each shape's measured service seconds with a fixed
+/// EWMA factor of 0.3 and answers 150 µs per request for a shape it
+/// has not seen yet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticPolicy {
     /// Reserve shard slots available to split into and merge back out
@@ -69,26 +79,16 @@ pub struct ElasticPolicy {
     /// Merge a reserve-born shard whose backlog has fallen to or below
     /// this many seconds.
     pub merge_backlog_s: f64,
-    /// EWMA smoothing factor of the per-shape cost book, in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Per-request cost estimate used before the first observation of
-    /// a shape.
-    pub default_cost_s: f64,
 }
 
 impl ElasticPolicy {
     /// Steal-only elasticity: rebalance queued work across the static
-    /// shard set, never changing the shard count.
+    /// shard set, never changing the shard count. This is
+    /// [`split_merge`](Self::split_merge) with no reserve: with no slot
+    /// to split into and none to retire, its split and merge
+    /// thresholds never apply.
     pub fn stealing() -> Self {
-        ElasticPolicy {
-            reserve: 0,
-            min_gap_s: 200e-6,
-            steal_gap_s: 400e-6,
-            split_backlog_s: f64::INFINITY,
-            merge_backlog_s: 0.0,
-            ewma_alpha: 0.3,
-            default_cost_s: 150e-6,
-        }
+        Self::split_merge(0)
     }
 
     /// Full elasticity: stealing plus split into (and merge back out
@@ -100,36 +100,20 @@ impl ElasticPolicy {
             steal_gap_s: 400e-6,
             split_backlog_s: 2e-3,
             merge_backlog_s: 50e-6,
-            ewma_alpha: 0.3,
-            default_cost_s: 150e-6,
         }
     }
 
     /// Validate the policy. Returns a human-readable reason on failure.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0) {
-            return Err(format!(
-                "ewma_alpha = {} must be in (0, 1]",
-                self.ewma_alpha
-            ));
-        }
         for (name, v) in [
             ("min_gap_s", self.min_gap_s),
             ("steal_gap_s", self.steal_gap_s),
+            ("split_backlog_s", self.split_backlog_s),
             ("merge_backlog_s", self.merge_backlog_s),
-            ("default_cost_s", self.default_cost_s),
         ] {
             if !(v >= 0.0 && v.is_finite()) {
                 return Err(format!("{name} = {v} must be finite and >= 0"));
             }
-        }
-        // Infinity is legal here: it is how a steal-only policy turns
-        // splitting off. Only NaN and negatives are rejected.
-        if self.split_backlog_s.is_nan() || self.split_backlog_s < 0.0 {
-            return Err(format!(
-                "split_backlog_s = {} must be >= 0",
-                self.split_backlog_s
-            ));
         }
         Ok(())
     }
@@ -284,8 +268,8 @@ impl ShardMap {
 ///
 /// Keys are [`shape_key`]s; the backing `BTreeMap` keeps iteration
 /// deterministic. Before the first observation of a shape the book
-/// answers the policy's `default_cost_s`, so the controller can act on
-/// a cold start without dividing by zero.
+/// answers its cold-start estimate, so the controller can act on a
+/// cold start without dividing by zero.
 #[derive(Debug, Clone)]
 pub struct CostBook {
     alpha: f64,
@@ -433,7 +417,7 @@ impl BalanceController {
         }
         BalanceController {
             policy,
-            book: CostBook::new(policy.ewma_alpha, policy.default_cost_s),
+            book: CostBook::new(EWMA_ALPHA, DEFAULT_COST_S),
             last_action_t: f64::NEG_INFINITY,
         }
     }
@@ -776,10 +760,10 @@ mod tests {
         assert!(ElasticPolicy::stealing().validate().is_ok());
         assert!(ElasticPolicy::split_merge(2).validate().is_ok());
         let mut p = ElasticPolicy::stealing();
-        p.ewma_alpha = 0.0;
+        p.steal_gap_s = f64::NAN;
         assert!(p.validate().is_err());
         p = ElasticPolicy::stealing();
-        p.steal_gap_s = f64::NAN;
+        p.split_backlog_s = f64::INFINITY;
         assert!(p.validate().is_err());
     }
 }

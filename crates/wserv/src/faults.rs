@@ -24,7 +24,7 @@
 //!   workers).
 //!
 //! The survival machinery is configured by [`SupervisorPolicy`]
-//! (restart budget, backoff, requeue cost) and [`DegradedPolicy`]
+//! (restart budget and backoff) and [`DegradedPolicy`]
 //! (bounded-error approximate responses under reduced capacity). Both
 //! are clock-free and shared verbatim by the live server and the sim.
 
@@ -226,12 +226,14 @@ impl ShardFaultPlan {
 }
 
 /// Supervision policy: how hard the service tries to keep a shard
-/// alive before failing it over, and what recovery actions cost.
+/// alive before failing it over, and what a restart costs.
 ///
-/// All costs are seconds on the service clock: wall seconds in the
-/// live driver (the supervisor really backs off), virtual seconds
-/// charged to the [`perfbudget::Category::FaultRecovery`] lane in the
-/// simulator. How a death is *noticed* is not policy: it is an event
+/// Backoffs are seconds on the service clock: wall seconds in the live
+/// driver (the supervisor really backs off), virtual seconds in the
+/// simulator; both drivers charge them to the
+/// [`perfbudget::Category::FaultRecovery`] lane. Every entry re-queued
+/// or re-routed by a recovery is billed a fixed 5 µs state handoff to
+/// the same lane. How a death is *noticed* is not policy: it is an event
 /// in both drivers — the simulator meets it at the dispatch that dies,
 /// a live worker thread reports its own exit to a sleeping supervisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -243,9 +245,6 @@ pub struct SupervisorPolicy {
     pub backoff_base_s: f64,
     /// Multiplier applied to the backoff on each further restart.
     pub backoff_mult: f64,
-    /// Seconds charged per re-queued or re-routed entry (the state
-    /// handoff cost, billed to the FaultRecovery lane).
-    pub requeue_s: f64,
 }
 
 impl Default for SupervisorPolicy {
@@ -254,7 +253,6 @@ impl Default for SupervisorPolicy {
             max_restarts: 3,
             backoff_base_s: 1e-3,
             backoff_mult: 2.0,
-            requeue_s: 5e-6,
         }
     }
 }
@@ -276,13 +274,9 @@ impl SupervisorPolicy {
 
     /// Validate the policy. Returns a human-readable reason on failure.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("backoff_base_s", self.backoff_base_s),
-            ("requeue_s", self.requeue_s),
-        ] {
-            if !(v >= 0.0 && v.is_finite()) {
-                return Err(format!("{name} = {v} must be finite and >= 0"));
-            }
+        let base = self.backoff_base_s;
+        if !(base >= 0.0 && base.is_finite()) {
+            return Err(format!("backoff_base_s = {base} must be finite and >= 0"));
         }
         if !(self.backoff_mult >= 1.0 && self.backoff_mult.is_finite()) {
             return Err(format!(
@@ -628,7 +622,6 @@ mod tests {
             max_restarts: 4,
             backoff_base_s: 1e-3,
             backoff_mult: 2.0,
-            ..SupervisorPolicy::default()
         };
         assert!((s.backoff_s(1) - 1e-3).abs() < 1e-15);
         assert!((s.backoff_s(2) - 2e-3).abs() < 1e-15);

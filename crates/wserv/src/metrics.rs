@@ -133,6 +133,12 @@ pub struct ShardMetrics {
     /// Whether the shard ended the run failed over (restart budget
     /// exhausted).
     pub failed: bool,
+    /// A reserve slot's open activation window: when its last Split
+    /// activated it, while it is active.
+    active_since: Option<f64>,
+    /// A reserve slot's closed activation windows, once it has any:
+    /// the seconds they spanned and when the last one closed.
+    retired: Option<(f64, f64)>,
 }
 
 impl ShardMetrics {
@@ -180,22 +186,42 @@ impl ShardMetrics {
         self.cache_evictions = cache.evictions;
     }
 
-    /// Close the shard's books at service-clock time `now`: idle time
-    /// becomes the imbalance/wait lane and `now` the completion time.
-    pub fn finalize(&mut self, now: f64) {
-        self.finalize_active(now, now);
+    /// Open an activation window at `now`: a Split activated this
+    /// reserve slot.
+    pub(crate) fn activate(&mut self, now: f64) {
+        self.active_since = Some(now);
     }
 
-    /// Close the books over an explicit active span — how a
-    /// reserve-born elastic shard finalizes: it only owes idle time for
-    /// the `active_s` seconds it was actually activated, not the whole
-    /// run, so a split late in a run does not spuriously inflate the
-    /// imbalance lane. `completion` is when its last activation window
-    /// closed.
-    pub fn finalize_active(&mut self, active_s: f64, completion: f64) {
+    /// Close the open activation window at `now`: a Merge retired this
+    /// reserve slot.
+    pub(crate) fn retire(&mut self, now: f64) {
+        if let Some(t0) = self.active_since.take() {
+            let (active_s, _) = self.retired.unwrap_or((0.0, 0.0));
+            self.retired = Some((active_s + (now - t0), now));
+        }
+    }
+
+    /// Close the shard's books at service-clock time `end`, and return
+    /// its completion time. Idle time becomes the imbalance/wait lane
+    /// over the seconds the shard was active: the whole run for a base
+    /// shard, only its activation windows for a `reserve` slot — so a
+    /// split late in a run does not inflate the imbalance lane. A
+    /// reserve slot that never activated routed and served nothing; it
+    /// has no books to close and answers `None`.
+    pub(crate) fn close(&mut self, end: f64, reserve: bool) -> Option<f64> {
+        let (active_s, completion) = match (reserve, self.active_since, self.retired) {
+            (false, ..) => (end, end),
+            (true, None, None) => return None,
+            (true, None, Some((active_s, last))) => (active_s, end.max(last)),
+            (true, Some(t0), retired) => {
+                let end = end.max(t0);
+                (retired.map_or(0.0, |r| r.0) + end - t0, end)
+            }
+        };
         self.lanes
             .charge(Category::ImbalanceWait, (active_s - self.busy_s).max(0.0));
         self.lanes.completion = completion;
+        Some(completion)
     }
 
     /// Cache hit rate over terminated lookups (0 with no lookups).
@@ -441,7 +467,7 @@ mod tests {
             },
         );
         m.record_lost(0.25);
-        m.finalize(4.0);
+        assert_eq!(m.close(4.0, false), Some(4.0));
         assert_eq!(m.completed, 2);
         assert!((m.lanes.useful - 0.6).abs() < 1e-12);
         assert!((m.lanes.unique_redundancy - 0.2).abs() < 1e-12);
@@ -453,5 +479,60 @@ mod tests {
         let snap = MetricsSnapshot { shards: vec![m] };
         let report = snap.budget_report().expect("one shard");
         assert!(report.useful_pct() > 0.0);
+    }
+
+    /// A shard that was busy `busy_s` of the run, its books not closed.
+    fn busy(busy_s: f64) -> ShardMetrics {
+        let mut m = ShardMetrics::default();
+        m.record_batch(0.0, busy_s, &[0.0], LaneSplit::default());
+        m
+    }
+
+    #[test]
+    fn close_owes_idle_time_only_over_activation_windows() {
+        // A base shard owes idle time for the whole run.
+        let mut base = busy(1.0);
+        assert_eq!(base.close(10.0, false), Some(10.0));
+        assert_eq!((base.lanes.wait, base.lanes.completion), (9.0, 10.0));
+
+        // A reserve slot that never activated has no books to close.
+        let mut pristine = ShardMetrics::default();
+        assert_eq!(pristine.close(10.0, true), None);
+        assert_eq!((pristine.lanes.wait, pristine.lanes.completion), (0.0, 0.0));
+
+        // Split in at 4 and still active at the end: 6 s active.
+        let mut open = busy(1.0);
+        open.activate(4.0);
+        assert_eq!(open.close(10.0, true), Some(10.0));
+        assert_eq!(open.lanes.wait, 5.0);
+
+        // Split in at 2, merged out at 5: 3 s active. Its last work
+        // ended at 6, after the merge, so that is its completion.
+        let mut closed = busy(1.0);
+        closed.activate(2.0);
+        closed.retire(5.0);
+        assert_eq!(closed.close(6.0, true), Some(6.0));
+        assert_eq!(closed.lanes.wait, 2.0);
+        // Idle since before the merge: the merge is its completion.
+        let mut idle = busy(1.0);
+        idle.activate(2.0);
+        idle.retire(5.0);
+        assert_eq!(idle.close(3.0, true), Some(5.0));
+
+        // Re-activated: the windows [1, 3] and [6, 10] sum to 6 s.
+        let mut again = busy(1.0);
+        again.activate(1.0);
+        again.retire(3.0);
+        again.activate(6.0);
+        assert_eq!(again.close(10.0, true), Some(10.0));
+        assert_eq!(again.lanes.wait, 5.0);
+        // …and closed again at 8: 2 + 2 = 4 s.
+        let mut twice = busy(1.0);
+        twice.activate(1.0);
+        twice.retire(3.0);
+        twice.activate(6.0);
+        twice.retire(8.0);
+        assert_eq!(twice.close(7.0, true), Some(8.0));
+        assert_eq!(twice.lanes.wait, 3.0);
     }
 }

@@ -122,6 +122,10 @@ pub(crate) fn admit<S: Shards>(
     }
 }
 
+/// Seconds charged per re-queued or re-routed entry: the state
+/// handoff cost, billed to the FaultRecovery lane.
+pub(crate) const REQUEUE_S: f64 = 5e-6;
+
 /// Re-admit a recovered entry into `target`, charging the requeue
 /// handoff to `charge` — the shard whose failure caused it: itself for
 /// quarantine and restart requeues, the failed shard for re-routes.
@@ -130,11 +134,10 @@ pub(crate) fn readmit<S: Shards>(
     charge: usize,
     target: usize,
     entry: Entry<S::Tag>,
-    policy: &SupervisorPolicy,
     now: f64,
 ) {
     if admit(store, target, entry, now) {
-        store.metrics(charge, |m| m.record_requeue(policy.requeue_s));
+        store.metrics(charge, |m| m.record_requeue(REQUEUE_S));
     }
 }
 
@@ -160,13 +163,7 @@ pub(crate) fn refuse<S: Shards>(store: &mut S, batch: Batch<S::Tag>, detail: &st
 /// batchmates re-queue to retry solo (attempts + 1, so the batcher
 /// isolates them); a request that panicked even solo is terminally
 /// rejected instead of burning another dispatch.
-pub(crate) fn quarantine<S: Shards>(
-    store: &mut S,
-    s: usize,
-    batch: Batch<S::Tag>,
-    policy: &SupervisorPolicy,
-    now: f64,
-) {
+pub(crate) fn quarantine<S: Shards>(store: &mut S, s: usize, batch: Batch<S::Tag>, now: f64) {
     if batch.len() == 1 {
         let entry = batch.entries.into_iter().next().expect("len checked");
         store.metrics(s, |m| m.quarantined += 1);
@@ -176,7 +173,7 @@ pub(crate) fn quarantine<S: Shards>(
     }
     for mut entry in batch.entries {
         entry.attempts += 1;
-        readmit(store, s, s, entry, policy, now);
+        readmit(store, s, s, entry, now);
     }
 }
 
@@ -196,13 +193,13 @@ pub(crate) fn worker_died<S: Shards>(
     // The metrics carry the one record of restarts used so far.
     let restart_no = store.metrics(s, |m| m.restarts as u32) + 1;
     if restart_no > policy.max_restarts {
-        fail_over(store, map, s, held, policy, now);
+        fail_over(store, map, s, held, now);
         return None;
     }
     let backoff = policy.backoff_s(restart_no);
     store.metrics(s, |m| m.record_restart(backoff));
     for entry in held.into_iter().flat_map(|b| b.entries) {
-        readmit(store, s, s, entry, policy, now);
+        readmit(store, s, s, entry, now);
     }
     Some(backoff)
 }
@@ -215,7 +212,6 @@ fn fail_over<S: Shards>(
     map: &ShardMap,
     s: usize,
     held: Option<Batch<S::Tag>>,
-    policy: &SupervisorPolicy,
     now: f64,
 ) {
     store.mark_failed(s);
@@ -224,7 +220,7 @@ fn fail_over<S: Shards>(
     let alive = alive(store);
     for entry in held.into_iter().flat_map(|b| b.entries).chain(queued) {
         match map.route(&entry.req.shape(), &alive) {
-            Some(target) => readmit(store, s, target, entry, policy, now),
+            Some(target) => readmit(store, s, target, entry, now),
             None => {
                 let rejection = shard_failed(store, s);
                 store.resolve(entry.tag, Err(rejection));
@@ -273,7 +269,9 @@ pub(crate) fn balance<S: Shards>(
 /// Apply one decided action as queue surgery plus map mutation, and
 /// say whether anything was applied. Every migrated entry leaves
 /// exactly one queue and enters exactly one queue, so the exactly-once
-/// books never see the move.
+/// books never see the move. A Split opens the reserve slot's
+/// activation window and a Merge closes it: the one record both
+/// drivers close a reserve slot's books over.
 fn apply<S: Shards>(store: &mut S, map: &mut ShardMap, action: &BalanceAction, now: f64) -> bool {
     match *action {
         BalanceAction::Steal { from, to, key, cap } => {
@@ -284,6 +282,7 @@ fn apply<S: Shards>(store: &mut S, map: &mut ShardMap, action: &BalanceAction, n
                 return false;
             }
             map.activate(to);
+            store.metrics(to, |m| m.activate(now));
             for &key in keys {
                 map.set_override(key, to);
                 move_shape(store, from, to, key, usize::MAX, now);
@@ -296,7 +295,10 @@ fn apply<S: Shards>(store: &mut S, map: &mut ShardMap, action: &BalanceAction, n
                 map.clear_override(key);
             }
             map.retire(from);
-            store.metrics(from, |m| m.merges += 1);
+            store.metrics(from, |m| {
+                m.merges += 1;
+                m.retire(now);
+            });
             // Drain the retiring queue losslessly: each entry goes to
             // its routed shard, else to any active live shard with
             // room. The merge threshold keeps the drain tiny (usually
@@ -492,6 +494,36 @@ mod tests {
         assert!(!apply(&mut store, &mut map, &split, 1.0));
         assert_eq!(map.epoch(), 0);
         assert_eq!(books(&mut store).0, [2, 0, 0]);
+    }
+
+    /// A Split opens the reserve slot's activation window at its
+    /// time and a Merge closes it at its own: the slot owes idle time
+    /// over exactly that span.
+    #[test]
+    fn split_then_merge_writes_the_activation_window() {
+        let (mut store, mut map) = fixture();
+        enqueue(&mut store, 0, 0, 8);
+        enqueue(&mut store, 0, 1, 16);
+        let keys = vec![shard::shape_key(&request(16).shape())];
+        let split = BalanceAction::Split {
+            from: 0,
+            to: 2,
+            keys,
+        };
+        assert!(apply(&mut store, &mut map, &split, 1.0));
+        assert!(apply(
+            &mut store,
+            &mut map,
+            &BalanceAction::Merge { from: 2 },
+            4.0
+        ));
+        let (wait, completion) = store.metrics(2, |m| {
+            let end = m.close(3.0, true).expect("the slot was activated");
+            (m.lanes.wait, end)
+        });
+        assert_eq!((wait, completion), (3.0, 4.0));
+        // The base shards never wrote a window.
+        assert_eq!(store.metrics(0, |m| m.close(5.0, false)), Some(5.0));
     }
 
     /// The Merge drain is lossless when it can be: an entry whose

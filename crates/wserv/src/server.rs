@@ -310,8 +310,8 @@ struct Live {
     map: Mutex<ShardMap>,
     ctrl: Option<Mutex<BalanceController>>,
     /// The decision log: `(seconds since service start, action)`, only
-    /// actions that were applied — so it also says which reserve slots
-    /// were ever activated.
+    /// actions that were applied. Read only by
+    /// [`WaveletService::elastic_log`].
     log: Mutex<Vec<(f64, BalanceAction)>>,
 }
 
@@ -537,25 +537,18 @@ impl WaveletService {
         // Close every shard's books exactly once, by moving them out:
         // every thread that wrote them has been joined, and the
         // snapshot is their only reader. Reserve slots that were never
-        // activated served nothing — they are omitted so their
+        // activated served nothing — `close` omits them so their
         // zero-completion lanes don't skew the imbalance rollup
         // (activation always picks the lowest reserve slot, so the
         // omissions are a stable suffix).
         let now = live.now();
-        let log = live.log.lock();
-        let activated = |ix| {
-            let mut splits = log.iter().map(|(_, action)| action);
-            splits.any(|a| matches!(a, BalanceAction::Split { to, .. } if *to == ix))
-        };
         let shards = live.shards.iter().enumerate();
         let shards = shards
-            .filter(|(ix, _)| *ix < live.config.shards || activated(*ix))
-            .map(|(_, state)| {
+            .filter_map(|(ix, state)| {
                 let mut m = std::mem::take(&mut *state.metrics.lock());
                 m.queue = std::mem::take(&mut state.inner.lock().queue.counters);
                 m.absorb_cache(&state.cache.lock());
-                m.finalize(now);
-                m
+                m.close(now, ix >= live.config.shards).map(|_| m)
             })
             .collect();
         match joined {
@@ -575,7 +568,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
             loop {
                 if !inner.queue.is_empty() {
                     // Dispatch overhead starts here, with work in hand:
-                    // the idle wait before it is `finalize`'s
+                    // the idle wait before it is `close`'s
                     // ImbalanceWait, not DuplicationRedundancy too.
                     let wake = Instant::now();
                     let depth_frac = inner.queue.len() as f64 / cfg.queue_capacity.max(1) as f64;
@@ -638,7 +631,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 // worker survives, the batch goes through the
                 // poisoned-batch protocol.
                 let now = live.now();
-                policy::quarantine(&mut store, shard_ix, batch, &cfg.supervisor, now);
+                policy::quarantine(&mut store, shard_ix, batch, now);
             }
             Ok(Ok(done)) => {
                 let batch_size = batch.len();

@@ -271,15 +271,9 @@ impl Shards for SimStore {
 }
 
 /// The elastic control plane's runtime state inside the simulator: the
-/// controller itself, per-slot activation windows (for honest
-/// imbalance accounting of reserve-born shards), and the decision log.
+/// controller itself and the decision log.
 struct ElasticRt {
     ctrl: BalanceController,
-    /// Start of the slot's current activation window, if active now.
-    activated_at: Vec<Option<f64>>,
-    /// The slot's *closed* activation windows, once it has any:
-    /// (seconds accumulated, end of the last one).
-    closed: Vec<Option<(f64, f64)>>,
     actions: Vec<(f64, BalanceAction)>,
 }
 
@@ -301,16 +295,14 @@ impl<'a> SimService<'a> {
         if let Err(reason) = config.validate() {
             panic!("invalid ServiceConfig: {reason}");
         }
-        let (base, total) = (config.shards.max(1), config.total_slots());
+        let base = config.shards.max(1);
         SimService {
             config,
             cost,
             store: SimStore::new(config, requests),
-            map: ShardMap::new(base, total - base),
+            map: ShardMap::new(base, config.total_slots() - base),
             rt: config.elastic.map(|policy| ElasticRt {
                 ctrl: BalanceController::new(policy),
-                activated_at: vec![None; total],
-                closed: vec![None; total],
                 actions: Vec::new(),
             }),
         }
@@ -385,7 +377,7 @@ impl<'a> SimService<'a> {
         if batch.entries.iter().any(|e| config.faults.poisoned(e.id)) {
             // Execution panics; the quarantine runs in-thread after one
             // dispatch overhead's worth of work.
-            policy::quarantine(&mut self.store, s, batch, &config.supervisor, t);
+            policy::quarantine(&mut self.store, s, batch, t);
             return t + cost.dispatch_s;
         }
         let done = match shard::execute(&mut self.store.shards[s].cache, &batch) {
@@ -439,33 +431,20 @@ impl<'a> SimService<'a> {
         end
     }
 
-    /// One controller step at virtual time `t`; an applied action also
-    /// opens or closes the reserve slot's activation window.
+    /// One controller step at virtual time `t`; an applied action is
+    /// logged.
     fn tick(&mut self, t: f64) {
         let Some(rt) = self.rt.as_mut() else { return };
-        let Some(action) = policy::balance(&mut self.store, &mut self.map, &mut rt.ctrl, t) else {
-            return;
-        };
-        match action {
-            BalanceAction::Split { to, .. } => {
-                rt.activated_at[to] = Some(t);
-                self.store.wake(to, t);
-            }
-            BalanceAction::Merge { from } => {
-                if let Some(t0) = rt.activated_at[from].take() {
-                    let (active_s, last_end) = rt.closed[from].unwrap_or((0.0, 0.0));
-                    let t_free = self.store.shards[from].t_free;
-                    let window = (active_s + (t.max(t0) - t0), last_end.max(t).max(t_free));
-                    rt.closed[from] = Some(window);
-                }
-            }
-            BalanceAction::Steal { .. } => {}
+        if let Some(action) = policy::balance(&mut self.store, &mut self.map, &mut rt.ctrl, t) {
+            rt.actions.push((t, action));
         }
-        rt.actions.push((t, action));
     }
 
-    /// Close every shard's books; returns the metrics and the time the
-    /// last shard went idle.
+    /// Close every shard's books at its free time; returns the metrics
+    /// and the time the last shard went idle. A reserve slot that never
+    /// activated has no books to close and is omitted — activation
+    /// always picks the lowest inactive slot, so the omitted slots are
+    /// a suffix and the emitted indices are stable.
     fn finish(&mut self) -> (MetricsSnapshot, f64) {
         let base = self.map.base();
         let mut makespan_s: f64 = 0.0;
@@ -474,31 +453,10 @@ impl<'a> SimService<'a> {
         for (s, mut sh) in closing.into_iter().enumerate() {
             sh.metrics.queue = sh.queue.counters;
             sh.metrics.absorb_cache(&sh.cache);
-            if s < base {
-                makespan_s = makespan_s.max(sh.t_free);
-                sh.metrics.finalize(sh.t_free);
+            if let Some(end) = sh.metrics.close(sh.t_free, s >= base) {
+                makespan_s = makespan_s.max(end);
                 shards.push(sh.metrics);
-                continue;
             }
-            // Reserve slots: a slot that never activated has no books to
-            // close (it routed nothing, served nothing) — including it
-            // with completion 0 would misread the whole run as imbalance.
-            // Activation always picks the lowest inactive slot, so the
-            // omitted slots are a suffix and the emitted indices are
-            // stable. An activated slot owes idle time only over its
-            // active windows.
-            let rt = self.rt.as_mut().expect("a reserve implies elastic");
-            let (active_s, end) = match (rt.activated_at[s].take(), rt.closed[s]) {
-                (None, None) => continue,
-                (None, Some(closed)) => closed,
-                (Some(t0), closed) => {
-                    let end = sh.t_free.max(t0);
-                    (closed.map_or(0.0, |c| c.0) + end - t0, end)
-                }
-            };
-            makespan_s = makespan_s.max(end);
-            sh.metrics.finalize_active(active_s, end);
-            shards.push(sh.metrics);
         }
         (MetricsSnapshot { shards }, makespan_s)
     }
@@ -577,21 +535,22 @@ impl WireCostModel {
     }
 }
 
+/// Stagger between client start times: client `c` submits first at
+/// `c * CLIENT_STAGGER_S` after its handshake, breaking exact
+/// submission ties the way real clients never tie.
+const CLIENT_STAGGER_S: f64 = 5e-6;
+
 /// Shape of a closed-loop multi-client run: `clients` synchronous
 /// clients, each keeping exactly one outstanding request and submitting
-/// its next the moment the previous response lands.
+/// its next the moment the previous response lands (no think time).
+/// Client `c` starts a few microseconds after client `c - 1`, so no two
+/// submissions tie.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopConfig {
     /// Number of concurrent closed-loop clients.
     pub clients: usize,
     /// Requests each client issues.
     pub reqs_per_client: usize,
-    /// Client think time between a delivery and the next submit.
-    pub think_s: f64,
-    /// Stagger between client start times (client `c` connects at
-    /// `c * client_stagger_s`), breaking exact submission ties the way
-    /// real clients never tie.
-    pub client_stagger_s: f64,
     /// Client-side retry policy — mirror the live clients'.
     pub retry: RetryPolicy,
     /// The wire price model.
@@ -631,8 +590,6 @@ impl Default for ClosedLoopConfig {
         ClosedLoopConfig {
             clients: 4,
             reqs_per_client: 16,
-            think_s: 0.0,
-            client_stagger_s: 5e-6,
             retry: RetryPolicy::default(),
             wire: WireCostModel::default(),
             wire_faults: WireFaultPlan::none(),
@@ -647,14 +604,6 @@ impl ClosedLoopConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.clients == 0 {
             return Err("clients must be >= 1".into());
-        }
-        for (name, v) in [
-            ("think_s", self.think_s),
-            ("client_stagger_s", self.client_stagger_s),
-        ] {
-            if !(v >= 0.0 && v.is_finite()) {
-                return Err(format!("{name} = {v} must be finite and >= 0"));
-            }
         }
         if let Some(ps) = &self.progressive {
             if !ps.codec.is_valid() {
@@ -779,7 +728,7 @@ impl SimClient {
         self.outcomes.push(outcome);
         self.next_k += 1;
         if self.next_k < cl.reqs_per_client {
-            self.next_submit = Some(t + cl.think_s);
+            self.next_submit = Some(t);
         }
     }
 }
@@ -1094,7 +1043,7 @@ pub fn run_closed_loop(
             frames: [1, 1],
             next_k: 0,
             next_submit: (cl.reqs_per_client > 0)
-                .then(|| c as f64 * cl.client_stagger_s + cl.wire.handshake_s()),
+                .then(|| c as f64 * CLIENT_STAGGER_S + cl.wire.handshake_s()),
             first_submit: 0.0,
             attempts: 0,
             waiting_ix: None,

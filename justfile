@@ -24,6 +24,16 @@ lint:
     cargo clippy --workspace --all-targets -- -D warnings
     cargo fmt --all --check
 
+# Lines of code outside tests, per source file of one crate: each
+# `.rs` file under `crates/<crate>/src` counts its lines above its first
+# `#[cfg(test)]` (all of them if it has none), then the crate's total.
+loc crate="wserv":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    find "crates/{{crate}}/src" -name '*.rs' | sort | while read -r f; do
+        awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { printf "%6d %s\n", n, FILENAME }' "$f"
+    done | awk '{ print; total += $1 } END { printf "%6d total\n", total }'
+
 # Every intra-doc link resolves: a doc comment naming a deleted or
 # private item fails here, not silently in the rendered pages.
 doc:

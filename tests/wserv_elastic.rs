@@ -257,15 +257,12 @@ fn steal_never_targets_a_crashed_shard() {
     }
 }
 
-/// The live driver end-to-end with split/merge enabled: every accepted
-/// request resolves, the books close over base + activated reserve
-/// slots only, and the decision log is exposed.
-#[test]
-fn live_elastic_service_loses_nothing() {
-    let nshards = 2;
-    let service = WaveletService::start(
+/// The live split/merge setup: two base shards and one reserve slot,
+/// with thresholds low enough for the live clock to trip them.
+fn live_split_merge() -> WaveletService {
+    WaveletService::start(
         ServiceConfig::default()
-            .with_shards(nshards)
+            .with_shards(2)
             .with_queue_capacity(128)
             .with_max_batch(4)
             .with_elastic(ElasticPolicy {
@@ -275,31 +272,34 @@ fn live_elastic_service_loses_nothing() {
                 merge_backlog_s: 50e-6,
                 ..ElasticPolicy::split_merge(1)
             }),
-    );
-    let (size, levels) = shape_on_shard(0, nshards);
-    let (alt_size, alt_levels) = shape_on_shard(1, nshards);
+    )
+}
+
+/// Request `i` of the live elastic workload: a 4:1 skew onto shard 0
+/// of 2 — enough pressure to make the controller act under the live
+/// clock.
+fn live_request(i: u64) -> DecomposeRequest {
+    let (size, levels) = shape_on_shard(usize::from(i.is_multiple_of(5)), 2);
+    DecomposeRequest::new(image(size, i), FilterBank::haar(), levels)
+}
+
+/// The live driver end-to-end with split/merge enabled: every accepted
+/// request resolves, the books close over base + activated reserve
+/// slots only, and the decision log is exposed.
+#[test]
+fn live_elastic_service_loses_nothing() {
+    let nshards = 2;
+    let service = live_split_merge();
     let handles: Vec<_> = (0..80u64)
-        .map(|i| {
-            // 4:1 skew onto shard 0 — enough pressure to make the
-            // controller act under the live clock.
-            let req = if i % 5 == 0 {
-                DecomposeRequest::new(image(alt_size, i), FilterBank::haar(), alt_levels)
-            } else {
-                DecomposeRequest::new(image(size, i), FilterBank::haar(), levels)
-            };
-            (i, service.submit(req).expect("queue has room"))
-        })
+        .map(|i| (i, service.submit(live_request(i)).expect("queue has room")))
         .collect();
     for (i, h) in handles {
         match h.wait() {
-            Ok(resp) => {
-                let req = if i % 5 == 0 {
-                    DecomposeRequest::new(image(alt_size, i), FilterBank::haar(), alt_levels)
-                } else {
-                    DecomposeRequest::new(image(size, i), FilterBank::haar(), levels)
-                };
-                assert_eq!(resp.pyramid, oracle(&req), "request {i} corrupted");
-            }
+            Ok(resp) => assert_eq!(
+                resp.pyramid,
+                oracle(&live_request(i)),
+                "request {i} corrupted"
+            ),
             Err(Rejection::Shed { .. } | Rejection::QueueFull { .. }) => {}
             Err(other) => panic!("request {i}: unexpected {other:?}"),
         }
@@ -322,6 +322,56 @@ fn live_elastic_service_loses_nothing() {
     }
     let ok = snapshot.completed();
     assert!(ok > 0, "the service must actually serve");
+}
+
+/// The live driver closes a split-in reserve slot's books the way the
+/// simulator does: the slot owes idle time only over its activation
+/// windows — from each Split that activated it to the Merge that
+/// retired it, or to the end of the run — not for the whole run. Live
+/// timing decides whether the controller splits, so up to five
+/// services run until one logs a Split; if none does, the test fails
+/// rather than pass vacuously.
+#[test]
+fn live_reserve_slot_owes_idle_time_only_since_its_split() {
+    for _ in 0..5 {
+        let service = live_split_merge();
+        let handles: Vec<_> = (0..80u64)
+            .map(|i| service.submit(live_request(i)).expect("queue has room"))
+            .collect();
+        for h in handles {
+            // Shed and QueueFull are legal under the skew; only the
+            // books are under test.
+            let _ = h.wait();
+        }
+        let log = service.elastic_log();
+        let snapshot = service.shutdown().expect("clean drain");
+        // The reserve slot has books only if a Split activated it.
+        let Some(reserve) = snapshot.shards.get(2) else {
+            continue;
+        };
+        let (mut active_s, mut since) = (0.0, None);
+        for (t, action) in &log {
+            match action {
+                BalanceAction::Split { to: 2, .. } => since = Some(*t),
+                BalanceAction::Merge { from: 2 } => {
+                    active_s += t - since.take().expect("a Merge follows a Split");
+                }
+                _ => {}
+            }
+        }
+        if let Some(t_split) = since {
+            active_s += reserve.lanes.completion - t_split;
+        }
+        let owed = (active_s - reserve.busy_s).max(0.0);
+        assert!(
+            (reserve.lanes.wait - owed).abs() <= 1e-12,
+            "active {active_s} s of {} s: wait {} s, owed {owed} s",
+            reserve.lanes.completion,
+            reserve.lanes.wait
+        );
+        return;
+    }
+    panic!("no live run of five logged a Split");
 }
 
 // ---------------------------------------------------------------------

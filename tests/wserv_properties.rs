@@ -241,8 +241,8 @@ fn graceful_drain_resolves_every_accepted_request() {
 }
 
 /// Lane-books regression: a shard's idle wait is billed once, to
-/// ImbalanceWait at `finalize`, and not a second time as the next
-/// dispatch's DuplicationRedundancy overhead. One shard idles 200 ms,
+/// ImbalanceWait when `shutdown` closes the books, and not a second
+/// time as the next dispatch's DuplicationRedundancy overhead. One shard idles 200 ms,
 /// then serves a single request; its six lanes must fit inside its
 /// lifetime. (The sleep is the scenario, not a synchronization.)
 #[test]

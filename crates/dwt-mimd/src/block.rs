@@ -8,23 +8,31 @@
 //! asserted: the transform output is still bit-identical to the
 //! sequential reference; only the communication structure differs.
 //!
+//! The guard zone is the striped transform's (the `guard` module): the
+//! same needed-line set, payload and lookup, with a block-row's peers
+//! sending guard *columns* and a block-column's peers guard rows; the
+//! column pass and the pyramid assembly are the striped transform's too.
+//! The exchanges are always simultaneous: a chain-ordered configuration
+//! ([`crate::GuardOrdering::ChainOrdered`]) is rejected.
+//!
 //! Like the striped transform, the block transform is fault-aware: under
 //! [`crate::ResiliencePolicy::Redistribute`] the grid positions become *roles*
 //! that move to survivors ahead of scheduled crashes (see the
 //! [`crate::resilience`] module docs), and the recovered run stays
 //! bit-identical to the fault-free transform.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dwt::dwt2d;
 use dwt::matrix::Matrix;
-use dwt::pyramid::{Pyramid, Subbands};
-use paragon::{CommError, Ctx, FaultStats, Ops, SpmdConfig};
-use perfbudget::{Category, RankBudget};
+use dwt::pyramid::Pyramid;
+use paragon::{CommError, Ctx, FaultStats, SpmdConfig};
+use perfbudget::RankBudget;
 
-use crate::partition::{contiguous_runs, output_range, owner, stripes, Stripe};
-use crate::resilience::{collect_outputs, DetailTile, Recovery, RoleState};
-use crate::{coeff_ops, MimdDwtConfig, MimdError};
+use crate::guard::{guard_runs, pack, pack_rows, Guards, RoleSend};
+use crate::partition::{output_range, owner, stripes, Stripe};
+use crate::resilience::{collect_outputs, Recovery, RoleState};
+use crate::{assemble, coeff_ops, column_pass, MimdDwtConfig, MimdError, RankOut};
 
 /// Split `nranks` into a near-square `rows x cols` process grid.
 pub fn process_grid(nranks: usize) -> (usize, usize) {
@@ -81,31 +89,22 @@ pub struct BlockDwtRun {
 impl BlockDwtRun {
     /// Parallel execution time.
     pub fn parallel_time(&self) -> f64 {
-        self.budgets
-            .iter()
-            .map(|b| b.completion)
-            .fold(0.0, f64::max)
+        crate::parallel_time(&self.budgets)
     }
 }
 
-/// Per-role output: sub-band blocks with their placement.
-#[derive(Debug, Clone)]
-pub struct BlockRankOut {
-    details: Vec<DetailTile>,
-    ll_row: usize,
-    ll_col: usize,
-    ll: Matrix,
-    sent_messages: u64,
-    sent_bytes: u64,
-}
+/// What one role returns: its tiles, and (on a rank's first role only)
+/// the rank's guard traffic.
+type RoleOut = (RankOut, CommStats);
 
 /// Collective phases one resilient block level executes: checkpoint
 /// handoff, column-guard exchange, row-guard exchange, LL
 /// redistribution, cost report, barrier.
 const BLOCK_LEVEL_PHASES: u64 = 6;
 
-/// Run the block-decomposed Mallat transform. `cfg.ordering` is ignored
-/// (block exchange is always simultaneous); distribution timing follows
+/// Run the block-decomposed Mallat transform. The guard exchanges are
+/// always simultaneous, so a chain-ordered `cfg.ordering` is rejected
+/// with [`MimdError::InvalidConfig`]; distribution timing follows
 /// `cfg.include_distribution` as in the striped version.
 pub fn run_block_dwt(
     scfg: &SpmdConfig,
@@ -113,14 +112,18 @@ pub fn run_block_dwt(
     image: &Matrix,
 ) -> Result<BlockDwtRun, MimdError> {
     cfg.validate()?;
+    cfg.require_simultaneous("block transform")?;
     dwt2d::validate_dims(image.rows(), image.cols(), cfg.filter.len(), cfg.levels)?;
     let (pr, pc) = process_grid(scfg.nranks);
     let res = paragon::run_spmd(scfg, |ctx| rank_body(ctx, cfg, image, pr, pc))?;
-    let outs: Vec<BlockRankOut> = collect_outputs(cfg.resilience, res.outputs, scfg.nranks)?;
+    let (outs, sent): (Vec<RankOut>, Vec<CommStats>) =
+        collect_outputs(cfg.resilience, res.outputs, scfg.nranks)?
+            .into_iter()
+            .unzip();
     let mut comm = CommStats::default();
-    for out in &outs {
-        comm.guard_messages += out.sent_messages;
-        comm.guard_bytes += out.sent_bytes;
+    for s in sent {
+        comm.guard_messages += s.guard_messages;
+        comm.guard_bytes += s.guard_bytes;
     }
     let pyramid = assemble(&outs, image.rows(), image.cols(), cfg.levels);
     Ok(BlockDwtRun {
@@ -141,33 +144,22 @@ fn rank_body(
     image: &Matrix,
     pr: usize,
     pc: usize,
-) -> Result<Vec<(usize, BlockRankOut)>, CommError> {
+) -> Result<Vec<(usize, RoleOut)>, CommError> {
     let me = ctx.rank();
     let nranks = ctx.nranks();
     let f = cfg.filter.len();
-    let wire = f + 2;
     let (rows0, cols0) = (image.rows(), image.cols());
-    let seed: Vec<f64> = (0..nranks)
+    let tiles: Vec<usize> = (0..nranks)
         .map(|r| {
             let reg = region_of(r, pr, pc, rows0, cols0);
-            (reg.rows.rows() * reg.cols.rows()) as f64
+            reg.rows.rows() * reg.cols.rows()
         })
         .collect();
+    let seed: Vec<f64> = tiles.iter().map(|&t| t as f64).collect();
     let mut rec = Recovery::new(ctx, cfg, BLOCK_LEVEL_PHASES, seed);
     let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
-    let mut stats = (0u64, 0u64);
-
-    // Initial distribution timing (same model as the striped version).
-    if cfg.include_distribution {
-        let mut out = Vec::new();
-        if me == 0 {
-            for j in 1..nranks {
-                let rj = region_of(j, pr, pc, rows0, cols0);
-                out.push((j, (), rj.rows.rows() * rj.cols.rows() * cfg.pixel_bytes));
-            }
-        }
-        ctx.exchange::<()>(out)?;
-    }
+    let mut stats = CommStats::default();
+    rec.scatter(ctx, cfg, |j| tiles[j])?;
 
     let mut rows_l = rows0;
     let mut cols_l = cols0;
@@ -175,88 +167,30 @@ fn rank_body(
     for level in 0..cfg.levels {
         rec.handoff(ctx, cfg, &mut roles)?;
         if level == 0 {
-            // Cut role blocks straight from the globally known image
-            // (adopters included — level-0 state needs no checkpoint).
-            for role in rec.roles_of(me) {
+            rec.cut_inputs(ctx, &mut roles, image, 32, |role| {
                 let r = region_of(role, pr, pc, rows0, cols0);
-                let input = image
-                    .submatrix(r.rows.lo, r.cols.lo, r.rows.rows(), r.cols.rows())
-                    .map_err(|_| CommError::Protocol {
-                        detail: "block outside the image (partition bookkeeping broke)",
-                    })?;
-                ctx.charge_as(
-                    Ops {
-                        flops: 0,
-                        intops: 32,
-                        memops: 2 * (input.rows() * input.cols()) as u64,
-                    },
-                    Category::UniqueRedundancy,
-                );
-                roles.insert(role, RoleState::new(input));
-            }
+                (r.rows.lo, r.cols.lo, r.rows.rows(), r.cols.rows())
+            })?;
         }
-
-        // Which global columns does a block-column need beyond its own?
-        let needs_cols = |cols: Stripe| -> Vec<usize> {
-            let out_c = output_range(cols);
-            let mut needed = Vec::new();
-            for k in out_c.lo..out_c.hi {
-                for m in 0..wire {
-                    if let Some(g) = cfg.mode.map((2 * k + m) as isize, cols_l) {
-                        if !cols.contains(g) {
-                            needed.push(g);
-                        }
-                    }
-                }
-            }
-            needed.sort_unstable();
-            needed.dedup();
-            needed
-        };
+        let region = |role: usize| region_of(role, pr, pc, rows_l, cols_l);
 
         // --- Guard COLUMNS for the row pass (east/west peers in the
-        // block-row), addressed role to role. ---------------------------
-        let mut sends: Vec<crate::RoleSend> = Vec::new();
+        // block-row), addressed role to role: one band, a column of the
+        // holder's rows per line. -----------------------------------------
+        let mut sends: Vec<RoleSend> = Vec::new();
         for (&a, st) in &roles {
-            let ra = region_of(a, pr, pc, rows_l, cols_l);
-            let block_row = a / pc;
-            for peer_col in 0..pc {
-                let j = block_row * pc + peer_col;
-                if j == a {
-                    continue;
-                }
-                let rj = region_of(j, pr, pc, rows_l, cols_l);
-                let mine: Vec<usize> = needs_cols(rj.cols)
-                    .into_iter()
-                    .filter(|&g| ra.cols.contains(g))
-                    .collect();
-                for (lo, hi) in contiguous_runs(&mine) {
-                    let mut payload = Vec::with_capacity((hi - lo) * ra.rows.rows());
-                    for g in lo..hi {
-                        for r in 0..ra.rows.rows() {
-                            payload.push(st.input.get(r, g - ra.cols.lo));
-                        }
-                    }
-                    let bytes = payload.len() * cfg.pixel_bytes;
-                    let dst = rec.owner(j);
-                    if dst != me {
-                        stats.0 += 1;
-                        stats.1 += bytes as u64;
-                    }
-                    sends.push((dst, (j, lo, payload), bytes));
+            let ra = region(a);
+            let nrows = ra.rows.rows();
+            for j in (0..pc).map(|c| a / pc * pc + c).filter(|&j| j != a) {
+                for run in guard_runs(cfg, region(j).cols, ra.cols, cols_l) {
+                    sends.push(pack(cfg, (rec.owner(j), j), 1, run, |_, g| {
+                        (0..nrows).map(move |r| st.input.get(r, g - ra.cols.lo))
+                    }));
                 }
             }
         }
-        let mut col_guards: HashMap<(usize, usize), Vec<f64>> = HashMap::new();
-        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
-            // Sender and consumer share the block-row, so the consumer's
-            // own row count sizes the payload.
-            let nrows = region_of(role, pr, pc, rows_l, cols_l).rows.rows();
-            let ncols = payload.len() / nrows;
-            for (i, g) in (lo..lo + ncols).enumerate() {
-                col_guards.insert((role, g), payload[i * nrows..(i + 1) * nrows].to_vec());
-            }
-        }
+        tally(&mut stats, me, &sends);
+        let col_guards = Guards::<1>::unpack(ctx.exchange(sends)?);
 
         // --- Row pass per role, with per-role compute timing for the
         // re-partition cost model. ---------------------------------------
@@ -264,10 +198,10 @@ fn rank_body(
         let mut cost: BTreeMap<usize, f64> = BTreeMap::new();
         for (&a, st) in &roles {
             let t0 = ctx.now();
-            let ra = region_of(a, pr, pc, rows_l, cols_l);
+            let ra = region(a);
             let out_c = output_range(ra.cols);
             let own_rows = ra.rows.rows();
-            let out_cols = out_c.hi - out_c.lo;
+            let out_cols = out_c.rows();
             let mut low = Matrix::zeros(own_rows, out_cols);
             let mut high = Matrix::zeros(own_rows, out_cols);
             for (ki, k) in (out_c.lo..out_c.hi).enumerate() {
@@ -281,14 +215,7 @@ fn rank_body(
                         let x = if ra.cols.contains(g) {
                             st.input.get(r, g - ra.cols.lo)
                         } else {
-                            match col_guards.get(&(a, g)) {
-                                Some(col) => col[r],
-                                None => {
-                                    return Err(CommError::Protocol {
-                                        detail: crate::GUARD_LOST,
-                                    })
-                                }
-                            }
+                            col_guards.get(a, g)?[0][r]
                         };
                         *low.row_mut(r).get_mut(ki).unwrap() += tl * x;
                         *high.row_mut(r).get_mut(ki).unwrap() += th * x;
@@ -301,134 +228,39 @@ fn rank_body(
         }
         drop(col_guards);
 
-        // Which global rows does a block-row need beyond its own?
-        let needs_rows = |rows: Stripe| -> Vec<usize> {
-            let out = output_range(rows);
-            let mut needed = Vec::new();
-            for k in out.lo..out.hi {
-                for m in 0..wire {
-                    if let Some(g) = cfg.mode.map((2 * k + m) as isize, rows_l) {
-                        if !rows.contains(g) {
-                            needed.push(g);
-                        }
-                    }
-                }
-            }
-            needed.sort_unstable();
-            needed.dedup();
-            needed
-        };
-
         // --- Guard ROWS for the column pass (north/south peers in the
         // block-column), addressed role to role. -------------------------
-        let mut sends: Vec<crate::RoleSend> = Vec::new();
+        let mut sends: Vec<RoleSend> = Vec::new();
         for &a in roles.keys() {
-            let ra = region_of(a, pr, pc, rows_l, cols_l);
-            let out_cols = output_range(ra.cols).hi - output_range(ra.cols).lo;
+            let ra = region(a);
             let (low, high) = &filt[&a];
-            let block_col = a % pc;
-            for peer_row in 0..pr {
-                let j = peer_row * pc + block_col;
-                if j == a {
-                    continue;
-                }
-                let rj = region_of(j, pr, pc, rows_l, cols_l);
-                let mine: Vec<usize> = needs_rows(rj.rows)
-                    .into_iter()
-                    .filter(|&g| ra.rows.contains(g))
-                    .collect();
-                for (lo, hi) in contiguous_runs(&mine) {
-                    let run = hi - lo;
-                    let mut payload = Vec::with_capacity(2 * run * out_cols);
-                    for g in lo..hi {
-                        payload.extend_from_slice(low.row(g - ra.rows.lo));
-                    }
-                    for g in lo..hi {
-                        payload.extend_from_slice(high.row(g - ra.rows.lo));
-                    }
-                    let bytes = payload.len() * cfg.pixel_bytes;
-                    let dst = rec.owner(j);
-                    if dst != me {
-                        stats.0 += 1;
-                        stats.1 += bytes as u64;
-                    }
-                    sends.push((dst, (j, lo, payload), bytes));
+            for j in (0..pr).map(|r| r * pc + a % pc).filter(|&j| j != a) {
+                let to = (rec.owner(j), j);
+                for run in guard_runs(cfg, region(j).rows, ra.rows, rows_l) {
+                    sends.push(pack_rows(cfg, to, &[low, high], ra.rows, run));
                 }
             }
         }
-        let mut row_guards: HashMap<(usize, usize), (Vec<f64>, Vec<f64>)> = HashMap::new();
-        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
-            // Sender and consumer share the block-column, so the
-            // consumer's own output width sizes the payload.
-            let rc = region_of(role, pr, pc, rows_l, cols_l).cols;
-            let out_cols = output_range(rc).hi - output_range(rc).lo;
-            let run = payload.len() / (2 * out_cols);
-            for (i, g) in (lo..lo + run).enumerate() {
-                row_guards.insert(
-                    (role, g),
-                    (
-                        payload[i * out_cols..(i + 1) * out_cols].to_vec(),
-                        payload[(run + i) * out_cols..(run + i + 1) * out_cols].to_vec(),
-                    ),
-                );
-            }
-        }
+        tally(&mut stats, me, &sends);
+        let row_guards = Guards::<2>::unpack(ctx.exchange(sends)?);
 
-        // --- Column pass per role. --------------------------------------
-        let half_cols_l = cols_l / 2;
+        // --- Column pass per role: the striped transform's, over the
+        // block's output columns. ----------------------------------------
         let mut lls: BTreeMap<usize, Matrix> = BTreeMap::new();
         for (&a, st) in roles.iter_mut() {
             let t0 = ctx.now();
-            let ra = region_of(a, pr, pc, rows_l, cols_l);
-            let out_r = output_range(ra.rows);
-            let out_c = output_range(ra.cols);
-            let out_rows = out_r.hi - out_r.lo;
-            let out_cols = out_c.hi - out_c.lo;
+            let ra = region(a);
             let (low, high) = &filt[&a];
-            let mut ll = Matrix::zeros(out_rows, out_cols);
-            let mut lh = Matrix::zeros(out_rows, out_cols);
-            let mut hl = Matrix::zeros(out_rows, out_cols);
-            let mut hh = Matrix::zeros(out_rows, out_cols);
-            for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
-                for m in 0..f {
-                    let Some(g) = cfg.mode.map((2 * k + m) as isize, rows_l) else {
-                        continue;
-                    };
-                    let tl = cfg.filter.low()[m];
-                    let th = cfg.filter.high()[m];
-                    let (lrow, hrow): (&[f64], &[f64]) = if ra.rows.contains(g) {
-                        (low.row(g - ra.rows.lo), high.row(g - ra.rows.lo))
-                    } else {
-                        match row_guards.get(&(a, g)) {
-                            Some((l, h)) => (l, h),
-                            None => {
-                                return Err(CommError::Protocol {
-                                    detail: crate::GUARD_LOST,
-                                })
-                            }
-                        }
-                    };
-                    dwt::engine::kernel::accumulate_quad(
-                        ll.row_mut(ki),
-                        lh.row_mut(ki),
-                        hl.row_mut(ki),
-                        hh.row_mut(ki),
-                        lrow,
-                        hrow,
-                        tl,
-                        th,
-                    );
+            let out_c = output_range(ra.cols);
+            let (ll, detail) = column_pass(ctx, cfg, output_range(ra.rows), out_c, rows_l, |g| {
+                if ra.rows.contains(g) {
+                    Ok([low.row(g - ra.rows.lo), high.row(g - ra.rows.lo)])
+                } else {
+                    row_guards.get(a, g)
                 }
-            }
-            ctx.charge(coeff_ops(f).times(4 * (out_rows * out_cols) as u64));
+            })?;
             *cost.entry(a).or_insert(0.0) += ctx.now() - t0;
-            st.details.push(DetailTile {
-                k_row: out_r.lo,
-                k_col: out_c.lo,
-                lh,
-                hl,
-                hh,
-            });
+            st.details.push(detail);
             lls.insert(a, ll);
         }
         drop(filt);
@@ -438,7 +270,7 @@ fn rank_body(
         // role (a row can split across a block-row of owners). -----------
         let (prev_rows, prev_cols) = (rows_l, cols_l);
         rows_l /= 2;
-        cols_l = half_cols_l;
+        cols_l /= 2;
         type RowSegMsg = (usize, (usize, usize, usize, Vec<f64>), usize);
         let mut sends: Vec<RowSegMsg> = Vec::new();
         for (&a, ll) in &lls {
@@ -499,36 +331,33 @@ fn rank_body(
         rec.end_level(ctx, &cost)?;
     }
 
-    if cfg.include_distribution {
-        rec.gather(ctx, cfg, &roles)?;
-    }
+    rec.gather(ctx, cfg, &roles)?;
 
     // Wire-traffic counters ride on the first returned role so the
     // driver's cross-rank sum stays correct whatever the role spread.
-    let mut first = true;
+    let mut sent = Some(stats);
     Ok(roles
         .into_iter()
         .map(|(role, st)| {
-            let (sent_messages, sent_bytes) = if first {
-                first = false;
-                stats
-            } else {
-                (0, 0)
-            };
             let fin = region_of(role, pr, pc, rows_l, cols_l);
-            (
-                role,
-                BlockRankOut {
-                    details: st.details,
-                    ll_row: fin.rows.lo,
-                    ll_col: fin.cols.lo,
-                    ll: st.input,
-                    sent_messages,
-                    sent_bytes,
-                },
-            )
+            let out = RankOut {
+                details: st.details,
+                ll_row: fin.rows.lo,
+                ll_col: fin.cols.lo,
+                ll: st.input,
+            };
+            (role, (out, sent.take().unwrap_or_default()))
         })
         .collect())
+}
+
+/// Count the guard messages of `sends` that leave this rank: data
+/// passed between two roles of the same rank is not a transaction.
+fn tally(stats: &mut CommStats, me: usize, sends: &[RoleSend]) {
+    for &(_, _, bytes) in sends.iter().filter(|s| s.0 != me) {
+        stats.guard_messages += 1;
+        stats.guard_bytes += bytes as u64;
+    }
 }
 
 /// Split the global column range `[lo, hi)` at the ownership boundaries
@@ -543,31 +372,6 @@ fn split_by_owner(lo: usize, hi: usize, cols_l: usize, pc: usize) -> Vec<(usize,
         cur = end;
     }
     out
-}
-
-fn assemble(outs: &[BlockRankOut], rows: usize, cols: usize, levels: usize) -> Pyramid {
-    let mut detail = Vec::with_capacity(levels);
-    for level in 1..=levels {
-        let h = rows >> level;
-        let w = cols >> level;
-        let mut lh = Matrix::zeros(h, w);
-        let mut hl = Matrix::zeros(h, w);
-        let mut hh = Matrix::zeros(h, w);
-        for out in outs {
-            let d = &out.details[level - 1];
-            lh.paste(d.k_row, d.k_col, &d.lh).expect("block fits");
-            hl.paste(d.k_row, d.k_col, &d.hl).expect("block fits");
-            hh.paste(d.k_row, d.k_col, &d.hh).expect("block fits");
-        }
-        detail.push(Subbands { lh, hl, hh });
-    }
-    let mut approx = Matrix::zeros(rows >> levels, cols >> levels);
-    for out in outs {
-        approx
-            .paste(out.ll_row, out.ll_col, &out.ll)
-            .expect("block fits");
-    }
-    Pyramid { approx, detail }
 }
 
 #[cfg(test)]
@@ -602,15 +406,50 @@ mod tests {
     #[test]
     fn block_matches_sequential_bitwise() {
         let img = image(64);
-        for taps in [2usize, 4, 8] {
-            let bank = FilterBank::daubechies(taps).unwrap();
-            let seq = dwt2d::decompose(&img, &bank, 2, Boundary::Periodic).unwrap();
-            for p in [1usize, 4, 6, 9, 16] {
-                let cfg = MimdDwtConfig::tuned(bank.clone(), 2);
-                let run = run_block_dwt(&scfg(p), &cfg, &img).unwrap();
-                assert_eq!(run.pyramid, seq, "D{taps} P={p} block differs");
+        for mode in Boundary::ALL {
+            for taps in [2usize, 4, 8] {
+                let bank = FilterBank::daubechies(taps).unwrap();
+                let seq = dwt2d::decompose(&img, &bank, 2, mode).unwrap();
+                for p in [1usize, 2, 4, 6, 8, 9, 16] {
+                    let cfg = MimdDwtConfig {
+                        mode,
+                        ..MimdDwtConfig::tuned(bank.clone(), 2)
+                    };
+                    let run = run_block_dwt(&scfg(p), &cfg, &img).unwrap();
+                    assert_eq!(run.pyramid, seq, "D{taps} P={p} {mode:?} block differs");
+                }
             }
         }
+    }
+
+    #[test]
+    fn blocks_left_empty_at_the_deepest_level_match_sequential() {
+        // Regression: a 4x4 grid on 16x16 / L3 leaves some blocks of the
+        // last level's 2x2 input without rows or output columns. Their
+        // guard messages carry empty payloads, which the receiver once
+        // divided by a zero line width (a rank panic).
+        let img = image(16);
+        let bank = FilterBank::haar();
+        let seq = dwt2d::decompose(&img, &bank, 3, Boundary::Periodic).unwrap();
+        for policy in [ResiliencePolicy::FailFast, ResiliencePolicy::Redistribute] {
+            let cfg = MimdDwtConfig::tuned(bank.clone(), 3).with_resilience(policy);
+            let run = run_block_dwt(&scfg(16), &cfg, &img).unwrap();
+            assert_eq!(run.pyramid, seq, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn chain_ordering_is_rejected_typed() {
+        // Block exchanges are always simultaneous: a chain-ordered config
+        // must not run a simultaneous exchange and be reported as chain.
+        let cfg = MimdDwtConfig {
+            ordering: crate::GuardOrdering::ChainOrdered,
+            ..MimdDwtConfig::tuned(FilterBank::haar(), 1)
+        };
+        assert!(matches!(
+            run_block_dwt(&scfg(4), &cfg, &image(32)).unwrap_err(),
+            MimdError::InvalidConfig { .. }
+        ));
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! Only [`Boundary::Periodic`] is supported (the synthesis gather form
 //! of the other modes is not separable per rank); this is also the only
-//! mode with exact perfect reconstruction.
+//! mode with exact perfect reconstruction. The guard zone is the forward
+//! transforms' (the `guard` module), four bands (approximation, `LH`,
+//! `HL`, `HH`) to a line, always exchanged simultaneously: a
+//! chain-ordered configuration is rejected.
 //!
 //! Like the forward transforms, reconstruction is fault-aware: the one
 //! per-rank body runs over stripe *roles*, which under
@@ -17,7 +20,7 @@
 //! detail bands are cut locally by whoever plays the role, exactly as
 //! the forward transform cuts level-0 stripes from the source image.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use dwt::boundary::Boundary;
 use dwt::matrix::Matrix;
@@ -25,7 +28,8 @@ use dwt::pyramid::Pyramid;
 use paragon::{CommError, Ctx, FaultStats, Ops, SpmdConfig};
 use perfbudget::{Category, RankBudget};
 
-use crate::partition::{contiguous_runs, stripes, Stripe};
+use crate::guard::{held_runs, pack_rows, Guards, RoleSend};
+use crate::partition::{stripes, Stripe};
 use crate::resilience::{collect_outputs, Recovery, RoleState};
 use crate::{coeff_ops, MimdDwtConfig, MimdError};
 
@@ -48,30 +52,20 @@ pub struct MimdIdwtRun {
 impl MimdIdwtRun {
     /// Parallel execution time.
     pub fn parallel_time(&self) -> f64 {
-        self.budgets
-            .iter()
-            .map(|b| b.completion)
-            .fold(0.0, f64::max)
+        crate::parallel_time(&self.budgets)
     }
 }
 
 /// Coefficient rows of the half-resolution grid that the synthesis of
 /// output rows `[out.lo, out.hi)` consumes: `k = (n - m)/2 mod half`
 /// for every tap index `m` of matching parity.
-fn needed_coeff_rows(out: Stripe, f: usize, half: usize) -> Vec<usize> {
-    let mut needed = Vec::new();
-    for n in out.lo..out.hi {
-        for m in 0..f {
+fn needed_coeff_rows(out: Stripe, f: usize, half: usize) -> impl Iterator<Item = usize> {
+    (out.lo..out.hi).flat_map(move |n| {
+        (0..f).filter_map(move |m| {
             let t = n as isize - m as isize;
-            if t % 2 != 0 {
-                continue;
-            }
-            needed.push((t / 2).rem_euclid(half as isize) as usize);
-        }
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    needed
+            (t % 2 == 0).then(|| (t / 2).rem_euclid(half as isize) as usize)
+        })
+    })
 }
 
 /// Run the distributed reconstruction of `pyramid` on the simulated
@@ -82,6 +76,7 @@ pub fn run_mimd_idwt(
     pyramid: &Pyramid,
 ) -> Result<MimdIdwtRun, MimdError> {
     cfg.validate()?;
+    cfg.require_simultaneous("distributed reconstruction")?;
     if cfg.mode != Boundary::Periodic {
         return Err(MimdError::InvalidConfig {
             detail: "distributed reconstruction supports periodic boundaries only".into(),
@@ -127,7 +122,6 @@ fn rank_body(
     cfg: &MimdDwtConfig,
     pyramid: &Pyramid,
 ) -> Result<Vec<(usize, Matrix)>, CommError> {
-    let me = ctx.rank();
     let nranks = ctx.nranks();
     let f = cfg.filter.len();
     let (rows0, cols0) = pyramid.image_dims();
@@ -138,18 +132,8 @@ fn rank_body(
         .collect();
     let mut rec = Recovery::new(ctx, cfg, IDWT_LEVEL_PHASES, seed);
     let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
-
-    // Initial distribution: rank 0 scatters coefficient stripes.
-    if cfg.include_distribution {
-        let mut out = Vec::new();
-        if me == 0 {
-            let per_rank_coeffs = rows0 * cols0 / nranks; // approximate, even split
-            for j in 1..nranks {
-                out.push((j, (), per_rank_coeffs * cfg.pixel_bytes));
-            }
-        }
-        ctx.exchange::<()>(out)?;
-    }
+    // Coefficient stripes, approximately: an even split of the pyramid.
+    rec.scatter(ctx, cfg, |_| rows0 * cols0 / nranks)?;
 
     for level in (1..=levels).rev() {
         let half_rows = rows0 >> level;
@@ -161,24 +145,11 @@ fn rank_body(
 
         rec.handoff(ctx, cfg, &mut roles)?;
         if level == levels {
-            // Start from the deepest LL stripes, cut from the globally
-            // known pyramid.
-            for role in rec.roles_of(me) {
-                let s = coeff_stripes[role];
-                let cur = pyramid
-                    .approx
-                    .submatrix(s.lo, 0, s.rows(), half_cols)
-                    .expect("stripe inside approx");
-                ctx.charge_as(
-                    Ops {
-                        flops: 0,
-                        intops: 16,
-                        memops: 2 * (cur.rows() * cur.cols()) as u64,
-                    },
-                    Category::UniqueRedundancy,
-                );
-                roles.insert(role, RoleState::new(cur));
-            }
+            // Start from the deepest LL stripes.
+            rec.cut_inputs(ctx, &mut roles, &pyramid.approx, 16, |r| {
+                let s = coeff_stripes[r];
+                (s.lo, 0, s.rows(), half_cols)
+            })?;
         }
 
         // Detail bands per role, cut from the globally known input.
@@ -200,39 +171,20 @@ fn rank_body(
             },
             Category::UniqueRedundancy,
         );
-        let mut sends: Vec<crate::RoleSend> = Vec::new();
+        let mut sends: Vec<RoleSend> = Vec::new();
         for (&a, st) in &roles {
             let sa = coeff_stripes[a];
             let [lh, hl, hh] = &bands[&a];
+            let quad = [&st.input, lh, hl, hh];
             for j in (0..nranks).filter(|&j| j != a) {
-                let from_a: Vec<usize> = needed_coeff_rows(out_stripes[j], f, half_rows)
-                    .into_iter()
-                    .filter(|&k| !coeff_stripes[j].contains(k) && sa.contains(k))
-                    .collect();
-                for (lo, hi) in contiguous_runs(&from_a) {
-                    let run = hi - lo;
-                    let mut payload = Vec::with_capacity(4 * run * half_cols);
-                    for src in [&st.input, lh, hl, hh] {
-                        for k in lo..hi {
-                            payload.extend_from_slice(src.row(k - sa.lo));
-                        }
-                    }
-                    let bytes = payload.len() * cfg.pixel_bytes;
-                    sends.push((rec.owner(j), (j, lo, payload), bytes));
+                let needed = needed_coeff_rows(out_stripes[j], f, half_rows);
+                let to = (rec.owner(j), j);
+                for run in held_runs(needed, coeff_stripes[j], sa) {
+                    sends.push(pack_rows(cfg, to, &quad, sa, run));
                 }
             }
         }
-        let mut guards: HashMap<(usize, usize), [Vec<f64>; 4]> = HashMap::new();
-        for (_, (role, lo, payload)) in ctx.exchange(sends)? {
-            let run = payload.len() / (4 * half_cols);
-            for (i, k) in (lo..lo + run).enumerate() {
-                let row = |band: usize| {
-                    let off = (band * run + i) * half_cols;
-                    payload[off..off + half_cols].to_vec()
-                };
-                guards.insert((role, k), [row(0), row(1), row(2), row(3)]);
-            }
-        }
+        let guards = Guards::<4>::unpack(ctx.exchange(sends)?);
 
         // --- Column + row synthesis per role through the one kernel,
         // with per-role compute timing for the re-partition cost model.
@@ -246,17 +198,9 @@ fn rank_body(
             let out = synthesize_level(ctx, cfg, out_stripes[a], half_rows, half_cols, |k| {
                 if sa.contains(k) {
                     let i = k - sa.lo;
-                    Ok((cur.row(i), lh.row(i), hl.row(i), hh.row(i)))
+                    Ok([cur.row(i), lh.row(i), hl.row(i), hh.row(i)])
                 } else {
-                    let g = guards.get(&(a, k)).ok_or(CommError::Protocol {
-                        detail: crate::GUARD_LOST,
-                    })?;
-                    Ok((
-                        g[0].as_slice(),
-                        g[1].as_slice(),
-                        g[2].as_slice(),
-                        g[3].as_slice(),
-                    ))
+                    guards.get(a, k)
                 }
             })?;
             cost.insert(a, ctx.now() - t0);
@@ -267,9 +211,7 @@ fn rank_body(
         rec.end_level(ctx, &cost)?;
     }
 
-    if cfg.include_distribution {
-        rec.gather(ctx, cfg, &roles)?;
-    }
+    rec.gather(ctx, cfg, &roles)?;
 
     Ok(roles
         .into_iter()
@@ -291,7 +233,7 @@ fn synthesize_level<'a>(
     out_stripe: Stripe,
     half_rows: usize,
     half_cols: usize,
-    look: impl Fn(usize) -> Result<(&'a [f64], &'a [f64], &'a [f64], &'a [f64]), CommError>,
+    look: impl Fn(usize) -> Result<[&'a [f64]; 4], CommError>,
 ) -> Result<Matrix, CommError> {
     let f = cfg.filter.len();
     let out_rows = out_stripe.rows();
@@ -310,7 +252,7 @@ fn synthesize_level<'a>(
             let k = (t / 2).rem_euclid(half_rows as isize) as usize;
             let tl = cfg.filter.low()[m];
             let th = cfg.filter.high()[m];
-            let (a_row, lh_row, hl_row, hh_row) = look(k)?;
+            let [a_row, lh_row, hl_row, hh_row] = look(k)?;
             dwt::engine::kernel::axpy_pair(low.row_mut(ni), a_row, lh_row, tl, th);
             dwt::engine::kernel::axpy_pair(high.row_mut(ni), hl_row, hh_row, tl, th);
         }
@@ -396,6 +338,22 @@ mod tests {
         assert!(run_mimd_idwt(&scfg(2), &cfg, &pyr).is_err());
         let cfg = MimdDwtConfig::tuned(bank, 3);
         assert!(run_mimd_idwt(&scfg(2), &cfg, &pyr).is_err());
+    }
+
+    #[test]
+    fn chain_ordering_is_rejected_typed() {
+        // The reconstruction's exchange is always simultaneous: a
+        // chain-ordered config must not run and be reported as chain.
+        let bank = FilterBank::haar();
+        let pyr = dwt2d::decompose(&image(32), &bank, 1, Boundary::Periodic).unwrap();
+        let cfg = MimdDwtConfig {
+            ordering: crate::GuardOrdering::ChainOrdered,
+            ..MimdDwtConfig::tuned(bank, 1)
+        };
+        assert!(matches!(
+            run_mimd_idwt(&scfg(2), &cfg, &pyr).unwrap_err(),
+            MimdError::InvalidConfig { .. }
+        ));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 
 pub mod block;
 pub mod checkpoint;
+mod guard;
 pub mod idwt;
 pub mod partition;
 pub mod resilience;
@@ -46,16 +47,10 @@ use paragon::{CommError, Ctx, FaultStats, Ops, SpmdConfig};
 use perfbudget::{Category, RankBudget};
 
 pub use checkpoint::{encode_plane, encoded_bytes, CheckpointCodec, PlaneStats};
-use partition::{contiguous_runs, output_range, owner, stripes, Stripe};
+use guard::{guard_runs, pack_rows, Guards, RoleSend};
+use partition::{output_range, owner, stripes, Stripe};
 use resilience::{collect_outputs, DetailTile, Recovery, RoleState};
 pub use resilience::{MimdError, ResiliencePolicy};
-
-/// Protocol detail reported when a guard-zone message was lost beyond
-/// the retry budget and the column pass cannot proceed.
-pub(crate) const GUARD_LOST: &str = "guard-zone row missing (message lost beyond the retry budget)";
-
-/// A role-addressed outgoing message: `(dest rank, (role, index, payload), wire bytes)`.
-pub(crate) type RoleSend = (usize, (usize, usize, Vec<f64>), usize);
 
 /// How guard-zone messages are issued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +114,10 @@ pub struct MimdDwtConfig {
     pub levels: usize,
     /// Boundary handling.
     pub mode: Boundary,
-    /// Guard-exchange discipline.
+    /// Guard-exchange discipline of the striped transform
+    /// ([`run_mimd_dwt`]). The block transform and the reconstruction
+    /// always exchange simultaneously and reject
+    /// [`GuardOrdering::ChainOrdered`].
     pub ordering: GuardOrdering,
     /// Include the initial stripe scatter from node 0 and the final
     /// coefficient gather in the timed run (the measured sessions of
@@ -194,13 +192,26 @@ impl MimdDwtConfig {
         }
         Ok(())
     }
+
+    /// Reject a chain-ordered exchange in a transform that has none.
+    fn require_simultaneous(&self, transform: &str) -> Result<(), MimdError> {
+        if self.ordering == GuardOrdering::ChainOrdered {
+            return Err(MimdError::InvalidConfig {
+                detail: format!("the {transform} has no chain-ordered guard exchange"),
+            });
+        }
+        Ok(())
+    }
 }
 
-/// Everything one role returns from the SPMD body.
+/// Everything one role of a forward transform returns from the SPMD
+/// body: its detail tiles and its tile of the final `LL` band, placed at
+/// `(ll_row, ll_col)`.
 #[derive(Debug, Clone)]
-pub struct RankOut {
+pub(crate) struct RankOut {
     details: Vec<DetailTile>,
-    ll_lo: usize,
+    ll_row: usize,
+    ll_col: usize,
     ll: Matrix,
 }
 
@@ -222,11 +233,13 @@ pub struct MimdDwtRun {
 impl MimdDwtRun {
     /// Parallel execution time.
     pub fn parallel_time(&self) -> f64 {
-        self.budgets
-            .iter()
-            .map(|b| b.completion)
-            .fold(0.0, f64::max)
+        parallel_time(&self.budgets)
     }
+}
+
+/// Parallel execution time of a run: the latest rank completion.
+fn parallel_time(budgets: &[RankBudget]) -> f64 {
+    budgets.iter().map(|b| b.completion).fold(0.0, f64::max)
 }
 
 /// Run the distributed Mallat decomposition of `image` on the machine
@@ -268,23 +281,11 @@ fn rank_body(
     let me = ctx.rank();
     let nranks = ctx.nranks();
     let (rows0, cols0) = (image.rows(), image.cols());
-    let seed: Vec<f64> = stripes(rows0, nranks)
-        .iter()
-        .map(|s| s.rows() as f64)
-        .collect();
+    let first = stripes(rows0, nranks);
+    let seed: Vec<f64> = first.iter().map(|s| s.rows() as f64).collect();
     let mut rec = Recovery::new(ctx, cfg, STRIPE_LEVEL_PHASES, seed);
     let mut roles: BTreeMap<usize, RoleState> = BTreeMap::new();
-
-    // --- Initial distribution: rank 0 scatters stripes. -----------------
-    if cfg.include_distribution {
-        let mut out = Vec::new();
-        if me == 0 {
-            for (j, sj) in stripes(rows0, nranks).into_iter().enumerate().skip(1) {
-                out.push((j, (), sj.rows() * cols0 * cfg.pixel_bytes));
-            }
-        }
-        ctx.exchange::<()>(out)?;
-    }
+    rec.scatter(ctx, cfg, |j| first[j].rows() * cols0)?;
 
     let mut rows_l = rows0;
     let mut cols_l = cols0;
@@ -294,12 +295,9 @@ fn rank_body(
 
         rec.handoff(ctx, cfg, &mut roles)?;
         if level == 0 {
-            // Extract the local stripes (a local copy the real code would
-            // also make when unpacking the receive buffer).
-            for role in rec.roles_of(me) {
-                let input = extract_stripe(ctx, image, level_stripes[role], cols0)?;
-                roles.insert(role, RoleState::new(input));
-            }
+            rec.cut_inputs(ctx, &mut roles, image, 16, |r| {
+                (first[r].lo, 0, first[r].rows(), cols0)
+            })?;
         }
 
         let half_cols = cols_l / 2;
@@ -316,11 +314,7 @@ fn rank_body(
         }
 
         // --- Guard zone: ship the row-filtered rows other roles' column
-        // passes need (almost always to the north neighbour). Following
-        // the paper ("the depth of the zone is in the order of the filter
-        // length"), the transferred window is padded by two rows beyond
-        // the mathematically required `f - 2`, as the 1995 implementation
-        // conservatively exchanged a full filter-length zone. Everyone
+        // passes need (almost always to the north neighbour). Everyone
         // derives everyone's needs from the same formula, so a rank can
         // compute its send plan without a request round-trip. Messages
         // are role-addressed; those between two roles of the same rank
@@ -339,9 +333,8 @@ fn rank_body(
             let sa = level_stripes[a];
             let (low, high) = &filt[&a];
             for j in (0..nranks).filter(|&j| j != a) {
-                for (lo, hi) in guard_runs(cfg, level_stripes[j], sa, rows_l) {
-                    let (payload, bytes) = pack_guard(low, high, sa, lo, hi, half_cols, cfg);
-                    sends.push((rec.owner(j), (j, lo, payload), bytes));
+                for run in guard_runs(cfg, level_stripes[j], sa, rows_l) {
+                    sends.push(pack_rows(cfg, (rec.owner(j), j), &[low, high], sa, run));
                 }
             }
         }
@@ -365,23 +358,8 @@ fn rank_body(
             }
         };
 
-        // Unpack guard rows into a lookup keyed by (role, global row).
-        let mut guards: BTreeMap<(usize, usize), (Vec<f64>, Vec<f64>)> = BTreeMap::new();
-        let mut guard_rows = 0u64;
-        for (_, (role, lo, payload)) in received {
-            let run = payload.len() / (2 * half_cols);
-            guard_rows += run as u64;
-            for (i, g) in (lo..lo + run).enumerate() {
-                let off = (run + i) * half_cols;
-                guards.insert(
-                    (role, g),
-                    (
-                        payload[i * half_cols..(i + 1) * half_cols].to_vec(),
-                        payload[off..off + half_cols].to_vec(),
-                    ),
-                );
-            }
-        }
+        let guards = Guards::<2>::unpack(received);
+        let guard_rows = guards.lines() as u64;
         ctx.charge_as(
             Ops {
                 flops: 0,
@@ -392,19 +370,20 @@ fn rank_body(
         );
 
         // --- Column pass over each role's output rows. ------------------
+        let all_cols = Stripe {
+            lo: 0,
+            hi: half_cols,
+        };
         let mut lls: BTreeMap<usize, Matrix> = BTreeMap::new();
         for (&a, st) in roles.iter_mut() {
             let sa = level_stripes[a];
             let (low, high) = &filt[&a];
             let t0 = ctx.now();
-            let (ll, detail) = column_pass(ctx, cfg, output_range(sa), rows_l, half_cols, |g| {
+            let (ll, detail) = column_pass(ctx, cfg, output_range(sa), all_cols, rows_l, |g| {
                 if sa.contains(g) {
-                    Ok((low.row(g - sa.lo), high.row(g - sa.lo)))
+                    Ok([low.row(g - sa.lo), high.row(g - sa.lo)])
                 } else {
-                    match guards.get(&(a, g)) {
-                        Some((l, h)) => Ok((l.as_slice(), h.as_slice())),
-                        None => Err(CommError::Protocol { detail: GUARD_LOST }),
-                    }
+                    guards.get(a, g)
                 }
             })?;
             *cost.entry(a).or_insert(0.0) += ctx.now() - t0;
@@ -418,7 +397,7 @@ fn rank_body(
         rows_l /= 2;
         cols_l = half_cols;
         let next_stripes = stripes(rows_l, nranks);
-        let mut sends: Vec<RoleSend> = Vec::new();
+        let mut sends = Vec::new();
         for (&a, ll) in &lls {
             let out_r = output_range(level_stripes[a]);
             for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
@@ -458,9 +437,7 @@ fn rank_body(
         rec.end_level(ctx, &cost)?;
     }
 
-    if cfg.include_distribution {
-        rec.gather(ctx, cfg, &roles)?;
-    }
+    rec.gather(ctx, cfg, &roles)?;
 
     let final_stripes = stripes(rows_l, nranks);
     Ok(roles
@@ -468,7 +445,8 @@ fn rank_body(
         .map(|(role, st)| {
             let out = RankOut {
                 details: st.details,
-                ll_lo: final_stripes[role].lo,
+                ll_row: final_stripes[role].lo,
+                ll_col: 0,
                 ll: st.input,
             };
             (role, out)
@@ -481,29 +459,6 @@ fn rank_body(
 // independent of which rank plays the role — is what makes a recovered
 // transform bit-identical to the fault-free one.
 // ---------------------------------------------------------------------
-
-/// Copy a stripe of the source image, charging the unpack cost.
-fn extract_stripe(
-    ctx: &mut Ctx,
-    image: &Matrix,
-    s: Stripe,
-    cols: usize,
-) -> Result<Matrix, CommError> {
-    let m = image
-        .submatrix(s.lo, 0, s.rows(), cols)
-        .map_err(|_| CommError::Protocol {
-            detail: "stripe outside the image (partition bookkeeping broke)",
-        })?;
-    ctx.charge_as(
-        Ops {
-            flops: 0,
-            intops: 16,
-            memops: 2 * (s.rows() * cols) as u64,
-        },
-        Category::UniqueRedundancy,
-    );
-    Ok(m)
-}
 
 /// Row-filter every row of `input` with L and H, decimating columns.
 fn row_pass(
@@ -525,76 +480,30 @@ fn row_pass(
     (low, high)
 }
 
-/// Contiguous runs of global rows that the player of `consumer` needs
-/// from `holder`'s stripe for its column pass.
-fn guard_runs(
-    cfg: &MimdDwtConfig,
-    consumer: Stripe,
-    holder: Stripe,
-    rows_l: usize,
-) -> Vec<(usize, usize)> {
-    let wire = cfg.filter.len() + 2;
-    let out = output_range(consumer);
-    let mut needed: Vec<usize> = Vec::new();
-    for k in out.lo..out.hi {
-        for m in 0..wire {
-            if let Some(g) = cfg.mode.map((2 * k + m) as isize, rows_l) {
-                if !consumer.contains(g) && holder.contains(g) {
-                    needed.push(g);
-                }
-            }
-        }
-    }
-    needed.sort_unstable();
-    needed.dedup();
-    contiguous_runs(&needed)
-}
-
-/// Pack the low then high rows `[lo, hi)` of a guard run for the wire.
-fn pack_guard(
-    low: &Matrix,
-    high: &Matrix,
-    holder: Stripe,
-    lo: usize,
-    hi: usize,
-    half_cols: usize,
-    cfg: &MimdDwtConfig,
-) -> (Vec<f64>, usize) {
-    let run = hi - lo;
-    let mut payload = Vec::with_capacity(2 * run * half_cols);
-    for g in lo..hi {
-        payload.extend_from_slice(low.row(g - holder.lo));
-    }
-    for g in lo..hi {
-        payload.extend_from_slice(high.row(g - holder.lo));
-    }
-    let bytes = 2 * run * half_cols * cfg.pixel_bytes;
-    (payload, bytes)
-}
-
-/// Column-filter the output rows `[out_r.lo, out_r.hi)`, sourcing each
-/// needed row-filtered row through `look`. Returns the LL block (input
-/// of the next level) and the detail stripes.
+/// Column-filter the output rows `[out_r.lo, out_r.hi)` of the output
+/// columns `out_c` (all of them for a stripe, a block's share for a
+/// block), sourcing each needed row-filtered row pair through `look`.
+/// Returns the LL tile (input of the next level) and the detail tiles.
 fn column_pass<'a>(
     ctx: &mut Ctx,
     cfg: &MimdDwtConfig,
     out_r: Stripe,
+    out_c: Stripe,
     rows_l: usize,
-    half_cols: usize,
-    look: impl Fn(usize) -> Result<(&'a [f64], &'a [f64]), CommError>,
+    look: impl Fn(usize) -> Result<[&'a [f64]; 2], CommError>,
 ) -> Result<(Matrix, DetailTile), CommError> {
     let f = cfg.filter.len();
-    let out_rows = out_r.hi - out_r.lo;
-    let mut ll = Matrix::zeros(out_rows, half_cols);
-    let mut lh = Matrix::zeros(out_rows, half_cols);
-    let mut hl = Matrix::zeros(out_rows, half_cols);
-    let mut hh = Matrix::zeros(out_rows, half_cols);
+    let (out_rows, out_cols) = (out_r.rows(), out_c.rows());
+    let mut ll = Matrix::zeros(out_rows, out_cols);
+    let mut lh = Matrix::zeros(out_rows, out_cols);
+    let mut hl = Matrix::zeros(out_rows, out_cols);
+    let mut hh = Matrix::zeros(out_rows, out_cols);
     for (ki, k) in (out_r.lo..out_r.hi).enumerate() {
         for m in 0..f {
             let Some(g) = cfg.mode.map((2 * k + m) as isize, rows_l) else {
                 continue;
             };
-            let (lsrc, hsrc) = look(g)?;
+            let [lsrc, hsrc] = look(g)?;
             dwt::engine::kernel::accumulate_quad(
                 ll.row_mut(ki),
                 lh.row_mut(ki),
@@ -607,12 +516,12 @@ fn column_pass<'a>(
             );
         }
     }
-    ctx.charge(coeff_ops(f).times(4 * (out_rows * half_cols) as u64));
+    ctx.charge(coeff_ops(f).times(4 * (out_rows * out_cols) as u64));
     Ok((
         ll,
         DetailTile {
             k_row: out_r.lo,
-            k_col: 0,
+            k_col: out_c.lo,
             lh,
             hl,
             hh,
@@ -620,7 +529,7 @@ fn column_pass<'a>(
     ))
 }
 
-/// Stitch per-rank stripes into a [`Pyramid`].
+/// Stitch per-role stripes or blocks into a [`Pyramid`].
 fn assemble(outs: &[RankOut], rows: usize, cols: usize, levels: usize) -> Pyramid {
     let mut detail = Vec::with_capacity(levels);
     for level in 1..=levels {
@@ -631,15 +540,17 @@ fn assemble(outs: &[RankOut], rows: usize, cols: usize, levels: usize) -> Pyrami
         let mut hh = Matrix::zeros(h, w);
         for out in outs {
             let d = &out.details[level - 1];
-            lh.paste(d.k_row, d.k_col, &d.lh).expect("stripe fits");
-            hl.paste(d.k_row, d.k_col, &d.hl).expect("stripe fits");
-            hh.paste(d.k_row, d.k_col, &d.hh).expect("stripe fits");
+            lh.paste(d.k_row, d.k_col, &d.lh).expect("tile fits");
+            hl.paste(d.k_row, d.k_col, &d.hl).expect("tile fits");
+            hh.paste(d.k_row, d.k_col, &d.hh).expect("tile fits");
         }
         detail.push(Subbands { lh, hl, hh });
     }
     let mut approx = Matrix::zeros(rows >> levels, cols >> levels);
     for out in outs {
-        approx.paste(out.ll_lo, 0, &out.ll).expect("stripe fits");
+        approx
+            .paste(out.ll_row, out.ll_col, &out.ll)
+            .expect("tile fits");
     }
     Pyramid { approx, detail }
 }

@@ -35,9 +35,9 @@
 //! Each distributed transform has **one** per-rank body, written over a
 //! `BTreeMap<role, RoleState>`. This module is the single home of what
 //! those bodies share: `Recovery` owns the replicated role assignment
-//! and runs the checkpoint handoff, the cost report and the final
-//! gather; `RoleState` is the one checkpoint format (stripe, block and
-//! reconstruction alike). Under [`ResiliencePolicy::FailFast`] the same
+//! and runs the initial scatter, the level-0 cut, the checkpoint
+//! handoff, the cost report and the final gather; `RoleState` is the one
+//! checkpoint format (stripe, block and reconstruction alike). Under [`ResiliencePolicy::FailFast`] the same
 //! bodies run with the identity assignment and the two recovery phases
 //! (handoff, cost report) skipped — there is no second program.
 
@@ -47,7 +47,7 @@ use std::fmt;
 
 use dwt::error::DwtError;
 use dwt::matrix::Matrix;
-use paragon::{CommError, Ctx, FaultPlan, SpmdError};
+use paragon::{CommError, Ctx, FaultPlan, Ops, SpmdError};
 use perfbudget::Category;
 
 use crate::checkpoint::{self, CheckpointCodec};
@@ -549,16 +549,80 @@ impl Recovery {
         Ok(())
     }
 
+    /// First level: give every role this rank plays its tile of the globally
+    /// known `input` (adopters included — level-0 state needs no
+    /// checkpoint). `tile(role)` is the tile's `(row, col, rows, cols)`;
+    /// the copy, a local one the real code would also make when
+    /// unpacking the receive buffer, is charged with `intops` of
+    /// bookkeeping.
+    pub fn cut_inputs(
+        &self,
+        ctx: &mut Ctx,
+        roles: &mut BTreeMap<usize, RoleState>,
+        input: &Matrix,
+        intops: u64,
+        tile: impl Fn(usize) -> (usize, usize, usize, usize),
+    ) -> Result<(), CommError> {
+        for role in self.roles_of(ctx.rank()) {
+            let (r0, c0, h, w) = tile(role);
+            let m = input
+                .submatrix(r0, c0, h, w)
+                .map_err(|_| CommError::Protocol {
+                    detail: "tile outside the input (partition bookkeeping broke)",
+                })?;
+            let memops = 2 * (h * w) as u64;
+            ctx.charge_as(
+                Ops {
+                    flops: 0,
+                    intops,
+                    memops,
+                },
+                Category::UniqueRedundancy,
+            );
+            roles.insert(role, RoleState::new(m));
+        }
+        Ok(())
+    }
+
+    /// Initial scatter of every role's input from rank 0 (timing only:
+    /// the input is globally known, and each player cuts its roles'
+    /// state itself), when the run times data distribution
+    /// (`cfg.include_distribution`). Role `j` receives `coeffs(j)`
+    /// coefficients.
+    pub fn scatter(
+        &self,
+        ctx: &mut Ctx,
+        cfg: &MimdDwtConfig,
+        coeffs: impl Fn(usize) -> usize,
+    ) -> Result<(), CommError> {
+        if !cfg.include_distribution {
+            return Ok(());
+        }
+        let out = if ctx.rank() == 0 {
+            (1..ctx.nranks())
+                .map(|j| (j, (), coeffs(j) * cfg.pixel_bytes))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        ctx.exchange::<()>(out)?;
+        Ok(())
+    }
+
     /// Final gather of every role's coefficients (timing only; the data
-    /// itself is returned through the SPMD outputs), rooted at the rank
-    /// playing role 0 — a live rank even when physical rank 0 crashed.
-    /// A rank holding no coefficients has nothing to send.
+    /// itself is returned through the SPMD outputs), the mirror of
+    /// [`Recovery::scatter`], rooted at the rank playing role 0 — a live
+    /// rank even when physical rank 0 crashed. A rank holding no
+    /// coefficients has nothing to send.
     pub fn gather(
         &self,
         ctx: &mut Ctx,
         cfg: &MimdDwtConfig,
         roles: &BTreeMap<usize, RoleState>,
     ) -> Result<(), CommError> {
+        if !cfg.include_distribution {
+            return Ok(());
+        }
         let root = self.owner(0);
         let mine: usize = roles.values().map(RoleState::coeffs).sum();
         let out = if ctx.rank() == root || mine == 0 {

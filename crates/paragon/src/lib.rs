@@ -35,7 +35,6 @@
 //! canonical order, so **all virtual-time results are deterministic**
 //! regardless of host thread scheduling.
 
-pub mod collectives;
 pub mod faults;
 pub mod machine;
 pub mod mapping;

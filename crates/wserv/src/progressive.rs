@@ -201,14 +201,14 @@ pub fn split_response(
 /// What the reader of a progressive sequence does after a frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    Read,
+    /// Read the next frame, first sending a `Credit` for `credit` planes
+    /// (cumulative; `u32::MAX` is the whole sequence) when it is set.
+    Read { credit: Option<u32> },
     /// Every plane is in, or the sender ended the sequence.
     Finished,
     /// Stop reading and Cancel the request: the tolerance is met, or
     /// (`budget`) the byte budget is spent with the tolerance unmet.
-    Cancel {
-        budget: bool,
-    },
+    Cancel { budget: bool },
 }
 
 /// Incremental client-side reassembly of a progressive response.
@@ -304,13 +304,18 @@ impl Reassembler {
         self.header.base_error_bound + self.progressive_bound
     }
 
-    /// The reader's stop rule for the bound-ordered stream, asked after
-    /// the header and after every plane by the live client and the
-    /// simulated one alike. `ended` says the sender marked this frame
-    /// the sequence's last; `got_bytes` is the on-wire response bytes
-    /// the call has received so far. A sequence that is over is never
-    /// cancelled, and the tolerance is asked before the byte budget, so
-    /// a budget stop means the tolerance was *not* met.
+    /// The reader's stop and credit rules for the bound-ordered stream,
+    /// asked after the header and after every plane by the live client
+    /// and the simulated one alike. `ended` says the sender marked this
+    /// frame the sequence's last; `got_bytes` is the on-wire response
+    /// bytes the call has received so far. A sequence that is over is
+    /// never cancelled, and the tolerance is asked before the byte
+    /// budget, so a budget stop means the tolerance was *not* met.
+    ///
+    /// A plane leaves the server only once a `Credit` covers it. Every
+    /// plane so far arrived in order, so a reader with a stop rule pulls
+    /// the next one alone; a reader without one reads every plane, so
+    /// one credit after the header covers the sequence.
     pub(crate) fn step(
         &self,
         ended: bool,
@@ -325,7 +330,13 @@ impl Reassembler {
         } else if byte_budget.is_some_and(|budget| got_bytes >= budget) {
             Step::Cancel { budget: true }
         } else {
-            Step::Read
+            let held = self.applied.iter().filter(|a| **a).count() as u32;
+            let credit = if tolerance.is_some() || byte_budget.is_some() {
+                Some(held + 1)
+            } else {
+                (held == 0).then_some(u32::MAX)
+            };
+            Step::Read { credit }
         }
     }
 

@@ -1272,8 +1272,6 @@ fn recv_response(
     // byte-budget predicate is over delivered wire bytes, not decoded
     // coefficient counts, so it bounds what the link actually carried.
     let mut got_bytes = 0usize;
-    // The highest plane sequence number credited.
-    let mut pulled = 0u32;
     loop {
         let f = next_frame(io, since, timeout)?;
         if f.kind != FrameKind::Response {
@@ -1307,17 +1305,12 @@ fn recv_response(
             }
         };
         let step = r.step(!f.more_follows(), got_bytes, tolerance, byte_budget);
-        if step == Step::Read {
-            // Pull the next plane: every one so far arrived in order. A
-            // reader with no stop rule reads every plane, so one credit
-            // after the header covers the sequence. A credit that cannot
-            // be sent ends nothing by itself: a drained server flushes
-            // what it owes unasked, and a dead connection shows in the
-            // next read.
-            let stops = tolerance.is_some() || byte_budget.is_some();
-            if stops || pulled == 0 {
-                pulled = if stops { pulled + 1 } else { u32::MAX };
-                let _ = io.send_frame(&encode_credit(id, pulled));
+        if let Step::Read { credit } = step {
+            // A credit that cannot be sent ends nothing by itself: a
+            // drained server flushes what it owes unasked, and a dead
+            // connection shows in the next read.
+            if let Some(planes) = credit {
+                let _ = io.send_frame(&encode_credit(id, planes));
             }
             continue;
         }

@@ -882,6 +882,9 @@ fn deliver_result(
         // On-wire bytes delivered this attempt (framing included), the
         // same quantity the live client's byte-budget predicate sees.
         let mut got_bytes = 0usize;
+        // The Credit the reader's last step asked for, sent before the
+        // next plane.
+        let mut credit = None;
         for j in 0..frames {
             let plane = match &progressive {
                 Some((_, seq)) if j > 0 => Some(seq.plane(j)),
@@ -897,17 +900,11 @@ fn deliver_result(
             let bytes = frame.map_or(mono_bytes, |f| {
                 f.expect("a split response frames").payload.len() as u64
             });
-            // A plane leaves the server only once its Credit lands: one
-            // per plane for a reader with a stop rule, one for the whole
-            // sequence for a reader without.
-            let credited = match &progressive {
-                Some((ps, _))
-                    if j == 1
-                        || (j > 1 && (ps.tolerance.is_some() || ps.byte_budget.is_some())) =>
-                {
-                    transit(cl, sc, conn, WireDir::ClientToServer, t, credit_s, acc)
-                }
-                _ => Ok(t),
+            // A plane leaves the server only once the Credit the reader's
+            // last step asked for lands.
+            let credited = match credit.take() {
+                Some(_) => transit(cl, sc, conn, WireDir::ClientToServer, t, credit_s, acc),
+                None => Ok(t),
             };
             let sent = credited.and_then(|t| {
                 acc.response_bytes += bytes;
@@ -934,15 +931,17 @@ fn deliver_result(
                 reasm.apply(&plane).expect("planes fit their header");
                 acc.planes += 1;
             }
-            if let Step::Cancel { budget } =
-                reasm.step(j + 1 == frames, got_bytes, ps.tolerance, ps.byte_budget)
-            {
-                sc.frames[WireDir::ClientToServer as usize] += 1; // Cancel frame
-                acc.frames += 1;
-                acc.comm_s += cl.wire.frame_payload_s(0.0);
-                acc.cancels += 1;
-                acc.budget_stops += budget as u64;
-                break;
+            match reasm.step(j + 1 == frames, got_bytes, ps.tolerance, ps.byte_budget) {
+                Step::Read { credit: next } => credit = next,
+                Step::Finished => {}
+                Step::Cancel { budget } => {
+                    sc.frames[WireDir::ClientToServer as usize] += 1; // Cancel frame
+                    acc.frames += 1;
+                    acc.comm_s += cl.wire.frame_payload_s(0.0);
+                    acc.cancels += 1;
+                    acc.budget_stops += budget as u64;
+                    break;
+                }
             }
         }
         let assembled = reasm.map_or_else(|| res.clone(), |r| Ok(r.into_response()));

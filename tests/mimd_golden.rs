@@ -16,15 +16,24 @@ use dwt_mimd::{run_mimd_dwt, GuardOrdering, MimdDwtConfig, ResiliencePolicy};
 use paragon::{FaultPlan, FaultStats, MachineSpec, Mapping, PhaseFaults, PhaseRecord, SpmdConfig};
 use perfbudget::RankBudget;
 
-/// Captured at the parent of the one-body refactor (commit 621d3a8).
-const GOLDEN: [(&str, u64); 10] = [
+/// The ten periodic rows were captured at the parent of the one-body
+/// refactor (commit 621d3a8); the six non-periodic rows (`+symmetric`,
+/// `+zero`) at commit 10535c6, before the guard zone moved into one
+/// module.
+const GOLDEN: [(&str, u64); 16] = [
     ("stripe/failfast", 0x9cda_659a_055a_c34c),
     ("stripe/failfast+chain", 0x9b5f_30d6_7548_5446),
     ("stripe/redistribute", 0x9526_b263_d692_7447),
     ("stripe/redistribute+faults", 0x0720_d621_14bf_d25d),
+    ("stripe/failfast+symmetric", 0xfb1d_afd8_045c_d252),
+    ("stripe/failfast+zero", 0xcaa4_df1a_0374_6b4e),
+    ("stripe/redistribute+faults+zero", 0x5959_d8ff_2822_9c1f),
     ("block/failfast", 0x7250_63d8_e9f3_8203),
     ("block/redistribute", 0xa32f_9265_16d7_38f9),
     ("block/redistribute+faults", 0x3e0a_738a_fbe8_4e25),
+    ("block/failfast+symmetric", 0x25b0_2c3f_3345_785e),
+    ("block/failfast+zero", 0xe76b_0c56_3d0d_2bde),
+    ("block/redistribute+faults+zero", 0x5b76_cb32_c249_ca83),
     ("idwt/failfast", 0x49b5_03d1_255b_9662),
     ("idwt/redistribute", 0xa6c0_b552_fcd7_28ae),
     ("idwt/redistribute+faults", 0x371f_9d2b_c9b1_942a),
@@ -116,7 +125,10 @@ fn image() -> Matrix {
     Matrix::from_fn(64, 64, |r, c| ((r * 37 + c * 11) % 41) as f64 * 0.5 - 9.75)
 }
 
-/// The four policy / fault settings: (label, config, fault plan).
+/// The policy / fault / boundary settings: (label, config, fault plan).
+/// The last three change the guard set (a non-periodic boundary maps
+/// fewer taps across a stripe or block edge) and run only the forward
+/// transforms: the reconstruction is periodic-only.
 fn settings() -> Vec<(&'static str, MimdDwtConfig, FaultPlan)> {
     let tuned = MimdDwtConfig::tuned(FilterBank::daubechies(4).unwrap(), 3);
     let chain = MimdDwtConfig {
@@ -130,11 +142,30 @@ fn settings() -> Vec<(&'static str, MimdDwtConfig, FaultPlan)> {
         .with_drop_rate(0.02)
         .with_crash(2, 6)
         .with_crash(5, 11);
+    let with_mode = |cfg: &MimdDwtConfig, mode| MimdDwtConfig {
+        mode,
+        ..cfg.clone()
+    };
     vec![
-        ("failfast", tuned, FaultPlan::none()),
+        ("failfast", tuned.clone(), FaultPlan::none()),
         ("failfast+chain", chain, FaultPlan::none()),
         ("redistribute", resilient.clone(), FaultPlan::none()),
-        ("redistribute+faults", resilient, faults),
+        ("redistribute+faults", resilient.clone(), faults.clone()),
+        (
+            "failfast+symmetric",
+            with_mode(&tuned, Boundary::Symmetric),
+            FaultPlan::none(),
+        ),
+        (
+            "failfast+zero",
+            with_mode(&tuned, Boundary::Zero),
+            FaultPlan::none(),
+        ),
+        (
+            "redistribute+faults+zero",
+            with_mode(&resilient, Boundary::Zero),
+            faults,
+        ),
     ]
 }
 
@@ -148,6 +179,9 @@ fn simulation_output_matches_the_pinned_digests() {
         for (label, cfg, plan) in settings() {
             if cfg.ordering == GuardOrdering::ChainOrdered && transform != "stripe" {
                 continue; // only the striped DWT has a chain-ordered exchange
+            }
+            if cfg.mode != Boundary::Periodic && transform == "idwt" {
+                continue; // the reconstruction is periodic-only
             }
             let scfg = SpmdConfig::new(MachineSpec::paragon(), 8, Mapping::Snake).with_faults(plan);
             let mut h = Fnv::new();

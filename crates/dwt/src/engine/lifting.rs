@@ -43,11 +43,15 @@
 //! # Integer lifting
 //!
 //! [`forward_int`] / [`inverse_int`] implement the reversible
-//! (rounded) integer transforms on `i32` samples: LeGall 5/3 with the
-//! JPEG 2000 `>> 1` / `(· + 2) >> 2` floors, and a rounded 9/7 where
-//! every step adds `floor(c · (a + b) + 1/2)` and the final `ζ` scaling
-//! is omitted. Both use whole-sample symmetric extension, so **odd**
-//! lengths round-trip exactly too.
+//! (rounded) integer transforms on `i32` samples. Both banks run the
+//! float path's forward stage table through one rounded step that adds
+//! `floor(c · (a + b) + 1/2)`; the inverse runs the same stages last to
+//! first and subtracts them. It cannot use the float inverse schedule,
+//! whose negated `c` would round the other way: `floor(x + 1/2)` is not
+//! odd-symmetric. A dyadic `c` rounds in integers: 5/3's `c = -1/2, 1/4`
+//! run the JPEG 2000 `-((a + b) >> 1)` / `(a + b + 2) >> 2`. 9/7 omits
+//! the final `ζ` scaling. Both use whole-sample symmetric extension, so
+//! **odd** lengths round-trip exactly too.
 
 use std::ops::Range;
 
@@ -614,129 +618,137 @@ pub(crate) fn inverse_level(
 // Reversible integer lifting (JPEG 2000 style).
 // ---------------------------------------------------------------------
 
-/// `floor(v + 1/2)` as `i32` — the rounding of every 9/7 integer step.
-#[inline]
-fn iround(v: f64) -> i32 {
-    (v + 0.5).floor() as i32
+/// One rounded integer lifting step, added (`SIGN = 1`) or undone
+/// (`SIGN = -1`): a predict `o[i] ± ⌊c·(e[i] + e[i+1]) + ½⌋`, an update
+/// `e[i] ± ⌊c·(o[i-1] + o[i]) + ½⌋`. A dyadic `c = k/2^m` (5/3's −½
+/// and ¼) rounds in integers, `(k·s + 2^(m−1)) >> m`, which are the
+/// JPEG 2000 shifts; any other `c` (9/7) rounds the f64 product.
+fn int_step<const SIGN: i32>(e: &mut [i32], o: &mut [i32], st: Stage) {
+    match (1..=4).find(|&m| (st.c * f64::from(1 << m)).fract() == 0.0) {
+        Some(m) => {
+            let k = (st.c * f64::from(1 << m)) as i32;
+            lift_int(e, o, st.op, |s| SIGN * ((k * s + (1 << (m - 1))) >> m));
+        }
+        None => lift_int(e, o, st.op, |s| {
+            SIGN * (st.c * f64::from(s) + 0.5).floor() as i32
+        }),
+    }
 }
 
-/// Whole-sample symmetric neighbour clamps: `e[min(i+1, ne-1)]` to the
-/// right, `d[max(i-1, 0)]` / `d[min(i, no-1)]` around an update. These
-/// make every length (odd included) exactly reversible.
-fn fwd_int_1d(x: &mut [i32], scratch: &mut [i32], kind: LiftingKind) {
+/// Adds `step(neighbour sum)` to every sample `op` lifts: the interior
+/// in a zipped loop (the integer rounding vectorizes), a neighbour past
+/// either end being the edge sample itself (whole-sample symmetric
+/// extension), so every length, odd included, is exactly reversible.
+#[inline]
+fn lift_int(e: &mut [i32], o: &mut [i32], op: Op, step: impl Fn(i32) -> i32) {
+    let (ne, no) = (e.len(), o.len());
+    match op {
+        Op::Predict => {
+            for ((oi, &a), &b) in o.iter_mut().zip(&*e).zip(&e[1..]) {
+                *oi += step(a + b);
+            }
+            if no == ne {
+                o[no - 1] += step(e[ne - 1] + e[ne - 1]);
+            }
+        }
+        Op::Update => {
+            e[0] += step(o[0] + o[0]);
+            for ((ei, &a), &b) in e[1..].iter_mut().zip(&*o).zip(&o[1..]) {
+                *ei += step(a + b);
+            }
+            if ne > no {
+                e[ne - 1] += step(o[no - 1] + o[no - 1]);
+            }
+        }
+    }
+}
+
+/// Rounded lifting of one line in place. Forward (`SIGN = 1`) splits it
+/// into packed `[S | D]` and adds every stage of the float forward
+/// schedule; inverse (`SIGN = -1`) subtracts them last to first and
+/// interleaves back.
+fn int_1d<const SIGN: i32>(x: &mut [i32], scratch: &mut [i32], kind: LiftingKind) {
     let n = x.len();
     if n < 2 {
         return;
     }
     let ne = n.div_ceil(2);
-    let no = n / 2;
     let (e, o) = scratch[..n].split_at_mut(ne);
-    for i in 0..ne {
-        e[i] = x[2 * i];
-    }
-    for i in 0..no {
-        o[i] = x[2 * i + 1];
-    }
-    match kind {
-        LiftingKind::LeGall53 => {
-            for i in 0..no {
-                o[i] -= (e[i] + e[(i + 1).min(ne - 1)]) >> 1;
-            }
-            for i in 0..ne {
-                o_update_53(e, o, no, i);
-            }
+    if SIGN > 0 {
+        for i in 0..ne {
+            e[i] = x[2 * i];
         }
-        LiftingKind::Cdf97 => {
-            int_predict(e, o, ne, no, ALPHA);
-            int_update(e, o, ne, no, BETA);
-            int_predict(e, o, ne, no, GAMMA);
-            int_update(e, o, ne, no, DELTA);
+        for i in 0..n / 2 {
+            o[i] = x[2 * i + 1];
         }
-    }
-    x[..ne].copy_from_slice(e);
-    x[ne..].copy_from_slice(o);
-}
-
-#[inline]
-fn o_update_53(e: &mut [i32], o: &[i32], no: usize, i: usize) {
-    let prev = o[i.saturating_sub(1)];
-    let cur = o[i.min(no - 1)];
-    e[i] += (prev + cur + 2) >> 2;
-}
-
-fn int_predict(e: &[i32], o: &mut [i32], ne: usize, no: usize, c: f64) {
-    debug_assert!(no >= 1);
-    for i in 0..no {
-        let sum = e[i] + e[(i + 1).min(ne - 1)];
-        o[i] += iround(c * sum as f64);
-    }
-}
-
-fn int_update(e: &mut [i32], o: &[i32], _ne: usize, no: usize, c: f64) {
-    for (i, ei) in e.iter_mut().enumerate() {
-        let sum = o[i.saturating_sub(1)] + o[i.min(no - 1)];
-        *ei += iround(c * sum as f64);
-    }
-}
-
-fn inv_int_1d(x: &mut [i32], scratch: &mut [i32], kind: LiftingKind) {
-    let n = x.len();
-    if n < 2 {
-        return;
-    }
-    let ne = n.div_ceil(2);
-    let no = n / 2;
-    let (e, o) = scratch[..n].split_at_mut(ne);
-    e.copy_from_slice(&x[..ne]);
-    o.copy_from_slice(&x[ne..]);
-    match kind {
-        LiftingKind::LeGall53 => {
-            for i in 0..ne {
-                let prev = o[i.saturating_sub(1)];
-                let cur = o[i.min(no - 1)];
-                e[i] -= (prev + cur + 2) >> 2;
-            }
-            for i in 0..no {
-                o[i] += (e[i] + e[(i + 1).min(ne - 1)]) >> 1;
-            }
+        for &st in stages(kind, false) {
+            int_step::<SIGN>(e, o, st);
         }
-        LiftingKind::Cdf97 => {
-            int_undo_update(e, o, no, DELTA);
-            int_undo_predict(e, o, ne, no, GAMMA);
-            int_undo_update(e, o, no, BETA);
-            int_undo_predict(e, o, ne, no, ALPHA);
+        x[..ne].copy_from_slice(e);
+        x[ne..].copy_from_slice(o);
+    } else {
+        e.copy_from_slice(&x[..ne]);
+        o.copy_from_slice(&x[ne..]);
+        for &st in stages(kind, false).iter().rev() {
+            int_step::<SIGN>(e, o, st);
+        }
+        for i in 0..ne {
+            x[2 * i] = e[i];
+        }
+        for i in 0..n / 2 {
+            x[2 * i + 1] = o[i];
         }
     }
-    for i in 0..ne {
-        x[2 * i] = e[i];
-    }
-    for i in 0..no {
-        x[2 * i + 1] = o[i];
-    }
 }
 
-fn int_undo_update(e: &mut [i32], o: &[i32], no: usize, c: f64) {
-    for (i, ei) in e.iter_mut().enumerate() {
-        let sum = o[i.saturating_sub(1)] + o[i.min(no - 1)];
-        *ei -= iround(c * sum as f64);
-    }
-}
-
-fn int_undo_predict(e: &[i32], o: &mut [i32], ne: usize, no: usize, c: f64) {
-    for i in 0..no {
-        let sum = e[i] + e[(i + 1).min(ne - 1)];
-        o[i] -= iround(c * sum as f64);
-    }
-}
-
-fn check_int_args(len: usize, rows: usize, cols: usize, levels: usize) -> Result<()> {
+/// [`int_1d`] over every level of a row-major `rows x cols` image in
+/// place: forward, each level's rows then columns, finest first, the
+/// `ceil(r/2) x ceil(c/2)` approximation corner recursing; inverse, the
+/// exact reverse.
+fn int_levels<const SIGN: i32>(
+    data: &mut [i32],
+    rows: usize,
+    cols: usize,
+    levels: usize,
+    kind: LiftingKind,
+) -> Result<()> {
     if levels == 0 {
         return Err(DwtError::ZeroLevels);
     }
-    if len != rows * cols {
+    if data.len() != rows * cols {
         return Err(DwtError::DimensionMismatch {
-            detail: format!("buffer of {len} samples for a {rows}x{cols} image"),
+            detail: format!("buffer of {} samples for a {rows}x{cols} image", data.len()),
         });
+    }
+    let mut dims: Vec<_> = std::iter::successors(Some((rows, cols)), |&(r, c)| {
+        Some((r.div_ceil(2), c.div_ceil(2)))
+    })
+    .take(levels)
+    .collect();
+    if SIGN < 0 {
+        dims.reverse();
+    }
+    let mut colbuf = vec![0i32; rows];
+    let mut scratch = vec![0i32; rows.max(cols)];
+    for (r, c) in dims {
+        // Rows first forward, columns first inverse.
+        for by_rows in [SIGN > 0, SIGN < 0] {
+            if by_rows {
+                for rr in 0..r {
+                    int_1d::<SIGN>(&mut data[rr * cols..rr * cols + c], &mut scratch, kind);
+                }
+            } else {
+                for cc in 0..c {
+                    for rr in 0..r {
+                        colbuf[rr] = data[rr * cols + cc];
+                    }
+                    int_1d::<SIGN>(&mut colbuf[..r], &mut scratch, kind);
+                    for rr in 0..r {
+                        data[rr * cols + cc] = colbuf[rr];
+                    }
+                }
+            }
+        }
     }
     Ok(())
 }
@@ -753,27 +765,7 @@ pub fn forward_int(
     levels: usize,
     kind: LiftingKind,
 ) -> Result<()> {
-    check_int_args(data.len(), rows, cols, levels)?;
-    let mut colbuf = vec![0i32; rows];
-    let mut scratch = vec![0i32; rows.max(cols)];
-    let (mut r, mut c) = (rows, cols);
-    for _ in 0..levels {
-        for rr in 0..r {
-            fwd_int_1d(&mut data[rr * cols..rr * cols + c], &mut scratch, kind);
-        }
-        for cc in 0..c {
-            for rr in 0..r {
-                colbuf[rr] = data[rr * cols + cc];
-            }
-            fwd_int_1d(&mut colbuf[..r], &mut scratch, kind);
-            for rr in 0..r {
-                data[rr * cols + cc] = colbuf[rr];
-            }
-        }
-        r = r.div_ceil(2);
-        c = c.div_ceil(2);
-    }
-    Ok(())
+    int_levels::<1>(data, rows, cols, levels, kind)
 }
 
 /// Exact inverse of [`forward_int`].
@@ -784,31 +776,7 @@ pub fn inverse_int(
     levels: usize,
     kind: LiftingKind,
 ) -> Result<()> {
-    check_int_args(data.len(), rows, cols, levels)?;
-    let mut dims = Vec::with_capacity(levels);
-    let (mut r, mut c) = (rows, cols);
-    for _ in 0..levels {
-        dims.push((r, c));
-        r = r.div_ceil(2);
-        c = c.div_ceil(2);
-    }
-    let mut colbuf = vec![0i32; rows];
-    let mut scratch = vec![0i32; rows.max(cols)];
-    for &(r, c) in dims.iter().rev() {
-        for cc in 0..c {
-            for rr in 0..r {
-                colbuf[rr] = data[rr * cols + cc];
-            }
-            inv_int_1d(&mut colbuf[..r], &mut scratch, kind);
-            for rr in 0..r {
-                data[rr * cols + cc] = colbuf[rr];
-            }
-        }
-        for rr in 0..r {
-            inv_int_1d(&mut data[rr * cols..rr * cols + c], &mut scratch, kind);
-        }
-    }
-    Ok(())
+    int_levels::<-1>(data, rows, cols, levels, kind)
 }
 
 #[cfg(test)]

@@ -36,23 +36,51 @@ pub struct SwtPyramid {
     pub levels: Vec<SwtLevel>,
 }
 
-fn conv_rows(img: &Matrix, taps: &[f64]) -> Matrix {
+/// A line filter: `taps` applied to one periodic line, same length out.
+type Line = fn(&[f64], &[f64]) -> Vec<f64>;
+
+/// Filter every row of `img` with `line`.
+fn map_rows(img: &Matrix, taps: &[f64], line: Line) -> Matrix {
     let mut out = Matrix::zeros(img.rows(), img.cols());
     for r in 0..img.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&conv::convolve(img.row(r), taps, Boundary::Periodic));
+        out.row_mut(r).copy_from_slice(&line(img.row(r), taps));
     }
     out
 }
 
-fn conv_cols(img: &Matrix, taps: &[f64]) -> Matrix {
+/// Filter every column of `img` with `line`.
+fn map_cols(img: &Matrix, taps: &[f64], line: Line) -> Matrix {
     let mut out = Matrix::zeros(img.rows(), img.cols());
     let mut col = vec![0.0; img.rows()];
     for c in 0..img.cols() {
         img.copy_col_into(c, &mut col);
-        out.set_col(c, &conv::convolve(&col, taps, Boundary::Periodic));
+        out.set_col(c, &line(&col, taps));
     }
     out
+}
+
+/// Analysis convolution of one periodic line: `y[i] = Σ_m taps[m] x[i + m]`.
+fn forward(x: &[f64], taps: &[f64]) -> Vec<f64> {
+    conv::convolve(x, taps, Boundary::Periodic)
+}
+
+/// Backward (synthesis) convolution of one periodic line:
+/// `y[i] = Σ_m taps[m] x[i - m]`. Together with [`forward`], the filter
+/// autocorrelation identity of orthonormal QMF banks makes
+/// `(L∘ + H∘)/2` the exact à trous inverse.
+fn backward(x: &[f64], taps: &[f64]) -> Vec<f64> {
+    let n = x.len() as isize;
+    (0..n)
+        .map(|i| {
+            let mut acc = 0.0;
+            for (m, &t) in taps.iter().enumerate() {
+                if t != 0.0 {
+                    acc += t * x[(i - m as isize).rem_euclid(n) as usize];
+                }
+            }
+            acc
+        })
+        .collect()
 }
 
 /// Undecimated multi-level decomposition of `img`.
@@ -67,71 +95,21 @@ pub fn decompose(img: &Matrix, bank: &FilterBank, levels: usize) -> Result<SwtPy
             filter_len: support,
         });
     }
-    let mut out = Vec::with_capacity(levels);
-    let mut approx = img.clone();
+    let mut out: Vec<SwtLevel> = Vec::with_capacity(levels);
     for level in 0..levels as u32 {
+        let approx = out.last().map_or(img, |prev| &prev.ll);
         let dl = bank.dilated_low(level);
         let dh = bank.dilated_high(level);
-        let low = conv_rows(&approx, &dl);
-        let high = conv_rows(&approx, &dh);
-        let lvl = SwtLevel {
-            ll: conv_cols(&low, &dl),
-            lh: conv_cols(&low, &dh),
-            hl: conv_cols(&high, &dl),
-            hh: conv_cols(&high, &dh),
-        };
-        approx = lvl.ll.clone();
-        out.push(lvl);
+        let low = map_rows(approx, &dl, forward);
+        let high = map_rows(approx, &dh, forward);
+        out.push(SwtLevel {
+            ll: map_cols(&low, &dl, forward),
+            lh: map_cols(&low, &dh, forward),
+            hl: map_cols(&high, &dl, forward),
+            hh: map_cols(&high, &dh, forward),
+        });
     }
     Ok(SwtPyramid { levels: out })
-}
-
-/// Backward (synthesis) row convolution: `y[i] = Σ_m taps[m] x[i - m]`
-/// (periodic). Together with the analysis `y[i] = Σ_m taps[m] x[i + m]`,
-/// the filter autocorrelation identity of orthonormal QMF banks makes
-/// `(L∘ + H∘)/2` the exact à trous inverse.
-fn conv_rows_back(img: &Matrix, taps: &[f64]) -> Matrix {
-    let n = img.cols() as isize;
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    for r in 0..img.rows() {
-        let src = img.row(r);
-        for i in 0..img.cols() {
-            let mut acc = 0.0;
-            for (m, &t) in taps.iter().enumerate() {
-                if t == 0.0 {
-                    continue;
-                }
-                let idx = (i as isize - m as isize).rem_euclid(n) as usize;
-                acc += t * src[idx];
-            }
-            out.set(r, i, acc);
-        }
-    }
-    out
-}
-
-/// Backward (synthesis) column convolution (see [`conv_rows_back`]).
-fn conv_cols_back(img: &Matrix, taps: &[f64]) -> Matrix {
-    let n = img.rows() as isize;
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    let mut col = vec![0.0; img.rows()];
-    let mut dst = vec![0.0; img.rows()];
-    for c in 0..img.cols() {
-        img.copy_col_into(c, &mut col);
-        for (i, d) in dst.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (m, &t) in taps.iter().enumerate() {
-                if t == 0.0 {
-                    continue;
-                }
-                let idx = (i as isize - m as isize).rem_euclid(n) as usize;
-                acc += t * col[idx];
-            }
-            *d = acc;
-        }
-        out.set_col(c, &dst);
-    }
-    out
 }
 
 /// One inverse level: reconstruct scale-`level` approximation from the
@@ -141,17 +119,21 @@ fn inverse_level(lvl: &SwtLevel, bank: &FilterBank, level: u32) -> Matrix {
     let dh = bank.dilated_high(level);
     // Invert columns: low = (L∘ ll + H∘ lh)/2, high likewise.
     let low = add_scaled(
-        &conv_cols_back(&lvl.ll, &dl),
-        &conv_cols_back(&lvl.lh, &dh),
+        &map_cols(&lvl.ll, &dl, backward),
+        &map_cols(&lvl.lh, &dh, backward),
         0.5,
     );
     let high = add_scaled(
-        &conv_cols_back(&lvl.hl, &dl),
-        &conv_cols_back(&lvl.hh, &dh),
+        &map_cols(&lvl.hl, &dl, backward),
+        &map_cols(&lvl.hh, &dh, backward),
         0.5,
     );
     // Invert rows.
-    add_scaled(&conv_rows_back(&low, &dl), &conv_rows_back(&high, &dh), 0.5)
+    add_scaled(
+        &map_rows(&low, &dl, backward),
+        &map_rows(&high, &dh, backward),
+        0.5,
+    )
 }
 
 fn add_scaled(a: &Matrix, b: &Matrix, scale: f64) -> Matrix {

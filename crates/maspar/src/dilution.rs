@@ -7,74 +7,22 @@
 //! the undecimated grid. Data never moves between PEs for decimation;
 //! the price is redundant computation on the full-size grid at every
 //! level and X-net shifts of growing distance.
+//!
+//! The undecimated bands are [`dwt::swt::decompose`]'s, sampled on each
+//! level's Mallat grid by [`dwt::swt::sample_band`]; this module charges
+//! the array operations that compute them.
 
-use dwt::boundary::Boundary;
-use dwt::conv;
 use dwt::error::Result;
 use dwt::filters::FilterBank;
 use dwt::matrix::Matrix;
 use dwt::pyramid::{Pyramid, Subbands};
+use dwt::swt::{self, sample_band};
 
 use crate::machine::SimdMachine;
 
-/// Charge one diluted systolic pass: `f` broadcast/MAC steps with
-/// inter-step shift distance `2^level` on the full grid.
-fn charge_pass(m: &mut SimdMachine, logical: usize, f: usize, level: u32) {
-    let dist = 1usize << level;
-    for _ in 0..f {
-        m.charge_broadcast();
-        m.charge_mac(logical);
-        m.charge_shift(logical, dist);
-    }
-}
-
-fn conv_rows(
-    machine: &mut SimdMachine,
-    img: &Matrix,
-    taps: &[f64],
-    f: usize,
-    level: u32,
-) -> Matrix {
-    charge_pass(machine, img.rows() * img.cols(), f, level);
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    for r in 0..img.rows() {
-        out.row_mut(r)
-            .copy_from_slice(&conv::convolve(img.row(r), taps, Boundary::Periodic));
-    }
-    out
-}
-
-fn conv_cols(
-    machine: &mut SimdMachine,
-    img: &Matrix,
-    taps: &[f64],
-    f: usize,
-    level: u32,
-) -> Matrix {
-    charge_pass(machine, img.rows() * img.cols(), f, level);
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    let mut col = vec![0.0; img.rows()];
-    for c in 0..img.cols() {
-        img.copy_col_into(c, &mut col);
-        out.set_col(c, &conv::convolve(&col, taps, Boundary::Periodic));
-    }
-    out
-}
-
-/// Sample the undecimated band at stride `2^level` in both dimensions,
-/// which reads the Mallat coefficients out of the à trous arrays. A
-/// PE-local selection, no router.
-fn sample(machine: &mut SimdMachine, img: &Matrix, level: usize) -> Matrix {
-    let stride = 1usize << level;
-    machine.charge_move(img.rows() * img.cols());
-    Matrix::from_fn(img.rows() / stride, img.cols() / stride, |r, c| {
-        img.get(r * stride, c * stride)
-    })
-}
-
-/// Full multi-level dilution decomposition. Produces exactly the same
-/// pyramid as [`crate::systolic::decompose`] (and the sequential
-/// transform), with a different cost profile and **zero router
+/// Full multi-level dilution decomposition. Produces the same pyramid
+/// as [`crate::systolic::decompose`] (and the sequential transform) to
+/// round-off, with a different cost profile and **zero router
 /// transactions**.
 pub fn decompose(
     machine: &mut SimdMachine,
@@ -83,27 +31,32 @@ pub fn decompose(
     levels: usize,
 ) -> Result<Pyramid> {
     dwt::dwt2d::validate_dims(img.rows(), img.cols(), bank.len(), levels)?;
-    let f = bank.len();
-    let mut approx_full = img.clone(); // undecimated A_k
-    let mut detail = Vec::with_capacity(levels);
-    for level in 0..levels as u32 {
-        let dl = bank.dilated_low(level);
-        let dh = bank.dilated_high(level);
-        let low_full = conv_rows(machine, &approx_full, &dl, f, level);
-        let high_full = conv_rows(machine, &approx_full, &dh, f, level);
-        let ll_full = conv_cols(machine, &low_full, &dl, f, level);
-        let lh_full = conv_cols(machine, &low_full, &dh, f, level);
-        let hl_full = conv_cols(machine, &high_full, &dl, f, level);
-        let hh_full = conv_cols(machine, &high_full, &dh, f, level);
-        let out_level = level as usize + 1;
-        detail.push(Subbands {
-            lh: sample(machine, &lh_full, out_level),
-            hl: sample(machine, &hl_full, out_level),
-            hh: sample(machine, &hh_full, out_level),
-        });
-        approx_full = ll_full;
+    let full = img.rows() * img.cols();
+    for level in 0..levels {
+        // Two row and four column passes, all on the full grid with the
+        // filter diluted to stride `2^level`; then the three detail
+        // bands sampled at stride `2^(level+1)`, a PE-local selection.
+        for _ in 0..6 {
+            machine.charge_pass(full, bank.len(), 1 << level);
+        }
+        for _ in 0..3 {
+            machine.charge_move(full);
+        }
     }
-    let approx = sample(machine, &approx_full, levels);
+    // The last approximation's sample.
+    machine.charge_move(full);
+    let swt = swt::decompose(img, bank, levels)?;
+    let detail = swt
+        .levels
+        .iter()
+        .zip(1..)
+        .map(|(lvl, k)| Subbands {
+            lh: sample_band(&lvl.lh, k),
+            hl: sample_band(&lvl.hl, k),
+            hh: sample_band(&lvl.hh, k),
+        })
+        .collect();
+    let approx = sample_band(&swt.levels[levels - 1].ll, levels);
     Ok(Pyramid { approx, detail })
 }
 
@@ -113,6 +66,7 @@ mod tests {
     use crate::cost::MasParCost;
     use crate::machine::Virtualization;
     use crate::systolic;
+    use dwt::boundary::Boundary;
 
     fn image(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |r, c| ((r * 7 + c * 3) % 11) as f64 + 0.25)

@@ -8,10 +8,16 @@
 //! router**, a circuit-switched multistage network in which every 4×4 PE
 //! cluster shares a single serial port.
 //!
-//! As with the `paragon` crate, the simulation is *virtual-time*: the
-//! algorithms compute genuinely correct wavelet coefficients on the
-//! logical pixel grid while every SIMD primitive charges cycles to the
-//! array clock. Images larger than the physical array are *virtualized*
+//! The simulation is *virtual-time*, and what it models is the **cost
+//! schedule**: each algorithm charges the array clock for every SIMD
+//! primitive it would issue — broadcast, MAC, X-net shift, router
+//! transaction — from the image and filter dimensions alone, through
+//! one [`SimdMachine::charge_pass`] per systolic convolution. The
+//! coefficients come from `dwt`'s own transforms (the Mallat engine for
+//! [`systolic`] and [`reconstruct`], the à trous [`dwt::swt`] for
+//! [`dilution`]), so each transform's arithmetic is written once. (The
+//! `paragon` ranks, by contrast, compute their own data: their messages
+//! carry it.) Images larger than the physical array are *virtualized*
 //! ([`machine::Virtualization`]): either "cut and stack" (layered) or
 //! hierarchical (one sub-image block per PE — the variant the paper found
 //! superior thanks to its data locality).

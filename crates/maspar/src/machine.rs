@@ -138,6 +138,18 @@ impl SimdMachine {
         }
     }
 
+    /// One systolic convolution pass over `logical` elements with a
+    /// `taps`-tap filter: per tap, the ACU broadcasts it, every PE
+    /// multiply-accumulates, and the partial sums shift `dist` positions
+    /// (1 for a plain filter, `2^level` for a diluted one).
+    pub fn charge_pass(&mut self, logical: usize, taps: usize, dist: usize) {
+        for _ in 0..taps {
+            self.charge_broadcast();
+            self.charge_mac(logical);
+            self.charge_shift(logical, dist);
+        }
+    }
+
     /// A global-router transaction moving `messages` 32-bit values with
     /// an arbitrary (permutation-like) pattern. Every 4×4 cluster shares
     /// one serial port, so the port handles `ceil(messages / clusters)`

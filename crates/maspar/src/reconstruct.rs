@@ -2,6 +2,9 @@
 //! systolic process — coefficients are spread back onto the full grid
 //! with the global router (un-decimation), then convolved with the
 //! synthesis filters in the same broadcast/MAC/shift pattern.
+//!
+//! The image is [`dwt::dwt2d::reconstruct`]'s; this module charges the
+//! array operations that compute it.
 
 use dwt::boundary::Boundary;
 use dwt::error::Result;
@@ -11,110 +14,30 @@ use dwt::pyramid::Pyramid;
 
 use crate::machine::SimdMachine;
 
-/// Charge one systolic synthesis pass over `logical` elements.
-fn charge_pass(m: &mut SimdMachine, logical: usize, f: usize) {
-    for _ in 0..f {
-        m.charge_broadcast();
-        m.charge_mac(logical);
-        m.charge_shift(logical, 1);
-    }
-}
-
-/// Un-decimate columns with the router: coefficients move to even
-/// positions of a double-width grid.
-fn expand_cols(machine: &mut SimdMachine, img: &Matrix) -> Matrix {
-    machine.charge_router(img.rows() * img.cols());
-    let mut out = Matrix::zeros(img.rows(), img.cols() * 2);
-    for r in 0..img.rows() {
-        for c in 0..img.cols() {
-            out.set(r, 2 * c, img.get(r, c));
-        }
-    }
-    out
-}
-
-/// Un-decimate rows with the router.
-fn expand_rows(machine: &mut SimdMachine, img: &Matrix) -> Matrix {
-    machine.charge_router(img.rows() * img.cols());
-    let mut out = Matrix::zeros(img.rows() * 2, img.cols());
-    for r in 0..img.rows() {
-        out.row_mut(2 * r).copy_from_slice(img.row(r));
-    }
-    out
-}
-
 /// Full multi-level systolic reconstruction on the SIMD array —
-/// the exact inverse of [`crate::systolic::decompose`].
+/// the exact inverse of [`crate::systolic::decompose`]. A pyramid whose
+/// bands do not fit together is refused as the engine refuses it.
 pub fn reconstruct(machine: &mut SimdMachine, pyr: &Pyramid, bank: &FilterBank) -> Result<Matrix> {
-    let f = bank.len();
-    let mut approx = pyr.approx.clone();
-    for bands in pyr.detail.iter().rev() {
-        // Invert the column pass: expand rows, then synthesis-convolve.
-        let a_up = expand_rows(machine, &approx);
-        let lh_up = expand_rows(machine, &bands.lh);
-        let hl_up = expand_rows(machine, &bands.hl);
-        let hh_up = expand_rows(machine, &bands.hh);
-
-        let rows2 = a_up.rows();
-        let cols1 = a_up.cols();
-        let mut low = Matrix::zeros(rows2, cols1);
-        let mut high = Matrix::zeros(rows2, cols1);
-        {
-            // Column synthesis via scatter-add of the undecimated grids:
-            // equivalent to synthesize_add on the decimated coefficients.
-            let mut a_col = vec![0.0; rows2 / 2];
-            let mut d_col = vec![0.0; rows2 / 2];
-            let mut buf = vec![0.0; rows2];
-            for c in 0..cols1 {
-                for r in 0..rows2 / 2 {
-                    a_col[r] = a_up.get(2 * r, c);
-                    d_col[r] = lh_up.get(2 * r, c);
-                }
-                buf.iter_mut().for_each(|v| *v = 0.0);
-                dwt::conv::synthesize_add(&a_col, bank.low(), Boundary::Periodic, &mut buf)
-                    .expect("buffer sized by construction");
-                dwt::conv::synthesize_add(&d_col, bank.high(), Boundary::Periodic, &mut buf)
-                    .expect("buffer sized by construction");
-                low.set_col(c, &buf);
-
-                for r in 0..rows2 / 2 {
-                    a_col[r] = hl_up.get(2 * r, c);
-                    d_col[r] = hh_up.get(2 * r, c);
-                }
-                buf.iter_mut().for_each(|v| *v = 0.0);
-                dwt::conv::synthesize_add(&a_col, bank.low(), Boundary::Periodic, &mut buf)
-                    .expect("buffer sized by construction");
-                dwt::conv::synthesize_add(&d_col, bank.high(), Boundary::Periodic, &mut buf)
-                    .expect("buffer sized by construction");
-                high.set_col(c, &buf);
-            }
+    let image = dwt::dwt2d::reconstruct(pyr, bank, Boundary::Periodic)?;
+    let taps = 2 * bank.len();
+    let (mut r, mut c) = (pyr.approx.rows(), pyr.approx.cols());
+    for _ in &pyr.detail {
+        // Invert the column pass: the router spreads LL, LH, HL and HH
+        // onto the even rows of a double-height grid, then one synthesis
+        // pass applies both filters.
+        for _ in 0..4 {
+            machine.charge_router(r * c);
         }
-        charge_pass(machine, rows2 * cols1, 2 * f);
-
-        // Invert the row pass: expand columns, synthesis-convolve rows.
-        let low_up = expand_cols(machine, &low);
-        let high_up = expand_cols(machine, &high);
-        let cols2 = low_up.cols();
-        let mut out = Matrix::zeros(rows2, cols2);
-        {
-            let mut a_row = vec![0.0; cols2 / 2];
-            let mut d_row = vec![0.0; cols2 / 2];
-            for r in 0..rows2 {
-                for c in 0..cols2 / 2 {
-                    a_row[c] = low_up.get(r, 2 * c);
-                    d_row[c] = high_up.get(r, 2 * c);
-                }
-                let dst = out.row_mut(r);
-                dwt::conv::synthesize_add(&a_row, bank.low(), Boundary::Periodic, dst)
-                    .expect("buffer sized by construction");
-                dwt::conv::synthesize_add(&d_row, bank.high(), Boundary::Periodic, dst)
-                    .expect("buffer sized by construction");
-            }
+        machine.charge_pass(2 * r * c, taps, 1);
+        // Invert the row pass the same way on the two halves.
+        for _ in 0..2 {
+            machine.charge_router(2 * r * c);
         }
-        charge_pass(machine, rows2 * cols2, 2 * f);
-        approx = out;
+        machine.charge_pass(4 * r * c, taps, 1);
+        r *= 2;
+        c *= 2;
     }
-    Ok(approx)
+    Ok(image)
 }
 
 #[cfg(test)]
@@ -122,6 +45,7 @@ mod tests {
     use super::*;
     use crate::systolic;
     use crate::SimdMachine;
+    use dwt::DwtError;
 
     fn image(n: usize) -> Matrix {
         Matrix::from_fn(n, n, |r, c| ((r * 11 + c * 3) % 17) as f64 - 8.0)
@@ -152,6 +76,19 @@ mod tests {
         assert!(m.seconds() > after_decompose);
         // 4 row expansions + 2 column expansions per level.
         assert_eq!(m.router_transactions() - routers_before, 6);
+    }
+
+    #[test]
+    fn rejects_detail_bands_of_another_pyramid() {
+        let bank = FilterBank::daubechies(4).unwrap();
+        let mut m = SimdMachine::mp2_16k();
+        let mut pyr = systolic::decompose(&mut m, &image(16), &bank, 1).unwrap();
+        let other = systolic::decompose(&mut m, &image(32), &bank, 1).unwrap();
+        pyr.detail[0] = other.detail[0].clone();
+        assert!(matches!(
+            reconstruct(&mut m, &pyr, &bank),
+            Err(DwtError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -7,67 +7,21 @@
 //! convolution `y[j] = Σ_m f[m] x[j+m]`. Decimation keeps the
 //! even-indexed results and compacts them with a **global router**
 //! transaction.
+//!
+//! That schedule is what this module owns: it charges each array
+//! operation from the dimensions alone, and the coefficients it returns
+//! are [`dwt::dwt2d::decompose`]'s.
 
 use dwt::boundary::Boundary;
-use dwt::conv;
 use dwt::error::Result;
 use dwt::filters::FilterBank;
 use dwt::matrix::Matrix;
-use dwt::pyramid::{Pyramid, Subbands};
+use dwt::pyramid::Pyramid;
 
 use crate::machine::SimdMachine;
 
-/// Charge the SIMD cost of one systolic convolution pass over `logical`
-/// elements with an `f`-tap filter and inter-step shift distance `dist`.
-fn charge_systolic_pass(m: &mut SimdMachine, logical: usize, f: usize, dist: usize) {
-    for _ in 0..f {
-        m.charge_broadcast();
-        m.charge_mac(logical);
-        m.charge_shift(logical, dist);
-    }
-}
-
-/// Row-convolve every row of `img` with `taps` (no decimation),
-/// charging one systolic pass.
-fn conv_rows(machine: &mut SimdMachine, img: &Matrix, taps: &[f64]) -> Matrix {
-    charge_systolic_pass(machine, img.rows() * img.cols(), taps.len(), 1);
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    for r in 0..img.rows() {
-        let y = conv::convolve(img.row(r), taps, Boundary::Periodic);
-        out.row_mut(r).copy_from_slice(&y);
-    }
-    out
-}
-
-/// Column-convolve (systolic pass shifting north instead of west).
-fn conv_cols(machine: &mut SimdMachine, img: &Matrix, taps: &[f64]) -> Matrix {
-    charge_systolic_pass(machine, img.rows() * img.cols(), taps.len(), 1);
-    let mut out = Matrix::zeros(img.rows(), img.cols());
-    let mut col = vec![0.0; img.rows()];
-    for c in 0..img.cols() {
-        img.copy_col_into(c, &mut col);
-        let y = conv::convolve(&col, taps, Boundary::Periodic);
-        out.set_col(c, &y);
-    }
-    out
-}
-
-/// Keep even-indexed columns, compacting with the global router.
-fn decimate_cols(machine: &mut SimdMachine, img: &Matrix) -> Matrix {
-    let half = img.cols() / 2;
-    machine.charge_router(img.rows() * half);
-    Matrix::from_fn(img.rows(), half, |r, c| img.get(r, 2 * c))
-}
-
-/// Keep even-indexed rows, compacting with the global router.
-fn decimate_rows(machine: &mut SimdMachine, img: &Matrix) -> Matrix {
-    let half = img.rows() / 2;
-    machine.charge_router(half * img.cols());
-    Matrix::from_fn(half, img.cols(), |r, c| img.get(2 * r, c))
-}
-
 /// Full multi-level systolic decomposition on the SIMD array. The
-/// coefficients are identical to [`dwt::dwt2d::decompose`] with periodic
+/// coefficients are [`dwt::dwt2d::decompose`]'s with periodic
 /// boundaries; `machine` accumulates the virtual execution time.
 pub fn decompose(
     machine: &mut SimdMachine,
@@ -76,28 +30,29 @@ pub fn decompose(
     levels: usize,
 ) -> Result<Pyramid> {
     dwt::dwt2d::validate_dims(img.rows(), img.cols(), bank.len(), levels)?;
-    let mut approx = img.clone();
-    let mut detail = Vec::with_capacity(levels);
+    let f = bank.len();
+    let (mut r, mut c) = (img.rows(), img.cols());
     for _ in 0..levels {
-        // Row filtering + column decimation.
-        let low_full = conv_rows(machine, &approx, bank.low());
-        let high_full = conv_rows(machine, &approx, bank.high());
-        let low = decimate_cols(machine, &low_full);
-        let high = decimate_cols(machine, &high_full);
-        // Column filtering + row decimation.
-        let ll_full = conv_cols(machine, &low, bank.low());
-        let lh_full = conv_cols(machine, &low, bank.high());
-        let hl_full = conv_cols(machine, &high, bank.low());
-        let hh_full = conv_cols(machine, &high, bank.high());
-        let ll = decimate_rows(machine, &ll_full);
-        detail.push(Subbands {
-            lh: decimate_rows(machine, &lh_full),
-            hl: decimate_rows(machine, &hl_full),
-            hh: decimate_rows(machine, &hh_full),
-        });
-        approx = ll;
+        // Row filtering with L and H, then each result's column
+        // decimation through the router.
+        for _ in 0..2 {
+            machine.charge_pass(r * c, f, 1);
+        }
+        for _ in 0..2 {
+            machine.charge_router(r * (c / 2));
+        }
+        // Column filtering of both halves into LL, LH, HL, HH, then each
+        // band's row decimation.
+        for _ in 0..4 {
+            machine.charge_pass(r * (c / 2), f, 1);
+        }
+        for _ in 0..4 {
+            machine.charge_router(r / 2 * (c / 2));
+        }
+        r /= 2;
+        c /= 2;
     }
-    Ok(Pyramid { approx, detail })
+    dwt::dwt2d::decompose(img, bank, levels, Boundary::Periodic)
 }
 
 #[cfg(test)]

@@ -14,10 +14,12 @@ check:
 # register-blocked convolution chains and the vectorised `lift_step` only
 # exist in `--release`. `mimd_golden` and `cross_machine_dwt` pin the
 # engine's other consumers (the MIMD simulation's digests, the
-# cross-machine agreement) in the same profile.
+# cross-machine agreement) in the same profile; `transform_golden` pins
+# the integer lifting, the à trous transform and the MasPar simulator's
+# cycles and coefficients.
 kernel-pin:
     cargo test -q --release -p dwt
-    cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions --test mimd_golden --test cross_machine_dwt
+    cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions --test mimd_golden --test cross_machine_dwt --test transform_golden
 
 # Lints as CI runs them.
 lint:
@@ -74,18 +76,20 @@ faults:
 faults-json:
     cargo run --release -p bench --bin bench_faults
 
-# Pin the MIMD simulation: BENCH_faults.json must regenerate byte for
-# byte (its header promises reproducibility), and the three full-size
-# paper harnesses that run the distributed transforms must print
-# exactly the captured results/<name>.txt (blank lines ignored). A
-# refactor of dwt-mimd or paragon must leave this green; a deliberate
+# Pin the MIMD and SIMD simulations: BENCH_faults.json must regenerate
+# byte for byte (its header promises reproducibility), and the four
+# full-size paper harnesses that run the simulated machines — the three
+# distributed transforms on the Paragon and the MasPar's systolic,
+# dilution and virtualization ablation — must print exactly the
+# captured results/<name>.txt (blank lines ignored). A refactor of
+# dwt-mimd, paragon or maspar must leave this green; a deliberate
 # modelling change commits the regenerated files.
 mimd-pin:
     #!/usr/bin/env bash
     set -euo pipefail
     cargo run --release -p bench --bin bench_faults
     git diff --exit-code BENCH_faults.json
-    for name in repro_table1 repro_fig5_7 repro_fig3_block_stripe; do
+    for name in repro_table1 repro_fig5_7 repro_fig3_block_stripe repro_maspar_ablation; do
         diff <(grep -v '^\s*$' "results/$name.txt") \
              <(REPRO_FULL=1 cargo bench -q -p bench --bench "$name" | grep -v '^\s*$')
         echo "mimd-pin OK: $name identical to results/$name.txt"

@@ -228,7 +228,7 @@ fn responses(io: &mut FrameIo, n: usize) -> Vec<Frame> {
 }
 
 // ---------------------------------------------------------------------
-// Exactly-once under seeded wire chaos (shim transport)
+// Exactly-once under seeded wire chaos
 // ---------------------------------------------------------------------
 
 /// Request-path faults retry transparently, response-path losses are
@@ -238,47 +238,117 @@ fn responses(io: &mut FrameIo, n: usize) -> Vec<Frame> {
 #[test]
 fn wire_chaos_resolves_every_request_exactly_once() {
     let (clients, reqs) = (3u64, 8u64);
-    let listener = MemListener::new(1 << 16, tick());
-    // Client-direction faults ride in each client's own plan; the
-    // server injects the response-direction entries of the same plan.
-    let config = RemoteConfig {
-        wire_faults: wire_plan(),
-        ..remote_config()
-    };
-    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
-        .expect("config is valid");
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        // Client-direction faults ride in each client's own plan; the
+        // server injects the response-direction entries of the same plan.
+        let config = RemoteConfig {
+            wire_faults: wire_plan(),
+            ..remote_config()
+        };
+        let server =
+            RemoteServer::start(service_config(), config, listener).expect("config is valid");
 
-    let dial = |_| Box::new(listener.clone()) as Box<dyn Connector>;
-    let (book, retries) = drive(dial, clients, reqs, &wire_plan(), request);
+        let (book, retries) = drive(|_| dial(), clients, reqs, &wire_plan(), request);
 
-    assert_eq!(book.len(), (clients * reqs) as usize);
-    for &(c, k, ok) in &book {
-        assert!(ok, "client {c} request {k} must resolve Ok under chaos");
+        assert_eq!(book.len(), (clients * reqs) as usize, "{transport}");
+        for &(c, k, ok) in &book {
+            assert!(
+                ok,
+                "{transport}: client {c} request {k} must resolve Ok under chaos"
+            );
+        }
+        assert!(
+            retries >= 3,
+            "{transport}: reset + truncate + bitflip all force retries, saw {retries}"
+        );
+
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(
+            metrics.service.completed(),
+            clients * reqs,
+            "{transport}: exactly-once: executions match unique requests despite {retries} retries"
+        );
+        assert!(
+            metrics.transport.dedup_replays >= 2,
+            "{transport}: truncated and bit-flipped responses must replay from the book, saw {}",
+            metrics.transport.dedup_replays
+        );
+        assert!(
+            metrics.transport.conns_accepted >= clients,
+            "{transport}: every client handshook"
+        );
+        assert!(
+            metrics.transport.frames_in > clients * reqs,
+            "{transport}: handshakes + requests"
+        );
     }
-    assert!(
-        retries >= 3,
-        "reset + truncate + bitflip all force retries, saw {retries}"
-    );
+}
 
-    let metrics = server.shutdown().expect("clean drain");
-    assert_eq!(
-        metrics.service.completed(),
-        clients * reqs,
-        "exactly-once: executions match unique requests despite {retries} retries"
-    );
-    assert!(
-        metrics.transport.dedup_replays >= 2,
-        "truncated and bit-flipped responses must replay from the book, saw {}",
-        metrics.transport.dedup_replays
-    );
-    assert!(
-        metrics.transport.conns_accepted >= clients,
-        "every client handshook"
-    );
-    assert!(
-        metrics.transport.frames_in > clients * reqs,
-        "handshakes + requests"
-    );
+/// The seeded rate streams — a hashed share of every frame, in both
+/// directions and handshakes included, bit-flipped or reset mid-send —
+/// over the shim and TCP: every call ends `Ok` or with a typed
+/// transport error, never a panic or a hang; the service executes each
+/// request once however many attempts the wire carried; and some
+/// response-path loss is answered from the dedup book.
+#[test]
+fn seeded_flip_and_reset_rates_keep_exactly_once() {
+    let (clients, reqs) = (3u64, 12u64);
+    let rates = || {
+        WireFaultPlan::seeded(1996)
+            .with_flip_rate(0.04)
+            .with_reset_rate(0.04)
+    };
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let config = RemoteConfig {
+            wire_faults: rates(),
+            ..remote_config()
+        };
+        let server =
+            RemoteServer::start(service_config(), config, listener).expect("config is valid");
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (conn, plan) = (dial(), rates());
+                std::thread::spawn(move || {
+                    let mut client = RemoteClient::new(conn, c)
+                        .with_faults(plan)
+                        .with_retry(fast_retry())
+                        .with_response_timeout(Duration::from_secs(5));
+                    let mut gave_up = Vec::new();
+                    for k in 0..reqs {
+                        match client.call(&request(c * 100 + k)) {
+                            Ok(outcome) => assert!(
+                                outcome.is_ok(),
+                                "client {c} request {k}: the service never rejects here"
+                            ),
+                            Err(e) => gave_up.push(e),
+                        }
+                    }
+                    client.goodbye();
+                    (gave_up, client.retries)
+                })
+            })
+            .collect();
+        let (mut gave_up, mut retries) = (Vec::new(), 0);
+        for h in handles {
+            let (errors, r) = h.join().expect("client threads never panic");
+            gave_up.extend(errors);
+            retries += r;
+        }
+        assert!(retries > 0, "{transport}: the rates must fault some frame");
+
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(
+            metrics.service.completed(),
+            clients * reqs,
+            "{transport}: exactly-once across {retries} retries (gave up: {gave_up:?})"
+        );
+        assert!(
+            metrics.transport.dedup_replays > 0,
+            "{transport}: a response-path loss must replay from the book"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1165,65 +1235,70 @@ fn byte_budget_cuts_delivery_and_surfaces_the_stop() {
     run(Box::new(TcpConnector { addr, tick: tick() }), server);
 }
 
-/// Progressive delivery + tolerance cancels + seeded wire chaos: every
-/// request still resolves exactly once (the dedup book replays recorded
-/// outcomes; cancelled sequences never un-execute work), and the books
-/// all read Ok.
+/// Progressive delivery + tolerance cancels + seeded wire chaos, over
+/// the shim and TCP: every request still resolves exactly once (the
+/// dedup book replays recorded outcomes; cancelled sequences never
+/// un-execute work), and the books all read Ok.
 #[test]
 fn progressive_chaos_keeps_exactly_once_accounting() {
     let (clients, reqs) = (3u64, 6u64);
-    let listener = MemListener::new(1 << 16, tick());
-    let config = RemoteConfig {
-        wire_faults: wire_plan(),
-        progressive: Some(CheckpointCodec::WaveletQuant {
-            threshold: 1e-6,
-            step: 0.0,
-        }),
-        ..remote_config()
-    };
-    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
-        .expect("config is valid");
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let config = RemoteConfig {
+            wire_faults: wire_plan(),
+            progressive: Some(CheckpointCodec::WaveletQuant {
+                threshold: 1e-6,
+                step: 0.0,
+            }),
+            ..remote_config()
+        };
+        let server =
+            RemoteServer::start(service_config(), config, listener).expect("config is valid");
 
-    let handles: Vec<_> = (0..clients)
-        .map(|c| {
-            let plan = wire_plan();
-            let conn = Box::new(listener.clone());
-            std::thread::spawn(move || {
-                let mut client = RemoteClient::new(conn, c)
-                    .with_faults(plan)
-                    .with_retry(fast_retry())
-                    .with_response_timeout(Duration::from_secs(5))
-                    .with_tolerance(40.0);
-                let mut ok = 0u64;
-                for k in 0..reqs {
-                    let req = DecomposeRequest::new(image(32, c * 100 + k), FilterBank::cdf53(), 3);
-                    let outcome = client.call(&req).unwrap_or_else(|e| {
-                        panic!("client {c} request {k}: transport gave up: {e}")
-                    });
-                    assert!(outcome.is_ok(), "client {c} request {k} resolves Ok");
-                    ok += 1;
-                }
-                client.goodbye();
-                (ok, client.retries, client.progressive)
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (conn, plan) = (dial(), wire_plan());
+                std::thread::spawn(move || {
+                    let mut client = RemoteClient::new(conn, c)
+                        .with_faults(plan)
+                        .with_retry(fast_retry())
+                        .with_response_timeout(Duration::from_secs(5))
+                        .with_tolerance(40.0);
+                    let mut ok = 0u64;
+                    for k in 0..reqs {
+                        let req =
+                            DecomposeRequest::new(image(32, c * 100 + k), FilterBank::cdf53(), 3);
+                        let outcome = client.call(&req).unwrap_or_else(|e| {
+                            panic!("client {c} request {k}: transport gave up: {e}")
+                        });
+                        assert!(outcome.is_ok(), "client {c} request {k} resolves Ok");
+                        ok += 1;
+                    }
+                    client.goodbye();
+                    (ok, client.progressive)
+                })
             })
-        })
-        .collect();
-    let mut oks = 0;
-    let mut partials = 0;
-    for h in handles {
-        let (ok, _, tally) = h.join().expect("client threads never panic");
-        oks += ok;
-        partials += tally.partial_responses;
-    }
-    assert_eq!(oks, clients * reqs);
-    assert!(partials >= 1, "the tolerance must trip at least once");
+            .collect();
+        let mut oks = 0;
+        let mut partials = 0;
+        for h in handles {
+            let (ok, tally) = h.join().expect("client threads never panic");
+            oks += ok;
+            partials += tally.partial_responses;
+        }
+        assert_eq!(oks, clients * reqs, "{transport}");
+        assert!(
+            partials >= 1,
+            "{transport}: the tolerance must trip at least once"
+        );
 
-    let metrics = server.shutdown().expect("clean drain");
-    assert_eq!(
-        metrics.service.completed(),
-        clients * reqs,
-        "exactly-once accounting survives cancels under chaos"
-    );
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(
+            metrics.service.completed(),
+            clients * reqs,
+            "{transport}: exactly-once accounting survives cancels under chaos"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,22 +1,19 @@
 //! Machine-readable serving benchmark, as one scenario table and one
 //! pipeline. [`scenarios`] lists every row of `BENCH_service.json` as
-//! data — section, name, `ServiceConfig`, and how it is driven: a
-//! seeded open-loop arrival stream through `run_sim` (the arrival-rate
-//! x shard-count x cache x batching grid, the chaos scenarios, the
-//! Zipf-skewed elastic comparison) or a closed-loop multi-client
-//! workload through `run_closed_loop` with the wire itself in the loop
-//! (framing cost charged to the Communication lane, seeded
-//! `WireFaultPlan` faults, progressive delivery). [`run`] drives one
-//! row and checks the exactly-once invariant on it — nothing injected
-//! loses a request — and [`column()`] defines what it reports.
+//! data — section, name, `ServiceConfig`, and the seeded open-loop
+//! arrival stream `run_sim` drives through it: the arrival-rate x
+//! shard-count x cache x batching grid, the chaos scenarios and the
+//! Zipf-skewed elastic comparison. [`run`] drives one row and checks
+//! the exactly-once invariant on it — nothing injected loses a request
+//! — and [`column()`] defines what it reports.
 //!
 //! This binary is the *model* and only the model: every latency and
-//! throughput number is virtual time under the `CostModel` /
-//! `WireCostModel` constants printed in the header (`"source":
-//! "model"`), a pure function of the seed — proved by running the table
-//! twice and comparing the bytes. It starts no server and reads no wall
-//! clock: the same paths are *measured* by `benchmark/` (wbench
-//! `rpc_*`, `pipe_zipf`), and the live invariants (exactly-once under
+//! throughput number is virtual time under the `CostModel` constants
+//! printed in the header (`"source": "model"`), a pure function of the
+//! seed — proved by running the table twice and comparing the bytes.
+//! It starts no server, reads no wall clock and prices no wire: the
+//! wire is *measured* by `benchmark/` (wbench `rpc_*`, and `pipe_zipf`
+//! for the in-process path), and its invariants (exactly-once under
 //! worker kills and wire faults, shim-vs-TCP identical books, honest
 //! bounds) run on every push in `tests/wserv_remote.rs`.
 //!
@@ -27,17 +24,12 @@
 //! at both scales.
 
 use bench::{render, Row, Val};
-use dwt::{dwt2d, FilterBank, Matrix};
-use dwt_mimd::CheckpointCodec;
+use dwt::{FilterBank, Matrix};
 use perfbudget::BudgetReport;
-use wserv::progressive::pyramid_max_abs_diff;
-use wserv::sim::{
-    run_closed_loop, run_sim, ClosedLoopConfig, ClosedLoopReport, CostModel, ProgressiveSim,
-    SimReport, WireCostModel,
-};
+use wserv::sim::{run_sim, CostModel, SimReport};
 use wserv::{
-    DecomposeRequest, DegradedPolicy, ElasticPolicy, MetricsSnapshot, Priority, RejectKind,
-    ServeResult, ServiceConfig, ShardFaultPlan, SupervisorPolicy, WireDir, WireFaultPlan,
+    DecomposeRequest, DegradedPolicy, ElasticPolicy, Priority, RejectKind, ServiceConfig,
+    ShardFaultPlan, SupervisorPolicy,
 };
 
 const SEED: u64 = 1996; // the paper's year; any fixed seed works
@@ -159,54 +151,8 @@ fn zipf_stream(n_reqs: usize, rate_hz: f64) -> Vec<(f64, DecomposeRequest)> {
     out
 }
 
-/// Per-client request streams for the closed-loop scenarios, flattened
-/// `client * reqs_per_client + k`. Deadline-free on purpose: with no
-/// expiry and a queue deeper than the client count, every closed-loop
-/// request must serve, which [`assert_nothing_lost`] holds each row to.
-fn closed_requests(clients: usize, reqs_per_client: usize) -> Vec<DecomposeRequest> {
-    let pool = shape_pool();
-    let mut out = Vec::with_capacity(clients * reqs_per_client);
-    for c in 0..clients {
-        let mut rng = SplitMix64(SEED ^ (c as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        for _ in 0..reqs_per_client {
-            let (size, bank, levels) = pool[(rng.next_u64() % pool.len() as u64) as usize].clone();
-            let priority = Priority::ALL[(rng.next_u64() % 3) as usize];
-            out.push(
-                DecomposeRequest::new(image(size, rng.next_u64() % 13), bank, levels)
-                    .with_priority(priority),
-            );
-        }
-    }
-    out
-}
-
-/// The literal wire-fault schedule of the faulted closed-loop
-/// scenarios. Coordinates are `(conn = client id,
-/// dir, cumulative frame index)`: frame 0 each way is the handshake, so
-/// the client-to-server reset at frame 2 kills client 0's second
-/// request mid-frame, and the server-to-client bit flip at frame 2
-/// corrupts client 2's second response — which the client recovers via
-/// resubmit + dedup replay, never re-execution.
-fn wire_chaos_plan() -> WireFaultPlan {
-    WireFaultPlan::seeded(SEED)
-        .with_reset(0, WireDir::ClientToServer, 2)
-        .with_truncate(1, WireDir::ClientToServer, 4)
-        .with_bitflip(2, WireDir::ServerToClient, 2)
-        .with_stall(1, WireDir::ServerToClient, 3, 4e-3)
-}
-
-/// The shard-fault schedule of the failover-under-load scenario:
-/// shard 0's worker is killed once mid-load (supervised restart),
-/// shard 1 crashes permanently and fails over to the survivors.
-fn kill_plan() -> ShardFaultPlan {
-    ShardFaultPlan::seeded(SEED)
-        .with_worker_panic(0, 1)
-        .with_shard_crash(1, 2)
-}
-
-/// Base service shape of every chaos and closed-loop scenario: three
-/// shards so one can die and two survive, a queue deep enough that
-/// closed-loop admission never rejects.
+/// Base service shape of every chaos scenario: three shards so one can
+/// die and two survive.
 fn three_shards() -> ServiceConfig {
     ServiceConfig::default()
         .with_shards(3)
@@ -222,28 +168,17 @@ fn restart_budget(max_restarts: u32) -> SupervisorPolicy {
     }
 }
 
-/// The detail-plane codec every lossy progressive scenario shares:
-/// `threshold + step / 2 = 0.5` of absolute per-coefficient tolerance.
-fn lossy_codec() -> CheckpointCodec {
-    CheckpointCodec::WaveletQuant {
-        threshold: 0.25,
-        step: 0.5,
-    }
-}
-
 // ---------------------------------------------------------------------
 // The scenario table
 // ---------------------------------------------------------------------
 
 const RESULTS: &str = "results";
 const CHAOS: &str = "chaos_results";
-const TRANSPORT: &str = "transport_results";
-const PROGRESSIVE: &str = "progressive_results";
 const ELASTIC: &str = "elastic_results";
 
 /// The sim-derived sections in document order: JSON key, then the
 /// columns of its rows in output order (each defined in [`column()`]).
-const SECTIONS: [(&str, &str); 5] = [
+const SECTIONS: [(&str, &str); 3] = [
     (
         RESULTS,
         "shards cache_capacity max_batch rate_hz accepted completed rejected_queue_full \
@@ -257,17 +192,6 @@ const SECTIONS: [(&str, &str); 5] = [
          p95_ms throughput_hz makespan_s fault_recovery_pct",
     ),
     (
-        TRANSPORT,
-        "scenario clients reqs_per_client delivered retries replays frames p50_ms p95_ms p99_ms \
-         comm_ms fault_recovery_ms throughput_hz makespan_s",
-    ),
-    (
-        PROGRESSIVE,
-        "scenario clients reqs_per_client delivered threshold step tolerance byte_budget planes \
-         cancels budget_stops response_bytes monolithic_bytes savings_pct max_error_bound p50_ms \
-         p95_ms p99_ms comm_ms throughput_hz makespan_s",
-    ),
-    (
         ELASTIC,
         "scenario requests rate_hz zipf_s shards reserve accepted completed shed stolen splits \
          merges actions imbalance_pct p50_ms p95_ms p99_ms throughput_hz makespan_s",
@@ -276,21 +200,15 @@ const SECTIONS: [(&str, &str); 5] = [
 
 type Stream = fn(usize, f64) -> Vec<(f64, DecomposeRequest)>;
 
-enum Drive {
-    /// Open loop: `(stream, requests, rate_hz)` — that many seeded
-    /// arrivals at that rate from the generator, through `run_sim`.
-    Open(Stream, usize, f64),
-    /// Closed loop: the [`closed_requests`] streams through
-    /// `run_closed_loop`, the wire in the loop.
-    Closed(Box<ClosedLoopConfig>),
-}
-
-/// One row of `BENCH_service.json`, as data.
+/// One row of `BENCH_service.json`, as data: `requests` seeded
+/// arrivals at `rate_hz` from `stream`, through `run_sim`.
 struct Scenario {
     section: &'static str,
     name: String,
     service: ServiceConfig,
-    drive: Drive,
+    stream: Stream,
+    requests: usize,
+    rate_hz: f64,
 }
 
 /// Name of a `results` grid point (the grid rows carry their
@@ -302,15 +220,16 @@ fn grid_name(shards: usize, cache: usize, batch: usize, rate_hz: f64) -> String 
 /// Every row of the bench, in document order. All fault plans are a
 /// pure function of `SEED`, so the rows reproduce byte for byte.
 fn scenarios(smoke: bool) -> Vec<Scenario> {
-    use Drive::{Closed, Open};
     let mut table = Vec::new();
-    let mut add = |section, name: &str, service, drive| {
+    let mut add = |section, name: &str, service, stream, requests, rate_hz| {
         let name = name.to_string();
         table.push(Scenario {
             section,
             name,
             service,
-            drive,
+            stream,
+            requests,
+            rate_hz,
         })
     };
 
@@ -329,7 +248,7 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
                     .with_cache_capacity(cache)
                     .with_max_batch(batch);
                 let name = grid_name(shards, cache, batch, rate_hz);
-                add(RESULTS, &name, service, Open(stream, grid_reqs, rate_hz));
+                add(RESULTS, &name, service, stream, grid_reqs, rate_hz);
             }
         }
     }
@@ -359,70 +278,7 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
         ("degraded_brownout", brownout(plan().with_shard_crash(2, 0))),
         ("combined", brownout(combined)),
     ] {
-        add(CHAOS, name, service, Open(stream, chaos_reqs, 50_000.0));
-    }
-
-    // Transport: the wire in the loop — clean, faulted, then with
-    // workers killed under the same wire chaos. Progressive delivery
-    // over the same closed-loop workload: a monolithic baseline,
-    // lossless streaming (must stay bitwise), lossy streaming (must
-    // shrink the wire), tolerance-met cancellation (must shrink it
-    // further), cancellation under the literal wire-chaos plan (must
-    // stay exactly-once), and a hard byte budget (must bound the wire
-    // regardless of tolerance).
-    let (clients, reqs_per_client) = if smoke { (3, 6) } else { (4, 12) };
-    let (none, clean) = (ShardFaultPlan::none, WireFaultPlan::none);
-    let flips = WireFaultPlan::seeded(SEED).with_flip_rate(0.01);
-    let progressive = |codec, tolerance, byte_budget| {
-        Some(ProgressiveSim {
-            codec,
-            tolerance,
-            byte_budget,
-        })
-    };
-    let lossless = progressive(CheckpointCodec::Raw, None, None);
-    let lossy = progressive(lossy_codec(), None, None);
-    let cancel = progressive(lossy_codec(), Some(30.0), None);
-    let budget = progressive(lossy_codec(), None, Some(4096));
-    for (section, name, faults, wire_faults, progressive) in [
-        (TRANSPORT, "clean_wire", none(), clean(), None),
-        (TRANSPORT, "wire_chaos", none(), wire_chaos_plan(), None),
-        (TRANSPORT, "flip_rate", none(), flips, None),
-        (
-            TRANSPORT,
-            "failover_under_load",
-            kill_plan(),
-            wire_chaos_plan(),
-            None,
-        ),
-        (PROGRESSIVE, "monolithic", none(), clean(), None),
-        (
-            PROGRESSIVE,
-            "progressive_lossless",
-            none(),
-            clean(),
-            lossless,
-        ),
-        (PROGRESSIVE, "progressive_lossy", none(), clean(), lossy),
-        (PROGRESSIVE, "tolerance_cancel", none(), clean(), cancel),
-        (
-            PROGRESSIVE,
-            "tolerance_cancel_chaos",
-            none(),
-            wire_chaos_plan(),
-            cancel,
-        ),
-        (PROGRESSIVE, "byte_budget", none(), clean(), budget),
-    ] {
-        let service = faulted(faults).with_supervisor(restart_budget(1));
-        let cl = ClosedLoopConfig {
-            clients,
-            reqs_per_client,
-            wire_faults,
-            progressive,
-            ..ClosedLoopConfig::default()
-        };
-        add(section, name, service, Closed(Box::new(cl)));
+        add(CHAOS, name, service, stream, chaos_reqs, 50_000.0);
     }
 
     // Elastic: one static baseline and two controller modes over the
@@ -449,12 +305,7 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
             .with_shards(4)
             .with_queue_capacity(64);
         let service = ServiceConfig { elastic, ..service };
-        add(
-            ELASTIC,
-            name,
-            service,
-            Open(zipf_stream, elastic_reqs, 220_000.0),
-        );
+        add(ELASTIC, name, service, zipf_stream, elastic_reqs, 220_000.0);
     }
     table
 }
@@ -470,7 +321,7 @@ fn assert_table_complete(table: &[Scenario], smoke: bool) {
         "duplicate (section, name) in the scenario table"
     );
     let grid = if smoke { 8 } else { 24 };
-    for ((section, _), rows) in SECTIONS.into_iter().zip([grid, 7, 4, 6, 3]) {
+    for ((section, _), rows) in SECTIONS.into_iter().zip([grid, 7, 3]) {
         let have = table.iter().filter(|s| s.section == section).count();
         assert_eq!(have, rows, "{section}: row count changed");
     }
@@ -480,14 +331,9 @@ fn assert_table_complete(table: &[Scenario], smoke: bool) {
 // One runner, one books check, one renderer
 // ---------------------------------------------------------------------
 
-enum Report {
-    Open(SimReport),
-    Closed(ClosedLoopReport),
-}
-
 struct Run {
     scenario: Scenario,
-    report: Report,
+    report: SimReport,
 }
 
 impl Run {
@@ -495,122 +341,51 @@ impl Run {
         &self.scenario.name
     }
 
-    fn closed(&self) -> (&ClosedLoopConfig, &ClosedLoopReport) {
-        match (&self.scenario.drive, &self.report) {
-            (Drive::Closed(cl), Report::Closed(r)) => (cl.as_ref(), r),
-            _ => panic!("{} is an open-loop scenario", self.name()),
-        }
-    }
-
-    fn requests(&self) -> usize {
-        match &self.scenario.drive {
-            Drive::Open(_, requests, _) => *requests,
-            Drive::Closed(cl) => cl.clients * cl.reqs_per_client,
-        }
-    }
-
-    fn metrics(&self) -> &MetricsSnapshot {
-        match &self.report {
-            Report::Open(r) => &r.metrics,
-            Report::Closed(r) => &r.metrics,
-        }
-    }
-
-    /// What each request's client ended up holding: `None` only when a
-    /// closed-loop client gave up on the transport.
-    fn outcomes(&self) -> Vec<Option<&ServeResult>> {
-        match &self.report {
-            Report::Open(r) => r.outcomes.iter().map(Some).collect(),
-            Report::Closed(r) => r.outcomes.iter().map(|o| o.as_ref().ok()).collect(),
-        }
-    }
-
-    /// Latency quantile in milliseconds: server-side for open-loop
-    /// rows, client-observed across every retry for closed-loop rows.
+    /// Server-side latency quantile in milliseconds.
     fn p_ms(&self, q: f64) -> f64 {
-        match &self.report {
-            Report::Open(r) => r.metrics.latency_quantile(q) * 1e3,
-            Report::Closed(r) => r.latency.quantile(q) * 1e3,
-        }
-    }
-
-    /// `(throughput_hz, makespan_s)`, virtual.
-    fn pace(&self) -> (f64, f64) {
-        match &self.report {
-            Report::Open(r) => (r.throughput(), r.makespan_s),
-            Report::Closed(r) => (r.throughput(), r.makespan_s),
-        }
+        self.report.metrics.latency_quantile(q) * 1e3
     }
 
     fn rejected_total(&self) -> u64 {
-        let m = self.metrics();
+        let m = &self.report.metrics;
         RejectKind::ALL.iter().map(|&k| m.rejected(k)).sum()
     }
 
     fn budget(&self) -> BudgetReport {
-        let budget = self.metrics().budget_report();
+        let budget = self.report.metrics.budget_report();
         budget.expect("completed work yields a budget report")
-    }
-
-    /// Largest reported error bound across served responses.
-    fn max_error_bound(&self) -> f64 {
-        let served = self.outcomes().into_iter().flatten().flatten();
-        served.map(|r| r.error_bound).fold(0.0, f64::max)
-    }
-
-    fn savings_pct(&self) -> f64 {
-        let (_, r) = self.closed();
-        if r.monolithic_bytes == 0 {
-            return 0.0;
-        }
-        (1.0 - r.response_bytes as f64 / r.monolithic_bytes as f64) * 100.0
     }
 }
 
 fn run(scenario: Scenario) -> Run {
-    let (cfg, cost) = (&scenario.service, CostModel::default());
-    let report = match &scenario.drive {
-        Drive::Open(stream, requests, rate_hz) => {
-            Report::Open(run_sim(cfg, &cost, stream(*requests, *rate_hz)))
-        }
-        Drive::Closed(cl) => {
-            let requests = closed_requests(cl.clients, cl.reqs_per_client);
-            Report::Closed(run_closed_loop(cfg, &cost, cl, requests))
-        }
-    };
+    let arrivals = (scenario.stream)(scenario.requests, scenario.rate_hz);
+    let report = run_sim(&scenario.service, &CostModel::default(), arrivals);
     let run = Run { scenario, report };
     assert_nothing_lost(&run);
     eprintln!(
         "{:<19} {:<38} completed={:<4} p95={:.3}ms tput={:.0}/s",
         run.scenario.section,
         run.name(),
-        run.metrics().completed(),
+        run.report.metrics.completed(),
         run.p_ms(0.95),
-        run.pace().0,
+        run.report.throughput(),
     );
     run
 }
 
 /// The exactly-once invariant, asserted on every row of every section:
 /// each submitted request resolves exactly once (completed, typed
-/// rejection, or bounded-error degraded response) — injected crashes,
-/// wire faults, cancels and migration lose nothing.
+/// rejection, or bounded-error degraded response) — injected crashes
+/// and migration lose nothing.
 fn assert_nothing_lost(run: &Run) {
-    let (name, m, requests) = (run.name(), run.metrics(), run.requests());
-    let outcomes = run.outcomes();
+    let (name, m, requests) = (run.name(), &run.report.metrics, run.scenario.requests);
+    let outcomes = &run.report.outcomes;
     assert_eq!(
         outcomes.len(),
         requests,
         "{name}: every request must have a terminal outcome"
     );
-    let delivered = outcomes.iter().flatten().count();
-    assert_eq!(
-        delivered,
-        requests,
-        "{name}: the retry budget must cover the fault plan (lost {})",
-        requests - delivered
-    );
-    let served = outcomes.iter().flatten().filter(|o| o.is_ok());
+    let served = outcomes.iter().filter(|o| o.is_ok());
     let ok = served.clone().count() as u64;
     assert_eq!(
         ok,
@@ -623,36 +398,20 @@ fn assert_nothing_lost(run: &Run) {
         requests as u64,
         "{name}: lost requests (completed {ok} + rejected {rejected} != submitted {requests})"
     );
-    if matches!(run.report, Report::Closed(_)) {
-        // Deadline-free closed-loop traffic under a shallow queue never
-        // rejects: every delivered outcome is a served response. (Its
-        // `degraded` flags are the client's lossy reassembly, not the
-        // service's degraded mode, so the counter check is open-loop.)
-        assert_eq!(
-            ok, requests as u64,
-            "{name}: closed-loop requests must all serve"
-        );
-    } else {
-        let degraded = served.filter(|o| o.as_ref().is_ok_and(|r| r.degraded));
-        assert_eq!(
-            degraded.count() as u64,
-            m.degraded_served(),
-            "{name}: degraded counter must match degraded Ok outcomes"
-        );
-    }
+    let degraded = served.filter(|o| o.as_ref().is_ok_and(|r| r.degraded));
+    assert_eq!(
+        degraded.count() as u64,
+        m.degraded_served(),
+        "{name}: degraded counter must match degraded Ok outcomes"
+    );
 }
 
 /// Every column a sim-derived row can report, defined once; which of
 /// them a section reports, and in what order, is [`SECTIONS`].
 fn column(run: &Run, key: &str) -> Val {
-    use Val::{Fix, Null, Num, Str};
-    let (cfg, m) = (&run.scenario.service, run.metrics());
+    use Val::{Fix, Num, Str};
+    let (cfg, m) = (&run.scenario.service, &run.report.metrics);
     let rejected = |kind| Val::from(m.rejected(kind));
-    let progressive = || run.closed().0.progressive;
-    let codec = || match progressive().map(|p| p.codec) {
-        Some(CheckpointCodec::WaveletQuant { threshold, step }) => (threshold, step),
-        Some(CheckpointCodec::Raw) | None => (0.0, 0.0),
-    };
     match key {
         "scenario" => Str(run.name().into()),
         "shards" => cfg.shards.into(),
@@ -660,22 +419,10 @@ fn column(run: &Run, key: &str) -> Val {
         "max_batch" => cfg.batch.max_batch.into(),
         "reserve" => cfg.elastic.map_or(0, |p| p.reserve).into(),
         "zipf_s" => Num(ZIPF_S),
-        "rate_hz" => match run.scenario.drive {
-            Drive::Open(_, _, rate_hz) => Num(rate_hz),
-            Drive::Closed(_) => unreachable!("closed-loop rows have no arrival rate"),
-        },
-        "requests" => run.requests().into(),
-        "clients" => run.closed().0.clients.into(),
-        "reqs_per_client" => run.closed().0.reqs_per_client.into(),
-        "threshold" => Num(codec().0),
-        "step" => Num(codec().1),
-        "tolerance" => progressive().and_then(|p| p.tolerance).map_or(Null, Num),
-        "byte_budget" => progressive()
-            .and_then(|p| p.byte_budget)
-            .map_or(Null, Val::from),
+        "rate_hz" => Num(run.scenario.rate_hz),
+        "requests" => run.scenario.requests.into(),
         "accepted" => m.accepted().into(),
         "completed" => m.completed().into(),
-        "delivered" => run.outcomes().iter().flatten().count().into(),
         "degraded_served" => m.degraded_served().into(),
         "restarts" => m.restarts().into(),
         "requeued" => m.requeued().into(),
@@ -690,29 +437,14 @@ fn column(run: &Run, key: &str) -> Val {
         "stolen" => m.stolen().into(),
         "splits" => m.splits().into(),
         "merges" => m.merges().into(),
-        "actions" => match &run.report {
-            Report::Open(r) => r.actions.len().into(),
-            Report::Closed(_) => unreachable!("closed-loop rows have no controller log"),
-        },
-        "retries" => run.closed().1.retries.into(),
-        "replays" => run.closed().1.replays.into(),
-        "frames" => run.closed().1.frames.into(),
-        "planes" => run.closed().1.planes.into(),
-        "cancels" => run.closed().1.cancels.into(),
-        "budget_stops" => run.closed().1.budget_stops.into(),
-        "response_bytes" => run.closed().1.response_bytes.into(),
-        "monolithic_bytes" => run.closed().1.monolithic_bytes.into(),
-        "savings_pct" => Fix(run.savings_pct(), 3),
-        "max_error_bound" => Fix(run.max_error_bound(), 6),
+        "actions" => run.report.actions.len().into(),
         "cache_hit_rate" => Fix(m.cache_hit_rate(), 4),
         "mean_batch_occupancy" => Fix(m.mean_batch_occupancy(), 4),
         "p50_ms" => Fix(run.p_ms(0.50), 6),
         "p95_ms" => Fix(run.p_ms(0.95), 6),
         "p99_ms" => Fix(run.p_ms(0.99), 6),
-        "comm_ms" => Fix(run.closed().1.comm_s * 1e3, 6),
-        "fault_recovery_ms" => Fix(run.closed().1.fault_recovery_s * 1e3, 6),
-        "throughput_hz" => Fix(run.pace().0, 3),
-        "makespan_s" => Fix(run.pace().1, 9),
+        "throughput_hz" => Fix(run.report.throughput(), 3),
+        "makespan_s" => Fix(run.report.makespan_s, 9),
         "useful_pct" => Fix(run.budget().useful_pct(), 3),
         "imbalance_pct" => Fix(run.budget().imbalance_pct(), 3),
         "fault_recovery_pct" => Fix(run.budget().fault_pct(), 3),
@@ -745,7 +477,7 @@ macro_rules! constants {
 /// The document: what was run and the model constants every row was
 /// priced with ([`run`] uses the same defaults), then each section.
 fn document(runs: &[Run]) -> Row {
-    let requests = |key| section(runs, key).next().map_or(0, Run::requests);
+    let requests = |key| section(runs, key).next().map_or(0, |r| r.scenario.requests);
     let mut doc: Row = vec![
         ("bench", Val::Str("wserv_load".into())),
         ("unit", Val::Str("virtual_seconds".into())),
@@ -758,15 +490,6 @@ fn document(runs: &[Run]) -> Row {
                 plan_s_per_coeff,
                 dispatch_s,
                 deliver_s_per_request
-            }),
-        ),
-        (
-            "wire_cost_model",
-            constants!(WireCostModel {
-                ser_s_per_byte,
-                frame_overhead_s,
-                wire_s_per_byte,
-                rtt_s
             }),
         ),
         ("seed", SEED.into()),
@@ -800,8 +523,8 @@ fn find<'a>(runs: &'a [Run], key: &str, name: &str) -> &'a Run {
 fn matched_p95(a: &Run, b: &Run) -> (f64, f64) {
     let mut ha = wserv::Histogram::default();
     let mut hb = wserv::Histogram::default();
-    for (x, y) in a.outcomes().into_iter().zip(b.outcomes()) {
-        if let (Some(Ok(rx)), Some(Ok(ry))) = (x, y) {
+    for (x, y) in a.report.outcomes.iter().zip(&b.report.outcomes) {
+        if let (Ok(rx), Ok(ry)) = (x, y) {
             ha.record(rx.latency_s());
             hb.record(ry.latency_s());
         }
@@ -836,16 +559,16 @@ fn assert_dominance(runs: &[Run]) {
                 on_p95 * 1e3,
                 off_p95 * 1e3
             );
-            assert!(on.metrics().cache_hit_rate() > 0.0);
+            assert!(on.report.metrics.cache_hit_rate() > 0.0);
         }
         for cache in [0, 16] {
             let (batched, single) = (cell(shards, cache, 8), cell(shards, cache, 1));
             assert!(
-                batched.pace().0 > single.pace().0,
+                batched.report.throughput() > single.report.throughput(),
                 "batch-8 throughput {:.0}/s must beat batch-1 {:.0}/s \
                  (shards={shards} cache={cache})",
-                batched.pace().0,
-                single.pace().0
+                batched.report.throughput(),
+                single.report.throughput()
             );
         }
     }
@@ -854,7 +577,7 @@ fn assert_dominance(runs: &[Run]) {
 /// Spot checks that each scenario exercises what it claims to, as data:
 /// `(section, scenario, column, fires)` — the column must be positive
 /// (a non-empty list) when `fires`, and exactly zero (empty) otherwise.
-const SPOT_CHECKS: [(&str, &str, &str, bool); 29] = [
+const SPOT_CHECKS: [(&str, &str, &str, bool); 14] = [
     // The failover scenario exhausts the restart budget and loses a
     // shard, a panicked worker is restarted in place, the brownout
     // actually serves bounded-error responses, poison is quarantined.
@@ -866,27 +589,6 @@ const SPOT_CHECKS: [(&str, &str, &str, bool); 29] = [
     (CHAOS, "worker_panic", "restarts", true),
     (CHAOS, "worker_panic", "failed_shards", false),
     (CHAOS, "poison_quarantine", "quarantined", true),
-    // A clean wire never retries yet framing is still charged; wire
-    // chaos forces retries, recovers its response-path fault via dedup
-    // replay and bills the FaultRecovery lane; failover loses a shard.
-    (TRANSPORT, "clean_wire", "retries", false),
-    (TRANSPORT, "clean_wire", "replays", false),
-    (TRANSPORT, "clean_wire", "comm_ms", true),
-    (TRANSPORT, "wire_chaos", "retries", true),
-    (TRANSPORT, "wire_chaos", "replays", true),
-    (TRANSPORT, "wire_chaos", "fault_recovery_ms", true),
-    (TRANSPORT, "failover_under_load", "failed_shards", true),
-    (TRANSPORT, "failover_under_load", "restarts", true),
-    // Responses actually stream; no tolerance, no cancels; a 30.0
-    // tolerance and a 4 KiB budget on this imagery each cut at least
-    // one sequence short; the chaos plan forces at least one retry.
-    (PROGRESSIVE, "monolithic", "planes", false),
-    (PROGRESSIVE, "monolithic", "cancels", false),
-    (PROGRESSIVE, "progressive_lossless", "planes", true),
-    (PROGRESSIVE, "progressive_lossless", "cancels", false),
-    (PROGRESSIVE, "tolerance_cancel", "cancels", true),
-    (PROGRESSIVE, "tolerance_cancel_chaos", "retries", true),
-    (PROGRESSIVE, "byte_budget", "budget_stops", true),
     // The static layout never acts; the Zipf skew triggers steals in
     // both controller modes; the hot shard splits onto a reserve and
     // drained reserves retire.
@@ -898,9 +600,8 @@ const SPOT_CHECKS: [(&str, &str, &str, bool); 29] = [
     (ELASTIC, "split_merge", "merges", true),
 ];
 
-/// [`SPOT_CHECKS`], plus the two chaos/transport gates that compare
-/// rows: every chaos row that lost a shard charged the FaultRecovery
-/// lane for it, and killing workers mid-load cannot improve the p99.
+/// [`SPOT_CHECKS`], plus the chaos gate that reads the books: every
+/// chaos row that lost a shard charged the FaultRecovery lane for it.
 fn assert_spot_checks(runs: &[Run]) {
     for (section, name, key, fires) in SPOT_CHECKS {
         let value = column(find(runs, section, name), key).magnitude();
@@ -911,108 +612,13 @@ fn assert_spot_checks(runs: &[Run]) {
         );
     }
     for run in section(runs, CHAOS) {
-        let lost_shard = !run.metrics().failed_shards().is_empty();
+        let lost_shard = !run.report.metrics.failed_shards().is_empty();
         assert!(
             !lost_shard || run.budget().fault_pct() > 0.0,
             "{}: a lost shard must cost FaultRecovery time",
             run.name()
         );
     }
-    let p99 = |name| find(runs, TRANSPORT, name).p_ms(0.99);
-    assert!(
-        p99("failover_under_load") >= p99("clean_wire"),
-        "killing workers mid-load cannot improve the p99 tail"
-    );
-}
-
-/// The progressive acceptance checks, on every generated grid:
-///
-/// * lossless streaming is *bitwise*: each delivered pyramid equals the
-///   monolithic baseline's for the same request, with a zero bound;
-/// * every reported error bound is honest against the local engine
-///   oracle (`actual max-abs error <= bound`), and under a tolerance
-///   never exceeds it;
-/// * lossy streaming beats the monolithic counterfactual on response
-///   bytes, and tolerance-met cancellation beats plain lossy.
-///
-/// (Nothing is ever lost, cancels and chaos included: [`run`] checks
-/// that on every row; that each scenario streams, cancels or retries
-/// as intended is in [`SPOT_CHECKS`].)
-fn assert_progressive_coverage(runs: &[Run]) {
-    let find = |name| find(runs, PROGRESSIVE, name);
-    let (mono_cl, mono) = find("monolithic").closed();
-
-    // Lossless streaming: bitwise against the monolithic baseline.
-    let (_, lossless) = find("progressive_lossless").closed();
-    for (i, (a, b)) in mono.outcomes.iter().zip(&lossless.outcomes).enumerate() {
-        let (Ok(Ok(ra)), Ok(Ok(rb))) = (a, b) else {
-            panic!("request {i} must serve in both runs");
-        };
-        assert_eq!(
-            ra.pyramid, rb.pyramid,
-            "request {i}: lossless streaming must be bitwise"
-        );
-        assert_eq!(rb.error_bound, 0.0);
-    }
-
-    // Every reported bound is honest against the engine oracle.
-    let requests = closed_requests(mono_cl.clients, mono_cl.reqs_per_client);
-    for run in section(runs, PROGRESSIVE) {
-        for (req, out) in requests.iter().zip(run.outcomes()) {
-            let Some(Ok(resp)) = out else { continue };
-            let oracle = dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-                .expect("pool geometry is valid");
-            let actual =
-                pyramid_max_abs_diff(&resp.pyramid, &oracle).expect("geometry matches the oracle");
-            assert!(
-                actual <= resp.error_bound,
-                "{}: actual error {actual} exceeds the reported bound {}",
-                run.name(),
-                resp.error_bound
-            );
-        }
-    }
-
-    // Bytes-to-tolerance: quantization shrinks the wire, cancellation
-    // shrinks it further, and the tolerance is respected.
-    let (_, lossy) = find("progressive_lossy").closed();
-    assert!(
-        lossy.response_bytes < lossy.monolithic_bytes,
-        "lossy streaming must beat the monolithic counterfactual \
-         ({} vs {} bytes)",
-        lossy.response_bytes,
-        lossy.monolithic_bytes
-    );
-    let cancel_run = find("tolerance_cancel");
-    let (cancel_cl, cancel) = cancel_run.closed();
-    let tolerance = cancel_cl.progressive.and_then(|p| p.tolerance);
-    let tolerance = tolerance.expect("tolerance_cancel sets a tolerance");
-    assert!(
-        cancel_run.max_error_bound() <= tolerance,
-        "a tolerance-met cancel must leave every bound within {tolerance}"
-    );
-    assert!(
-        cancel.response_bytes < lossy.response_bytes,
-        "cancellation must save bytes over reading every plane \
-         ({} vs {} bytes)",
-        cancel.response_bytes,
-        lossy.response_bytes
-    );
-    // The byte budget is the second cancel predicate: every delivery
-    // still terminates, the budget cuts are surfaced, and the wire
-    // carries less than reading every plane would.
-    let (_, budget) = find("byte_budget").closed();
-    assert_eq!(
-        budget.budget_stops, budget.cancels,
-        "with no tolerance every cancel here is a budget stop"
-    );
-    assert!(
-        budget.response_bytes < lossy.response_bytes,
-        "a byte budget must save wire over reading every plane \
-         ({} vs {} bytes)",
-        budget.response_bytes,
-        lossy.response_bytes
-    );
 }
 
 /// Elastic acceptance criteria:
@@ -1022,7 +628,7 @@ fn assert_progressive_coverage(runs: &[Run]) {
 ///   hold the matched-set p95 at least even under the same skew.
 fn assert_elastic_coverage(runs: &[Run]) {
     for run in section(runs, ELASTIC) {
-        let m = run.metrics();
+        let m = &run.report.metrics;
         assert_eq!(
             m.accepted(),
             m.completed() + m.rejected(RejectKind::Shed),
@@ -1059,7 +665,6 @@ fn main() {
     let runs = sweep();
     assert_dominance(&runs);
     assert_spot_checks(&runs);
-    assert_progressive_coverage(&runs);
     assert_elastic_coverage(&runs);
     let doc = render(&document(&runs));
 
@@ -1091,8 +696,7 @@ mod tests {
     /// rendered, against its line as committed in `BENCH_service.json` —
     /// a `results` row for the `{}`-displayed `rate_hz` and the
     /// `{:.4}`/`{:.6}`/`{:.9}` floats, a `chaos_results` row for the
-    /// `failed_shards` list, a `progressive_results` row for `null`
-    /// tolerance and byte budget.
+    /// `failed_shards` list.
     #[test]
     fn rows_render_as_committed() {
         let committed = [
@@ -1105,11 +709,6 @@ mod tests {
                 CHAOS,
                 "shard_crash_failover".into(),
                 r#"{"scenario": "shard_crash_failover", "shards": 3, "rate_hz": 50000, "requests": 800, "completed": 788, "degraded_served": 0, "restarts": 2, "requeued": 66, "quarantined": 0, "rejected_total": 12, "rejected_shard_failed": 0, "rejected_requeued": 0, "rejected_deadline": 0, "failed_shards": [0], "p95_ms": 2.300808, "throughput_hz": 49315.010, "makespan_s": 0.015978908, "fault_recovery_pct": 15.463}"#,
-            ),
-            (
-                PROGRESSIVE,
-                "monolithic".into(),
-                r#"{"scenario": "monolithic", "clients": 4, "reqs_per_client": 12, "delivered": 48, "threshold": 0, "step": 0, "tolerance": null, "byte_budget": null, "planes": 0, "cancels": 0, "budget_stops": 0, "response_bytes": 1747968, "monolithic_bytes": 1747968, "savings_pct": 0.000, "max_error_bound": 0.000000, "p50_ms": 0.198386, "p95_ms": 0.346642, "p99_ms": 0.520466, "comm_ms": 8.147277, "throughput_hz": 16654.546, "makespan_s": 0.002882096}"#,
             ),
         ];
         let mut table = scenarios(false);

@@ -90,7 +90,6 @@ pub enum Val {
     /// Fixed-precision float: value, decimals.
     Fix(f64, usize),
     Str(String),
-    Null,
     /// A list on one line: `[0, 2]`, `["a", "b"]`.
     List(Vec<Val>),
     /// A header object, on one line.
@@ -106,7 +105,7 @@ impl Val {
             Val::Int(v) => *v as f64,
             Val::Num(v) | Val::Fix(v, _) => *v,
             Val::List(v) => v.len() as f64,
-            Val::Str(_) | Val::Null | Val::Obj(_) | Val::Rows(_) => panic!("not a magnitude"),
+            Val::Str(_) | Val::Obj(_) | Val::Rows(_) => panic!("not a magnitude"),
         }
     }
 }
@@ -167,7 +166,6 @@ impl std::fmt::Display for Val {
             Val::Num(v) => write!(f, "{v}"),
             Val::Fix(v, decimals) => write!(f, "{v:.decimals$}"),
             Val::Str(s) => write!(f, "\"{s}\""),
-            Val::Null => f.write_str("null"),
             Val::List(v) => {
                 let items: Vec<String> = v.iter().map(Val::to_string).collect();
                 write!(f, "[{}]", items.join(", "))

@@ -12,7 +12,7 @@
 //!   `shape → shard` overrides are layered over the FNV default, and a
 //!   bounded *reserve pool* of shard slots can be activated (split) and
 //!   retired (merge) at runtime. The live threaded driver, the
-//!   supervisor/failover ring, and the discrete-event simulators all
+//!   supervisor/failover ring, and the discrete-event simulator all
 //!   route through the same map, so elastic decisions replay
 //!   bit-identically from `(config, seed)`.
 //! * [`CostBook`] — per-shape EWMA of measured service seconds per
@@ -193,7 +193,7 @@ impl ShardMap {
     /// slots when the preferred shard is inactive or dead. `None` when
     /// every active shard is down. Pure function of
     /// `(shape, map, alive)` — identical in the live driver and the
-    /// simulators, which is what makes elastic failover replayable.
+    /// simulator, which is what makes elastic failover replayable.
     pub fn route(&self, shape: &PlanShape, alive: &[bool]) -> Option<usize> {
         debug_assert_eq!(alive.len(), self.total, "alive vector must cover all slots");
         let key = shape_key(shape);
@@ -350,7 +350,7 @@ impl ShardLoad {
 }
 
 /// A typed rebalancing decision. Actions are data, not effects: the
-/// drivers (live service and simulators) apply them through identical
+/// drivers (live service and simulator) apply them through identical
 /// queue surgery, and the per-run action log is what the determinism
 /// tests replay.
 #[derive(Debug, Clone, PartialEq)]

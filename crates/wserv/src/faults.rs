@@ -381,8 +381,7 @@ pub enum WireFault {
     /// The sender stalls `seconds` before the frame goes out (a
     /// congested or half-dead link).
     Stall {
-        /// Stall duration: wall seconds in the live driver, virtual
-        /// seconds charged by the simulator.
+        /// Stall duration, wall seconds.
         seconds: f64,
     },
 }
@@ -404,8 +403,8 @@ pub struct WireEvent {
 /// A deterministic, seeded wire-fault schedule, the transport-level
 /// sibling of [`ShardFaultPlan`]: literal events plus hashed rates, all
 /// pure functions of the seed and a `(conn, dir, frame)` coordinate, so
-/// the in-memory shim transport, the TCP transport and the closed-loop
-/// simulator inject byte-identical fault sequences from the same seed.
+/// the in-memory shim transport and the TCP transport inject
+/// byte-identical fault sequences from the same seed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct WireFaultPlan {
     seed: u64,

@@ -94,10 +94,6 @@ pub use request::{
     DecomposeRequest, DecomposeResponse, Entry, Priority, RejectKind, Rejection, ServeResult,
 };
 pub use server::{ResponseHandle, ServiceConfig, ServiceError, WaveletService};
-pub use sim::{
-    run_closed_loop, ClientOutcome, ClosedLoopConfig, ClosedLoopReport, ProgressiveSim,
-    WireCostModel,
-};
 pub use transport::{
     mem_pair, MemListener, TcpAcceptor, TcpConnector, TcpTransport, Transport, TransportError,
 };

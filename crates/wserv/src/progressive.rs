@@ -305,10 +305,10 @@ impl Reassembler {
     }
 
     /// The reader's stop and credit rules for the bound-ordered stream,
-    /// asked after the header and after every plane by the live client
-    /// and the simulated one alike. `ended` says the sender marked this
-    /// frame the sequence's last; `got_bytes` is the on-wire response
-    /// bytes the call has received so far. A sequence that is over is
+    /// asked by the client after the header and after every plane.
+    /// `ended` says the sender marked this frame the sequence's last;
+    /// `got_bytes` is the on-wire response bytes the call has received
+    /// so far. A sequence that is over is
     /// never cancelled, and the tolerance is asked before the byte
     /// budget, so a budget stop means the tolerance was *not* met.
     ///

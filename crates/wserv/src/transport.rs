@@ -567,7 +567,7 @@ impl Connector for TcpConnector {
 /// Shared cumulative frame counters keyed by `(connection id,
 /// direction)`. One clock lives on each side of the protocol and
 /// survives reconnects, so fault coordinates are stable across retries
-/// and identical between the live drivers and the simulator.
+/// and identical between the two transports.
 #[derive(Default)]
 pub struct WireClock {
     counts: Mutex<HashMap<(u64, u8), u64>>,

@@ -148,11 +148,12 @@ remote-soak:
 
 # Regenerate BENCH_service.json — the serving *model*: every row of
 # bench_service's scenario table (arrival rate x shards x cache x
-# batching, chaos, closed-loop transport, progressive delivery, elastic
-# sharding) in virtual time under the constants printed in its header.
-# The binary asserts table completeness, the exactly-once invariant on
-# every row, each section's coverage checks and byte-reproducibility.
-# Wall-clock numbers for the same paths come from `bash benchmark/run.sh`.
+# batching, chaos, elastic sharding) in virtual time under the
+# constants printed in its header. The binary asserts table
+# completeness, the exactly-once invariant on every row, each section's
+# coverage checks and byte-reproducibility. It models no wire:
+# wall-clock numbers for the serving and remote paths come from
+# `bash benchmark/run.sh`.
 serve-bench:
     cargo run --release -p bench --bin bench_service
 

@@ -42,10 +42,12 @@
 //! service returned in an `Arc`, and the book, every replay and the
 //! encoder share it. The book remembers exactly what the protocol can
 //! still ask for: a client has at most `window` consecutive ids
-//! outstanding and connections answer in submission order, so resolved
-//! ids more than `window` behind a client's newest are pruned —
-//! `window + 1` results per client, with the argument at
-//! `Dedup::window`.
+//! outstanding — the largest window its connections negotiated — and
+//! connections answer in submission order, so resolved ids more than
+//! `window` behind a client's newest are pruned — `window + 1` results
+//! per client, 2 for a [`RemoteClient`], with the argument at
+//! `ClientBook::window`. A Request frame is dropped once decoded, before
+//! the request is submitted, so a served image is held once.
 //!
 //! ## Progressive delivery
 //!
@@ -205,24 +207,19 @@ enum Slot {
 struct ClientBook {
     entries: BTreeMap<u64, Slot>,
     max_id: u64,
-}
-
-struct Dedup {
-    books: Mutex<HashMap<u64, ClientBook>>,
-    /// Notified whenever an `InFlight` entry stops being one: resolved,
-    /// or forgotten.
-    settled: Condvar,
-    /// The server's configured in-flight window — the largest any
-    /// connection negotiates — and therefore how far behind a client's
-    /// newest id the book has to remember: resolved ids more than
-    /// `window` behind it are pruned. Read by `resolve`; the bound it
-    /// gives is `window + 1` results per client. Nothing the protocol
-    /// can still ask for is ever pruned, because
+    /// The largest in-flight window any of this client's connections
+    /// has negotiated, and therefore how far behind its newest id the
+    /// book has to remember: resolved ids more than `window` behind it
+    /// are pruned. Read by `resolve`; the bound it gives is `window + 1`
+    /// results per client — 2 for a [`RemoteClient`], which negotiates
+    /// a window of 1. Nothing the protocol can still ask for is ever
+    /// pruned, because
     ///
     /// 1. a client numbers its requests consecutively and has at most
     ///    `window` of them outstanding — sent, response not yet read —
-    ///    which is what the negotiated window means ([`RemoteClient`]
-    ///    has one);
+    ///    which is what the window it negotiated, `min(server window,
+    ///    the window its Hello announced)`, means; it may negotiate
+    ///    anew on each connection, and the book keeps the largest;
     /// 2. a connection's writer answers in submission order, so what a
     ///    client still waits for is always the *newest* ids it has
     ///    sent, never an old one left behind by later answers;
@@ -238,13 +235,21 @@ struct Dedup {
     window: u64,
 }
 
+#[derive(Default)]
+struct Dedup {
+    books: Mutex<HashMap<u64, ClientBook>>,
+    /// Notified whenever an `InFlight` entry stops being one: resolved,
+    /// or forgotten.
+    settled: Condvar,
+}
+
 impl Dedup {
-    fn new(window: u32) -> Arc<Dedup> {
-        Arc::new(Dedup {
-            books: Mutex::new(HashMap::new()),
-            settled: Condvar::new(),
-            window: window as u64,
-        })
+    /// Record that one of `client`'s connections negotiated `window`;
+    /// the client's book keeps the largest ([`ClientBook::window`]).
+    fn negotiated(&self, client: u64, window: u32) {
+        let mut books = self.books.lock();
+        let book = books.entry(client).or_default();
+        book.window = book.window.max(window as u64);
     }
 
     /// Look up `(client, id)`; if unseen, mark it `InFlight` and return
@@ -269,7 +274,7 @@ impl Dedup {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
         book.entries.insert(id, Slot::Done(result));
-        let horizon = book.max_id.saturating_sub(self.window);
+        let horizon = book.max_id.saturating_sub(book.window);
         while let Some((&first, slot)) = book.entries.first_key_value() {
             if first >= horizon || !matches!(slot, Slot::Done(_)) {
                 break;
@@ -528,7 +533,7 @@ impl RemoteServer {
         config.validate()?;
         let shared = Arc::new(ServerShared {
             service: Mutex::new(Some(WaveletService::start(service))),
-            dedup: Dedup::new(config.window),
+            dedup: Arc::default(),
             clock: WireClock::new(),
             metrics: Mutex::new(TransportMetrics::default()),
             config,
@@ -670,7 +675,8 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
             Arc::clone(&shared.clock),
         )
         .with_max_payload(eff_payload);
-        let window = Window::new(cfg.window.min(hello.window.max(1)));
+        let negotiated = cfg.window.min(hello.window.max(1));
+        let window = Window::new(negotiated);
         let (tx, rx) = mpsc::channel::<(u64, Source)>();
         let handle = {
             let shared = Arc::clone(&shared);
@@ -685,16 +691,18 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
             // evidence; nothing further is served on this connection.
             break 'conn Ok(true);
         }
+        shared.dedup.negotiated(client, negotiated);
 
         // Main read loop.
         loop {
             match rio.recv_frame() {
                 Ok(RecvFrame::Frame(f)) => match f.kind {
                     FrameKind::Request => {
-                        if !window.acquire(f.id) || dead.load(Ordering::SeqCst) {
+                        let id = f.id;
+                        if !window.acquire(id) || dead.load(Ordering::SeqCst) {
                             break 'conn Ok(false);
                         }
-                        let from = match shared.dedup.claim(client, f.id) {
+                        let from = match shared.dedup.claim(client, id) {
                             Some(Slot::Done(result)) => {
                                 local.dedup_replays += 1;
                                 Source::Known(result)
@@ -707,10 +715,13 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                                 let t0 = Instant::now();
                                 let decoded = decode_request(&f);
                                 local.ser_s += t0.elapsed().as_secs_f64();
+                                // The frame's bytes are the image's
+                                // second copy: gone before it is served.
+                                drop(f);
                                 let req = match decoded {
                                     Ok(req) => req,
                                     Err(e) => {
-                                        shared.dedup.forget_claim(client, f.id);
+                                        shared.dedup.forget_claim(client, id);
                                         break 'conn Err(e.into());
                                     }
                                 };
@@ -727,13 +738,13 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                                         // rejected request was never
                                         // executed, so a retry may
                                         // re-attempt admission.
-                                        shared.dedup.forget_claim(client, f.id);
+                                        shared.dedup.forget_claim(client, id);
                                         Source::Known(Arc::new(Err(rej)))
                                     }
                                 }
                             }
                         };
-                        if tx.send((f.id, from)).is_err() {
+                        if tx.send((id, from)).is_err() {
                             break 'conn Ok(false);
                         }
                     }
@@ -1167,6 +1178,8 @@ impl RemoteClient {
             let terminal = matches!(e, TransportError::FrameTooLarge { .. });
             (e, terminal)
         })?;
+        // Sent, the encoded request is not held while the response lands.
+        drop(frame);
         let (result, drop_conn) = recv_response(
             io,
             id,
@@ -1372,7 +1385,7 @@ mod tests {
 
     #[test]
     fn a_waiter_gets_the_books_own_pointer() {
-        let dedup = Dedup::new(8);
+        let dedup = Arc::<Dedup>::default();
         assert!(dedup.claim(7, 0).is_none(), "first sight claims the id");
         assert!(matches!(dedup.claim(7, 0), Some(Slot::InFlight)));
         let waiter = {
@@ -1395,7 +1408,7 @@ mod tests {
 
     #[test]
     fn forgetting_a_claim_releases_its_waiter() {
-        let dedup = Dedup::new(8);
+        let dedup = Arc::<Dedup>::default();
         assert!(dedup.claim(7, 0).is_none());
         let waiter = {
             let dedup = Arc::clone(&dedup);
@@ -1411,29 +1424,37 @@ mod tests {
 
     #[test]
     fn the_book_remembers_one_window_of_results() {
-        let window = 8u64;
-        let dedup = Dedup::new(window as u32);
-        let results: Vec<_> = (0..10 * window)
-            .map(|id| {
+        let dedup = Dedup::default();
+        let mut results = Vec::new();
+        // (window a connection of client 7 negotiates, the window the
+        // book keeps): a `RemoteClient`'s 1, a pipelining reconnect's 4,
+        // then a smaller reconnect, which leaves the larger bound.
+        for (negotiated, kept) in [(1u32, 1u64), (4, 4), (2, 4)] {
+            dedup.negotiated(7, negotiated);
+            for _ in 0..10 * kept {
+                let id = results.len() as u64;
                 assert!(dedup.claim(7, id).is_none(), "id {id} is new");
                 let result = outcome();
                 dedup.resolve(7, id, Arc::clone(&result));
                 let held = dedup.books.lock()[&7].entries.len() as u64;
-                assert!(held <= window + 1, "{held} results held after id {id}");
-                result
-            })
-            .collect();
-        let newest = 10 * window - 1;
-        for id in newest + 1 - window..=newest {
-            match dedup.claim(7, id) {
-                Some(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &results[id as usize])),
-                other => panic!("id {id} must replay, got {other:?}"),
+                assert!(held <= kept + 1, "{held} results held after id {id}");
+                results.push(result);
             }
+            let newest = results.len() as u64 - 1;
+            for id in newest + 1 - kept..=newest {
+                match dedup.claim(7, id) {
+                    Some(Slot::Done(replay)) => {
+                        assert!(Arc::ptr_eq(&replay, &results[id as usize]))
+                    }
+                    other => panic!("id {id} must replay, got {other:?}"),
+                }
+            }
+            assert_eq!(dedup.books.lock()[&7].entries.len() as u64, kept + 1);
         }
         // What fell behind the horizon was freed, not just unlinked: the
         // book was its last owner besides this test.
         assert_eq!(Arc::strong_count(&results[0]), 1);
-        assert_eq!(Arc::strong_count(&results[newest as usize]), 2);
+        assert_eq!(Arc::strong_count(results.last().expect("resolved")), 2);
     }
 
     fn entry(id: u64, cancelled: bool, credit: u32) -> Pending {

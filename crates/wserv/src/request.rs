@@ -110,19 +110,26 @@ impl DecomposeRequest {
         self.deadline.is_some_and(|d| d < now)
     }
 
-    /// Cheap admission-time validation (full validation happens again
-    /// when the plan is built; this catches malformed geometry before
-    /// it occupies queue space).
+    /// Admission-time validation (geometry is validated again when the
+    /// plan is built; this catches it before it occupies queue space).
+    /// A non-finite pixel is refused too: a NaN would spread through the
+    /// pyramid while every error bound, a maximum that skips NaN, stayed
+    /// finite. One pass over the pixels, which vectorises.
     pub fn validate(&self) -> Result<(), Rejection> {
-        dwt2d::validate_dims(
+        let invalid = |detail| Err(Rejection::Invalid { detail });
+        let dims = dwt2d::validate_dims(
             self.image.rows(),
             self.image.cols(),
             self.bank.len(),
             self.levels,
-        )
-        .map_err(|e| Rejection::Invalid {
-            detail: e.to_string(),
-        })
+        );
+        if let Err(e) = dims {
+            return invalid(e.to_string());
+        }
+        match self.image.data().iter().filter(|v| !v.is_finite()).count() {
+            0 => Ok(()),
+            n => invalid(format!("{n} non-finite pixel(s)")),
+        }
     }
 }
 

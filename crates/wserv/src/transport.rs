@@ -23,7 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,7 +33,8 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::TransportMetrics;
-use crate::wire::{decode_frame, encode_frame, Frame, WireError, DEFAULT_MAX_PAYLOAD};
+use crate::wire::{header, parse_header, seal, trailer, Frame, WireError, HEADER_LEN};
+use crate::wire::{DEFAULT_MAX_PAYLOAD, TRAILER_LEN};
 
 /// Typed transport failure. The taxonomy every remote caller matches
 /// on; all variants are terminal for the connection they occur on.
@@ -79,24 +80,19 @@ pub enum TransportError {
 
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use TransportError::*;
         match self {
-            TransportError::ConnReset => write!(f, "connection reset by peer"),
-            TransportError::ConnTimeout { waited_ms } => {
-                write!(f, "connection timed out after {waited_ms} ms")
-            }
-            TransportError::FrameTooLarge { len, max } => {
+            ConnReset => write!(f, "connection reset by peer"),
+            ConnTimeout { waited_ms } => write!(f, "connection timed out after {waited_ms} ms"),
+            FrameTooLarge { len, max } => {
                 write!(
                     f,
                     "frame payload {len} B exceeds the {max} B receive window"
                 )
             }
-            TransportError::FrameCorrupt { detail } => write!(f, "corrupt frame: {detail}"),
-            TransportError::HandshakeMismatch { detail } => {
-                write!(f, "handshake mismatch: {detail}")
-            }
-            TransportError::InvalidConfig { detail } => {
-                write!(f, "invalid configuration: {detail}")
-            }
+            FrameCorrupt { detail } => write!(f, "corrupt frame: {detail}"),
+            HandshakeMismatch { detail } => write!(f, "handshake mismatch: {detail}"),
+            InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
         }
     }
 }
@@ -128,9 +124,11 @@ pub enum Recv {
 /// A bidirectional byte stream: the minimal surface the frame layer
 /// needs, implemented by TCP and by the in-memory pipe.
 pub trait Transport: Send {
-    /// Write all of `bytes`, blocking on backpressure. A send into a
-    /// closed or reset stream is [`TransportError::ConnReset`].
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError>;
+    /// Write all of `parts`, in order, as one write (TCP: one vectored
+    /// write per call while the socket takes it all), blocking on
+    /// backpressure. A send into a closed or reset stream is
+    /// [`TransportError::ConnReset`].
+    fn send(&mut self, parts: &[&[u8]]) -> Result<(), TransportError>;
 
     /// Read up to `buf.len()` bytes, blocking until some arrive, the
     /// stream ends, or `deadline` (if any) passes.
@@ -198,13 +196,20 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
+    fn send(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
         if self.aborted {
             return Err(TransportError::ConnReset);
         }
-        self.stream
-            .write_all(bytes)
-            .map_err(|_| TransportError::ConnReset)
+        let mut slices: Vec<IoSlice> = parts.iter().map(|p| IoSlice::new(p)).collect();
+        let mut left = &mut slices[..];
+        while !left.is_empty() {
+            match self.stream.write_vectored(left) {
+                Ok(n) if n > 0 => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == Interrupted => {}
+                _ => return Err(TransportError::ConnReset),
+            }
+        }
+        Ok(())
     }
 
     fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<Recv, TransportError> {
@@ -259,6 +264,7 @@ impl Transport for TcpTransport {
 // In-memory bounded duplex pipe
 // ---------------------------------------------------------------------
 
+#[derive(Default)]
 struct PipeState {
     buf: VecDeque<u8>,
     write_closed: bool,
@@ -279,12 +285,7 @@ struct Pipe {
 impl Pipe {
     fn new(capacity: usize) -> Arc<Pipe> {
         Arc::new(Pipe {
-            state: Mutex::new(PipeState {
-                buf: VecDeque::new(),
-                write_closed: false,
-                read_closed: false,
-                broken: false,
-            }),
+            state: Mutex::default(),
             capacity,
             readable: Condvar::new(),
             writable: Condvar::new(),
@@ -317,24 +318,25 @@ pub fn mem_pair(capacity: usize, _tick: Duration) -> (MemTransport, MemTransport
 }
 
 impl Transport for MemTransport {
-    fn send(&mut self, bytes: &[u8]) -> Result<(), TransportError> {
-        let mut sent = 0;
-        while sent < bytes.len() {
-            let mut st = self.tx.state.lock();
-            if st.broken || st.write_closed {
-                return Err(TransportError::ConnReset);
+    fn send(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
+        let mut st = self.tx.state.lock();
+        for mut part in parts.iter().copied() {
+            while !part.is_empty() {
+                if st.broken || st.write_closed {
+                    return Err(TransportError::ConnReset);
+                }
+                let room = self.tx.capacity.saturating_sub(st.buf.len());
+                if room == 0 {
+                    // Backpressured: park until the reader drains bytes
+                    // or the pipe breaks; both notify `writable`.
+                    self.tx.writable.wait(&mut st);
+                    continue;
+                }
+                let n = room.min(part.len());
+                st.buf.extend(&part[..n]);
+                part = &part[n..];
+                self.tx.readable.notify_all();
             }
-            let room = self.tx.capacity.saturating_sub(st.buf.len());
-            if room == 0 {
-                // Backpressured: park until the reader drains bytes or
-                // the pipe breaks; both notify `writable`.
-                self.tx.writable.wait(&mut st);
-                continue;
-            }
-            let n = room.min(bytes.len() - sent);
-            st.buf.extend(&bytes[sent..sent + n]);
-            sent += n;
-            self.tx.readable.notify_all();
         }
         Ok(())
     }
@@ -360,12 +362,7 @@ impl Transport for MemTransport {
                 Ok(Recv::Idle)
             };
         }
-        let n = buf.len().min(st.buf.len());
-        let (front, back) = st.buf.as_slices();
-        let head = n.min(front.len());
-        buf[..head].copy_from_slice(&front[..head]);
-        buf[head..n].copy_from_slice(&back[..n - head]);
-        st.buf.drain(..n);
+        let n = st.buf.read(buf).expect("reading memory cannot fail");
         self.rx.writable.notify_all();
         Ok(Recv::Data(n))
     }
@@ -408,6 +405,7 @@ pub struct MemListener {
     capacity: usize,
 }
 
+#[derive(Default)]
 struct MemListenerState {
     queue: Mutex<(VecDeque<MemTransport>, bool)>,
     pending: Condvar,
@@ -418,10 +416,7 @@ impl MemListener {
     /// per-direction windows. `_tick` is ignored, as in [`mem_pair`].
     pub fn new(capacity: usize, _tick: Duration) -> Self {
         MemListener {
-            inner: Arc::new(MemListenerState {
-                queue: Mutex::new((VecDeque::new(), false)),
-                pending: Condvar::new(),
-            }),
+            inner: Arc::default(),
             capacity,
         }
     }
@@ -583,9 +578,8 @@ impl WireClock {
     pub fn next(&self, conn: u64, dir: WireDir) -> u64 {
         let mut counts = self.counts.lock();
         let slot = counts.entry((conn, dir as u8)).or_insert(0);
-        let idx = *slot;
         *slot += 1;
-        idx
+        *slot - 1
     }
 }
 
@@ -603,12 +597,20 @@ pub enum RecvFrame {
 }
 
 /// A framed connection: incremental decode over any [`Transport`], with
-/// seeded wire faults injected on the send path.
+/// seeded wire faults injected on the send path. A frame is written as
+/// one send of its header, payload and trailer where they lie, and read
+/// into one buffer sized from its header, which becomes the payload.
 pub struct FrameIo {
     io: Box<dyn Transport>,
     conn: u64,
     dir: WireDir,
-    rbuf: Vec<u8>,
+    /// The next frame's header, until it is in.
+    head: [u8; HEADER_LEN],
+    /// The frame whose header is in, its payload buffer sized from the
+    /// header to hold payload then trailer.
+    inbound: Option<Frame>,
+    /// Bytes arrived of whichever of the two is being read.
+    filled: usize,
     max_payload: u32,
     faults: WireFaultPlan,
     clock: Arc<WireClock>,
@@ -633,7 +635,9 @@ impl FrameIo {
             io,
             conn,
             dir,
-            rbuf: Vec::new(),
+            head: [0; HEADER_LEN],
+            inbound: None,
+            filled: 0,
             max_payload: DEFAULT_MAX_PAYLOAD,
             faults,
             clock,
@@ -678,20 +682,30 @@ impl FrameIo {
         }
         let idx = self.clock.next(self.conn, self.dir);
         let t0 = Instant::now();
-        let mut bytes = encode_frame(frame)?;
+        let header = header(frame)?;
+        let trailer = trailer(&header, &frame.payload);
         self.stats.ser_s += t0.elapsed().as_secs_f64();
-        match self.faults.decide(self.conn, self.dir, idx) {
-            None => {}
+        let parts = [&header[..], &frame.payload, &trailer];
+        let len = HEADER_LEN + frame.payload.len() + TRAILER_LEN;
+        let fault = self.faults.decide(self.conn, self.dir, idx);
+        if let Some(WireFault::Stall { seconds }) = fault {
+            std::thread::sleep(Duration::from_secs_f64(seconds));
+        }
+        match fault {
+            // A faulted frame is assembled whole: the fault works on
+            // its bytes, and it is rare.
             Some(WireFault::BitFlip { entropy }) => {
-                let bit = (entropy % (bytes.len() as u64 * 8)) as usize;
+                let mut bytes = parts.concat();
+                let bit = (entropy % (len as u64 * 8)) as usize;
                 bytes[bit / 8] ^= 1 << (bit % 8);
+                self.io.send(&[&bytes])?;
             }
             Some(cut @ (WireFault::Truncate | WireFault::Reset)) => {
                 // Half the frame, then either a clean FIN (the peer sees
                 // EOF mid-frame and types it FrameCorrupt) or an
                 // abortive close (the peer sees a reset, not an EOF).
-                let half = &bytes[..bytes.len() / 2];
-                let _ = self.io.send(half);
+                let half = &parts.concat()[..len / 2];
+                let _ = self.io.send(&[half]);
                 self.stats.bytes_out += half.len() as u64;
                 if cut == WireFault::Truncate {
                     self.io.shutdown_write();
@@ -700,12 +714,9 @@ impl FrameIo {
                 }
                 return Err(TransportError::ConnReset);
             }
-            Some(WireFault::Stall { seconds }) => {
-                std::thread::sleep(Duration::from_secs_f64(seconds));
-            }
+            None | Some(WireFault::Stall { .. }) => self.io.send(&parts)?,
         }
-        self.io.send(&bytes)?;
-        self.stats.bytes_out += bytes.len() as u64;
+        self.stats.bytes_out += len as u64;
         self.stats.frames_out += 1;
         Ok(())
     }
@@ -725,36 +736,44 @@ impl FrameIo {
         self.recv_frame_by(Some(deadline))
     }
 
+    /// Each read takes at most what the frame still lacks: its header,
+    /// then payload and trailer, straight into one buffer sized from that
+    /// header, which becomes the payload.
     fn recv_frame_by(&mut self, deadline: Option<Instant>) -> Result<RecvFrame, TransportError> {
         loop {
-            if !self.rbuf.is_empty() {
-                let t0 = Instant::now();
-                let decoded = decode_frame(&self.rbuf, self.max_payload);
-                self.stats.ser_s += t0.elapsed().as_secs_f64();
-                match decoded {
-                    Ok(Some((frame, consumed))) => {
-                        self.rbuf.drain(..consumed);
-                        self.stats.frames_in += 1;
-                        return Ok(RecvFrame::Frame(frame));
-                    }
-                    Ok(None) => {}
-                    Err(e) => return Err(e.into()),
+            let into = match &mut self.inbound {
+                Some(frame) if self.filled == frame.payload.len() => {
+                    let frame = self.inbound.take().expect("a frame in hand");
+                    self.filled = 0;
+                    let t0 = Instant::now();
+                    let frame = seal(frame);
+                    self.stats.ser_s += t0.elapsed().as_secs_f64();
+                    self.stats.frames_in += frame.is_ok() as u64;
+                    return Ok(RecvFrame::Frame(frame?));
                 }
-            }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.io.recv(&mut chunk, deadline)? {
+                Some(frame) => &mut frame.payload[self.filled..],
+                None => match parse_header(&self.head[..self.filled], self.max_payload)? {
+                    Some((frame, len)) => {
+                        let payload = vec![0; len + TRAILER_LEN];
+                        self.inbound = Some(Frame { payload, ..frame });
+                        self.filled = 0;
+                        continue;
+                    }
+                    None => &mut self.head[self.filled..],
+                },
+            };
+            match self.io.recv(into, deadline)? {
                 Recv::Data(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    self.filled += n;
                     self.stats.bytes_in += n as u64;
                 }
+                Recv::Eof if self.inbound.is_none() && self.filled == 0 => {
+                    return Ok(RecvFrame::Eof)
+                }
                 Recv::Eof => {
-                    return if self.rbuf.is_empty() {
-                        Ok(RecvFrame::Eof)
-                    } else {
-                        Err(TransportError::FrameCorrupt {
-                            detail: "stream ended mid-frame".into(),
-                        })
-                    };
+                    return Err(TransportError::FrameCorrupt {
+                        detail: "stream ended mid-frame".into(),
+                    })
                 }
                 Recv::Idle => return Ok(RecvFrame::Idle),
             }
@@ -775,7 +794,7 @@ impl FrameIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::FrameKind;
+    use crate::wire::{encode_frame, FrameKind};
 
     fn tick() -> Duration {
         Duration::from_millis(2)
@@ -977,7 +996,7 @@ mod tests {
         let lst = MemListener::new(1 << 12, tick());
         let mut client = lst.connect().unwrap();
         let mut server = lst.accept().expect("pending connection");
-        client.send(b"ping").unwrap();
+        client.send(&[b"ping"]).unwrap();
         let mut buf = [0u8; 8];
         assert_eq!(server.recv(&mut buf, None).unwrap(), Recv::Data(4));
         assert_eq!(&buf[..4], b"ping");
@@ -1018,7 +1037,7 @@ mod tests {
         for (name, pair) in [("mem", mem_boxed as fn() -> _), ("tcp", tcp_pair)] {
             let (mut near, far) = pair();
             let mut waker = far.try_clone().expect("both transports clone");
-            near.send(b"ab").unwrap();
+            near.send(&[b"ab"]).unwrap();
             let reader = parked(move || {
                 let mut far = far;
                 let mut buf = [0u8; 8];
@@ -1030,7 +1049,7 @@ mod tests {
             assert_eq!(first, Ok(Recv::Data(2)), "{name}: bytes first");
             assert_eq!(second, Ok(Recv::Eof), "{name}: then EOF");
             assert!(
-                near.send(b"more").is_ok(),
+                near.send(&[b"more"]).is_ok(),
                 "{name}: the peer may still send"
             );
         }
@@ -1048,7 +1067,7 @@ mod tests {
                 WireClock::new(),
             );
             let bytes = encode_frame(&frame(4, 64)).unwrap();
-            near.send(&bytes[..10]).unwrap();
+            near.send(&[&bytes[..10]]).unwrap();
             let t0 = Instant::now();
             let deadline = t0 + Duration::from_millis(30);
             assert_eq!(rx.recv_frame_until(deadline), Ok(RecvFrame::Idle), "{name}");
@@ -1056,7 +1075,7 @@ mod tests {
                 Instant::now() >= deadline,
                 "{name}: Idle only at the deadline"
             );
-            near.send(&bytes[10..]).unwrap();
+            near.send(&[&bytes[10..]]).unwrap();
             assert_eq!(
                 rx.recv_frame(),
                 Ok(RecvFrame::Frame(frame(4, 64))),

@@ -103,18 +103,11 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    fn from_u8(v: u8) -> Option<FrameKind> {
-        match v {
-            0 => Some(FrameKind::Hello),
-            1 => Some(FrameKind::HelloAck),
-            2 => Some(FrameKind::Request),
-            3 => Some(FrameKind::Response),
-            4 => Some(FrameKind::Bye),
-            5 => Some(FrameKind::Cancel),
-            6 => Some(FrameKind::Credit),
-            _ => None,
-        }
-    }
+    /// Every kind, in wire-tag order.
+    const ALL: [FrameKind; 7] = {
+        use FrameKind::*;
+        [Hello, HelloAck, Request, Response, Bye, Cancel, Credit]
+    };
 }
 
 /// One decoded frame.
@@ -141,9 +134,9 @@ impl Frame {
         }
     }
 
-    /// Set [`FLAG_CONTINUE`]: more frames follow for this id.
-    pub fn with_continue(mut self) -> Frame {
-        self.flags |= FLAG_CONTINUE;
+    /// Set [`FLAG_CONTINUE`] if `more` frames follow for this id.
+    pub fn with_continue(mut self, more: bool) -> Frame {
+        self.flags |= FLAG_CONTINUE * more as u8;
         self
     }
 
@@ -199,7 +192,12 @@ pub(crate) fn corrupt(detail: impl Into<String>) -> WireError {
 /// FNV-1a 64 over `bytes` — the same construction shard routing uses,
 /// chosen for stability by specification.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a 64 continued from state `h` over `bytes`, so a frame's
+/// checksum runs over its header and payload where each lies.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -208,53 +206,51 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 }
 
 /// Narrow a `usize` field into its `u32` wire width, or fail typed at
-/// encode time — never silently truncate a length field.
-fn wire_u32(n: usize, what: &str) -> Result<u32, WireError> {
-    u32::try_from(n).map_err(|_| {
-        // FrameTooLarge carries the offending size; the detail of
-        // *which* field overflowed matters less than failing typed
-        // before a peer sees a mangled frame.
-        let _ = what;
-        WireError::FrameTooLarge {
-            len: n as u64,
-            max: u32::MAX as u64,
-        }
+/// encode time — never silently truncate a length field. `_what` names
+/// the field at the call; the error carries only the offending size,
+/// since failing typed before a peer sees a mangled frame is the point.
+fn wire_u32(n: usize, _what: &str) -> Result<u32, WireError> {
+    u32::try_from(n).map_err(|_| WireError::FrameTooLarge {
+        len: n as u64,
+        max: u32::MAX as u64,
     })
 }
 
-/// Encode one frame to bytes (header, payload, checksum). Fails typed
-/// if the payload cannot fit the 32-bit length field (instead of
-/// truncating it into a frame the peer must reject as corrupt) or if
-/// the frame carries flag bits this protocol version does not define.
-pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
+/// The header bytes `frame` goes out under. Fails typed if the payload
+/// cannot fit the 32-bit length field (instead of truncating it into a
+/// frame the peer must reject as corrupt) or if the frame carries flag
+/// bits this protocol version does not define.
+pub(crate) fn header(frame: &Frame) -> Result<[u8; HEADER_LEN], WireError> {
     let len = wire_u32(frame.payload.len(), "frame payload")?;
-    if frame.flags & !FLAG_MASK != 0 {
-        return Err(corrupt(format!(
-            "undefined flag bits {:#04x} at encode time",
-            frame.flags & !FLAG_MASK
-        )));
-    }
-    let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len() + TRAILER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.push(PROTOCOL_VERSION);
-    out.push(frame.kind as u8);
-    out.push(frame.flags);
-    out.push(0);
-    out.extend_from_slice(&frame.id.to_le_bytes());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&frame.payload);
-    let sum = checksum(&out);
-    out.extend_from_slice(&sum.to_le_bytes());
+    defined(frame.flags)?;
+    let mut out = [0; HEADER_LEN];
+    out[..4].copy_from_slice(&MAGIC);
+    out[4..8].copy_from_slice(&[PROTOCOL_VERSION, frame.kind as u8, frame.flags, 0]);
+    out[8..16].copy_from_slice(&frame.id.to_le_bytes());
+    out[16..].copy_from_slice(&len.to_le_bytes());
     Ok(out)
 }
 
-/// Incremental decode: `Ok(None)` means the buffer holds a valid prefix
-/// of a frame and more bytes are needed; `Ok(Some((frame, consumed)))`
-/// yields one frame and how many bytes it spanned. Errors are terminal
-/// for the byte stream (framing is lost once bytes are untrustworthy).
-pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, WireError> {
-    // Reject bad magic as soon as the bytes disagree, without waiting
-    // for a full header.
+/// `flags`, if this protocol version defines every bit set in it.
+fn defined(flags: u8) -> Result<u8, WireError> {
+    match flags & !FLAG_MASK {
+        0 => Ok(flags),
+        bad => Err(corrupt(format!("undefined flag bits {bad:#04x}"))),
+    }
+}
+
+/// The trailer after `header` and `payload`: FNV-1a 64 over both, read
+/// where they lie.
+pub(crate) fn trailer(header: &[u8], payload: &[u8]) -> [u8; TRAILER_LEN] {
+    fnv1a(checksum(header), payload).to_le_bytes()
+}
+
+/// Parse the header at the front of `buf` into its frame, payload still
+/// empty, and the payload length it declares; `Ok(None)` while `buf` is
+/// a valid prefix of a header. Bad magic fails as soon as the bytes
+/// disagree, and a payload over the `max` receive window fails as
+/// [`WireError::FrameTooLarge`] before anything is sized from it.
+pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<(Frame, usize)>, WireError> {
     let n = buf.len().min(MAGIC.len());
     if buf[..n] != MAGIC[..n] {
         return Err(corrupt("bad magic"));
@@ -268,49 +264,59 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
             buf[4]
         )));
     }
-    let Some(kind) = FrameKind::from_u8(buf[5]) else {
-        return Err(corrupt(format!("unknown frame kind {}", buf[5])));
-    };
-    let flags = buf[6];
-    if flags & !FLAG_MASK != 0 {
-        return Err(corrupt(format!(
-            "undefined flag bits {:#04x}",
-            flags & !FLAG_MASK
-        )));
-    }
+    let kind = tagged(&FrameKind::ALL, buf[5], "frame kind")?;
+    let flags = defined(buf[6])?;
     if buf[7] != 0 {
         return Err(corrupt("nonzero reserved bits"));
     }
     let id = u64::from_le_bytes(buf[8..16].try_into().expect("slice is 8 bytes"));
     let len = u32::from_le_bytes(buf[16..20].try_into().expect("slice is 4 bytes"));
-    if len > max_payload {
+    if len > max {
         return Err(WireError::FrameTooLarge {
             len: len as u64,
-            max: max_payload as u64,
+            max: max as u64,
         });
     }
-    let total = HEADER_LEN + len as usize + TRAILER_LEN;
+    let frame = Frame::new(kind, id, Vec::new()).with_continue(flags == FLAG_CONTINUE);
+    Ok(Some((frame, len as usize)))
+}
+
+/// Check a frame from [`parse_header`] whose payload holds everything
+/// after its header — payload, then trailer — and drop the trailer. The
+/// payload keeps that buffer.
+pub(crate) fn seal(mut frame: Frame) -> Result<Frame, WireError> {
+    let len = frame.payload.len() - TRAILER_LEN;
+    let declared: [u8; TRAILER_LEN] = frame.payload[len..].try_into().expect("8 bytes");
+    frame.payload.truncate(len);
+    if trailer(&header(&frame)?, &frame.payload) != declared {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(frame)
+}
+
+/// Encode one frame to bytes (header, payload, checksum). Fails typed
+/// if the payload cannot fit the 32-bit length field or the frame
+/// carries flag bits this protocol version does not define.
+pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
+    let header = header(frame)?;
+    let trailer = trailer(&header, &frame.payload);
+    Ok([&header[..], &frame.payload, &trailer].concat())
+}
+
+/// Incremental decode: `Ok(None)` means the buffer holds a valid prefix
+/// of a frame and more bytes are needed; `Ok(Some((frame, consumed)))`
+/// yields one frame and how many bytes it spanned. Errors are terminal
+/// for the byte stream (framing is lost once bytes are untrustworthy).
+pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, WireError> {
+    let Some((mut frame, len)) = parse_header(buf, max_payload)? else {
+        return Ok(None);
+    };
+    let total = HEADER_LEN + len + TRAILER_LEN;
     if buf.len() < total {
         return Ok(None);
     }
-    let body = &buf[..HEADER_LEN + len as usize];
-    let declared = u64::from_le_bytes(
-        buf[HEADER_LEN + len as usize..total]
-            .try_into()
-            .expect("slice is 8 bytes"),
-    );
-    if checksum(body) != declared {
-        return Err(corrupt("checksum mismatch"));
-    }
-    Ok(Some((
-        Frame {
-            kind,
-            id,
-            flags,
-            payload: body[HEADER_LEN..].to_vec(),
-        },
-        total,
-    )))
+    frame.payload = buf[HEADER_LEN..total].to_vec();
+    Ok(Some((seal(frame)?, total)))
 }
 
 /// Decode a buffer that must hold exactly one complete frame (the
@@ -445,11 +451,8 @@ pub struct Hello {
 /// Encode a handshake frame (`Hello` from clients, `HelloAck` from the
 /// server). The frame id carries the client id.
 pub fn encode_hello(kind: FrameKind, client_id: u64, hello: &Hello) -> Frame {
-    let mut payload = Vec::with_capacity(12);
-    payload.extend_from_slice(&hello.protocol.to_le_bytes());
-    payload.extend_from_slice(&hello.max_payload.to_le_bytes());
-    payload.extend_from_slice(&hello.window.to_le_bytes());
-    Frame::new(kind, client_id, payload)
+    let fields = [hello.protocol, hello.max_payload, hello.window];
+    Frame::new(kind, client_id, fields.map(u32::to_le_bytes).concat())
 }
 
 /// Decode a handshake payload.
@@ -509,44 +512,36 @@ fn decode_bank(r: &mut Reader<'_>) -> Result<FilterBank, WireError> {
     }
 }
 
-fn boundary_tag(mode: Boundary) -> u8 {
-    match mode {
-        Boundary::Periodic => 0,
-        Boundary::Symmetric => 1,
-        Boundary::Zero => 2,
-    }
+/// A value's wire tag is its position in its type's `ALL` list:
+/// [`Boundary::ALL`] (`Periodic` = 0, `Symmetric` = 1, `Zero` = 2),
+/// [`Priority::ALL`] (`Batch` = 0, `Standard` = 1, `Interactive` = 2),
+/// [`FrameKind`]'s and [`PlaneBand`]'s declaration order.
+fn tag_of<T: PartialEq>(all: &[T], value: T) -> u8 {
+    all.iter()
+        .position(|v| *v == value)
+        .expect("every value is listed") as u8
 }
 
-fn decode_boundary(tag: u8) -> Result<Boundary, WireError> {
-    match tag {
-        0 => Ok(Boundary::Periodic),
-        1 => Ok(Boundary::Symmetric),
-        2 => Ok(Boundary::Zero),
-        t => Err(corrupt(format!("unknown boundary tag {t}"))),
-    }
-}
-
-fn priority_tag(p: Priority) -> u8 {
-    p as u8
-}
-
-fn decode_priority(tag: u8) -> Result<Priority, WireError> {
-    match tag {
-        0 => Ok(Priority::Batch),
-        1 => Ok(Priority::Standard),
-        2 => Ok(Priority::Interactive),
-        t => Err(corrupt(format!("unknown priority tag {t}"))),
-    }
+/// The value tagged `tag` in `all`, or a typed error naming `what`.
+fn tagged<T: Copy>(all: &[T], tag: u8, what: &str) -> Result<T, WireError> {
+    let value = all.get(tag as usize).copied();
+    value.ok_or_else(|| corrupt(format!("unknown {what} tag {tag}")))
 }
 
 /// Encode one request as a [`FrameKind::Request`] frame with id `id`.
 /// Fails typed if any geometry field exceeds its 32-bit wire width.
 pub fn encode_request(id: u64, req: &DecomposeRequest) -> Result<Frame, WireError> {
-    let mut payload = Vec::with_capacity(16 + req.image.data().len() * 8);
-    payload.push(priority_tag(req.priority));
-    payload.push(boundary_tag(req.mode));
-    payload.push(req.deadline.is_some() as u8);
-    payload.push(0);
+    // Tags, levels, deadline, bank, image dims, then the pixels.
+    let bank = match req.bank.lifting_kind() {
+        Some(_) => 1,
+        None => 9 + req.bank.name().len() + 8 * req.bank.low().len(),
+    };
+    let deadline = req.deadline.is_some();
+    let mut payload =
+        Vec::with_capacity(16 + 8 * deadline as usize + bank + 8 * req.image.data().len());
+    payload.push(tag_of(&Priority::ALL, req.priority));
+    payload.push(tag_of(&Boundary::ALL, req.mode));
+    payload.extend_from_slice(&[deadline as u8, 0]);
     payload.extend_from_slice(&wire_u32(req.levels, "levels")?.to_le_bytes());
     if let Some(d) = req.deadline {
         payload.extend_from_slice(&d.to_bits().to_le_bytes());
@@ -559,8 +554,8 @@ pub fn encode_request(id: u64, req: &DecomposeRequest) -> Result<Frame, WireErro
 /// Decode a [`FrameKind::Request`] payload.
 pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
     let mut r = Reader::new(&frame.payload);
-    let priority = decode_priority(r.u8()?)?;
-    let mode = decode_boundary(r.u8()?)?;
+    let priority = tagged(&Priority::ALL, r.u8()?, "priority")?;
+    let mode = tagged(&Boundary::ALL, r.u8()?, "boundary")?;
     let has_deadline = match r.u8()? {
         0 => false,
         1 => true,
@@ -650,7 +645,7 @@ fn encode_rejection(out: &mut Vec<u8>, rej: &Rejection) -> Result<(), WireError>
         }
         Rejection::Shed { by } => {
             out.push(1);
-            out.push(priority_tag(*by));
+            out.push(tag_of(&Priority::ALL, *by));
         }
         Rejection::DeadlineExpired { deadline, now } => {
             out.push(2);
@@ -681,7 +676,7 @@ fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
             depth: r.u64()? as usize,
         },
         1 => Rejection::Shed {
-            by: decode_priority(r.u8()?)?,
+            by: tagged(&Priority::ALL, r.u8()?, "priority")?,
         },
         2 => Rejection::DeadlineExpired {
             deadline: r.f64()?,
@@ -702,7 +697,7 @@ fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
 
 /// The serving metadata every successful response opens with, after its
 /// outcome tag: two flags, a zero padding byte, the batch size, queue
-/// wait, service time and the server-side error bound.
+/// wait, service time and the server-side error bound (31 bytes).
 fn put_meta(
     out: &mut Vec<u8>,
     cache_hit: bool,
@@ -712,9 +707,7 @@ fn put_meta(
     service_s: f64,
     error_bound: f64,
 ) -> Result<(), WireError> {
-    out.push(cache_hit as u8);
-    out.push(degraded as u8);
-    out.push(0);
+    out.extend_from_slice(&[cache_hit as u8, degraded as u8, 0]);
     out.extend_from_slice(&wire_u32(batch_size, "batch size")?.to_le_bytes());
     for v in [wait_s, service_s, error_bound] {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -745,6 +738,9 @@ pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError
     let mut payload = Vec::new();
     match result {
         Ok(resp) => {
+            // Tag, metadata, geometry, then every coefficient.
+            let (rows, cols) = resp.pyramid.image_dims();
+            payload.reserve_exact(44 + 8 * rows * cols);
             payload.push(0);
             put_meta(
                 &mut payload,
@@ -828,17 +824,6 @@ pub enum PlaneBand {
     Hh = 2,
 }
 
-impl PlaneBand {
-    fn from_u8(v: u8) -> Option<PlaneBand> {
-        match v {
-            0 => Some(PlaneBand::Lh),
-            1 => Some(PlaneBand::Hl),
-            2 => Some(PlaneBand::Hh),
-            _ => None,
-        }
-    }
-}
-
 /// Coefficients of one detail plane, densely or sparsely encoded —
 /// whichever is fewer bytes for the plane's post-quantization support.
 #[derive(Debug, Clone, PartialEq)]
@@ -874,7 +859,8 @@ pub struct ProgressivePlane {
 
 /// Encode the header frame of a progressive response.
 pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame, WireError> {
-    let mut payload = Vec::with_capacity(64 + h.approx.data().len() * 8);
+    // Tag, metadata, geometry, plane count, two bounds, the LL plane.
+    let mut payload = Vec::with_capacity(72 + 8 * h.approx.data().len());
     payload.push(2);
     put_meta(
         &mut payload,
@@ -890,12 +876,7 @@ pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame
     payload.extend_from_slice(&h.codec_tolerance.to_bits().to_le_bytes());
     payload.extend_from_slice(&h.bound_after.to_bits().to_le_bytes());
     put_matrix(&mut payload, &h.approx)?;
-    let frame = Frame::new(FrameKind::Response, id, payload);
-    Ok(if h.planes_total > 0 {
-        frame.with_continue()
-    } else {
-        frame
-    })
+    Ok(Frame::new(FrameKind::Response, id, payload).with_continue(h.planes_total > 0))
 }
 
 fn decode_progressive_header(r: &mut Reader<'_>) -> Result<ProgressiveHeader, WireError> {
@@ -943,14 +924,12 @@ pub fn encode_progressive_plane(
     p: &ProgressivePlane,
     more: bool,
 ) -> Result<Frame, WireError> {
-    let mut payload = Vec::with_capacity(32);
-    payload.push(3);
-    payload.push(p.band as u8);
-    match &p.coeffs {
-        PlaneCoeffs::Dense(_) => payload.push(0),
-        PlaneCoeffs::Sparse(_) => payload.push(1),
-    }
-    payload.push(0);
+    let (encoding, coeff_bytes) = match &p.coeffs {
+        PlaneCoeffs::Dense(data) => (0, 8 * data.len()),
+        PlaneCoeffs::Sparse(entries) => (1, 4 + 12 * entries.len()),
+    };
+    let mut payload = Vec::with_capacity(28 + coeff_bytes);
+    payload.extend_from_slice(&[3, p.band as u8, encoding, 0]);
     payload.extend_from_slice(&wire_u32(p.seq, "plane seq")?.to_le_bytes());
     payload.extend_from_slice(&wire_u32(p.level, "plane level")?.to_le_bytes());
     payload.extend_from_slice(&wire_u32(p.rows, "plane rows")?.to_le_bytes());
@@ -975,13 +954,15 @@ pub fn encode_progressive_plane(
             }
         }
     }
-    let frame = Frame::new(FrameKind::Response, id, payload);
-    Ok(if more { frame.with_continue() } else { frame })
+    Ok(Frame::new(FrameKind::Response, id, payload).with_continue(more))
 }
 
 fn decode_progressive_plane(r: &mut Reader<'_>) -> Result<ProgressivePlane, WireError> {
-    let band = PlaneBand::from_u8(r.u8()?)
-        .ok_or_else(|| corrupt("unknown detail band tag".to_string()))?;
+    let band = tagged(
+        &[PlaneBand::Lh, PlaneBand::Hl, PlaneBand::Hh],
+        r.u8()?,
+        "band",
+    )?;
     let encoding = r.u8()?;
     if r.u8()? != 0 {
         return Err(corrupt("nonzero plane padding"));
@@ -1105,7 +1086,7 @@ mod tests {
             Frame::new(FrameKind::Bye, 0, Vec::new()),
             Frame::new(FrameKind::Cancel, 17, Vec::new()),
             encode_credit(17, 4),
-            Frame::new(FrameKind::Response, 3, vec![9, 9]).with_continue(),
+            Frame::new(FrameKind::Response, 3, vec![9, 9]).with_continue(true),
         ] {
             let bytes = encode_frame(&frame).unwrap();
             let decoded = decode_complete(&bytes, DEFAULT_MAX_PAYLOAD).expect("valid frame");
@@ -1118,6 +1099,45 @@ mod tests {
         assert_eq!(back.levels, req.levels);
         assert_eq!(back.deadline, req.deadline);
         assert_eq!(back.priority, req.priority);
+    }
+
+    /// Every payload-sized encoder allocates its payload once, at its
+    /// exact length: a 2 MiB pyramid in a 2 MiB buffer, not a 4 MiB one.
+    #[test]
+    fn payloads_are_sized_exactly() {
+        let (header, planes) = sample_progressive();
+        let pyramid = dwt::dwt2d::decompose(
+            &sample_request().image,
+            &FilterBank::cdf97(),
+            2,
+            Boundary::Periodic,
+        )
+        .expect("dyadic geometry");
+        let resp = DecomposeResponse {
+            pyramid,
+            cache_hit: true,
+            batch_size: 2,
+            wait_s: 0.5,
+            service_s: 0.25,
+            degraded: false,
+            error_bound: 0.0,
+        };
+        let mut frames = vec![
+            encode_request(1, &sample_request()).unwrap(),
+            encode_request(
+                2,
+                &DecomposeRequest::new(resp.pyramid.approx.clone(), FilterBank::cdf53(), 1),
+            )
+            .unwrap(),
+            encode_response(3, &Ok(resp)).unwrap(),
+            encode_progressive_header(4, &header).unwrap(),
+        ];
+        for p in &planes {
+            frames.push(encode_progressive_plane(4, p, true).unwrap());
+        }
+        for f in frames {
+            assert_eq!(f.payload.capacity(), f.payload.len(), "{:?} frame", f.kind);
+        }
     }
 
     #[test]
@@ -1145,7 +1165,7 @@ mod tests {
 
     #[test]
     fn continue_flag_round_trips_and_reads_back() {
-        let f = Frame::new(FrameKind::Response, 5, vec![1]).with_continue();
+        let f = Frame::new(FrameKind::Response, 5, vec![1]).with_continue(true);
         assert!(f.more_follows());
         let bytes = encode_frame(&f).unwrap();
         let got = decode_complete(&bytes, DEFAULT_MAX_PAYLOAD).unwrap();

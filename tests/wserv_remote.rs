@@ -37,8 +37,9 @@ use wserv::progressive::{pyramid_max_abs_diff, split_response};
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy, HELLO_TIMEOUT};
 use wserv::transport::{Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock};
 use wserv::wire::{
-    decode_credit, decode_request, decode_response, decode_response_body, encode_hello,
-    encode_progressive_header, encode_request, Frame, FrameKind, Hello, ResponseBody,
+    decode_credit, decode_request, decode_response, decode_response_body, encode_credit,
+    encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
+    encode_request, encode_response, Frame, FrameKind, Hello, PlaneCoeffs, ResponseBody,
     DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 use wserv::{
@@ -618,6 +619,104 @@ fn a_lost_window_is_replayed_not_re_executed() {
     assert_eq!(metrics.transport.dedup_replays, WINDOW);
 }
 
+/// The book keeps the window a client *negotiated*, not the server's:
+/// against a server window of 8 a pipelining client announcing 2 has at
+/// most 2 ids outstanding, so the book holds 3 of its results — and
+/// still replays its whole lost window without re-executing any of it —
+/// over the shim and over TCP.
+#[test]
+fn a_lost_negotiated_window_is_replayed_not_re_executed() {
+    const WINDOW: u64 = 2;
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let connect = || raw_client(dial().dial().expect("server is up"), 7, WINDOW as u32);
+
+        let mut a = connect();
+        for round in 0..4 {
+            send_requests(&mut a, round * WINDOW..(round + 1) * WINDOW);
+            responses(&mut a, WINDOW as usize);
+        }
+        a.abort();
+
+        let lost = 3 * WINDOW;
+        let mut b = connect();
+        replayed(&mut b, lost..lost + WINDOW, transport);
+        b.shutdown_write();
+
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), 4 * WINDOW, "{transport}");
+        assert_eq!(metrics.transport.dedup_replays, WINDOW, "{transport}");
+    }
+}
+
+/// A client that negotiates a larger window on a reconnect gets the
+/// larger bound: after a connection that negotiated 2, a window of 4
+/// lost on one that negotiated 4 is replayed whole — here on a third
+/// that negotiates 2 again. (That a smaller window later leaves the
+/// larger bound in place is `remote`'s unit test of the book.)
+#[test]
+fn a_larger_window_on_reconnect_is_replayed_whole() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let connect = |window| raw_client(dial().dial().expect("server is up"), 7, window);
+
+        let mut a = connect(2);
+        send_requests(&mut a, 0..2);
+        responses(&mut a, 2);
+        a.shutdown_write();
+
+        let mut b = connect(4);
+        for round in 0..3 {
+            send_requests(&mut b, 2 + 4 * round..6 + 4 * round);
+            responses(&mut b, 4);
+        }
+        b.abort();
+
+        let mut c = connect(2);
+        replayed(&mut c, 10..14, transport);
+        c.shutdown_write();
+
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(
+            metrics.service.completed(),
+            14,
+            "{transport}: no re-execution"
+        );
+        assert_eq!(metrics.transport.dedup_replays, 4, "{transport}");
+    }
+}
+
+/// Send requests `ids` on `io`, each `request(id)`.
+fn send_requests(io: &mut FrameIo, ids: std::ops::Range<u64>) {
+    for id in ids {
+        io.send_frame(&encode_request(id, &request(id)).expect("request encodes"))
+            .expect("request fits the pipe");
+    }
+}
+
+/// Resubmit `ids` on `io` and check each answer is its own outcome, in
+/// submission order.
+fn replayed(io: &mut FrameIo, ids: std::ops::Range<u64>, transport: &str) {
+    send_requests(io, ids.clone());
+    for (id, f) in ids.clone().zip(responses(io, ids.count())) {
+        assert_eq!(f.id, id, "{transport}: replies come back in order");
+        let resp = decode_response(&f)
+            .expect("well-formed response")
+            .expect("request served Ok");
+        let req = request(id);
+        let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+            .expect("oracle geometry is valid");
+        assert_eq!(
+            resp.pyramid, oracle,
+            "{transport}: id {id} replayed its own outcome"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Drain wakes every connection; the handshake and response timers
 // ---------------------------------------------------------------------
@@ -645,11 +744,10 @@ fn drain_aborts_half_open_connections_mid_frame() {
         let raw = dial().dial().expect("server is up");
         let mut stuck_half = raw.try_clone().expect("both transports clone");
         let mut hio = raw_client(raw, 99, 1);
-        let frame_bytes =
-            wserv::wire::encode_frame(&encode_request(0, &request(9)).expect("request encodes"))
-                .expect("request frame encodes");
+        let frame_bytes = encode_frame(&encode_request(0, &request(9)).expect("request encodes"))
+            .expect("request frame encodes");
         stuck_half
-            .send(&frame_bytes[..frame_bytes.len() / 2])
+            .send(&[&frame_bytes[..frame_bytes.len() / 2]])
             .expect("partial frame lands");
 
         // Let the reader buffer the partial frame (bytes it has not read
@@ -1592,5 +1690,176 @@ fn a_server_stalled_mid_sequence_times_out_the_client() {
         drop(client);
         hang_up.send(()).expect("peer is holding");
         peer.join().expect("peer never panics");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Framing: FrameIo writes and reads exactly the codec's bytes
+// ---------------------------------------------------------------------
+
+/// One frame of every kind the protocol speaks, in the order a session
+/// could carry them: both handshakes, a Request, a monolithic Response,
+/// a progressive header, dense and sparse planes, Credit, Cancel, Bye.
+fn every_kind() -> Vec<Frame> {
+    let req = request(5);
+    let resp = wserv::DecomposeResponse {
+        pyramid: dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+            .expect("request geometry is valid"),
+        cache_hit: true,
+        batch_size: 2,
+        wait_s: 0.25,
+        service_s: 0.5,
+        degraded: false,
+        error_bound: 0.0,
+    };
+    let hello = Hello {
+        protocol: PROTOCOL_VERSION as u32,
+        max_payload: DEFAULT_MAX_PAYLOAD,
+        window: 2,
+    };
+    let coarse = CheckpointCodec::WaveletQuant {
+        threshold: 8.0,
+        step: 0.5,
+    };
+    let (header, dense) = split_response(&resp, CheckpointCodec::Raw).expect("lossless");
+    let (_, sparse) = split_response(&resp, coarse).expect("quantizes");
+    let mut frames = vec![
+        encode_hello(FrameKind::Hello, 7, &hello),
+        encode_hello(FrameKind::HelloAck, 7, &hello),
+        encode_request(1, &req).expect("request encodes"),
+        encode_response(1, &Ok(resp)).expect("response encodes"),
+        encode_progressive_header(2, &header).expect("header encodes"),
+    ];
+    for planes in [&dense, &sparse] {
+        for (k, plane) in planes.iter().enumerate() {
+            let more = k + 1 < planes.len();
+            frames.push(encode_progressive_plane(2, plane, more).expect("plane encodes"));
+        }
+    }
+    assert!(sparse
+        .iter()
+        .any(|p| matches!(p.coeffs, PlaneCoeffs::Sparse(_))));
+    frames.extend([
+        encode_credit(2, 3),
+        Frame::new(FrameKind::Cancel, 2, Vec::new()),
+        Frame::new(FrameKind::Bye, 7, Vec::new()),
+    ]);
+    frames
+}
+
+/// What `FrameIo` writes, header, payload and trailer sent where they
+/// lie, is `encode_frame`'s bytes, byte for byte, over the shim and
+/// over TCP; and what it reads into a buffer sized from each header
+/// decodes to the same frames wherever the stream is split — one cut at
+/// every byte offset, read up to the cut before the rest arrives.
+#[test]
+fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
+    let frames = every_kind();
+    let stream: Vec<u8> = frames
+        .iter()
+        .flat_map(|f| encode_frame(f).expect("frame encodes"))
+        .collect();
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let near = dial().dial().expect("listener is up");
+        let mut far = listener.accept().expect("dialed");
+        let mut tx = FrameIo::new(
+            near,
+            7,
+            WireDir::ClientToServer,
+            WireFaultPlan::none(),
+            WireClock::new(),
+        );
+        for f in &frames {
+            tx.send_frame(f).expect("frame fits");
+        }
+        tx.shutdown_write();
+        assert_eq!(tx.stats.frames_out, frames.len() as u64, "{transport}");
+        assert_eq!(tx.stats.bytes_out, stream.len() as u64, "{transport}");
+        let mut wrote = Vec::new();
+        let mut buf = [0u8; 4096];
+        let deadline = Instant::now() + PATIENCE;
+        while let Recv::Data(n) = far.recv(&mut buf, Some(deadline)).expect("clean stream") {
+            wrote.extend_from_slice(&buf[..n]);
+        }
+        assert!(wrote == stream, "{transport}: FrameIo wrote other bytes");
+    }
+
+    for cut in 0..=stream.len() {
+        let (mut near, far) = wserv::mem_pair(stream.len(), tick());
+        let mut rx = FrameIo::new(
+            Box::new(far),
+            7,
+            WireDir::ServerToClient,
+            WireFaultPlan::none(),
+            WireClock::new(),
+        );
+        let mut read = Vec::new();
+        near.send(&[&stream[..cut]]).expect("room for the stream");
+        while let RecvFrame::Frame(f) = rx.recv_frame_until(Instant::now()).expect("a prefix") {
+            read.push(f);
+        }
+        near.send(&[&stream[cut..]]).expect("room for the stream");
+        near.shutdown_write();
+        while let RecvFrame::Frame(f) = rx.recv_frame().expect("the whole stream") {
+            read.push(f);
+        }
+        assert!(read == frames, "split at byte {cut} decodes otherwise");
+        assert_eq!(rx.stats.bytes_in, stream.len() as u64);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Non-finite input
+// ---------------------------------------------------------------------
+
+/// A non-finite pixel is refused at the door, typed, and never runs. It
+/// would spread through the pyramid while the progressive running bound
+/// — a maximum that skips NaN — stayed finite: a `bound_after` the
+/// result does not meet. `submit` refuses it in process, and a remote
+/// server, whose requests go through `submit`, answers with the same
+/// rejection — over the shim and over TCP.
+#[test]
+fn non_finite_pixels_are_refused_typed_at_the_door() {
+    let poisoned = |v: f64| {
+        let mut img = image(16, 1);
+        img.set(5, 9, v);
+        DecomposeRequest::new(img, FilterBank::cdf53(), 2)
+    };
+    let refused = |outcome: wserv::ServeResult, v: f64| match outcome {
+        Err(wserv::Rejection::Invalid { detail }) => assert!(detail.contains("non-finite")),
+        Err(other) => panic!("pixel {v}: refused as {other:?}"),
+        Ok(resp) => panic!("pixel {v}: served, bound {}", resp.error_bound),
+    };
+    let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+    let service = wserv::WaveletService::start(service_config());
+    for v in poison {
+        refused(
+            service
+                .submit(poisoned(v))
+                .map(|h| h.wait())
+                .and_then(|r| r),
+            v,
+        );
+    }
+    assert_eq!(service.shutdown().expect("clean drain").completed(), 0);
+
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let remote = RemoteConfig {
+            progressive: Some(CheckpointCodec::Raw),
+            ..remote_config()
+        };
+        let server = RemoteServer::start(service_config(), remote, listener).expect("valid");
+        let mut client = RemoteClient::new(dial(), 5).with_tolerance(1.0);
+        for v in poison {
+            refused(client.call(&poisoned(v)).expect("clean wire"), v);
+        }
+        let clean = client.call(&request(1)).expect("clean wire");
+        assert!(clean.is_ok(), "{transport}: finite pixels still serve");
+        client.goodbye();
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), 1, "{transport}");
     }
 }

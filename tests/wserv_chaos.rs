@@ -636,10 +636,6 @@ fn report_digest(report: &SimReport) -> u64 {
         for v in seconds {
             bytes.extend_from_slice(&v.to_bits().to_le_bytes());
         }
-        // The latency samples, in recording order. They are private to
-        // the histogram; `{:?}` of a finite f64 is its shortest
-        // round-trip decimal, so the text is one-to-one with the bits.
-        bytes.extend_from_slice(format!("{:?}", s.latency).as_bytes());
     }
     bytes.extend_from_slice(&report.makespan_s.to_bits().to_le_bytes());
     // FNV-1a 64, spelled here so the digest does not move when the wire
@@ -654,9 +650,11 @@ fn report_digest(report: &SimReport) -> u64 {
 /// That loop is gone; the digests were taken from it before it was
 /// deleted, so the joint loop still has to reproduce it bit for bit —
 /// on a plain stream and on one exercising batching, cache eviction,
-/// shedding and deadline expiry. (Re-pinned once since, with the same
-/// simulator on both sides: when `report_digest` went from the `{:?}`
-/// text of the snapshot to walking its fields.)
+/// shedding and deadline expiry. (Re-pinned twice since, each time
+/// with the same simulator on both sides: when `report_digest` went
+/// from the `{:?}` text of the snapshot to walking its fields, and when
+/// it stopped hashing the shards' latency sample logs — every served
+/// latency is already in the outcomes' `wait_s`/`service_s` bits.)
 #[test]
 fn run_sim_matches_pinned_golden() {
     let cost = CostModel::default();
@@ -664,7 +662,7 @@ fn run_sim_matches_pinned_golden() {
         .with_shards(3)
         .with_queue_capacity(8);
     let run = run_sim(&plain, &cost, stream(80, 11, 100_000.0));
-    assert_eq!(report_digest(&run), 0x783b_e06d_e46e_b306);
+    assert_eq!(report_digest(&run), 0x6d69_4388_a691_1796);
 
     let batched = plain.with_cache_capacity(1).with_max_batch(4);
     let deadlined = stream(80, 11, 100_000.0).into_iter().enumerate();
@@ -675,7 +673,7 @@ fn run_sim_matches_pinned_golden() {
     let run = run_sim(&batched, &cost, deadlined.collect());
     let expired = run.metrics.rejected(RejectKind::DeadlineExpired);
     assert!(expired > 0 && run.metrics.rejected(RejectKind::Shed) > 0);
-    assert_eq!(report_digest(&run), 0xee8f_c831_66d0_4ca8);
+    assert_eq!(report_digest(&run), 0x01f5_ea18_7275_6c52);
 }
 
 /// Simulated failover: a permanently crashed shard burns its budget,

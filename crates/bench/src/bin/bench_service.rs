@@ -26,7 +26,7 @@
 use bench::{render, Row, Val};
 use dwt::{FilterBank, Matrix};
 use perfbudget::BudgetReport;
-use wserv::sim::{run_sim, CostModel, SimReport};
+use wserv::sim::{nearest_rank, run_sim, CostModel, SimReport};
 use wserv::{
     DecomposeRequest, DegradedPolicy, ElasticPolicy, Priority, RejectKind, ServiceConfig,
     ShardFaultPlan, SupervisorPolicy,
@@ -341,9 +341,9 @@ impl Run {
         &self.scenario.name
     }
 
-    /// Server-side latency quantile in milliseconds.
+    /// Latency quantile over the served requests, in milliseconds.
     fn p_ms(&self, q: f64) -> f64 {
-        self.report.metrics.latency_quantile(q) * 1e3
+        self.report.latency_quantile(q) * 1e3
     }
 
     fn rejected_total(&self) -> u64 {
@@ -521,15 +521,14 @@ fn find<'a>(runs: &'a [Run], key: &str, name: &str) -> &'a Run {
 /// with survivorship (the slower system completes a faster-skewed
 /// subset); the matched set removes that bias.
 fn matched_p95(a: &Run, b: &Run) -> (f64, f64) {
-    let mut ha = wserv::Histogram::default();
-    let mut hb = wserv::Histogram::default();
+    let (mut la, mut lb) = (Vec::new(), Vec::new());
     for (x, y) in a.report.outcomes.iter().zip(&b.report.outcomes) {
         if let (Ok(rx), Ok(ry)) = (x, y) {
-            ha.record(rx.latency_s());
-            hb.record(ry.latency_s());
+            la.push(rx.latency_s());
+            lb.push(ry.latency_s());
         }
     }
-    (ha.quantile(0.95), hb.quantile(0.95))
+    (nearest_rank(la, 0.95), nearest_rank(lb, 0.95))
 }
 
 /// Acceptance criteria of the `results` grid, checked on every run:

@@ -56,9 +56,4 @@ impl<T> Batch<T> {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Arrival times of the batched requests, in dispatch order.
-    pub fn arrivals(&self) -> Vec<f64> {
-        self.entries.iter().map(|e| e.arrival).collect()
-    }
 }

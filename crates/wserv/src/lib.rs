@@ -33,6 +33,10 @@
 //!   `bench_service` load generator to emit byte-reproducible latency
 //!   and throughput numbers.
 //!
+//! A request's latency is the one its response carries
+//! ([`DecomposeResponse::latency_s`]): both drivers keep fixed-size
+//! counters and lanes, nothing per request.
+//!
 //! The split is what makes both halves testable: policies are pure
 //! state machines over an explicit `now`, so property tests can drive
 //! them deterministically, while the live server only contributes
@@ -83,9 +87,7 @@ pub use elastic::{
 pub use faults::{
     DegradedPolicy, ShardFaultPlan, SupervisorPolicy, WireDir, WireFault, WireFaultPlan,
 };
-pub use metrics::{
-    Histogram, LaneSplit, MetricsSnapshot, QueueCounters, ShardMetrics, TransportMetrics,
-};
+pub use metrics::{LaneSplit, MetricsSnapshot, QueueCounters, ShardMetrics, TransportMetrics};
 pub use progressive::{pyramid_max_abs_diff, split_response, Reassembler};
 pub use remote::{
     ProgressiveTally, RemoteClient, RemoteConfig, RemoteMetrics, RemoteServer, RetryPolicy,

@@ -1,4 +1,4 @@
-//! Counters and histograms every pipeline stage exports.
+//! Counters every pipeline stage exports.
 //!
 //! The lane accounting deliberately reuses the [`perfbudget`]
 //! vocabulary (the JNNIE overhead categories) instead of inventing a
@@ -19,38 +19,6 @@
 //!   serving layer's failure lane).
 
 use perfbudget::{BudgetReport, Category, RankBudget};
-
-/// Exact-sample histogram with deterministic nearest-rank quantiles.
-///
-/// Samples are stored rather than binned: the serving benches record at
-/// most a few hundred thousand points, and exact storage keeps the
-/// emitted percentiles a pure function of the inputs (a binned sketch
-/// would make them a function of bin-edge tuning too).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-    }
-
-    /// Nearest-rank quantile `q` in `[0, 1]` (0 when empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        nearest_rank(self.samples.clone(), q)
-    }
-}
-
-/// Nearest-rank quantile `q` in `[0, 1]` of `samples` (0 when empty).
-fn nearest_rank(mut samples: Vec<f64>, q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
-}
 
 /// Counters the admission queue maintains about itself.
 #[derive(Debug, Clone, Default)]
@@ -101,11 +69,6 @@ pub struct ShardMetrics {
     pub cache_misses: u64,
     /// Plans evicted by LRU pressure.
     pub cache_evictions: u64,
-    /// End-to-end latency per completed request: the one distribution
-    /// the service exports ([`MetricsSnapshot::latency_quantile`] reads
-    /// it). Exact, so 8 B per completed request for the life of the
-    /// shard — nothing bounds it yet (ROADMAP item 5(c)).
-    pub latency: Histogram,
     /// Lane accounting in the shared `perfbudget` vocabulary.
     pub lanes: RankBudget,
     /// Total busy seconds (sum of dispatch service intervals).
@@ -142,14 +105,11 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    /// Record one executed dispatch: its service interval, the arrival
-    /// times of the requests it carried, and the lane split.
-    pub fn record_batch(&mut self, start: f64, end: f64, arrivals: &[f64], split: LaneSplit) {
+    /// Record one executed dispatch: its service interval, how many
+    /// requests it served, and the lane split.
+    pub fn record_batch(&mut self, start: f64, end: f64, served: usize, split: LaneSplit) {
         self.batches += 1;
-        self.completed += arrivals.len() as u64;
-        for &a in arrivals {
-            self.latency.record((end - a).max(0.0));
-        }
+        self.completed += served as u64;
         self.busy_s += end - start;
         self.lanes
             .charge(Category::DuplicationRedundancy, split.dispatch_s);
@@ -399,12 +359,6 @@ impl MetricsSnapshot {
             .collect()
     }
 
-    /// Nearest-rank latency quantile over all completed requests.
-    pub fn latency_quantile(&self, q: f64) -> f64 {
-        let latencies = self.shards.iter().map(|s| &s.latency.samples);
-        nearest_rank(latencies.flatten().copied().collect(), q)
-    }
-
     /// Mean requests per engine dispatch (0 with no dispatches).
     pub fn mean_batch_occupancy(&self) -> f64 {
         let batches: u64 = self.shards.iter().map(|s| s.batches).sum();
@@ -428,22 +382,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_are_nearest_rank_and_deterministic() {
-        let mut h = Histogram::default();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.0), 1.0);
-        assert_eq!(h.quantile(0.5), 3.0);
-        assert_eq!(h.quantile(1.0), 5.0);
-        assert_eq!(Histogram::default().quantile(0.99), 0.0);
-    }
-
-    #[test]
     fn mean_batch_occupancy_is_completed_over_batches() {
         let mut shards = [ShardMetrics::default(), ShardMetrics::default()];
         for (shard, size) in [(0, 1), (1, 4), (0, 2)] {
-            shards[shard].record_batch(0.0, 1.0, &vec![0.0; size], LaneSplit::default());
+            shards[shard].record_batch(0.0, 1.0, size, LaneSplit::default());
         }
         let snap = MetricsSnapshot {
             shards: shards.to_vec(),
@@ -458,7 +400,7 @@ mod tests {
         m.record_batch(
             1.0,
             2.0,
-            &[0.5, 0.75],
+            2,
             LaneSplit {
                 dispatch_s: 0.1,
                 plan_s: 0.2,
@@ -484,7 +426,7 @@ mod tests {
     /// A shard that was busy `busy_s` of the run, its books not closed.
     fn busy(busy_s: f64) -> ShardMetrics {
         let mut m = ShardMetrics::default();
-        m.record_batch(0.0, busy_s, &[0.0], LaneSplit::default());
+        m.record_batch(0.0, busy_s, 1, LaneSplit::default());
         m
     }
 

@@ -636,7 +636,6 @@ fn worker_loop(live: &Live, shard_ix: usize) {
             Ok(Ok(done)) => {
                 let batch_size = batch.len();
                 let shape_key = shard::shape_key(&batch.shape);
-                let arrivals = batch.arrivals();
                 let plan_s = done.plan_s;
                 let end = policy::respond(
                     &mut store,
@@ -659,7 +658,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 let booked_end = end + deliver_s;
                 me.metrics
                     .lock()
-                    .record_batch(dispatch_start, booked_end, &arrivals, split);
+                    .record_batch(dispatch_start, booked_end, batch_size, split);
                 // Feed the cost book with the measured per-request
                 // service time. `try_lock` only: a held controller is
                 // mid-decision, and one skipped sample is cheaper than

@@ -30,7 +30,7 @@ use crate::cache::PlanCache;
 use crate::elastic::{BalanceAction, BalanceController, ShardMap};
 use crate::metrics::{LaneSplit, MetricsSnapshot, ShardMetrics};
 use crate::policy::{self, Shards};
-use crate::request::{DecomposeRequest, Entry, ServeResult};
+use crate::request::{DecomposeRequest, DecomposeResponse, Entry, ServeResult};
 use crate::server::ServiceConfig;
 use crate::shard;
 use dwt::engine::PlanShape;
@@ -86,7 +86,8 @@ impl CostModel {
 /// Everything one simulated run produces.
 #[derive(Debug)]
 pub struct SimReport {
-    /// One terminal outcome per submitted request, in stream order.
+    /// One terminal outcome per submitted request, in stream order; a
+    /// served one carries its latency ([`DecomposeResponse::latency_s`]).
     pub outcomes: Vec<ServeResult>,
     /// Per-shard metrics, same schema as the live server's snapshot.
     /// With elastic sharding, reserve slots that were activated follow
@@ -110,6 +111,22 @@ impl SimReport {
             0.0
         }
     }
+
+    /// Nearest-rank latency quantile `q` over the served requests: each
+    /// `Ok` outcome's [`DecomposeResponse::latency_s`].
+    pub fn latency_quantile(&self, q: f64) -> f64 {
+        let served = self.outcomes.iter().flatten();
+        nearest_rank(served.map(DecomposeResponse::latency_s).collect(), q)
+    }
+}
+
+/// Nearest-rank quantile `q` in `[0, 1]` of `samples` (0 when empty).
+pub fn nearest_rank(mut samples: Vec<f64>, q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.sort_by(f64::total_cmp);
+    samples[((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
 }
 
 /// Run the service over a timestamped arrival stream (non-decreasing
@@ -384,7 +401,6 @@ impl<'a> SimService<'a> {
         };
         let batch_size = batch.len();
         let shape_key = shard::shape_key(&batch.shape);
-        let arrivals = batch.arrivals();
         let plan_s = if done.cache_hit {
             0.0
         } else {
@@ -415,7 +431,7 @@ impl<'a> SimService<'a> {
         };
         store.shards[s]
             .metrics
-            .record_batch(t, end, &arrivals, split);
+            .record_batch(t, end, batch_size, split);
         if let Some(rt) = &mut self.rt {
             // Feed the cost book the measured per-request service
             // time — the same signal the live workers feed it.
@@ -452,5 +468,19 @@ impl<'a> SimService<'a> {
             }
         }
         (MetricsSnapshot { shards }, makespan_s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn quantiles_are_nearest_rank_and_deterministic() {
+        let samples = vec![5.0, 1.0, 3.0, 2.0, 4.0];
+        assert_eq!(nearest_rank(samples.clone(), 0.0), 1.0);
+        assert_eq!(nearest_rank(samples.clone(), 0.5), 3.0);
+        assert_eq!(nearest_rank(samples, 1.0), 5.0);
+        assert_eq!(nearest_rank(Vec::new(), 0.99), 0.0);
     }
 }

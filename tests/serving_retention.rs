@@ -1,0 +1,130 @@
+//! The live server keeps nothing per request: once warm, serving
+//! thousands more identical requests leaves the heap where it was —
+//! through the in-process `submit` door, and through a `RemoteServer`
+//! with one `RemoteClient`, whose resolution book holds a fixed two
+//! results.
+//!
+//! A counting global allocator keeps the process's live heap bytes
+//! across all threads (allocations minus deallocations, plus each
+//! `realloc`'s change in size), so the server's worker, supervisor and
+//! connection threads are counted with the caller's. The tests take one
+//! lock, so only one server runs at a time.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
+
+use dwt::{FilterBank, Matrix};
+use wserv::remote::{RemoteConfig, RemoteServer};
+use wserv::{DecomposeRequest, MemListener, RemoteClient, ServiceConfig, WaveletService};
+
+struct Counting;
+
+static LIVE: AtomicIsize = AtomicIsize::new(0);
+
+fn count(bytes: isize) {
+    LIVE.fetch_add(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only other work is an
+// atomic add, which does not allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: the caller upholds this method's contract for us.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size() as isize);
+        // SAFETY: the caller upholds this method's contract for us.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(-(layout.size() as isize));
+        // SAFETY: the caller upholds this method's contract for us.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size as isize - layout.size() as isize);
+        // SAFETY: the caller upholds this method's contract for us.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// One server at a time: the counter is process-wide.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+const WARM_UP: usize = 500;
+const MEASURED: usize = 4_000;
+
+/// Most the live heap may grow over the measured requests: well under
+/// one 8-byte record per request.
+const ALLOWANCE: isize = 1024;
+
+fn request() -> DecomposeRequest {
+    let image = Matrix::from_fn(8, 8, |r, c| (r * 8 + c) as f64);
+    DecomposeRequest::new(image, FilterBank::haar(), 1)
+}
+
+/// Live heap bytes once the server's threads have finished the
+/// bookkeeping that follows the last response.
+fn settled_live() -> isize {
+    std::thread::sleep(Duration::from_millis(50));
+    LIVE.load(Ordering::Relaxed)
+}
+
+/// Serve the warm-up, then the measured requests, through `serve_one`,
+/// and return how far the live heap moved over the measured ones.
+fn growth(mut serve_one: impl FnMut()) -> isize {
+    (0..WARM_UP).for_each(|_| serve_one());
+    let before = settled_live();
+    (0..MEASURED).for_each(|_| serve_one());
+    settled_live() - before
+}
+
+#[test]
+fn submit_keeps_nothing_per_request() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let service = WaveletService::start(ServiceConfig::default());
+    let grown = growth(|| {
+        let handle = service.submit(request()).expect("queue has room");
+        handle.wait().expect("an 8×8 Haar request serves");
+    });
+    service.shutdown().expect("fault-free shutdown succeeds");
+    assert!(
+        grown < ALLOWANCE,
+        "{MEASURED} requests through submit grew the live heap by {grown} B"
+    );
+}
+
+#[test]
+fn a_remote_server_keeps_nothing_per_request() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let listener = MemListener::new(1 << 16, Duration::from_millis(1));
+    let server = RemoteServer::start(
+        ServiceConfig::default(),
+        RemoteConfig::default(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    let mut client = RemoteClient::new(Box::new(listener), 1);
+    let req = request();
+    let grown = growth(|| {
+        let outcome = client.call(&req).expect("clean shim");
+        outcome.expect("an 8×8 Haar request serves");
+    });
+    client.goodbye();
+    server.shutdown().expect("clean drain");
+    assert!(
+        grown < ALLOWANCE,
+        "{MEASURED} calls through a RemoteServer grew the live heap by {grown} B"
+    );
+}

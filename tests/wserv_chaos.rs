@@ -111,10 +111,7 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport) {
     assert_eq!(a.metrics.quarantined(), b.metrics.quarantined());
     assert_eq!(a.metrics.degraded_served(), b.metrics.degraded_served());
     assert_eq!(a.metrics.failed_shards(), b.metrics.failed_shards());
-    assert_eq!(
-        a.metrics.latency_quantile(0.95),
-        b.metrics.latency_quantile(0.95)
-    );
+    assert_eq!(a.latency_quantile(0.95), b.latency_quantile(0.95));
     assert_eq!(a.outcomes.len(), b.outcomes.len());
     for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
         match (x, y) {

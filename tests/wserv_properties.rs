@@ -95,8 +95,8 @@ proptest! {
         prop_assert_eq!(a.makespan_s, b.makespan_s);
         prop_assert_eq!(a.metrics.completed(), b.metrics.completed());
         prop_assert_eq!(
-            a.metrics.latency_quantile(0.95),
-            b.metrics.latency_quantile(0.95)
+            a.latency_quantile(0.95),
+            b.latency_quantile(0.95)
         );
         for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
             match (x, y) {

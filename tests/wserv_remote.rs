@@ -281,6 +281,20 @@ fn wire_chaos_resolves_every_request_exactly_once() {
             metrics.transport.frames_in > clients * reqs,
             "{transport}: handshakes + requests"
         );
+        // The server's terminal errors are fixed by the plan: client 0's
+        // request-path reset, which the connection's reader sees, and
+        // the server's own truncation of client 1's response, which its
+        // writer counts as a reset. Client 2 catches its flipped response
+        // and hangs up cleanly. Over TCP an abort is a both-ways
+        // shutdown, a FIN and not a RST (`TcpTransport::abort`), so the
+        // reader sees client 0's reset as a frame cut short.
+        let t = &metrics.transport;
+        let (resets, corrupt) = if transport == "mem" { (2, 0) } else { (1, 1) };
+        assert_eq!(
+            (t.conn_reset, t.frame_corrupt, t.frame_too_large),
+            (resets, corrupt, 0),
+            "{transport}: server-side (conn_reset, frame_corrupt, frame_too_large)"
+        );
     }
 }
 
@@ -347,6 +361,12 @@ fn seeded_flip_and_reset_rates_keep_exactly_once() {
             metrics.transport.dedup_replays > 0,
             "{transport}: a response-path loss must replay from the book"
         );
+        let t = &metrics.transport;
+        assert!(
+            t.frame_corrupt > 0,
+            "{transport}: a flipped request frame is counted corrupt"
+        );
+        assert!(t.conn_reset > 0, "{transport}: a reset is counted");
     }
 }
 
@@ -1111,6 +1131,56 @@ fn handshake_negotiates_min_payload_in_both_directions() {
     );
     client.goodbye();
     server.shutdown().expect("clean drain");
+}
+
+/// A response larger than the negotiated window, to a request that fit
+/// it, is answered with a typed rejection naming the window, counted in
+/// `frame_too_large`, and the connection serves on.
+#[test]
+fn an_oversized_response_is_refused_typed_and_the_connection_serves_on() {
+    let big = DecomposeRequest::new(image(32, 1), FilterBank::cdf53(), 2);
+    let pyramid = dwt::dwt2d::decompose(&big.image, &big.bank, big.levels, big.mode)
+        .expect("dyadic geometry");
+    let resp = Ok(wserv::DecomposeResponse {
+        pyramid,
+        cache_hit: false,
+        batch_size: 1,
+        wait_s: 0.0,
+        service_s: 0.0,
+        degraded: false,
+        error_bound: 0.0,
+    });
+    let request_len = encode_request(1, &big).expect("encodes").payload.len();
+    let response_len = encode_response(1, &resp).expect("encodes").payload.len();
+    assert!(
+        request_len < response_len,
+        "{request_len} vs {response_len}"
+    );
+    let max = ((request_len + response_len) / 2) as u32;
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let config = RemoteConfig {
+            max_payload: max,
+            ..remote_config()
+        };
+        let server =
+            RemoteServer::start(service_config(), config, listener).expect("config is valid");
+        let mut client = RemoteClient::new(dial(), 1);
+        match client.call(&big).expect("the request fits the window") {
+            Err(wserv::Rejection::Invalid { detail }) => assert!(
+                detail.contains(&format!("negotiated window {max} B")),
+                "{transport}: {detail}"
+            ),
+            other => panic!("{transport}: expected a typed refusal, got {other:?}"),
+        }
+        let next = client.call(&request(2)).expect("the connection serves on");
+        assert!(next.is_ok(), "{transport}: {next:?}");
+        assert_eq!(client.retries, 0, "{transport}: nothing was retried");
+        client.goodbye();
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.transport.frame_too_large, 1, "{transport}");
+        assert_eq!(metrics.transport.conns_accepted, 1, "{transport}");
+    }
 }
 
 /// A zero-attempt retry policy is a configuration bug, not a spin loop:

@@ -368,8 +368,8 @@ pub enum WireFault {
     /// Abortive close mid-frame: half the frame is sent, then both
     /// directions break. The peer observes a connection reset.
     Reset,
-    /// Half the frame, then a clean FIN: the peer observes EOF
-    /// mid-frame and types it as frame corruption.
+    /// Half the frame, then a clean FIN: the peer's stream ends inside
+    /// the frame, which it types as a connection reset too.
     Truncate,
     /// One bit of the encoded frame flips in flight; the peer's
     /// checksum catches it. `entropy` seeds the bit position.

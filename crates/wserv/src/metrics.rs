@@ -225,6 +225,9 @@ pub struct TransportMetrics {
     /// Duplicate submissions answered from the dedup registry instead
     /// of re-executed (the exactly-once replays).
     pub dedup_replays: u64,
+    /// Requests under an id the book held for a different request — a
+    /// client id reused by a new client — executed as new ones.
+    pub reused_ids: u64,
     /// Progressive detail-plane frames sent (server) or applied
     /// (client).
     pub planes_sent: u64,
@@ -260,6 +263,7 @@ impl TransportMetrics {
         self.frame_too_large += other.frame_too_large;
         self.handshake_mismatch += other.handshake_mismatch;
         self.dedup_replays += other.dedup_replays;
+        self.reused_ids += other.reused_ids;
         self.planes_sent += other.planes_sent;
         self.cancels_honored += other.cancels_honored;
         self.ser_s += other.ser_s;

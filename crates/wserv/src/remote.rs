@@ -108,7 +108,8 @@ use crate::transport::{
 use crate::wire::{
     decode_credit, decode_hello, decode_request, decode_response_body, encode_credit, encode_hello,
     encode_progressive_header, encode_progressive_plane, encode_request, encode_response, Frame,
-    FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    FrameKind, Hello, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
+    TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -203,9 +204,24 @@ enum Slot {
     Done(Arc<ServeResult>),
 }
 
+/// What [`Dedup::claim`] found under an id.
+#[derive(Debug)]
+enum Claim {
+    /// This very request holds the id: replay its outcome, or wait for it.
+    Held(Slot),
+    /// The caller now holds the id, `InFlight`; `reused` if that replaced
+    /// the outcome of a different request under the same id.
+    Fresh { reused: bool },
+    /// A different request under the same id, whose frame's trailer this
+    /// is, is still in flight.
+    Behind(u64),
+}
+
 #[derive(Default)]
 struct ClientBook {
-    entries: BTreeMap<u64, Slot>,
+    /// Each id's slot, under the verified trailer of the Request frame
+    /// that claimed it: only the same request replays it.
+    entries: BTreeMap<u64, (u64, Slot)>,
     max_id: u64,
     /// The largest in-flight window any of this client's connections
     /// has negotiated, and therefore how far behind its newest id the
@@ -252,18 +268,22 @@ impl Dedup {
         book.window = book.window.max(window as u64);
     }
 
-    /// Look up `(client, id)`; if unseen, mark it `InFlight` and return
-    /// `None` (the caller owns the submission, and must either hand it
-    /// to its writer or [`Dedup::forget_claim`] it).
-    fn claim(&self, client: u64, id: u64) -> Option<Slot> {
+    /// Look up `(client, id)` for the request whose frame's trailer is
+    /// `check`. Unless that request holds the id already, the caller
+    /// takes it, `InFlight`, and must either hand the submission to its
+    /// writer or [`Dedup::forget_claim`] it — or, while a different
+    /// request holds it in flight (a reused client id), is told so.
+    fn claim(&self, client: u64, id: u64, check: u64) -> Claim {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
         book.max_id = book.max_id.max(id);
         match book.entries.get(&id) {
-            Some(slot) => Some(slot.clone()),
-            None => {
-                book.entries.insert(id, Slot::InFlight);
-                None
+            Some((held, slot)) if *held == check => Claim::Held(slot.clone()),
+            Some(&(held, Slot::InFlight)) => Claim::Behind(held),
+            other => {
+                let reused = other.is_some();
+                book.entries.insert(id, (check, Slot::InFlight));
+                Claim::Fresh { reused }
             }
         }
     }
@@ -273,9 +293,11 @@ impl Dedup {
     fn resolve(&self, client: u64, id: u64, result: Arc<ServeResult>) {
         let mut books = self.books.lock();
         let book = books.entry(client).or_default();
-        book.entries.insert(id, Slot::Done(result));
+        if let Some((_, slot)) = book.entries.get_mut(&id) {
+            *slot = Slot::Done(result);
+        }
         let horizon = book.max_id.saturating_sub(book.window);
-        while let Some((&first, slot)) = book.entries.first_key_value() {
+        while let Some((&first, (_, slot))) = book.entries.first_key_value() {
             if first >= horizon || !matches!(slot, Slot::Done(_)) {
                 break;
             }
@@ -289,29 +311,32 @@ impl Dedup {
     fn forget_claim(&self, client: u64, id: u64) {
         let mut books = self.books.lock();
         if let Some(book) = books.get_mut(&client) {
-            if matches!(book.entries.get(&id), Some(Slot::InFlight)) {
+            if matches!(book.entries.get(&id), Some((_, Slot::InFlight))) {
                 book.entries.remove(&id);
             }
         }
         self.settled.notify_all();
     }
 
-    /// Wait until `(client, id)` — claimed by another connection — is
-    /// resolved, and return the book's own pointer to the outcome;
-    /// `None` if the claim was forgotten instead.
+    /// Wait until `(client, id)` — claimed for the request with trailer
+    /// `check` by another connection — is resolved, and return the
+    /// book's own pointer to the outcome; `None` if the claim was
+    /// forgotten instead.
     ///
     /// The wait is finite. The reader that made the claim either forgets
     /// it (which notifies) or hands the submission to its writer; every
     /// accepted request resolves (the service's drain sees to that), and
     /// a writer works off every item it was handed before it exits, send
     /// failure or not, so that `resolve` runs.
-    fn await_done(&self, client: u64, id: u64) -> Option<Arc<ServeResult>> {
+    fn await_done(&self, client: u64, id: u64, check: u64) -> Option<Arc<ServeResult>> {
         let mut books = self.books.lock();
         loop {
             match books.get(&client).and_then(|b| b.entries.get(&id)) {
-                Some(Slot::Done(result)) => return Some(Arc::clone(result)),
-                Some(Slot::InFlight) => self.settled.wait(&mut books),
-                None => return None,
+                Some((held, Slot::Done(result))) if *held == check => {
+                    return Some(Arc::clone(result))
+                }
+                Some((held, Slot::InFlight)) if *held == check => self.settled.wait(&mut books),
+                _ => return None,
             }
         }
     }
@@ -494,14 +519,73 @@ impl Window {
 // ---------------------------------------------------------------------
 
 /// Where the outcome of a response the writer owes comes from; sending
-/// it and releasing its window entry are the same for all three.
+/// it and releasing its window entry are the same for all of them.
 enum Source {
     /// The service is executing it; the writer records the outcome.
     Service(ResponseHandle),
     /// A refusal at the door, or a recorded outcome replayed.
     Known(Arc<ServeResult>),
-    /// Another connection submitted this id; its writer records it.
-    Book,
+    /// Another connection submitted the request with this trailer under
+    /// this id; its writer records it.
+    Book(u64),
+    /// A different request under this id, with the second trailer, is in
+    /// flight; the first is this request's. The writer waits that one out
+    /// and claims the id again.
+    Behind(u64, u64, DecomposeRequest),
+}
+
+/// Claim `id` for the request whose Request frame's trailer is `check`,
+/// and say where its outcome comes from: the book, or the service, which
+/// `decode` yields the request for only if it is to execute.
+fn admit(
+    shared: &ServerShared,
+    (client, id, check): (u64, u64, u64),
+    decode: impl FnOnce() -> Result<DecomposeRequest, WireError>,
+    local: &mut TransportMetrics,
+) -> Result<Source, WireError> {
+    let reused = match shared.dedup.claim(client, id, check) {
+        Claim::Held(Slot::Done(result)) => {
+            local.dedup_replays += 1;
+            return Ok(Source::Known(result));
+        }
+        Claim::Held(Slot::InFlight) => {
+            local.dedup_replays += 1;
+            return Ok(Source::Book(check));
+        }
+        Claim::Fresh { reused } => Ok(reused),
+        Claim::Behind(held) => Err(held),
+    };
+    let t0 = Instant::now();
+    let decoded = decode();
+    local.ser_s += t0.elapsed().as_secs_f64();
+    let req = match (decoded, reused) {
+        (Ok(req), Ok(reused)) => {
+            local.reused_ids += reused as u64;
+            req
+        }
+        (Ok(req), Err(held)) => return Ok(Source::Behind(check, held, req)),
+        (Err(e), fresh) => {
+            if fresh.is_ok() {
+                shared.dedup.forget_claim(client, id);
+            }
+            return Err(e);
+        }
+    };
+    let submitted = shared
+        .service
+        .lock()
+        .as_ref()
+        .map(|svc| svc.submit(req))
+        .unwrap_or(Err(Rejection::Draining));
+    Ok(match submitted {
+        Ok(handle) => Source::Service(handle),
+        Err(rej) => {
+            // Not recorded in the book: a rejected request was never
+            // executed, so a retry may re-attempt admission.
+            shared.dedup.forget_claim(client, id);
+            Source::Known(Arc::new(Err(rej)))
+        }
+    })
 }
 
 struct ServerShared {
@@ -660,7 +744,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
         // reject. The ack still announces our raw config — the client
         // runs the same negotiation over the two announced values.
         let eff_payload = negotiate_payload(cfg.max_payload, hello.max_payload);
-        rio.set_max_payload(eff_payload);
+        rio = rio.with_max_payload(eff_payload);
 
         // Writer thread: opens with the ack, then FIFO over the queue;
         // owns the send half.
@@ -702,47 +786,13 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                         if !window.acquire(id) || dead.load(Ordering::SeqCst) {
                             break 'conn Ok(false);
                         }
-                        let from = match shared.dedup.claim(client, id) {
-                            Some(Slot::Done(result)) => {
-                                local.dedup_replays += 1;
-                                Source::Known(result)
-                            }
-                            Some(Slot::InFlight) => {
-                                local.dedup_replays += 1;
-                                Source::Book
-                            }
-                            None => {
-                                let t0 = Instant::now();
-                                let decoded = decode_request(&f);
-                                local.ser_s += t0.elapsed().as_secs_f64();
-                                // The frame's bytes are the image's
-                                // second copy: gone before it is served.
-                                drop(f);
-                                let req = match decoded {
-                                    Ok(req) => req,
-                                    Err(e) => {
-                                        shared.dedup.forget_claim(client, id);
-                                        break 'conn Err(e.into());
-                                    }
-                                };
-                                let submitted = shared
-                                    .service
-                                    .lock()
-                                    .as_ref()
-                                    .map(|svc| svc.submit(req))
-                                    .unwrap_or(Err(Rejection::Draining));
-                                match submitted {
-                                    Ok(handle) => Source::Service(handle),
-                                    Err(rej) => {
-                                        // Not recorded in the book: a
-                                        // rejected request was never
-                                        // executed, so a retry may
-                                        // re-attempt admission.
-                                        shared.dedup.forget_claim(client, id);
-                                        Source::Known(Arc::new(Err(rej)))
-                                    }
-                                }
-                            }
+                        // The frame's bytes are the image's second copy:
+                        // gone once decoded, before it is served.
+                        let decode = move || decode_request(&f);
+                        let key = (client, id, rio.check);
+                        let from = match admit(&shared, key, decode, &mut local) {
+                            Ok(from) => from,
+                            Err(e) => break 'conn Err(e.into()),
                         };
                         if tx.send((id, from)).is_err() {
                             break 'conn Ok(false);
@@ -884,6 +934,16 @@ fn writer_main(
         give_up(&mut wio);
     }
     for (id, from) in rx.iter() {
+        let from = match from {
+            // The wait is `Book`'s, on a claim made before this request
+            // arrived; then the id is claimed anew, without waiting.
+            Source::Behind(check, held, req) => {
+                shared.dedup.await_done(client, id, held);
+                let admitted = admit(&shared, (client, id, check), || Ok(req), &mut local);
+                admitted.expect("a decoded request admits")
+            }
+            from => from,
+        };
         let result = match from {
             Source::Service(handle) => {
                 let result = Arc::new(handle.wait());
@@ -891,7 +951,8 @@ fn writer_main(
                 Some(result)
             }
             Source::Known(result) => Some(result),
-            Source::Book => shared.dedup.await_done(client, id),
+            Source::Book(check) => shared.dedup.await_done(client, id, check),
+            Source::Behind(..) => None,
         };
         match result {
             Some(result) if !dead.load(Ordering::SeqCst) => {
@@ -902,9 +963,9 @@ fn writer_main(
             }
             Some(_) => {}
             // The submission this id waited on was refused at the door,
-            // so nothing will resolve it here. Fail the connection: the
-            // client's retry re-attempts admission, as it does after
-            // any rejection.
+            // or a third request took the id meanwhile, so nothing will
+            // resolve it here. Fail the connection: the client's retry
+            // re-attempts admission, as it does after any rejection.
             None => give_up(&mut wio),
         }
         window.release(id);
@@ -1152,7 +1213,7 @@ impl RemoteClient {
         // values, so both ends enforce the same window in both
         // directions.
         let eff = negotiate_payload(self.max_payload, ack.max_payload);
-        io.set_max_payload(eff);
+        let io = io.with_max_payload(eff);
         self.negotiated = Some(eff);
         self.io = Some(io);
         Ok(())
@@ -1383,14 +1444,20 @@ mod tests {
 
     const WOKEN: Duration = Duration::from_secs(10);
 
+    /// The trailer every request in the book tests below carries.
+    const X: u64 = 0x5eed;
+
     #[test]
     fn a_waiter_gets_the_books_own_pointer() {
         let dedup = Arc::<Dedup>::default();
-        assert!(dedup.claim(7, 0).is_none(), "first sight claims the id");
-        assert!(matches!(dedup.claim(7, 0), Some(Slot::InFlight)));
+        assert!(matches!(
+            dedup.claim(7, 0, X),
+            Claim::Fresh { reused: false }
+        ));
+        assert!(matches!(dedup.claim(7, 0, X), Claim::Held(Slot::InFlight)));
         let waiter = {
             let dedup = Arc::clone(&dedup);
-            parked(move || dedup.await_done(7, 0))
+            parked(move || dedup.await_done(7, 0, X))
         };
         let result = outcome();
         dedup.resolve(7, 0, Arc::clone(&result));
@@ -1398,8 +1465,8 @@ mod tests {
             .recv_timeout(WOKEN)
             .expect("resolve wakes the waiter");
         assert!(Arc::ptr_eq(&got.expect("resolved"), &result), "no copy");
-        match dedup.claim(7, 0) {
-            Some(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &result)),
+        match dedup.claim(7, 0, X) {
+            Claim::Held(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &result)),
             other => panic!("expected the recorded outcome, got {other:?}"),
         }
         // Book, waiter's answer (dropped), replay (dropped), ours.
@@ -1409,17 +1476,45 @@ mod tests {
     #[test]
     fn forgetting_a_claim_releases_its_waiter() {
         let dedup = Arc::<Dedup>::default();
-        assert!(dedup.claim(7, 0).is_none());
+        assert!(matches!(
+            dedup.claim(7, 0, X),
+            Claim::Fresh { reused: false }
+        ));
         let waiter = {
             let dedup = Arc::clone(&dedup);
-            parked(move || dedup.await_done(7, 0))
+            parked(move || dedup.await_done(7, 0, X))
         };
         dedup.forget_claim(7, 0);
         let got = waiter
             .recv_timeout(WOKEN)
             .expect("forget_claim wakes the waiter");
         assert!(got.is_none(), "a forgotten claim never resolves");
-        assert!(dedup.claim(7, 0).is_none(), "the retry claims it afresh");
+        assert!(
+            matches!(dedup.claim(7, 0, X), Claim::Fresh { reused: false }),
+            "the retry claims it afresh"
+        );
+    }
+
+    /// A different request under a held id is never answered from the
+    /// book: it is told of one in flight, and takes a resolved one over.
+    #[test]
+    fn only_the_same_request_replays_an_id() {
+        const Y: u64 = X + 1;
+        let dedup = Dedup::default();
+        assert!(matches!(
+            dedup.claim(7, 0, X),
+            Claim::Fresh { reused: false }
+        ));
+        assert!(matches!(dedup.claim(7, 0, Y), Claim::Behind(X)));
+        let result = outcome();
+        dedup.resolve(7, 0, Arc::clone(&result));
+        assert!(dedup.await_done(7, 0, Y).is_none(), "Y holds nothing");
+        assert!(matches!(
+            dedup.claim(7, 0, Y),
+            Claim::Fresh { reused: true }
+        ));
+        assert_eq!(Arc::strong_count(&result), 1, "X's outcome is gone");
+        assert!(matches!(dedup.claim(7, 0, X), Claim::Behind(Y)));
     }
 
     #[test]
@@ -1433,7 +1528,11 @@ mod tests {
             dedup.negotiated(7, negotiated);
             for _ in 0..10 * kept {
                 let id = results.len() as u64;
-                assert!(dedup.claim(7, id).is_none(), "id {id} is new");
+                let fresh = dedup.claim(7, id, X);
+                assert!(
+                    matches!(fresh, Claim::Fresh { reused: false }),
+                    "id {id} is new"
+                );
                 let result = outcome();
                 dedup.resolve(7, id, Arc::clone(&result));
                 let held = dedup.books.lock()[&7].entries.len() as u64;
@@ -1442,8 +1541,8 @@ mod tests {
             }
             let newest = results.len() as u64 - 1;
             for id in newest + 1 - kept..=newest {
-                match dedup.claim(7, id) {
-                    Some(Slot::Done(replay)) => {
+                match dedup.claim(7, id, X) {
+                    Claim::Held(Slot::Done(replay)) => {
                         assert!(Arc::ptr_eq(&replay, &results[id as usize]))
                     }
                     other => panic!("id {id} must replay, got {other:?}"),

@@ -9,16 +9,11 @@
 //!   and tests in sandboxes with no network at all.
 //!
 //! [`FrameIo`] layers the wire protocol ([`crate::wire`]) on top of
-//! either: incremental frame decode on the receive side, and — on the
-//! send side — deterministic fault injection from a seeded
-//! [`WireFaultPlan`]. Fault coordinates are `(connection id, direction,
-//! cumulative frame index)`; the cumulative counters live in a shared
-//! [`WireClock`] so they survive reconnects and a one-shot fault stays
-//! one-shot across the retry that follows it.
-//!
-//! Every failure surfaces as a typed [`TransportError`]; the taxonomy
-//! is part of the API and each variant implements `Display` +
-//! `std::error::Error`.
+//! either, and injects seeded [`WireFaultPlan`] faults on the send side
+//! at `(connection id, direction, cumulative frame index)`; a shared
+//! [`WireClock`] keeps the counts across reconnects, so a one-shot
+//! fault stays one-shot across the retry it provokes. Every failure is
+//! a typed [`TransportError`], classified the same on both transports.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -40,9 +35,9 @@ use crate::wire::{DEFAULT_MAX_PAYLOAD, TRAILER_LEN};
 /// on; all variants are terminal for the connection they occur on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// The peer went away abortively (reset mid-frame, broken pipe, or
-    /// an injected reset). Idempotent work is safe to resubmit on a
-    /// fresh connection.
+    /// The peer went away abortively: a broken pipe, or a stream that
+    /// ended inside a frame, however it closed. Idempotent work is safe
+    /// to resubmit on a fresh connection.
     ConnReset,
     /// No bytes arrived within the caller's patience window.
     ConnTimeout {
@@ -57,9 +52,9 @@ pub enum TransportError {
         /// The receive window it exceeded.
         max: u64,
     },
-    /// The byte stream stopped being a frame stream: bad magic or
-    /// version, checksum mismatch, truncated frame at EOF, or a payload
-    /// that does not parse. Framing is unrecoverable past this point.
+    /// A whole frame that is not one: bad magic or version, checksum
+    /// mismatch, or a payload that does not parse. Framing is
+    /// unrecoverable past this point.
     FrameCorrupt {
         /// Human-readable cause.
         detail: String,
@@ -84,12 +79,11 @@ impl fmt::Display for TransportError {
         match self {
             ConnReset => write!(f, "connection reset by peer"),
             ConnTimeout { waited_ms } => write!(f, "connection timed out after {waited_ms} ms"),
-            FrameTooLarge { len, max } => {
-                write!(
-                    f,
-                    "frame payload {len} B exceeds the {max} B receive window"
-                )
+            FrameTooLarge { len, max } => WireError::FrameTooLarge {
+                len: *len,
+                max: *max,
             }
+            .fmt(f),
             FrameCorrupt { detail } => write!(f, "corrupt frame: {detail}"),
             HandshakeMismatch { detail } => write!(f, "handshake mismatch: {detail}"),
             InvalidConfig { detail } => write!(f, "invalid configuration: {detail}"),
@@ -144,24 +138,17 @@ pub trait Transport: Send {
     /// it to wake every reader.
     fn close_read(&mut self);
 
-    /// Abortive close of both directions — the peer observes a reset,
-    /// not a clean EOF. Used by injected [`WireFault::Reset`], by a
-    /// server writer that can no longer deliver, and by drain for a
-    /// reader cut off mid-frame.
+    /// Abortive close of both directions; a peer mid-frame reads it as a
+    /// reset (TCP sends a FIN, not a RST). Used by injected
+    /// [`WireFault::Reset`], by a server writer that can no longer
+    /// deliver, and by drain for a reader cut off mid-frame.
     fn abort(&mut self);
 
     /// A second handle onto the same connection, so a reader thread and
-    /// a writer thread can share it without a lock. `None` if the
-    /// transport cannot be duplicated. There is no single-threaded
-    /// fallback: the server reads the connection's `Hello`, then closes
-    /// it abortively without an ack, so the client sees a reset and
-    /// retries under its own policy.
+    /// a writer thread can share it without a lock; `None` if it cannot
+    /// be duplicated, and then the server closes the connection unacked.
     fn try_clone(&self) -> Option<Box<dyn Transport>>;
 }
-
-// ---------------------------------------------------------------------
-// TCP
-// ---------------------------------------------------------------------
 
 /// Localhost TCP implementation of [`Transport`].
 pub struct TcpTransport {
@@ -175,12 +162,9 @@ impl TcpTransport {
     /// drain finite). Reads block until data, EOF or their deadline.
     /// `_tick` is ignored: it is kept only so existing callers compile.
     pub fn new(stream: TcpStream, _tick: Duration) -> Result<Self, TransportError> {
-        stream
-            .set_nodelay(true)
-            .map_err(|_| TransportError::ConnReset)?;
-        stream
-            .set_write_timeout(Some(Duration::from_secs(10)))
-            .map_err(|_| TransportError::ConnReset)?;
+        let armed = stream.set_nodelay(true);
+        let armed = armed.and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(10))));
+        armed.map_err(|_| TransportError::ConnReset)?;
         Ok(TcpTransport {
             stream,
             aborted: false,
@@ -260,10 +244,6 @@ impl Transport for TcpTransport {
     }
 }
 
-// ---------------------------------------------------------------------
-// In-memory bounded duplex pipe
-// ---------------------------------------------------------------------
-
 #[derive(Default)]
 struct PipeState {
     buf: VecDeque<u8>,
@@ -275,22 +255,12 @@ struct PipeState {
     broken: bool,
 }
 
+#[derive(Default)]
 struct Pipe {
     state: Mutex<PipeState>,
     capacity: usize,
     readable: Condvar,
     writable: Condvar,
-}
-
-impl Pipe {
-    fn new(capacity: usize) -> Arc<Pipe> {
-        Arc::new(Pipe {
-            state: Mutex::default(),
-            capacity,
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        })
-    }
 }
 
 /// One end of an in-memory duplex byte pipe. Each direction is a
@@ -306,8 +276,13 @@ pub struct MemTransport {
 /// backpressure window). `_tick` is ignored: every wait on the pipe is
 /// woken by the event that ends it.
 pub fn mem_pair(capacity: usize, _tick: Duration) -> (MemTransport, MemTransport) {
-    let a = Pipe::new(capacity);
-    let b = Pipe::new(capacity);
+    let pipe = || {
+        Arc::new(Pipe {
+            capacity,
+            ..Pipe::default()
+        })
+    };
+    let (a, b) = (pipe(), pipe());
     (
         MemTransport {
             tx: Arc::clone(&a),
@@ -436,10 +411,6 @@ impl MemListener {
     }
 }
 
-// ---------------------------------------------------------------------
-// Accept / dial abstractions
-// ---------------------------------------------------------------------
-
 /// Server-side accept surface over either transport.
 pub trait Listener: Send + Sync {
     /// Take one connection, blocking until a peer dials; `None` once
@@ -555,10 +526,6 @@ impl Connector for TcpConnector {
     }
 }
 
-// ---------------------------------------------------------------------
-// Framed I/O with fault injection
-// ---------------------------------------------------------------------
-
 /// Shared cumulative frame counters keyed by `(connection id,
 /// direction)`. One clock lives on each side of the protocol and
 /// survives reconnects, so fault coordinates are stable across retries
@@ -611,6 +578,8 @@ pub struct FrameIo {
     inbound: Option<Frame>,
     /// Bytes arrived of whichever of the two is being read.
     filled: usize,
+    /// The verified trailer of the last frame received.
+    pub(crate) check: u64,
     max_payload: u32,
     faults: WireFaultPlan,
     clock: Arc<WireClock>,
@@ -638,6 +607,7 @@ impl FrameIo {
             head: [0; HEADER_LEN],
             inbound: None,
             filled: 0,
+            check: 0,
             max_payload: DEFAULT_MAX_PAYLOAD,
             faults,
             clock,
@@ -645,17 +615,11 @@ impl FrameIo {
         }
     }
 
-    /// Shrink the payload window (received frames declaring more, and
-    /// attempts to *send* more, are [`TransportError::FrameTooLarge`]).
+    /// Set the payload window: received frames declaring more, and
+    /// attempts to *send* more, are [`TransportError::FrameTooLarge`].
     pub fn with_max_payload(mut self, max_payload: u32) -> Self {
         self.max_payload = max_payload;
         self
-    }
-
-    /// Adjust the payload window in place — used after handshake
-    /// negotiation settles on `min(client, server)`.
-    pub fn set_max_payload(&mut self, max_payload: u32) {
-        self.max_payload = max_payload;
     }
 
     /// Re-key the fault coordinates once the peer's identity is known
@@ -665,14 +629,10 @@ impl FrameIo {
     }
 
     /// Encode and send one frame, injecting whatever the fault plan
-    /// schedules at this `(conn, dir, frame index)`. Injected resets
-    /// and truncations kill the connection and surface as
-    /// [`TransportError::ConnReset`] to this side too, so callers
-    /// immediately fail over instead of waiting out a timeout.
-    ///
-    /// Payloads over the negotiated window are refused *before* any
-    /// bytes hit the wire ([`TransportError::FrameTooLarge`]) — the
-    /// connection stays usable and no fault index is consumed.
+    /// schedules at this `(conn, dir, frame index)`; an injected reset or
+    /// truncation is [`TransportError::ConnReset`] on this side too. A
+    /// payload over the window is [`TransportError::FrameTooLarge`]
+    /// before a byte is sent or a fault index used.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
         if frame.payload.len() as u64 > self.max_payload as u64 {
             return Err(TransportError::FrameTooLarge {
@@ -701,9 +661,8 @@ impl FrameIo {
                 self.io.send(&[&bytes])?;
             }
             Some(cut @ (WireFault::Truncate | WireFault::Reset)) => {
-                // Half the frame, then either a clean FIN (the peer sees
-                // EOF mid-frame and types it FrameCorrupt) or an
-                // abortive close (the peer sees a reset, not an EOF).
+                // Half the frame, then a FIN or an abortive close: the
+                // peer's read ends inside the frame, a reset either way.
                 let half = &parts.concat()[..len / 2];
                 let _ = self.io.send(&[half]);
                 self.stats.bytes_out += half.len() as u64;
@@ -722,9 +681,8 @@ impl FrameIo {
     }
 
     /// Receive one frame, blocking until it is complete or the stream
-    /// ends; never [`RecvFrame::Idle`]. Corrupt bytes, oversized
-    /// declarations, truncation at EOF and resets all surface as their
-    /// typed [`TransportError`].
+    /// ends; never [`RecvFrame::Idle`]. A frame cut short is
+    /// [`TransportError::ConnReset`], on either transport.
     pub fn recv_frame(&mut self) -> Result<RecvFrame, TransportError> {
         self.recv_frame_by(None)
     }
@@ -743,13 +701,14 @@ impl FrameIo {
         loop {
             let into = match &mut self.inbound {
                 Some(frame) if self.filled == frame.payload.len() => {
-                    let frame = self.inbound.take().expect("a frame in hand");
+                    let mut frame = self.inbound.take().expect("a frame in hand");
                     self.filled = 0;
                     let t0 = Instant::now();
-                    let frame = seal(frame);
+                    let sealed = seal(&mut frame);
                     self.stats.ser_s += t0.elapsed().as_secs_f64();
-                    self.stats.frames_in += frame.is_ok() as u64;
-                    return Ok(RecvFrame::Frame(frame?));
+                    self.stats.frames_in += sealed.is_ok() as u64;
+                    self.check = sealed?;
+                    return Ok(RecvFrame::Frame(frame));
                 }
                 Some(frame) => &mut frame.payload[self.filled..],
                 None => match parse_header(&self.head[..self.filled], self.max_payload)? {
@@ -770,11 +729,9 @@ impl FrameIo {
                 Recv::Eof if self.inbound.is_none() && self.filled == 0 => {
                     return Ok(RecvFrame::Eof)
                 }
-                Recv::Eof => {
-                    return Err(TransportError::FrameCorrupt {
-                        detail: "stream ended mid-frame".into(),
-                    })
-                }
+                // A stream that ends inside a frame was cut: a reset,
+                // whether the peer aborted or closed.
+                Recv::Eof => return Err(TransportError::ConnReset),
                 Recv::Idle => return Ok(RecvFrame::Idle),
             }
         }
@@ -918,7 +875,7 @@ mod tests {
 
     #[test]
     fn injected_truncation_and_reset_type_correctly_at_the_peer() {
-        for (fault_is_reset, want_reset) in [(false, false), (true, true)] {
+        for fault_is_reset in [false, true] {
             let (a, b) = mem_pair(1 << 16, tick());
             let clock = WireClock::new();
             let plan = if fault_is_reset {
@@ -945,17 +902,8 @@ mod tests {
                 Err(TransportError::ConnReset),
                 "sender learns immediately"
             );
-            let got = rx.recv_frame();
-            if want_reset {
-                assert_eq!(got, Err(TransportError::ConnReset));
-            } else {
-                match got {
-                    Err(TransportError::FrameCorrupt { detail }) => {
-                        assert!(detail.contains("mid-frame"), "{detail}");
-                    }
-                    other => panic!("expected truncation corruption, got {other:?}"),
-                }
-            }
+            // Cut mid-frame, by a FIN or an abort: a reset either way.
+            assert_eq!(rx.recv_frame(), Err(TransportError::ConnReset));
         }
     }
 

@@ -6,49 +6,63 @@
 //!  offset  size  field
 //!  ------  ----  -----------------------------------------------
 //!       0     4  magic  = "WSRV"
-//!       4     1  protocol version (= 3)
-//!       5     1  frame kind (Hello / HelloAck / Request / Response /
-//!                Bye / Cancel / Credit)
+//!       4     1  protocol version (= 4)
+//!       5     1  frame kind (the table below)
 //!       6     1  flags (bit 0 = continuation: more frames follow for
 //!                this id; other bits must be zero)
 //!       7     1  reserved, must be zero
 //!       8     8  request id (client-assigned; client id for Hello)
 //!      16     4  payload length N (little-endian, bounded)
 //!      20     N  payload (kind-specific encoding)
-//!    20+N     8  checksum = FNV-1a 64 over bytes [0, 20+N)
+//!    20+N     8  checksum of bytes [0, 20+N) (below)
 //! ```
 //!
-//! Protocol version 2 repurposed one of version 1's two reserved
-//! header bytes as a flags field so a response can span a *sequence*
-//! of frames: a progressive header frame (exact LL plane) followed by
-//! detail-plane frames, every frame but the last carrying
-//! [`FLAG_CONTINUE`]. Version 2 also added [`FrameKind::Cancel`], the
-//! client's idempotent "stop sending planes for this id". Version 3
-//! made delivery pull-driven: the server sends a plane only once a
-//! [`FrameKind::Credit`] covers it, so it never runs ahead of its
-//! reader.
+//! Version 2 added flags, so a response can span frames linked by
+//! [`FLAG_CONTINUE`], and `Cancel`; version 3 made delivery pull-driven
+//! by `Credit`; version 4 replaced the byte-serial FNV-1a trailer with
+//! the checksum below. An older peer is refused typed, at its frames'
+//! version byte and at its `Hello`: this build decodes one version.
 //!
 //! | kind | dir | id | payload |
 //! |---|---|---|---|
 //! | `Hello` = 0 | C→S | client id | [`Hello`] |
-//! | `HelloAck` = 1 | S→C | client id | [`Hello`] |
-//! | `Request` = 2 | C→S | request id | [`DecomposeRequest`] |
+//! | `HelloAck` = 1 | S→C | client id | [`Hello`] (the server's) |
+//! | `Request` = 2 | C→S | request id, the dedup key | [`DecomposeRequest`] |
 //! | `Response` = 3 | S→C | request id | outcome, progressive header or plane ([`ResponseBody`]) |
-//! | `Bye` = 4 | C→S | client id | none |
-//! | `Cancel` = 5 | C→S | request id | none |
-//! | `Credit` = 6 | C→S | request id | `u32` plane sequence number to send through |
+//! | `Bye` = 4 | C→S | client id | none: a clean goodbye before FIN |
+//! | `Cancel` = 5 | C→S | request id | none: stop sending this id's planes |
+//! | `Credit` = 6 | C→S | request id | `u32`: send this id's planes through this one |
 //!
-//! All integers are little-endian; all floating-point payloads are
-//! IEEE-754 bit patterns, so encode→decode round-trips *bitwise* — the
-//! property tests pin that down. The decoder is incremental (feed it a
-//! growing byte buffer) and total: arbitrary input never panics, it
-//! yields a typed [`WireError`] or asks for more bytes. A frame whose
-//! checksum does not match its bytes is [`WireError::FrameCorrupt`]; a
-//! frame whose declared payload exceeds the receive window is
-//! [`WireError::FrameTooLarge`] *before* any allocation of that size.
-//! Encoding is checked too: a payload or field that cannot fit its
-//! wire-format width surfaces as a typed error at *encode* time
-//! instead of silently truncating the length field.
+//! `Cancel` and `Credit` are idempotent: an unknown or finished id, a
+//! repeat, or a lower credit is a no-op. All integers are little-endian;
+//! floats are IEEE-754 bit patterns, so encode→decode round-trips
+//! *bitwise*. The decoder is incremental and total: any input yields a
+//! frame, a typed [`WireError`] or a request for more bytes. A declared
+//! payload over the receive window is [`WireError::FrameTooLarge`]
+//! *before* any allocation of that size, and a field too wide for its
+//! wire width fails typed at *encode* time instead of truncating.
+//!
+//! ## The checksum
+//!
+//! [`checksum`] reads whole 32-byte blocks as four little-endian words,
+//! word `j` into lane `j`. Lane `j` starts at `0xcbf2_9ce4_8422_2325 +
+//! j·0x9e37_79b9_7f4a_7c15` (mod 2⁶⁴), and a word `w` steps it as `x =
+//! (l ^ w)·P; l = x ^ (x >> 29)`, with `P = 0x100_0000_01b3`, the FNV-64
+//! prime. The lanes fold to `h = l₀ ^ rotl(l₁, 16) ^ rotl(l₂, 32) ^
+//! rotl(l₃, 48)`, the 0–31 bytes after the last block go into `h` as
+//! FNV-1a (`h = (h ^ b)·P`), and one more step with the byte length as
+//! its word gives the sum. A frame's trailer is the sum of its header
+//! and payload as one string.
+//!
+//! Each step is a bijection of its state for a fixed input — xor,
+//! multiplying by an odd constant and `x ^ (x >> 29)` all invert — and
+//! of its input for a fixed state. So two strings of one length that
+//! differ only inside one block word, or only in one tail byte, reach
+//! different states at that word or byte, keep them different through
+//! every later step, and fold to different sums: every such error, and
+//! so every single-bit flip anywhere in a frame, is detected with
+//! certainty. Four independent lanes keep four multiplies in flight,
+//! where a byte-serial FNV-1a waits on one multiply per byte.
 
 use std::fmt;
 
@@ -58,9 +72,8 @@ use dwt::{Boundary, FilterBank, Matrix, Pyramid, Subbands};
 
 /// Frame magic: `"WSRV"`.
 pub const MAGIC: [u8; 4] = *b"WSRV";
-/// Protocol version this build speaks (3: continuation flag, Cancel and
-/// Credit).
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Protocol version this build speaks (4: the word-at-a-time checksum).
+pub const PROTOCOL_VERSION: u8 = 4;
 /// Fixed header bytes before the payload.
 pub const HEADER_LEN: usize = 20;
 /// Trailing checksum bytes after the payload.
@@ -73,32 +86,23 @@ pub const FLAG_CONTINUE: u8 = 0x01;
 /// Every flag bit this build understands; others must be zero.
 pub const FLAG_MASK: u8 = FLAG_CONTINUE;
 
-/// What a frame carries.
+/// What a frame carries: the module docs' table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Client handshake: id field is the client id, payload is
-    /// [`Hello`].
+    /// Client handshake.
     Hello = 0,
-    /// Server handshake reply, payload is [`Hello`] (the server's view).
+    /// Server handshake reply.
     HelloAck = 1,
-    /// A [`DecomposeRequest`], id field is the client-assigned request
-    /// id (the dedup key for idempotent resubmits).
+    /// A [`DecomposeRequest`].
     Request = 2,
-    /// A [`ServeResult`] for the request with the same id — either one
-    /// monolithic frame, or a progressive sequence (header + planes)
-    /// linked by [`FLAG_CONTINUE`].
+    /// A [`ServeResult`]: one frame, or a progressive sequence.
     Response = 3,
-    /// Clean goodbye before FIN; no payload.
+    /// Clean goodbye.
     Bye = 4,
-    /// Client asks the server to stop sending plane frames for this id
-    /// (its tolerance is met). Idempotent: unknown, finished, or
-    /// repeated ids are all no-ops; no payload.
+    /// Stop sending this id's planes (the client's tolerance is met).
     Cancel = 5,
-    /// Client asks the server to send this id's detail planes through
-    /// the sequence number in the payload ([`encode_credit`]). A
-    /// high-water mark: a lower or repeated credit, an unknown or
-    /// finished id, are all no-ops, and one past the last plane reads as
-    /// the last.
+    /// Send this id's planes through a sequence number; one past the
+    /// last plane reads as the last ([`encode_credit`]).
     Credit = 6,
 }
 
@@ -189,26 +193,55 @@ pub(crate) fn corrupt(detail: impl Into<String>) -> WireError {
     }
 }
 
-/// FNV-1a 64 over `bytes` — the same construction shard routing uses,
-/// chosen for stability by specification.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
+/// The FNV-64 prime, the multiplier of every checksum step.
+const PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Lane `j` starts at the FNV-64 offset basis plus `j·0x9e37_79b9_7f4a_7c15`.
+const SEEDS: [u64; 4] = [
+    0xcbf2_9ce4_8422_2325,
+    0x6a2a_169e_036c_9f3a,
+    0x0861_9057_82b7_1b4f,
+    0xa699_0a11_0201_9764,
+];
+/// Bytes one step of the four lanes takes.
+const BLOCK: usize = 32;
+
+/// One checksum step: a bijection of `lane` for a fixed `word`, and of
+/// `word` for a fixed `lane`.
+fn step(lane: u64, word: u64) -> u64 {
+    let x = (lane ^ word).wrapping_mul(PRIME);
+    x ^ (x >> 29)
 }
 
-/// FNV-1a 64 continued from state `h` over `bytes`, so a frame's
-/// checksum runs over its header and payload where each lies.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// Step the lanes over every whole block of `bytes`; returns the rest.
+fn absorb<'a>(lanes: &mut [u64; 4], bytes: &'a [u8]) -> &'a [u8] {
+    let blocks = bytes.chunks_exact(BLOCK);
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
     }
-    h
+    tail
+}
+
+/// Fold the lanes, then take the `tail` bytewise and the length `len`.
+fn finish([a, b, c, d]: [u64; 4], tail: &[u8], len: usize) -> u64 {
+    let h = a ^ b.rotate_left(16) ^ c.rotate_left(32) ^ d.rotate_left(48);
+    let h = tail
+        .iter()
+        .fold(h, |h, &x| (h ^ x as u64).wrapping_mul(PRIME));
+    step(h, len as u64)
+}
+
+/// The frame checksum of `bytes`, as the module docs define it.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = SEEDS;
+    let tail = absorb(&mut lanes, bytes);
+    finish(lanes, tail, bytes.len())
 }
 
 /// Narrow a `usize` field into its `u32` wire width, or fail typed at
-/// encode time — never silently truncate a length field. `_what` names
-/// the field at the call; the error carries only the offending size,
-/// since failing typed before a peer sees a mangled frame is the point.
+/// encode time. `_what` names the field at the call site only.
 fn wire_u32(n: usize, _what: &str) -> Result<u32, WireError> {
     u32::try_from(n).map_err(|_| WireError::FrameTooLarge {
         len: n as u64,
@@ -239,10 +272,23 @@ fn defined(flags: u8) -> Result<u8, WireError> {
     }
 }
 
-/// The trailer after `header` and `payload`: FNV-1a 64 over both, read
-/// where they lie.
-pub(crate) fn trailer(header: &[u8], payload: &[u8]) -> [u8; TRAILER_LEN] {
-    fnv1a(checksum(header), payload).to_le_bytes()
+/// The trailer after `header` and `payload`: the checksum of the two as
+/// one string, read where they lie. Only the first block — the header
+/// and up to 12 payload bytes — is copied.
+pub(crate) fn trailer(header: &[u8; HEADER_LEN], payload: &[u8]) -> [u8; TRAILER_LEN] {
+    let (head, rest) = payload.split_at(payload.len().min(BLOCK - HEADER_LEN));
+    let mut first = [0; BLOCK];
+    first[..HEADER_LEN].copy_from_slice(header);
+    first[HEADER_LEN..][..head.len()].copy_from_slice(head);
+    let mut lanes = SEEDS;
+    let tail = match HEADER_LEN + head.len() {
+        BLOCK => {
+            absorb(&mut lanes, &first);
+            absorb(&mut lanes, rest)
+        }
+        short => &first[..short],
+    };
+    finish(lanes, tail, HEADER_LEN + payload.len()).to_le_bytes()
 }
 
 /// Parse the header at the front of `buf` into its frame, payload still
@@ -282,16 +328,16 @@ pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<(Frame, usize)
 }
 
 /// Check a frame from [`parse_header`] whose payload holds everything
-/// after its header — payload, then trailer — and drop the trailer. The
-/// payload keeps that buffer.
-pub(crate) fn seal(mut frame: Frame) -> Result<Frame, WireError> {
+/// after its header — payload, then trailer — and drop the trailer,
+/// which it returns. The payload keeps that buffer.
+pub(crate) fn seal(frame: &mut Frame) -> Result<u64, WireError> {
     let len = frame.payload.len() - TRAILER_LEN;
     let declared: [u8; TRAILER_LEN] = frame.payload[len..].try_into().expect("8 bytes");
     frame.payload.truncate(len);
-    if trailer(&header(&frame)?, &frame.payload) != declared {
+    if trailer(&header(frame)?, &frame.payload) != declared {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(frame)
+    Ok(u64::from_le_bytes(declared))
 }
 
 /// Encode one frame to bytes (header, payload, checksum). Fails typed
@@ -316,7 +362,8 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
         return Ok(None);
     }
     frame.payload = buf[HEADER_LEN..total].to_vec();
-    Ok(Some((seal(frame)?, total)))
+    seal(&mut frame)?;
+    Ok(Some((frame, total)))
 }
 
 /// Decode a buffer that must hold exactly one complete frame (the
@@ -330,11 +377,8 @@ pub fn decode_complete(buf: &[u8], max_payload: u32) -> Result<Frame, WireError>
     }
 }
 
-// ---------------------------------------------------------------------
-// Payload codecs. Each reads through a bounds-checked cursor so short or
-// oversized payloads surface as FrameCorrupt, never a panic.
-// ---------------------------------------------------------------------
-
+/// The bounds-checked cursor every payload decoder reads through, so a
+/// short or oversized payload is `FrameCorrupt`, never a panic.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -360,16 +404,16 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    fn bytes<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take yields N bytes"))
+    }
+
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.bytes().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        self.bytes().map(u64::from_le_bytes)
     }
 
     fn f64(&mut self) -> Result<f64, WireError> {
@@ -773,13 +817,9 @@ pub fn decode_response(frame: &Frame) -> Result<ServeResult, WireError> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Progressive response payloads (outcome tags 2 and 3)
-// ---------------------------------------------------------------------
-
-/// First frame of a progressive response: all the serving metadata, the
-/// geometry, the plane count, and the *exact* LL plane. Carries
-/// [`FLAG_CONTINUE`] whenever detail planes follow.
+/// First frame of a progressive response (outcome tag 2; a plane is tag
+/// 3): all the serving metadata, the geometry, the plane count, and the
+/// *exact* LL plane. Carries [`FLAG_CONTINUE`] whenever planes follow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgressiveHeader {
     /// Whether the plan came from the cache.
@@ -1307,6 +1347,19 @@ mod tests {
             let got = decode_bank(&mut Reader::new(&out)).expect("valid bank");
             assert_eq!(got, bank);
             assert_eq!(got.lifting_kind(), bank.lifting_kind());
+        }
+    }
+
+    /// The trailer, read where header and payload lie, is the checksum
+    /// of the two as one string, on either side of the first block.
+    #[test]
+    fn the_trailer_is_the_checksum_of_header_and_payload() {
+        for n in 0..=80 {
+            let payload: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+            let header =
+                header(&Frame::new(FrameKind::Request, n as u64, payload.clone())).unwrap();
+            let whole = checksum(&[&header[..], &payload].concat());
+            assert_eq!(trailer(&header, &payload), whole.to_le_bytes(), "{n} B");
         }
     }
 

@@ -16,7 +16,11 @@
 //!    nonincreasing in planes received — in any arrival order;
 //! 5. the bytes themselves are pinned: one fixture of every message the
 //!    protocol has, through `encode_*` + `encode_frame`, folds to a
-//!    fixed digest, so a codec refactor cannot move a byte unnoticed.
+//!    fixed digest, so a codec refactor cannot move a byte unnoticed;
+//! 6. the checksum is what the module docs define — a reference spelled
+//!    here agrees with `checksum` and with every frame's trailer — and
+//!    catches every single-bit flip of a frame, exhaustively, at every
+//!    payload length up to two blocks past every remainder.
 
 use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 use dwt_mimd::CheckpointCodec;
@@ -28,7 +32,7 @@ use wserv::wire::{
     decode_response_body, encode_credit, encode_frame, encode_hello, encode_progressive_header,
     encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Hello, PlaneBand,
     PlaneCoeffs, ProgressiveHeader, ProgressivePlane, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD,
-    PROTOCOL_VERSION,
+    HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 use wserv::{DecomposeRequest, Priority, Rejection, ServeResult};
 
@@ -431,6 +435,84 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
             .wrapping_add(1442695040888963407);
         let j = (seed >> 33) as usize % (i + 1);
         v.swap(i, j);
+    }
+}
+
+/// The frame checksum as the `wire` module docs define it, spelled
+/// word by word over the whole string, with the lane seeds computed
+/// from their formula rather than copied.
+fn reference_checksum(bytes: &[u8]) -> u64 {
+    const P: u64 = 0x0000_0100_0000_01b3;
+    let step = |l: u64, w: u64| {
+        let x = (l ^ w).wrapping_mul(P);
+        x ^ (x >> 29)
+    };
+    let mut lanes = [0u64; 4];
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        *lane =
+            0xcbf2_9ce4_8422_2325u64.wrapping_add((j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+    let blocked = bytes.len() / 32 * 32;
+    for (i, word) in bytes[..blocked].chunks(8).enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("whole words"));
+        lanes[i % 4] = step(lanes[i % 4], w);
+    }
+    let mut h =
+        lanes[0] ^ lanes[1].rotate_left(16) ^ lanes[2].rotate_left(32) ^ lanes[3].rotate_left(48);
+    for &b in &bytes[blocked..] {
+        h = (h ^ u64::from(b)).wrapping_mul(P);
+    }
+    step(h, bytes.len() as u64)
+}
+
+/// A frame of kind `tag` with `n` payload bytes of a salted pattern.
+fn patterned(tag: u8, n: usize) -> Frame {
+    let payload = (0..n).map(|i| (i * 37 + n * 11 + 5) as u8).collect();
+    Frame::new(kind(tag), 0x0123_4567_89ab_cdef ^ n as u64, payload)
+}
+
+/// `checksum` and every frame's trailer are the reference: the trailer
+/// over header and payload as one string, at every length across the
+/// header's block boundary (the payload's first 12 bytes share a block
+/// with the header) and past several blocks.
+#[test]
+fn trailer_is_the_reference_checksum_of_header_and_payload() {
+    for n in 0..=200usize {
+        let bytes = encode_frame(&patterned(n as u8, n)).expect("small payload encodes");
+        let (signed, trailer) = bytes.split_at(HEADER_LEN + n);
+        let want = reference_checksum(signed);
+        assert_eq!(trailer, want.to_le_bytes(), "payload of {n} bytes");
+        assert_eq!(
+            wserv::wire::checksum(signed),
+            want,
+            "{} bytes",
+            signed.len()
+        );
+        assert_eq!(
+            wserv::wire::checksum(&signed[HEADER_LEN..]),
+            reference_checksum(&signed[HEADER_LEN..])
+        );
+    }
+}
+
+/// Every single-bit flip of header, payload and trailer is refused as
+/// `FrameCorrupt`, for payloads of 0 to 67 bytes: frames of 28 to 95
+/// bytes, past every remainder mod 32 of the signed bytes. The receive
+/// window is the whole `u32` range, so a flip that lengthens the payload
+/// reads as a truncated frame rather than an oversized one.
+#[test]
+fn every_bit_flip_of_a_short_frame_is_corrupt() {
+    for n in 0..=67usize {
+        let bytes = encode_frame(&patterned(n as u8, n)).expect("small payload encodes");
+        assert_eq!(bytes.len(), HEADER_LEN + n + TRAILER_LEN);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            match decode_complete(&bad, u32::MAX) {
+                Err(WireError::FrameCorrupt { .. }) => {}
+                other => panic!("payload {n}, bit {bit}: expected FrameCorrupt, got {other:?}"),
+            }
+        }
     }
 }
 

@@ -282,17 +282,15 @@ fn wire_chaos_resolves_every_request_exactly_once() {
             "{transport}: handshakes + requests"
         );
         // The server's terminal errors are fixed by the plan: client 0's
-        // request-path reset, which the connection's reader sees, and
+        // request-path reset, which the connection's reader sees as a
+        // frame cut short (over TCP the abort is a FIN, not a RST), and
         // the server's own truncation of client 1's response, which its
         // writer counts as a reset. Client 2 catches its flipped response
-        // and hangs up cleanly. Over TCP an abort is a both-ways
-        // shutdown, a FIN and not a RST (`TcpTransport::abort`), so the
-        // reader sees client 0's reset as a frame cut short.
+        // and hangs up cleanly.
         let t = &metrics.transport;
-        let (resets, corrupt) = if transport == "mem" { (2, 0) } else { (1, 1) };
         assert_eq!(
             (t.conn_reset, t.frame_corrupt, t.frame_too_large),
-            (resets, corrupt, 0),
+            (2, 0, 0),
             "{transport}: server-side (conn_reset, frame_corrupt, frame_too_large)"
         );
     }
@@ -362,11 +360,15 @@ fn seeded_flip_and_reset_rates_keep_exactly_once() {
             "{transport}: a response-path loss must replay from the book"
         );
         let t = &metrics.transport;
-        assert!(
-            t.frame_corrupt > 0,
-            "{transport}: a flipped request frame is counted corrupt"
+        // Each client's faults are a function of its own frame indices,
+        // so the server's terminal errors are too: flipped request frames
+        // are corrupt, and every frame cut short — by an abort or a FIN,
+        // on either transport — is a reset.
+        assert_eq!(
+            (t.conn_reset, t.frame_corrupt, t.frame_too_large),
+            (4, 2, 0),
+            "{transport}: server-side (conn_reset, frame_corrupt, frame_too_large)"
         );
-        assert!(t.conn_reset > 0, "{transport}: a reset is counted");
     }
 }
 
@@ -574,6 +576,92 @@ fn resubmit_while_in_flight_is_answered_by_the_original_execution() {
     let metrics = server.shutdown().expect("clean drain");
     assert_eq!(metrics.service.completed(), 1, "executed exactly once");
     assert_eq!(metrics.transport.dedup_replays, 1, "B was a replay");
+}
+
+// ---------------------------------------------------------------------
+// A reused client id
+// ---------------------------------------------------------------------
+
+/// The oracle pyramid of `req`.
+fn oracle(req: &DecomposeRequest) -> dwt::Pyramid {
+    dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
+        .expect("oracle geometry is valid")
+}
+
+/// A client restarted under its configured id numbers its requests from
+/// 0 again, onto ids the book still holds for its predecessor. Each is a
+/// new request: executed and answered with its own pyramid, never the
+/// predecessor's result — over the shim and TCP.
+#[test]
+fn a_reused_client_id_is_served_its_own_results() {
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let (x, y) = (request(1), request(2));
+        for req in [&x, &y] {
+            let mut client = RemoteClient::new(dial(), 7);
+            for call in 0..3 {
+                let resp = client.call(req).expect("clean wire").expect("serves Ok");
+                assert_eq!(resp.pyramid, oracle(req), "{transport}: call {call}");
+            }
+            client.goodbye();
+        }
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(
+            metrics.service.completed(),
+            6,
+            "{transport}: every call ran"
+        );
+        let t = &metrics.transport;
+        assert_eq!(
+            (t.dedup_replays, t.reused_ids),
+            (0, 2),
+            "{transport}: ids 1 and 2 were still in the book"
+        );
+    }
+}
+
+/// A reused id whose predecessor is still in flight waits that request
+/// out — the predecessor's resubmit is still answered from the book —
+/// and then executes as a new request.
+#[test]
+fn a_reused_client_id_waits_out_the_request_in_flight() {
+    let listener = MemListener::new(1 << 16, tick());
+    // Both shards crawl through their first dispatch, so the first
+    // request is still in flight when the second client asks.
+    let crawl = ShardFaultPlan::none()
+        .with_stall(0, 4000.0, 0, 1)
+        .with_stall(1, 4000.0, 0, 1);
+    let server = RemoteServer::start(
+        service_config().with_faults(crawl),
+        remote_config(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    let (x, y) = (
+        DecomposeRequest::new(image(64, 7), FilterBank::cdf53(), 2),
+        DecomposeRequest::new(image(64, 8), FilterBank::cdf53(), 2),
+    );
+    // Client 7 sends X as id 0 and dies without reading a byte.
+    let mut a = raw_client(Box::new(listener.connect().expect("listener open")), 7, 1);
+    a.send_frame(&encode_request(0, &x).expect("request encodes"))
+        .expect("request fits the pipe");
+    std::thread::sleep(Duration::from_millis(20));
+    a.abort();
+
+    // A new client 7 asks id 0 for Y.
+    let mut b = RemoteClient::new(Box::new(listener.clone()), 7)
+        .with_response_timeout(Duration::from_secs(30));
+    let resp = b.call(&y).expect("clean wire").expect("serves Ok");
+    assert_eq!(resp.pyramid, oracle(&y), "Y's own pyramid");
+    assert_eq!(b.retries, 0, "answered on its first attempt");
+    b.goodbye();
+
+    let metrics = server.shutdown().expect("clean drain");
+    assert_eq!(metrics.service.completed(), 2, "X and Y each ran once");
+    let t = &metrics.transport;
+    assert_eq!((t.dedup_replays, t.reused_ids), (0, 1));
 }
 
 // ---------------------------------------------------------------------
@@ -967,6 +1055,117 @@ fn protocol_mismatch_is_terminal_and_typed() {
         0,
         "no work crossed the bad handshake"
     );
+}
+
+/// `payload` framed as protocol version 3 framed it: the same header
+/// with version byte 3, and FNV-1a 64 over header and payload as the
+/// trailer.
+fn v3_frame(kind: FrameKind, id: u64, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = b"WSRV".to_vec();
+    bytes.extend_from_slice(&[3, kind as u8, 0, 0]);
+    bytes.extend_from_slice(&id.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    bytes.extend_from_slice(&fnv.to_le_bytes());
+    bytes
+}
+
+/// A version-3 peer is refused typed, with no decoder kept for it: its
+/// frames fail at the version byte as `FrameCorrupt` in either direction,
+/// and a v3 `Hello` inside a current frame as `HandshakeMismatch` — over
+/// the shim and TCP.
+#[test]
+fn v3_frames_and_hellos_are_refused_typed() {
+    let v3_hello = |kind| {
+        let hello = Hello {
+            protocol: 3,
+            max_payload: DEFAULT_MAX_PAYLOAD,
+            window: 1,
+        };
+        v3_frame(kind, 7, &encode_hello(kind, 7, &hello).payload)
+    };
+    match wserv::wire::decode_complete(&v3_hello(FrameKind::Hello), DEFAULT_MAX_PAYLOAD) {
+        Err(wserv::wire::WireError::FrameCorrupt { detail }) => assert!(
+            detail.contains(&format!(
+                "protocol version 3 (this build speaks {PROTOCOL_VERSION})"
+            )),
+            "{detail}"
+        ),
+        other => panic!("a v3 frame must not decode, got {other:?}"),
+    }
+    for transport in TRANSPORTS {
+        // A v3 client's Hello: the server closes without a byte back.
+        let (listener, dial) = endpoints(transport);
+        let server =
+            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
+        let mut v3_client = dial().dial().expect("server is up");
+        v3_client
+            .send(&[&v3_hello(FrameKind::Hello)])
+            .expect("the frame is sent");
+        let mut buf = [0u8; 64];
+        let closed = v3_client.recv(&mut buf, Some(Instant::now() + PATIENCE));
+        assert!(
+            matches!(closed, Ok(Recv::Eof) | Err(TransportError::ConnReset)),
+            "{transport}: the server refuses the v3 frame, got {closed:?}"
+        );
+        // A v3 Hello in a current frame: terminal, never retried.
+        let mut wrong = RemoteClient::new(dial(), 8)
+            .with_claimed_protocol(3)
+            .with_retry(fast_retry());
+        match wrong.call(&request(1)) {
+            Err(TransportError::HandshakeMismatch { detail }) => {
+                assert!(detail.contains("we speak 3"), "{transport}: {detail}")
+            }
+            other => panic!("{transport}: expected HandshakeMismatch, got {other:?}"),
+        }
+        assert_eq!(wrong.retries, 0, "{transport}: mismatch is terminal");
+        drop(wrong);
+        let metrics = server.shutdown().expect("clean drain");
+        let t = &metrics.transport;
+        assert_eq!(
+            (t.frame_corrupt, t.handshake_mismatch, t.conns_accepted),
+            (1, 1, 0),
+            "{transport}: server-side (frame_corrupt, handshake_mismatch, conns_accepted)"
+        );
+        assert_eq!(metrics.service.completed(), 0, "{transport}");
+
+        // A v3 server's ack: the client types it at the version byte.
+        let (listener, dial) = endpoints(transport);
+        let peer = std::thread::spawn(move || {
+            let mut conn = listener.accept().expect("the client dials");
+            let mut io = FrameIo::new(
+                conn.try_clone().expect("transports clone"),
+                0,
+                WireDir::ServerToClient,
+                WireFaultPlan::none(),
+                WireClock::new(),
+            );
+            match io.recv_frame_until(Instant::now() + PATIENCE) {
+                Ok(RecvFrame::Frame(f)) => assert_eq!(f.kind, FrameKind::Hello),
+                other => panic!("expected the Hello, got {other:?}"),
+            }
+            conn.send(&[&v3_hello(FrameKind::HelloAck)])
+                .expect("the ack is sent");
+            conn
+        });
+        let mut client = RemoteClient::new(dial(), 7).with_retry(RetryPolicy {
+            max_attempts: 1,
+            ..fast_retry()
+        });
+        match client.call(&request(1)) {
+            Err(TransportError::FrameCorrupt { detail }) => {
+                assert!(
+                    detail.contains("protocol version 3"),
+                    "{transport}: {detail}"
+                )
+            }
+            other => panic!("{transport}: expected FrameCorrupt, got {other:?}"),
+        }
+        drop(peer.join().expect("peer never panics"));
+    }
 }
 
 // ---------------------------------------------------------------------

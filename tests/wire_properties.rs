@@ -516,10 +516,11 @@ fn every_bit_flip_of_a_short_frame_is_corrupt() {
     }
 }
 
-/// Captured when protocol version 3 added the Credit frame. Only a
-/// deliberate wire-format change — a new `PROTOCOL_VERSION` — may
-/// replace it.
-const WIRE_GOLDEN: u64 = 0x0c6d_8657_5802_8858;
+/// Re-pinned when protocol version 4 replaced the FNV-1a trailer with
+/// the word-at-a-time checksum: the version byte and every trailer
+/// moved, and nothing else. Only a deliberate wire-format change — a new
+/// `PROTOCOL_VERSION` — may replace it.
+const WIRE_GOLDEN: u64 = 0xcae3_69f0_fea3_187d;
 
 /// One frame of every message the protocol has, in a fixed order.
 fn golden_frames() -> Vec<Frame> {

@@ -30,10 +30,14 @@
 //! Clients assign monotone request ids and resubmit idempotently after
 //! transport faults. The server keeps a per-client *resolution book*:
 //! a request id is `InFlight` from submission until its outcome is
-//! recorded, then `Done(result)`. A resubmit of a `Done` id replays the
+//! recorded, then `Done(result)`, under the verified trailer of the
+//! Request frame that claimed it. A resubmit of a `Done` id replays the
 //! recorded outcome without re-execution; a resubmit of an `InFlight`
 //! id (the original connection died mid-service) waits for the
-//! original resolution and sends that. Execution happens at most once
+//! original resolution and sends that. A *different* request under a
+//! held id — a client restarted under its id numbers from 0 again — is
+//! never answered from the book: it executes, once any request in
+//! flight under that id has resolved. Execution happens at most once
 //! per id; rejected submissions are deliberately *not* recorded, so a
 //! retry after `QueueFull` re-attempts admission rather than replaying
 //! the rejection — and a resubmit caught waiting on a claim that is
@@ -543,7 +547,7 @@ fn admit(
     decode: impl FnOnce() -> Result<DecomposeRequest, WireError>,
     local: &mut TransportMetrics,
 ) -> Result<Source, WireError> {
-    let reused = match shared.dedup.claim(client, id, check) {
+    let behind = match shared.dedup.claim(client, id, check) {
         Claim::Held(Slot::Done(result)) => {
             local.dedup_replays += 1;
             return Ok(Source::Known(result));
@@ -552,20 +556,20 @@ fn admit(
             local.dedup_replays += 1;
             return Ok(Source::Book(check));
         }
-        Claim::Fresh { reused } => Ok(reused),
-        Claim::Behind(held) => Err(held),
+        Claim::Fresh { reused } => {
+            local.reused_ids += reused as u64;
+            None
+        }
+        Claim::Behind(held) => Some(held),
     };
     let t0 = Instant::now();
     let decoded = decode();
     local.ser_s += t0.elapsed().as_secs_f64();
-    let req = match (decoded, reused) {
-        (Ok(req), Ok(reused)) => {
-            local.reused_ids += reused as u64;
-            req
-        }
-        (Ok(req), Err(held)) => return Ok(Source::Behind(check, held, req)),
-        (Err(e), fresh) => {
-            if fresh.is_ok() {
+    let req = match (decoded, behind) {
+        (Ok(req), None) => req,
+        (Ok(req), Some(held)) => return Ok(Source::Behind(check, held, req)),
+        (Err(e), behind) => {
+            if behind.is_none() {
                 shared.dedup.forget_claim(client, id);
             }
             return Err(e);

@@ -630,9 +630,10 @@ impl FrameIo {
 
     /// Encode and send one frame, injecting whatever the fault plan
     /// schedules at this `(conn, dir, frame index)`; an injected reset or
-    /// truncation is [`TransportError::ConnReset`] on this side too. A
-    /// payload over the window is [`TransportError::FrameTooLarge`]
-    /// before a byte is sent or a fault index used.
+    /// truncation is [`TransportError::ConnReset`] on this side too, so a
+    /// caller fails over at once. A payload over the window is
+    /// [`TransportError::FrameTooLarge`] before a byte is sent or a fault
+    /// index used, and the connection stays usable.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
         if frame.payload.len() as u64 > self.max_payload as u64 {
             return Err(TransportError::FrameTooLarge {

@@ -1350,19 +1350,6 @@ mod tests {
         }
     }
 
-    /// The trailer, read where header and payload lie, is the checksum
-    /// of the two as one string, on either side of the first block.
-    #[test]
-    fn the_trailer_is_the_checksum_of_header_and_payload() {
-        for n in 0..=80 {
-            let payload: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
-            let header =
-                header(&Frame::new(FrameKind::Request, n as u64, payload.clone())).unwrap();
-            let whole = checksum(&[&header[..], &payload].concat());
-            assert_eq!(trailer(&header, &payload), whole.to_le_bytes(), "{n} B");
-        }
-    }
-
     #[test]
     fn bit_flips_are_caught_by_the_checksum() {
         let bytes = encode_frame(&encode_request(1, &sample_request()).unwrap()).unwrap();

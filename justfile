@@ -133,18 +133,20 @@ supervise-soak:
 # parked on a progressive credit block until an event — a dial, a
 # frame, a credit, a close — so a lost wake hangs instead of failing an
 # assertion. The drain, handshake, response-timeout, parked-writer,
-# lost-window replay and framing tests of wserv_remote, over the shim
-# and TCP — reads land a header, then a payload sized from it, in as
-# many pieces as the transport delivers — run 25 times, one test at a
-# time, each round under `timeout` so a hang is a non-zero exit within
-# a minute.
+# lost-window replay, framing, v3-refusal and reused-client-id tests of
+# wserv_remote, over the shim and TCP — reads land a header, then a
+# payload sized from it, in as many pieces as the transport delivers,
+# and a reused id waits on the book for the request it displaces — run
+# 25 times, one test at a time, each round under `timeout` so a hang is
+# a non-zero exit within a minute.
 remote-soak:
     #!/usr/bin/env bash
     set -euo pipefail
     cargo test -q --release --test wserv_remote --no-run
     for round in $(seq 25); do
         timeout 60 cargo test -q --release --test wserv_remote -- \
-            drain hello times_out parked replayed frame_io --test-threads=1 2>/dev/null
+            drain hello times_out parked replayed frame_io v3_ reused_client_id \
+            --test-threads=1 2>/dev/null
     done
     echo "remote-soak OK: 25 rounds"
 

@@ -368,9 +368,6 @@ pub enum WireFault {
     /// Abortive close mid-frame: half the frame is sent, then both
     /// directions break. The peer observes a connection reset.
     Reset,
-    /// Half the frame, then a clean FIN: the peer's stream ends inside
-    /// the frame, which it types as a connection reset too.
-    Truncate,
     /// One bit of the encoded frame flips in flight; the peer's
     /// checksum catches it. `entropy` seeds the bit position.
     BitFlip {
@@ -409,7 +406,6 @@ pub struct WireEvent {
 pub struct WireFaultPlan {
     seed: u64,
     resets: Vec<WireEvent>,
-    truncates: Vec<WireEvent>,
     bitflips: Vec<WireEvent>,
     stalls: Vec<(WireEvent, f64)>,
     flip_rate: f64,
@@ -433,12 +429,6 @@ impl WireFaultPlan {
     /// Schedule an abortive reset mid-frame at `(conn, dir, frame)`.
     pub fn with_reset(mut self, conn: u64, dir: WireDir, frame: u64) -> Self {
         self.resets.push(WireEvent { conn, dir, frame });
-        self
-    }
-
-    /// Schedule a truncated frame (partial bytes, then clean FIN).
-    pub fn with_truncate(mut self, conn: u64, dir: WireDir, frame: u64) -> Self {
-        self.truncates.push(WireEvent { conn, dir, frame });
         self
     }
 
@@ -469,7 +459,6 @@ impl WireFaultPlan {
     /// Whether the plan injects nothing (the fault-free fast path).
     pub fn is_empty(&self) -> bool {
         self.resets.is_empty()
-            && self.truncates.is_empty()
             && self.bitflips.is_empty()
             && self.stalls.is_empty()
             && self.flip_rate == 0.0
@@ -499,8 +488,8 @@ impl WireFaultPlan {
     }
 
     /// The fault (if any) scheduled for frame `frame` on `(conn, dir)`.
-    /// Precedence when several match one coordinate: reset, truncate,
-    /// bit-flip, stall — at most one fault fires per frame.
+    /// Precedence when several match one coordinate: reset, bit-flip,
+    /// stall — at most one fault fires per frame.
     pub fn decide(&self, conn: u64, dir: WireDir, frame: u64) -> Option<WireFault> {
         let hit = |evs: &[WireEvent]| {
             evs.iter()
@@ -512,9 +501,6 @@ impl WireFaultPlan {
                 && decision(self.seed, KIND_WIRE_RESET, coord) < self.reset_rate)
         {
             return Some(WireFault::Reset);
-        }
-        if hit(&self.truncates) {
-            return Some(WireFault::Truncate);
         }
         if hit(&self.bitflips)
             || (self.flip_rate > 0.0 && decision(self.seed, KIND_WIRE_FLIP, coord) < self.flip_rate)
@@ -680,12 +666,12 @@ mod tests {
     fn wire_plan_decides_deterministically_with_precedence() {
         let p = WireFaultPlan::seeded(1996)
             .with_reset(1, WireDir::ClientToServer, 3)
-            .with_truncate(1, WireDir::ClientToServer, 3)
+            .with_bitflip(1, WireDir::ClientToServer, 3)
             .with_bitflip(1, WireDir::ServerToClient, 0)
             .with_stall(2, WireDir::ClientToServer, 5, 0.25);
         assert!(!p.is_empty());
         assert!(p.validate().is_ok());
-        // Reset outranks the truncate scheduled at the same coordinate.
+        // Reset outranks the bit flip scheduled at the same coordinate.
         assert_eq!(
             p.decide(1, WireDir::ClientToServer, 3),
             Some(WireFault::Reset)

@@ -629,9 +629,9 @@ impl FrameIo {
     }
 
     /// Encode and send one frame, injecting whatever the fault plan
-    /// schedules at this `(conn, dir, frame index)`; an injected reset or
-    /// truncation is [`TransportError::ConnReset`] on this side too, so a
-    /// caller fails over at once. A payload over the window is
+    /// schedules at this `(conn, dir, frame index)`; an injected reset is
+    /// [`TransportError::ConnReset`] on this side too, so a caller fails
+    /// over at once. A payload over the window is
     /// [`TransportError::FrameTooLarge`] before a byte is sent or a fault
     /// index used, and the connection stays usable.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
@@ -661,17 +661,13 @@ impl FrameIo {
                 bytes[bit / 8] ^= 1 << (bit % 8);
                 self.io.send(&[&bytes])?;
             }
-            Some(cut @ (WireFault::Truncate | WireFault::Reset)) => {
-                // Half the frame, then a FIN or an abortive close: the
-                // peer's read ends inside the frame, a reset either way.
+            Some(WireFault::Reset) => {
+                // Half the frame, then an abortive close: the peer's read
+                // ends inside the frame.
                 let half = &parts.concat()[..len / 2];
                 let _ = self.io.send(&[half]);
                 self.stats.bytes_out += half.len() as u64;
-                if cut == WireFault::Truncate {
-                    self.io.shutdown_write();
-                } else {
-                    self.io.abort();
-                }
+                self.io.abort();
                 return Err(TransportError::ConnReset);
             }
             None | Some(WireFault::Stall { .. }) => self.io.send(&parts)?,
@@ -875,37 +871,30 @@ mod tests {
     }
 
     #[test]
-    fn injected_truncation_and_reset_type_correctly_at_the_peer() {
-        for fault_is_reset in [false, true] {
-            let (a, b) = mem_pair(1 << 16, tick());
-            let clock = WireClock::new();
-            let plan = if fault_is_reset {
-                WireFaultPlan::none().with_reset(5, WireDir::ClientToServer, 0)
-            } else {
-                WireFaultPlan::none().with_truncate(5, WireDir::ClientToServer, 0)
-            };
-            let mut tx = FrameIo::new(
-                Box::new(a),
-                5,
-                WireDir::ClientToServer,
-                plan,
-                Arc::clone(&clock),
-            );
-            let mut rx = FrameIo::new(
-                Box::new(b),
-                5,
-                WireDir::ServerToClient,
-                WireFaultPlan::none(),
-                clock,
-            );
-            assert_eq!(
-                tx.send_frame(&frame(1, 64)),
-                Err(TransportError::ConnReset),
-                "sender learns immediately"
-            );
-            // Cut mid-frame, by a FIN or an abort: a reset either way.
-            assert_eq!(rx.recv_frame(), Err(TransportError::ConnReset));
-        }
+    fn an_injected_reset_types_correctly_at_the_peer() {
+        let (a, b) = mem_pair(1 << 16, tick());
+        let clock = WireClock::new();
+        let mut tx = FrameIo::new(
+            Box::new(a),
+            5,
+            WireDir::ClientToServer,
+            WireFaultPlan::none().with_reset(5, WireDir::ClientToServer, 0),
+            Arc::clone(&clock),
+        );
+        let mut rx = FrameIo::new(
+            Box::new(b),
+            5,
+            WireDir::ServerToClient,
+            WireFaultPlan::none(),
+            clock,
+        );
+        assert_eq!(
+            tx.send_frame(&frame(1, 64)),
+            Err(TransportError::ConnReset),
+            "sender learns immediately"
+        );
+        // Cut mid-frame: a reset.
+        assert_eq!(rx.recv_frame(), Err(TransportError::ConnReset));
     }
 
     #[test]

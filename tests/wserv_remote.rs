@@ -121,9 +121,9 @@ fn wire_plan() -> WireFaultPlan {
         // Client 0's second request dies mid-frame on the way out: the
         // server never sees it, the retry is a fresh first delivery.
         .with_reset(0, WireDir::ClientToServer, 2)
-        // Client 1's first *response* is truncated: the work already
+        // Client 1's first *response* dies mid-frame: the work already
         // executed, so the retry must be answered from the dedup book.
-        .with_truncate(1, WireDir::ServerToClient, 1)
+        .with_reset(1, WireDir::ServerToClient, 1)
         // Client 2's second response takes a bit flip: the client's
         // checksum catches it, the retry replays the recorded outcome.
         .with_bitflip(2, WireDir::ServerToClient, 2)

@@ -222,8 +222,10 @@ pub struct TransportMetrics {
     pub frame_too_large: u64,
     /// Handshakes refused for speaking the wrong protocol.
     pub handshake_mismatch: u64,
-    /// Duplicate submissions answered from the dedup registry instead
-    /// of re-executed (the exactly-once replays).
+    /// Duplicate submissions answered from the resolution book instead
+    /// of re-executed (the exactly-once replays), counted when the book
+    /// answers: a resubmit that waited on its own claim in flight counts
+    /// once that claim has resolved.
     pub dedup_replays: u64,
     /// Requests under an id the book held for a different request — a
     /// client id reused by a new client — executed as new ones.

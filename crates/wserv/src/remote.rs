@@ -28,30 +28,30 @@
 //! ## Exactly-once
 //!
 //! Clients assign monotone request ids and resubmit idempotently after
-//! transport faults. The server keeps a per-client *resolution book*:
-//! a request id is `InFlight` from submission until its outcome is
-//! recorded, then `Done(result)`, under the verified trailer of the
-//! Request frame that claimed it. A resubmit of a `Done` id replays the
-//! recorded outcome without re-execution; a resubmit of an `InFlight`
-//! id (the original connection died mid-service) waits for the
-//! original resolution and sends that. A *different* request under a
-//! held id — a client restarted under its id numbers from 0 again — is
-//! never answered from the book: it executes, once any request in
-//! flight under that id has resolved. Execution happens at most once
-//! per id; rejected submissions are deliberately *not* recorded, so a
-//! retry after `QueueFull` re-attempts admission rather than replaying
-//! the rejection — and a resubmit caught waiting on a claim that is
-//! then refused is woken and fails its connection, so its client
-//! retries too. An outcome exists once: the writer wraps what the
-//! service returned in an `Arc`, and the book, every replay and the
-//! encoder share it. The book remembers exactly what the protocol can
-//! still ask for: a client has at most `window` consecutive ids
-//! outstanding — the largest window its connections negotiated — and
-//! connections answer in submission order, so resolved ids more than
-//! `window` behind a client's newest are pruned — `window + 1` results
-//! per client, 2 for a [`RemoteClient`], with the argument at
-//! `ClientBook::window`. A Request frame is dropped once decoded, before
-//! the request is submitted, so a served image is held once.
+//! transport faults. The server keeps a per-client *resolution book*,
+//! one value that owns every rule below: a request id is `InFlight`
+//! from submission until its outcome is recorded, then `Done(result)`,
+//! under the verified trailer of the Request frame that claimed it. The
+//! reader decodes a Request frame and drops it, so a served image is
+//! held once, and only then claims the id. A resubmit of a `Done` id
+//! replays the recorded outcome without re-execution; a *different*
+//! request under a held id — a client restarted under its id numbers
+//! from 0 again — is never answered from the book. A request that finds
+//! its id `InFlight` — a resubmit after its connection died mid-service,
+//! or a different request — waits that claim out on its writer and
+//! claims again: a resubmit then replays, a different request executes.
+//! Execution happens at most once per id; rejected submissions are
+//! deliberately *not* recorded, so a retry after `QueueFull`
+//! re-attempts admission rather than replaying the rejection, and a
+//! resubmit that waited on a claim refused at the door claims the id
+//! itself. An outcome exists once: the writer wraps what the service
+//! returned in an `Arc`, and the book, every replay and the encoder
+//! share it. The book remembers exactly what the protocol can still ask
+//! for: a client has at most `window` consecutive ids outstanding — the
+//! largest window its connections negotiated — and connections answer
+//! in submission order, so resolved ids more than `window` behind a
+//! client's newest are pruned — `window + 1` results per client, 2 for
+//! a [`RemoteClient`], with the argument at `ClientBook::window`.
 //!
 //! ## Progressive delivery
 //!
@@ -112,8 +112,7 @@ use crate::transport::{
 use crate::wire::{
     decode_credit, decode_hello, decode_request, decode_response_body, encode_credit, encode_hello,
     encode_progressive_header, encode_progressive_plane, encode_request, encode_response, Frame,
-    FrameKind, Hello, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
-    TRAILER_LEN,
+    FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -202,26 +201,28 @@ pub struct RemoteMetrics {
 
 /// One id's state in the book. A recorded outcome is held once: the
 /// book, every replay and the frame encoder share the writer's `Arc`.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 enum Slot {
     InFlight,
     Done(Arc<ServeResult>),
 }
 
-/// What [`Dedup::claim`] found under an id.
+/// What [`ClientBook::claim`] found under an id.
 #[derive(Debug)]
 enum Claim {
-    /// This very request holds the id: replay its outcome, or wait for it.
-    Held(Slot),
+    /// This very request's recorded outcome.
+    Replay(Arc<ServeResult>),
+    /// The request whose frame's trailer this is — this one or another —
+    /// holds the id in flight: wait it out, then claim again.
+    Wait(u64),
     /// The caller now holds the id, `InFlight`; `reused` if that replaced
     /// the outcome of a different request under the same id.
     Fresh { reused: bool },
-    /// A different request under the same id, whose frame's trailer this
-    /// is, is still in flight.
-    Behind(u64),
 }
 
-#[derive(Default)]
+/// One client's resolution book: every rule of the exactly-once
+/// protocol, as a plain value that [`Dedup`] keeps under its lock.
+#[derive(Clone, Default)]
 struct ClientBook {
     /// Each id's slot, under the verified trailer of the Request frame
     /// that claimed it: only the same request replays it.
@@ -255,6 +256,60 @@ struct ClientBook {
     window: u64,
 }
 
+impl ClientBook {
+    /// One of this client's connections negotiated `window`; keep the
+    /// largest ([`ClientBook::window`]).
+    fn negotiated(&mut self, window: u32) {
+        self.window = self.window.max(window as u64);
+    }
+
+    /// Look `id` up for the request whose frame's trailer is `check`.
+    /// Unless it replays or must wait, the caller takes the id,
+    /// `InFlight`, and must either hand the submission to its writer or
+    /// [`ClientBook::forget`] it.
+    fn claim(&mut self, id: u64, check: u64) -> Claim {
+        self.max_id = self.max_id.max(id);
+        match self.entries.get(&id) {
+            Some((held, Slot::Done(result))) if *held == check => Claim::Replay(Arc::clone(result)),
+            Some(&(held, Slot::InFlight)) => Claim::Wait(held),
+            other => {
+                let reused = other.is_some();
+                self.entries.insert(id, (check, Slot::InFlight));
+                Claim::Fresh { reused }
+            }
+        }
+    }
+
+    /// Record the terminal outcome of the claim on `id`, and prune the
+    /// resolved tail behind the horizon.
+    fn resolve(&mut self, id: u64, result: Arc<ServeResult>) {
+        if let Some((_, slot)) = self.entries.get_mut(&id) {
+            *slot = Slot::Done(result);
+        }
+        let horizon = self.max_id.saturating_sub(self.window);
+        while let Some((&first, (_, slot))) = self.entries.first_key_value() {
+            if first >= horizon || !matches!(slot, Slot::Done(_)) {
+                break;
+            }
+            self.entries.remove(&first);
+        }
+    }
+
+    /// Remove an `InFlight` claim that was never submitted (refused at
+    /// the door).
+    fn forget(&mut self, id: u64) {
+        if matches!(self.entries.get(&id), Some((_, Slot::InFlight))) {
+            self.entries.remove(&id);
+        }
+    }
+
+    /// Whether the request with trailer `held` holds `id` in flight.
+    fn in_flight(&self, id: u64, held: u64) -> bool {
+        matches!(self.entries.get(&id), Some(&(h, Slot::InFlight)) if h == held)
+    }
+}
+
+/// Every client's book under one lock, and the one wait on it.
 #[derive(Default)]
 struct Dedup {
     books: Mutex<HashMap<u64, ClientBook>>,
@@ -264,84 +319,30 @@ struct Dedup {
 }
 
 impl Dedup {
-    /// Record that one of `client`'s connections negotiated `window`;
-    /// the client's book keeps the largest ([`ClientBook::window`]).
-    fn negotiated(&self, client: u64, window: u32) {
-        let mut books = self.books.lock();
-        let book = books.entry(client).or_default();
-        book.window = book.window.max(window as u64);
+    /// Run `f` on `client`'s book under the lock.
+    fn book<T>(&self, client: u64, f: impl FnOnce(&mut ClientBook) -> T) -> T {
+        f(self.books.lock().entry(client).or_default())
     }
 
-    /// Look up `(client, id)` for the request whose frame's trailer is
-    /// `check`. Unless that request holds the id already, the caller
-    /// takes it, `InFlight`, and must either hand the submission to its
-    /// writer or [`Dedup::forget_claim`] it — or, while a different
-    /// request holds it in flight (a reused client id), is told so.
-    fn claim(&self, client: u64, id: u64, check: u64) -> Claim {
-        let mut books = self.books.lock();
-        let book = books.entry(client).or_default();
-        book.max_id = book.max_id.max(id);
-        match book.entries.get(&id) {
-            Some((held, slot)) if *held == check => Claim::Held(slot.clone()),
-            Some(&(held, Slot::InFlight)) => Claim::Behind(held),
-            other => {
-                let reused = other.is_some();
-                book.entries.insert(id, (check, Slot::InFlight));
-                Claim::Fresh { reused }
-            }
-        }
-    }
-
-    /// Record the terminal outcome for `(client, id)` and prune the
-    /// book's resolved tail.
-    fn resolve(&self, client: u64, id: u64, result: Arc<ServeResult>) {
-        let mut books = self.books.lock();
-        let book = books.entry(client).or_default();
-        if let Some((_, slot)) = book.entries.get_mut(&id) {
-            *slot = Slot::Done(result);
-        }
-        let horizon = book.max_id.saturating_sub(book.window);
-        while let Some((&first, (_, slot))) = book.entries.first_key_value() {
-            if first >= horizon || !matches!(slot, Slot::Done(_)) {
-                break;
-            }
-            book.entries.remove(&first);
-        }
+    /// End a claim with `f` — [`ClientBook::resolve`] or
+    /// [`ClientBook::forget`] — and wake whoever waits on it.
+    fn settle(&self, client: u64, f: impl FnOnce(&mut ClientBook)) {
+        self.book(client, f);
         self.settled.notify_all();
     }
 
-    /// Remove an `InFlight` claim that was never submitted (refused at
-    /// the door), and tell whoever waits on it that it will not resolve.
-    fn forget_claim(&self, client: u64, id: u64) {
-        let mut books = self.books.lock();
-        if let Some(book) = books.get_mut(&client) {
-            if matches!(book.entries.get(&id), Some((_, Slot::InFlight))) {
-                book.entries.remove(&id);
-            }
-        }
-        self.settled.notify_all();
-    }
-
-    /// Wait until `(client, id)` — claimed for the request with trailer
-    /// `check` by another connection — is resolved, and return the
-    /// book's own pointer to the outcome; `None` if the claim was
-    /// forgotten instead.
+    /// Block until the request with trailer `held` no longer holds
+    /// `(client, id)` in flight.
     ///
     /// The wait is finite. The reader that made the claim either forgets
     /// it (which notifies) or hands the submission to its writer; every
     /// accepted request resolves (the service's drain sees to that), and
     /// a writer works off every item it was handed before it exits, send
     /// failure or not, so that `resolve` runs.
-    fn await_done(&self, client: u64, id: u64, check: u64) -> Option<Arc<ServeResult>> {
+    fn wait(&self, client: u64, id: u64, held: u64) {
         let mut books = self.books.lock();
-        loop {
-            match books.get(&client).and_then(|b| b.entries.get(&id)) {
-                Some((held, Slot::Done(result))) if *held == check => {
-                    return Some(Arc::clone(result))
-                }
-                Some((held, Slot::InFlight)) if *held == check => self.settled.wait(&mut books),
-                _ => return None,
-            }
+        while books.get(&client).is_some_and(|b| b.in_flight(id, held)) {
+            self.settled.wait(&mut books);
         }
     }
 }
@@ -529,67 +530,45 @@ enum Source {
     Service(ResponseHandle),
     /// A refusal at the door, or a recorded outcome replayed.
     Known(Arc<ServeResult>),
-    /// Another connection submitted the request with this trailer under
-    /// this id; its writer records it.
-    Book(u64),
-    /// A different request under this id, with the second trailer, is in
-    /// flight; the first is this request's. The writer waits that one out
-    /// and claims the id again.
-    Behind(u64, u64, DecomposeRequest),
+    /// The request, whose frame's trailer is the first, found its id held
+    /// in flight by the request with the second. The writer waits that
+    /// claim out and admits it again.
+    After(u64, u64, DecomposeRequest),
 }
 
-/// Claim `id` for the request whose Request frame's trailer is `check`,
-/// and say where its outcome comes from: the book, or the service, which
-/// `decode` yields the request for only if it is to execute.
+/// Claim `id` for the decoded request whose Request frame's trailer is
+/// `check`, and say where its outcome comes from.
 fn admit(
     shared: &ServerShared,
     (client, id, check): (u64, u64, u64),
-    decode: impl FnOnce() -> Result<DecomposeRequest, WireError>,
+    req: DecomposeRequest,
     local: &mut TransportMetrics,
-) -> Result<Source, WireError> {
-    let behind = match shared.dedup.claim(client, id, check) {
-        Claim::Held(Slot::Done(result)) => {
+) -> Source {
+    match shared.dedup.book(client, |b| b.claim(id, check)) {
+        Claim::Replay(result) => {
             local.dedup_replays += 1;
-            return Ok(Source::Known(result));
+            Source::Known(result)
         }
-        Claim::Held(Slot::InFlight) => {
-            local.dedup_replays += 1;
-            return Ok(Source::Book(check));
-        }
+        Claim::Wait(held) => Source::After(check, held, req),
         Claim::Fresh { reused } => {
             local.reused_ids += reused as u64;
-            None
-        }
-        Claim::Behind(held) => Some(held),
-    };
-    let t0 = Instant::now();
-    let decoded = decode();
-    local.ser_s += t0.elapsed().as_secs_f64();
-    let req = match (decoded, behind) {
-        (Ok(req), None) => req,
-        (Ok(req), Some(held)) => return Ok(Source::Behind(check, held, req)),
-        (Err(e), behind) => {
-            if behind.is_none() {
-                shared.dedup.forget_claim(client, id);
+            let submitted = shared
+                .service
+                .lock()
+                .as_ref()
+                .map(|svc| svc.submit(req))
+                .unwrap_or(Err(Rejection::Draining));
+            match submitted {
+                Ok(handle) => Source::Service(handle),
+                Err(rej) => {
+                    // Not recorded in the book: a rejected request was
+                    // never executed, so a retry may re-attempt admission.
+                    shared.dedup.settle(client, |b| b.forget(id));
+                    Source::Known(Arc::new(Err(rej)))
+                }
             }
-            return Err(e);
         }
-    };
-    let submitted = shared
-        .service
-        .lock()
-        .as_ref()
-        .map(|svc| svc.submit(req))
-        .unwrap_or(Err(Rejection::Draining));
-    Ok(match submitted {
-        Ok(handle) => Source::Service(handle),
-        Err(rej) => {
-            // Not recorded in the book: a rejected request was never
-            // executed, so a retry may re-attempt admission.
-            shared.dedup.forget_claim(client, id);
-            Source::Known(Arc::new(Err(rej)))
-        }
-    })
+    }
 }
 
 struct ServerShared {
@@ -779,7 +758,7 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
             // evidence; nothing further is served on this connection.
             break 'conn Ok(true);
         }
-        shared.dedup.negotiated(client, negotiated);
+        shared.dedup.book(client, |b| b.negotiated(negotiated));
 
         // Main read loop.
         loop {
@@ -790,14 +769,17 @@ fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
                         if !window.acquire(id) || dead.load(Ordering::SeqCst) {
                             break 'conn Ok(false);
                         }
+                        let t0 = Instant::now();
+                        let req = decode_request(&f);
+                        local.ser_s += t0.elapsed().as_secs_f64();
                         // The frame's bytes are the image's second copy:
                         // gone once decoded, before it is served.
-                        let decode = move || decode_request(&f);
-                        let key = (client, id, rio.check);
-                        let from = match admit(&shared, key, decode, &mut local) {
-                            Ok(from) => from,
+                        drop(f);
+                        let req = match req {
+                            Ok(req) => req,
                             Err(e) => break 'conn Err(e.into()),
                         };
+                        let from = admit(&shared, (client, id, rio.check), req, &mut local);
                         if tx.send((id, from)).is_err() {
                             break 'conn Ok(false);
                         }
@@ -939,24 +921,25 @@ fn writer_main(
     }
     for (id, from) in rx.iter() {
         let from = match from {
-            // The wait is `Book`'s, on a claim made before this request
-            // arrived; then the id is claimed anew, without waiting.
-            Source::Behind(check, held, req) => {
-                shared.dedup.await_done(client, id, held);
-                let admitted = admit(&shared, (client, id, check), || Ok(req), &mut local);
-                admitted.expect("a decoded request admits")
+            // The claim waited on was made before this request arrived:
+            // on this connection it is ahead in the queue, so this wait
+            // never waits on itself.
+            Source::After(check, held, req) => {
+                shared.dedup.wait(client, id, held);
+                admit(&shared, (client, id, check), req, &mut local)
             }
             from => from,
         };
         let result = match from {
             Source::Service(handle) => {
                 let result = Arc::new(handle.wait());
-                shared.dedup.resolve(client, id, Arc::clone(&result));
+                shared
+                    .dedup
+                    .settle(client, |b| b.resolve(id, Arc::clone(&result)));
                 Some(result)
             }
             Source::Known(result) => Some(result),
-            Source::Book(check) => shared.dedup.await_done(client, id, check),
-            Source::Behind(..) => None,
+            Source::After(..) => None,
         };
         match result {
             Some(result) if !dead.load(Ordering::SeqCst) => {
@@ -966,10 +949,8 @@ fn writer_main(
                 }
             }
             Some(_) => {}
-            // The submission this id waited on was refused at the door,
-            // or a third request took the id meanwhile, so nothing will
-            // resolve it here. Fail the connection: the client's retry
-            // re-attempts admission, as it does after any rejection.
+            // A third request took the id while this one waited. Fail the
+            // connection: the client's retry claims it again.
             None => give_up(&mut wio),
         }
         window.release(id);
@@ -1451,113 +1432,281 @@ mod tests {
     /// The trailer every request in the book tests below carries.
     const X: u64 = 0x5eed;
 
+    /// A request behind a claim in flight: wait it out, then claim again.
+    fn wait_then_claim(dedup: &Arc<Dedup>, check: u64, held: u64) -> mpsc::Receiver<Claim> {
+        let dedup = Arc::clone(dedup);
+        parked(move || {
+            dedup.wait(7, 0, held);
+            dedup.book(7, |b| b.claim(0, check))
+        })
+    }
+
     #[test]
     fn a_waiter_gets_the_books_own_pointer() {
         let dedup = Arc::<Dedup>::default();
-        assert!(matches!(
-            dedup.claim(7, 0, X),
-            Claim::Fresh { reused: false }
-        ));
-        assert!(matches!(dedup.claim(7, 0, X), Claim::Held(Slot::InFlight)));
-        let waiter = {
-            let dedup = Arc::clone(&dedup);
-            parked(move || dedup.await_done(7, 0, X))
-        };
+        let claim = |check| dedup.book(7, |b| b.claim(0, check));
+        assert!(matches!(claim(X), Claim::Fresh { reused: false }));
+        assert!(matches!(claim(X), Claim::Wait(X)));
+        let waiter = wait_then_claim(&dedup, X, X);
         let result = outcome();
-        dedup.resolve(7, 0, Arc::clone(&result));
-        let got = waiter
+        dedup.settle(7, |b| b.resolve(0, Arc::clone(&result)));
+        match waiter
             .recv_timeout(WOKEN)
-            .expect("resolve wakes the waiter");
-        assert!(Arc::ptr_eq(&got.expect("resolved"), &result), "no copy");
-        match dedup.claim(7, 0, X) {
-            Claim::Held(Slot::Done(replay)) => assert!(Arc::ptr_eq(&replay, &result)),
+            .expect("resolve wakes the waiter")
+        {
+            Claim::Replay(got) => assert!(Arc::ptr_eq(&got, &result), "no copy"),
+            other => panic!("expected the recorded outcome, got {other:?}"),
+        }
+        match claim(X) {
+            Claim::Replay(replay) => assert!(Arc::ptr_eq(&replay, &result)),
             other => panic!("expected the recorded outcome, got {other:?}"),
         }
         // Book, waiter's answer (dropped), replay (dropped), ours.
         assert_eq!(Arc::strong_count(&result), 2);
     }
 
+    /// A resubmit waiting on a claim refused at the door takes the id
+    /// itself.
     #[test]
     fn forgetting_a_claim_releases_its_waiter() {
         let dedup = Arc::<Dedup>::default();
         assert!(matches!(
-            dedup.claim(7, 0, X),
+            dedup.book(7, |b| b.claim(0, X)),
             Claim::Fresh { reused: false }
         ));
-        let waiter = {
-            let dedup = Arc::clone(&dedup);
-            parked(move || dedup.await_done(7, 0, X))
-        };
-        dedup.forget_claim(7, 0);
-        let got = waiter
-            .recv_timeout(WOKEN)
-            .expect("forget_claim wakes the waiter");
-        assert!(got.is_none(), "a forgotten claim never resolves");
+        let waiter = wait_then_claim(&dedup, X, X);
+        dedup.settle(7, |b| b.forget(0));
+        let got = waiter.recv_timeout(WOKEN).expect("forget wakes the waiter");
         assert!(
-            matches!(dedup.claim(7, 0, X), Claim::Fresh { reused: false }),
-            "the retry claims it afresh"
+            matches!(got, Claim::Fresh { reused: false }),
+            "the waiter claims it afresh, got {got:?}"
         );
     }
 
     /// A different request under a held id is never answered from the
-    /// book: it is told of one in flight, and takes a resolved one over.
+    /// book: it waits one in flight out, and takes a resolved one over.
     #[test]
     fn only_the_same_request_replays_an_id() {
         const Y: u64 = X + 1;
-        let dedup = Dedup::default();
-        assert!(matches!(
-            dedup.claim(7, 0, X),
-            Claim::Fresh { reused: false }
-        ));
-        assert!(matches!(dedup.claim(7, 0, Y), Claim::Behind(X)));
+        let mut book = ClientBook::default();
+        assert!(matches!(book.claim(0, X), Claim::Fresh { reused: false }));
+        assert!(matches!(book.claim(0, Y), Claim::Wait(X)));
         let result = outcome();
-        dedup.resolve(7, 0, Arc::clone(&result));
-        assert!(dedup.await_done(7, 0, Y).is_none(), "Y holds nothing");
-        assert!(matches!(
-            dedup.claim(7, 0, Y),
-            Claim::Fresh { reused: true }
-        ));
+        book.resolve(0, Arc::clone(&result));
+        assert!(!book.in_flight(0, X), "Y's wait is over");
+        assert!(matches!(book.claim(0, Y), Claim::Fresh { reused: true }));
         assert_eq!(Arc::strong_count(&result), 1, "X's outcome is gone");
-        assert!(matches!(dedup.claim(7, 0, X), Claim::Behind(Y)));
+        assert!(matches!(book.claim(0, X), Claim::Wait(Y)));
     }
 
     #[test]
     fn the_book_remembers_one_window_of_results() {
-        let dedup = Dedup::default();
+        let mut book = ClientBook::default();
         let mut results = Vec::new();
-        // (window a connection of client 7 negotiates, the window the
+        // (window a connection of the client negotiates, the window the
         // book keeps): a `RemoteClient`'s 1, a pipelining reconnect's 4,
         // then a smaller reconnect, which leaves the larger bound.
         for (negotiated, kept) in [(1u32, 1u64), (4, 4), (2, 4)] {
-            dedup.negotiated(7, negotiated);
+            book.negotiated(negotiated);
             for _ in 0..10 * kept {
                 let id = results.len() as u64;
-                let fresh = dedup.claim(7, id, X);
+                let fresh = book.claim(id, X);
                 assert!(
                     matches!(fresh, Claim::Fresh { reused: false }),
                     "id {id} is new"
                 );
                 let result = outcome();
-                dedup.resolve(7, id, Arc::clone(&result));
-                let held = dedup.books.lock()[&7].entries.len() as u64;
+                book.resolve(id, Arc::clone(&result));
+                let held = book.entries.len() as u64;
                 assert!(held <= kept + 1, "{held} results held after id {id}");
                 results.push(result);
             }
             let newest = results.len() as u64 - 1;
             for id in newest + 1 - kept..=newest {
-                match dedup.claim(7, id, X) {
-                    Claim::Held(Slot::Done(replay)) => {
-                        assert!(Arc::ptr_eq(&replay, &results[id as usize]))
-                    }
+                match book.claim(id, X) {
+                    Claim::Replay(replay) => assert!(Arc::ptr_eq(&replay, &results[id as usize])),
                     other => panic!("id {id} must replay, got {other:?}"),
                 }
             }
-            assert_eq!(dedup.books.lock()[&7].entries.len() as u64, kept + 1);
+            assert_eq!(book.entries.len() as u64, kept + 1);
         }
         // What fell behind the horizon was freed, not just unlinked: the
         // book was its last owner besides this test.
         assert_eq!(Arc::strong_count(&results[0]), 1);
         assert_eq!(Arc::strong_count(results.last().expect("resolved")), 2);
+    }
+
+    /// One point of [`every_book_history_keeps_the_rules`]' walk: the
+    /// book, and what the walker knows it did to it.
+    #[derive(Clone, Default)]
+    struct Walk {
+        book: ClientBook,
+        /// The trailer of the claim each id is held in flight by.
+        flying: BTreeMap<u64, u64>,
+        /// The outcome last recorded under each `(id, trailer)`.
+        recorded: BTreeMap<(u64, u64), Arc<ServeResult>>,
+        /// The newest id claimed.
+        newest: Option<u64>,
+        /// Every claim so far was one client's: trailer `X`, the next id
+        /// or one still within `window` of the newest, at most `window`
+        /// in flight.
+        chain: bool,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Claim(u64, u64),
+        Resolve(u64),
+        Forget(u64),
+    }
+
+    impl Walk {
+        /// Take the last step of `history`, checking what the book
+        /// answers a claim.
+        fn step(&mut self, history: &[Step], window: u64) {
+            match *history.last().expect("a step to take") {
+                Step::Claim(id, t) => {
+                    match self.book.claim(id, t) {
+                        Claim::Replay(got) => assert!(
+                            self.recorded
+                                .get(&(id, t))
+                                .is_some_and(|r| Arc::ptr_eq(r, &got)),
+                            "{history:?}: a replay of what was recorded under {t:#x}"
+                        ),
+                        Claim::Wait(held) => assert!(
+                            self.book.in_flight(id, held) && self.flying.get(&id) == Some(&held),
+                            "{history:?}: a wait on {held:#x}, which holds it in flight"
+                        ),
+                        Claim::Fresh { .. } => assert!(
+                            self.flying.insert(id, t).is_none(),
+                            "{history:?}: a second claim in flight"
+                        ),
+                    }
+                    let in_order = self
+                        .newest
+                        .map_or(id == 0, |n| id == n + 1 || (id <= n && n - id < window));
+                    self.chain &= t == X && in_order && self.flying.len() as u64 <= window;
+                    self.newest = self.newest.max(Some(id));
+                }
+                Step::Resolve(id) => {
+                    let t = self.flying.remove(&id).expect("resolves an id in flight");
+                    let result = Arc::new(Err(Rejection::Draining));
+                    self.recorded.insert((id, t), Arc::clone(&result));
+                    self.book.resolve(id, result);
+                }
+                Step::Forget(id) => {
+                    self.flying.remove(&id);
+                    self.book.forget(id);
+                }
+            }
+        }
+
+        /// The rules that hold between steps.
+        fn check(&self, window: u64, history: &[Step]) {
+            let flying =
+                self.book.entries.iter().filter_map(|(&id, (t, slot))| {
+                    matches!(slot, Slot::InFlight).then_some((id, *t))
+                });
+            assert!(
+                flying.eq(self.flying.iter().map(|(&id, &t)| (id, t))),
+                "{history:?}: the book holds in flight exactly the claims made"
+            );
+            let Some(newest) = self.newest.filter(|_| self.chain) else {
+                return;
+            };
+            for (&(id, _), result) in &self.recorded {
+                if newest - id < window {
+                    let replay = self.book.clone().claim(id, X);
+                    assert!(
+                        matches!(&replay, Claim::Replay(got) if Arc::ptr_eq(got, result)),
+                        "{history:?}: id {id} is within the window, got {replay:?}"
+                    );
+                }
+            }
+            let results = self
+                .book
+                .entries
+                .values()
+                .filter(|(_, slot)| matches!(slot, Slot::Done(_)))
+                .count() as u64;
+            assert!(results <= window + 1, "{history:?}: {results} results held");
+        }
+
+        /// Everything the walk can tell apart: what the book holds (each
+        /// outcome by the `(id, trailer)` it was recorded under) and what
+        /// the walker knows.
+        fn key(&self) -> impl Eq + std::hash::Hash {
+            let entries: Vec<_> = self
+                .book
+                .entries
+                .iter()
+                .map(|(&id, (t, slot))| {
+                    let done = match slot {
+                        Slot::InFlight => None,
+                        Slot::Done(r) => Some(
+                            self.recorded
+                                .iter()
+                                .find(|(_, x)| Arc::ptr_eq(x, r))
+                                .map(|(&k, _)| k),
+                        ),
+                    };
+                    (id, *t, done)
+                })
+                .collect();
+            let recorded: Vec<_> = self.recorded.keys().copied().collect();
+            let flying = self.flying.clone();
+            (
+                entries,
+                self.book.max_id,
+                flying,
+                recorded,
+                self.newest,
+                self.chain,
+            )
+        }
+    }
+
+    /// Every history of up to six steps on one client's book — two
+    /// requests' claims on ids 0..=3, resolves and forgets of the ids in
+    /// flight — under windows 1 and 2, walked breadth first over distinct
+    /// states. After every step: a replay is the outcome recorded under
+    /// that id and trailer, a wait is on the claim holding the id in
+    /// flight, no id is claimed in flight twice, and for one client's
+    /// chain of claims every resolved id within the window replays and
+    /// the book holds at most `window + 1` results.
+    #[test]
+    fn every_book_history_keeps_the_rules() {
+        const Y: u64 = X + 1;
+        for window in [1u64, 2] {
+            let mut start = Walk {
+                chain: true,
+                ..Walk::default()
+            };
+            start.book.negotiated(window as u32);
+            let mut seen = std::collections::HashSet::new();
+            let mut frontier = vec![(start, Vec::new())];
+            for _ in 0..6 {
+                let mut next = Vec::new();
+                for (walk, history) in &frontier {
+                    let claims = (0..4).flat_map(|id| [Step::Claim(id, X), Step::Claim(id, Y)]);
+                    let ends = walk
+                        .flying
+                        .keys()
+                        .flat_map(|&id| [Step::Resolve(id), Step::Forget(id)]);
+                    for step in claims.chain(ends) {
+                        let mut walk = walk.clone();
+                        let history = [history.as_slice(), &[step]].concat();
+                        walk.step(&history, window);
+                        walk.check(window, &history);
+                        if seen.insert(walk.key()) {
+                            next.push((walk, history));
+                        }
+                    }
+                }
+                frontier = next;
+            }
+            assert!(seen.len() > 1000, "window {window}: {} states", seen.len());
+        }
     }
 
     fn entry(id: u64, cancelled: bool, credit: u32) -> Pending {

@@ -48,20 +48,20 @@ fn band_of(sb: &Subbands, band: PlaneBand) -> &Matrix {
     }
 }
 
+/// Whether a sparse plane carries `v` as an entry: every bit pattern
+/// but `+0.0`, the value a reassembly fills in, so `-0.0` survives.
+fn ships(v: &f64) -> bool {
+    v.to_bits() != 0
+}
+
 /// Sparse (value + 32-bit coordinate) when that is strictly smaller
 /// than the dense plane — the breakeven [`encoded_bytes`] bills for
-/// checkpoints.
-fn pick_coeffs(data: Vec<f64>) -> PlaneCoeffs {
-    let (kept, total) = (data.iter().filter(|v| **v != 0.0).count(), data.len());
-    let pixel = std::mem::size_of::<f64>();
+/// checkpoints. `kept` is how many values of `data` [`ships`] keeps.
+fn pick_coeffs(data: Vec<f64>, kept: usize) -> PlaneCoeffs {
+    let (total, pixel) = (data.len(), std::mem::size_of::<f64>());
     if encoded_bytes(PlaneStats { kept, total }, pixel) < total * pixel {
-        PlaneCoeffs::Sparse(
-            data.iter()
-                .enumerate()
-                .filter(|(_, v)| **v != 0.0)
-                .map(|(i, v)| (i as u32, *v))
-                .collect(),
-        )
+        let entries = data.iter().enumerate().filter(|(_, v)| ships(v));
+        PlaneCoeffs::Sparse(entries.map(|(i, v)| (i as u32, *v)).collect())
     } else {
         PlaneCoeffs::Dense(data)
     }
@@ -158,15 +158,19 @@ impl<'a> PlaneSequence<'a> {
     pub(crate) fn plane(&self, seq: usize) -> ProgressivePlane {
         let (level, band, bound_after) = self.order[seq - 1];
         let m = band_of(&self.resp.pyramid.detail[level - 1], band);
+        let mut kept = 0;
+        let mut count = |v: &f64| kept += usize::from(ships(v));
         let data = match self.codec {
             CheckpointCodec::WaveletQuant { threshold, step } if self.codec.tolerance() > 0.0 => {
                 let mut coded = m.clone();
+                // Its own count passes over a -0.0 its rounding yields.
                 encode_plane(&mut coded, threshold, step);
+                coded.data().iter().for_each(count);
                 coded.into_vec()
             }
             // encode_plane normalizes -0.0 to +0.0; bypass it so a
             // complete lossless reassembly stays bitwise identical.
-            _ => m.data().to_vec(),
+            _ => m.data().iter().inspect(|v| count(v)).copied().collect(),
         };
         ProgressivePlane {
             seq,
@@ -175,7 +179,7 @@ impl<'a> PlaneSequence<'a> {
             rows: m.rows(),
             cols: m.cols(),
             bound_after,
-            coeffs: pick_coeffs(data),
+            coeffs: pick_coeffs(data, kept),
         }
     }
 }
@@ -414,6 +418,30 @@ mod tests {
         let got = r.into_response();
         assert_eq!(got.pyramid, resp.pyramid, "bitwise-equal pyramids");
         assert!(!got.degraded);
+    }
+
+    /// A plane that is all zeros but one by value still carries its
+    /// signed zeros: `==` cannot tell `-0.0` from `0.0`, so compare bits.
+    #[test]
+    fn a_lossless_plane_keeps_its_signed_zeros() {
+        let mut pyramid = Pyramid::zeros(8, 8, 1).unwrap();
+        let lh = pyramid.detail[0].lh.data_mut();
+        lh.fill(-0.0);
+        lh[5] = 3.0;
+        let resp = exact_response_of(pyramid);
+        let (header, planes) = split_response(&resp, CheckpointCodec::Raw).unwrap();
+        let mut r = Reassembler::new(header).unwrap();
+        for p in &planes {
+            r.apply(p).unwrap();
+        }
+        let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (got, sent) = (
+            &r.into_response().pyramid.detail[0],
+            &resp.pyramid.detail[0],
+        );
+        assert_eq!(bits(&got.lh), bits(&sent.lh));
+        assert_eq!(bits(&got.hl), bits(&sent.hl));
+        assert_eq!(bits(&got.hh), bits(&sent.hh));
     }
 
     #[test]

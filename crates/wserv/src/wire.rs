@@ -36,11 +36,14 @@
 //! `Cancel` and `Credit` are idempotent: an unknown or finished id, a
 //! repeat, or a lower credit is a no-op. All integers are little-endian;
 //! floats are IEEE-754 bit patterns, so encode→decode round-trips
-//! *bitwise*. The decoder is incremental and total: any input yields a
-//! frame, a typed [`WireError`] or a request for more bytes. A declared
-//! payload over the receive window is [`WireError::FrameTooLarge`]
-//! *before* any allocation of that size, and a field too wide for its
-//! wire width fails typed at *encode* time instead of truncating.
+//! *bitwise*. An `f64` plane is its values' little-endian bytes, written
+//! in one pass over the slice and read back from one bounds-checked
+//! slice of `8·n` bytes, `n` coming from fields already parsed. The
+//! decoder is incremental and total: any input yields a frame, a typed
+//! [`WireError`] or a request for more bytes. A declared payload over
+//! the receive window is [`WireError::FrameTooLarge`] *before* any
+//! allocation of that size, and a field too wide for its wire width
+//! fails typed at *encode* time instead of truncating.
 //!
 //! ## The checksum
 //!
@@ -420,7 +423,8 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    /// A `len`-prefixed f64 plane of exactly `n` values.
+    /// Exactly `n` f64 values, `n` taken from fields the caller has
+    /// already read (geometry or a tap count); no prefix of its own.
     fn plane(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
         let bytes = self.take(n.checked_mul(8).ok_or_else(|| corrupt("plane overflow"))?)?;
         Ok(bytes
@@ -462,9 +466,7 @@ fn put_string(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
 }
 
 fn put_plane(out: &mut Vec<u8>, data: &[f64]) {
-    for v in data {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    out.extend(data.iter().flat_map(|v| v.to_le_bytes()));
 }
 
 /// A matrix led by its own `rows`, `cols`.
@@ -587,9 +589,7 @@ pub fn encode_request(id: u64, req: &DecomposeRequest) -> Result<Frame, WireErro
     payload.push(tag_of(&Boundary::ALL, req.mode));
     payload.extend_from_slice(&[deadline as u8, 0]);
     payload.extend_from_slice(&wire_u32(req.levels, "levels")?.to_le_bytes());
-    if let Some(d) = req.deadline {
-        payload.extend_from_slice(&d.to_bits().to_le_bytes());
-    }
+    put_plane(&mut payload, req.deadline.as_slice());
     encode_bank(&mut payload, &req.bank)?;
     put_matrix(&mut payload, &req.image)?;
     Ok(Frame::new(FrameKind::Request, id, payload))
@@ -753,9 +753,7 @@ fn put_meta(
 ) -> Result<(), WireError> {
     out.extend_from_slice(&[cache_hit as u8, degraded as u8, 0]);
     out.extend_from_slice(&wire_u32(batch_size, "batch size")?.to_le_bytes());
-    for v in [wait_s, service_s, error_bound] {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+    put_plane(out, &[wait_s, service_s, error_bound]);
     Ok(())
 }
 
@@ -988,10 +986,12 @@ pub fn encode_progressive_plane(
         }
         PlaneCoeffs::Sparse(entries) => {
             payload.extend_from_slice(&wire_u32(entries.len(), "sparse count")?.to_le_bytes());
-            for &(ix, v) in entries {
-                payload.extend_from_slice(&ix.to_le_bytes());
-                payload.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
+            payload.extend(entries.iter().flat_map(|&(ix, v)| {
+                let mut entry = [0; 12];
+                entry[..4].copy_from_slice(&ix.to_le_bytes());
+                entry[4..].copy_from_slice(&v.to_le_bytes());
+                entry
+            }));
         }
     }
     Ok(Frame::new(FrameKind::Response, id, payload).with_continue(more))

@@ -21,6 +21,16 @@ kernel-pin:
     cargo test -q --release -p dwt
     cargo test -q --release --test engine_properties --test lifting_properties --test property_tests --test transform_extensions --test mimd_golden --test cross_machine_dwt --test transform_golden
 
+# The wire codec in the profile every measured number comes from: a
+# plane is encoded in one bulk pass that is only vectorised in
+# `--release`, as the dwt kernels are for `kernel-pin`. The wire and
+# progressive unit tests, the bitwise round trips and the pinned golden
+# bytes of `wire_properties`, and the allocation budget of
+# `wire_allocations`.
+wire-pin:
+    cargo test -q --release -p wserv --lib -- wire:: progressive::
+    cargo test -q --release --test wire_properties --test wire_allocations
+
 # Lints as CI runs them.
 lint:
     cargo clippy --workspace --all-targets -- -D warnings

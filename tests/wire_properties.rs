@@ -438,6 +438,128 @@ fn shuffle<T>(v: &mut [T], mut seed: u64) {
     }
 }
 
+/// Bit patterns no arithmetic fixture produces: NaNs with payload bits
+/// (quiet and signalling), a negative zero, the smallest subnormal, both
+/// infinities and the largest finite value.
+const EDGE_BITS: [u64; 8] = [
+    0x7ff8_0000_dead_beef,
+    0xfff0_0000_0000_0001,
+    0x8000_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x7fef_ffff_ffff_ffff,
+    0xffef_ffff_ffff_ffff,
+];
+
+/// A `rows x cols` matrix cycling through [`EDGE_BITS`] from `skew`.
+fn edge_matrix(rows: usize, cols: usize, skew: usize) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|i| f64::from_bits(EDGE_BITS[(i + skew) % EDGE_BITS.len()]))
+        .collect();
+    Matrix::from_vec(rows, cols, data).expect("sized to its dims")
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Through the byte-level frame codec and back.
+fn through_bytes(frame: &Frame) -> Frame {
+    let bytes = encode_frame(frame).expect("frame encodes");
+    decode_complete(&bytes, DEFAULT_MAX_PAYLOAD).expect("frame decodes")
+}
+
+/// Every plane codec carries every `f64` bit pattern: the request
+/// image, the monolithic pyramid, the progressive LL plane, a dense and
+/// a sparse detail plane. Bits are compared, since `==` fails on NaN.
+#[test]
+fn every_plane_codec_carries_every_f64_bit_pattern() {
+    let req = DecomposeRequest::new(edge_matrix(8, 8, 0), FilterBank::haar(), 1);
+    let back = decode_request(&through_bytes(&encode_request(1, &req).expect("encodes")))
+        .expect("request decodes");
+    assert_eq!(
+        bits(back.image.data()),
+        bits(req.image.data()),
+        "request image"
+    );
+
+    let mut pyramid = dwt::Pyramid::zeros(8, 8, 2).expect("dyadic geometry");
+    pyramid.approx = edge_matrix(2, 2, 1);
+    for (level, sb) in pyramid.detail.iter_mut().enumerate() {
+        let (rows, cols) = (sb.lh.rows(), sb.lh.cols());
+        for (band, m) in [&mut sb.lh, &mut sb.hl, &mut sb.hh].into_iter().enumerate() {
+            *m = edge_matrix(rows, cols, 3 * level + band);
+        }
+    }
+    let mut resp = response_fixture(8, 0, 2, 0);
+    resp.pyramid = pyramid;
+    let frame = through_bytes(&encode_response(2, &Ok(resp.clone())).expect("encodes"));
+    let got = decode_response(&frame)
+        .expect("decodes")
+        .expect("an Ok response");
+    let planes = |p: &dwt::Pyramid| {
+        let mut out = bits(p.approx.data());
+        for sb in &p.detail {
+            for m in [&sb.lh, &sb.hl, &sb.hh] {
+                out.extend(bits(m.data()));
+            }
+        }
+        out
+    };
+    assert_eq!(
+        planes(&got.pyramid),
+        planes(&resp.pyramid),
+        "monolithic pyramid"
+    );
+
+    let (header, _) = split_response(&resp, CheckpointCodec::Raw).expect("lossless split");
+    let frame = through_bytes(&encode_progressive_header(3, &header).expect("encodes"));
+    match decode_response_body(&frame).expect("decodes") {
+        ResponseBody::Header(h) => {
+            assert_eq!(
+                bits(h.approx.data()),
+                bits(header.approx.data()),
+                "LL plane"
+            )
+        }
+        other => panic!("header frame decoded as {other:?}"),
+    }
+
+    let dense = edge_matrix(4, 4, 5).into_vec();
+    let sparse: Vec<(u32, f64)> = (0..8)
+        .map(|i| (2 * i, f64::from_bits(EDGE_BITS[i as usize])))
+        .collect();
+    for coeffs in [PlaneCoeffs::Dense(dense), PlaneCoeffs::Sparse(sparse)] {
+        let plane = ProgressivePlane {
+            seq: 1,
+            level: 1,
+            band: PlaneBand::Hh,
+            rows: 4,
+            cols: 4,
+            bound_after: f64::from_bits(EDGE_BITS[0]),
+            coeffs,
+        };
+        let frame = through_bytes(&encode_progressive_plane(3, &plane, false).expect("encodes"));
+        let got = match decode_response_body(&frame).expect("decodes") {
+            ResponseBody::Plane(p) => p,
+            other => panic!("plane frame decoded as {other:?}"),
+        };
+        match (&got.coeffs, &plane.coeffs) {
+            (PlaneCoeffs::Dense(a), PlaneCoeffs::Dense(b)) => {
+                assert_eq!(bits(a), bits(b), "dense plane")
+            }
+            (PlaneCoeffs::Sparse(a), PlaneCoeffs::Sparse(b)) => {
+                let entry_bits = |e: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    e.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+                };
+                assert_eq!(entry_bits(a), entry_bits(b), "sparse plane")
+            }
+            _ => panic!("plane changed encoding on the wire"),
+        }
+    }
+}
+
 /// The frame checksum as the `wire` module docs define it, spelled
 /// word by word over the whole string, with the lane seeds computed
 /// from their formula rather than copied.

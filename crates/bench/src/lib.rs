@@ -2,6 +2,7 @@
 //! configurations matching the paper's setups and table formatting — and
 //! the one writer of the committed `BENCH_*.json` files: a bench binary
 //! builds typed [`Row`]s, asserts its gates over them, then [`render`]s.
+#![forbid(unsafe_code)]
 
 use dwt::{Boundary, FilterBank, Matrix};
 use dwt_mimd::{GuardOrdering, MimdDwtConfig};

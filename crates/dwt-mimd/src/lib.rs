@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // co-indexing several arrays by dimension is the clear idiom here
+#![forbid(unsafe_code)]
 
 //! The paper's coarse-grain MIMD wavelet decomposition, executed on the
 //! [`paragon`] virtual-time multicomputer.

@@ -56,6 +56,7 @@
 //!     .fold(0.0, f64::max);
 //! assert!(err < 1e-9);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod boundary;
 pub mod compress;

@@ -9,6 +9,7 @@
 //! sensor noise. The DWT's arithmetic cost is data-independent, so all
 //! performance results are unaffected by the substitution; the synthetic
 //! scene keeps the *compression* examples honest.
+#![forbid(unsafe_code)]
 
 pub mod pgm;
 pub mod register;

@@ -32,6 +32,7 @@
 //!   *diluted* (stretched with zeros, à trous) so that at level `k` it
 //!   aligns with the undecimated pixel grid; decimation never moves data,
 //!   avoiding the router at the cost of redundant computation.
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod dilution;

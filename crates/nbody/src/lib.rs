@@ -15,6 +15,7 @@
 //!   the tree, broadcasts it, workers compute forces for their zones and
 //!   send updated bodies back — reproducing the communication focal point
 //!   and distance-variability imbalance the report measures.
+#![forbid(unsafe_code)]
 
 pub mod body;
 pub mod costzones;

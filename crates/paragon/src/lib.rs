@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // co-indexing several arrays by dimension is the clear idiom here
+#![forbid(unsafe_code)]
 
 //! A deterministic virtual-time simulator of 1995-era message-passing
 //! multicomputers, built to reproduce the machine-dependent effects the

@@ -15,6 +15,7 @@
 //!   redundancy (e.g. domain-decomposition bookkeeping);
 //! * **imbalance/wait** — the difference between the maximum and minimum
 //!   completion times over all processors.
+#![forbid(unsafe_code)]
 
 /// Where a slice of a rank's execution time is attributed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

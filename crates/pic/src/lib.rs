@@ -1,4 +1,5 @@
 #![allow(clippy::needless_range_loop)] // co-indexing several arrays by dimension is the clear idiom here
+#![forbid(unsafe_code)]
 
 //! 3-D electrostatic Particle-In-Cell (PIC) simulation — the second
 //! application of the JNNIE overhead study (Appendix B of the source

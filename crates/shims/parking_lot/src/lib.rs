@@ -11,6 +11,7 @@
 //! worker held when it died.
 //!
 //! [parking_lot]: https://crates.io/crates/parking_lot
+#![forbid(unsafe_code)]
 
 use std::ops::{Deref, DerefMut};
 use std::sync;

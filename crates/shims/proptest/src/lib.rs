@@ -16,6 +16,7 @@
 //! regression file.
 //!
 //! [proptest]: https://crates.io/crates/proptest
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

@@ -10,6 +10,7 @@
 //! in this repository only relies on determinism for a fixed seed.
 //!
 //! [rand]: https://crates.io/crates/rand
+#![forbid(unsafe_code)]
 
 use std::ops::{Range, RangeInclusive};
 

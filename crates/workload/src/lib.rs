@@ -21,6 +21,7 @@
 //!    average parallelism;
 //! 6. [`nas`] generates synthetic kernels with the dependence structure
 //!    of the eight NAS Parallel Benchmarks for the report's §5 analysis.
+#![forbid(unsafe_code)]
 
 pub mod centroid;
 pub mod epi;

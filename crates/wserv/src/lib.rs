@@ -61,6 +61,7 @@
 //! responses instead of rejections ([`sim::run_sim`] replays the same
 //! plan in virtual time). Restart, requeue and backoff time lands in the
 //! FaultRecovery lane.
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod batch;

@@ -4,26 +4,24 @@
 //!
 //! ## Connection anatomy
 //!
-//! Each accepted connection gets two threads. The *reader* performs the
-//! handshake, then turns Request frames into `submit()` calls; the
-//! *writer* waits on the resulting [`ResponseHandle`]s in FIFO order
-//! and streams Response frames back. Between them sits a bounded
-//! in-flight window: the reader stops pulling bytes once `window`
-//! submitted requests have unsent responses, so a client that floods
-//! requests without reading responses backpressures itself (its TCP
-//! send buffer / pipe window fills) instead of queueing responses
-//! without bound. Under progressive delivery a client that sends past
-//! its window instead of crediting the sequence it is reading is cut
-//! off instead: the writer waits on a credit that client will never
-//! send. The reader's wait for room, and the writer's waits for another
-//! connection's resolution and for a progressive client's next credit,
-//! are plain condvar waits, woken by the events that end them; each
-//! says at the wait why it is finite.
+//! Each accepted connection is served on one thread, the one the accept
+//! loop spawns for it. It performs the handshake, then takes one frame
+//! at a time: a Request is decoded, claimed, submitted and waited on,
+//! and its response written, before the next frame is read. Every
+//! HelloAck announces a request window of 1, and that is what a
+//! connection serves: a client that sends ahead is answered in order,
+//! and the transport's byte window holds its backlog — its sends block
+//! once the pipe is full — with no queue on the server. Under
+//! progressive delivery a client that sends a request instead of
+//! crediting the sequence it is reading is past that window, and is cut
+//! off. A request's wait for another connection's claim on its id is a
+//! plain condvar wait, woken by the event that ends it, and says at the
+//! wait why it is finite.
 //! So are the transport waits: the accept blocks until a dial or
-//! [`Listener::close`], and the reader until a frame, the peer's FIN,
-//! the writer's abort or drain's [`Transport::close_read`]. The only
-//! timers are contracts: the client's response timeout and the
-//! server's [`HELLO_TIMEOUT`].
+//! [`Listener::close`], and a read until a frame, the peer's FIN, an
+//! abort or drain's [`Transport::close_read`]. The only timers are
+//! contracts: the client's response timeout and the server's
+//! [`HELLO_TIMEOUT`].
 //!
 //! ## Exactly-once
 //!
@@ -32,26 +30,25 @@
 //! one value that owns every rule below: a request id is `InFlight`
 //! from submission until its outcome is recorded, then `Done(result)`,
 //! under the verified trailer of the Request frame that claimed it. The
-//! reader decodes a Request frame and drops it, so a served image is
+//! connection decodes a Request frame and drops it, so a served image is
 //! held once, and only then claims the id. A resubmit of a `Done` id
 //! replays the recorded outcome without re-execution; a *different*
 //! request under a held id — a client restarted under its id numbers
 //! from 0 again — is never answered from the book. A request that finds
 //! its id `InFlight` — a resubmit after its connection died mid-service,
-//! or a different request — waits that claim out on its writer and
-//! claims again: a resubmit then replays, a different request executes.
+//! or a different request — waits that claim out and claims again: a
+//! resubmit then replays, a different request executes.
 //! Execution happens at most once per id; rejected submissions are
 //! deliberately *not* recorded, so a retry after `QueueFull`
 //! re-attempts admission rather than replaying the rejection, and a
 //! resubmit that waited on a claim refused at the door claims the id
-//! itself. An outcome exists once: the writer wraps what the service
+//! itself. An outcome exists once: the connection wraps what the service
 //! returned in an `Arc`, and the book, every replay and the encoder
 //! share it. The book remembers exactly what the protocol can still ask
-//! for: a client has at most `window` consecutive ids outstanding — the
-//! largest window its connections negotiated — and connections answer
-//! in submission order, so resolved ids more than `window` behind a
-//! client's newest are pruned — `window + 1` results per client, 2 for
-//! a [`RemoteClient`], with the argument at `ClientBook::window`.
+//! for: a client has at most one id outstanding — the window every
+//! HelloAck announces — so resolved ids more than one behind a client's
+//! newest are pruned: 2 results per client, with the argument at
+//! `WINDOW`.
 //!
 //! ## Progressive delivery
 //!
@@ -65,26 +62,25 @@
 //! never runs ahead of its reader, and quantizes no plane nobody reads.
 //! A client with neither a tolerance nor a byte budget reads every
 //! plane, so it credits the whole sequence once, after the header.
-//! The whole sequence occupies *one* window permit — flow control is
-//! per-request, so a progressive response cannot starve its neighbours
-//! beyond what a monolithic one would. A client whose tolerance is met
-//! (or byte budget spent) sends [`FrameKind::Cancel`] instead of the
-//! next credit; the reader marks the id's window entry and the writer,
-//! parked on that credit, stops the sequence with no closing frame.
+//! Between planes the connection reads the client's frames until a
+//! credit covers the next one. A client whose tolerance is met (or byte
+//! budget spent) sends [`FrameKind::Cancel`] instead of the next
+//! credit, and the sequence stops there with no closing frame.
 //! Cancel and Credit are idempotent and dedup-safe: the request already
 //! executed and its outcome is in the resolution book, so they only
-//! pace and trim delivery, never accounting.
+//! pace and trim delivery, never accounting; for any id but the
+//! sequence's they are no-ops.
 //!
 //! ## Drain
 //!
 //! [`RemoteServer::shutdown`] closes the listener and runs the
 //! service's own graceful drain (which resolves every accepted
 //! request). The accept thread, woken by the close, closes the read
-//! side of every live connection: a reader between frames ends
-//! cleanly and its writer flushes every owed response before FIN —
+//! side of every live connection: a read between frames ends cleanly,
+//! and the connection sends every response it owes before FIN —
 //! lossless for everything accepted. That includes the rest of a
 //! progressive sequence: after a clean end (drain, or the peer's FIN)
-//! every plane still owed reads as credited. A reader cut off mid-frame (a
+//! every plane still owed reads as credited. A read cut off mid-frame (a
 //! half-open peer: partial frame, then silence) is aborted and counted
 //! in [`TransportMetrics::conn_aborted`]; no grace could have served
 //! that frame, because the service is already closed to it. The
@@ -92,8 +88,7 @@
 //! book before it exits.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,15 +99,16 @@ use dwt_mimd::CheckpointCodec;
 use crate::faults::{WireDir, WireFaultPlan};
 use crate::metrics::{MetricsSnapshot, TransportMetrics};
 use crate::progressive::{PlaneSequence, Reassembler, Step};
-use crate::request::{DecomposeRequest, Rejection, ServeResult};
-use crate::server::{ResponseHandle, ServiceConfig, ServiceError, WaveletService};
+use crate::request::{DecomposeRequest, DecomposeResponse, Rejection, ServeResult};
+use crate::server::{ServiceConfig, ServiceError, WaveletService};
 use crate::transport::{
     Connector, FrameIo, Listener, RecvFrame, Transport, TransportError, WireClock,
 };
 use crate::wire::{
     decode_credit, decode_hello, decode_request, decode_response_body, encode_credit, encode_hello,
     encode_progressive_header, encode_progressive_plane, encode_request, encode_response, Frame,
-    FrameKind, Hello, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
+    FrameKind, Hello, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
+    TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -133,8 +129,9 @@ fn negotiate_payload(ours: u32, theirs: u32) -> u32 {
 /// Remote-layer knobs, layered on top of a [`ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct RemoteConfig {
-    /// Per-connection in-flight window: submitted requests whose
-    /// responses are not yet sent. The reader stops reading at the cap.
+    /// Ignored: a connection serves one request at a time, and every
+    /// HelloAck announces a request window of 1. Kept only so existing
+    /// callers compile.
     pub window: u32,
     /// Largest frame payload either side accepts.
     pub max_payload: u32,
@@ -167,9 +164,6 @@ impl Default for RemoteConfig {
 impl RemoteConfig {
     /// Validate the knobs. Returns a human-readable reason on failure.
     pub fn validate(&self) -> Result<(), String> {
-        if self.window == 0 {
-            return Err("window must be >= 1".into());
-        }
         if self.max_payload < MIN_NEGOTIATED_PAYLOAD {
             return Err(format!(
                 "max_payload {} is too small to frame",
@@ -199,8 +193,29 @@ pub struct RemoteMetrics {
 // Dedup registry (the per-client resolution book)
 // ---------------------------------------------------------------------
 
+/// The request window every HelloAck announces: how many requests a
+/// client may have outstanding — sent, response not yet read — and so
+/// how far behind its newest id the resolution book has to remember.
+/// Resolved ids more than `WINDOW` behind the largest the book has seen
+/// are pruned, which keeps `WINDOW + 1` = 2 results per client. Nothing
+/// the protocol can still ask for is ever pruned, because
+///
+/// 1. a client numbers its requests consecutively and has at most
+///    `WINDOW` of them outstanding;
+/// 2. after a fault a client resubmits every id it still waits for
+///    before it issues a new one.
+///
+/// So a client's unanswered ids lie in `(newest − WINDOW, newest]`,
+/// where `newest` is the largest id it has sent, and the largest the
+/// server has seen is no larger. A resubmit that was claimed before its
+/// entry left the book is unaffected: it holds its own `Arc`. (A client
+/// that sends past the window is still served, in order, but a response
+/// it has not read may be re-executed on resubmit.)
+const WINDOW: u32 = 1;
+
 /// One id's state in the book. A recorded outcome is held once: the
-/// book, every replay and the frame encoder share the writer's `Arc`.
+/// book, every replay and the frame encoder share the connection's
+/// `Arc`.
 #[derive(Clone)]
 enum Slot {
     InFlight,
@@ -228,44 +243,12 @@ struct ClientBook {
     /// that claimed it: only the same request replays it.
     entries: BTreeMap<u64, (u64, Slot)>,
     max_id: u64,
-    /// The largest in-flight window any of this client's connections
-    /// has negotiated, and therefore how far behind its newest id the
-    /// book has to remember: resolved ids more than `window` behind it
-    /// are pruned. Read by `resolve`; the bound it gives is `window + 1`
-    /// results per client — 2 for a [`RemoteClient`], which negotiates
-    /// a window of 1. Nothing the protocol can still ask for is ever
-    /// pruned, because
-    ///
-    /// 1. a client numbers its requests consecutively and has at most
-    ///    `window` of them outstanding — sent, response not yet read —
-    ///    which is what the window it negotiated, `min(server window,
-    ///    the window its Hello announced)`, means; it may negotiate
-    ///    anew on each connection, and the book keeps the largest;
-    /// 2. a connection's writer answers in submission order, so what a
-    ///    client still waits for is always the *newest* ids it has
-    ///    sent, never an old one left behind by later answers;
-    /// 3. after a fault a client resubmits every id it still waits for
-    ///    before it issues a new one.
-    ///
-    /// So a client's unanswered ids lie in `(newest − window, newest]`,
-    /// where `newest` is the largest id it has sent, and the largest the
-    /// server has seen is no larger. A resubmit that was claimed before
-    /// its entry left the book is unaffected: it holds its own `Arc`.
-    /// (A client that floods past the window is still flow-controlled,
-    /// but a response it has not read may be re-executed on resubmit.)
-    window: u64,
 }
 
 impl ClientBook {
-    /// One of this client's connections negotiated `window`; keep the
-    /// largest ([`ClientBook::window`]).
-    fn negotiated(&mut self, window: u32) {
-        self.window = self.window.max(window as u64);
-    }
-
     /// Look `id` up for the request whose frame's trailer is `check`.
     /// Unless it replays or must wait, the caller takes the id,
-    /// `InFlight`, and must either hand the submission to its writer or
+    /// `InFlight`, and must either submit the request and resolve it, or
     /// [`ClientBook::forget`] it.
     fn claim(&mut self, id: u64, check: u64) -> Claim {
         self.max_id = self.max_id.max(id);
@@ -281,12 +264,12 @@ impl ClientBook {
     }
 
     /// Record the terminal outcome of the claim on `id`, and prune the
-    /// resolved tail behind the horizon.
+    /// resolved tail behind the horizon ([`WINDOW`]).
     fn resolve(&mut self, id: u64, result: Arc<ServeResult>) {
         if let Some((_, slot)) = self.entries.get_mut(&id) {
             *slot = Slot::Done(result);
         }
-        let horizon = self.max_id.saturating_sub(self.window);
+        let horizon = self.max_id.saturating_sub(WINDOW.into());
         while let Some((&first, (_, slot))) = self.entries.first_key_value() {
             if first >= horizon || !matches!(slot, Slot::Done(_)) {
                 break;
@@ -334,11 +317,11 @@ impl Dedup {
     /// Block until the request with trailer `held` no longer holds
     /// `(client, id)` in flight.
     ///
-    /// The wait is finite. The reader that made the claim either forgets
-    /// it (which notifies) or hands the submission to its writer; every
-    /// accepted request resolves (the service's drain sees to that), and
-    /// a writer works off every item it was handed before it exits, send
-    /// failure or not, so that `resolve` runs.
+    /// The wait is finite. The connection that made the claim either
+    /// forgets it (which notifies), or waits on the submission and
+    /// resolves it: every accepted request resolves (the service's drain
+    /// sees to that), and a connection resolves its claim before it
+    /// reads its next frame, so it never waits on a claim of its own.
     fn wait(&self, client: u64, id: u64, held: u64) {
         let mut books = self.books.lock();
         while books.get(&client).is_some_and(|b| b.in_flight(id, held)) {
@@ -348,232 +331,12 @@ impl Dedup {
 }
 
 // ---------------------------------------------------------------------
-// Per-connection in-flight window
-// ---------------------------------------------------------------------
-
-/// One request in flight on a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pending {
-    id: u64,
-    /// The client sent Cancel for it.
-    cancelled: bool,
-    /// The highest plane sequence number the client has credited.
-    credit: u32,
-}
-
-#[derive(Default)]
-struct WindowState {
-    in_flight: Vec<Pending>,
-    /// The reader has left: no credit or Cancel will come.
-    closed: bool,
-    /// The `(id, seq)` the writer is parked on, waiting for a credit.
-    parked: Option<(u64, usize)>,
-}
-
-impl WindowState {
-    /// What the writer may do about plane `seq` of `id` right now;
-    /// `None` while it must wait for the client.
-    fn pull(&self, id: u64, seq: usize) -> Option<Pull> {
-        let Some(entry) = self.in_flight.iter().find(|e| e.id == id) else {
-            return Some(Pull::Closed);
-        };
-        if entry.cancelled {
-            Some(Pull::Cancelled)
-        } else if entry.credit as usize >= seq {
-            Some(Pull::Send)
-        } else if self.closed {
-            Some(Pull::Closed)
-        } else {
-            None
-        }
-    }
-}
-
-/// The writer's answer from [`Window::await_credit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pull {
-    /// A credit covers the plane.
-    Send,
-    /// The client cancelled the sequence.
-    Cancelled,
-    /// The reader has left abortively, so nothing will ever cover the
-    /// plane.
-    Closed,
-}
-
-/// The requests in flight on one connection — admitted by the reader,
-/// not yet answered by the writer — never more than `cap` of them, each
-/// with the Cancel mark and the credit its client sent for it. Marks
-/// and credits go with their entry, so they cannot outgrow the window
-/// however many sequences a connection reads or cuts short.
-struct Window {
-    state: Mutex<WindowState>,
-    cap: usize,
-    /// Notified when an entry leaves, or the writer parks.
-    freed: Condvar,
-    /// Notified on a credit, a Cancel, or the reader's exit.
-    pulled: Condvar,
-}
-
-impl Window {
-    fn new(cap: u32) -> Arc<Window> {
-        Arc::new(Window {
-            state: Mutex::default(),
-            cap: cap as usize,
-            freed: Condvar::new(),
-            pulled: Condvar::new(),
-        })
-    }
-
-    /// Admit `id` once the window has room; `false` if it never will.
-    /// The wait is finite: every entry is an item in the writer's
-    /// queue, and the writer releases every item it is handed, even
-    /// after a send failure — unless it is parked on a credit only this
-    /// reader could deliver. A client that sends past the window
-    /// instead of crediting the sequence it is reading has stalled
-    /// itself, so the reader gives up on it rather than wait forever.
-    fn acquire(&self, id: u64) -> bool {
-        let mut state = self.state.lock();
-        while state.in_flight.len() >= self.cap {
-            let stuck = state
-                .parked
-                .is_some_and(|(p, seq)| state.pull(p, seq).is_none());
-            if stuck {
-                return false;
-            }
-            self.freed.wait(&mut state);
-        }
-        state.in_flight.push(Pending {
-            id,
-            cancelled: false,
-            credit: 0,
-        });
-        true
-    }
-
-    fn release(&self, id: u64) {
-        let mut state = self.state.lock();
-        if let Some(oldest) = state.in_flight.iter().position(|e| e.id == id) {
-            state.in_flight.remove(oldest);
-        }
-        self.freed.notify_all();
-    }
-
-    /// Apply `f` to `id`'s entry if the writer still owes its response.
-    /// Any other id — unknown, finished, repeated after the finish — is
-    /// a no-op: there are no planes left to pace or cut.
-    fn mark(&self, id: u64, f: impl Fn(&mut Pending)) {
-        let mut state = self.state.lock();
-        state
-            .in_flight
-            .iter_mut()
-            .filter(|e| e.id == id)
-            .for_each(f);
-        self.pulled.notify_all();
-    }
-
-    fn cancel(&self, id: u64) {
-        self.mark(id, |e| e.cancelled = true);
-    }
-
-    /// Raise `id`'s credit to `upto`. A high-water mark: a lower or
-    /// repeated credit changes nothing, and one past the sequence's last
-    /// plane covers every plane there is.
-    fn credit(&self, id: u64, upto: u32) {
-        self.mark(id, |e| e.credit = e.credit.max(upto));
-    }
-
-    /// The reader has left; wake a writer parked on a credit. After a
-    /// clean end — the peer's FIN, or drain between frames — every
-    /// sequence still owed reads as fully credited, so the writer
-    /// flushes it as it would a monolithic response. After an abortive
-    /// end nothing more is sent.
-    fn close(&self, clean: bool) {
-        let mut state = self.state.lock();
-        if clean {
-            state.in_flight.iter_mut().for_each(|e| e.credit = u32::MAX);
-        }
-        state.closed = true;
-        self.pulled.notify_all();
-    }
-
-    /// Park until plane `seq` of `id` may go, or never will. The wait
-    /// is finite: it ends on a credit, a Cancel, or the reader's exit,
-    /// and the reader closes the window on every way out of its loop.
-    /// Parking wakes a reader waiting for room, so that a client which
-    /// pipelines past its window instead of crediting is cut off rather
-    /// than left holding both threads.
-    fn await_credit(&self, id: u64, seq: usize) -> Pull {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(pull) = state.pull(id, seq) {
-                state.parked = None;
-                return pull;
-            }
-            if state.parked.is_none() {
-                state.parked = Some((id, seq));
-                self.freed.notify_all();
-            }
-            self.pulled.wait(&mut state);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Server
 // ---------------------------------------------------------------------
 
-/// Where the outcome of a response the writer owes comes from; sending
-/// it and releasing its window entry are the same for all of them.
-enum Source {
-    /// The service is executing it; the writer records the outcome.
-    Service(ResponseHandle),
-    /// A refusal at the door, or a recorded outcome replayed.
-    Known(Arc<ServeResult>),
-    /// The request, whose frame's trailer is the first, found its id held
-    /// in flight by the request with the second. The writer waits that
-    /// claim out and admits it again.
-    After(u64, u64, DecomposeRequest),
-}
-
-/// Claim `id` for the decoded request whose Request frame's trailer is
-/// `check`, and say where its outcome comes from.
-fn admit(
-    shared: &ServerShared,
-    (client, id, check): (u64, u64, u64),
-    req: DecomposeRequest,
-    local: &mut TransportMetrics,
-) -> Source {
-    match shared.dedup.book(client, |b| b.claim(id, check)) {
-        Claim::Replay(result) => {
-            local.dedup_replays += 1;
-            Source::Known(result)
-        }
-        Claim::Wait(held) => Source::After(check, held, req),
-        Claim::Fresh { reused } => {
-            local.reused_ids += reused as u64;
-            let submitted = shared
-                .service
-                .lock()
-                .as_ref()
-                .map(|svc| svc.submit(req))
-                .unwrap_or(Err(Rejection::Draining));
-            match submitted {
-                Ok(handle) => Source::Service(handle),
-                Err(rej) => {
-                    // Not recorded in the book: a rejected request was
-                    // never executed, so a retry may re-attempt admission.
-                    shared.dedup.settle(client, |b| b.forget(id));
-                    Source::Known(Arc::new(Err(rej)))
-                }
-            }
-        }
-    }
-}
-
 struct ServerShared {
     /// Taken by drain before it closes any connection's read side, so
-    /// a reader that fails and finds it gone was cut off by drain.
+    /// a read that fails and finds it gone was cut off by drain.
     service: Mutex<Option<WaveletService>>,
     dedup: Arc<Dedup>,
     clock: Arc<WireClock>,
@@ -621,12 +384,12 @@ impl RemoteServer {
             // peak RSS on wbench's rpc_small_hot, DESIGN.md
             // "Backpressure"). This thread is about to exit.
             std::thread::scope(|scope| {
+                let (shared, live) = (&*accept_shared, &live);
                 let mut key = 0u64;
                 while let Some(transport) = accept_listener.accept() {
                     if let Some(waker) = transport.try_clone() {
                         live.lock().insert(key, waker);
                     }
-                    let (shared, live) = (Arc::clone(&accept_shared), &live);
                     scope.spawn(move || {
                         conn_main(shared, transport);
                         live.lock().remove(&key);
@@ -651,10 +414,10 @@ impl RemoteServer {
     /// books. A connection cut off mid-frame is aborted and counted in
     /// [`TransportMetrics::conn_aborted`].
     pub fn shutdown(mut self) -> Result<RemoteMetrics, ServiceError> {
-        // Drain the service *while* connection writers are still
-        // running: its shutdown resolves every accepted request, which
-        // is exactly what the writers are waiting to flush. A request
-        // that reaches the door after this finds it `Draining`.
+        // Drain the service *while* the connections are still served:
+        // its shutdown resolves every accepted request, which is exactly
+        // what they are waiting to answer. A request that reaches the
+        // door after this finds it `Draining`.
         let service = self
             .shared
             .service
@@ -676,290 +439,298 @@ impl RemoteServer {
     }
 }
 
-/// One connection, reader side. Spawns and joins its writer.
-fn conn_main(shared: Arc<ServerShared>, transport: Box<dyn Transport>) {
+/// Why a connection ends abortively.
+enum Fault {
+    /// A read failed, or brought what the protocol does not allow.
+    Recv(TransportError),
+    /// Encoding or sending a frame failed.
+    Send(TransportError),
+    /// An end no fault counter names: the peer never said `Hello`, sent
+    /// a request past its window, or lost its request's id to a third
+    /// request while it waited.
+    Quit,
+}
+
+/// `?` on an encode or a send.
+impl From<TransportError> for Fault {
+    fn from(e: TransportError) -> Fault {
+        Fault::Send(e)
+    }
+}
+
+/// `?` on an encode.
+impl From<WireError> for Fault {
+    fn from(e: WireError) -> Fault {
+        Fault::Send(e.into())
+    }
+}
+
+/// What a client sends once its connection is open.
+enum Inbound {
+    Request(Frame),
+    Credit(u64, u32),
+    Cancel(u64),
+    /// A clean end of the request stream: `Bye`, the peer's FIN, or
+    /// drain's `close_read` between frames.
+    End,
+}
+
+/// One connection, served on the thread the accept loop spawned for it.
+struct Conn<'a> {
+    shared: &'a ServerShared,
+    io: FrameIo,
+    /// The client id its `Hello` announced.
+    client: u64,
+    /// The request stream has ended cleanly: every response still owed
+    /// is sent, in full, and then the connection FINs.
+    ended: bool,
+    local: TransportMetrics,
+}
+
+/// Serve one connection, then close it: with FIN after a clean end,
+/// abortively otherwise, and book what it counted.
+fn conn_main(shared: &ServerShared, transport: Box<dyn Transport>) {
     let cfg = &shared.config;
-    let mut local = TransportMetrics::default();
-    let write_half = transport.try_clone();
-    let mut rio = FrameIo::new(
+    let io = FrameIo::new(
         transport,
         0,
         WireDir::ServerToClient,
-        WireFaultPlan::none(),
+        cfg.wire_faults.clone(),
         Arc::clone(&shared.clock),
     )
     .with_max_payload(cfg.max_payload);
-    // The writer's queue, thread and window, once the handshake got
-    // that far.
-    let mut writer = None;
-    // Raised by the writer when it can no longer deliver; it aborts the
-    // connection as it does, which wakes this reader.
-    let dead = Arc::new(AtomicBool::new(false));
-
-    // Every way out of the connection leaves this block: `Ok(true)`
-    // after a clean end of the request stream, `Ok(false)` to close
-    // abortively, an error to close abortively and count it.
-    let end: Result<bool, TransportError> = 'conn: {
-        // Handshake: first frame must be a Hello within HELLO_TIMEOUT.
-        let (client, hello) = match rio.recv_frame_until(Instant::now() + HELLO_TIMEOUT) {
-            Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::Hello => match decode_hello(&f) {
-                Ok(h) => (f.id, h),
-                Err(e) => break 'conn Err(e.into()),
-            },
-            Ok(RecvFrame::Frame(_)) => {
-                local.handshake_mismatch += 1;
-                break 'conn Ok(false);
-            }
-            Ok(RecvFrame::Eof | RecvFrame::Idle) => break 'conn Ok(false),
-            Err(e) => break 'conn Err(e),
-        };
-
-        let protocol_ok = hello.protocol == PROTOCOL_VERSION as u32;
-        if !protocol_ok {
-            local.handshake_mismatch += 1;
-        } else {
-            local.conns_accepted += 1;
+    let mut conn = Conn {
+        shared,
+        io,
+        client: 0,
+        ended: false,
+        local: TransportMetrics::default(),
+    };
+    let clean = match conn.run() {
+        Ok(()) => true,
+        // A read that fails once drain has closed the read side was cut
+        // off mid-frame.
+        Err(Fault::Recv(_)) if shared.service.lock().is_none() => {
+            conn.local.conn_aborted += 1;
+            false
         }
-        rio.set_conn(client);
+        Err(Fault::Recv(e) | Fault::Send(e)) => {
+            conn.local.count_error(&e);
+            false
+        }
+        Err(Fault::Quit) => false,
+    };
+    if clean {
+        conn.io.shutdown_write();
+    } else {
+        conn.io.abort();
+    }
+    conn.local.merge(&conn.io.stats);
+    shared.metrics.lock().merge(&conn.local);
+}
 
+impl Conn<'_> {
+    /// The handshake, then one request at a time until the stream ends.
+    fn run(&mut self) -> Result<(), Fault> {
+        // The first frame must be a Hello within HELLO_TIMEOUT.
+        let deadline = Instant::now() + HELLO_TIMEOUT;
+        let hello = match self.io.recv_frame_until(deadline).map_err(Fault::Recv)? {
+            RecvFrame::Frame(f) if f.kind == FrameKind::Hello => {
+                self.client = f.id;
+                decode_hello(&f).map_err(|e| Fault::Recv(e.into()))?
+            }
+            RecvFrame::Frame(_) => {
+                self.local.handshake_mismatch += 1;
+                return Err(Fault::Quit);
+            }
+            RecvFrame::Eof | RecvFrame::Idle => return Err(Fault::Quit),
+        };
+        self.io.set_conn(self.client);
+        let cfg = &self.shared.config;
         // Both sides settle on min(client, server) for the payload
         // window, so neither peer can push a frame the other must
         // reject. The ack still announces our raw config — the client
         // runs the same negotiation over the two announced values.
-        let eff_payload = negotiate_payload(cfg.max_payload, hello.max_payload);
-        rio = rio.with_max_payload(eff_payload);
-
-        // Writer thread: opens with the ack, then FIFO over the queue;
-        // owns the send half.
-        let Some(write_io) = write_half else {
-            break 'conn Ok(false);
-        };
-        let wio = FrameIo::new(
-            write_io,
-            client,
-            WireDir::ServerToClient,
-            cfg.wire_faults.clone(),
-            Arc::clone(&shared.clock),
-        )
-        .with_max_payload(eff_payload);
-        let negotiated = cfg.window.min(hello.window.max(1));
-        let window = Window::new(negotiated);
-        let (tx, rx) = mpsc::channel::<(u64, Source)>();
-        let handle = {
-            let shared = Arc::clone(&shared);
-            let window = Arc::clone(&window);
-            let dead = Arc::clone(&dead);
-            std::thread::spawn(move || writer_main(shared, client, wio, rx, window, dead))
-        };
-        let (tx, _, _) = writer.insert((tx, handle, Arc::clone(&window)));
-
-        if !protocol_ok {
+        self.io.max_payload = negotiate_payload(cfg.max_payload, hello.max_payload);
+        if hello.protocol == PROTOCOL_VERSION as u32 {
+            self.local.conns_accepted += 1;
+        } else {
             // The ack (carrying our protocol) is the client's mismatch
             // evidence; nothing further is served on this connection.
-            break 'conn Ok(true);
+            self.local.handshake_mismatch += 1;
+            self.ended = true;
         }
-        shared.dedup.book(client, |b| b.negotiated(negotiated));
-
-        // Main read loop.
-        loop {
-            match rio.recv_frame() {
-                Ok(RecvFrame::Frame(f)) => match f.kind {
-                    FrameKind::Request => {
-                        let id = f.id;
-                        if !window.acquire(id) || dead.load(Ordering::SeqCst) {
-                            break 'conn Ok(false);
-                        }
-                        let t0 = Instant::now();
-                        let req = decode_request(&f);
-                        local.ser_s += t0.elapsed().as_secs_f64();
-                        // The frame's bytes are the image's second copy:
-                        // gone once decoded, before it is served.
-                        drop(f);
-                        let req = match req {
-                            Ok(req) => req,
-                            Err(e) => break 'conn Err(e.into()),
-                        };
-                        let from = admit(&shared, (client, id, rio.check), req, &mut local);
-                        if tx.send((id, from)).is_err() {
-                            break 'conn Ok(false);
-                        }
-                    }
-                    FrameKind::Cancel => window.cancel(f.id),
-                    FrameKind::Credit => match decode_credit(&f) {
-                        Ok(upto) => window.credit(f.id, upto),
-                        Err(e) => break 'conn Err(e.into()),
-                    },
-                    FrameKind::Bye => break 'conn Ok(true),
-                    _ => {
-                        break 'conn Err(TransportError::FrameCorrupt {
-                            detail: format!("unexpected {:?} frame mid-stream", f.kind),
-                        })
-                    }
-                },
-                // The peer's FIN, or drain's close between frames.
-                Ok(RecvFrame::Eof | RecvFrame::Idle) => break 'conn Ok(true),
-                Err(e) => break 'conn Err(e),
+        let ours = Hello {
+            protocol: PROTOCOL_VERSION as u32,
+            max_payload: cfg.max_payload,
+            window: WINDOW,
+        };
+        self.io
+            .send_frame(&encode_hello(FrameKind::HelloAck, self.client, &ours))?;
+        while !self.ended {
+            if let Inbound::Request(f) = self.read()? {
+                self.serve(f)?;
             }
         }
-    };
-    // An error once the writer gave up is its abort echoing back; one
-    // after drain closed the read side is a reader cut off mid-frame.
-    let clean = match end {
-        Ok(clean) => clean && !dead.load(Ordering::SeqCst),
-        Err(_) if dead.load(Ordering::SeqCst) => false,
-        Err(_) if shared.service.lock().is_none() => {
-            local.conn_aborted += 1;
-            false
-        }
-        Err(e) => {
-            local.count_error(&e);
-            false
-        }
-    };
-
-    // The abortive close comes before the join: it is what unblocks a
-    // writer parked in a send the peer will never read. Closing the
-    // window unblocks one parked on a credit this reader will never
-    // deliver: after a clean end it flushes what it owes, after an
-    // abortive one it stops.
-    if !clean {
-        rio.abort();
+        Ok(())
     }
-    local.merge(&rio.stats);
-    if let Some((tx, handle, window)) = writer {
-        window.close(clean);
-        drop(tx);
-        local.merge(&handle.join().expect("writer never panics"));
-    }
-    shared.metrics.lock().merge(&local);
-}
 
-/// Send one response — progressively when configured and successful,
-/// monolithically otherwise. A progressive sequence sends its header at
-/// once and parks on the window before each plane until the client
-/// credits it; a Cancel, or the reader's exit, ends the sequence there.
-/// A monolithic response over the negotiated payload window degrades to
-/// a typed rejection instead of killing the connection.
-fn send_response(
-    shared: &ServerShared,
-    wio: &mut FrameIo,
-    window: &Window,
-    id: u64,
-    result: &ServeResult,
-    local: &mut TransportMetrics,
-) -> Result<(), TransportError> {
-    let sent = if let (Some(codec), Ok(resp)) = (shared.config.progressive, result) {
-        (|| {
-            let seq = PlaneSequence::new(resp, codec)?;
-            wio.send_frame(&encode_progressive_header(id, seq.header())?)?;
-            for s in 1..=seq.len() {
-                match window.await_credit(id, s) {
-                    Pull::Send => {}
-                    Pull::Cancelled => {
-                        local.cancels_honored += 1;
+    /// The next frame the client sent. A clean end of the stream reads
+    /// as [`Inbound::End`] and marks the connection ended.
+    fn read(&mut self) -> Result<Inbound, Fault> {
+        let f = match self.io.recv_frame().map_err(Fault::Recv)? {
+            RecvFrame::Frame(f) => f,
+            // The peer's FIN, or drain's close between frames.
+            RecvFrame::Eof | RecvFrame::Idle => {
+                self.ended = true;
+                return Ok(Inbound::End);
+            }
+        };
+        Ok(match f.kind {
+            FrameKind::Request => Inbound::Request(f),
+            FrameKind::Credit => {
+                let upto = decode_credit(&f).map_err(|e| Fault::Recv(e.into()))?;
+                Inbound::Credit(f.id, upto)
+            }
+            FrameKind::Cancel => Inbound::Cancel(f.id),
+            FrameKind::Bye => {
+                self.ended = true;
+                Inbound::End
+            }
+            kind => {
+                return Err(Fault::Recv(TransportError::FrameCorrupt {
+                    detail: format!("unexpected {kind:?} frame mid-stream"),
+                }))
+            }
+        })
+    }
+
+    /// Answer one Request frame: decode it, claim its id, and send the
+    /// outcome — replayed, refused at the door, or executed and recorded.
+    fn serve(&mut self, f: Frame) -> Result<(), Fault> {
+        let (shared, client) = (self.shared, self.client);
+        let (id, check) = (f.id, self.io.check);
+        let t0 = Instant::now();
+        let req = decode_request(&f);
+        self.local.ser_s += t0.elapsed().as_secs_f64();
+        // The frame's bytes are the image's second copy: gone once
+        // decoded, before it is served.
+        drop(f);
+        let req = req.map_err(|e| Fault::Recv(e.into()))?;
+        let mut waited = false;
+        let result = loop {
+            match shared.dedup.book(client, |b| b.claim(id, check)) {
+                Claim::Replay(result) => {
+                    self.local.dedup_replays += 1;
+                    break result;
+                }
+                // Wait out the claim in flight, then claim again.
+                Claim::Wait(held) if !waited => {
+                    shared.dedup.wait(client, id, held);
+                    waited = true;
+                }
+                // A third request took the id meanwhile: fail the
+                // connection, and the client's retry claims it again.
+                Claim::Wait(_) => return Err(Fault::Quit),
+                Claim::Fresh { reused } => {
+                    self.local.reused_ids += reused as u64;
+                    let submitted = shared
+                        .service
+                        .lock()
+                        .as_ref()
+                        .map(|svc| svc.submit(req))
+                        .unwrap_or(Err(Rejection::Draining));
+                    break match submitted {
+                        Ok(handle) => {
+                            let result = Arc::new(handle.wait());
+                            shared
+                                .dedup
+                                .settle(client, |b| b.resolve(id, Arc::clone(&result)));
+                            result
+                        }
+                        Err(rej) => {
+                            // Not recorded in the book: a rejected request was
+                            // never executed, so a retry may re-attempt admission.
+                            shared.dedup.settle(client, |b| b.forget(id));
+                            Arc::new(Err(rej))
+                        }
+                    };
+                }
+            }
+        };
+        self.respond(id, &result)
+    }
+
+    /// Send one response — progressively when configured and successful,
+    /// monolithically otherwise. A monolithic response over the
+    /// negotiated payload window degrades to a typed rejection instead of
+    /// killing the connection.
+    fn respond(&mut self, id: u64, result: &ServeResult) -> Result<(), Fault> {
+        let sent = match (self.shared.config.progressive, result) {
+            (Some(codec), Ok(resp)) => self.send_planes(id, resp, codec),
+            _ => {
+                let t0 = Instant::now();
+                let frame = encode_response(id, result)?;
+                self.local.ser_s += t0.elapsed().as_secs_f64();
+                self.io.send_frame(&frame).map_err(Fault::Send)
+            }
+        };
+        match sent {
+            Err(Fault::Send(TransportError::FrameTooLarge { len, max })) => {
+                self.local.frame_too_large += 1;
+                let fallback = encode_response(
+                    id,
+                    &Err(Rejection::Invalid {
+                        detail: format!(
+                            "response payload {len} B exceeds negotiated window {max} B"
+                        ),
+                    }),
+                )?;
+                Ok(self.io.send_frame(&fallback)?)
+            }
+            other => other,
+        }
+    }
+
+    /// Send `resp` as a plane sequence: the header at once, then each
+    /// plane once the client's credit covers it. The wait for a credit is
+    /// a read, so it is finite: it ends on a credit, a Cancel, which
+    /// stops the sequence, or the end of the stream. A clean end credits
+    /// every plane still owed; a request in its place is a client past
+    /// its window, waiting on a response while the sequence waits on it,
+    /// and is cut off.
+    fn send_planes(
+        &mut self,
+        id: u64,
+        resp: &DecomposeResponse,
+        codec: CheckpointCodec,
+    ) -> Result<(), Fault> {
+        let seq = PlaneSequence::new(resp, codec)?;
+        self.io
+            .send_frame(&encode_progressive_header(id, seq.header())?)?;
+        // The highest plane the client has credited: a high-water mark,
+        // so a lower or repeated credit changes nothing, and one past the
+        // last plane covers every plane there is.
+        let mut credit = 0;
+        for s in 1..=seq.len() {
+            while credit < s && !self.ended {
+                match self.read()? {
+                    Inbound::Credit(of, upto) if of == id => credit = credit.max(upto as usize),
+                    Inbound::Cancel(of) if of == id => {
+                        self.local.cancels_honored += 1;
                         return Ok(());
                     }
-                    Pull::Closed => return Ok(()),
-                }
-                wio.send_frame(&encode_progressive_plane(id, &seq.plane(s), s < seq.len())?)?;
-                local.planes_sent += 1;
-            }
-            Ok(())
-        })()
-    } else {
-        let t0 = Instant::now();
-        let frame = encode_response(id, result)?;
-        local.ser_s += t0.elapsed().as_secs_f64();
-        wio.send_frame(&frame)
-    };
-    match sent {
-        Err(TransportError::FrameTooLarge { len, max }) => {
-            local.frame_too_large += 1;
-            let fallback = encode_response(
-                id,
-                &Err(Rejection::Invalid {
-                    detail: format!("response payload {len} B exceeds negotiated window {max} B"),
-                }),
-            )?;
-            wio.send_frame(&fallback)
-        }
-        other => other,
-    }
-}
-
-/// Writer side of one connection: the handshake ack, then for every
-/// queued item outcome → send → release, FIFO. A failed send raises
-/// `dead` and aborts the connection so the reader stops pulling new
-/// work, but the queue is still worked off: outcomes recorded here stay
-/// replayable from the book, and every permit goes back.
-fn writer_main(
-    shared: Arc<ServerShared>,
-    client: u64,
-    mut wio: FrameIo,
-    rx: mpsc::Receiver<(u64, Source)>,
-    window: Arc<Window>,
-    dead: Arc<AtomicBool>,
-) -> TransportMetrics {
-    let mut local = TransportMetrics::default();
-    let ack = encode_hello(
-        FrameKind::HelloAck,
-        client,
-        &Hello {
-            protocol: PROTOCOL_VERSION as u32,
-            max_payload: shared.config.max_payload,
-            window: shared.config.window,
-        },
-    );
-    // Stop the reader pulling new work, and wake it with an abort.
-    let give_up = |wio: &mut FrameIo| {
-        dead.store(true, Ordering::SeqCst);
-        wio.abort();
-    };
-    if let Err(e) = wio.send_frame(&ack) {
-        local.count_error(&e);
-        give_up(&mut wio);
-    }
-    for (id, from) in rx.iter() {
-        let from = match from {
-            // The claim waited on was made before this request arrived:
-            // on this connection it is ahead in the queue, so this wait
-            // never waits on itself.
-            Source::After(check, held, req) => {
-                shared.dedup.wait(client, id, held);
-                admit(&shared, (client, id, check), req, &mut local)
-            }
-            from => from,
-        };
-        let result = match from {
-            Source::Service(handle) => {
-                let result = Arc::new(handle.wait());
-                shared
-                    .dedup
-                    .settle(client, |b| b.resolve(id, Arc::clone(&result)));
-                Some(result)
-            }
-            Source::Known(result) => Some(result),
-            Source::After(..) => None,
-        };
-        match result {
-            Some(result) if !dead.load(Ordering::SeqCst) => {
-                if let Err(e) = send_response(&shared, &mut wio, &window, id, &result, &mut local) {
-                    local.count_error(&e);
-                    give_up(&mut wio);
+                    Inbound::Request(_) => return Err(Fault::Quit),
+                    // Another id's credit or Cancel, or the end.
+                    _ => {}
                 }
             }
-            Some(_) => {}
-            // A third request took the id while this one waited. Fail the
-            // connection: the client's retry claims it again.
-            None => give_up(&mut wio),
+            self.io
+                .send_frame(&encode_progressive_plane(id, &seq.plane(s), s < seq.len())?)?;
+            self.local.planes_sent += 1;
         }
-        window.release(id);
+        Ok(())
     }
-    if !dead.load(Ordering::SeqCst) {
-        wio.shutdown_write();
-    }
-    local.merge(&wio.stats);
-    local
 }
 
 // ---------------------------------------------------------------------
@@ -1400,8 +1171,8 @@ impl Drop for RemoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::DecomposeResponse;
     use dwt::Pyramid;
+    use std::sync::mpsc;
 
     fn outcome() -> Arc<ServeResult> {
         Arc::new(Ok(DecomposeResponse {
@@ -1503,33 +1274,27 @@ mod tests {
     fn the_book_remembers_one_window_of_results() {
         let mut book = ClientBook::default();
         let mut results = Vec::new();
-        // (window a connection of the client negotiates, the window the
-        // book keeps): a `RemoteClient`'s 1, a pipelining reconnect's 4,
-        // then a smaller reconnect, which leaves the larger bound.
-        for (negotiated, kept) in [(1u32, 1u64), (4, 4), (2, 4)] {
-            book.negotiated(negotiated);
-            for _ in 0..10 * kept {
-                let id = results.len() as u64;
-                let fresh = book.claim(id, X);
-                assert!(
-                    matches!(fresh, Claim::Fresh { reused: false }),
-                    "id {id} is new"
-                );
-                let result = outcome();
-                book.resolve(id, Arc::clone(&result));
-                let held = book.entries.len() as u64;
-                assert!(held <= kept + 1, "{held} results held after id {id}");
-                results.push(result);
-            }
-            let newest = results.len() as u64 - 1;
-            for id in newest + 1 - kept..=newest {
-                match book.claim(id, X) {
-                    Claim::Replay(replay) => assert!(Arc::ptr_eq(&replay, &results[id as usize])),
-                    other => panic!("id {id} must replay, got {other:?}"),
-                }
-            }
-            assert_eq!(book.entries.len() as u64, kept + 1);
+        let kept = u64::from(WINDOW);
+        for id in 0..10 {
+            let fresh = book.claim(id, X);
+            assert!(
+                matches!(fresh, Claim::Fresh { reused: false }),
+                "id {id} is new"
+            );
+            let result = outcome();
+            book.resolve(id, Arc::clone(&result));
+            let held = book.entries.len() as u64;
+            assert!(held <= kept + 1, "{held} results held after id {id}");
+            results.push(result);
         }
+        let newest = results.len() as u64 - 1;
+        for id in newest + 1 - kept..=newest {
+            match book.claim(id, X) {
+                Claim::Replay(replay) => assert!(Arc::ptr_eq(&replay, &results[id as usize])),
+                other => panic!("id {id} must replay, got {other:?}"),
+            }
+        }
+        assert_eq!(book.entries.len() as u64, kept + 1);
         // What fell behind the horizon was freed, not just unlinked: the
         // book was its last owner besides this test.
         assert_eq!(Arc::strong_count(&results[0]), 1);
@@ -1563,7 +1328,8 @@ mod tests {
     impl Walk {
         /// Take the last step of `history`, checking what the book
         /// answers a claim.
-        fn step(&mut self, history: &[Step], window: u64) {
+        fn step(&mut self, history: &[Step]) {
+            let window = u64::from(WINDOW);
             match *history.last().expect("a step to take") {
                 Step::Claim(id, t) => {
                     match self.book.claim(id, t) {
@@ -1602,7 +1368,8 @@ mod tests {
         }
 
         /// The rules that hold between steps.
-        fn check(&self, window: u64, history: &[Step]) {
+        fn check(&self, history: &[Step]) {
+            let window = u64::from(WINDOW);
             let flying =
                 self.book.entries.iter().filter_map(|(&id, (t, slot))| {
                     matches!(slot, Slot::InFlight).then_some((id, *t))
@@ -1668,173 +1435,41 @@ mod tests {
 
     /// Every history of up to six steps on one client's book — two
     /// requests' claims on ids 0..=3, resolves and forgets of the ids in
-    /// flight — under windows 1 and 2, walked breadth first over distinct
-    /// states. After every step: a replay is the outcome recorded under
-    /// that id and trailer, a wait is on the claim holding the id in
-    /// flight, no id is claimed in flight twice, and for one client's
-    /// chain of claims every resolved id within the window replays and
-    /// the book holds at most `window + 1` results.
+    /// flight — walked breadth first over distinct states. After every
+    /// step: a replay is the outcome recorded under that id and trailer,
+    /// a wait is on the claim holding the id in flight, no id is claimed
+    /// in flight twice, and for one client's chain of claims every
+    /// resolved id within the window replays and the book holds at most
+    /// `WINDOW + 1` results.
     #[test]
     fn every_book_history_keeps_the_rules() {
         const Y: u64 = X + 1;
-        for window in [1u64, 2] {
-            let mut start = Walk {
-                chain: true,
-                ..Walk::default()
-            };
-            start.book.negotiated(window as u32);
-            let mut seen = std::collections::HashSet::new();
-            let mut frontier = vec![(start, Vec::new())];
-            for _ in 0..6 {
-                let mut next = Vec::new();
-                for (walk, history) in &frontier {
-                    let claims = (0..4).flat_map(|id| [Step::Claim(id, X), Step::Claim(id, Y)]);
-                    let ends = walk
-                        .flying
-                        .keys()
-                        .flat_map(|&id| [Step::Resolve(id), Step::Forget(id)]);
-                    for step in claims.chain(ends) {
-                        let mut walk = walk.clone();
-                        let history = [history.as_slice(), &[step]].concat();
-                        walk.step(&history, window);
-                        walk.check(window, &history);
-                        if seen.insert(walk.key()) {
-                            next.push((walk, history));
-                        }
+        let start = Walk {
+            chain: true,
+            ..Walk::default()
+        };
+        let mut seen = std::collections::HashSet::new();
+        let mut frontier = vec![(start, Vec::new())];
+        for _ in 0..6 {
+            let mut next = Vec::new();
+            for (walk, history) in &frontier {
+                let claims = (0..4).flat_map(|id| [Step::Claim(id, X), Step::Claim(id, Y)]);
+                let ends = walk
+                    .flying
+                    .keys()
+                    .flat_map(|&id| [Step::Resolve(id), Step::Forget(id)]);
+                for step in claims.chain(ends) {
+                    let mut walk = walk.clone();
+                    let history = [history.as_slice(), &[step]].concat();
+                    walk.step(&history);
+                    walk.check(&history);
+                    if seen.insert(walk.key()) {
+                        next.push((walk, history));
                     }
                 }
-                frontier = next;
             }
-            assert!(seen.len() > 1000, "window {window}: {} states", seen.len());
+            frontier = next;
         }
-    }
-
-    fn entry(id: u64, cancelled: bool, credit: u32) -> Pending {
-        Pending {
-            id,
-            cancelled,
-            credit,
-        }
-    }
-
-    #[test]
-    fn a_full_window_opens_on_release() {
-        let window = Window::new(2);
-        assert!(window.acquire(0) && window.acquire(1));
-        let third = {
-            let window = Arc::clone(&window);
-            parked(move || window.acquire(2))
-        };
-        assert!(third.try_recv().is_err(), "no permit, no admission");
-        window.release(0);
-        assert!(third.recv_timeout(WOKEN).expect("release wakes the reader"));
-        assert_eq!(
-            window.state.lock().in_flight,
-            [entry(1, false, 0), entry(2, false, 0)]
-        );
-    }
-
-    #[test]
-    fn marks_and_credits_never_outgrow_the_window() {
-        let window = Window::new(2);
-        window.acquire(1);
-        window.acquire(2);
-        window.cancel(1);
-        window.cancel(99);
-        window.credit(2, 3);
-        window.credit(2, 1);
-        window.credit(99, 7);
-        assert_eq!(
-            window.state.lock().in_flight,
-            [entry(1, true, 0), entry(2, false, 3)],
-            "a credit is a high-water mark; unknown ids are no-ops"
-        );
-        window.release(1);
-        window.cancel(1);
-        window.credit(1, 5);
-        assert_eq!(window.state.lock().in_flight, [entry(2, false, 3)]);
-        // A connection that cancels every sequence it asks for.
-        for id in 10..1000 {
-            window.acquire(id);
-            window.credit(id, 2);
-            window.cancel(id);
-            assert_eq!(window.await_credit(id, 3), Pull::Cancelled);
-            window.release(id);
-            assert!(window.state.lock().in_flight.len() <= 2);
-        }
-        assert_eq!(window.state.lock().in_flight, [entry(2, false, 3)]);
-    }
-
-    #[test]
-    fn a_parked_writer_wakes_on_credit_cancel_and_close() {
-        let window = Window::new(2);
-        window.acquire(1);
-        let wait = |seq| {
-            let window = Arc::clone(&window);
-            parked(move || window.await_credit(1, seq))
-        };
-        let writer = wait(1);
-        assert!(writer.try_recv().is_err(), "no credit, no plane");
-        window.credit(1, 1);
-        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Send));
-        // A credit past the last plane covers every plane there is.
-        window.credit(1, u32::MAX);
-        assert_eq!(window.await_credit(1, 9), Pull::Send);
-
-        window.acquire(2);
-        let writer = {
-            let window = Arc::clone(&window);
-            parked(move || window.await_credit(2, 1))
-        };
-        window.cancel(2);
-        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Cancelled));
-
-        window.release(1);
-        window.release(2);
-        window.acquire(3);
-        let writer = {
-            let window = Arc::clone(&window);
-            parked(move || window.await_credit(3, 1))
-        };
-        window.close(false);
-        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
-    }
-
-    #[test]
-    fn a_clean_close_credits_every_sequence_still_owed() {
-        let window = Window::new(3);
-        window.acquire(1);
-        window.acquire(2);
-        window.acquire(3);
-        window.cancel(3);
-        let writer = {
-            let window = Arc::clone(&window);
-            parked(move || window.await_credit(1, 1))
-        };
-        window.close(true);
-        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Send));
-        assert_eq!(window.await_credit(1, 9), Pull::Send);
-        // The sequence queued behind it goes whole; a cancelled one not.
-        assert_eq!(window.await_credit(2, 9), Pull::Send);
-        assert_eq!(window.await_credit(3, 1), Pull::Cancelled);
-    }
-
-    #[test]
-    fn a_reader_past_the_window_gives_up_on_a_stuck_writer() {
-        let window = Window::new(1);
-        window.acquire(1);
-        let reader = {
-            let window = Arc::clone(&window);
-            parked(move || window.acquire(2))
-        };
-        // The writer parks on a credit the client never sends, because
-        // it sent another request instead.
-        let writer = {
-            let window = Arc::clone(&window);
-            parked(move || window.await_credit(1, 1))
-        };
-        assert_eq!(reader.recv_timeout(WOKEN), Ok(false), "the reader gives up");
-        window.close(false);
-        assert_eq!(writer.recv_timeout(WOKEN), Ok(Pull::Closed));
+        assert!(seen.len() > 1000, "{} states", seen.len());
     }
 }

@@ -140,13 +140,16 @@ pub trait Transport: Send {
 
     /// Abortive close of both directions; a peer mid-frame reads it as a
     /// reset (TCP sends a FIN, not a RST). Used by injected
-    /// [`WireFault::Reset`], by a server writer that can no longer
-    /// deliver, and by drain for a reader cut off mid-frame.
+    /// [`WireFault::Reset`], and by a server connection that ends
+    /// abortively: it can no longer deliver, drain cut it off mid-frame,
+    /// or its client broke the protocol.
     fn abort(&mut self);
 
-    /// A second handle onto the same connection, so a reader thread and
-    /// a writer thread can share it without a lock; `None` if it cannot
-    /// be duplicated, and then the server closes the connection unacked.
+    /// A second handle onto the same connection, so another thread can
+    /// close it while its owner is blocked on it — the server keeps one
+    /// per live connection, for drain to close the read side; `None` if
+    /// it cannot be duplicated, and then drain cannot wake that
+    /// connection.
     fn try_clone(&self) -> Option<Box<dyn Transport>>;
 }
 
@@ -580,7 +583,9 @@ pub struct FrameIo {
     filled: usize,
     /// The verified trailer of the last frame received.
     pub(crate) check: u64,
-    max_payload: u32,
+    /// The payload window ([`FrameIo::with_max_payload`]); a server sets
+    /// it in place once the handshake has settled it.
+    pub(crate) max_payload: u32,
     faults: WireFaultPlan,
     clock: Arc<WireClock>,
     /// Live frame, byte and serialization counters for this

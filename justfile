@@ -139,25 +139,25 @@ supervise-soak:
     done
     echo "supervise-soak OK: 25 rounds"
 
-# Soak the remote layer's wake-ups: accept, reads, drain and a writer
-# parked on a progressive credit block until an event — a dial, a
-# frame, a credit, a close — so a lost wake hangs instead of failing an
-# assertion. The drain, handshake, response-timeout, parked-writer,
-# lost-window replay, framing, v3-refusal, reused-client-id and
-# in-flight-resubmit tests of wserv_remote, over the shim and TCP —
-# reads land a header, then a payload sized from it, in as many pieces
-# as the transport delivers, and a request that finds its id in flight,
-# the same request resubmitted or a different one under a reused id,
-# waits on the book for that claim and claims again — run
-# 25 times, one test at a time, each round under `timeout` so a hang is
-# a non-zero exit within a minute.
+# Soak the remote layer's wake-ups: accept, reads, drain and a
+# connection waiting on a progressive credit block until an event — a
+# dial, a frame, a credit, a close — so a lost wake hangs instead of
+# failing an assertion. The drain, handshake, response-timeout,
+# parked-sequence, in-order pipelining, framing, v3-refusal,
+# reused-client-id and in-flight-resubmit tests of wserv_remote, over
+# the shim and TCP — reads land a header, then a payload sized from it,
+# in as many pieces as the transport delivers, and a request that finds
+# its id in flight, the same request resubmitted or a different one
+# under a reused id, waits on the book for that claim and claims again
+# — run 25 times, one test at a time, each round under `timeout` so a
+# hang is a non-zero exit within a minute.
 remote-soak:
     #!/usr/bin/env bash
     set -euo pipefail
     cargo test -q --release --test wserv_remote --no-run
     for round in $(seq 25); do
         timeout 60 cargo test -q --release --test wserv_remote -- \
-            drain hello times_out parked replayed frame_io v3_ reused_client_id resubmit \
+            drain hello times_out parked pipelining frame_io v3_ reused_client_id resubmit \
             --test-threads=1 2>/dev/null
     done
     echo "remote-soak OK: 25 rounds"

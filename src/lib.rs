@@ -15,6 +15,7 @@
 //! * [`perfbudget`] — the overhead-accounting model;
 //! * [`nbody`] / [`pic`] — the Appendix B applications;
 //! * [`workload`] — the Appendix C characterization framework.
+#![forbid(unsafe_code)]
 
 pub use dwt;
 pub use dwt_mimd;

@@ -4,14 +4,12 @@
 //! with one `RemoteClient`, whose resolution book holds a fixed two
 //! results.
 //!
-//! A counting global allocator keeps the process's live heap bytes
-//! across all threads (allocations minus deallocations, plus each
+//! The shared counting allocator (`tests/common`) keeps the process's
+//! live heap bytes across all threads (allocations minus deallocations, plus each
 //! `realloc`'s change in size), so the server's worker, supervisor and
 //! connection threads are counted with the caller's. The tests take one
 //! lock, so only one server runs at a time.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -19,45 +17,7 @@ use dwt::{FilterBank, Matrix};
 use wserv::remote::{RemoteConfig, RemoteServer};
 use wserv::{DecomposeRequest, MemListener, RemoteClient, ServiceConfig, WaveletService};
 
-struct Counting;
-
-static LIVE: AtomicIsize = AtomicIsize::new(0);
-
-fn count(bytes: isize) {
-    LIVE.fetch_add(bytes, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only other work is an
-// atomic add, which does not allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize);
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize);
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize));
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize);
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod common;
 
 /// One server at a time: the counter is process-wide.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -78,7 +38,7 @@ fn request() -> DecomposeRequest {
 /// bookkeeping that follows the last response.
 fn settled_live() -> isize {
     std::thread::sleep(Duration::from_millis(50));
-    LIVE.load(Ordering::Relaxed)
+    common::live_bytes()
 }
 
 /// Serve the warm-up, then the measured requests, through `serve_one`,

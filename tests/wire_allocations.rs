@@ -5,13 +5,11 @@
 //! receiver reads it into one buffer sized from its header, which
 //! becomes the payload.
 //!
-//! A counting global allocator keeps a per-thread total of bytes
-//! requested (`alloc`, `alloc_zeroed`, and a `realloc`'s new size), so
+//! The shared counting allocator (`tests/common`) keeps a per-thread
+//! total of bytes requested (`alloc`, `alloc_zeroed`, and a `realloc`'s new size), so
 //! the sender's and the receiver's threads are measured apart, and
 //! nothing else in this binary runs while they are.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use dwt::{FilterBank, Matrix};
@@ -19,52 +17,13 @@ use wserv::transport::{FrameIo, RecvFrame, WireClock};
 use wserv::wire::{encode_request, encode_response, Frame};
 use wserv::{mem_pair, DecomposeRequest, DecomposeResponse, WireDir, WireFaultPlan};
 
-struct Counting;
-
-thread_local! {
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(bytes: usize) {
-    let _ = ALLOCATED.try_with(|n| n.set(n.get() + bytes));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the only other work is
-// adding to a thread-local counter, which does not allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: the caller upholds this method's contract for us.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+mod common;
 
 /// Bytes this thread allocates while running `f`, and its answer.
 fn allocated<T>(f: impl FnOnce() -> T) -> (usize, T) {
-    let before = ALLOCATED.with(Cell::get);
+    let before = common::requested_here();
     let out = f();
-    (ALLOCATED.with(Cell::get) - before, out)
+    (common::requested_here() - before, out)
 }
 
 /// Allowance over one payload: the sender also grows the pipe's 64 KiB

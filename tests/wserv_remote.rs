@@ -7,10 +7,10 @@
 //!   request-path faults never double-execute (the server never saw
 //!   them), retries after response-path losses replay the recorded
 //!   outcome from the dedup book instead of re-executing;
-//! * the per-connection in-flight window backpressures a pipelining
-//!   client without losing or reordering responses — under progressive
-//!   delivery, a client that sends past its window instead of crediting
-//!   is cut off;
+//! * a connection serves one request at a time: a pipelining client is
+//!   answered in order with nothing lost, its backlog held by the byte
+//!   window — under progressive delivery, a client that sends past its
+//!   window instead of crediting is cut off;
 //! * graceful drain is lossless for accepted work, a progressive
 //!   sequence mid-read included, and wakes every connection: an idle
 //!   one ends cleanly, and a half-open one cannot hold drain hostage —
@@ -21,10 +21,10 @@
 //! * the in-memory shim and localhost TCP produce identical outcome
 //!   books for the same seed — same protocol, different bytes;
 //! * progressive delivery is pull-driven: the server sends exactly the
-//!   planes the client credits, and a writer parked on a credit always
-//!   wakes — on the reader's clean exit or drain, flushing what it
-//!   owes, or by cutting off a client that sent past its window instead
-//!   of crediting.
+//!   planes the client credits, and a connection waiting on a credit
+//!   always moves on — on the client's clean exit or drain, flushing
+//!   what it owes, or by cutting off a client that sent past its window
+//!   instead of crediting.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,8 +37,8 @@ use wserv::progressive::{pyramid_max_abs_diff, split_response};
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy, HELLO_TIMEOUT};
 use wserv::transport::{Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock};
 use wserv::wire::{
-    decode_credit, decode_request, decode_response, decode_response_body, encode_credit,
-    encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
+    decode_credit, decode_hello, decode_request, decode_response, decode_response_body,
+    encode_credit, encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
     encode_request, encode_response, Frame, FrameKind, Hello, PlaneCoeffs, ResponseBody,
     DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
@@ -282,10 +282,10 @@ fn wire_chaos_resolves_every_request_exactly_once() {
             "{transport}: handshakes + requests"
         );
         // The server's terminal errors are fixed by the plan: client 0's
-        // request-path reset, which the connection's reader sees as a
+        // request-path reset, which the connection's read sees as a
         // frame cut short (over TCP the abort is a FIN, not a RST), and
         // the server's own truncation of client 1's response, which its
-        // writer counts as a reset. Client 2 catches its flipped response
+        // send counts as a reset. Client 2 catches its flipped response
         // and hangs up cleanly.
         let t = &metrics.transport;
         assert_eq!(
@@ -448,24 +448,25 @@ fn backoff_schedule_is_capped_exponential() {
 }
 
 // ---------------------------------------------------------------------
-// Backpressure: the per-connection window over a tiny pipe
+// Backpressure: a pipelining client over a tiny pipe
 // ---------------------------------------------------------------------
 
-/// A pipelining client that floods requests without reading responses:
-/// the server's in-flight window (2) stops the reader, the bounded pipe
-/// (256 B per direction, far smaller than one frame) backpressures both
-/// sides, and once the client finally reads, every response arrives in
-/// FIFO order with nothing lost.
+/// A client that floods requests past its window of 1 without reading
+/// responses is served in order, one request at a time, and the bounded
+/// pipe (256 B per direction, far smaller than one frame) holds its
+/// backlog: the server blocks writing the first response, so it reads
+/// no further request, and the flood stalls on the pipe. Once the client
+/// reads, every response arrives in submission order with nothing lost.
 #[test]
 fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
     let total = 6u64;
     let listener = MemListener::new(256, tick());
-    let config = RemoteConfig {
-        window: 2,
-        ..remote_config()
-    };
-    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
-        .expect("config is valid");
+    let server = RemoteServer::start(
+        service_config(),
+        remote_config(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
 
     let raw = listener.connect().expect("listener open");
     let send_half = raw.try_clone().expect("mem transport clones");
@@ -494,11 +495,17 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
         },
     ))
     .expect("hello fits");
-    expect_ack(&mut rx);
+    match rx.recv_frame_until(Instant::now() + PATIENCE) {
+        Ok(RecvFrame::Frame(f)) if f.kind == FrameKind::HelloAck => {
+            let ack = decode_hello(&f).expect("a well-formed HelloAck");
+            assert_eq!(ack.window, 1, "the server announces one request at a time");
+        }
+        other => panic!("expected the HelloAck, got {other:?}"),
+    }
 
-    // Flood from a second thread: sends block on the 256 B pipe and on
-    // the server's window; the main thread deliberately reads nothing
-    // until the whole burst is in flight.
+    // Flood from a second thread: the server reads the first request,
+    // then blocks writing its response, so the next one stalls on the
+    // 256 B pipe.
     let sender = std::thread::spawn(move || {
         for id in 0..total {
             tx.send_frame(&encode_request(id, &request(id)).expect("request encodes"))
@@ -506,6 +513,13 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
         }
         tx
     });
+    // The nap only gives the flood time to run into the pipe; a sender
+    // that is not finished yet would hold in any order.
+    std::thread::sleep(Duration::from_millis(50));
+    assert!(
+        !sender.is_finished(),
+        "nothing the client has not read may leave its backlog"
+    );
 
     let mut got = Vec::new();
     for f in responses(&mut rx, total as usize) {
@@ -513,7 +527,7 @@ fn window_and_bounded_pipe_backpressure_a_pipelining_client() {
         assert!(outcome.is_ok(), "request {} must serve Ok", f.id);
         got.push(f.id);
     }
-    assert_eq!(got, (0..total).collect::<Vec<_>>(), "FIFO responses");
+    assert_eq!(got, (0..total).collect::<Vec<_>>(), "in-order responses");
     let mut tx = sender.join().expect("sender never panics");
     assert_eq!(tx.stats.frames_out, total + 1, "hello + every request sent");
     tx.shutdown_write();
@@ -662,167 +676,6 @@ fn a_reused_client_id_waits_out_the_request_in_flight() {
     assert_eq!(metrics.service.completed(), 2, "X and Y each ran once");
     let t = &metrics.transport;
     assert_eq!((t.dedup_replays, t.reused_ids), (0, 1));
-}
-
-// ---------------------------------------------------------------------
-// A whole window lost and resubmitted
-// ---------------------------------------------------------------------
-
-/// A pipelining client keeps a full window outstanding, and after two
-/// windows answered normally loses the connection with a third sent and
-/// none of its responses in hand. It resubmits all of them on a fresh
-/// connection and every one is replayed from the book — which by then
-/// has pruned what lies a window behind and must still hold this one —
-/// and none is executed again.
-///
-/// The only signal that the server has seen a request is its response,
-/// so connection A takes the third window's response frames off the
-/// wire and drops them undecoded before it dies: to the server that is
-/// a client that never got them.
-#[test]
-fn a_lost_window_is_replayed_not_re_executed() {
-    const WINDOW: u64 = 4;
-    let listener = MemListener::new(1 << 16, tick());
-    let config = RemoteConfig {
-        window: WINDOW as u32,
-        ..remote_config()
-    };
-    let server = RemoteServer::start(service_config(), config, Box::new(listener.clone()))
-        .expect("config is valid");
-    let connect = || {
-        let transport = Box::new(listener.connect().expect("listener open"));
-        raw_client(transport, 7, WINDOW as u32)
-    };
-    let send_window = |io: &mut FrameIo, first: u64| {
-        for id in first..first + WINDOW {
-            io.send_frame(&encode_request(id, &request(id)).expect("request encodes"))
-                .expect("request fits the pipe");
-        }
-    };
-
-    let mut a = connect();
-    for round in 0..3 {
-        send_window(&mut a, round * WINDOW);
-        responses(&mut a, WINDOW as usize);
-    }
-    a.abort();
-
-    let lost = 2 * WINDOW;
-    let mut b = connect();
-    send_window(&mut b, lost);
-    for (id, f) in (lost..).zip(responses(&mut b, WINDOW as usize)) {
-        assert_eq!(f.id, id, "replays come back in submission order");
-        let resp = decode_response(&f)
-            .expect("well-formed response")
-            .expect("request served Ok");
-        let req = request(id);
-        let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-            .expect("oracle geometry is valid");
-        assert_eq!(resp.pyramid, oracle, "id {id} replayed its own outcome");
-    }
-    b.shutdown_write();
-
-    let metrics = server.shutdown().expect("clean drain");
-    assert_eq!(metrics.service.completed(), 3 * WINDOW, "no re-execution");
-    assert_eq!(metrics.transport.dedup_replays, WINDOW);
-}
-
-/// The book keeps the window a client *negotiated*, not the server's:
-/// against a server window of 8 a pipelining client announcing 2 has at
-/// most 2 ids outstanding, so the book holds 3 of its results — and
-/// still replays its whole lost window without re-executing any of it —
-/// over the shim and over TCP.
-#[test]
-fn a_lost_negotiated_window_is_replayed_not_re_executed() {
-    const WINDOW: u64 = 2;
-    for transport in TRANSPORTS {
-        let (listener, dial) = endpoints(transport);
-        let server =
-            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
-        let connect = || raw_client(dial().dial().expect("server is up"), 7, WINDOW as u32);
-
-        let mut a = connect();
-        for round in 0..4 {
-            send_requests(&mut a, round * WINDOW..(round + 1) * WINDOW);
-            responses(&mut a, WINDOW as usize);
-        }
-        a.abort();
-
-        let lost = 3 * WINDOW;
-        let mut b = connect();
-        replayed(&mut b, lost..lost + WINDOW, transport);
-        b.shutdown_write();
-
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(metrics.service.completed(), 4 * WINDOW, "{transport}");
-        assert_eq!(metrics.transport.dedup_replays, WINDOW, "{transport}");
-    }
-}
-
-/// A client that negotiates a larger window on a reconnect gets the
-/// larger bound: after a connection that negotiated 2, a window of 4
-/// lost on one that negotiated 4 is replayed whole — here on a third
-/// that negotiates 2 again. (That a smaller window later leaves the
-/// larger bound in place is `remote`'s unit test of the book.)
-#[test]
-fn a_larger_window_on_reconnect_is_replayed_whole() {
-    for transport in TRANSPORTS {
-        let (listener, dial) = endpoints(transport);
-        let server =
-            RemoteServer::start(service_config(), remote_config(), listener).expect("valid");
-        let connect = |window| raw_client(dial().dial().expect("server is up"), 7, window);
-
-        let mut a = connect(2);
-        send_requests(&mut a, 0..2);
-        responses(&mut a, 2);
-        a.shutdown_write();
-
-        let mut b = connect(4);
-        for round in 0..3 {
-            send_requests(&mut b, 2 + 4 * round..6 + 4 * round);
-            responses(&mut b, 4);
-        }
-        b.abort();
-
-        let mut c = connect(2);
-        replayed(&mut c, 10..14, transport);
-        c.shutdown_write();
-
-        let metrics = server.shutdown().expect("clean drain");
-        assert_eq!(
-            metrics.service.completed(),
-            14,
-            "{transport}: no re-execution"
-        );
-        assert_eq!(metrics.transport.dedup_replays, 4, "{transport}");
-    }
-}
-
-/// Send requests `ids` on `io`, each `request(id)`.
-fn send_requests(io: &mut FrameIo, ids: std::ops::Range<u64>) {
-    for id in ids {
-        io.send_frame(&encode_request(id, &request(id)).expect("request encodes"))
-            .expect("request fits the pipe");
-    }
-}
-
-/// Resubmit `ids` on `io` and check each answer is its own outcome, in
-/// submission order.
-fn replayed(io: &mut FrameIo, ids: std::ops::Range<u64>, transport: &str) {
-    send_requests(io, ids.clone());
-    for (id, f) in ids.clone().zip(responses(io, ids.count())) {
-        assert_eq!(f.id, id, "{transport}: replies come back in order");
-        let resp = decode_response(&f)
-            .expect("well-formed response")
-            .expect("request served Ok");
-        let req = request(id);
-        let oracle = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
-            .expect("oracle geometry is valid");
-        assert_eq!(
-            resp.pyramid, oracle,
-            "{transport}: id {id} replayed its own outcome"
-        );
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1779,10 +1632,9 @@ fn the_rest_arrives(io: &mut FrameIo, transport: &str) {
 }
 
 /// A raw client reads the header, never credits a plane, and closes its
-/// sending side — a clean end. The writer parked on the credit wakes
-/// when the reader leaves and flushes the rest of the sequence it owes;
-/// then the connection FINs on its own — no drain — and its permit goes
-/// back.
+/// sending side — a clean end. The connection, reading for that credit,
+/// sees the end and flushes the rest of the sequence it owes; then it
+/// FINs on its own — no drain.
 #[test]
 fn a_parked_writer_wakes_when_its_reader_leaves() {
     for transport in TRANSPORTS {
@@ -1801,9 +1653,9 @@ fn a_parked_writer_wakes_when_its_reader_leaves() {
     }
 }
 
-/// `shutdown()` while a writer waits on a credit returns promptly and
-/// loses nothing: drain ends the reader between frames, a clean end, so
-/// the writer flushes the rest of the sequence before FIN.
+/// `shutdown()` while a connection waits on a credit returns promptly
+/// and loses nothing: drain ends its read between frames, a clean end,
+/// so it flushes the rest of the sequence before FIN.
 #[test]
 fn a_parked_writer_does_not_hold_up_drain() {
     for transport in TRANSPORTS {
@@ -1865,10 +1717,10 @@ fn drain_delivers_a_progressive_sequence_mid_read() {
 }
 
 /// A client that sends past its window instead of crediting the
-/// sequence it is reading would hold the reader (waiting for room) and
-/// the writer (waiting for the credit) forever; the server cuts it off
-/// instead — an abortive end, so nothing more of the sequence goes —
-/// and drains promptly.
+/// sequence it is reading would wait on a response while the server
+/// waits on its credit; the server, reading a request where a credit
+/// belongs, cuts it off instead — an abortive end, so nothing more of
+/// the sequence goes — and drains promptly.
 #[test]
 fn a_parked_writer_cuts_off_a_client_past_its_window() {
     for transport in TRANSPORTS {

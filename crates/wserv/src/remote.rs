@@ -7,7 +7,11 @@
 //! Each accepted connection is served on one thread, the one the accept
 //! loop spawns for it. It performs the handshake, then takes one frame
 //! at a time: a Request is decoded, claimed, submitted and waited on,
-//! and its response written, before the next frame is read. Every
+//! and its response written, before the next frame is read. Frames
+//! stream both ways through the connection's one [`FrameIo`] chunk: a
+//! request is decoded straight into its image as its bytes arrive, and a
+//! response is encoded into the chunk as it is sent, so no frame is ever
+//! held whole in bytes, on either side. Every
 //! HelloAck announces a request window of 1, and that is what a
 //! connection serves: a client that sends ahead is answered in order,
 //! and the transport's byte window holds its backlog — its sends block
@@ -30,8 +34,9 @@
 //! one value that owns every rule below: a request id is `InFlight`
 //! from submission until its outcome is recorded, then `Done(result)`,
 //! under the verified trailer of the Request frame that claimed it. The
-//! connection decodes a Request frame and drops it, so a served image is
-//! held once, and only then claims the id. A resubmit of a `Done` id
+//! connection claims the id once the request is decoded and its trailer
+//! verified — the image is held once, and the frame's bytes never were.
+//! A resubmit of a `Done` id
 //! replays the recorded outcome without re-execution; a *different*
 //! request under a held id — a client restarted under its id numbers
 //! from 0 again — is never answered from the book. A request that finds
@@ -57,15 +62,16 @@
 //! (metadata + exact LL plane, [`crate::wire::FLAG_CONTINUE`] set),
 //! then detail planes in decreasing order of the bound each removes,
 //! the last with the flag clear. The header goes unasked; each plane
-//! goes only once the client's [`FrameKind::Credit`] covers it, which
-//! [`RemoteClient`] sends whenever it wants to read on — so the server
-//! never runs ahead of its reader, and quantizes no plane nobody reads.
+//! goes only once the client's [`crate::wire::FrameKind::Credit`]
+//! covers it, which [`RemoteClient`] sends whenever it wants to read on
+//! — so the server never runs ahead of its reader, and quantizes no
+//! plane nobody reads.
 //! A client with neither a tolerance nor a byte budget reads every
 //! plane, so it credits the whole sequence once, after the header.
 //! Between planes the connection reads the client's frames until a
 //! credit covers the next one. A client whose tolerance is met (or byte
-//! budget spent) sends [`FrameKind::Cancel`] instead of the next
-//! credit, and the sequence stops there with no closing frame.
+//! budget spent) sends [`crate::wire::FrameKind::Cancel`] instead of the
+//! next credit, and the sequence stops there with no closing frame.
 //! Cancel and Credit are idempotent and dedup-safe: the request already
 //! executed and its outcome is in the resolution book, so they only
 //! pace and trim delivery, never accounting; for any id but the
@@ -105,10 +111,8 @@ use crate::transport::{
     Connector, FrameIo, Listener, RecvFrame, Transport, TransportError, WireClock,
 };
 use crate::wire::{
-    decode_credit, decode_hello, decode_request, decode_response_body, encode_credit, encode_hello,
-    encode_progressive_header, encode_progressive_plane, encode_request, encode_response, Frame,
-    FrameKind, Hello, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
-    TRAILER_LEN,
+    Head, Hello, Message, Payload, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    PROTOCOL_VERSION, TRAILER_LEN,
 };
 
 /// Smallest payload window either side will settle on: enough to frame
@@ -467,7 +471,7 @@ impl From<WireError> for Fault {
 
 /// What a client sends once its connection is open.
 enum Inbound {
-    Request(Frame),
+    Request(u64, DecomposeRequest),
     Credit(u64, u32),
     Cancel(u64),
     /// A clean end of the request stream: `Bye`, the peer's FIN, or
@@ -534,10 +538,10 @@ impl Conn<'_> {
     fn run(&mut self) -> Result<(), Fault> {
         // The first frame must be a Hello within HELLO_TIMEOUT.
         let deadline = Instant::now() + HELLO_TIMEOUT;
-        let hello = match self.io.recv_frame_until(deadline).map_err(Fault::Recv)? {
-            RecvFrame::Frame(f) if f.kind == FrameKind::Hello => {
-                self.client = f.id;
-                decode_hello(&f).map_err(|e| Fault::Recv(e.into()))?
+        let hello = match self.io.recv(Some(deadline)).map_err(Fault::Recv)? {
+            RecvFrame::Frame((head, Message::Hello(hello))) => {
+                self.client = head.id;
+                hello
             }
             RecvFrame::Frame(_) => {
                 self.local.handshake_mismatch += 1;
@@ -565,11 +569,10 @@ impl Conn<'_> {
             max_payload: cfg.max_payload,
             window: WINDOW,
         };
-        self.io
-            .send_frame(&encode_hello(FrameKind::HelloAck, self.client, &ours))?;
+        self.io.send(self.client, &Payload::HelloAck(ours))?;
         while !self.ended {
-            if let Inbound::Request(f) = self.read()? {
-                self.serve(f)?;
+            if let Inbound::Request(id, req) = self.read()? {
+                self.serve(id, req)?;
             }
         }
         Ok(())
@@ -578,45 +581,35 @@ impl Conn<'_> {
     /// The next frame the client sent. A clean end of the stream reads
     /// as [`Inbound::End`] and marks the connection ended.
     fn read(&mut self) -> Result<Inbound, Fault> {
-        let f = match self.io.recv_frame().map_err(Fault::Recv)? {
-            RecvFrame::Frame(f) => f,
+        let (head, msg) = match self.io.recv(None).map_err(Fault::Recv)? {
+            RecvFrame::Frame(got) => got,
             // The peer's FIN, or drain's close between frames.
             RecvFrame::Eof | RecvFrame::Idle => {
                 self.ended = true;
                 return Ok(Inbound::End);
             }
         };
-        Ok(match f.kind {
-            FrameKind::Request => Inbound::Request(f),
-            FrameKind::Credit => {
-                let upto = decode_credit(&f).map_err(|e| Fault::Recv(e.into()))?;
-                Inbound::Credit(f.id, upto)
-            }
-            FrameKind::Cancel => Inbound::Cancel(f.id),
-            FrameKind::Bye => {
+        Ok(match msg {
+            Message::Request(req) => Inbound::Request(head.id, req),
+            Message::Credit(upto) => Inbound::Credit(head.id, upto),
+            Message::Cancel => Inbound::Cancel(head.id),
+            Message::Bye => {
                 self.ended = true;
                 Inbound::End
             }
-            kind => {
+            _ => {
                 return Err(Fault::Recv(TransportError::FrameCorrupt {
-                    detail: format!("unexpected {kind:?} frame mid-stream"),
+                    detail: format!("unexpected {:?} frame mid-stream", head.kind),
                 }))
             }
         })
     }
 
-    /// Answer one Request frame: decode it, claim its id, and send the
-    /// outcome — replayed, refused at the door, or executed and recorded.
-    fn serve(&mut self, f: Frame) -> Result<(), Fault> {
-        let (shared, client) = (self.shared, self.client);
-        let (id, check) = (f.id, self.io.check);
-        let t0 = Instant::now();
-        let req = decode_request(&f);
-        self.local.ser_s += t0.elapsed().as_secs_f64();
-        // The frame's bytes are the image's second copy: gone once
-        // decoded, before it is served.
-        drop(f);
-        let req = req.map_err(|e| Fault::Recv(e.into()))?;
+    /// Answer the request the last Request frame carried: claim its id,
+    /// and send the outcome — replayed, refused at the door, or executed
+    /// and recorded.
+    fn serve(&mut self, id: u64, req: DecomposeRequest) -> Result<(), Fault> {
+        let (shared, client, check) = (self.shared, self.client, self.io.check);
         let mut waited = false;
         let result = loop {
             match shared.dedup.book(client, |b| b.claim(id, check)) {
@@ -668,25 +661,18 @@ impl Conn<'_> {
     fn respond(&mut self, id: u64, result: &ServeResult) -> Result<(), Fault> {
         let sent = match (self.shared.config.progressive, result) {
             (Some(codec), Ok(resp)) => self.send_planes(id, resp, codec),
-            _ => {
-                let t0 = Instant::now();
-                let frame = encode_response(id, result)?;
-                self.local.ser_s += t0.elapsed().as_secs_f64();
-                self.io.send_frame(&frame).map_err(Fault::Send)
-            }
+            _ => self
+                .io
+                .send(id, &Payload::Response(result))
+                .map_err(Fault::Send),
         };
         match sent {
             Err(Fault::Send(TransportError::FrameTooLarge { len, max })) => {
                 self.local.frame_too_large += 1;
-                let fallback = encode_response(
-                    id,
-                    &Err(Rejection::Invalid {
-                        detail: format!(
-                            "response payload {len} B exceeds negotiated window {max} B"
-                        ),
-                    }),
-                )?;
-                Ok(self.io.send_frame(&fallback)?)
+                let fallback = Err(Rejection::Invalid {
+                    detail: format!("response payload {len} B exceeds negotiated window {max} B"),
+                });
+                Ok(self.io.send(id, &Payload::Response(&fallback))?)
             }
             other => other,
         }
@@ -706,8 +692,7 @@ impl Conn<'_> {
         codec: CheckpointCodec,
     ) -> Result<(), Fault> {
         let seq = PlaneSequence::new(resp, codec)?;
-        self.io
-            .send_frame(&encode_progressive_header(id, seq.header())?)?;
+        self.io.send(id, &Payload::Header(seq.header()))?;
         // The highest plane the client has credited: a high-water mark,
         // so a lower or repeated credit changes nothing, and one past the
         // last plane covers every plane there is.
@@ -720,13 +705,13 @@ impl Conn<'_> {
                         self.local.cancels_honored += 1;
                         return Ok(());
                     }
-                    Inbound::Request(_) => return Err(Fault::Quit),
+                    Inbound::Request(..) => return Err(Fault::Quit),
                     // Another id's credit or Cancel, or the end.
                     _ => {}
                 }
             }
-            self.io
-                .send_frame(&encode_progressive_plane(id, &seq.plane(s), s < seq.len())?)?;
+            let plane = seq.plane(s);
+            self.io.send(id, &Payload::Plane(&plane, s < seq.len()))?;
             self.local.planes_sent += 1;
         }
         Ok(())
@@ -941,22 +926,20 @@ impl RemoteClient {
             self.faults.clone(),
             Arc::clone(&self.clock),
         );
-        io.send_frame(&encode_hello(
-            FrameKind::Hello,
-            self.client_id,
-            &Hello {
-                protocol: self.protocol,
-                max_payload: self.max_payload,
-                window: 1,
-            },
-        ))?;
-        let ack = next_frame(&mut io, Instant::now(), self.response_timeout)?;
-        if ack.kind != FrameKind::HelloAck {
-            return Err(TransportError::HandshakeMismatch {
-                detail: format!("expected HelloAck, got {:?}", ack.kind),
-            });
-        }
-        let ack = decode_hello(&ack)?;
+        let hello = Hello {
+            protocol: self.protocol,
+            max_payload: self.max_payload,
+            window: 1,
+        };
+        io.send(self.client_id, &Payload::Hello(hello))?;
+        let ack = match next_frame(&mut io, Instant::now(), self.response_timeout)? {
+            (_, Message::HelloAck(ack)) => ack,
+            (head, _) => {
+                return Err(TransportError::HandshakeMismatch {
+                    detail: format!("expected HelloAck, got {:?}", head.kind),
+                })
+            }
+        };
         if ack.protocol != self.protocol {
             return Err(TransportError::HandshakeMismatch {
                 detail: format!(
@@ -990,13 +973,10 @@ impl RemoteClient {
             (e, terminal)
         })?;
         let io = self.io.as_mut().expect("ensure_conn succeeded");
-        let frame = encode_request(id, req).map_err(|e| (TransportError::from(e), true))?;
-        io.send_frame(&frame).map_err(|e| {
+        io.send(id, &Payload::Request(req)).map_err(|e| {
             let terminal = matches!(e, TransportError::FrameTooLarge { .. });
             (e, terminal)
         })?;
-        // Sent, the encoded request is not held while the response lands.
-        drop(frame);
         let (result, drop_conn) = recv_response(
             io,
             id,
@@ -1056,7 +1036,7 @@ impl RemoteClient {
     /// Clean goodbye: Bye frame, FIN, fold the connection's counters.
     pub fn goodbye(&mut self) {
         if let Some(mut io) = self.io.take() {
-            let _ = io.send_frame(&Frame::new(FrameKind::Bye, self.client_id, Vec::new()));
+            let _ = io.send(self.client_id, &Payload::Bye);
             io.shutdown_write();
             self.transport.merge(&io.stats);
         }
@@ -1070,12 +1050,8 @@ fn next_frame(
     io: &mut FrameIo,
     since: Instant,
     timeout: Duration,
-) -> Result<Frame, TransportError> {
-    let got = match since.checked_add(timeout) {
-        Some(deadline) => io.recv_frame_until(deadline)?,
-        None => io.recv_frame()?,
-    };
-    match got {
+) -> Result<(Head, Message), TransportError> {
+    match io.recv(since.checked_add(timeout))? {
         RecvFrame::Frame(f) => Ok(f),
         RecvFrame::Eof => Err(TransportError::ConnReset),
         RecvFrame::Idle => Err(TransportError::ConnTimeout {
@@ -1103,20 +1079,22 @@ fn recv_response(
     // coefficient counts, so it bounds what the link actually carried.
     let mut got_bytes = 0usize;
     loop {
-        let f = next_frame(io, since, timeout)?;
-        if f.kind != FrameKind::Response {
-            return Err(TransportError::FrameCorrupt {
-                detail: format!("unexpected {:?} frame mid-stream", f.kind),
-            });
-        }
-        if f.id != id {
+        let (head, body) = match next_frame(io, since, timeout)? {
+            (head, Message::Response(body)) => (head, body),
+            (head, _) => {
+                return Err(TransportError::FrameCorrupt {
+                    detail: format!("unexpected {:?} frame mid-stream", head.kind),
+                })
+            }
+        };
+        if head.id != id {
             // A stale response frame from an earlier id; harmless, keep
             // waiting for ours.
-            debug_assert!(f.id < id, "responses never outrun requests");
+            debug_assert!(head.id < id, "responses never outrun requests");
             continue;
         }
-        got_bytes += HEADER_LEN + f.payload.len() + TRAILER_LEN;
-        let r = match decode_response_body(&f)? {
+        got_bytes += HEADER_LEN + head.len + TRAILER_LEN;
+        let r = match body {
             ResponseBody::Outcome(result) => return Ok((result, false)),
             ResponseBody::Header(h) => {
                 let r = Reassembler::new(h)?;
@@ -1134,21 +1112,20 @@ fn recv_response(
                 r
             }
         };
-        let step = r.step(!f.more_follows(), got_bytes, tolerance, byte_budget);
+        let step = r.step(!head.more_follows(), got_bytes, tolerance, byte_budget);
         if let Step::Read { credit } = step {
             // A credit that cannot be sent ends nothing by itself: a
             // drained server flushes what it owes unasked, and a dead
             // connection shows in the next read.
             if let Some(planes) = credit {
-                let _ = io.send_frame(&encode_credit(id, planes));
+                let _ = io.send(id, &Payload::Credit(planes));
             }
             continue;
         }
         let r = assembly.take().expect("assembly just stepped");
         let mut drop_conn = false;
         if let Step::Cancel { budget } = step {
-            let cancel = Frame::new(FrameKind::Cancel, id, Vec::new());
-            drop_conn = io.send_frame(&cancel).is_err();
+            drop_conn = io.send(id, &Payload::Cancel).is_err();
             tally.cancels += 1;
             tally.budget_stops += budget as u64;
         }

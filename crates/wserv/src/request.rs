@@ -43,7 +43,7 @@ impl Priority {
 }
 
 /// One unit of work submitted to the service.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecomposeRequest {
     /// The image to decompose.
     pub image: Matrix,

@@ -9,11 +9,25 @@
 //!   and tests in sandboxes with no network at all.
 //!
 //! [`FrameIo`] layers the wire protocol ([`crate::wire`]) on top of
-//! either, and injects seeded [`WireFaultPlan`] faults on the send side
-//! at `(connection id, direction, cumulative frame index)`; a shared
+//! either. It owns one [`CHUNK`]-byte buffer for the life of the
+//! connection, and streams every frame through it in both directions:
+//! [`FrameIo::send`] writes the header, lets the encoder fill the chunk,
+//! folds each full chunk into the checksum and sends it, then the
+//! trailer; [`FrameIo::recv`] reads the header, then the payload a chunk
+//! at a time into the typed decoder, and hands back the decoded value
+//! once the trailer verifies. So a 2 MiB call stages no 2 MiB byte
+//! buffer on either side, and a frame that fits the chunk costs one
+//! send, and a header read and a payload read, as before.
+//! [`FrameIo::send_frame`] and [`FrameIo::recv_frame`] move a [`Frame`]
+//! held whole, on the same header, checksum and decoder code.
+//!
+//! `FrameIo` injects seeded [`WireFaultPlan`] faults on the send side at
+//! `(connection id, direction, cumulative frame index)`; a shared
 //! [`WireClock`] keeps the counts across reconnects, so a one-shot
 //! fault stays one-shot across the retry it provokes. Every failure is
 //! a typed [`TransportError`], classified the same on both transports.
+//! A send that makes no progress for [`WRITE_TIMEOUT`] fails as a reset
+//! on both.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -28,8 +42,22 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::TransportMetrics;
-use crate::wire::{header, parse_header, seal, trailer, Frame, WireError, HEADER_LEN};
-use crate::wire::{DEFAULT_MAX_PAYLOAD, TRAILER_LEN};
+use crate::wire::{corrupt, decode_message, f64s, header, message, parse_header, seal, trailer};
+use crate::wire::{Checksum, Frame, Head, Message, Payload, Reader, Sink, Source, WireError};
+use crate::wire::{DEFAULT_MAX_PAYLOAD, HEADER_LEN, TRAILER_LEN};
+
+/// Bytes of the one chunk a [`FrameIo`] streams every frame through, in
+/// both directions, for the life of its connection. In a prototype on a
+/// 2-vCPU host, 64 KiB read a lower `rpc_large_mono` p50 than 256 KiB or
+/// 1 MiB: the smaller the chunk, the more of encode, copy and decode the
+/// sender and the receiver overlap.
+pub const CHUNK: usize = 64 << 10;
+
+/// How long a send may make no progress — its peer taking no byte —
+/// before it fails as [`TransportError::ConnReset`]: TCP's write timeout
+/// and the in-memory pipe's both, so a peer that never reads cannot hold
+/// a connection, or drain, forever.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Typed transport failure. The taxonomy every remote caller matches
 /// on; all variants are terminal for the connection they occur on.
@@ -157,20 +185,26 @@ pub trait Transport: Send {
 pub struct TcpTransport {
     stream: TcpStream,
     aborted: bool,
+    /// The read timeout this handle last set on the socket, so a read
+    /// sets it only when it changes; `None` until this handle knows it.
+    read_timeout: Option<Option<Duration>>,
 }
 
 impl TcpTransport {
-    /// Wrap a connected stream with a generous write timeout (writes
-    /// only stall under pathological backpressure; the bound keeps
-    /// drain finite). Reads block until data, EOF or their deadline.
-    /// `_tick` is ignored: it is kept only so existing callers compile.
+    /// Wrap a connected stream with [`WRITE_TIMEOUT`] on its writes
+    /// (writes only stall under pathological backpressure; the bound
+    /// keeps drain finite). Reads block until data, EOF or their
+    /// deadline. `_tick` is ignored: it is kept only so existing callers
+    /// compile.
     pub fn new(stream: TcpStream, _tick: Duration) -> Result<Self, TransportError> {
         let armed = stream.set_nodelay(true);
-        let armed = armed.and_then(|()| stream.set_write_timeout(Some(Duration::from_secs(10))));
+        let armed = armed.and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
+        let armed = armed.and_then(|()| stream.set_read_timeout(None));
         armed.map_err(|_| TransportError::ConnReset)?;
         Ok(TcpTransport {
             stream,
             aborted: false,
+            read_timeout: Some(None),
         })
     }
 
@@ -187,13 +221,22 @@ impl Transport for TcpTransport {
         if self.aborted {
             return Err(TransportError::ConnReset);
         }
-        let mut slices: Vec<IoSlice> = parts.iter().map(|p| IoSlice::new(p)).collect();
-        let mut left = &mut slices[..];
-        while !left.is_empty() {
-            match self.stream.write_vectored(left) {
-                Ok(n) if n > 0 => IoSlice::advance_slices(&mut left, n),
-                Err(e) if e.kind() == Interrupted => {}
-                _ => return Err(TransportError::ConnReset),
+        // Up to four parts per vectored write, gathered on the stack.
+        let mut parts = parts.iter().filter(|p| !p.is_empty()).peekable();
+        while parts.peek().is_some() {
+            let mut slices = [IoSlice::new(&[]); 4];
+            let mut gathered = 0;
+            for (slice, part) in slices.iter_mut().zip(&mut parts) {
+                *slice = IoSlice::new(part);
+                gathered += 1;
+            }
+            let mut left = &mut slices[..gathered];
+            while !left.is_empty() {
+                match self.stream.write_vectored(left) {
+                    Ok(n) if n > 0 => IoSlice::advance_slices(&mut left, n),
+                    Err(e) if e.kind() == Interrupted => {}
+                    _ => return Err(TransportError::ConnReset),
+                }
             }
         }
         Ok(())
@@ -204,13 +247,21 @@ impl Transport for TcpTransport {
             if self.aborted {
                 return Err(TransportError::ConnReset);
             }
+            // What is left of the deadline, rounded up to whole
+            // milliseconds: reads within one millisecond share one
+            // setting, and none gives up before its deadline.
             let timeout = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
                 Some(left) if left.is_zero() => return Ok(Recv::Idle),
-                left => left,
+                left => {
+                    left.map(|l| Duration::from_millis(l.as_nanos().div_ceil(1_000_000) as u64))
+                }
             };
-            self.stream
-                .set_read_timeout(timeout)
-                .map_err(|_| TransportError::ConnReset)?;
+            if self.read_timeout != Some(timeout) {
+                self.stream
+                    .set_read_timeout(timeout)
+                    .map_err(|_| TransportError::ConnReset)?;
+                self.read_timeout = Some(timeout);
+            }
             match self.stream.read(buf) {
                 Ok(0) => return Ok(Recv::Eof),
                 Ok(n) => return Ok(Recv::Data(n)),
@@ -242,6 +293,9 @@ impl Transport for TcpTransport {
             Box::new(TcpTransport {
                 stream,
                 aborted: self.aborted,
+                // The socket's timeout is shared, and either handle may
+                // set it.
+                read_timeout: None,
             }) as Box<dyn Transport>
         })
     }
@@ -306,8 +360,12 @@ impl Transport for MemTransport {
                 let room = self.tx.capacity.saturating_sub(st.buf.len());
                 if room == 0 {
                     // Backpressured: park until the reader drains bytes
-                    // or the pipe breaks; both notify `writable`.
-                    self.tx.writable.wait(&mut st);
+                    // or the pipe breaks, both of which notify
+                    // `writable` — or give up on a reader that takes
+                    // nothing for WRITE_TIMEOUT, as TCP does.
+                    if self.tx.writable.wait_for(&mut st, WRITE_TIMEOUT) {
+                        return Err(TransportError::ConnReset);
+                    }
                     continue;
                 }
                 let n = room.min(part.len());
@@ -553,32 +611,40 @@ impl WireClock {
     }
 }
 
-/// Outcome of one framed receive attempt.
+/// Outcome of one framed receive attempt: a whole [`Frame`] from
+/// [`FrameIo::recv_frame`], a decoded `(Head, Message)` from
+/// [`FrameIo::recv`].
 #[derive(Debug, Clone, PartialEq)]
-pub enum RecvFrame {
+pub enum RecvFrame<F = Frame> {
     /// One complete, checksum-verified frame.
-    Frame(Frame),
+    Frame(F),
     /// Clean EOF between frames (peer finished sending, or this side
     /// closed its reading side).
     Eof,
-    /// The deadline of [`FrameIo::recv_frame_until`] passed with the
-    /// frame still incomplete.
+    /// The deadline passed with the frame still incomplete.
     Idle,
 }
 
-/// A framed connection: incremental decode over any [`Transport`], with
-/// seeded wire faults injected on the send path. A frame is written as
-/// one send of its header, payload and trailer where they lie, and read
-/// into one buffer sized from its header, which becomes the payload.
+/// A framed connection: the wire protocol over any [`Transport`], with
+/// seeded wire faults injected on the send path.
+///
+/// The connection owns one [`CHUNK`]-byte buffer, and every frame
+/// [`FrameIo::send`] writes or [`FrameIo::recv`] reads streams through
+/// it: no frame is ever held whole in bytes. [`FrameIo::send_frame`] and
+/// [`FrameIo::recv_frame`] move a [`Frame`] held whole in memory — the
+/// byte-level reference the tests compare against.
 pub struct FrameIo {
     io: Box<dyn Transport>,
     conn: u64,
     dir: WireDir,
+    /// The chunk every streamed frame passes through, both ways.
+    chunk: Box<[u8]>,
     /// The next frame's header, until it is in.
     head: [u8; HEADER_LEN],
-    /// The frame whose header is in, its payload buffer sized from the
-    /// header to hold payload then trailer.
-    inbound: Option<Frame>,
+    /// The frame [`FrameIo::recv_frame`] is reading once its header is
+    /// in, and a buffer sized from the header for its payload and
+    /// trailer.
+    inbound: Option<(Head, Vec<u8>)>,
     /// Bytes arrived of whichever of the two is being read.
     filled: usize,
     /// The verified trailer of the last frame received.
@@ -609,6 +675,7 @@ impl FrameIo {
             io,
             conn,
             dir,
+            chunk: vec![0; CHUNK].into_boxed_slice(),
             head: [0; HEADER_LEN],
             inbound: None,
             filled: 0,
@@ -633,30 +700,82 @@ impl FrameIo {
         self.conn = conn;
     }
 
-    /// Encode and send one frame, injecting whatever the fault plan
-    /// schedules at this `(conn, dir, frame index)`; an injected reset is
-    /// [`TransportError::ConnReset`] on this side too, so a caller fails
-    /// over at once. A payload over the window is
+    /// Send `payload` as frame `id`, streamed: the header with the
+    /// length the encoder counts first, then the encoder fills the chunk,
+    /// and each full chunk is folded into the checksum and sent; the
+    /// trailer goes out with the last one. A frame that fits the chunk is
+    /// one send. Faults and windows apply as for
+    /// [`FrameIo::send_frame`], and a field too wide for its wire width
+    /// fails typed before a byte is sent.
+    pub fn send(&mut self, id: u64, payload: &Payload<'_>) -> Result<(), TransportError> {
+        let head = payload.head(id)?;
+        let fault = self.admit(head.len)?;
+        if let Some(WireFault::BitFlip { .. } | WireFault::Reset) = fault {
+            return self.send_whole(&payload.frame(id)?, fault);
+        }
+        let t0 = Instant::now();
+        let mut out = Outflow {
+            io: &mut *self.io,
+            chunk: &mut self.chunk,
+            filled: 0,
+            sum: Checksum::default(),
+            sent: 0,
+            waited: Duration::ZERO,
+            failed: None,
+        };
+        out.put(&header(&head)?);
+        // The count above ran this very encoder, so it cannot fail now.
+        payload.write(&mut out)?;
+        let sent = out.finish();
+        self.stats.bytes_out += out.sent as u64;
+        self.stats.ser_s += t0.elapsed().saturating_sub(out.waited).as_secs_f64();
+        sent?;
+        self.stats.frames_out += 1;
+        Ok(())
+    }
+
+    /// Encode and send one frame held whole, as one send of its header,
+    /// payload and trailer where they lie, injecting whatever the fault
+    /// plan schedules at this `(conn, dir, frame index)`; an injected
+    /// reset is [`TransportError::ConnReset`] on this side too, so a
+    /// caller fails over at once. A payload over the window is
     /// [`TransportError::FrameTooLarge`] before a byte is sent or a fault
     /// index used, and the connection stays usable.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        if frame.payload.len() as u64 > self.max_payload as u64 {
+        let fault = self.admit(frame.payload.len())?;
+        self.send_whole(frame, fault)
+    }
+
+    /// Admit a frame of `len` payload bytes to the wire: the window
+    /// check, then the next frame index and the fault the plan schedules
+    /// there, a stall already slept.
+    fn admit(&mut self, len: usize) -> Result<Option<WireFault>, TransportError> {
+        if len as u64 > self.max_payload as u64 {
             return Err(TransportError::FrameTooLarge {
-                len: frame.payload.len() as u64,
+                len: len as u64,
                 max: self.max_payload as u64,
             });
         }
         let idx = self.clock.next(self.conn, self.dir);
-        let t0 = Instant::now();
-        let header = header(frame)?;
-        let trailer = trailer(&header, &frame.payload);
-        self.stats.ser_s += t0.elapsed().as_secs_f64();
-        let parts = [&header[..], &frame.payload, &trailer];
-        let len = HEADER_LEN + frame.payload.len() + TRAILER_LEN;
         let fault = self.faults.decide(self.conn, self.dir, idx);
         if let Some(WireFault::Stall { seconds }) = fault {
             std::thread::sleep(Duration::from_secs_f64(seconds));
         }
+        Ok(fault)
+    }
+
+    /// Send `frame`, admitted with `fault`.
+    fn send_whole(
+        &mut self,
+        frame: &Frame,
+        fault: Option<WireFault>,
+    ) -> Result<(), TransportError> {
+        let t0 = Instant::now();
+        let header = header(&frame.head())?;
+        let trailer = trailer(&header, &frame.payload);
+        self.stats.ser_s += t0.elapsed().as_secs_f64();
+        let parts = [&header[..], &frame.payload, &trailer];
+        let len = HEADER_LEN + frame.payload.len() + TRAILER_LEN;
         match fault {
             // A faulted frame is assembled whole: the fault works on
             // its bytes, and it is rare.
@@ -682,8 +801,73 @@ impl FrameIo {
         Ok(())
     }
 
-    /// Receive one frame, blocking until it is complete or the stream
-    /// ends; never [`RecvFrame::Idle`]. A frame cut short is
+    /// Receive one frame and decode its payload by its kind as it
+    /// streams through the chunk: each read takes at most what the frame
+    /// still lacks, and the decoder writes every `f64` plane straight
+    /// into the value it returns. That value reaches the caller only once
+    /// the trailer verifies. Blocks until the frame is in, the stream
+    /// ends, or `deadline` (if any) passes. A frame cut short is
+    /// [`TransportError::ConnReset`]; a deadline that passes inside a
+    /// payload, where a decode cannot be resumed, aborts the connection
+    /// and reads [`RecvFrame::Idle`].
+    pub fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+    ) -> Result<RecvFrame<(Head, Message)>, TransportError> {
+        if self.inbound.is_some() {
+            // A whole frame is half read: finish it whole.
+            return Ok(match self.recv_frame_by(deadline)? {
+                RecvFrame::Frame(f) => RecvFrame::Frame((f.head(), decode_message(&f)?)),
+                RecvFrame::Eof => RecvFrame::Eof,
+                RecvFrame::Idle => RecvFrame::Idle,
+            });
+        }
+        let head = match self.next_head(deadline)? {
+            RecvFrame::Frame(head) => head,
+            RecvFrame::Eof => return Ok(RecvFrame::Eof),
+            RecvFrame::Idle => return Ok(RecvFrame::Idle),
+        };
+        let t0 = Instant::now();
+        let mut sum = Checksum::default();
+        sum.update(&self.head);
+        let mut r = Reader::new(Inflow {
+            io: &mut *self.io,
+            chunk: &mut self.chunk,
+            deadline,
+            start: 0,
+            end: 0,
+            left: head.len,
+            unread: head.len + TRAILER_LEN,
+            sum,
+            got: 0,
+            waited: Duration::ZERO,
+            stopped: None,
+        });
+        let decoded = message(&mut r, head.kind);
+        let mut flow = r.into_source();
+        let sealed = decoded.and_then(|msg| Ok((msg, flow.seal()?)));
+        self.stats.bytes_in += flow.got as u64;
+        self.stats.ser_s += t0.elapsed().saturating_sub(flow.waited).as_secs_f64();
+        match (flow.stopped.take(), sealed) {
+            (Some(Ok(Recv::Idle)), _) => {
+                self.io.abort();
+                Ok(RecvFrame::Idle)
+            }
+            // A stream that ends inside a frame was cut: a reset,
+            // whether the peer aborted or closed.
+            (Some(Ok(_)), _) => Err(TransportError::ConnReset),
+            (Some(Err(e)), _) => Err(e),
+            (None, Err(e)) => Err(e.into()),
+            (None, Ok((msg, check))) => {
+                self.check = check;
+                self.stats.frames_in += 1;
+                Ok(RecvFrame::Frame((head, msg)))
+            }
+        }
+    }
+
+    /// Receive one frame whole, blocking until it is complete or the
+    /// stream ends; never [`RecvFrame::Idle`]. A frame cut short is
     /// [`TransportError::ConnReset`], on either transport.
     pub fn recv_frame(&mut self) -> Result<RecvFrame, TransportError> {
         self.recv_frame_by(None)
@@ -700,37 +884,51 @@ impl FrameIo {
     /// then payload and trailer, straight into one buffer sized from that
     /// header, which becomes the payload.
     fn recv_frame_by(&mut self, deadline: Option<Instant>) -> Result<RecvFrame, TransportError> {
-        loop {
-            let into = match &mut self.inbound {
-                Some(frame) if self.filled == frame.payload.len() => {
-                    let mut frame = self.inbound.take().expect("a frame in hand");
-                    self.filled = 0;
-                    let t0 = Instant::now();
-                    let sealed = seal(&mut frame);
-                    self.stats.ser_s += t0.elapsed().as_secs_f64();
-                    self.stats.frames_in += sealed.is_ok() as u64;
-                    self.check = sealed?;
-                    return Ok(RecvFrame::Frame(frame));
-                }
-                Some(frame) => &mut frame.payload[self.filled..],
-                None => match parse_header(&self.head[..self.filled], self.max_payload)? {
-                    Some((frame, len)) => {
-                        let payload = vec![0; len + TRAILER_LEN];
-                        self.inbound = Some(Frame { payload, ..frame });
-                        self.filled = 0;
-                        continue;
-                    }
-                    None => &mut self.head[self.filled..],
-                },
-            };
-            match self.io.recv(into, deadline)? {
+        let (head, mut body) = match self.inbound.take() {
+            Some(partial) => partial,
+            None => match self.next_head(deadline)? {
+                RecvFrame::Frame(head) => (head, vec![0; head.len + TRAILER_LEN]),
+                RecvFrame::Eof => return Ok(RecvFrame::Eof),
+                RecvFrame::Idle => return Ok(RecvFrame::Idle),
+            },
+        };
+        while self.filled < body.len() {
+            match self.io.recv(&mut body[self.filled..], deadline)? {
                 Recv::Data(n) => {
                     self.filled += n;
                     self.stats.bytes_in += n as u64;
                 }
-                Recv::Eof if self.inbound.is_none() && self.filled == 0 => {
-                    return Ok(RecvFrame::Eof)
+                Recv::Eof => return Err(TransportError::ConnReset),
+                Recv::Idle => {
+                    self.inbound = Some((head, body));
+                    return Ok(RecvFrame::Idle);
                 }
+            }
+        }
+        self.filled = 0;
+        let t0 = Instant::now();
+        let sealed = seal(head, body);
+        self.stats.ser_s += t0.elapsed().as_secs_f64();
+        let (frame, check) = sealed?;
+        self.check = check;
+        self.stats.frames_in += 1;
+        Ok(RecvFrame::Frame(frame))
+    }
+
+    /// Read until the next frame's header is in, keeping a partial one
+    /// across an `Idle`.
+    fn next_head(&mut self, deadline: Option<Instant>) -> Result<RecvFrame<Head>, TransportError> {
+        loop {
+            if let Some(head) = parse_header(&self.head[..self.filled], self.max_payload)? {
+                self.filled = 0;
+                return Ok(RecvFrame::Frame(head));
+            }
+            match self.io.recv(&mut self.head[self.filled..], deadline)? {
+                Recv::Data(n) => {
+                    self.filled += n;
+                    self.stats.bytes_in += n as u64;
+                }
+                Recv::Eof if self.filled == 0 => return Ok(RecvFrame::Eof),
                 // A stream that ends inside a frame was cut: a reset,
                 // whether the peer aborted or closed.
                 Recv::Eof => return Err(TransportError::ConnReset),
@@ -747,6 +945,193 @@ impl FrameIo {
     /// Abortively close both directions.
     pub fn abort(&mut self) {
         self.io.abort();
+    }
+}
+
+/// A frame going out through its connection's chunk: the encoder fills
+/// it, and each full chunk is folded into the checksum and sent.
+struct Outflow<'a> {
+    io: &'a mut dyn Transport,
+    chunk: &'a mut [u8],
+    filled: usize,
+    sum: Checksum,
+    /// Bytes the transport took.
+    sent: usize,
+    /// Time spent in the transport's sends.
+    waited: Duration,
+    /// The send that failed; nothing is sent after it.
+    failed: Option<TransportError>,
+}
+
+impl Outflow<'_> {
+    /// Send the chunk's bytes, then `rest`, in one send.
+    fn send(&mut self, rest: &[u8]) {
+        if self.failed.is_none() {
+            let t0 = Instant::now();
+            match self.io.send(&[&self.chunk[..self.filled], rest]) {
+                Ok(()) => self.sent += self.filled + rest.len(),
+                Err(e) => self.failed = Some(e),
+            }
+            self.waited += t0.elapsed();
+        }
+        self.filled = 0;
+    }
+
+    /// Fold the full chunk into the checksum and send it.
+    fn flush(&mut self) {
+        self.sum.update(&self.chunk[..self.filled]);
+        self.send(&[]);
+    }
+
+    /// Send what the chunk holds with the trailer after it.
+    fn finish(&mut self) -> Result<(), TransportError> {
+        self.sum.update(&self.chunk[..self.filled]);
+        let trailer = self.sum.finish().to_le_bytes();
+        self.send(&trailer);
+        self.failed.take().map_or(Ok(()), Err)
+    }
+}
+
+impl Sink for Outflow<'_> {
+    fn put(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() && self.failed.is_none() {
+            let n = (self.chunk.len() - self.filled).min(bytes.len());
+            self.chunk[self.filled..][..n].copy_from_slice(&bytes[..n]);
+            self.filled += n;
+            bytes = &bytes[n..];
+            if self.filled == self.chunk.len() {
+                self.flush();
+            }
+        }
+    }
+
+    fn put_f64s(&mut self, mut data: &[f64]) {
+        while !data.is_empty() && self.failed.is_none() {
+            let room = (self.chunk.len() - self.filled) / 8;
+            if room == 0 {
+                // Under 8 bytes of room: this value straddles two chunks.
+                self.put(&data[0].to_le_bytes());
+                data = &data[1..];
+                continue;
+            }
+            let (now, rest) = data.split_at(room.min(data.len()));
+            let out = self.chunk[self.filled..][..8 * now.len()].chunks_exact_mut(8);
+            for (out, v) in out.zip(now) {
+                out.copy_from_slice(&v.to_le_bytes());
+            }
+            self.filled += 8 * now.len();
+            data = rest;
+            if self.filled == self.chunk.len() {
+                self.flush();
+            }
+        }
+    }
+}
+
+/// A frame's payload coming in through its connection's chunk: each
+/// read takes at most what the frame still lacks, and the checksum takes
+/// the payload in as it arrives.
+struct Inflow<'a> {
+    io: &'a mut dyn Transport,
+    chunk: &'a mut [u8],
+    deadline: Option<Instant>,
+    /// The bytes arrived and not yet taken: `chunk[start..end]`.
+    start: usize,
+    end: usize,
+    /// Payload bytes the decoder has not taken.
+    left: usize,
+    /// Payload and trailer bytes not yet read off the transport.
+    unread: usize,
+    sum: Checksum,
+    /// Bytes the transport delivered.
+    got: usize,
+    /// Time spent in the transport's reads.
+    waited: Duration,
+    /// The read that ended the stream inside the frame: `Eof`, `Idle`
+    /// or a failure.
+    stopped: Option<Result<Recv, TransportError>>,
+}
+
+impl Inflow<'_> {
+    /// Read the next bytes of the frame into the emptied chunk.
+    fn pull(&mut self) -> Result<(), WireError> {
+        let want = self.unread.min(self.chunk.len());
+        let t0 = Instant::now();
+        let got = self.io.recv(&mut self.chunk[..want], self.deadline);
+        self.waited += t0.elapsed();
+        match got {
+            Ok(Recv::Data(n)) => {
+                let payload = n.min(self.unread.saturating_sub(TRAILER_LEN));
+                self.sum.update(&self.chunk[..payload]);
+                (self.start, self.end) = (0, n);
+                self.unread -= n;
+                self.got += n;
+                Ok(())
+            }
+            stopped => {
+                self.stopped = Some(stopped);
+                Err(corrupt("the stream stopped inside a frame"))
+            }
+        }
+    }
+
+    /// Fill `out` with the frame's next bytes.
+    fn copy(&mut self, mut out: &mut [u8]) -> Result<(), WireError> {
+        while !out.is_empty() {
+            if self.start == self.end {
+                self.pull()?;
+            }
+            let n = (self.end - self.start).min(out.len());
+            let (now, rest) = std::mem::take(&mut out).split_at_mut(n);
+            now.copy_from_slice(&self.chunk[self.start..][..n]);
+            self.start += n;
+            out = rest;
+        }
+        Ok(())
+    }
+
+    /// The trailer after the payload, once the decoder has taken all of
+    /// it, if it is the checksum of what arrived.
+    fn seal(&mut self) -> Result<u64, WireError> {
+        let mut declared = [0; TRAILER_LEN];
+        self.copy(&mut declared)?;
+        let declared = u64::from_le_bytes(declared);
+        if self.sum.finish() != declared {
+            return Err(corrupt("checksum mismatch"));
+        }
+        Ok(declared)
+    }
+}
+
+impl Source for Inflow<'_> {
+    fn left(&self) -> usize {
+        self.left
+    }
+
+    fn read(&mut self, out: &mut [u8]) -> Result<(), WireError> {
+        self.copy(out)?;
+        self.left -= out.len();
+        Ok(())
+    }
+
+    fn read_f64s(&mut self, mut n: usize, out: &mut Vec<f64>) -> Result<(), WireError> {
+        while n > 0 {
+            let whole = ((self.end - self.start) / 8).min(n);
+            if whole == 0 {
+                // Under 8 bytes in hand: this value straddles two reads.
+                let mut value = [0; 8];
+                self.read(&mut value)?;
+                out.push(f64::from_le_bytes(value));
+                n -= 1;
+                continue;
+            }
+            let bytes = 8 * whole;
+            out.extend(f64s(&self.chunk[self.start..][..bytes]));
+            self.start += bytes;
+            self.left -= bytes;
+            n -= whole;
+        }
+        Ok(())
     }
 }
 

@@ -37,13 +37,23 @@
 //! repeat, or a lower credit is a no-op. All integers are little-endian;
 //! floats are IEEE-754 bit patterns, so encode→decode round-trips
 //! *bitwise*. An `f64` plane is its values' little-endian bytes, written
-//! in one pass over the slice and read back from one bounds-checked
-//! slice of `8·n` bytes, `n` coming from fields already parsed. The
-//! decoder is incremental and total: any input yields a frame, a typed
-//! [`WireError`] or a request for more bytes. A declared payload over
-//! the receive window is [`WireError::FrameTooLarge`] *before* any
-//! allocation of that size, and a field too wide for its wire width
-//! fails typed at *encode* time instead of truncating.
+//! in one pass over the slice and read back in bulk from whatever the
+//! source holds, `n` coming from fields already parsed — and checked
+//! against what the payload can still hold before anything is sized
+//! from it. The decoder is incremental and total: any input yields a
+//! frame, a typed [`WireError`] or a request for more bytes. A declared
+//! payload over the receive window is [`WireError::FrameTooLarge`]
+//! *before* any allocation of that size, and a field too wide for its
+//! wire width fails typed at *encode* time instead of truncating.
+//!
+//! One encoder and one decoder per message serve two paths. Each
+//! encoder writes to a sink: its length is counted first, so a frame's
+//! header states it before a byte of the payload is written; then it
+//! fills a `Vec` ([`Payload::frame`], the `encode_*` functions) or a
+//! connection's chunk ([`crate::transport::FrameIo::send`]). Each decoder
+//! reads from a source: a payload held whole (`decode_*`,
+//! [`decode_message`]) or one streaming through the chunk
+//! ([`crate::transport::FrameIo::recv`]).
 //!
 //! ## The checksum
 //!
@@ -149,7 +159,48 @@ impl Frame {
 
     /// Whether more frames follow for this id.
     pub fn more_follows(&self) -> bool {
+        self.head().more_follows()
+    }
+
+    /// What this frame's header says.
+    pub fn head(&self) -> Head {
+        Head {
+            kind: self.kind,
+            id: self.id,
+            flags: self.flags,
+            len: self.payload.len(),
+        }
+    }
+}
+
+/// What a frame's header says: everything but the payload, and the
+/// payload's length.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Head {
+    /// What the payload encodes.
+    pub kind: FrameKind,
+    /// Request id (client id for handshake frames).
+    pub id: u64,
+    /// Header flags ([`FLAG_CONTINUE`] is the only defined bit).
+    pub flags: u8,
+    /// Payload bytes between the header and the trailer.
+    pub len: usize,
+}
+
+impl Head {
+    /// Whether more frames follow for this id.
+    pub fn more_follows(&self) -> bool {
         self.flags & FLAG_CONTINUE != 0
+    }
+
+    /// The frame this header opens, carrying `payload`.
+    fn frame(self, payload: Vec<u8>) -> Frame {
+        Frame {
+            kind: self.kind,
+            id: self.id,
+            flags: self.flags,
+            payload,
+        }
     }
 }
 
@@ -238,9 +289,69 @@ fn finish([a, b, c, d]: [u64; 4], tail: &[u8], len: usize) -> u64 {
 
 /// The frame checksum of `bytes`, as the module docs define it.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = SEEDS;
-    let tail = absorb(&mut lanes, bytes);
-    finish(lanes, tail, bytes.len())
+    let mut sum = Checksum::default();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// [`checksum`] taken incrementally: the bytes may arrive in pieces of
+/// any size, and the sum is that of their concatenation. Only a block
+/// split between two pieces is copied.
+#[derive(Clone)]
+pub(crate) struct Checksum {
+    /// The four lanes, at the even indices (`update` says why).
+    lanes: [u64; 8],
+    /// The bytes after the last whole block.
+    block: [u8; BLOCK],
+    held: usize,
+    len: usize,
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        let [a, b, c, d] = SEEDS;
+        Checksum {
+            lanes: [a, 0, b, 0, c, 0, d, 0],
+            block: [0; BLOCK],
+            held: 0,
+            len: 0,
+        }
+    }
+}
+
+impl Checksum {
+    /// Take in the next `bytes`.
+    pub(crate) fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len();
+        // Stored apart, the lanes give the compiler no run of adjacent
+        // stores from which to pack them into SSE registers, where a
+        // 64-bit multiply is emulated: stored side by side they were
+        // packed, and the sum ran at half the speed of four scalar
+        // chains (6 against 12 GB/s on a 2-vCPU x86-64 host).
+        let [a, _, b, _, c, _, d, _] = self.lanes;
+        let mut lanes = [a, b, c, d];
+        if self.held > 0 {
+            let n = (BLOCK - self.held).min(bytes.len());
+            self.block[self.held..][..n].copy_from_slice(&bytes[..n]);
+            self.held += n;
+            bytes = &bytes[n..];
+            if self.held < BLOCK {
+                return;
+            }
+            absorb(&mut lanes, &self.block);
+        }
+        let tail = absorb(&mut lanes, bytes);
+        let [a, b, c, d] = lanes;
+        self.lanes = [a, 0, b, 0, c, 0, d, 0];
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.held = tail.len();
+    }
+
+    /// The sum of every byte taken in so far.
+    pub(crate) fn finish(&self) -> u64 {
+        let [a, _, b, _, c, _, d, _] = self.lanes;
+        finish([a, b, c, d], &self.block[..self.held], self.len)
+    }
 }
 
 /// Narrow a `usize` field into its `u32` wire width, or fail typed at
@@ -252,17 +363,17 @@ fn wire_u32(n: usize, _what: &str) -> Result<u32, WireError> {
     })
 }
 
-/// The header bytes `frame` goes out under. Fails typed if the payload
+/// The header bytes a frame goes out under. Fails typed if the payload
 /// cannot fit the 32-bit length field (instead of truncating it into a
 /// frame the peer must reject as corrupt) or if the frame carries flag
 /// bits this protocol version does not define.
-pub(crate) fn header(frame: &Frame) -> Result<[u8; HEADER_LEN], WireError> {
-    let len = wire_u32(frame.payload.len(), "frame payload")?;
-    defined(frame.flags)?;
+pub(crate) fn header(head: &Head) -> Result<[u8; HEADER_LEN], WireError> {
+    let len = wire_u32(head.len, "frame payload")?;
+    defined(head.flags)?;
     let mut out = [0; HEADER_LEN];
     out[..4].copy_from_slice(&MAGIC);
-    out[4..8].copy_from_slice(&[PROTOCOL_VERSION, frame.kind as u8, frame.flags, 0]);
-    out[8..16].copy_from_slice(&frame.id.to_le_bytes());
+    out[4..8].copy_from_slice(&[PROTOCOL_VERSION, head.kind as u8, head.flags, 0]);
+    out[8..16].copy_from_slice(&head.id.to_le_bytes());
     out[16..].copy_from_slice(&len.to_le_bytes());
     Ok(out)
 }
@@ -276,30 +387,19 @@ fn defined(flags: u8) -> Result<u8, WireError> {
 }
 
 /// The trailer after `header` and `payload`: the checksum of the two as
-/// one string, read where they lie. Only the first block — the header
-/// and up to 12 payload bytes — is copied.
+/// one string, read where they lie.
 pub(crate) fn trailer(header: &[u8; HEADER_LEN], payload: &[u8]) -> [u8; TRAILER_LEN] {
-    let (head, rest) = payload.split_at(payload.len().min(BLOCK - HEADER_LEN));
-    let mut first = [0; BLOCK];
-    first[..HEADER_LEN].copy_from_slice(header);
-    first[HEADER_LEN..][..head.len()].copy_from_slice(head);
-    let mut lanes = SEEDS;
-    let tail = match HEADER_LEN + head.len() {
-        BLOCK => {
-            absorb(&mut lanes, &first);
-            absorb(&mut lanes, rest)
-        }
-        short => &first[..short],
-    };
-    finish(lanes, tail, HEADER_LEN + payload.len()).to_le_bytes()
+    let mut sum = Checksum::default();
+    sum.update(header);
+    sum.update(payload);
+    sum.finish().to_le_bytes()
 }
 
-/// Parse the header at the front of `buf` into its frame, payload still
-/// empty, and the payload length it declares; `Ok(None)` while `buf` is
-/// a valid prefix of a header. Bad magic fails as soon as the bytes
+/// Parse the header at the front of `buf`; `Ok(None)` while `buf` is a
+/// valid prefix of a header. Bad magic fails as soon as the bytes
 /// disagree, and a payload over the `max` receive window fails as
 /// [`WireError::FrameTooLarge`] before anything is sized from it.
-pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<(Frame, usize)>, WireError> {
+pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<Head>, WireError> {
     let n = buf.len().min(MAGIC.len());
     if buf[..n] != MAGIC[..n] {
         return Err(corrupt("bad magic"));
@@ -326,28 +426,32 @@ pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<(Frame, usize)
             max: max as u64,
         });
     }
-    let frame = Frame::new(kind, id, Vec::new()).with_continue(flags == FLAG_CONTINUE);
-    Ok(Some((frame, len as usize)))
+    Ok(Some(Head {
+        kind,
+        id,
+        flags,
+        len: len as usize,
+    }))
 }
 
-/// Check a frame from [`parse_header`] whose payload holds everything
-/// after its header — payload, then trailer — and drop the trailer,
-/// which it returns. The payload keeps that buffer.
-pub(crate) fn seal(frame: &mut Frame) -> Result<u64, WireError> {
-    let len = frame.payload.len() - TRAILER_LEN;
-    let declared: [u8; TRAILER_LEN] = frame.payload[len..].try_into().expect("8 bytes");
-    frame.payload.truncate(len);
-    if trailer(&header(frame)?, &frame.payload) != declared {
+/// Check the frame `head` opens, whose `body` holds everything after
+/// the header — payload, then trailer — and return it with the trailer
+/// cut off. The payload keeps that buffer; the trailer is the second
+/// value.
+pub(crate) fn seal(head: Head, mut body: Vec<u8>) -> Result<(Frame, u64), WireError> {
+    let declared: [u8; TRAILER_LEN] = body[head.len..].try_into().expect("8 bytes");
+    body.truncate(head.len);
+    if trailer(&header(&head)?, &body) != declared {
         return Err(corrupt("checksum mismatch"));
     }
-    Ok(u64::from_le_bytes(declared))
+    Ok((head.frame(body), u64::from_le_bytes(declared)))
 }
 
 /// Encode one frame to bytes (header, payload, checksum). Fails typed
 /// if the payload cannot fit the 32-bit length field or the frame
 /// carries flag bits this protocol version does not define.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    let header = header(frame)?;
+    let header = header(&frame.head())?;
     let trailer = trailer(&header, &frame.payload);
     Ok([&header[..], &frame.payload, &trailer].concat())
 }
@@ -357,15 +461,14 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
 /// yields one frame and how many bytes it spanned. Errors are terminal
 /// for the byte stream (framing is lost once bytes are untrustworthy).
 pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize)>, WireError> {
-    let Some((mut frame, len)) = parse_header(buf, max_payload)? else {
+    let Some(head) = parse_header(buf, max_payload)? else {
         return Ok(None);
     };
-    let total = HEADER_LEN + len + TRAILER_LEN;
+    let total = HEADER_LEN + head.len + TRAILER_LEN;
     if buf.len() < total {
         return Ok(None);
     }
-    frame.payload = buf[HEADER_LEN..total].to_vec();
-    seal(&mut frame)?;
+    let (frame, _) = seal(head, buf[HEADER_LEN..total].to_vec())?;
     Ok(Some((frame, total)))
 }
 
@@ -380,35 +483,118 @@ pub fn decode_complete(buf: &[u8], max_payload: u32) -> Result<Frame, WireError>
     }
 }
 
-/// The bounds-checked cursor every payload decoder reads through, so a
-/// short or oversized payload is `FrameCorrupt`, never a panic.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Where an encoder writes a payload: a `Vec` ([`Payload::frame`]), a
+/// count of its bytes ([`Payload::head`]), or a connection's chunk
+/// ([`crate::transport::FrameIo::send`]). Every encoder runs through the
+/// count first, so the bytes it writes are sized before the first one
+/// is: a write to a sink cannot fail.
+pub(crate) trait Sink {
+    /// The next payload bytes.
+    fn put(&mut self, bytes: &[u8]);
+    /// `data`'s values as little-endian bytes, in one pass over the
+    /// slice.
+    fn put_f64s(&mut self, data: &[f64]);
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| corrupt("payload shorter than its fields"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
+    fn put_f64s(&mut self, data: &[f64]) {
+        self.extend(data.iter().flat_map(|v| v.to_le_bytes()));
+    }
+}
+
+/// A sink that only counts what it is given.
+#[derive(Default)]
+struct Count(usize);
+
+impl Sink for Count {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    fn put_f64s(&mut self, data: &[f64]) {
+        self.0 += 8 * data.len();
+    }
+}
+
+/// Where a payload decoder reads from: a payload held whole (`&[u8]`),
+/// or one streaming through a connection's chunk. [`Reader`] checks
+/// [`Source::left`] before every read, so a source is never asked for
+/// more than its payload still holds.
+pub(crate) trait Source {
+    /// Payload bytes not yet read.
+    fn left(&self) -> usize;
+    /// Fill `out` with the next `out.len()` payload bytes.
+    fn read(&mut self, out: &mut [u8]) -> Result<(), WireError>;
+    /// Append the next `n` little-endian `f64`s of the payload to `out`.
+    fn read_f64s(&mut self, n: usize, out: &mut Vec<f64>) -> Result<(), WireError>;
+}
+
+impl Source for &[u8] {
+    fn left(&self) -> usize {
+        self.len()
+    }
+
+    fn read(&mut self, out: &mut [u8]) -> Result<(), WireError> {
+        let (now, rest) = self.split_at(out.len());
+        out.copy_from_slice(now);
+        *self = rest;
+        Ok(())
+    }
+
+    fn read_f64s(&mut self, n: usize, out: &mut Vec<f64>) -> Result<(), WireError> {
+        let (now, rest) = self.split_at(8 * n);
+        out.extend(f64s(now));
+        *self = rest;
+        Ok(())
+    }
+}
+
+/// The little-endian `f64`s `bytes` holds, whole.
+pub(crate) fn f64s(bytes: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
+/// The bounds-checked cursor every payload decoder reads through, so a
+/// short or oversized payload is `FrameCorrupt`, never a panic — and a
+/// field is never sized past what the payload can still hold.
+pub(crate) struct Reader<S> {
+    src: S,
+}
+
+impl<S: Source> Reader<S> {
+    pub(crate) fn new(src: S) -> Self {
+        Reader { src }
+    }
+
+    /// The source, with whatever the decoder left unread.
+    pub(crate) fn into_source(self) -> S {
+        self.src
+    }
+
+    /// Refuse a read of `n` bytes the payload does not hold.
+    fn need(&self, n: usize) -> Result<(), WireError> {
+        if n <= self.src.left() {
+            Ok(())
+        } else {
+            Err(corrupt("payload shorter than its fields"))
+        }
     }
 
     fn bytes<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take yields N bytes"))
+        self.need(N)?;
+        let mut out = [0; N];
+        self.src.read(&mut out)?;
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, WireError> {
+        self.bytes().map(|[b]| b)
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
@@ -425,17 +611,17 @@ impl<'a> Reader<'a> {
 
     /// Exactly `n` f64 values, `n` taken from fields the caller has
     /// already read (geometry or a tap count); no prefix of its own.
+    /// Nothing is allocated for a count the payload cannot hold.
     fn plane(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
-        let bytes = self.take(n.checked_mul(8).ok_or_else(|| corrupt("plane overflow"))?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
-            .collect())
+        self.need(n.checked_mul(8).ok_or_else(|| corrupt("plane overflow"))?)?;
+        let mut out = Vec::with_capacity(n);
+        self.src.read_f64s(n, &mut out)?;
+        Ok(out)
     }
 
     /// A `rows x cols` matrix of f64 values. The element count must
-    /// agree with what the payload can actually hold, which `take`
-    /// enforces by refusing short reads — the guard against adversarial
+    /// agree with what the payload can actually hold, which `plane`
+    /// enforces before it allocates — the guard against adversarial
     /// geometry.
     fn matrix(&mut self, rows: usize, cols: usize) -> Result<Matrix, WireError> {
         let n = rows
@@ -446,12 +632,14 @@ impl<'a> Reader<'a> {
 
     fn string(&mut self) -> Result<String, WireError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not UTF-8"))
+        self.need(len)?;
+        let mut bytes = vec![0; len];
+        self.src.read(&mut bytes)?;
+        String::from_utf8(bytes).map_err(|_| corrupt("string is not UTF-8"))
     }
 
     fn done(&self) -> Result<(), WireError> {
-        if self.pos == self.buf.len() {
+        if self.src.left() == 0 {
             Ok(())
         } else {
             Err(corrupt("trailing bytes in payload"))
@@ -459,27 +647,40 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) -> Result<(), WireError> {
-    out.extend_from_slice(&wire_u32(s.len(), "string")?.to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Decode the whole of `frame`'s payload with `read`.
+fn whole<'a, T>(
+    frame: &'a Frame,
+    read: impl FnOnce(&mut Reader<&'a [u8]>) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let mut r = Reader::new(&frame.payload[..]);
+    let value = read(&mut r)?;
+    r.done()?;
+    Ok(value)
+}
+
+/// A `u32` field: `n`, or a typed failure if it does not fit.
+fn put_u32(out: &mut impl Sink, n: usize, what: &str) -> Result<(), WireError> {
+    out.put(&wire_u32(n, what)?.to_le_bytes());
     Ok(())
 }
 
-fn put_plane(out: &mut Vec<u8>, data: &[f64]) {
-    out.extend(data.iter().flat_map(|v| v.to_le_bytes()));
+fn put_string(out: &mut impl Sink, s: &str) -> Result<(), WireError> {
+    put_u32(out, s.len(), "string")?;
+    out.put(s.as_bytes());
+    Ok(())
 }
 
 /// A matrix led by its own `rows`, `cols`.
-fn matrix(r: &mut Reader<'_>) -> Result<Matrix, WireError> {
+fn matrix(r: &mut Reader<impl Source>) -> Result<Matrix, WireError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
     r.matrix(rows, cols)
 }
 
-fn put_matrix(out: &mut Vec<u8>, m: &Matrix) -> Result<(), WireError> {
-    out.extend_from_slice(&wire_u32(m.rows(), "matrix rows")?.to_le_bytes());
-    out.extend_from_slice(&wire_u32(m.cols(), "matrix cols")?.to_le_bytes());
-    put_plane(out, m.data());
+fn put_matrix(out: &mut impl Sink, m: &Matrix) -> Result<(), WireError> {
+    put_u32(out, m.rows(), "matrix rows")?;
+    put_u32(out, m.cols(), "matrix cols")?;
+    out.put_f64s(m.data());
     Ok(())
 }
 
@@ -497,20 +698,28 @@ pub struct Hello {
 /// Encode a handshake frame (`Hello` from clients, `HelloAck` from the
 /// server). The frame id carries the client id.
 pub fn encode_hello(kind: FrameKind, client_id: u64, hello: &Hello) -> Frame {
-    let fields = [hello.protocol, hello.max_payload, hello.window];
-    Frame::new(kind, client_id, fields.map(u32::to_le_bytes).concat())
+    let mut payload = Vec::with_capacity(12);
+    put_hello(&mut payload, hello);
+    Frame::new(kind, client_id, payload)
+}
+
+fn put_hello(out: &mut impl Sink, hello: &Hello) {
+    for field in [hello.protocol, hello.max_payload, hello.window] {
+        out.put(&field.to_le_bytes());
+    }
+}
+
+fn hello(r: &mut Reader<impl Source>) -> Result<Hello, WireError> {
+    Ok(Hello {
+        protocol: r.u32()?,
+        max_payload: r.u32()?,
+        window: r.u32()?,
+    })
 }
 
 /// Decode a handshake payload.
 pub fn decode_hello(frame: &Frame) -> Result<Hello, WireError> {
-    let mut r = Reader::new(&frame.payload);
-    let hello = Hello {
-        protocol: r.u32()?,
-        max_payload: r.u32()?,
-        window: r.u32()?,
-    };
-    r.done()?;
-    Ok(hello)
+    whole(frame, hello)
 }
 
 /// Encode a [`FrameKind::Credit`]: send request `id`'s detail planes
@@ -521,30 +730,27 @@ pub fn encode_credit(id: u64, upto: u32) -> Frame {
 
 /// Decode a [`FrameKind::Credit`] payload: exactly one `u32`.
 pub fn decode_credit(frame: &Frame) -> Result<u32, WireError> {
-    let mut r = Reader::new(&frame.payload);
-    let upto = r.u32()?;
-    r.done()?;
-    Ok(upto)
+    whole(frame, |r| r.u32())
 }
 
-fn encode_bank(out: &mut Vec<u8>, bank: &FilterBank) -> Result<(), WireError> {
+fn encode_bank(out: &mut impl Sink, bank: &FilterBank) -> Result<(), WireError> {
     match bank.lifting_kind() {
-        Some(LiftingKind::LeGall53) => out.push(1),
-        Some(LiftingKind::Cdf97) => out.push(2),
+        Some(LiftingKind::LeGall53) => out.put(&[1]),
+        Some(LiftingKind::Cdf97) => out.put(&[2]),
         None => {
             // Orthonormal banks reconstruct exactly from their low-pass
             // taps (the high-pass is the deterministic alternating
             // flip), so ship name + taps bit-exactly.
-            out.push(0);
+            out.put(&[0]);
             put_string(out, bank.name())?;
-            out.extend_from_slice(&wire_u32(bank.low().len(), "filter taps")?.to_le_bytes());
-            put_plane(out, bank.low());
+            put_u32(out, bank.low().len(), "filter taps")?;
+            out.put_f64s(bank.low());
         }
     }
     Ok(())
 }
 
-fn decode_bank(r: &mut Reader<'_>) -> Result<FilterBank, WireError> {
+fn decode_bank(r: &mut Reader<impl Source>) -> Result<FilterBank, WireError> {
     match r.u8()? {
         1 => Ok(FilterBank::cdf53()),
         2 => Ok(FilterBank::cdf97()),
@@ -577,27 +783,25 @@ fn tagged<T: Copy>(all: &[T], tag: u8, what: &str) -> Result<T, WireError> {
 /// Encode one request as a [`FrameKind::Request`] frame with id `id`.
 /// Fails typed if any geometry field exceeds its 32-bit wire width.
 pub fn encode_request(id: u64, req: &DecomposeRequest) -> Result<Frame, WireError> {
-    // Tags, levels, deadline, bank, image dims, then the pixels.
-    let bank = match req.bank.lifting_kind() {
-        Some(_) => 1,
-        None => 9 + req.bank.name().len() + 8 * req.bank.low().len(),
-    };
-    let deadline = req.deadline.is_some();
-    let mut payload =
-        Vec::with_capacity(16 + 8 * deadline as usize + bank + 8 * req.image.data().len());
-    payload.push(tag_of(&Priority::ALL, req.priority));
-    payload.push(tag_of(&Boundary::ALL, req.mode));
-    payload.extend_from_slice(&[deadline as u8, 0]);
-    payload.extend_from_slice(&wire_u32(req.levels, "levels")?.to_le_bytes());
-    put_plane(&mut payload, req.deadline.as_slice());
-    encode_bank(&mut payload, &req.bank)?;
-    put_matrix(&mut payload, &req.image)?;
-    Ok(Frame::new(FrameKind::Request, id, payload))
+    Payload::Request(req).frame(id)
 }
 
-/// Decode a [`FrameKind::Request`] payload.
-pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
-    let mut r = Reader::new(&frame.payload);
+/// Tags, levels, deadline, bank, image dims, then the pixels.
+fn put_request(out: &mut impl Sink, req: &DecomposeRequest) -> Result<(), WireError> {
+    let deadline = req.deadline.is_some();
+    out.put(&[
+        tag_of(&Priority::ALL, req.priority),
+        tag_of(&Boundary::ALL, req.mode),
+        deadline as u8,
+        0,
+    ]);
+    put_u32(out, req.levels, "levels")?;
+    out.put_f64s(req.deadline.as_slice());
+    encode_bank(out, &req.bank)?;
+    put_matrix(out, &req.image)
+}
+
+fn request(r: &mut Reader<impl Source>) -> Result<DecomposeRequest, WireError> {
     let priority = tagged(&Priority::ALL, r.u8()?, "priority")?;
     let mode = tagged(&Boundary::ALL, r.u8()?, "boundary")?;
     let has_deadline = match r.u8()? {
@@ -610,9 +814,8 @@ pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
     }
     let levels = r.u32()? as usize;
     let deadline = if has_deadline { Some(r.f64()?) } else { None };
-    let bank = decode_bank(&mut r)?;
-    let image = matrix(&mut r)?;
-    r.done()?;
+    let bank = decode_bank(r)?;
+    let image = matrix(r)?;
     Ok(DecomposeRequest {
         image,
         bank,
@@ -623,23 +826,27 @@ pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
     })
 }
 
+/// Decode a [`FrameKind::Request`] payload.
+pub fn decode_request(frame: &Frame) -> Result<DecomposeRequest, WireError> {
+    whole(frame, request)
+}
+
 /// Image rows, cols and decomposition depth — how the monolithic
 /// pyramid and the progressive header both open their geometry.
 fn put_geometry(
-    out: &mut Vec<u8>,
+    out: &mut impl Sink,
     rows: usize,
     cols: usize,
     levels: usize,
 ) -> Result<(), WireError> {
-    out.extend_from_slice(&wire_u32(rows, "pyramid rows")?.to_le_bytes());
-    out.extend_from_slice(&wire_u32(cols, "pyramid cols")?.to_le_bytes());
-    out.extend_from_slice(&wire_u32(levels, "pyramid levels")?.to_le_bytes());
-    Ok(())
+    put_u32(out, rows, "pyramid rows")?;
+    put_u32(out, cols, "pyramid cols")?;
+    put_u32(out, levels, "pyramid levels")
 }
 
 /// Read `(rows, cols, levels)` and refuse any geometry that is not a
 /// dyadic pyramid, before a plane is sized from it.
-fn geometry(r: &mut Reader<'_>) -> Result<(usize, usize, usize), WireError> {
+fn geometry(r: &mut Reader<impl Source>) -> Result<(usize, usize, usize), WireError> {
     let rows = r.u32()? as usize;
     let cols = r.u32()? as usize;
     let levels = r.u32()? as usize;
@@ -654,19 +861,19 @@ fn geometry(r: &mut Reader<'_>) -> Result<(usize, usize, usize), WireError> {
     Ok((rows, cols, levels))
 }
 
-fn encode_pyramid(out: &mut Vec<u8>, pyr: &Pyramid) -> Result<(), WireError> {
+fn encode_pyramid(out: &mut impl Sink, pyr: &Pyramid) -> Result<(), WireError> {
     let (rows, cols) = pyr.image_dims();
     put_geometry(out, rows, cols, pyr.levels())?;
-    put_plane(out, pyr.approx.data());
+    out.put_f64s(pyr.approx.data());
     for bands in &pyr.detail {
-        put_plane(out, bands.lh.data());
-        put_plane(out, bands.hl.data());
-        put_plane(out, bands.hh.data());
+        out.put_f64s(bands.lh.data());
+        out.put_f64s(bands.hl.data());
+        out.put_f64s(bands.hh.data());
     }
     Ok(())
 }
 
-fn decode_pyramid(r: &mut Reader<'_>) -> Result<Pyramid, WireError> {
+fn decode_pyramid(r: &mut Reader<impl Source>) -> Result<Pyramid, WireError> {
     let (rows, cols, levels) = geometry(r)?;
     let approx = r.matrix(rows >> levels, cols >> levels)?;
     let mut detail = Vec::with_capacity(levels);
@@ -681,40 +888,36 @@ fn decode_pyramid(r: &mut Reader<'_>) -> Result<Pyramid, WireError> {
     Ok(Pyramid { approx, detail })
 }
 
-fn encode_rejection(out: &mut Vec<u8>, rej: &Rejection) -> Result<(), WireError> {
+fn encode_rejection(out: &mut impl Sink, rej: &Rejection) -> Result<(), WireError> {
     match rej {
         Rejection::QueueFull { depth } => {
-            out.push(0);
-            out.extend_from_slice(&(*depth as u64).to_le_bytes());
+            out.put(&[0]);
+            out.put(&(*depth as u64).to_le_bytes());
         }
-        Rejection::Shed { by } => {
-            out.push(1);
-            out.push(tag_of(&Priority::ALL, *by));
-        }
+        Rejection::Shed { by } => out.put(&[1, tag_of(&Priority::ALL, *by)]),
         Rejection::DeadlineExpired { deadline, now } => {
-            out.push(2);
-            out.extend_from_slice(&deadline.to_bits().to_le_bytes());
-            out.extend_from_slice(&now.to_bits().to_le_bytes());
+            out.put(&[2]);
+            out.put_f64s(&[*deadline, *now]);
         }
         Rejection::Invalid { detail } => {
-            out.push(3);
+            out.put(&[3]);
             put_string(out, detail)?;
         }
-        Rejection::Draining => out.push(4),
+        Rejection::Draining => out.put(&[4]),
         Rejection::ShardFailed { shard, restarts } => {
-            out.push(5);
-            out.extend_from_slice(&(*shard as u64).to_le_bytes());
-            out.extend_from_slice(&restarts.to_le_bytes());
+            out.put(&[5]);
+            out.put(&(*shard as u64).to_le_bytes());
+            out.put(&restarts.to_le_bytes());
         }
         Rejection::Requeued { attempts } => {
-            out.push(6);
-            out.extend_from_slice(&attempts.to_le_bytes());
+            out.put(&[6]);
+            out.put(&attempts.to_le_bytes());
         }
     }
     Ok(())
 }
 
-fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
+fn decode_rejection(r: &mut Reader<impl Source>) -> Result<Rejection, WireError> {
     Ok(match r.u8()? {
         0 => Rejection::QueueFull {
             depth: r.u64()? as usize,
@@ -743,7 +946,7 @@ fn decode_rejection(r: &mut Reader<'_>) -> Result<Rejection, WireError> {
 /// outcome tag: two flags, a zero padding byte, the batch size, queue
 /// wait, service time and the server-side error bound (31 bytes).
 fn put_meta(
-    out: &mut Vec<u8>,
+    out: &mut impl Sink,
     cache_hit: bool,
     degraded: bool,
     batch_size: usize,
@@ -751,15 +954,15 @@ fn put_meta(
     service_s: f64,
     error_bound: f64,
 ) -> Result<(), WireError> {
-    out.extend_from_slice(&[cache_hit as u8, degraded as u8, 0]);
-    out.extend_from_slice(&wire_u32(batch_size, "batch size")?.to_le_bytes());
-    put_plane(out, &[wait_s, service_s, error_bound]);
+    out.put(&[cache_hit as u8, degraded as u8, 0]);
+    put_u32(out, batch_size, "batch size")?;
+    out.put_f64s(&[wait_s, service_s, error_bound]);
     Ok(())
 }
 
 /// What [`put_meta`] wrote, in its order: `(cache_hit, degraded,
 /// batch_size, wait_s, service_s, error_bound)`.
-fn meta(r: &mut Reader<'_>) -> Result<(bool, bool, usize, f64, f64, f64), WireError> {
+fn meta(r: &mut Reader<impl Source>) -> Result<(bool, bool, usize, f64, f64, f64), WireError> {
     let cache_hit = r.u8()? != 0;
     let degraded = r.u8()? != 0;
     if r.u8()? != 0 {
@@ -777,15 +980,17 @@ fn meta(r: &mut Reader<'_>) -> Result<(bool, bool, usize, f64, f64, f64), WireEr
 
 /// Encode one terminal outcome as a [`FrameKind::Response`] frame.
 pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError> {
-    let mut payload = Vec::new();
+    Payload::Response(result).frame(id)
+}
+
+/// Tag, then metadata, geometry and every coefficient, or the
+/// rejection.
+fn put_response(out: &mut impl Sink, result: &ServeResult) -> Result<(), WireError> {
     match result {
         Ok(resp) => {
-            // Tag, metadata, geometry, then every coefficient.
-            let (rows, cols) = resp.pyramid.image_dims();
-            payload.reserve_exact(44 + 8 * rows * cols);
-            payload.push(0);
+            out.put(&[0]);
             put_meta(
-                &mut payload,
+                out,
                 resp.cache_hit,
                 resp.degraded,
                 resp.batch_size,
@@ -793,14 +998,13 @@ pub fn encode_response(id: u64, result: &ServeResult) -> Result<Frame, WireError
                 resp.service_s,
                 resp.error_bound,
             )?;
-            encode_pyramid(&mut payload, &resp.pyramid)?;
+            encode_pyramid(out, &resp.pyramid)
         }
         Err(rej) => {
-            payload.push(1);
-            encode_rejection(&mut payload, rej)?;
+            out.put(&[1]);
+            encode_rejection(out, rej)
         }
     }
-    Ok(Frame::new(FrameKind::Response, id, payload))
 }
 
 /// Decode a [`FrameKind::Response`] payload that must be a *terminal*
@@ -897,11 +1101,14 @@ pub struct ProgressivePlane {
 
 /// Encode the header frame of a progressive response.
 pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame, WireError> {
-    // Tag, metadata, geometry, plane count, two bounds, the LL plane.
-    let mut payload = Vec::with_capacity(72 + 8 * h.approx.data().len());
-    payload.push(2);
+    Payload::Header(h).frame(id)
+}
+
+/// Tag, metadata, geometry, plane count, two bounds, the LL plane.
+fn put_progressive_header(out: &mut impl Sink, h: &ProgressiveHeader) -> Result<(), WireError> {
+    out.put(&[2]);
     put_meta(
-        &mut payload,
+        out,
         h.cache_hit,
         h.degraded,
         h.batch_size,
@@ -909,15 +1116,13 @@ pub fn encode_progressive_header(id: u64, h: &ProgressiveHeader) -> Result<Frame
         h.service_s,
         h.base_error_bound,
     )?;
-    put_geometry(&mut payload, h.rows, h.cols, h.levels)?;
-    payload.extend_from_slice(&wire_u32(h.planes_total, "plane count")?.to_le_bytes());
-    payload.extend_from_slice(&h.codec_tolerance.to_bits().to_le_bytes());
-    payload.extend_from_slice(&h.bound_after.to_bits().to_le_bytes());
-    put_matrix(&mut payload, &h.approx)?;
-    Ok(Frame::new(FrameKind::Response, id, payload).with_continue(h.planes_total > 0))
+    put_geometry(out, h.rows, h.cols, h.levels)?;
+    put_u32(out, h.planes_total, "plane count")?;
+    out.put_f64s(&[h.codec_tolerance, h.bound_after]);
+    put_matrix(out, &h.approx)
 }
 
-fn decode_progressive_header(r: &mut Reader<'_>) -> Result<ProgressiveHeader, WireError> {
+fn decode_progressive_header(r: &mut Reader<impl Source>) -> Result<ProgressiveHeader, WireError> {
     let (cache_hit, degraded, batch_size, wait_s, service_s, base_error_bound) = meta(r)?;
     let (rows, cols, levels) = geometry(r)?;
     let planes_total = r.u32()? as usize;
@@ -962,17 +1167,17 @@ pub fn encode_progressive_plane(
     p: &ProgressivePlane,
     more: bool,
 ) -> Result<Frame, WireError> {
-    let (encoding, coeff_bytes) = match &p.coeffs {
-        PlaneCoeffs::Dense(data) => (0, 8 * data.len()),
-        PlaneCoeffs::Sparse(entries) => (1, 4 + 12 * entries.len()),
-    };
-    let mut payload = Vec::with_capacity(28 + coeff_bytes);
-    payload.extend_from_slice(&[3, p.band as u8, encoding, 0]);
-    payload.extend_from_slice(&wire_u32(p.seq, "plane seq")?.to_le_bytes());
-    payload.extend_from_slice(&wire_u32(p.level, "plane level")?.to_le_bytes());
-    payload.extend_from_slice(&wire_u32(p.rows, "plane rows")?.to_le_bytes());
-    payload.extend_from_slice(&wire_u32(p.cols, "plane cols")?.to_le_bytes());
-    payload.extend_from_slice(&p.bound_after.to_bits().to_le_bytes());
+    Payload::Plane(p, more).frame(id)
+}
+
+fn put_progressive_plane(out: &mut impl Sink, p: &ProgressivePlane) -> Result<(), WireError> {
+    let encoding = matches!(p.coeffs, PlaneCoeffs::Sparse(_)) as u8;
+    out.put(&[3, p.band as u8, encoding, 0]);
+    put_u32(out, p.seq, "plane seq")?;
+    put_u32(out, p.level, "plane level")?;
+    put_u32(out, p.rows, "plane rows")?;
+    put_u32(out, p.cols, "plane cols")?;
+    out.put_f64s(&[p.bound_after]);
     match &p.coeffs {
         PlaneCoeffs::Dense(data) => {
             if data.len() != p.rows * p.cols {
@@ -982,22 +1187,22 @@ pub fn encode_progressive_plane(
                     p.rows * p.cols
                 )));
             }
-            put_plane(&mut payload, data);
+            out.put_f64s(data);
         }
         PlaneCoeffs::Sparse(entries) => {
-            payload.extend_from_slice(&wire_u32(entries.len(), "sparse count")?.to_le_bytes());
-            payload.extend(entries.iter().flat_map(|&(ix, v)| {
+            put_u32(out, entries.len(), "sparse count")?;
+            for &(ix, v) in entries {
                 let mut entry = [0; 12];
                 entry[..4].copy_from_slice(&ix.to_le_bytes());
                 entry[4..].copy_from_slice(&v.to_le_bytes());
-                entry
-            }));
+                out.put(&entry);
+            }
         }
     }
-    Ok(Frame::new(FrameKind::Response, id, payload).with_continue(more))
+    Ok(())
 }
 
-fn decode_progressive_plane(r: &mut Reader<'_>) -> Result<ProgressivePlane, WireError> {
+fn decode_progressive_plane(r: &mut Reader<impl Source>) -> Result<ProgressivePlane, WireError> {
     let band = tagged(
         &[PlaneBand::Lh, PlaneBand::Hl, PlaneBand::Hh],
         r.u8()?,
@@ -1024,6 +1229,7 @@ fn decode_progressive_plane(r: &mut Reader<'_>) -> Result<ProgressivePlane, Wire
                     "sparse plane declares {count} entries in {n} slots"
                 )));
             }
+            r.need(12 * count)?;
             let mut entries = Vec::with_capacity(count);
             let mut prev: Option<u32> = None;
             for _ in 0..count {
@@ -1064,15 +1270,12 @@ pub enum ResponseBody {
     Plane(ProgressivePlane),
 }
 
-/// Decode any [`FrameKind::Response`] payload — monolithic outcome,
-/// progressive header, or progressive plane.
-pub fn decode_response_body(frame: &Frame) -> Result<ResponseBody, WireError> {
-    let mut r = Reader::new(&frame.payload);
-    let body = match r.u8()? {
+fn response_body(r: &mut Reader<impl Source>) -> Result<ResponseBody, WireError> {
+    Ok(match r.u8()? {
         0 => {
-            let (cache_hit, degraded, batch_size, wait_s, service_s, error_bound) = meta(&mut r)?;
+            let (cache_hit, degraded, batch_size, wait_s, service_s, error_bound) = meta(r)?;
             ResponseBody::Outcome(Ok(DecomposeResponse {
-                pyramid: decode_pyramid(&mut r)?,
+                pyramid: decode_pyramid(r)?,
                 cache_hit,
                 batch_size,
                 wait_s,
@@ -1081,13 +1284,139 @@ pub fn decode_response_body(frame: &Frame) -> Result<ResponseBody, WireError> {
                 error_bound,
             }))
         }
-        1 => ResponseBody::Outcome(Err(decode_rejection(&mut r)?)),
-        2 => ResponseBody::Header(decode_progressive_header(&mut r)?),
-        3 => ResponseBody::Plane(decode_progressive_plane(&mut r)?),
+        1 => ResponseBody::Outcome(Err(decode_rejection(r)?)),
+        2 => ResponseBody::Header(decode_progressive_header(r)?),
+        3 => ResponseBody::Plane(decode_progressive_plane(r)?),
         t => return Err(corrupt(format!("unknown outcome tag {t}"))),
+    })
+}
+
+/// Decode any [`FrameKind::Response`] payload — monolithic outcome,
+/// progressive header, or progressive plane.
+pub fn decode_response_body(frame: &Frame) -> Result<ResponseBody, WireError> {
+    whole(frame, response_body)
+}
+
+/// A frame's payload as its encoder takes it, borrowed from the value it
+/// carries. [`Payload::frame`] builds the frame in memory;
+/// [`crate::transport::FrameIo::send`] streams the same bytes through a
+/// connection's chunk. `Bye` and `Cancel` carry no payload.
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// A client's handshake.
+    Hello(Hello),
+    /// The server's handshake reply.
+    HelloAck(Hello),
+    /// A request.
+    Request(&'a DecomposeRequest),
+    /// A terminal outcome, sent whole.
+    Response(&'a ServeResult),
+    /// The first frame of a progressive sequence.
+    Header(&'a ProgressiveHeader),
+    /// One detail plane, and whether more follow.
+    Plane(&'a ProgressivePlane, bool),
+    /// A clean goodbye.
+    Bye,
+    /// Stop sending this id's planes.
+    Cancel,
+    /// Send this id's planes through this sequence number.
+    Credit(u32),
+}
+
+impl Payload<'_> {
+    /// The header a frame of this payload goes out under as `id`: its
+    /// length counted by the encoder itself, so every field too wide for
+    /// its wire width fails here, before a byte is written.
+    pub(crate) fn head(&self, id: u64) -> Result<Head, WireError> {
+        let (kind, flags) = match *self {
+            Payload::Hello(_) => (FrameKind::Hello, 0),
+            Payload::HelloAck(_) => (FrameKind::HelloAck, 0),
+            Payload::Request(_) => (FrameKind::Request, 0),
+            Payload::Response(_) => (FrameKind::Response, 0),
+            Payload::Header(h) => (
+                FrameKind::Response,
+                FLAG_CONTINUE * (h.planes_total > 0) as u8,
+            ),
+            Payload::Plane(_, more) => (FrameKind::Response, FLAG_CONTINUE * more as u8),
+            Payload::Bye => (FrameKind::Bye, 0),
+            Payload::Cancel => (FrameKind::Cancel, 0),
+            Payload::Credit(_) => (FrameKind::Credit, 0),
+        };
+        let mut len = Count::default();
+        self.write(&mut len)?;
+        Ok(Head {
+            kind,
+            id,
+            flags,
+            len: len.0,
+        })
+    }
+
+    /// Write the payload's bytes to `out`.
+    pub(crate) fn write(&self, out: &mut impl Sink) -> Result<(), WireError> {
+        match *self {
+            Payload::Hello(h) | Payload::HelloAck(h) => put_hello(out, &h),
+            Payload::Request(req) => put_request(out, req)?,
+            Payload::Response(result) => put_response(out, result)?,
+            Payload::Header(h) => put_progressive_header(out, h)?,
+            Payload::Plane(p, _) => put_progressive_plane(out, p)?,
+            Payload::Bye | Payload::Cancel => {}
+            Payload::Credit(upto) => out.put(&upto.to_le_bytes()),
+        }
+        Ok(())
+    }
+
+    /// The frame this payload makes as `id`, its payload allocated once,
+    /// at its exact length.
+    pub fn frame(&self, id: u64) -> Result<Frame, WireError> {
+        let head = self.head(id)?;
+        let mut payload = Vec::with_capacity(head.len);
+        self.write(&mut payload)?;
+        Ok(head.frame(payload))
+    }
+}
+
+/// A frame's payload decoded by its kind, as
+/// [`crate::transport::FrameIo::recv`] delivers it — the owned
+/// counterpart of [`Payload`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Message {
+    /// A client's handshake.
+    Hello(Hello),
+    /// The server's handshake reply.
+    HelloAck(Hello),
+    /// A request.
+    Request(DecomposeRequest),
+    /// A terminal outcome, progressive header or plane.
+    Response(ResponseBody),
+    /// A clean goodbye.
+    Bye,
+    /// Stop sending this id's planes.
+    Cancel,
+    /// Send this id's planes through this sequence number.
+    Credit(u32),
+}
+
+/// Decode the payload of a frame of `kind`, to its last byte.
+pub(crate) fn message(r: &mut Reader<impl Source>, kind: FrameKind) -> Result<Message, WireError> {
+    let msg = match kind {
+        FrameKind::Hello => Message::Hello(hello(r)?),
+        FrameKind::HelloAck => Message::HelloAck(hello(r)?),
+        FrameKind::Request => Message::Request(request(r)?),
+        FrameKind::Response => Message::Response(response_body(r)?),
+        FrameKind::Bye => Message::Bye,
+        FrameKind::Cancel => Message::Cancel,
+        FrameKind::Credit => Message::Credit(r.u32()?),
     };
     r.done()?;
-    Ok(body)
+    Ok(msg)
+}
+
+/// Decode any frame's payload by its kind: what
+/// [`crate::transport::FrameIo::recv`] makes of the same bytes as they
+/// stream.
+pub fn decode_message(frame: &Frame) -> Result<Message, WireError> {
+    message(&mut Reader::new(&frame.payload[..]), frame.kind)
 }
 
 #[cfg(test)]
@@ -1344,7 +1673,7 @@ mod tests {
         ] {
             let mut out = Vec::new();
             encode_bank(&mut out, &bank).unwrap();
-            let got = decode_bank(&mut Reader::new(&out)).expect("valid bank");
+            let got = decode_bank(&mut Reader::new(&out[..])).expect("valid bank");
             assert_eq!(got, bank);
             assert_eq!(got.lifting_kind(), bank.lifting_kind());
         }

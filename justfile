@@ -23,13 +23,16 @@ kernel-pin:
 
 # The wire codec in the profile every measured number comes from: a
 # plane is encoded in one bulk pass that is only vectorised in
-# `--release`, as the dwt kernels are for `kernel-pin`. The wire and
-# progressive unit tests, the bitwise round trips and the pinned golden
-# bytes of `wire_properties`, and the allocation budget of
-# `wire_allocations`.
+# `--release`, as the dwt kernels are for `kernel-pin`, and so is a
+# plane's copy into and out of `FrameIo`'s chunk at each chunk edge. The
+# wire and progressive unit tests, the bitwise round trips and the
+# pinned golden bytes of `wire_properties`, the allocation budgets of
+# `wire_allocations`, and `wserv_remote`'s `frame_io` tests: the live
+# encoders' bytes, and the streamed decode at every split.
 wire-pin:
     cargo test -q --release -p wserv --lib -- wire:: progressive::
     cargo test -q --release --test wire_properties --test wire_allocations
+    cargo test -q --release --test wserv_remote -- frame_io
 
 # Lints as CI runs them.
 lint:
@@ -145,8 +148,8 @@ supervise-soak:
 # failing an assertion. The drain, handshake, response-timeout,
 # parked-sequence, in-order pipelining, framing, v3-refusal,
 # reused-client-id and in-flight-resubmit tests of wserv_remote, over
-# the shim and TCP — reads land a header, then a payload sized from it,
-# in as many pieces as the transport delivers, and a request that finds
+# the shim and TCP — reads land a header, then a payload a chunk at a
+# time, in as many pieces as the transport delivers, and a request that finds
 # its id in flight, the same request resubmitted or a different one
 # under a reused id, waits on the book for that claim and claims again
 # — run 25 times, one test at a time, each round under `timeout` so a

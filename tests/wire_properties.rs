@@ -2,7 +2,9 @@
 //!
 //! 1. the frame decoder never panics: arbitrary bytes produce either a
 //!    decoded frame, a "need more bytes", or a *typed* [`WireError`] —
-//!    nothing else, no matter the input;
+//!    nothing else, no matter the input — and neither does `FrameIo`'s
+//!    streaming decode, fed the bytes in random pieces, which decodes
+//!    every frame as `decode_message` does;
 //! 2. encode → decode is a bitwise round trip for frames, handshakes,
 //!    requests, and responses (f64 payloads travel as IEEE-754 bit
 //!    patterns, so NaN payloads and negative zeros survive);
@@ -27,14 +29,18 @@ use dwt_mimd::CheckpointCodec;
 use proptest::prelude::*;
 use wserv::progressive::{pyramid_max_abs_diff, split_response, Reassembler};
 use wserv::request::DecomposeResponse;
+use wserv::transport::RecvFrame;
 use wserv::wire::{
-    decode_complete, decode_credit, decode_frame, decode_request, decode_response,
+    decode_complete, decode_credit, decode_frame, decode_message, decode_request, decode_response,
     decode_response_body, encode_credit, encode_frame, encode_hello, encode_progressive_header,
     encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Hello, PlaneBand,
     PlaneCoeffs, ProgressiveHeader, ProgressivePlane, ResponseBody, WireError, DEFAULT_MAX_PAYLOAD,
     HEADER_LEN, PROTOCOL_VERSION, TRAILER_LEN,
 };
-use wserv::{DecomposeRequest, Priority, Rejection, ServeResult};
+use wserv::{DecomposeRequest, Priority, Rejection, ServeResult, TransportError};
+
+mod split;
+use split::Split;
 
 fn kind(tag: u8) -> FrameKind {
     match tag % 7 {
@@ -88,6 +94,56 @@ proptest! {
         match decode_complete(&bytes, max) {
             Ok(frame) => prop_assert!(frame.payload.len() <= max as usize),
             Err(e) => { let _ = e.to_string(); }
+        }
+    }
+
+    /// The same bytes through `FrameIo::recv`, whose decoder reads each
+    /// payload as it streams through the connection's chunk, arriving
+    /// in random pieces: no panic, and every outcome is a frame within
+    /// the window, the end of the stream, or a typed error.
+    #[test]
+    fn streaming_decoder_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(0u8..=255u8, 0..512),
+        cuts in prop::collection::vec(0usize..512, 0..8),
+        max in 0u32..4096,
+    ) {
+        let mut rx = Split::framed(&bytes, &cuts).with_max_payload(max);
+        loop {
+            match rx.recv(None) {
+                Ok(RecvFrame::Frame((head, _))) => prop_assert!(head.len <= max as usize),
+                Ok(RecvFrame::Eof) => break,
+                Ok(RecvFrame::Idle) => prop_assert!(false, "no deadline, yet Idle"),
+                Err(e) => {
+                    let _ = e.to_string();
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A checksummed frame of any kind with an arbitrary payload, fed to
+    /// `FrameIo::recv` in random pieces, decodes exactly as
+    /// `decode_message` decodes the frame held whole: the same message,
+    /// or the same typed refusal.
+    #[test]
+    fn streaming_decode_agrees_with_the_whole_frame_decoder(
+        tag in 0u8..7,
+        id in 0u64..u64::MAX,
+        payload in prop::collection::vec(0u8..=255u8, 0..300),
+        cuts in prop::collection::vec(0usize..340, 0..8),
+    ) {
+        let frame = Frame::new(kind(tag), id, payload);
+        let bytes = encode_frame(&frame).expect("small payload encodes");
+        let streamed = Split::framed(&bytes, &cuts).recv(None);
+        match (decode_message(&frame), streamed) {
+            (Ok(whole), Ok(RecvFrame::Frame((head, msg)))) => {
+                prop_assert_eq!(head, frame.head());
+                prop_assert_eq!(msg, whole);
+            }
+            (Err(WireError::FrameCorrupt { detail }), Err(TransportError::FrameCorrupt { detail: got })) => {
+                prop_assert_eq!(got, detail);
+            }
+            (whole, streamed) => prop_assert!(false, "whole {:?}, streamed {:?}", whole, streamed),
         }
     }
 

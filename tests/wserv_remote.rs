@@ -14,7 +14,8 @@
 //! * graceful drain is lossless for accepted work, a progressive
 //!   sequence mid-read included, and wakes every connection: an idle
 //!   one ends cleanly, and a half-open one cannot hold drain hostage —
-//!   cut off mid-frame, it is aborted and counted in `conn_aborted`;
+//!   cut off mid-frame, it is aborted and counted in `conn_aborted` —
+//!   nor can one that stops reading, past `WRITE_TIMEOUT`;
 //! * a protocol mismatch is a terminal, typed handshake failure, a
 //!   connection that never says `Hello` is closed, and a client that
 //!   gets no answer gives up typed at its response timeout;
@@ -35,17 +36,23 @@ use dwt_mimd::CheckpointCodec;
 use imagery::{landsat_scene, SceneParams};
 use wserv::progressive::{pyramid_max_abs_diff, split_response};
 use wserv::remote::{RemoteConfig, RemoteServer, RetryPolicy, HELLO_TIMEOUT};
-use wserv::transport::{Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock};
+use wserv::transport::{
+    Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock, CHUNK, WRITE_TIMEOUT,
+};
 use wserv::wire::{
-    decode_credit, decode_hello, decode_request, decode_response, decode_response_body,
-    encode_credit, encode_frame, encode_hello, encode_progressive_header, encode_progressive_plane,
-    encode_request, encode_response, Frame, FrameKind, Hello, PlaneCoeffs, ResponseBody,
-    DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    decode_credit, decode_hello, decode_message, decode_request, decode_response,
+    decode_response_body, encode_credit, encode_frame, encode_hello, encode_progressive_header,
+    encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Head, Hello,
+    Message, Payload, PlaneCoeffs, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
+    TRAILER_LEN,
 };
 use wserv::{
     DecomposeRequest, MemListener, RemoteClient, ServiceConfig, ShardFaultPlan, SupervisorPolicy,
     TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
 };
+
+mod split;
+use split::Split;
 
 fn tick() -> Duration {
     Duration::from_millis(1)
@@ -1868,22 +1875,59 @@ fn every_kind() -> Vec<Frame> {
     frames
 }
 
-/// What `FrameIo` writes, header, payload and trailer sent where they
-/// lie, is `encode_frame`'s bytes, byte for byte, over the shim and
-/// over TCP; and what it reads into a buffer sized from each header
-/// decodes to the same frames wherever the stream is split — one cut at
-/// every byte offset, read up to the cut before the rest arrives.
-#[test]
-fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
-    let frames = every_kind();
+/// The payload `msg` was decoded from, as the live encoders take it.
+fn payload_of(head: Head, msg: &Message) -> Payload<'_> {
+    match msg {
+        Message::Hello(hello) => Payload::Hello(*hello),
+        Message::HelloAck(hello) => Payload::HelloAck(*hello),
+        Message::Request(req) => Payload::Request(req),
+        Message::Response(ResponseBody::Outcome(result)) => Payload::Response(result),
+        Message::Response(ResponseBody::Header(header)) => Payload::Header(header),
+        Message::Response(ResponseBody::Plane(plane)) => Payload::Plane(plane, head.more_follows()),
+        Message::Bye => Payload::Bye,
+        Message::Cancel => Payload::Cancel,
+        Message::Credit(upto) => Payload::Credit(*upto),
+    }
+}
+
+/// Each frame with what `decode_message` makes of its payload.
+fn decoded(frames: &[Frame]) -> Vec<(Head, Message)> {
+    let decode = |f: &Frame| (f.head(), decode_message(f).expect("own frame decodes"));
+    frames.iter().map(decode).collect()
+}
+
+/// Every frame `rx` reads and decodes as it streams, up to a clean end.
+fn read_all(mut rx: FrameIo) -> Result<Vec<(Head, Message)>, TransportError> {
+    let mut read = Vec::new();
+    while let RecvFrame::Frame(got) = rx.recv(None)? {
+        read.push(got);
+    }
+    Ok(read)
+}
+
+/// Both send paths write `encode_frame`'s bytes for `frames`, over the
+/// shim and over TCP: `send_frame`, the frame held whole, and `send`,
+/// the live encoders streaming through the chunk.
+fn sends_the_codec_bytes(frames: &[Frame]) {
+    let messages = decoded(frames);
     let stream: Vec<u8> = frames
         .iter()
         .flat_map(|f| encode_frame(f).expect("frame encodes"))
         .collect();
-    for transport in TRANSPORTS {
+    for (transport, live) in TRANSPORTS.iter().flat_map(|t| [(t, false), (t, true)]) {
         let (listener, dial) = endpoints(transport);
         let near = dial().dial().expect("listener is up");
         let mut far = listener.accept().expect("dialed");
+        // Read as the frames are written: the shim's pipe holds 64 KiB.
+        let reader = std::thread::spawn(move || {
+            let mut wrote = Vec::new();
+            let mut buf = [0u8; 4096];
+            let deadline = Instant::now() + PATIENCE;
+            while let Recv::Data(n) = far.recv(&mut buf, Some(deadline)).expect("clean stream") {
+                wrote.extend_from_slice(&buf[..n]);
+            }
+            wrote
+        });
         let mut tx = FrameIo::new(
             near,
             7,
@@ -1891,20 +1935,46 @@ fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
             WireFaultPlan::none(),
             WireClock::new(),
         );
-        for f in &frames {
-            tx.send_frame(f).expect("frame fits");
+        for (f, (head, msg)) in frames.iter().zip(&messages) {
+            let sent = match live {
+                true => tx.send(f.id, &payload_of(*head, msg)),
+                false => tx.send_frame(f),
+            };
+            sent.expect("frame fits");
         }
         tx.shutdown_write();
         assert_eq!(tx.stats.frames_out, frames.len() as u64, "{transport}");
         assert_eq!(tx.stats.bytes_out, stream.len() as u64, "{transport}");
-        let mut wrote = Vec::new();
-        let mut buf = [0u8; 4096];
-        let deadline = Instant::now() + PATIENCE;
-        while let Recv::Data(n) = far.recv(&mut buf, Some(deadline)).expect("clean stream") {
-            wrote.extend_from_slice(&buf[..n]);
-        }
-        assert!(wrote == stream, "{transport}: FrameIo wrote other bytes");
+        let wrote = reader.join().expect("the reader never panics");
+        assert!(
+            wrote == stream,
+            "{transport}, live {live}: FrameIo wrote other bytes"
+        );
     }
+}
+
+/// What `FrameIo` writes — a frame held whole, sent where it lies, or
+/// the live encoders streaming through the chunk — is `encode_frame`'s
+/// bytes, byte for byte, over the shim and over TCP. What it reads
+/// decodes to the same frames wherever the stream is split, whole into
+/// a buffer sized from each header (one cut at every byte offset, read
+/// up to the cut before the rest arrives) and streamed through the chunk
+/// into the typed decoder, which agrees with `decode_message`: at every
+/// byte offset of the frame of every kind; and, for frames larger than
+/// the chunk, inside the first checksum block, around each chunk edge,
+/// where an `f64` straddles two reads, and at a stride. A flipped byte
+/// anywhere is `FrameCorrupt`, with no value delivered, and geometry
+/// that claims more coefficients than the payload holds fails typed
+/// before anything is sized from it.
+#[test]
+fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
+    let frames = every_kind();
+    let messages = decoded(&frames);
+    let stream: Vec<u8> = frames
+        .iter()
+        .flat_map(|f| encode_frame(f).expect("frame encodes"))
+        .collect();
+    sends_the_codec_bytes(&frames);
 
     for cut in 0..=stream.len() {
         let (mut near, far) = wserv::mem_pair(stream.len(), tick());
@@ -1927,7 +1997,161 @@ fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
         }
         assert!(read == frames, "split at byte {cut} decodes otherwise");
         assert_eq!(rx.stats.bytes_in, stream.len() as u64);
+        let streamed = read_all(Split::framed(&stream, &[cut])).expect("the whole stream");
+        assert!(
+            streamed == messages,
+            "split at byte {cut} streams otherwise"
+        );
     }
+
+    // Two frames larger than the chunk.
+    let big = DecomposeRequest::new(image(128, 3), FilterBank::cdf53(), 3);
+    let resp = Ok(wserv::DecomposeResponse {
+        pyramid: dwt::dwt2d::decompose(&big.image, &big.bank, big.levels, big.mode)
+            .expect("dyadic geometry"),
+        cache_hit: false,
+        batch_size: 1,
+        wait_s: 0.25,
+        service_s: 0.5,
+        degraded: false,
+        error_bound: 0.0,
+    });
+    let frames = [
+        encode_request(1, &big).expect("request encodes"),
+        encode_response(1, &resp).expect("response encodes"),
+    ];
+    for f in &frames {
+        // Pixels or coefficients fill each payload after a prefix that
+        // is not a multiple of 8, so an f64 straddles each chunk edge.
+        let prefix = f.payload.len() - 8 * 128 * 128;
+        assert_ne!((CHUNK - prefix) % 8, 0, "{:?}: {prefix} B prefix", f.kind);
+    }
+    sends_the_codec_bytes(&frames);
+    let messages = decoded(&frames);
+    let bytes: Vec<_> = frames
+        .iter()
+        .map(|f| encode_frame(f).expect("frames"))
+        .collect();
+    let stream = bytes.concat();
+    let starts = [0, bytes[0].len()];
+    let edges = starts.iter().flat_map(|&s| {
+        let frame_edges = (1..=stream.len() / CHUNK).map(move |k| s + HEADER_LEN + k * CHUNK);
+        frame_edges.flat_map(|edge| edge - 9..=edge + 9)
+    });
+    let cuts: Vec<usize> = (0..=40)
+        .chain(edges)
+        .chain((0..stream.len()).step_by(4099))
+        .collect();
+    for &cut in &cuts {
+        let streamed = read_all(Split::framed(&stream, &[cut])).expect("the whole stream");
+        assert!(
+            streamed == messages,
+            "split at byte {cut} streams otherwise"
+        );
+    }
+    let streamed = read_all(Split::framed(&stream, &cuts)).expect("the whole stream");
+    assert!(
+        streamed == messages,
+        "split at every cut at once streams otherwise"
+    );
+
+    // A flip in the length field moves the trailer: it reads as a cut
+    // stream or an oversized frame, typed, and is left to other tests.
+    let one = &bytes[0];
+    let payload = HEADER_LEN..one.len() - TRAILER_LEN;
+    let flips = (0..16)
+        .chain(payload.clone().take(64))
+        .chain(payload.step_by(997))
+        .chain(one.len() - TRAILER_LEN..one.len());
+    for pos in flips {
+        for bit in [0x01, 0x80] {
+            let mut bad = one.clone();
+            bad[pos] ^= bit;
+            match read_all(Split::framed(&bad, &cuts)) {
+                Err(TransportError::FrameCorrupt { .. }) => {}
+                other => panic!("byte {pos} ^ {bit:#x} read as {other:?}"),
+            }
+        }
+    }
+
+    // Geometry of 2^20 x 2^20: sized from the header, the plane alone
+    // would be 8 TiB, an allocation that aborts the process.
+    let huge = (1u32 << 20).to_le_bytes();
+    let mut request = encode_request(1, &request(5)).expect("request encodes");
+    request.payload[9..13].copy_from_slice(&huge);
+    request.payload[13..17].copy_from_slice(&huge);
+    let mut response = frames[1].clone();
+    response.payload[32..36].copy_from_slice(&huge);
+    response.payload[36..40].copy_from_slice(&huge);
+    for lying in [request, response] {
+        let bytes = encode_frame(&lying).expect("frames");
+        match read_all(Split::framed(&bytes, &[])) {
+            Err(TransportError::FrameCorrupt { detail }) => {
+                assert!(detail.contains("shorter than its fields"), "{detail}")
+            }
+            other => panic!("{:?} geometry read as {other:?}", lying.kind),
+        }
+        assert!(decode_message(&lying).is_err(), "{:?}", lying.kind);
+    }
+}
+
+/// A client that sends a request and stops reading cannot hold drain
+/// over the shim: the server's 2 MiB response fills the 64 KiB pipe,
+/// makes no progress for `WRITE_TIMEOUT`, and fails as a reset, which
+/// `shutdown` counts as it returns.
+#[test]
+fn a_reader_that_stops_is_reset_at_the_write_timeout() {
+    let listener = MemListener::new(1 << 16, tick());
+    let server = RemoteServer::start(
+        service_config(),
+        remote_config(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    let conn = listener.connect().expect("listener is up");
+    let mut raw = conn.try_clone().expect("the shim clones");
+    let mut io = FrameIo::new(
+        Box::new(conn),
+        3,
+        WireDir::ClientToServer,
+        WireFaultPlan::none(),
+        WireClock::new(),
+    );
+    let hello = Hello {
+        protocol: PROTOCOL_VERSION as u32,
+        max_payload: DEFAULT_MAX_PAYLOAD,
+        window: 1,
+    };
+    io.send(3, &Payload::Hello(hello)).expect("handshake");
+    match io.recv(Some(Instant::now() + PATIENCE)) {
+        Ok(RecvFrame::Frame((_, Message::HelloAck(_)))) => {}
+        other => panic!("expected a HelloAck, got {other:?}"),
+    }
+    let big = DecomposeRequest::new(image(512, 1), FilterBank::cdf53(), 3);
+    io.send(1, &Payload::Request(&big))
+        .expect("the server reads it");
+    // The response's header says the server is writing it; nothing
+    // after it is read.
+    let (mut header, mut filled) = ([0; HEADER_LEN], 0);
+    let deadline = Instant::now() + PATIENCE;
+    while filled < HEADER_LEN {
+        match raw.recv(&mut header[filled..], Some(deadline)) {
+            Ok(Recv::Data(n)) => filled += n,
+            other => panic!("expected the response header, got {other:?}"),
+        }
+    }
+    let len = u32::from_le_bytes(header[16..].try_into().expect("4 bytes")) as usize;
+    assert_eq!(header[5], FrameKind::Response as u8);
+    assert!(len > 2 << 20, "a {len} B response fills the pipe");
+    let t0 = Instant::now();
+    let metrics = server.shutdown().expect("clean drain");
+    assert!(
+        t0.elapsed() < WRITE_TIMEOUT + PATIENCE,
+        "{:?}",
+        t0.elapsed()
+    );
+    assert_eq!(metrics.transport.conn_reset, 1);
+    assert_eq!(metrics.service.completed(), 1);
 }
 
 // ---------------------------------------------------------------------

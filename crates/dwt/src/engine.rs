@@ -466,8 +466,10 @@ impl DwtPlan {
         Ok(())
     }
 
-    /// Check that `pyr` has the shapes [`DwtPlan::make_pyramid`] creates.
-    fn check_pyramid(&self, pyr: &Pyramid) -> Result<()> {
+    /// Check that `pyr` has the shapes [`DwtPlan::make_pyramid`] creates:
+    /// the check [`DwtPlan::decompose_into`] runs on its output, for a
+    /// caller deciding whether storage it holds can be decomposed into.
+    pub fn check_pyramid(&self, pyr: &Pyramid) -> Result<()> {
         let ok =
             pyr.levels() == self.levels
                 && pyr.approx.rows() == self.rows >> self.levels

@@ -53,7 +53,13 @@
 //! for: a client has at most one id outstanding — the window every
 //! HelloAck announces — so resolved ids more than one behind a client's
 //! newest are pruned: 2 results per client, with the argument at
-//! `WINDOW`.
+//! `WINDOW`. A pruned success that nothing else holds — no replay still
+//! sending it — leaves the book's lock whole, as the connection's one
+//! *spare*: its next submission carries it to the shard, which
+//! decomposes into it instead of allocating when the plan's pyramid
+//! check accepts its geometry. So a connection whose requests share a
+//! geometry reuses three pyramids' storage, and the spare is freed with
+//! the connection.
 //!
 //! ## Progressive delivery
 //!
@@ -100,6 +106,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use dwt::Pyramid;
 use dwt_mimd::CheckpointCodec;
 
 use crate::faults::{WireDir, WireFaultPlan};
@@ -268,18 +275,29 @@ impl ClientBook {
     }
 
     /// Record the terminal outcome of the claim on `id`, and prune the
-    /// resolved tail behind the horizon ([`WINDOW`]).
-    fn resolve(&mut self, id: u64, result: Arc<ServeResult>) {
+    /// resolved tail behind the horizon ([`WINDOW`]). Hands back the
+    /// pyramid of a pruned success that nothing else holds — a replay
+    /// that still holds its result keeps it whole — for the caller to
+    /// free or reuse outside the lock. One client's consecutive ids
+    /// prune one result per call; should a call prune more, the others
+    /// are freed here.
+    fn resolve(&mut self, id: u64, result: Arc<ServeResult>) -> Option<Pyramid> {
         if let Some((_, slot)) = self.entries.get_mut(&id) {
             *slot = Slot::Done(result);
         }
         let horizon = self.max_id.saturating_sub(WINDOW.into());
-        while let Some((&first, (_, slot))) = self.entries.first_key_value() {
-            if first >= horizon || !matches!(slot, Slot::Done(_)) {
+        let mut released = None;
+        while let Some(first) = self.entries.first_entry() {
+            if *first.key() >= horizon || !matches!(first.get().1, Slot::Done(_)) {
                 break;
             }
-            self.entries.remove(&first);
+            if let (_, Slot::Done(result)) = first.remove() {
+                if let Ok(Ok(resp)) = Arc::try_unwrap(result) {
+                    released = Some(resp.pyramid);
+                }
+            }
         }
+        released
     }
 
     /// Remove an `InFlight` claim that was never submitted (refused at
@@ -312,10 +330,12 @@ impl Dedup {
     }
 
     /// End a claim with `f` — [`ClientBook::resolve`] or
-    /// [`ClientBook::forget`] — and wake whoever waits on it.
-    fn settle(&self, client: u64, f: impl FnOnce(&mut ClientBook)) {
-        self.book(client, f);
+    /// [`ClientBook::forget`] — and wake whoever waits on it. What `f`
+    /// returns leaves the lock by move.
+    fn settle<T>(&self, client: u64, f: impl FnOnce(&mut ClientBook) -> T) -> T {
+        let out = self.book(client, f);
         self.settled.notify_all();
+        out
     }
 
     /// Block until the request with trailer `held` no longer holds
@@ -488,6 +508,10 @@ struct Conn<'a> {
     /// The request stream has ended cleanly: every response still owed
     /// is sent, in full, and then the connection FINs.
     ended: bool,
+    /// The pyramid the book last released for this client, which the
+    /// next submission offers the shard to decompose into: at most one
+    /// per connection, freed with it.
+    spare: Option<Pyramid>,
     local: TransportMetrics,
 }
 
@@ -508,6 +532,7 @@ fn conn_main(shared: &ServerShared, transport: Box<dyn Transport>) {
         io,
         client: 0,
         ended: false,
+        spare: None,
         local: TransportMetrics::default(),
     };
     let clean = match conn.run() {
@@ -627,16 +652,17 @@ impl Conn<'_> {
                 Claim::Wait(_) => return Err(Fault::Quit),
                 Claim::Fresh { reused } => {
                     self.local.reused_ids += reused as u64;
+                    let spare = self.spare.take();
                     let submitted = shared
                         .service
                         .lock()
                         .as_ref()
-                        .map(|svc| svc.submit(req))
+                        .map(|svc| svc.submit_into(req, spare))
                         .unwrap_or(Err(Rejection::Draining));
                     break match submitted {
                         Ok(handle) => {
                             let result = Arc::new(handle.wait());
-                            shared
+                            self.spare = shared
                                 .dedup
                                 .settle(client, |b| b.resolve(id, Arc::clone(&result)));
                             result
@@ -980,6 +1006,7 @@ impl RemoteClient {
         let (result, drop_conn) = recv_response(
             io,
             id,
+            (req.image.rows(), req.image.cols(), req.levels),
             self.response_timeout,
             self.tolerance,
             self.byte_budget,
@@ -1060,13 +1087,31 @@ fn next_frame(
     }
 }
 
+/// A response describes its request: a pyramid whose `(rows, cols,
+/// levels)` are not the request's is corruption, refused before
+/// anything is sized from it.
+fn describes(
+    asked: (usize, usize, usize),
+    got: (usize, usize, usize),
+) -> Result<(), TransportError> {
+    if got == asked {
+        return Ok(());
+    }
+    let ((r, c, l), (gr, gc, gl)) = (asked, got);
+    Err(TransportError::FrameCorrupt {
+        detail: format!("a {r}x{c} L{l} request answered with a {gr}x{gc} L{gl} pyramid"),
+    })
+}
+
 /// Wait for the response to `id` — a terminal outcome, or a progressive
 /// sequence reassembled incrementally, one credited plane at a time
 /// (cut short by Cancel once `tolerance` is met or `byte_budget`
-/// response bytes have landed). Returns `(result, drop_connection)`.
+/// response bytes have landed) — to a request of geometry `asked`,
+/// `(rows, cols, levels)`. Returns `(result, drop_connection)`.
 fn recv_response(
     io: &mut FrameIo,
     id: u64,
+    asked: (usize, usize, usize),
     timeout: Duration,
     tolerance: Option<f64>,
     byte_budget: Option<usize>,
@@ -1095,8 +1140,15 @@ fn recv_response(
         }
         got_bytes += HEADER_LEN + head.len + TRAILER_LEN;
         let r = match body {
-            ResponseBody::Outcome(result) => return Ok((result, false)),
+            ResponseBody::Outcome(result) => {
+                if let Ok(resp) = &result {
+                    let (rows, cols) = resp.pyramid.image_dims();
+                    describes(asked, (rows, cols, resp.pyramid.levels()))?;
+                }
+                return Ok((result, false));
+            }
             ResponseBody::Header(h) => {
+                describes(asked, (h.rows, h.cols, h.levels))?;
                 let r = Reassembler::new(h)?;
                 tally.headers += 1;
                 assembly.insert(r)
@@ -1148,11 +1200,10 @@ impl Drop for RemoteClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwt::Pyramid;
     use std::sync::mpsc;
 
-    fn outcome() -> Arc<ServeResult> {
-        Arc::new(Ok(DecomposeResponse {
+    fn outcome_ok() -> DecomposeResponse {
+        DecomposeResponse {
             pyramid: Pyramid::zeros(8, 8, 1).expect("dyadic geometry"),
             cache_hit: false,
             batch_size: 1,
@@ -1160,7 +1211,11 @@ mod tests {
             service_s: 0.0,
             degraded: false,
             error_bound: 0.0,
-        }))
+        }
+    }
+
+    fn outcome() -> Arc<ServeResult> {
+        Arc::new(Ok(outcome_ok()))
     }
 
     /// Run `wait` on its own thread and hand back its answer. The nap
@@ -1276,6 +1331,75 @@ mod tests {
         // book was its last owner besides this test.
         assert_eq!(Arc::strong_count(&results[0]), 1);
         assert_eq!(Arc::strong_count(results.last().expect("resolved")), 2);
+    }
+
+    /// A pruned success the book alone holds leaves it whole — the same
+    /// storage, not a copy — and one a replay still holds is never
+    /// released: the replay's coefficients stay as recorded while later
+    /// ids resolve. A rejection has no pyramid to give.
+    #[test]
+    fn the_book_releases_only_what_nothing_else_holds() {
+        let success = |v: f64| {
+            let mut pyr = Pyramid::zeros(8, 8, 1).expect("dyadic geometry");
+            pyr.for_each_coeff_mut(|c| *c = v);
+            let storage = pyr.approx.data().as_ptr() as usize;
+            (
+                Arc::new(Ok(DecomposeResponse {
+                    pyramid: pyr,
+                    ..outcome_ok()
+                })),
+                storage,
+            )
+        };
+        let mut book = ClientBook::default();
+        let (r0, storage0) = success(0.5);
+        let (r1, _) = success(1.5);
+        for (id, result) in [(0, r0), (1, r1)] {
+            assert!(matches!(book.claim(id, X), Claim::Fresh { .. }));
+            assert!(book.resolve(id, result).is_none(), "id {id} prunes nothing");
+        }
+        // Id 2 prunes id 0, which nothing else holds.
+        assert!(matches!(book.claim(2, X), Claim::Fresh { .. }));
+        let (r2, _) = success(2.5);
+        let released = book.resolve(2, r2).expect("id 0 is released");
+        assert_eq!(
+            released.approx.data().as_ptr() as usize,
+            storage0,
+            "moved, not copied"
+        );
+        // A replay of id 1 holds it while id 3 prunes it.
+        let Claim::Replay(replay) = book.claim(1, X) else {
+            panic!("id 1 is within the window");
+        };
+        assert!(matches!(book.claim(3, X), Claim::Fresh { .. }));
+        assert!(
+            book.resolve(3, success(3.5).0).is_none(),
+            "held by the replay"
+        );
+        let Ok(held) = &*replay else {
+            panic!("id 1 succeeded");
+        };
+        let mut coeffs = Vec::new();
+        held.pyramid.for_each_coeff(|c| coeffs.push(c));
+        assert!(
+            coeffs.iter().all(|&c| c == 1.5),
+            "the replay is as recorded"
+        );
+        assert_eq!(Arc::strong_count(&replay), 1, "and its last owner");
+        // A rejection pruned from the book releases nothing.
+        assert!(matches!(book.claim(4, X), Claim::Fresh { .. }));
+        let rejected = Arc::new(Err(Rejection::Draining));
+        assert!(book.resolve(4, rejected).is_some(), "id 2 is released");
+        assert!(matches!(book.claim(5, X), Claim::Fresh { .. }));
+        assert!(
+            book.resolve(5, success(5.5).0).is_some(),
+            "id 3 is released"
+        );
+        assert!(matches!(book.claim(6, X), Claim::Fresh { .. }));
+        assert!(
+            book.resolve(6, success(6.5).0).is_none(),
+            "id 4 was a rejection"
+        );
     }
 
     /// One point of [`every_book_history_keeps_the_rules`]' walk: the

@@ -55,6 +55,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dwt::Pyramid;
 use parking_lot::{Condvar, Mutex};
 
 use crate::admission::AdmissionQueue;
@@ -206,6 +207,10 @@ impl std::error::Error for ServiceError {}
 pub struct ResponseCell {
     slot: Mutex<Option<ServeResult>>,
     ready: Condvar,
+    /// Storage the submitter offers the shard to decompose into
+    /// ([`shard::execute`]); taken at execution, and freed with the cell
+    /// if the request never executes.
+    spare: Mutex<Option<Pyramid>>,
 }
 
 impl ResponseCell {
@@ -426,6 +431,18 @@ impl WaveletService {
     /// whose home shard has failed over route to its live successor on
     /// the shard ring.
     pub fn submit(&self, req: DecomposeRequest) -> Result<ResponseHandle, Rejection> {
+        self.submit_into(req, None)
+    }
+
+    /// [`WaveletService::submit`], offering `spare` as the storage the
+    /// shard decomposes into: used if the plan's pyramid check accepts
+    /// its geometry, dropped otherwise. The remote layer passes the
+    /// pyramid its resolution book last released.
+    pub(crate) fn submit_into(
+        &self,
+        req: DecomposeRequest,
+        spare: Option<Pyramid>,
+    ) -> Result<ResponseHandle, Rejection> {
         let mut live = &*self.live;
         let shape = req.shape();
         let alive = policy::alive(&live);
@@ -442,7 +459,10 @@ impl WaveletService {
             // Every shard is down.
             return Err(policy::shard_failed(&mut live, home));
         };
-        let cell = Arc::new(ResponseCell::default());
+        let cell = Arc::new(ResponseCell {
+            spare: Mutex::new(spare),
+            ..ResponseCell::default()
+        });
         let id = {
             let mut next = self.next_id.lock();
             let id = *next;
@@ -614,7 +634,7 @@ fn worker_loop(live: &Live, shard_ix: usize) {
                 panic!("injected poison request {id}");
             }
             let mut cache = me.cache.lock();
-            shard::execute(&mut cache, batch_ref)
+            shard::execute(&mut cache, batch_ref, |e| e.tag.spare.lock().take())
         }));
         let exec_s = t0.elapsed().as_secs_f64();
         let stall = cfg.faults.stall_factor(shard_ix, k);

@@ -16,6 +16,7 @@ use dwt_mimd::encode_plane;
 
 use crate::batch::Batch;
 use crate::cache::PlanCache;
+use crate::request::Entry;
 
 /// FNV-1a, used instead of the std `DefaultHasher` so shard routing is
 /// stable by specification rather than by implementation accident.
@@ -79,8 +80,15 @@ pub struct Executed {
     pub plan_s: f64,
 }
 
-/// Execute every request of `batch` with one cached plan.
-pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, String> {
+/// Execute every request of `batch` with one cached plan. `spare` may
+/// offer an entry storage to decompose into: a pyramid the plan's own
+/// [`dwt::engine::DwtPlan::check_pyramid`] accepts is overwritten in
+/// full, and anything else is dropped for a freshly allocated one.
+pub fn execute<T>(
+    cache: &mut PlanCache,
+    batch: &Batch<T>,
+    mut spare: impl FnMut(&Entry<T>) -> Option<Pyramid>,
+) -> Result<Executed, String> {
     let bank = &batch.entries[0].req.bank;
     let t0 = Instant::now();
     let cache_hit = cache.ensure(&batch.shape, bank)?;
@@ -92,7 +100,10 @@ pub fn execute<T>(cache: &mut PlanCache, batch: &Batch<T>) -> Result<Executed, S
     let cached = cache.entry_mut(&batch.shape);
     let mut pyramids = Vec::with_capacity(batch.len());
     for entry in &batch.entries {
-        let mut pyr = cached.plan.make_pyramid();
+        let mut pyr = match spare(entry) {
+            Some(pyr) if cached.plan.check_pyramid(&pyr).is_ok() => pyr,
+            _ => cached.plan.make_pyramid(),
+        };
         cached
             .plan
             .decompose_into(&entry.req.image, &mut cached.workspace, &mut pyr)
@@ -129,7 +140,7 @@ pub fn degrade_pyramid(pyr: &mut Pyramid, policy: &crate::faults::DegradedPolicy
 mod tests {
     use super::*;
     use crate::faults::DegradedPolicy;
-    use crate::request::{DecomposeRequest, Entry};
+    use crate::request::DecomposeRequest;
     use dwt::{dwt2d, Boundary, FilterBank, Matrix};
 
     #[test]
@@ -168,11 +179,84 @@ mod tests {
             entries: vec![entry],
         };
         let mut cache = PlanCache::new(2, 1);
-        let first = execute(&mut cache, &batch).unwrap();
+        let first = execute(&mut cache, &batch, |_| None).unwrap();
         assert!(!first.cache_hit && first.plan_s > 0.0);
-        let second = execute(&mut cache, &batch).unwrap();
+        let second = execute(&mut cache, &batch, |_| None).unwrap();
         assert!(second.cache_hit && second.plan_s == 0.0);
         assert_eq!(first.pyramids, second.pyramids);
+    }
+
+    /// Every coefficient's bit pattern, in the pyramid's own order.
+    fn bits(pyr: &Pyramid) -> Vec<u64> {
+        let mut out = Vec::new();
+        pyr.for_each_coeff(|c| out.push(c.to_bits()));
+        out
+    }
+
+    /// A spare is overwritten in full: one filled with NaN payloads and
+    /// `-0.0` yields the bits of a fresh pyramid, for every bank and
+    /// boundary the service accepts, exact and degraded, and one whose
+    /// geometry the plan refuses is dropped for a fresh one.
+    #[test]
+    fn a_spare_decomposes_to_the_bits_of_a_fresh_pyramid() {
+        let banks = [
+            FilterBank::haar(),
+            FilterBank::daubechies(4).unwrap(),
+            FilterBank::daubechies(8).unwrap(),
+            FilterBank::cdf53(),
+            FilterBank::cdf97(),
+        ];
+        let policy = DegradedPolicy {
+            threshold: 1.5,
+            step: 0.5,
+            queue_high_water: 0.5,
+        };
+        let poison = |rows, cols, levels| {
+            let mut pyr = Pyramid::zeros(rows, cols, levels).unwrap();
+            let mut k = 0u64;
+            pyr.for_each_coeff_mut(|c| {
+                *c = [f64::from_bits(0x7ff8_dead_beef_0000 | k), -0.0][k as usize % 2];
+                k += 1;
+            });
+            pyr
+        };
+        let mut accepted = 0;
+        for bank in &banks {
+            for mode in Boundary::ALL {
+                let image = |salt| {
+                    Matrix::from_fn(32, 32, |r, c| ((r * 13 + c * 7 + salt) % 23) as f64 - 11.0)
+                };
+                let entry = |id, salt| Entry {
+                    id,
+                    arrival: 0.0,
+                    req: DecomposeRequest::new(image(salt), bank.clone(), 3).with_mode(mode),
+                    attempts: 0,
+                    tag: (),
+                };
+                let batch = Batch {
+                    shape: entry(0, 0).req.shape(),
+                    entries: vec![entry(0, 0), entry(1, 5), entry(2, 9)],
+                };
+                let mut cache = PlanCache::new(2, 1);
+                // The lifting banks run on periodic boundaries only.
+                let Ok(fresh) = execute(&mut cache, &batch, |_| None) else {
+                    continue;
+                };
+                accepted += 1;
+                // A fitting spare, one of the wrong depth, and none.
+                let mut spares = [poison(32, 32, 3), poison(32, 32, 2)].into_iter();
+                let reused = execute(&mut cache, &batch, |_| spares.next()).unwrap();
+                for (k, (a, b)) in fresh.pyramids.iter().zip(&reused.pyramids).enumerate() {
+                    let at = format!("{} {mode:?} entry {k}", bank.name());
+                    assert_eq!(bits(a), bits(b), "{at}: exact");
+                    let (mut a, mut b) = (a.clone(), b.clone());
+                    degrade_pyramid(&mut a, &policy);
+                    degrade_pyramid(&mut b, &policy);
+                    assert_eq!(bits(&a), bits(&b), "{at}: degraded");
+                }
+            }
+        }
+        assert_eq!(accepted, 3 * 3 + 2, "every pairing the service accepts");
     }
 
     #[test]

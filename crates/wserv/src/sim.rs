@@ -390,7 +390,7 @@ impl<'a> SimService<'a> {
             policy::quarantine(&mut self.store, s, batch, t);
             return t + cost.dispatch_s;
         }
-        let done = match shard::execute(&mut self.store.shards[s].cache, &batch) {
+        let done = match shard::execute(&mut self.store.shards[s].cache, &batch, |_| None) {
             Ok(done) => done,
             Err(detail) => {
                 // Unreachable for validated requests; keep the contract

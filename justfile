@@ -27,8 +27,11 @@ kernel-pin:
 # plane's copy into and out of `FrameIo`'s chunk at each chunk edge. The
 # wire and progressive unit tests, the bitwise round trips and the
 # pinned golden bytes of `wire_properties`, the allocation budgets of
-# `wire_allocations`, and `wserv_remote`'s `frame_io` tests: the live
-# encoders' bytes, and the streamed decode at every split.
+# `wire_allocations` — per side of one frame, and process-wide for a
+# warm 512² remote call, which allocates the decoded image and pyramid
+# and no shard pyramid (the shard decomposes into the connection's
+# spare) — and `wserv_remote`'s `frame_io` tests: the live encoders'
+# bytes, and the streamed decode at every split.
 wire-pin:
     cargo test -q --release -p wserv --lib -- wire:: progressive::
     cargo test -q --release --test wire_properties --test wire_allocations
@@ -147,12 +150,15 @@ supervise-soak:
 # dial, a frame, a credit, a close — so a lost wake hangs instead of
 # failing an assertion. The drain, handshake, response-timeout,
 # parked-sequence, in-order pipelining, framing, v3-refusal,
-# reused-client-id and in-flight-resubmit tests of wserv_remote, over
-# the shim and TCP — reads land a header, then a payload a chunk at a
-# time, in as many pieces as the transport delivers, and a request that finds
-# its id in flight, the same request resubmitted or a different one
-# under a reused id, waits on the book for that claim and claims again
-# — run 25 times, one test at a time, each round under `timeout` so a
+# reused-client-id, in-flight-resubmit and spare tests of wserv_remote,
+# over the shim and TCP — reads land a header, then a payload a chunk at
+# a time, in as many pieces as the transport delivers; a request that
+# finds its id in flight, the same request resubmitted or a different
+# one under a reused id, waits on the book for that claim and claims
+# again; and the pyramid the book releases travels with the
+# connection's next request to the shard, across geometry changes,
+# degraded responses, a replay holding its result and worker deaths —
+# run 25 times, one test at a time, each round under `timeout` so a
 # hang is a non-zero exit within a minute.
 remote-soak:
     #!/usr/bin/env bash
@@ -160,7 +166,7 @@ remote-soak:
     cargo test -q --release --test wserv_remote --no-run
     for round in $(seq 25); do
         timeout 60 cargo test -q --release --test wserv_remote -- \
-            drain hello times_out parked pipelining frame_io v3_ reused_client_id resubmit \
+            drain hello times_out parked pipelining frame_io v3_ reused_client_id resubmit spare \
             --test-threads=1 2>/dev/null
     done
     echo "remote-soak OK: 25 rounds"

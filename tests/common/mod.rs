@@ -7,6 +7,8 @@
 //!   size — so server, worker and lane threads count with the caller's;
 //! * [`allocations`]: how many allocations (`alloc`, `alloc_zeroed`,
 //!   `realloc`) the process has made, across all threads;
+//! * [`requested`]: bytes the process has requested (`alloc`,
+//!   `alloc_zeroed`, and a `realloc`'s new size), across all threads;
 //! * [`requested_here`]: bytes this thread has requested (`alloc`,
 //!   `alloc_zeroed`, and a `realloc`'s new size), so two threads of one
 //!   exchange are measured apart.
@@ -25,6 +27,7 @@ struct Counting;
 
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static REQUESTED_ALL: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
@@ -35,6 +38,7 @@ thread_local! {
 fn count(size: usize, live: isize) {
     LIVE.fetch_add(live, Ordering::Relaxed);
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    REQUESTED_ALL.fetch_add(size, Ordering::Relaxed);
     let _ = REQUESTED.try_with(|n| n.set(n.get() + size));
 }
 
@@ -78,6 +82,11 @@ pub fn live_bytes() -> isize {
 /// Allocations the whole process has made.
 pub fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes the whole process has requested.
+pub fn requested() -> usize {
+    REQUESTED_ALL.load(Ordering::Relaxed)
 }
 
 /// Bytes this thread has requested.

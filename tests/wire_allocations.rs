@@ -8,19 +8,49 @@
 //! where they lie, and the receiver reads it into one buffer sized from
 //! its header, which becomes the payload.
 //!
+//! A warm 512² call through a `RemoteServer` allocates, process-wide,
+//! the server's decoded image and the client's decoded pyramid: the
+//! shard decomposes into the pyramid its connection's resolution book
+//! last released, not a fresh one. And a response that does not
+//! describe its request fails the call before the client sizes anything
+//! from it.
+//!
 //! The shared counting allocator (`tests/common`) keeps a per-thread
-//! total of bytes requested (`alloc`, `alloc_zeroed`, and a `realloc`'s new size), so
-//! the sender's and the receiver's threads are measured apart, and
-//! nothing else in this binary runs while they are.
+//! total of bytes requested (`alloc`, `alloc_zeroed`, and a `realloc`'s
+//! new size), so the sender's and the receiver's threads are measured
+//! apart, and a process-wide one for a whole remote call; the tests of
+//! this binary run one at a time, so nothing else runs while either is
+//! read.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use dwt::{FilterBank, Matrix};
-use wserv::transport::{FrameIo, RecvFrame, WireClock, CHUNK};
-use wserv::wire::{encode_request, encode_response, Frame, Message, Payload};
-use wserv::{mem_pair, DecomposeRequest, DecomposeResponse, ServeResult, WireDir, WireFaultPlan};
+use wserv::transport::{FrameIo, Listener, RecvFrame, WireClock, CHUNK};
+use wserv::wire::{
+    encode_progressive_header, encode_request, encode_response, Frame, Hello, Message, Payload,
+    PROTOCOL_VERSION,
+};
+use wserv::{
+    mem_pair, DecomposeRequest, DecomposeResponse, MemListener, ProgressiveHeader, RemoteClient,
+    RemoteConfig, RemoteServer, RetryPolicy, ServeResult, ServiceConfig, TransportError, WireDir,
+    WireFaultPlan,
+};
 
 mod common;
+
+/// Held by every test: the process-wide counter sees all threads.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn image(n: usize, salt: usize) -> Matrix {
+    Matrix::from_fn(n, n, |r, c| {
+        ((r * 31 + c * 17 + salt * 7) % 61) as f64 - 30.5
+    })
+}
 
 /// Bytes this thread allocates while running `f`, and its answer.
 fn allocated<T>(f: impl FnOnce() -> T) -> (usize, T) {
@@ -66,8 +96,8 @@ fn exchange(encode: impl FnOnce() -> Frame + Send + 'static) -> (usize, usize, u
 
 #[test]
 fn a_512_square_call_allocates_one_payload_per_side() {
-    let image = Matrix::from_fn(512, 512, |r, c| ((r * 31 + c * 17) % 61) as f64 - 30.5);
-    let req = DecomposeRequest::new(image, FilterBank::cdf53(), 3);
+    let _serial = serial();
+    let req = DecomposeRequest::new(image(512, 0), FilterBank::cdf53(), 3);
     let pyramid = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
         .expect("dyadic geometry");
     let resp = Ok(DecomposeResponse {
@@ -127,8 +157,8 @@ fn stream<T: Send + 'static>(value: T, payload: fn(&T) -> Payload<'_>) -> (usize
 
 #[test]
 fn a_512_square_call_streams_through_one_chunk_per_side() {
-    let image = Matrix::from_fn(512, 512, |r, c| ((r * 31 + c * 17) % 61) as f64 - 30.5);
-    let req = DecomposeRequest::new(image, FilterBank::cdf53(), 3);
+    let _serial = serial();
+    let req = DecomposeRequest::new(image(512, 0), FilterBank::cdf53(), 3);
     let pyramid = dwt::dwt2d::decompose(&req.image, &req.bank, req.levels, req.mode)
         .expect("dyadic geometry");
     let resp: ServeResult = Ok(DecomposeResponse {
@@ -165,5 +195,129 @@ fn a_512_square_call_streams_through_one_chunk_per_side() {
             receiving <= SLACK,
             "{what}: the receiver allocated {received} B, {receiving:.2}× the planes and a chunk"
         );
+    }
+}
+
+/// A warm 512² call through a `RemoteServer` over the in-memory
+/// transport allocates, across every thread of the process, no more
+/// than the server's decoded image and the client's decoded pyramid:
+/// the shard allocates no pyramid, because it decomposes into the one
+/// the connection's book released two calls before.
+#[test]
+fn a_warm_remote_call_allocates_no_shard_pyramid() {
+    let _serial = serial();
+    let listener = MemListener::new(RING, Duration::ZERO);
+    let server = RemoteServer::start(
+        ServiceConfig::default(),
+        RemoteConfig::default(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    let mut client = RemoteClient::new(Box::new(listener), 1);
+    let reqs: Vec<_> = (0..2)
+        .map(|salt| DecomposeRequest::new(image(512, salt), FilterBank::cdf53(), 3))
+        .collect();
+    let mut call = |req| {
+        let resp = client.call(req).expect("clean pipe").expect("serves Ok");
+        resp.pyramid.coefficient_count()
+    };
+    // Warm: the plan cached, the connection's book full, a spare held.
+    for req in reqs.iter().cycle().take(4) {
+        call(req);
+    }
+    const CALLS: usize = 4;
+    let before = common::requested();
+    let coeffs: usize = reqs.iter().cycle().take(CALLS).map(&mut call).sum();
+    let per_call = (common::requested() - before) / CALLS;
+    drop(client);
+    server.shutdown().expect("clean drain");
+    let image = 512 * 512 * 8;
+    let decoded = image + coeffs / CALLS * 8;
+    let ratio = per_call as f64 / decoded as f64;
+    assert!(
+        ratio <= SLACK,
+        "a warm call allocated {per_call} B, {ratio:.2}× the decoded image and pyramid"
+    );
+}
+
+/// A response must describe its request. A peer that answers a 128²
+/// request with a valid progressive header declaring 2²⁰ × 2²⁰ at 20
+/// levels over a 1 × 1 LL plane — 8 TiB of pyramid, were it sized from
+/// the header — or with a monolithic pyramid of another geometry fails
+/// the call typed, and the client allocates about its connection's
+/// chunk and no more.
+#[test]
+fn a_response_that_does_not_describe_its_request_fails_typed() {
+    let _serial = serial();
+    let req = DecomposeRequest::new(image(128, 1), FilterBank::cdf53(), 3);
+    let header = ProgressiveHeader {
+        cache_hit: false,
+        degraded: false,
+        batch_size: 1,
+        wait_s: 0.0,
+        service_s: 0.0,
+        base_error_bound: 0.0,
+        rows: 1 << 20,
+        cols: 1 << 20,
+        levels: 20,
+        planes_total: 60,
+        codec_tolerance: 0.0,
+        bound_after: 0.0,
+        approx: Matrix::zeros(1, 1),
+    };
+    let other = DecomposeRequest::new(image(64, 2), FilterBank::cdf53(), 3);
+    let pyramid = dwt::dwt2d::decompose(&other.image, &other.bank, other.levels, other.mode)
+        .expect("dyadic geometry");
+    let elsewhere: ServeResult = Ok(DecomposeResponse {
+        pyramid,
+        cache_hit: false,
+        batch_size: 1,
+        wait_s: 0.0,
+        service_s: 0.0,
+        degraded: false,
+        error_bound: 0.0,
+    });
+    let answers: [Box<dyn Fn(u64) -> Frame + Send>; 2] = [
+        Box::new(move |id| encode_progressive_header(id, &header).expect("encodes")),
+        Box::new(move |id| encode_response(id, &elsewhere).expect("encodes")),
+    ];
+    for (k, answer) in answers.into_iter().enumerate() {
+        let listener = MemListener::new(RING, Duration::ZERO);
+        let accept = listener.clone();
+        let peer = std::thread::spawn(move || {
+            let conn = accept.accept().expect("the client dials");
+            let (dir, faults) = (WireDir::ServerToClient, WireFaultPlan::none());
+            let mut io = FrameIo::new(conn, 0, dir, faults, WireClock::new());
+            let Ok(RecvFrame::Frame((head, Message::Hello(_)))) = io.recv(None) else {
+                panic!("a Hello comes first");
+            };
+            let ack = Hello {
+                protocol: PROTOCOL_VERSION as u32,
+                max_payload: wserv::wire::DEFAULT_MAX_PAYLOAD,
+                window: 1,
+            };
+            io.send(head.id, &Payload::HelloAck(ack))
+                .expect("client is up");
+            let Ok(RecvFrame::Frame((head, Message::Request(_)))) = io.recv(None) else {
+                panic!("a Request follows");
+            };
+            io.send_frame(&answer(head.id)).expect("client is up");
+        });
+        let mut client = RemoteClient::new(Box::new(listener), 3).with_retry(RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        });
+        let (bytes, got) = allocated(|| client.call(&req));
+        assert!(
+            matches!(got, Err(TransportError::FrameCorrupt { .. })),
+            "answer {k}: {got:?}"
+        );
+        let bound = SLACK * (req.image.data().len() * 8 + CHUNK) as f64;
+        assert!(
+            bytes as f64 <= bound,
+            "answer {k}: the client allocated {bytes} B against a {bound:.0} B bound"
+        );
+        drop(client);
+        peer.join().expect("the peer never panics");
     }
 }

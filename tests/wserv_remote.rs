@@ -25,7 +25,12 @@
 //!   planes the client credits, and a connection waiting on a credit
 //!   always moves on — on the client's clean exit or drain, flushing
 //!   what it owes, or by cutting off a client that sent past its window
-//!   instead of crediting.
+//!   instead of crediting;
+//! * a connection's spare — the pyramid its resolution book released,
+//!   which the next request decomposes into — never shows: every
+//!   response keeps the oracle's bits across geometry changes, banks,
+//!   boundaries, degraded responses and worker deaths, and a result a
+//!   replay still holds is never taken for one.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,15 +45,16 @@ use wserv::transport::{
     Connector, FrameIo, Listener, Recv, RecvFrame, Transport, WireClock, CHUNK, WRITE_TIMEOUT,
 };
 use wserv::wire::{
-    decode_credit, decode_hello, decode_message, decode_request, decode_response,
+    decode_credit, decode_frame, decode_hello, decode_message, decode_request, decode_response,
     decode_response_body, encode_credit, encode_frame, encode_hello, encode_progressive_header,
     encode_progressive_plane, encode_request, encode_response, Frame, FrameKind, Head, Hello,
     Message, Payload, PlaneCoeffs, ResponseBody, DEFAULT_MAX_PAYLOAD, HEADER_LEN, PROTOCOL_VERSION,
     TRAILER_LEN,
 };
 use wserv::{
-    DecomposeRequest, MemListener, RemoteClient, ServiceConfig, ShardFaultPlan, SupervisorPolicy,
-    TcpAcceptor, TcpConnector, TransportError, WireDir, WireFaultPlan,
+    DecomposeRequest, DegradedPolicy, MemListener, Priority, RemoteClient, ServiceConfig,
+    ShardFaultPlan, SupervisorPolicy, TcpAcceptor, TcpConnector, TransportError, WireDir,
+    WireFaultPlan,
 };
 
 mod split;
@@ -683,6 +689,232 @@ fn a_reused_client_id_waits_out_the_request_in_flight() {
     assert_eq!(metrics.service.completed(), 2, "X and Y each ran once");
     let t = &metrics.transport;
     assert_eq!((t.dedup_replays, t.reused_ids), (0, 1));
+}
+
+// ---------------------------------------------------------------------
+// The spare: a connection decomposes into the pyramid its book released
+// ---------------------------------------------------------------------
+
+/// Every coefficient's bit pattern, in the pyramid's own order.
+fn bits(pyr: &dwt::Pyramid) -> Vec<u64> {
+    let mut out = Vec::new();
+    pyr.for_each_coeff(|c| out.push(c.to_bits()));
+    out
+}
+
+/// One connection's geometry changes under it: the spare the book
+/// releases fits some requests and not others, a fitting one may come
+/// from another bank, and every response keeps the oracle's bits —
+/// monolithic and progressive, over the shim and TCP.
+#[test]
+fn spare_storage_follows_geometry_changes_bit_identically() {
+    let (haar, cdf53) = (FilterBank::haar(), FilterBank::cdf53());
+    // (size, levels, bank): runs of one geometry, and alternations of
+    // two — one differing in depth only, one in size.
+    let plan = [
+        (32, 2, &haar),
+        (32, 3, &haar),
+        (32, 2, &cdf53),
+        (32, 3, &cdf53),
+        (32, 2, &haar),
+        (32, 2, &cdf53),
+        (32, 2, &haar),
+        (64, 2, &haar),
+        (64, 2, &cdf53),
+        (32, 2, &haar),
+        (64, 2, &haar),
+        (64, 2, &haar),
+    ];
+    for transport in TRANSPORTS {
+        for progressive in [None, Some(CheckpointCodec::Raw)] {
+            let (listener, dial) = endpoints(transport);
+            let config = RemoteConfig {
+                progressive,
+                ..remote_config()
+            };
+            let server = RemoteServer::start(service_config(), config, listener).expect("valid");
+            let mut client = RemoteClient::new(dial(), 5);
+            for (k, &(n, levels, bank)) in plan.iter().enumerate() {
+                let req = DecomposeRequest::new(image(n, k as u64), bank.clone(), levels);
+                let resp = client.call(&req).expect("clean wire").expect("serves Ok");
+                assert_eq!(
+                    bits(&resp.pyramid),
+                    bits(&oracle(&req)),
+                    "{transport} {progressive:?}: call {k}"
+                );
+            }
+            client.goodbye();
+            let metrics = server.shutdown().expect("clean drain");
+            assert_eq!(metrics.service.completed(), plan.len() as u64);
+        }
+    }
+}
+
+/// Every bank and boundary the service accepts, exact and degraded, on
+/// one connection whose requests all share a geometry — so from the
+/// third call on each decomposes into the storage of the response two
+/// before it, degraded or not: the bits are the oracle's (quantized by
+/// the service's own policy where degraded), over the shim and TCP.
+#[test]
+fn spare_storage_keeps_every_bank_and_boundary_bit_identical() {
+    let policy = DegradedPolicy {
+        threshold: 1.5,
+        step: 0.5,
+        // Every dispatch is past the high-water mark: sub-interactive
+        // work is always degraded.
+        queue_high_water: 0.0,
+    };
+    let banks = [
+        FilterBank::haar(),
+        FilterBank::daubechies(4).expect("D4 exists"),
+        FilterBank::cdf53(),
+        FilterBank::cdf97(),
+    ];
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let service = service_config().with_degraded(policy);
+        let server = RemoteServer::start(service, remote_config(), listener).expect("valid");
+        let mut client = RemoteClient::new(dial(), 6);
+        let mut calls = 0;
+        for bank in &banks {
+            for mode in Boundary::ALL {
+                // The lifting banks run on periodic boundaries only.
+                if bank.lifting_kind().is_some() && mode != Boundary::Periodic {
+                    continue;
+                }
+                for priority in [Priority::Standard, Priority::Interactive] {
+                    let req = DecomposeRequest::new(image(32, calls), bank.clone(), 2)
+                        .with_mode(mode)
+                        .with_priority(priority);
+                    let resp = client.call(&req).expect("clean wire").expect("serves Ok");
+                    let degraded = priority < Priority::Interactive;
+                    let mut want = oracle(&req);
+                    if degraded {
+                        wserv::shard::degrade_pyramid(&mut want, &policy);
+                    }
+                    let at = format!("{transport}: {} {mode:?} {priority:?}", bank.name());
+                    assert_eq!(resp.degraded, degraded, "{at}");
+                    assert_eq!(bits(&resp.pyramid), bits(&want), "{at}");
+                    calls += 1;
+                }
+            }
+        }
+        client.goodbye();
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), calls);
+        assert_eq!(calls, 2 * (2 * 3 + 2), "every pairing the service accepts");
+    }
+}
+
+/// A result a replay still holds is never released for reuse. Client 7
+/// is answered id 0; a second connection as client 7 asks id 0 again
+/// and reads one byte of the answer, so the connection replaying it is
+/// parked mid-send with the result in hand while client 7 goes on to
+/// ids 1..=5, whose book prunes id 0. The replayed bytes, read last,
+/// are still id 0's.
+#[test]
+fn spare_storage_is_never_taken_from_a_replay() {
+    let listener = MemListener::new(1 << 16, tick());
+    let server = RemoteServer::start(
+        service_config(),
+        remote_config(),
+        Box::new(listener.clone()),
+    )
+    .expect("config is valid");
+    // 512 KiB pyramids: far more than the 64 KiB pipe holds.
+    let reqs: Vec<_> = (0..6)
+        .map(|k| DecomposeRequest::new(image(256, k), FilterBank::cdf53(), 2))
+        .collect();
+    let mut a = RemoteClient::new(Box::new(listener.clone()), 7);
+    let first = a.call(&reqs[0]).expect("clean wire").expect("serves Ok");
+    assert_eq!(bits(&first.pyramid), bits(&oracle(&reqs[0])));
+
+    let conn = listener.connect().expect("listener open");
+    let mut peek = conn.try_clone().expect("a shim connection clones");
+    let mut b = raw_client(Box::new(conn), 7, 1);
+    b.send_frame(&encode_request(0, &reqs[0]).expect("request encodes"))
+        .expect("request fits the pipe");
+    // The first byte of B's answer: its connection has claimed the
+    // replay and is sending it, 512 KiB into a 64 KiB pipe.
+    let deadline = Instant::now() + PATIENCE;
+    let mut bytes = vec![0; 1];
+    let first = peek.recv(&mut bytes, Some(deadline));
+    assert_eq!(first, Ok(Recv::Data(1)), "B's answer starts");
+    for (k, req) in reqs.iter().enumerate().skip(1) {
+        let resp = a.call(req).expect("clean wire").expect("serves Ok");
+        assert_eq!(bits(&resp.pyramid), bits(&oracle(req)), "A's call {k}");
+    }
+    let replayed = loop {
+        let decoded = decode_frame(&bytes, DEFAULT_MAX_PAYLOAD).expect("a clean frame");
+        if let Some((frame, _)) = decoded {
+            break frame;
+        }
+        let mut chunk = vec![0; CHUNK];
+        match peek.recv(&mut chunk, Some(deadline)) {
+            Ok(Recv::Data(n)) => bytes.extend_from_slice(&chunk[..n]),
+            other => panic!("B's answer stopped at {} B: {other:?}", bytes.len()),
+        }
+    };
+    assert_eq!(replayed.id, 0);
+    let replayed = decode_response(&replayed)
+        .expect("a clean frame")
+        .expect("a recorded success");
+    assert_eq!(
+        bits(&replayed.pyramid),
+        bits(&oracle(&reqs[0])),
+        "B's replay"
+    );
+    b.abort();
+    a.goodbye();
+
+    let metrics = server.shutdown().expect("clean drain");
+    assert_eq!(metrics.service.completed(), 6, "each id executed once");
+    assert_eq!(metrics.transport.dedup_replays, 1, "B was a replay");
+}
+
+/// Worker deaths under a `RemoteServer`: a batch stranded by a killed
+/// worker is re-queued with the spares its requests carry, and every
+/// call still resolves with the oracle's bits, over the shim and TCP.
+#[test]
+fn spare_storage_survives_worker_deaths() {
+    let kills = ShardFaultPlan::seeded(49)
+        .with_worker_panic(0, 2)
+        .with_worker_panic(0, 5)
+        .with_worker_panic(0, 9);
+    let (clients, calls) = (2u64, 8u64);
+    for transport in TRANSPORTS {
+        let (listener, dial) = endpoints(transport);
+        let service = service_config().with_shards(1).with_faults(kills.clone());
+        let server = RemoteServer::start(service, remote_config(), listener).expect("valid");
+        let callers: Vec<_> = (0..clients)
+            .map(|c| {
+                let mut client = RemoteClient::new(dial(), c);
+                std::thread::spawn(move || {
+                    for k in 0..calls {
+                        let req =
+                            DecomposeRequest::new(image(64, c * 100 + k), FilterBank::cdf53(), 3);
+                        let resp = client.call(&req).expect("clean wire").expect("serves Ok");
+                        assert_eq!(
+                            bits(&resp.pyramid),
+                            bits(&oracle(&req)),
+                            "client {c} call {k}"
+                        );
+                    }
+                    client.goodbye();
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("every call resolves bit-identically");
+        }
+        let metrics = server.shutdown().expect("clean drain");
+        assert_eq!(metrics.service.completed(), clients * calls, "{transport}");
+        assert_eq!(
+            metrics.service.restarts(),
+            3,
+            "{transport}: every kill fired"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

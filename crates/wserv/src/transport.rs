@@ -10,24 +10,26 @@
 //!
 //! [`FrameIo`] layers the wire protocol ([`crate::wire`]) on top of
 //! either. It owns one [`CHUNK`]-byte buffer for the life of the
-//! connection, and streams every frame through it in both directions:
-//! [`FrameIo::send`] writes the header, lets the encoder fill the chunk,
-//! folds each full chunk into the checksum and sends it, then the
-//! trailer; [`FrameIo::recv`] reads the header, then the payload a chunk
-//! at a time into the typed decoder, and hands back the decoded value
-//! once the trailer verifies. So a 2 MiB call stages no 2 MiB byte
-//! buffer on either side, and a frame that fits the chunk costs one
-//! send, and a header read and a payload read, as before.
-//! [`FrameIo::send_frame`] and [`FrameIo::recv_frame`] move a [`Frame`]
-//! held whole, on the same header, checksum and decoder code.
+//! connection, and streams every frame through it in both directions,
+//! with one writer and one reader: a send writes the header, lets the
+//! encoder fill the chunk, folds each full chunk into the checksum and
+//! sends it, then the trailer; a receive reads the header, then the
+//! payload a chunk at a time into the typed decoder, and hands back the
+//! decoded value once the trailer verifies. So a 2 MiB call stages no
+//! 2 MiB byte buffer on either side, and a frame that fits the chunk
+//! costs one send, and a header read and a payload read.
+//! [`FrameIo::send`] and [`FrameIo::recv`] carry a payload's values;
+//! [`FrameIo::send_frame`] and [`FrameIo::recv_frame`] a [`Frame`], its
+//! payload read into one buffer of exactly its length.
 //!
-//! `FrameIo` injects seeded [`WireFaultPlan`] faults on the send side at
-//! `(connection id, direction, cumulative frame index)`; a shared
-//! [`WireClock`] keeps the counts across reconnects, so a one-shot
-//! fault stays one-shot across the retry it provokes. Every failure is
-//! a typed [`TransportError`], classified the same on both transports.
-//! A send that makes no progress for [`WRITE_TIMEOUT`] fails as a reset
-//! on both.
+//! `FrameIo` injects seeded [`WireFaultPlan`] faults on the stream it
+//! sends, at `(connection id, direction, cumulative frame index)`: a bit
+//! flip after the checksum has taken its byte, a reset after half the
+//! frame. A shared [`WireClock`] keeps the counts across reconnects, so
+//! a one-shot fault stays one-shot across the retry it provokes. Every
+//! failure is a typed [`TransportError`], classified the same on both
+//! transports. A send that makes no progress for [`WRITE_TIMEOUT`] fails
+//! as a reset on both.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -42,7 +44,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::faults::{WireDir, WireFault, WireFaultPlan};
 use crate::metrics::TransportMetrics;
-use crate::wire::{corrupt, decode_message, f64s, header, message, parse_header, seal, trailer};
+use crate::wire::{corrupt, f64s, header, message, parse_header};
 use crate::wire::{Checksum, Frame, Head, Message, Payload, Reader, Sink, Source, WireError};
 use crate::wire::{DEFAULT_MAX_PAYLOAD, HEADER_LEN, TRAILER_LEN};
 
@@ -320,12 +322,35 @@ struct Pipe {
     writable: Condvar,
 }
 
+impl Pipe {
+    /// Change the pipe's state with `close`, waking every wait on it.
+    fn close(&self, close: impl FnOnce(&mut PipeState)) {
+        close(&mut self.state.lock());
+        self.readable.notify_all();
+        self.writable.notify_all();
+    }
+}
+
 /// One end of an in-memory duplex byte pipe. Each direction is a
 /// bounded ring of `capacity` bytes, so a slow reader backpressures the
-/// writer exactly like a full TCP send buffer would.
+/// writer exactly like a full TCP send buffer would. Dropping the last
+/// handle onto an end closes it as closing a socket does: the peer reads
+/// what was sent, then EOF, and its sends fail as a reset.
 pub struct MemTransport {
+    end: Arc<End>,
+}
+
+/// The two directions of one end, shared by its handles.
+struct End {
     tx: Arc<Pipe>,
     rx: Arc<Pipe>,
+}
+
+impl Drop for End {
+    fn drop(&mut self) {
+        self.tx.close(|st| st.write_closed = true);
+        self.rx.close(|st| st.broken = true);
+    }
 }
 
 /// Build a connected duplex pair: what one end sends the other
@@ -340,30 +365,28 @@ pub fn mem_pair(capacity: usize, _tick: Duration) -> (MemTransport, MemTransport
         })
     };
     let (a, b) = (pipe(), pipe());
-    (
-        MemTransport {
-            tx: Arc::clone(&a),
-            rx: Arc::clone(&b),
-        },
-        MemTransport { tx: b, rx: a },
-    )
+    let end = |tx, rx| MemTransport {
+        end: Arc::new(End { tx, rx }),
+    };
+    (end(Arc::clone(&a), Arc::clone(&b)), end(b, a))
 }
 
 impl Transport for MemTransport {
     fn send(&mut self, parts: &[&[u8]]) -> Result<(), TransportError> {
-        let mut st = self.tx.state.lock();
+        let tx = &self.end.tx;
+        let mut st = tx.state.lock();
         for mut part in parts.iter().copied() {
             while !part.is_empty() {
                 if st.broken || st.write_closed {
                     return Err(TransportError::ConnReset);
                 }
-                let room = self.tx.capacity.saturating_sub(st.buf.len());
+                let room = tx.capacity.saturating_sub(st.buf.len());
                 if room == 0 {
                     // Backpressured: park until the reader drains bytes
                     // or the pipe breaks, both of which notify
                     // `writable` — or give up on a reader that takes
                     // nothing for WRITE_TIMEOUT, as TCP does.
-                    if self.tx.writable.wait_for(&mut st, WRITE_TIMEOUT) {
+                    if tx.writable.wait_for(&mut st, WRITE_TIMEOUT) {
                         return Err(TransportError::ConnReset);
                     }
                     continue;
@@ -371,20 +394,21 @@ impl Transport for MemTransport {
                 let n = room.min(part.len());
                 st.buf.extend(&part[..n]);
                 part = &part[n..];
-                self.tx.readable.notify_all();
+                tx.readable.notify_all();
             }
         }
         Ok(())
     }
 
     fn recv(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> Result<Recv, TransportError> {
-        let mut st = self.rx.state.lock();
+        let rx = &self.end.rx;
+        let mut st = rx.state.lock();
         // Park until bytes, a close or a break: each notifies `readable`.
         while st.buf.is_empty() && !st.broken && !st.write_closed && !st.read_closed {
             match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-                None => self.rx.readable.wait(&mut st),
+                None => rx.readable.wait(&mut st),
                 Some(left) if left.is_zero() => break,
-                Some(left) => _ = self.rx.readable.wait_for(&mut st, left),
+                Some(left) => _ = rx.readable.wait_for(&mut st, left),
             }
         }
         // Bytes already in the pipe are delivered before the state that
@@ -399,36 +423,27 @@ impl Transport for MemTransport {
             };
         }
         let n = st.buf.read(buf).expect("reading memory cannot fail");
-        self.rx.writable.notify_all();
+        rx.writable.notify_all();
         Ok(Recv::Data(n))
     }
 
     fn shutdown_write(&mut self) {
-        let mut st = self.tx.state.lock();
-        st.write_closed = true;
-        self.tx.readable.notify_all();
-        self.tx.writable.notify_all();
+        self.end.tx.close(|st| st.write_closed = true);
     }
 
     fn close_read(&mut self) {
-        let mut st = self.rx.state.lock();
-        st.read_closed = true;
-        self.rx.readable.notify_all();
+        self.end.rx.close(|st| st.read_closed = true);
     }
 
     fn abort(&mut self) {
-        for pipe in [&self.tx, &self.rx] {
-            let mut st = pipe.state.lock();
-            st.broken = true;
-            pipe.readable.notify_all();
-            pipe.writable.notify_all();
+        for pipe in [&self.end.tx, &self.end.rx] {
+            pipe.close(|st| st.broken = true);
         }
     }
 
     fn try_clone(&self) -> Option<Box<dyn Transport>> {
         Some(Box::new(MemTransport {
-            tx: Arc::clone(&self.tx),
-            rx: Arc::clone(&self.rx),
+            end: Arc::clone(&self.end),
         }))
     }
 }
@@ -621,31 +636,29 @@ pub enum RecvFrame<F = Frame> {
     /// Clean EOF between frames (peer finished sending, or this side
     /// closed its reading side).
     Eof,
-    /// The deadline passed with the frame still incomplete.
+    /// The deadline passed with the frame still incomplete: before its
+    /// header was in, which the next call completes, or inside its
+    /// payload, which aborted the connection.
     Idle,
 }
 
 /// A framed connection: the wire protocol over any [`Transport`], with
 /// seeded wire faults injected on the send path.
 ///
-/// The connection owns one [`CHUNK`]-byte buffer, and every frame
-/// [`FrameIo::send`] writes or [`FrameIo::recv`] reads streams through
-/// it: no frame is ever held whole in bytes. [`FrameIo::send_frame`] and
-/// [`FrameIo::recv_frame`] move a [`Frame`] held whole in memory — the
-/// byte-level reference the tests compare against.
+/// The connection owns one [`CHUNK`]-byte buffer, and every frame streams
+/// through it: [`FrameIo::send`] and [`FrameIo::send_frame`] share one
+/// writer, [`FrameIo::recv`], [`FrameIo::recv_frame`] and
+/// [`FrameIo::recv_frame_until`] one reader. No frame's bytes are ever
+/// assembled whole: a [`Frame`] sent or received holds its payload alone.
 pub struct FrameIo {
     io: Box<dyn Transport>,
     conn: u64,
     dir: WireDir,
-    /// The chunk every streamed frame passes through, both ways.
+    /// The chunk every frame passes through, both ways.
     chunk: Box<[u8]>,
     /// The next frame's header, until it is in.
     head: [u8; HEADER_LEN],
-    /// The frame [`FrameIo::recv_frame`] is reading once its header is
-    /// in, and a buffer sized from the header for its payload and
-    /// trailer.
-    inbound: Option<(Head, Vec<u8>)>,
-    /// Bytes arrived of whichever of the two is being read.
+    /// Bytes of it arrived.
     filled: usize,
     /// The verified trailer of the last frame received.
     pub(crate) check: u64,
@@ -677,7 +690,6 @@ impl FrameIo {
             dir,
             chunk: vec![0; CHUNK].into_boxed_slice(),
             head: [0; HEADER_LEN],
-            inbound: None,
             filled: 0,
             check: 0,
             max_payload: DEFAULT_MAX_PAYLOAD,
@@ -709,50 +721,36 @@ impl FrameIo {
     /// fails typed before a byte is sent.
     pub fn send(&mut self, id: u64, payload: &Payload<'_>) -> Result<(), TransportError> {
         let head = payload.head(id)?;
-        let fault = self.admit(head.len)?;
-        if let Some(WireFault::BitFlip { .. } | WireFault::Reset) = fault {
-            return self.send_whole(&payload.frame(id)?, fault);
-        }
-        let t0 = Instant::now();
-        let mut out = Outflow {
-            io: &mut *self.io,
-            chunk: &mut self.chunk,
-            filled: 0,
-            sum: Checksum::default(),
-            sent: 0,
-            waited: Duration::ZERO,
-            failed: None,
-        };
-        out.put(&header(&head)?);
         // The count above ran this very encoder, so it cannot fail now.
-        payload.write(&mut out)?;
-        let sent = out.finish();
-        self.stats.bytes_out += out.sent as u64;
-        self.stats.ser_s += t0.elapsed().saturating_sub(out.waited).as_secs_f64();
-        sent?;
-        self.stats.frames_out += 1;
-        Ok(())
+        self.stream(head, |out| payload.write(out))
     }
 
-    /// Encode and send one frame held whole, as one send of its header,
-    /// payload and trailer where they lie, injecting whatever the fault
-    /// plan schedules at this `(conn, dir, frame index)`; an injected
-    /// reset is [`TransportError::ConnReset`] on this side too, so a
-    /// caller fails over at once. A payload over the window is
+    /// Send `frame` through the chunk as [`FrameIo::send`] sends a
+    /// payload, injecting whatever the fault plan schedules at this
+    /// `(conn, dir, frame index)`; an injected reset is
+    /// [`TransportError::ConnReset`] on this side too, so a caller fails
+    /// over at once. A payload over the window is
     /// [`TransportError::FrameTooLarge`] before a byte is sent or a fault
     /// index used, and the connection stays usable.
     pub fn send_frame(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        let fault = self.admit(frame.payload.len())?;
-        self.send_whole(frame, fault)
+        self.stream(frame.head(), |out| {
+            out.put(&frame.payload);
+            Ok(())
+        })
     }
 
-    /// Admit a frame of `len` payload bytes to the wire: the window
-    /// check, then the next frame index and the fault the plan schedules
-    /// there, a stall already slept.
-    fn admit(&mut self, len: usize) -> Result<Option<WireFault>, TransportError> {
-        if len as u64 > self.max_payload as u64 {
+    /// The one writer: the window check, then the next frame index and
+    /// the fault the plan schedules there, a stall slept; then the frame
+    /// `head` opens streams out — its header, what `write` puts, then the
+    /// trailer — under that fault.
+    fn stream(
+        &mut self,
+        head: Head,
+        write: impl FnOnce(&mut Outflow<'_>) -> Result<(), WireError>,
+    ) -> Result<(), TransportError> {
+        if head.len as u64 > self.max_payload as u64 {
             return Err(TransportError::FrameTooLarge {
-                len: len as u64,
+                len: head.len as u64,
                 max: self.max_payload as u64,
             });
         }
@@ -761,42 +759,29 @@ impl FrameIo {
         if let Some(WireFault::Stall { seconds }) = fault {
             std::thread::sleep(Duration::from_secs_f64(seconds));
         }
-        Ok(fault)
-    }
-
-    /// Send `frame`, admitted with `fault`.
-    fn send_whole(
-        &mut self,
-        frame: &Frame,
-        fault: Option<WireFault>,
-    ) -> Result<(), TransportError> {
+        let header = header(&head)?;
+        let len = HEADER_LEN + head.len + TRAILER_LEN;
         let t0 = Instant::now();
-        let header = header(&frame.head())?;
-        let trailer = trailer(&header, &frame.payload);
-        self.stats.ser_s += t0.elapsed().as_secs_f64();
-        let parts = [&header[..], &frame.payload, &trailer];
-        let len = HEADER_LEN + frame.payload.len() + TRAILER_LEN;
-        match fault {
-            // A faulted frame is assembled whole: the fault works on
-            // its bytes, and it is rare.
-            Some(WireFault::BitFlip { entropy }) => {
-                let mut bytes = parts.concat();
-                let bit = (entropy % (len as u64 * 8)) as usize;
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                self.io.send(&[&bytes])?;
-            }
-            Some(WireFault::Reset) => {
-                // Half the frame, then an abortive close: the peer's read
-                // ends inside the frame.
-                let half = &parts.concat()[..len / 2];
-                let _ = self.io.send(&[half]);
-                self.stats.bytes_out += half.len() as u64;
-                self.io.abort();
-                return Err(TransportError::ConnReset);
-            }
-            None | Some(WireFault::Stall { .. }) => self.io.send(&parts)?,
-        }
-        self.stats.bytes_out += len as u64;
+        let mut out = Outflow {
+            io: &mut *self.io,
+            chunk: &mut self.chunk,
+            filled: 0,
+            sum: Checksum::default(),
+            sent: 0,
+            flip: match fault {
+                Some(WireFault::BitFlip { entropy }) => Some((entropy % (8 * len as u64)) as usize),
+                _ => None,
+            },
+            cut: (fault == Some(WireFault::Reset)).then_some(len / 2),
+            waited: Duration::ZERO,
+            failed: None,
+        };
+        out.put(&header);
+        write(&mut out)?;
+        let sent = out.finish();
+        self.stats.bytes_out += out.sent as u64;
+        self.stats.ser_s += t0.elapsed().saturating_sub(out.waited).as_secs_f64();
+        sent?;
         self.stats.frames_out += 1;
         Ok(())
     }
@@ -807,21 +792,42 @@ impl FrameIo {
     /// into the value it returns. That value reaches the caller only once
     /// the trailer verifies. Blocks until the frame is in, the stream
     /// ends, or `deadline` (if any) passes. A frame cut short is
-    /// [`TransportError::ConnReset`]; a deadline that passes inside a
-    /// payload, where a decode cannot be resumed, aborts the connection
-    /// and reads [`RecvFrame::Idle`].
+    /// [`TransportError::ConnReset`]. A deadline that passes before the
+    /// header is in reads [`RecvFrame::Idle`] and keeps what arrived for
+    /// the next call; one that passes inside a payload, where a decode
+    /// cannot be resumed, aborts the connection and reads
+    /// [`RecvFrame::Idle`].
     pub fn recv(
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<RecvFrame<(Head, Message)>, TransportError> {
-        if self.inbound.is_some() {
-            // A whole frame is half read: finish it whole.
-            return Ok(match self.recv_frame_by(deadline)? {
-                RecvFrame::Frame(f) => RecvFrame::Frame((f.head(), decode_message(&f)?)),
-                RecvFrame::Eof => RecvFrame::Eof,
-                RecvFrame::Idle => RecvFrame::Idle,
-            });
-        }
+        self.read(deadline, |r, head| Ok((head, message(r, head.kind)?)))
+    }
+
+    /// Receive one frame whole, its payload read through the chunk into
+    /// one buffer of exactly its length, blocking until it is complete or
+    /// the stream ends; never [`RecvFrame::Idle`]. A frame cut short is
+    /// [`TransportError::ConnReset`], on either transport.
+    pub fn recv_frame(&mut self) -> Result<RecvFrame, TransportError> {
+        self.read(None, |r, head| r.frame(head))
+    }
+
+    /// [`FrameIo::recv_frame`], giving up with [`RecvFrame::Idle`] once
+    /// `deadline` passes, under [`FrameIo::recv`]'s rule: a header cut
+    /// off is kept for the next call, a payload cut off aborts the
+    /// connection.
+    pub fn recv_frame_until(&mut self, deadline: Instant) -> Result<RecvFrame, TransportError> {
+        self.read(Some(deadline), |r, head| r.frame(head))
+    }
+
+    /// The one reader: the next header, then its payload through the
+    /// chunk into `decode`, whose value is delivered once the trailer
+    /// verifies.
+    fn read<T>(
+        &mut self,
+        deadline: Option<Instant>,
+        decode: impl FnOnce(&mut Reader<Inflow<'_>>, Head) -> Result<T, WireError>,
+    ) -> Result<RecvFrame<T>, TransportError> {
         let head = match self.next_head(deadline)? {
             RecvFrame::Frame(head) => head,
             RecvFrame::Eof => return Ok(RecvFrame::Eof),
@@ -843,9 +849,9 @@ impl FrameIo {
             waited: Duration::ZERO,
             stopped: None,
         });
-        let decoded = message(&mut r, head.kind);
+        let decoded = decode(&mut r, head);
         let mut flow = r.into_source();
-        let sealed = decoded.and_then(|msg| Ok((msg, flow.seal()?)));
+        let sealed = decoded.and_then(|value| Ok((value, flow.seal()?)));
         self.stats.bytes_in += flow.got as u64;
         self.stats.ser_s += t0.elapsed().saturating_sub(flow.waited).as_secs_f64();
         match (flow.stopped.take(), sealed) {
@@ -858,61 +864,12 @@ impl FrameIo {
             (Some(Ok(_)), _) => Err(TransportError::ConnReset),
             (Some(Err(e)), _) => Err(e),
             (None, Err(e)) => Err(e.into()),
-            (None, Ok((msg, check))) => {
+            (None, Ok((value, check))) => {
                 self.check = check;
                 self.stats.frames_in += 1;
-                Ok(RecvFrame::Frame((head, msg)))
+                Ok(RecvFrame::Frame(value))
             }
         }
-    }
-
-    /// Receive one frame whole, blocking until it is complete or the
-    /// stream ends; never [`RecvFrame::Idle`]. A frame cut short is
-    /// [`TransportError::ConnReset`], on either transport.
-    pub fn recv_frame(&mut self) -> Result<RecvFrame, TransportError> {
-        self.recv_frame_by(None)
-    }
-
-    /// [`FrameIo::recv_frame`], giving up with [`RecvFrame::Idle`] once
-    /// `deadline` passes. Bytes of an incomplete frame stay buffered for
-    /// the next call.
-    pub fn recv_frame_until(&mut self, deadline: Instant) -> Result<RecvFrame, TransportError> {
-        self.recv_frame_by(Some(deadline))
-    }
-
-    /// Each read takes at most what the frame still lacks: its header,
-    /// then payload and trailer, straight into one buffer sized from that
-    /// header, which becomes the payload.
-    fn recv_frame_by(&mut self, deadline: Option<Instant>) -> Result<RecvFrame, TransportError> {
-        let (head, mut body) = match self.inbound.take() {
-            Some(partial) => partial,
-            None => match self.next_head(deadline)? {
-                RecvFrame::Frame(head) => (head, vec![0; head.len + TRAILER_LEN]),
-                RecvFrame::Eof => return Ok(RecvFrame::Eof),
-                RecvFrame::Idle => return Ok(RecvFrame::Idle),
-            },
-        };
-        while self.filled < body.len() {
-            match self.io.recv(&mut body[self.filled..], deadline)? {
-                Recv::Data(n) => {
-                    self.filled += n;
-                    self.stats.bytes_in += n as u64;
-                }
-                Recv::Eof => return Err(TransportError::ConnReset),
-                Recv::Idle => {
-                    self.inbound = Some((head, body));
-                    return Ok(RecvFrame::Idle);
-                }
-            }
-        }
-        self.filled = 0;
-        let t0 = Instant::now();
-        let sealed = seal(head, body);
-        self.stats.ser_s += t0.elapsed().as_secs_f64();
-        let (frame, check) = sealed?;
-        self.check = check;
-        self.stats.frames_in += 1;
-        Ok(RecvFrame::Frame(frame))
     }
 
     /// Read until the next frame's header is in, keeping a partial one
@@ -949,14 +906,19 @@ impl FrameIo {
 }
 
 /// A frame going out through its connection's chunk: the encoder fills
-/// it, and each full chunk is folded into the checksum and sent.
+/// it, and each full chunk is folded into the checksum, then sent with
+/// the admitted fault applied.
 struct Outflow<'a> {
     io: &'a mut dyn Transport,
     chunk: &'a mut [u8],
     filled: usize,
     sum: Checksum,
-    /// Bytes the transport took.
+    /// Bytes the transport took: the frame offset of the chunk's start.
     sent: usize,
+    /// An injected bit flip: the bit of the frame it flips.
+    flip: Option<usize>,
+    /// An injected reset: the bytes of the frame sent before the abort.
+    cut: Option<usize>,
     /// Time spent in the transport's sends.
     waited: Duration,
     /// The send that failed; nothing is sent after it.
@@ -964,30 +926,52 @@ struct Outflow<'a> {
 }
 
 impl Outflow<'_> {
-    /// Send the chunk's bytes, then `rest`, in one send.
-    fn send(&mut self, rest: &[u8]) {
-        if self.failed.is_none() {
-            let t0 = Instant::now();
-            match self.io.send(&[&self.chunk[..self.filled], rest]) {
-                Ok(()) => self.sent += self.filled + rest.len(),
-                Err(e) => self.failed = Some(e),
-            }
-            self.waited += t0.elapsed();
+    /// Send the chunk's bytes, then `rest`, in one send: the flipped bit
+    /// flipped if it is among them, and only up to a reset's cut, after
+    /// which the connection is aborted.
+    fn send(&mut self, rest: &mut [u8]) {
+        let (at, filled) = (self.sent, std::mem::take(&mut self.filled));
+        if self.failed.is_some() {
+            return;
         }
-        self.filled = 0;
+        let end = at + filled + rest.len();
+        if let Some(bit) = self.flip.filter(|bit| (at..end).contains(&(bit / 8))) {
+            let i = bit / 8 - at;
+            let byte = if i < filled {
+                &mut self.chunk[i]
+            } else {
+                &mut rest[i - filled]
+            };
+            *byte ^= 1 << (bit % 8);
+        }
+        // A reset's frame ends at its cut, and the connection with it.
+        let n = self.cut.map_or(end, |cut| cut.min(end)) - at;
+        let t0 = Instant::now();
+        let sent = self.io.send(&[
+            &self.chunk[..filled.min(n)],
+            &rest[..n.saturating_sub(filled)],
+        ]);
+        self.waited += t0.elapsed();
+        match sent {
+            Ok(()) => self.sent += n,
+            Err(e) => self.failed = Some(e),
+        }
+        if self.cut == Some(at + n) {
+            self.io.abort();
+            self.failed = Some(TransportError::ConnReset);
+        }
     }
 
     /// Fold the full chunk into the checksum and send it.
     fn flush(&mut self) {
         self.sum.update(&self.chunk[..self.filled]);
-        self.send(&[]);
+        self.send(&mut []);
     }
 
     /// Send what the chunk holds with the trailer after it.
     fn finish(&mut self) -> Result<(), TransportError> {
         self.sum.update(&self.chunk[..self.filled]);
-        let trailer = self.sum.finish().to_le_bytes();
-        self.send(&trailer);
+        self.send(&mut self.sum.finish().to_le_bytes());
         self.failed.take().map_or(Ok(()), Err)
     }
 }
@@ -1384,6 +1368,41 @@ mod tests {
     }
 
     #[test]
+    fn dropping_the_last_handle_ends_the_connection() {
+        for (name, pair) in [("mem", mem_boxed as fn() -> _), ("tcp", tcp_pair)] {
+            let (mut near, mut far) = pair();
+            // A second handle dropped while the first lives closes nothing.
+            drop(near.try_clone().expect("both transports clone"));
+            near.send(&[b"ab"]).expect("the first handle still sends");
+            let mut sender = far.try_clone().expect("both transports clone");
+            let sending = parked(move || {
+                // More than either transport buffers: the send blocks
+                // until the drop refuses it.
+                let block = vec![0u8; 1 << 20];
+                (0..64).find_map(|_| sender.send(&[&block]).err())
+            });
+            let reader = parked(move || {
+                let mut buf = [0u8; 8];
+                let first = far.recv(&mut buf, None);
+                (first, far.recv(&mut buf, None))
+            });
+            drop(near);
+            let refused = sending
+                .recv_timeout(WOKEN)
+                .expect("the drop wakes the sender");
+            assert_eq!(refused, Some(TransportError::ConnReset), "{name}");
+            let (first, second) = reader
+                .recv_timeout(WOKEN)
+                .expect("the drop wakes the reader");
+            assert_eq!(first, Ok(Recv::Data(2)), "{name}: what was sent first");
+            assert!(
+                matches!(second, Ok(Recv::Eof) | Err(TransportError::ConnReset)),
+                "{name}: then the end, not a block: {second:?}"
+            );
+        }
+    }
+
+    #[test]
     fn a_deadline_read_keeps_the_partial_frame() {
         for (name, pair) in [("mem", mem_boxed as fn() -> _), ("tcp", tcp_pair)] {
             let (mut near, far) = pair();
@@ -1395,20 +1414,27 @@ mod tests {
                 WireClock::new(),
             );
             let bytes = encode_frame(&frame(4, 64)).unwrap();
+            let idle_at_the_deadline = |rx: &mut FrameIo| {
+                let deadline = Instant::now() + Duration::from_millis(30);
+                assert_eq!(rx.recv_frame_until(deadline), Ok(RecvFrame::Idle), "{name}");
+                assert!(
+                    Instant::now() >= deadline,
+                    "{name}: Idle only at the deadline"
+                );
+            };
+            // A header cut off is completed on the next call.
             near.send(&[&bytes[..10]]).unwrap();
-            let t0 = Instant::now();
-            let deadline = t0 + Duration::from_millis(30);
-            assert_eq!(rx.recv_frame_until(deadline), Ok(RecvFrame::Idle), "{name}");
-            assert!(
-                Instant::now() >= deadline,
-                "{name}: Idle only at the deadline"
-            );
+            idle_at_the_deadline(&mut rx);
             near.send(&[&bytes[10..]]).unwrap();
             assert_eq!(
                 rx.recv_frame(),
                 Ok(RecvFrame::Frame(frame(4, 64))),
                 "{name}"
             );
+            // A payload cut off cannot be resumed: the connection ends.
+            near.send(&[&bytes[..HEADER_LEN + 30]]).unwrap();
+            idle_at_the_deadline(&mut rx);
+            assert_eq!(rx.recv_frame(), Err(TransportError::ConnReset), "{name}");
         }
     }
 

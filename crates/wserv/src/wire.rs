@@ -386,15 +386,6 @@ fn defined(flags: u8) -> Result<u8, WireError> {
     }
 }
 
-/// The trailer after `header` and `payload`: the checksum of the two as
-/// one string, read where they lie.
-pub(crate) fn trailer(header: &[u8; HEADER_LEN], payload: &[u8]) -> [u8; TRAILER_LEN] {
-    let mut sum = Checksum::default();
-    sum.update(header);
-    sum.update(payload);
-    sum.finish().to_le_bytes()
-}
-
 /// Parse the header at the front of `buf`; `Ok(None)` while `buf` is a
 /// valid prefix of a header. Bad magic fails as soon as the bytes
 /// disagree, and a payload over the `max` receive window fails as
@@ -434,26 +425,15 @@ pub(crate) fn parse_header(buf: &[u8], max: u32) -> Result<Option<Head>, WireErr
     }))
 }
 
-/// Check the frame `head` opens, whose `body` holds everything after
-/// the header — payload, then trailer — and return it with the trailer
-/// cut off. The payload keeps that buffer; the trailer is the second
-/// value.
-pub(crate) fn seal(head: Head, mut body: Vec<u8>) -> Result<(Frame, u64), WireError> {
-    let declared: [u8; TRAILER_LEN] = body[head.len..].try_into().expect("8 bytes");
-    body.truncate(head.len);
-    if trailer(&header(&head)?, &body) != declared {
-        return Err(corrupt("checksum mismatch"));
-    }
-    Ok((head.frame(body), u64::from_le_bytes(declared)))
-}
-
 /// Encode one frame to bytes (header, payload, checksum). Fails typed
 /// if the payload cannot fit the 32-bit length field or the frame
 /// carries flag bits this protocol version does not define.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
     let header = header(&frame.head())?;
-    let trailer = trailer(&header, &frame.payload);
-    Ok([&header[..], &frame.payload, &trailer].concat())
+    let mut sum = Checksum::default();
+    sum.update(&header);
+    sum.update(&frame.payload);
+    Ok([&header[..], &frame.payload, &sum.finish().to_le_bytes()].concat())
 }
 
 /// Incremental decode: `Ok(None)` means the buffer holds a valid prefix
@@ -468,8 +448,11 @@ pub fn decode_frame(buf: &[u8], max_payload: u32) -> Result<Option<(Frame, usize
     if buf.len() < total {
         return Ok(None);
     }
-    let (frame, _) = seal(head, buf[HEADER_LEN..total].to_vec())?;
-    Ok(Some((frame, total)))
+    let (framed, declared) = buf[..total].split_at(total - TRAILER_LEN);
+    if checksum(framed).to_le_bytes() != declared {
+        return Err(corrupt("checksum mismatch"));
+    }
+    Ok(Some((head.frame(framed[HEADER_LEN..].to_vec()), total)))
 }
 
 /// Decode a buffer that must hold exactly one complete frame (the
@@ -575,6 +558,14 @@ impl<S: Source> Reader<S> {
     /// The source, with whatever the decoder left unread.
     pub(crate) fn into_source(self) -> S {
         self.src
+    }
+
+    /// The frame `head` opens, its payload — all the source holds —
+    /// taken undecoded into one buffer of exactly its length.
+    pub(crate) fn frame(&mut self, head: Head) -> Result<Frame, WireError> {
+        let mut payload = vec![0; self.src.left()];
+        self.src.read(&mut payload)?;
+        Ok(head.frame(payload))
     }
 
     /// Refuse a read of `n` bytes the payload does not hold.

@@ -25,15 +25,17 @@ kernel-pin:
 # plane is encoded in one bulk pass that is only vectorised in
 # `--release`, as the dwt kernels are for `kernel-pin`, and so is a
 # plane's copy into and out of `FrameIo`'s chunk at each chunk edge. The
-# wire and progressive unit tests, the bitwise round trips and the
-# pinned golden bytes of `wire_properties`, the allocation budgets of
-# `wire_allocations` — per side of one frame, and process-wide for a
-# warm 512² remote call, which allocates the decoded image and pyramid
-# and no shard pyramid (the shard decomposes into the connection's
-# spare) — and `wserv_remote`'s `frame_io` tests: the live encoders'
-# bytes, and the streamed decode at every split.
+# wire, progressive and transport unit tests (`FrameIo`'s one writer and
+# one reader, its deadline rule, a dropped shim end), the bitwise round
+# trips and the pinned golden bytes of `wire_properties`, the allocation
+# budgets of `wire_allocations` — per side of one frame, and
+# process-wide for a warm 512² remote call, which allocates the decoded
+# image and pyramid and no shard pyramid (the shard decomposes into the
+# connection's spare) — and `wserv_remote`'s `frame_io` tests: the
+# encoders' bytes, the decode at every split, and the pinned bytes of an
+# injected bit flip or reset (`frame_io_injects_faults_on_the_codec_bytes`).
 wire-pin:
-    cargo test -q --release -p wserv --lib -- wire:: progressive::
+    cargo test -q --release -p wserv --lib -- wire:: progressive:: transport::
     cargo test -q --release --test wire_properties --test wire_allocations
     cargo test -q --release --test wserv_remote -- frame_io
 

@@ -1,12 +1,11 @@
-//! A 2 MiB call holds no frame whole in bytes on the live path: one
-//! 512² Request and one Response sent and received through `FrameIo`'s
-//! streamed path (`send`, `recv`) allocate one chunk and the pipe's ring
-//! on the sending side, and the decoded planes and one chunk on the
-//! receiving side. Through the whole-frame path (`send_frame`,
-//! `recv_frame`) each side allocates about one payload: the encoder
-//! sizes it exactly, the frame goes out as header, payload and trailer
-//! where they lie, and the receiver reads it into one buffer sized from
-//! its header, which becomes the payload.
+//! A 2 MiB call holds no frame whole in bytes: one 512² Request and one
+//! Response sent and received through `FrameIo`'s `send` and `recv`
+//! allocate one chunk and the pipe's ring on the sending side, and the
+//! decoded planes and one chunk on the receiving side. A `Frame` held
+//! whole (`send_frame`, `recv_frame`) costs each side about one payload:
+//! the encoder sizes it exactly and the frame streams out through the
+//! sender's chunk, and the receiver reads the payload into one buffer of
+//! exactly its length.
 //!
 //! A warm 512² call through a `RemoteServer` allocates, process-wide,
 //! the server's decoded image and the client's decoded pyramid: the
@@ -61,7 +60,6 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (usize, T) {
 
 /// Allowance over what each bound names: over one payload, the sender
 /// also grows the pipe's 64 KiB ring (about 3 % of a 2 MiB payload), and
-/// the receiver's buffer holds the 8-byte trailer until it is checked;
 /// the decoded value carries its filter bank and matrix headers.
 const SLACK: f64 = 1.1;
 

@@ -54,7 +54,7 @@ use wserv::wire::{
 use wserv::{
     DecomposeRequest, DegradedPolicy, MemListener, Priority, RemoteClient, ServiceConfig,
     ShardFaultPlan, SupervisorPolicy, TcpAcceptor, TcpConnector, TransportError, WireDir,
-    WireFaultPlan,
+    WireFault, WireFaultPlan,
 };
 
 mod split;
@@ -2185,19 +2185,17 @@ fn sends_the_codec_bytes(frames: &[Frame]) {
     }
 }
 
-/// What `FrameIo` writes — a frame held whole, sent where it lies, or
-/// the live encoders streaming through the chunk — is `encode_frame`'s
-/// bytes, byte for byte, over the shim and over TCP. What it reads
-/// decodes to the same frames wherever the stream is split, whole into
-/// a buffer sized from each header (one cut at every byte offset, read
-/// up to the cut before the rest arrives) and streamed through the chunk
-/// into the typed decoder, which agrees with `decode_message`: at every
-/// byte offset of the frame of every kind; and, for frames larger than
-/// the chunk, inside the first checksum block, around each chunk edge,
-/// where an `f64` straddles two reads, and at a stride. A flipped byte
-/// anywhere is `FrameCorrupt`, with no value delivered, and geometry
-/// that claims more coefficients than the payload holds fails typed
-/// before anything is sized from it.
+/// What `FrameIo` writes — a frame held whole or the live encoders,
+/// both streaming through the chunk — is `encode_frame`'s bytes, byte
+/// for byte, over the shim and over TCP. What it reads decodes to the
+/// same frames wherever the stream is split, each payload whole into one
+/// buffer of its length and into the typed decoder, which agrees with
+/// `decode_message`: at every byte offset of the frame of every kind;
+/// and, for frames larger than the chunk, inside the first checksum
+/// block, around each chunk edge, where an `f64` straddles two reads,
+/// and at a stride. A flipped byte anywhere is `FrameCorrupt`, with no
+/// value delivered, and geometry that claims more coefficients than the
+/// payload holds fails typed before anything is sized from it.
 #[test]
 fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
     let frames = every_kind();
@@ -2209,21 +2207,8 @@ fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
     sends_the_codec_bytes(&frames);
 
     for cut in 0..=stream.len() {
-        let (mut near, far) = wserv::mem_pair(stream.len(), tick());
-        let mut rx = FrameIo::new(
-            Box::new(far),
-            7,
-            WireDir::ServerToClient,
-            WireFaultPlan::none(),
-            WireClock::new(),
-        );
+        let mut rx = Split::framed(&stream, &[cut]);
         let mut read = Vec::new();
-        near.send(&[&stream[..cut]]).expect("room for the stream");
-        while let RecvFrame::Frame(f) = rx.recv_frame_until(Instant::now()).expect("a prefix") {
-            read.push(f);
-        }
-        near.send(&[&stream[cut..]]).expect("room for the stream");
-        near.shutdown_write();
         while let RecvFrame::Frame(f) = rx.recv_frame().expect("the whole stream") {
             read.push(f);
         }
@@ -2324,6 +2309,131 @@ fn frame_io_writes_and_reads_exactly_the_codec_bytes() {
             other => panic!("{:?} geometry read as {other:?}", lying.kind),
         }
         assert!(decode_message(&lying).is_err(), "{:?}", lying.kind);
+    }
+}
+
+/// One frame sent under a wire fault, as both ends saw it.
+struct Faulted {
+    /// The bytes the peer received.
+    got: Vec<u8>,
+    /// How the peer's raw read ended.
+    end: Result<Recv, TransportError>,
+    /// What the send returned.
+    sent: Result<(), TransportError>,
+    /// The sender's `(frames_out, bytes_out)`.
+    stats: (u64, u64),
+}
+
+/// Send `req` from a `FrameIo` under `plan` over `transport` — through
+/// `send` if `live`, else `send_frame` — and read what arrives raw.
+fn faulted_send(
+    transport: &str,
+    plan: WireFaultPlan,
+    live: bool,
+    req: &DecomposeRequest,
+) -> Faulted {
+    let (listener, dial) = endpoints(transport);
+    let near = dial().dial().expect("listener is up");
+    let mut far = listener.accept().expect("dialed");
+    let reader = std::thread::spawn(move || {
+        let (mut got, mut buf) = (Vec::new(), [0u8; 4096]);
+        let deadline = Instant::now() + PATIENCE;
+        loop {
+            match far.recv(&mut buf, Some(deadline)) {
+                Ok(Recv::Data(n)) => got.extend_from_slice(&buf[..n]),
+                end => return (got, end),
+            }
+        }
+    });
+    let (conn, dir) = FAULTED;
+    let mut tx = FrameIo::new(near, conn, dir, plan, WireClock::new());
+    let sent = match live {
+        true => tx.send(1, &Payload::Request(req)),
+        false => tx.send_frame(&encode_request(1, req).expect("request encodes")),
+    };
+    tx.shutdown_write();
+    let (got, end) = reader.join().expect("the reader never panics");
+    let stats = (tx.stats.frames_out, tx.stats.bytes_out);
+    Faulted {
+        got,
+        end,
+        sent,
+        stats,
+    }
+}
+
+/// The fault coordinates `faulted_send` sends its one frame at.
+const FAULTED: (u64, WireDir) = (5, WireDir::ClientToServer);
+
+/// The faults `FrameIo` injects act on `encode_frame`'s bytes, through
+/// `send` and `send_frame`, over the shim and over TCP, for a request
+/// larger than two chunks. A bit flip delivers those bytes with exactly
+/// the bit `entropy % (8·len)` flipped — in the header, on either side
+/// of each chunk edge, and in the trailer, the seeds found through the
+/// public `WireFaultPlan::decide` — and counts one frame of `len` bytes
+/// out. A reset delivers exactly the first `len / 2` bytes, which the
+/// peer reads as a reset, returns `ConnReset` to the sender and counts
+/// `len / 2` bytes and no frame out.
+#[test]
+fn frame_io_injects_faults_on_the_codec_bytes() {
+    let req = DecomposeRequest::new(image(128, 4), FilterBank::cdf53(), 3);
+    let bytes = encode_frame(&encode_request(1, &req).expect("request encodes")).expect("frames");
+    let len = bytes.len();
+    assert!(len > 2 * CHUNK, "a {len} B frame spans three chunks");
+    let (conn, dir) = FAULTED;
+    let plan = |seed| WireFaultPlan::seeded(seed).with_bitflip(conn, dir, 0);
+    let bit_of = |seed| match plan(seed).decide(conn, dir, 0) {
+        Some(WireFault::BitFlip { entropy }) => (entropy % (8 * len as u64)) as usize,
+        other => panic!("seed {seed}: expected a bit flip, got {other:?}"),
+    };
+    let edges = (1..=len / CHUNK).map(|k| k * CHUNK);
+    let windows = std::iter::once(0..HEADER_LEN)
+        .chain(edges.flat_map(|e| [e - 9..e, e..e + 10]))
+        .chain(std::iter::once(len - TRAILER_LEN..len));
+    let seeds: Vec<u64> = windows
+        .map(|w| {
+            (0..)
+                .find(|&seed| w.contains(&(bit_of(seed) / 8)))
+                .expect("some seed flips a bit in every window")
+        })
+        .collect();
+    for transport in TRANSPORTS {
+        for live in [false, true] {
+            let at = format!("{transport}, live {live}");
+            for &seed in &seeds {
+                let bit = bit_of(seed);
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let f = faulted_send(transport, plan(seed), live, &req);
+                assert_eq!(f.sent, Ok(()), "{at}: a flip is not the sender's to see");
+                assert_eq!(f.end, Ok(Recv::Eof), "{at}");
+                assert!(f.got == flipped, "{at}: bit {bit} of {len} B, other bytes");
+                assert_eq!(f.stats, (1, len as u64), "{at}: (frames_out, bytes_out)");
+            }
+            let reset = WireFaultPlan::none().with_reset(conn, dir, 0);
+            let f = faulted_send(transport, reset, live, &req);
+            assert_eq!(f.sent, Err(TransportError::ConnReset), "{at}");
+            assert!(
+                f.got == bytes[..len / 2],
+                "{at}: {} B of {len}",
+                f.got.len()
+            );
+            assert!(
+                matches!(f.end, Ok(Recv::Eof) | Err(TransportError::ConnReset)),
+                "{at}: {:?}",
+                f.end
+            );
+            assert_eq!(
+                read_all(Split::framed(&f.got, &[])),
+                Err(TransportError::ConnReset),
+                "{at}: the peer reads a cut frame"
+            );
+            assert_eq!(
+                f.stats,
+                (0, len as u64 / 2),
+                "{at}: (frames_out, bytes_out)"
+            );
+        }
     }
 }
 
